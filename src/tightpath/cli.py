@@ -32,8 +32,20 @@ from .errors import (
     ShapeError,
     TightpathError,
 )
-from .geometry import field_from_config
-from .hypotheses import bundle_to_dict, certify_all, load_bundle
+from .geometry import BOUNDARY_MODULUS_PROBES, field_from_config
+from .hypotheses import (
+    COLLAR_POINTS,
+    COLLAR_TIMES,
+    CONTROL_CANDIDATES,
+    GROWTH_SAMPLES,
+    LIPSCHITZ_SAMPLES,
+    STABILITY_GROWTH_SAMPLES,
+    STABILITY_LIPSCHITZ_SAMPLES,
+    TIME_REGULARITY_SAMPLES,
+    bundle_to_dict,
+    certify_all,
+    load_bundle,
+)
 from .repair import render_report, repair
 from .scenarios import scenario_from_config
 from .signals import (
@@ -57,15 +69,19 @@ EXIT_MISMATCH = 65
 # rest so a bundle stays valid across tolerance and weight sweeps.
 _NON_IDENTITY_KEYS = ("lambda", "weight", "seed", "out", "eps")
 
+# The certifiers' default sample counts, which certify_all runs with.
 _SAMPLE_COUNTS = {
-    "growth_envelope": 256,
-    "state_lipschitz": 192,
-    "time_regularity": 24,
-    "boundary_modulus_probes": 128,
-    "collar_times": 21,
-    "collar_points": 16,
-    "control_candidates": 17,
-    "stability_resample": {"growth_envelope": 512, "state_lipschitz": 384},
+    "growth_envelope": GROWTH_SAMPLES,
+    "state_lipschitz": LIPSCHITZ_SAMPLES,
+    "time_regularity": TIME_REGULARITY_SAMPLES,
+    "boundary_modulus_probes": BOUNDARY_MODULUS_PROBES,
+    "collar_times": COLLAR_TIMES,
+    "collar_points": COLLAR_POINTS,
+    "control_candidates": CONTROL_CANDIDATES,
+    "stability_resample": {
+        "growth_envelope": STABILITY_GROWTH_SAMPLES,
+        "state_lipschitz": STABILITY_LIPSCHITZ_SAMPLES,
+    },
 }
 
 

@@ -36,6 +36,9 @@ _ALLOWED_CALLS = {
 
 _MAX_TREE_CACHE = 64
 
+# Default number of feasible probes per tightening in the boundary modulus.
+BOUNDARY_MODULUS_PROBES = 128
+
 # Marker for "the whole sampling box is feasible": boundary out of reach.
 _NO_BOUNDARY = "no-boundary"
 
@@ -486,7 +489,7 @@ def build_boundary_modulus(
     eps_list,
     delta0: float | None = None,
     box_radius: float | None = None,
-    n_probes: int = 128,
+    n_probes: int = BOUNDARY_MODULUS_PROBES,
     seed: int = 0,
 ) -> ModulusTable:
     """Tabulated bound on the time drift of the boundary-distance field.

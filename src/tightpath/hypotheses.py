@@ -30,6 +30,19 @@ from .signals import ControlSignal, ModulusTable, TimeGrid, Trajectory
 _SAFETY = 1.1
 _VALIDATE_SLACK = 1.01  # declared constants may be undershot by sampling only
 
+# Forward-cone margins within this distance of the best one count as tied.
+INWARD_TIE_TOL = 1e-12
+
+# Default sample counts of the certifiers; bundle.json records them.
+GROWTH_SAMPLES = 256
+LIPSCHITZ_SAMPLES = 192
+TIME_REGULARITY_SAMPLES = 24
+COLLAR_TIMES = 21
+COLLAR_POINTS = 16
+CONTROL_CANDIDATES = 17
+STABILITY_GROWTH_SAMPLES = 512
+STABILITY_LIPSCHITZ_SAMPLES = 384
+
 
 @dataclass(frozen=True)
 class SampledFunction:
@@ -111,7 +124,7 @@ def certify_sublinear(
     model: DynamicsModel,
     box: OperatingBox,
     time_grid: TimeGrid,
-    n_samples: int = 256,
+    n_samples: int = GROWTH_SAMPLES,
     seed: int = 0,
     safety: float = _SAFETY,
 ) -> SampledFunction:
@@ -165,7 +178,7 @@ def certify_lipschitz(
     radius_R: float,
     control_box: np.ndarray,
     time_grid: TimeGrid,
-    n_samples: int = 192,
+    n_samples: int = LIPSCHITZ_SAMPLES,
     seed: int = 0,
     safety: float = _SAFETY,
 ) -> SampledFunction:
@@ -302,7 +315,7 @@ def _collar_samples(
     return points[: 2 * count]
 
 
-def _control_candidates(rng, m: int, bound: float, count: int = 17) -> np.ndarray:
+def _control_candidates(rng, m: int, bound: float, count: int = CONTROL_CANDIDATES) -> np.ndarray:
     if m == 1:
         return bound * np.linspace(-1.0, 1.0, count)[:, None]
     pts = _ball_points(rng, count * 4, m, bound)
@@ -328,6 +341,14 @@ def inclusion_margins(
     (n_candidates,) margins and the (n_candidates, N) velocities; a
     negative margin means the inclusion fails on the sample grid. The
     delta and y grids are deterministic, so repeated calls agree bitwise.
+
+    The search is a branch-and-bound for ``best_inward_candidate``: the
+    leader after the first push time is evaluated at every push time, and
+    a candidate stops being evaluated once its running minimum falls below
+    the leader's exact margin minus ``INWARD_TIE_TOL``. So every candidate
+    that wins or ties has its exact margin; every other entry is an upper
+    bound on its margin that lies more than ``INWARD_TIE_TOL`` below the
+    best margin.
     """
     x = np.asarray(x, dtype=float)
     velocities = rhs_batch(model, float(t), np.tile(x, (len(candidates), 1)), candidates)
@@ -340,19 +361,36 @@ def inclusion_margins(
     ys = x + _ball_points(rng, grid_points, field.dim, xi)
     ys = np.vstack([x[None, :], ys])
     ys = ys[field.margin(t, ys, eps) >= 0]
-    safe_v = np.where(np.isfinite(velocities), velocities, 0.0)
-    for delta in deltas:
-        centers = (ys[None, :, :] + delta * safe_v[:, None, :]).reshape(-1, field.dim)
+
+    def push(delta: float, idx: np.ndarray) -> None:
+        centers = (ys[None, :, :] + delta * velocities[idx, None, :]).reshape(-1, field.dim)
         d_set, d_bdry = field._distances(eps, t + delta, centers)
         slack = np.where(d_set > 0, -np.inf, d_bdry - delta * xi)
-        margins = np.minimum(margins, slack.reshape(len(candidates), -1).min(axis=1))
+        margins[idx] = np.minimum(margins[idx], slack.reshape(len(idx), -1).min(axis=1))
+
+    # A running minimum only decreases, so a candidate already below the
+    # leader's exact margin minus the tie tolerance can neither win nor tie.
+    live = np.flatnonzero(margins > -np.inf)
+    if live.size == 0 or deltas.size == 0:
+        return margins, velocities
+    push(deltas[0], live)
+    leader = live[np.argmax(margins[live])]
+    for delta in deltas[1:]:
+        push(delta, np.array([leader]))
+    floor = margins[leader] - INWARD_TIE_TOL
+    live = live[live != leader]
+    for delta in deltas[1:]:
+        live = live[margins[live] >= floor]
+        if live.size == 0:
+            break
+        push(delta, live)
     return margins, velocities
 
 
 def best_inward_candidate(margins: np.ndarray, candidates: np.ndarray) -> int:
     """Index of the max-margin candidate; ties go to the smaller control."""
     top = float(margins.max())
-    tied = np.flatnonzero(margins >= top - 1e-12)
+    tied = np.flatnonzero(margins >= top - INWARD_TIE_TOL)
     return int(tied[np.argmin(np.linalg.norm(candidates[tied], axis=1))])
 
 
@@ -364,7 +402,7 @@ def certify_inward_pointing(
     time_grid: TimeGrid,
     control_bounds=(0.5, 1.0, 2.0, 4.0),
     xi_candidates=(0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05),
-    n_collar: int = 16,
+    n_collar: int = COLLAR_POINTS,
     box_radius: float | None = None,
     seed: int = 0,
 ) -> tuple[float, float, float, float]:
@@ -376,7 +414,7 @@ def certify_inward_pointing(
     An empty collar (constraint inactive in the box) passes vacuously at
     the caps. Failure carries the witness (eps, t, x).
     """
-    times = _subsample(time_grid.nodes, 21)
+    times = _subsample(time_grid.nodes, COLLAR_TIMES)
     horizon = float(time_grid.t1)
     etas = sorted(float(e) for e in collar_eta_grid)[::-1]
     rng = np.random.default_rng(seed)
@@ -444,7 +482,7 @@ def certify_time_regularity(
     box: OperatingBox,
     time_grid: TimeGrid,
     control_bound: float = 0.0,
-    n_samples: int = 24,
+    n_samples: int = TIME_REGULARITY_SAMPLES,
     node_limit: int = 81,
     seed: int = 0,
     safety: float = _SAFETY,
@@ -709,11 +747,15 @@ def certify_all(
     )
     kf = certify_lipschitz(model, radius, box.controls, grid, seed=seed)
     if stability_check:
-        fine_theta = certify_sublinear(model, box, grid, n_samples=512, seed=seed + 1)
+        fine_theta = certify_sublinear(
+            model, box, grid, n_samples=STABILITY_GROWTH_SAMPLES, seed=seed + 1
+        )
         if np.any(fine_theta.values > theta.values * _SAFETY + 1e-12):
             theta = SampledFunction(grid, np.maximum(theta.values, _SAFETY * fine_theta.values))
             provenance["growth_envelope"] = "declared-only"
-        fine_kf = certify_lipschitz(model, radius, box.controls, grid, n_samples=384, seed=seed + 1)
+        fine_kf = certify_lipschitz(
+            model, radius, box.controls, grid, n_samples=STABILITY_LIPSCHITZ_SAMPLES, seed=seed + 1
+        )
         if np.any(fine_kf.values > kf.values * _SAFETY + 1e-12):
             kf = SampledFunction(grid, np.maximum(kf.values, _SAFETY * fine_kf.values))
             provenance["state_lipschitz"] = "declared-only"

@@ -713,6 +713,9 @@ def repair(
 
 
 def _retighten(c: RepairConstants, field, xbar, trail) -> RepairConstants:
+    """Halve eps after a failed sweep: the failed eps is marked rejected."""
+    failed_eps, failed_rho, _ = trail[-1]
+    trail[-1] = (failed_eps, failed_rho, False)
     eps = c.eps / 2.0
     rho_bar = violation_sup(field, eps, xbar)
     trail.append((float(eps), float(rho_bar), True))

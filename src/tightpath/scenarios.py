@@ -214,6 +214,14 @@ def motor_scenario(
     )
 
 
+def _number(table: dict, key: str, default, kind):
+    value = table.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
+
+
 def scenario_from_config(config: dict) -> Scenario:
     """Rebuild a scenario from a config mapping (the CLI entry path)."""
     try:
@@ -228,11 +236,11 @@ def scenario_from_config(config: dict) -> Scenario:
         raise ConfigError("reference variant must be 'surge' or 'decline'")
     scenario = motor_scenario(
         variant,
-        clearance=float(reference.get("clearance", 5e-4)),
-        steps=int(config.get("steps", 2000)),
-        horizon=float(config.get("horizon", 2.0)),
-        x_start=float(reference.get("x_start", 1.08)),
-        finish=float(reference.get("finish", 1.06)),
+        clearance=_number(reference, "clearance", 5e-4, float),
+        steps=_number(config, "steps", 2000, int),
+        horizon=_number(config, "horizon", 2.0, float),
+        x_start=_number(reference, "x_start", 1.08, float),
+        finish=_number(reference, "finish", 1.06, float),
     )
     # The reference is integrated against the variant's own dynamics, so a
     # config that names a different model or constraint is inconsistent.

@@ -8,6 +8,7 @@ use small fabricated configs.
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,7 +92,16 @@ class TestCertify:
         assert record["seed"] == 0
         assert record["config_hash"]
         cert = record["certification"]
-        assert cert["sample_counts"]["growth_envelope"] == 256
+        assert cert["sample_counts"] == {
+            "growth_envelope": 256,
+            "state_lipschitz": 192,
+            "time_regularity": 24,
+            "boundary_modulus_probes": 128,
+            "collar_times": 21,
+            "collar_points": 16,
+            "control_candidates": 17,
+            "stability_resample": {"growth_envelope": 512, "state_lipschitz": 384},
+        }
         assert set(cert["binding_samples"]) == {
             "growth_envelope",
             "state_lipschitz",
@@ -292,6 +302,26 @@ class TestConfigRejection:
             assert code == 64, needle
             err = capsys.readouterr().err
             assert needle in err, (needle, err)
+
+    @pytest.mark.parametrize("name", ["steps", "horizon", "clearance", "x_start", "finish"])
+    def test_non_numeric_scenario_field_names_itself(self, workdir, capsys, name):
+        for idx, bad in enumerate(("abc", [2.0], None)):
+            config = json.loads(json.dumps(SURGE_CONFIG))
+            table = config if name in ("steps", "horizon") else config["reference"]
+            table[name] = bad
+            path = write_config(workdir / f"number-{name}-{idx}.json", config)
+            code = cli.main(["certify", "--config", path, "--out", str(workdir / "num")])
+            assert code == 64, (name, bad)
+            err = capsys.readouterr().err
+            assert f"{name!r} must be a number" in err, err
+
+    def test_readme_example_config_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("A boundary tracking config names a built-in profile:", 1)[1]
+        config = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        model, field, xbar, ubar = cli.load_problem(config)
+        assert model.name == "motor_surge"
+        assert xbar.states[0, 0] == config["x0"][0]
 
     def test_inline_reference_grid_mismatch(self, workdir, capsys):
         config = dict(SUPERLINEAR_CONFIG)

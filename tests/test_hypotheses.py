@@ -52,13 +52,15 @@ from tightpath import (
     inclusion_margins,
     integrate,
     load_bundle,
+    model_from_config,
     motor_decline,
     motor_surge,
     save_bundle,
     unit_ball_complement,
     validate_bundle,
 )
-from tightpath.dynamics import DynamicsModel
+from tightpath.dynamics import DynamicsModel, rhs_batch
+from tightpath.hypotheses import INWARD_TIE_TOL, _ball_points, _control_candidates
 
 GRID = TimeGrid.uniform(0.0, 2.0, 400)
 BALL = unit_ball_complement(dim=1, box_radius=2.0)
@@ -199,6 +201,119 @@ class TestInwardPointing:
     def test_tie_break_prefers_smaller_control(self):
         margins = np.array([1.0, 1.0, 0.5])
         cands = np.array([[-0.8], [0.2], [0.0]])
+        assert best_inward_candidate(margins, cands) == 1
+
+
+MOVING_DISK = field_from_config(
+    {
+        "components": ["1 - sqrt((x1 - 0.1*t)**2 + x2**2)"],
+        "box": [[-2.0, 2.0], [-2.0, 2.0]],
+        "time_varying": True,
+        "resolution": 0.025,
+    }
+)
+PLANAR = model_from_config(
+    {"model": "expression", "state_dim": 2, "control_dim": 2, "rhs": ["u1", "u2"]}
+)
+
+
+def unpruned_margins(field, model, eps, t, x, candidates, xi, horizon, grid_points=16):
+    """Reference: every candidate evaluated at every push time."""
+    velocities = rhs_batch(model, float(t), np.tile(x, (len(candidates), 1)), candidates)
+    margins = np.where(np.all(np.isfinite(velocities), axis=1), np.inf, -np.inf)
+    delta_cap = min(xi, max(horizon - t, 0.0))
+    if delta_cap <= 0:
+        return margins, velocities
+    rng = np.random.default_rng(12)
+    deltas = np.linspace(0.0, delta_cap, grid_points)[1:]
+    ys = np.vstack([x[None, :], x + _ball_points(rng, grid_points, field.dim, xi)])
+    ys = ys[field.margin(t, ys, eps) >= 0]
+    safe_v = np.where(np.isfinite(velocities), velocities, 0.0)
+    for delta in deltas:
+        centers = (ys[None, :, :] + delta * safe_v[:, None, :]).reshape(-1, field.dim)
+        d_set, d_bdry = field._distances(eps, t + delta, centers)
+        slack = np.where(d_set > 0, -np.inf, d_bdry - delta * xi)
+        margins = np.minimum(margins, slack.reshape(len(candidates), -1).min(axis=1))
+    return margins, velocities
+
+
+def check_against_unpruned(field, model, eps, t, x, candidates, xi, horizon=2.0) -> int:
+    """Assert the pruned search picks the same winner bitwise; returns the
+    number of loser margins that came back as bounds rather than exact."""
+    x = np.asarray(x, dtype=float)
+    margins, velocities = inclusion_margins(field, model, eps, t, x, candidates, xi, horizon)
+    ref_margins, ref_velocities = unpruned_margins(field, model, eps, t, x, candidates, xi, horizon)
+    best = best_inward_candidate(margins, candidates)
+    assert best == best_inward_candidate(ref_margins, candidates)
+    assert margins[best].tobytes() == ref_margins[best].tobytes()
+    assert velocities.tobytes() == ref_velocities.tobytes()
+    exact = margins == ref_margins
+    assert np.all(exact | (margins < margins[best] - INWARD_TIE_TOL))
+    assert np.all(margins >= ref_margins)  # a pruned margin is an upper bound
+    return int(np.count_nonzero(~exact))
+
+
+class TestPrunedInclusionMargins:
+    """The pruned search against the unpruned loop it replaces."""
+
+    def test_moving_disk_lattice_field(self):
+        eps = 0.05
+        pruned = 0
+        for bound in (0.5, 2.0):
+            cands = _control_candidates(np.random.default_rng(1), 2, bound)
+            for t in (0.0, 0.9, 1.95):
+                for angle in (0.4, 1.6, 2.9):
+                    for depth in (0.002, 0.03):
+                        radius = 1.0 + eps + depth
+                        x = np.array([0.1 * t + radius * np.cos(angle), radius * np.sin(angle)])
+                        for xi in (0.5, 0.15, 0.05):
+                            pruned += check_against_unpruned(
+                                MOVING_DISK, PLANAR, eps, t, x, cands, xi
+                            )
+        assert pruned > 0
+
+    def test_unit_ball_complement(self):
+        pruned = 0
+        for model in (motor_surge(), motor_decline()):
+            for bound in (0.5, 1.0, 4.0):
+                cands = _control_candidates(np.random.default_rng(1), 1, bound)
+                for t in (0.3, 1.2, 1.9):
+                    for x in (1.0501, 1.08, 1.3, -1.06):
+                        for xi in (0.5, 0.25, 0.05):
+                            pruned += check_against_unpruned(
+                                BALL, model, 0.05, t, [x], cands, xi
+                            )
+        assert pruned > 0
+
+    def test_planar_unit_ball_complement(self):
+        ball = unit_ball_complement(dim=2, box_radius=2.0)
+        cands = _control_candidates(np.random.default_rng(1), 2, 1.0)
+        pruned = 0
+        for x in ([1.06, 0.0], [0.5, 0.9], [-0.8, -0.8]):
+            for xi in (0.4, 0.1):
+                pruned += check_against_unpruned(ball, PLANAR, 0.02, 0.5, x, cands, xi)
+        assert pruned > 0
+
+    def test_exact_tie_goes_to_smaller_control(self):
+        def rhs(t, x, u):
+            return np.minimum(np.abs(np.asarray(u, dtype=float)), 0.5)
+
+        saturating = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs, name="sat")
+        cands = np.array([[1.0], [-0.3], [0.7], [0.5], [-0.5]])
+        check_against_unpruned(BALL, saturating, 0.05, 0.4, [1.06], cands, 0.3)
+        margins, _ = inclusion_margins(BALL, saturating, 0.05, 0.4, np.array([1.06]), cands, 0.3, 2.0)
+        assert best_inward_candidate(margins, cands) == 3
+
+    def test_near_tie_within_tolerance_stays_exact(self):
+        # At v = xi the leader's slack is flat in the push time; the smaller
+        # control's slack sinks by under the tie tolerance after the first
+        # push. It ties, wins on its norm, and its margin must be exact.
+        cands = np.array([[0.3], [0.3 - 1e-13], [0.1]])
+        check_against_unpruned(BALL, pure_control_model(), 0.05, 0.4, [1.06], cands, 0.3)
+        margins, _ = inclusion_margins(
+            BALL, pure_control_model(), 0.05, 0.4, np.array([1.06]), cands, 0.3, 2.0
+        )
+        assert margins[0] > margins[1] >= margins[0] - INWARD_TIE_TOL
         assert best_inward_candidate(margins, cands) == 1
 
 

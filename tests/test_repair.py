@@ -434,6 +434,21 @@ class TestRepair:
         assert np.array_equal(u1.values, u2.values)
         assert render_report(c1, r1, 0.1) == render_report(c2, r2, 0.1)
 
+    def test_trail_marks_retried_sweeps_rejected(self, surge_scenario, surge_bundle, surge_run):
+        sc = surge_scenario
+        _, _, c, report = surge_run
+        scheduled = schedule_constants(surge_bundle, sc.field, sc.model, sc.xbar, sc.ubar, 0.1)
+        first_swept = len(scheduled.eps_trail) - 1
+        assert scheduled.eps_trail[first_swept][2]  # the schedule kept this eps
+        assert len(c.eps_trail) > len(scheduled.eps_trail)  # but its sweep was retried
+        assert [ok for *_, ok in c.eps_trail] == [False] * (len(c.eps_trail) - 1) + [True]
+        assert report.eps_trail == c.eps_trail
+        text = render_report(c, report, 0.1)
+        trail = text.split("[tightening trail]\n")[1].split("\n\n")[0].splitlines()
+        assert len(trail) == len(c.eps_trail)
+        assert trail[first_swept].endswith("  rejected")
+        assert trail[-1].endswith("  kept")
+
     def test_tightening_monotone_under_lambda_sweep(self, surge_scenario, surge_bundle):
         sc = surge_scenario
         chosen = []
