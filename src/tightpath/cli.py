@@ -47,7 +47,7 @@ from .hypotheses import (
     load_bundle,
 )
 from .repair import render_report, repair
-from .scenarios import scenario_from_config
+from .scenarios import config_number, scenario_from_config
 from .signals import (
     ControlSignal,
     TimeGrid,
@@ -101,13 +101,18 @@ def _fmt(value) -> str:
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file {path!r} does not exist") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    if not isinstance(config, dict):
+        raise ConfigError(
+            f"{path}: the top level must be a JSON object, got {type(config).__name__}"
+        )
+    return config
 
 
 def config_identity_hash(config: dict) -> str:
@@ -222,7 +227,9 @@ def cmd_certify(args) -> int:
     config = load_config(args.config)
     model, field, xbar, ubar = load_problem(config)
     weight_from_config(config, model.control_dim)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else config_number(config, "seed", 0, int)
+    if seed < 0:
+        raise ConfigError(f"'seed' must be a non-negative integer, got {seed}")
     try:
         bundle = certify_all(
             model,
@@ -265,7 +272,7 @@ def cmd_repair(args) -> int:
     model, field, xbar, ubar = load_problem(config)
     if "lambda" not in config:
         raise ConfigError("repair config needs 'lambda'")
-    lam = float(config["lambda"])
+    lam = config_number(config, "lambda", None, float)
     bundle = load_bundle(args.bundle)
     expected = config_identity_hash(config)
     if bundle.config_hash != expected:
@@ -332,7 +339,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(
             f"control has dimension {control.dim}, model expects {model.control_dim}"
         )
-    eps = float(config.get("eps", 0.0))
+    eps = config_number(config, "eps", 0.0, float)
     nodes = traj.grid.nodes
     if field.time_varying:
         margin = min(

@@ -9,6 +9,7 @@ declared get them measured by the certification routines instead.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -214,12 +215,10 @@ def _surge_scale(t):
     return out if out.ndim else float(out)
 
 
-def _decline_decay(t):
-    t = np.asarray(t, dtype=float)
-    late = t > _BREAK_TIME
-    safe = np.where(late, t - _BREAK_TIME, 0.0)
-    out = np.where(late, 1.0 - 0.5 * np.sqrt(safe), 1.0)
-    return out if out.ndim else float(out)
+def _decline_decay(t: float) -> float:
+    # Scalar only: motor_decline's rhs is its one caller. sqrt is correctly
+    # rounded in both math and numpy, so this matches the array formula.
+    return 1.0 - 0.5 * math.sqrt(t - _BREAK_TIME) if t > _BREAK_TIME else 1.0
 
 
 def _default_drift(amplitude: float):

@@ -33,7 +33,10 @@ class IntegratorConfig:
     ``step`` is an upper bound: integrate subdivides each inter-breakpoint
     span uniformly, so the effective step divides the span exactly.
     ``richardson_check`` re-runs at half the step and compares shared
-    nodes against ``tolerance``.
+    nodes against ``tolerance``. The check does not change the returned
+    trajectory, so callers that re-integrate repeatedly may switch it off
+    for intermediate runs and check the final one: ``repair`` does so,
+    checking once the suffix it returns.
     """
 
     method: str = "rk4-fixed"

@@ -434,7 +434,9 @@ def repair_interval(
     interval end is kept; the trajectory is re-integrated from the
     interval start and the interval's grid margins must come out strictly
     positive. The sup gap to the incoming iterate is recorded against its
-    growth-map bound.
+    growth-map bound. The re-integration runs without the half-step
+    check, because a later burst may overwrite the suffix; ``repair``
+    checks the suffix it returns once, in one run.
     """
     grid = xcur.grid
     nodes = grid.nodes
@@ -489,7 +491,7 @@ def repair_interval(
             values[j] = shift_selection(model, t_j - delay, t_j, x_ti, target)
     control = ControlSignal(grid=grid, values=values)
 
-    cfg = IntegratorConfig(step=c.step)
+    cfg = IntegratorConfig(step=c.step, richardson_check=False)
     segment = integrate(model, control, x_ti, (t_i, float(nodes[-1])), cfg)
     if not np.array_equal(segment.grid.nodes, nodes[lo:]):
         raise RepairError(
@@ -657,7 +659,14 @@ def repair(
     most ``lam``, and weighted quadratic control cost within ``lam`` of
     the reference cost. If any of them fails, the tightening is halved and
     the sweep rerun (the analytic schedule guarantees existence of a small
-    enough tightening; halving finds one deterministically). Returns
+    enough tightening; halving finds one deterministically).
+
+    The sweeps re-integrate without the half-step check. An accepted pair
+    is re-integrated once from the start of its first burst interval to
+    the horizon with the check on, and that run must reproduce the
+    stitched states bit for bit: a disagreement raises ``AccuracyError``,
+    a mismatch raises ``RepairError`` at stage ``verify``. A pair without
+    a burst is the reference itself and is not re-integrated. Returns
     ``(x_eps, u_eps, constants, report)``.
     """
     nodes = xbar.grid.nodes
@@ -699,6 +708,7 @@ def repair(
             and report.final_cost_gap <= lam
         )
         if ok:
+            _verify_suffix(x_eps, u_eps, c, report, model)
             return x_eps, u_eps, c, report
         if halvings_left <= 0:
             raise RepairError(
@@ -710,6 +720,32 @@ def repair(
             )
         halvings_left -= 1
         c = _retighten(c, field, xbar, trail)
+
+
+def _verify_suffix(x_eps: Trajectory, u_eps: ControlSignal, c, report, model) -> None:
+    """Half-step check the returned suffix, and tie the stitched states to it."""
+    bursts = [r.t_start for r in report.records if r.case == "case-2"]
+    if not bursts:
+        return
+    nodes = x_eps.grid.nodes
+    lo = int(np.searchsorted(nodes, bursts[0] * (1 - 1e-12)))
+    fresh = integrate(
+        model, u_eps, x_eps.states[lo], (bursts[0], float(nodes[-1])), IntegratorConfig(step=c.step)
+    )
+    if not np.array_equal(fresh.grid.nodes, nodes[lo:]):
+        raise RepairError(
+            "the verifying run of the repaired suffix landed off the reference grid",
+            stage="verify",
+            report=report,
+        )
+    if not np.array_equal(fresh.states, x_eps.states[lo:]):
+        bad = int(np.flatnonzero(np.any(fresh.states != x_eps.states[lo:], axis=1))[0])
+        raise RepairError(
+            f"the stitched trajectory differs from one run over the repaired suffix "
+            f"at t={float(nodes[lo + bad])!r}",
+            stage="verify",
+            report=report,
+        )
 
 
 def _retighten(c: RepairConstants, field, xbar, trail) -> RepairConstants:

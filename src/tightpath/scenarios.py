@@ -214,7 +214,8 @@ def motor_scenario(
     )
 
 
-def _number(table: dict, key: str, default, kind):
+def config_number(table: dict, key: str, default, kind):
+    """Read ``table[key]`` (or ``default``) as ``kind``; a ConfigError names the key."""
     value = table.get(key, default)
     try:
         return kind(value)
@@ -236,11 +237,11 @@ def scenario_from_config(config: dict) -> Scenario:
         raise ConfigError("reference variant must be 'surge' or 'decline'")
     scenario = motor_scenario(
         variant,
-        clearance=_number(reference, "clearance", 5e-4, float),
-        steps=_number(config, "steps", 2000, int),
-        horizon=_number(config, "horizon", 2.0, float),
-        x_start=_number(reference, "x_start", 1.08, float),
-        finish=_number(reference, "finish", 1.06, float),
+        clearance=config_number(reference, "clearance", 5e-4, float),
+        steps=config_number(config, "steps", 2000, int),
+        horizon=config_number(config, "horizon", 2.0, float),
+        x_start=config_number(reference, "x_start", 1.08, float),
+        finish=config_number(reference, "finish", 1.06, float),
     )
     # The reference is integrated against the variant's own dynamics, so a
     # config that names a different model or constraint is inconsistent.

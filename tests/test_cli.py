@@ -295,6 +295,8 @@ class TestConfigRejection:
             ({**SUPERLINEAR_CONFIG, "weight": {"kind": "warp"}}, "weight kind"),
             ({**SUPERLINEAR_CONFIG, "x0": [9.0]}, "x0"),
             ({k: v for k, v in SUPERLINEAR_CONFIG.items() if k != "reference"}, "'reference' table"),
+            ([SUPERLINEAR_CONFIG], "top level must be a JSON object, got list"),
+            (None, "top level must be a JSON object, got NoneType"),
         ]
         for idx, (config, needle) in enumerate(cases):
             path = write_config(workdir / f"reject{idx}.json", config)
@@ -314,6 +316,38 @@ class TestConfigRejection:
             assert code == 64, (name, bad)
             err = capsys.readouterr().err
             assert f"{name!r} must be a number" in err, err
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("certify", "seed"), ("repair", "lambda"), ("evaluate", "eps")],
+    )
+    def test_non_numeric_command_field_names_itself(self, workdir, capsys, command, name):
+        # The superlinear config is cheap to load, and every command reads
+        # its number before doing any work that needs it to be valid.
+        xp, up = workdir / "flat_x.csv", workdir / "flat_u.csv"
+        xp.write_text("t,x1\n0,1.2\n0.5,1.2\n1,1.2\n")
+        up.write_text("t,u1\n0,0\n0.5,0\n1,0\n")
+        out = ["--out", str(workdir / "cmd")]
+        argv = {
+            "certify": ["certify", *out],
+            "repair": ["repair", "--bundle", str(workdir / "unread.json"), *out],
+            "evaluate": ["evaluate", str(xp), str(up)],
+        }[command]
+        for idx, bad in enumerate(("abc", [0.1], None)):
+            path = write_config(
+                workdir / f"command-{name}-{idx}.json", {**SUPERLINEAR_CONFIG, name: bad}
+            )
+            code = cli.main(argv + ["--config", path])
+            assert code == 64, (name, bad)
+            err = capsys.readouterr().err
+            assert f"{name!r} must be a number" in err, err
+
+    def test_negative_seed_names_itself(self, workdir, capsys):
+        path = write_config(workdir / "negative-seed.json", {**SUPERLINEAR_CONFIG, "seed": -1})
+        for extra in ([], ["--seed", "-3"]):
+            code = cli.main(["certify", "--config", path, "--out", str(workdir / "neg"), *extra])
+            assert code == 64, extra
+            assert "'seed' must be a non-negative integer" in capsys.readouterr().err
 
     def test_readme_example_config_loads(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -106,6 +106,34 @@ class TestEvalRhs:
         assert batch == pytest.approx(rows, abs=0)
 
 
+class TestDeclineDecay:
+    @staticmethod
+    def array_decay(t):
+        # The 0-d numpy formula the scalar decay replaced.
+        t = np.asarray(t, dtype=float)
+        late = t > 1.0
+        safe = np.where(late, t - 1.0, 0.0)
+        return float(np.where(late, 1.0 - 0.5 * np.sqrt(safe), 1.0))
+
+    def test_scalar_matches_array_formula_bitwise(self):
+        from tightpath.dynamics import _decline_decay
+
+        near = [1.0]
+        for direction in (0.0, 2.0):
+            t = 1.0
+            for _ in range(64):
+                t = float(np.nextafter(t, direction))
+                near.append(t)
+        dense = np.linspace(0.0, 3.0, 30001).tolist()
+        drawn = np.random.default_rng(7).uniform(0.0, 3.0, 20000).tolist()
+        for t in near + dense + drawn + [1.0 + 1e-300, 1.5, 2.0]:
+            got = _decline_decay(t)
+            assert type(got) is float
+            assert got == self.array_decay(t), t
+        assert _decline_decay(1.0) == 1.0
+        assert _decline_decay(float(np.nextafter(1.0, 2.0))) < 1.0
+
+
 class TestShiftHooks:
     def test_surge_identity_before_break(self):
         model = motor_surge()

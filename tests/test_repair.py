@@ -22,6 +22,8 @@ Frozen oracle values, derived independently of the implementation:
 """
 
 import dataclasses
+import functools
+import importlib
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tightpath import (
+    AccuracyError,
     ControlSignal,
     HypothesisBundle,
     IntegratorConfig,
@@ -44,6 +47,7 @@ from tightpath import (
     double_integrator,
     eval_rhs,
     growth_maps,
+    integrate,
     inward_control_at,
     motor_scenario,
     render_report,
@@ -406,9 +410,14 @@ class TestRepair:
             assert report.window_excess <= 0
             assert report.envelope_sup <= c.R - 1.0
 
-    def test_interior_reference_repairs_to_itself(self):
+    def test_interior_reference_repairs_to_itself(self, monkeypatch):
         sc = motor_scenario("surge", clearance=0.5, x_start=1.5, finish=1.5)
         bundle = certify_all(sc.model, sc.field, sc.ubar, sc.xbar)
+
+        def forbidden(*args):
+            raise AssertionError("a pair without a burst is not re-integrated")
+
+        monkeypatch.setattr(importlib.import_module("tightpath.repair"), "integrate", forbidden)
         x_eps, u_eps, c, report = repair(sc.xbar, sc.ubar, 0.1, bundle, sc.field, sc.model)
         assert all(r.case == "case-1" for r in report.records)
         assert np.array_equal(x_eps.states, sc.xbar.states)
@@ -468,3 +477,71 @@ class TestRepair:
         block = next(iter(report.diagnostics.values()))
         assert "phi" in block and "phi_times" in block
         assert block["phi"].shape[0] == block["phi_times"].size
+
+
+class TestSuffixVerification:
+    """The sweep re-integrates without the half-step check; the returned
+    suffix is checked once and must equal that checked run bit for bit."""
+
+    # The package-level name ``repair`` is the function, not the module.
+    module = importlib.import_module("tightpath.repair")
+
+    def test_stitched_suffix_equals_one_checked_run(
+        self, surge_scenario, surge_run, decline_scenario, decline_run
+    ):
+        for sc, (x_eps, u_eps, c, report) in (
+            (surge_scenario, surge_run),
+            (decline_scenario, decline_run),
+        ):
+            t_start = next(r.t_start for r in report.records if r.case == "case-2")
+            lo = int(np.searchsorted(x_eps.grid.nodes, t_start * (1 - 1e-12)))
+            fresh = integrate(
+                sc.model,
+                u_eps,
+                x_eps.states[lo],
+                (t_start, float(x_eps.grid.t1)),
+                IntegratorConfig(step=c.step),
+            )
+            assert np.array_equal(fresh.grid.nodes, x_eps.grid.nodes[lo:])
+            assert np.array_equal(fresh.states, x_eps.states[lo:])
+            assert np.array_equal(x_eps.states[: lo + 1], sc.xbar.states[: lo + 1])
+
+    def test_corrupted_suffix_state_fails_verification(
+        self, monkeypatch, decline_scenario, decline_bundle
+    ):
+        sc = decline_scenario
+        real = self.module.integrate
+
+        def corrupted(model, u, x0, window, cfg):
+            traj = real(model, u, x0, window, cfg)
+            if cfg.richardson_check:
+                return traj
+            states = traj.states.copy()
+            states[states.shape[0] // 2] += 1e-12
+            return Trajectory(grid=traj.grid, states=states)
+
+        monkeypatch.setattr(self.module, "integrate", corrupted)
+        with pytest.raises(RepairError) as err:
+            repair(sc.xbar, sc.ubar, 0.1, decline_bundle, sc.field, sc.model)
+        assert err.value.stage == "verify"
+        assert err.value.report is not None
+
+    def test_tight_tolerance_fails_the_one_checked_run(
+        self, monkeypatch, decline_scenario, decline_bundle
+    ):
+        sc = decline_scenario
+        real = self.module.integrate
+        checked = []
+
+        def recording(model, u, x0, window, cfg):
+            checked.append(cfg.richardson_check)
+            return real(model, u, x0, window, cfg)
+
+        monkeypatch.setattr(self.module, "integrate", recording)
+        monkeypatch.setattr(
+            self.module, "IntegratorConfig", functools.partial(IntegratorConfig, tolerance=0.0)
+        )
+        with pytest.raises(AccuracyError):
+            repair(sc.xbar, sc.ubar, 0.1, decline_bundle, sc.field, sc.model)
+        assert len(checked) > 1
+        assert checked.count(True) == 1 and checked[-1]
