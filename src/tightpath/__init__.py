@@ -35,12 +35,8 @@ from .dynamics import (
 )
 from .geometry import (
     ConstraintField,
-    PerturbationProfile,
-    TighteningReport,
     boundary_points,
     build_boundary_modulus,
-    certify_regular_perturbation,
-    check_tightening,
     compile_expression,
     dist_to_boundary,
     dist_to_set,
@@ -67,7 +63,6 @@ from .hypotheses import (
 )
 from .propagation import (
     IntegratorConfig,
-    filippov_gap,
     gronwall_radius,
     integrate,
 )
@@ -94,12 +89,10 @@ from .signals import (
     TimeGrid,
     Trajectory,
     build_modulus_table,
-    eval_control,
     linf_distance,
     load_control,
     load_trajectory,
     save_csv,
-    sup_window_modulus,
     weighted_l2_cost,
 )
 

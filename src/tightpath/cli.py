@@ -340,14 +340,7 @@ def cmd_evaluate(args) -> int:
             f"control has dimension {control.dim}, model expects {model.control_dim}"
         )
     eps = config_number(config, "eps", 0.0, float)
-    nodes = traj.grid.nodes
-    if field.time_varying:
-        margin = min(
-            float(np.min(field.margin(float(t), traj.states[j : j + 1], eps)))
-            for j, t in enumerate(nodes)
-        )
-    else:
-        margin = float(np.min(field.margin(float(nodes[0]), traj.states, eps)))
+    margin = float(np.min(field.margin(traj.grid.nodes, traj.states, eps)))
     weight = weight_from_config(config, model.control_dim)
     cost_ref = float(weighted_l2_cost(ubar, weight))
     cost_eval = float(weighted_l2_cost(control, weight))

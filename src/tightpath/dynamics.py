@@ -122,16 +122,19 @@ def drift_budget(model: DynamicsModel, s: float, t: float) -> float | None:
     return float(value)
 
 
+def ball_points(rng, count: int, dim: int, radius: float) -> np.ndarray:
+    """``count`` points drawn uniformly from the radius ball around 0 in R^dim."""
+    directions = rng.standard_normal((count, dim))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    radii = radius * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / dim)
+    return directions / norms * radii
+
+
 def _ball_candidates(center: np.ndarray, radius: float, n: int, dim: int, rng) -> np.ndarray:
     if dim == 1:
-        offsets = radius * np.linspace(-1.0, 1.0, n)[:, None]
-    else:
-        directions = rng.standard_normal((n, dim))
-        norms = np.linalg.norm(directions, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        radii = radius * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / dim)
-        offsets = directions / norms * radii
-    return center + offsets
+        return center + radius * np.linspace(-1.0, 1.0, n)[:, None]
+    return center + ball_points(rng, n, dim, radius)
 
 
 def shift_selection(
@@ -221,6 +224,20 @@ def _decline_decay(t: float) -> float:
     return 1.0 - 0.5 * math.sqrt(t - _BREAK_TIME) if t > _BREAK_TIME else 1.0
 
 
+def _constant(value: float):
+    """t -> value, elementwise when t is an array."""
+
+    def fn(t):
+        return value + np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else value
+
+    return fn
+
+
+def _identity_transport(s, t, x, u_s):
+    """Shift hook of a field that does not depend on t through the control."""
+    return np.asarray(u_s, dtype=float)
+
+
 def _default_drift(amplitude: float):
     def drift(t, x):
         return amplitude * np.cos(np.asarray(x)[..., 0])
@@ -279,11 +296,10 @@ def motor_surge(
     def envelope(t):
         return _surge_scale(t) + bound
 
-    lip = drift_lipschitz
     metadata = DeclaredRegularity(
         growth_envelope=envelope,
-        state_lipschitz=lambda t: lip + np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else lip,
-        time_drift=lambda s: np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0,
+        state_lipschitz=_constant(drift_lipschitz),
+        time_drift=_constant(0.0),
         shift_radius_scale=radius_scale,
         holder_exponent=0.25,
         holder_rate_scale=rate_scale,
@@ -326,9 +342,6 @@ def motor_decline(
             np.asarray(u, dtype=float)
         )
 
-    def hook(s, t, x, u_s):
-        return np.asarray(u_s, dtype=float)
-
     def drift_density(s):
         s = np.asarray(s, dtype=float)
         late = s > _BREAK_TIME
@@ -336,22 +349,20 @@ def motor_decline(
         out = np.where(late, 0.25 / np.sqrt(safe), 0.0)
         return out if out.ndim else float(out)
 
-    lip = drift_lipschitz
-    zero = lambda s: np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0  # noqa: E731
     metadata = DeclaredRegularity(
         growth_envelope=None,
-        state_lipschitz=lambda t: lip + np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else lip,
+        state_lipschitz=_constant(drift_lipschitz),
         time_drift=drift_density,
         drift_singularities=(_BREAK_TIME,),
-        shift_radius_scale=zero,
+        shift_radius_scale=_constant(0.0),
         holder_exponent=1.0,
-        holder_rate_scale=zero,
+        holder_rate_scale=_constant(0.0),
     )
     return MotorModel(
         state_dim=1,
         control_dim=1,
         rhs=rhs,
-        shift_hook=hook,
+        shift_hook=_identity_transport,
         metadata=metadata,
         name="motor_decline",
         time_breakpoints=(_BREAK_TIME,),
@@ -395,21 +406,19 @@ def double_integrator() -> DynamicsModel:
         u = np.asarray(u, dtype=float)
         return np.stack([x[..., 1], u[..., 0]], axis=-1)
 
-    one = lambda t: np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else 1.0  # noqa: E731
-    zero = lambda s: np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0  # noqa: E731
     metadata = DeclaredRegularity(
-        growth_envelope=one,
-        state_lipschitz=one,
-        time_drift=zero,
-        shift_radius_scale=zero,
+        growth_envelope=_constant(1.0),
+        state_lipschitz=_constant(1.0),
+        time_drift=_constant(0.0),
+        shift_radius_scale=_constant(0.0),
         holder_exponent=1.0,
-        holder_rate_scale=zero,
+        holder_rate_scale=_constant(0.0),
     )
     return DynamicsModel(
         state_dim=2,
         control_dim=1,
         rhs=rhs,
-        shift_hook=lambda s, t, x, u_s: np.asarray(u_s, dtype=float),
+        shift_hook=_identity_transport,
         metadata=metadata,
         name="double_integrator",
     )
@@ -457,17 +466,15 @@ def expression_model(
     hook = None
     metadata = DeclaredRegularity()
     if autonomous:
-        zero = lambda s: np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0  # noqa: E731
-        hook = lambda s, t, x, u_s: np.asarray(u_s, dtype=float)  # noqa: E731
+        hook = _identity_transport
         metadata = DeclaredRegularity(
-            time_drift=zero,
-            shift_radius_scale=zero,
+            time_drift=_constant(0.0),
+            shift_radius_scale=_constant(0.0),
             holder_exponent=1.0,
-            holder_rate_scale=zero,
+            holder_rate_scale=_constant(0.0),
         )
     elif shift_radius is not None:
-        value = float(shift_radius)
-        metadata = DeclaredRegularity(shift_radius_scale=lambda s: value)
+        metadata = DeclaredRegularity(shift_radius_scale=_constant(float(shift_radius)))
     return DynamicsModel(
         state_dim=state_dim,
         control_dim=control_dim,
@@ -524,13 +531,11 @@ def model_from_config(config: dict) -> DynamicsModel:
     def gain(t, x):
         return np.stack([row(t, x) for row in rows], axis=-2)
 
-    declared = {}
-    if "growth_envelope" in config:
-        value = float(config["growth_envelope"])
-        declared["growth_envelope"] = lambda t: value
-    if "state_lipschitz" in config:
-        value_l = float(config["state_lipschitz"])
-        declared["state_lipschitz"] = lambda t: value_l
+    declared = {
+        name: _constant(float(config[name]))
+        for name in ("growth_envelope", "state_lipschitz")
+        if name in config
+    }
     return control_affine(
         drift,
         gain,

@@ -16,14 +16,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import (
-    CertificationError,
     ConfigError,
     DomainError,
     ExpressionError,
     InfeasibleTighteningError,
     ShapeError,
 )
-from .signals import ModulusTable, TimeGrid, Trajectory
+from .signals import ModulusTable, TimeGrid, Trajectory, subsample
 
 _ALLOWED_CALLS = {
     "abs": np.abs,
@@ -110,11 +109,15 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
 class ConstraintField:
     """Time-indexed feasible sets cut out by scalar inequality components.
 
+    ``value``, ``margin`` and ``_distances`` take the time ``t`` either as a
+    scalar or, for an (n, dim) batch, as an (n,) array with one time per
+    row. A static field evaluates every row at the first of those times.
+
     Parameters
     ----------
     components : tuple of callables
         Each maps (t, x) to h_j(t, x), broadcasting over a leading batch
-        axis of x.
+        axis of x and, for time-varying fields, over a matching axis of t.
     sampling_box : ndarray, shape (dim, 2)
         Coordinate bounds used by lattice fallbacks and certificates.
     time_varying : bool
@@ -154,15 +157,26 @@ class ConstraintField:
     def dim(self) -> int:
         return int(self.sampling_box.shape[0])
 
-    def value(self, t: float, x):
+    def _times(self, t):
+        """A scalar ``t`` as given; per-row times as an array, or as their
+        first entry for a static field, which ignores time."""
+        if isinstance(t, (float, int)):
+            return t
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            return float(t)
+        return t if self.time_varying else float(t[0])
+
+    def value(self, t, x):
         """max_j h_j(t, x); scalar for a single state, (n,) for a batch."""
         x = np.asarray(x, dtype=float)
+        t = self._times(t)
         out = np.asarray(self.components[0](t, x), dtype=float)
         for comp in self.components[1:]:
             out = np.maximum(out, np.asarray(comp(t, x), dtype=float))
         return float(out) if x.ndim == 1 else out
 
-    def margin(self, t: float, x, eps: float):
+    def margin(self, t, x, eps: float):
         """-(value + eps): nonnegative exactly on the tightened set."""
         x = np.asarray(x, dtype=float)
         out = -(self.value(t, x) + eps)
@@ -195,17 +209,31 @@ class ConstraintField:
             self._tree_cache[key] = tree
         return tree
 
-    def _distances(self, eps: float, t: float, points: np.ndarray):
-        """(d_set, d_boundary) arrays for a (n, dim) batch."""
+    def _distances(self, eps: float, t, points: np.ndarray):
+        """(d_set, d_boundary) arrays for a (n, dim) batch.
+
+        The lattice fallback queries one boundary tree per distinct time.
+        """
+        t = self._times(t)
         if self.analytic_distance is not None:
             d_set, d_bdry = self.analytic_distance(eps, t, points)
             return np.asarray(d_set, dtype=float), np.asarray(d_bdry, dtype=float)
-        tree = self._tree(t, eps)
-        if tree is _NO_BOUNDARY:
-            n = points.shape[0]
-            return np.zeros(n), np.full(n, np.inf)
-        d_bdry = np.asarray(tree.query(points)[0], dtype=float)
-        inside = self.margin(t, points, eps) >= 0
+        if not isinstance(t, np.ndarray):
+            tree = self._tree(t, eps)
+            if tree is _NO_BOUNDARY:
+                n = points.shape[0]
+                return np.zeros(n), np.full(n, np.inf)
+            d_bdry = np.asarray(tree.query(points)[0], dtype=float)
+            inside = self.margin(t, points, eps) >= 0
+            return np.where(inside, 0.0, d_bdry), d_bdry
+        order = np.argsort(t, kind="stable")
+        d_bdry = np.full(points.shape[0], np.inf)
+        for rows in np.split(order, np.flatnonzero(np.diff(t[order])) + 1):
+            tree = self._tree(float(t[rows[0]]), eps)
+            if tree is not _NO_BOUNDARY:
+                d_bdry[rows] = tree.query(points[rows])[0]
+        # An infinite boundary distance marks a time whose box is all feasible.
+        inside = np.isinf(d_bdry) | (self.margin(t, points, eps) >= 0)
         return np.where(inside, 0.0, d_bdry), d_bdry
 
 
@@ -242,14 +270,7 @@ def violation_sup(
     mask = (nodes >= lo - 1e-12) & (nodes <= hi + 1e-12)
     if not mask.any():
         raise DomainError("window contains no grid node")
-    states = traj.states[mask]
-    times = nodes[mask]
-    if not field.time_varying:
-        return float(field._distances(eps, float(times[0]), states)[0].max())
-    worst = 0.0
-    for t, x in zip(times, states):
-        worst = max(worst, float(field._distances(eps, float(t), x.reshape(1, -1))[0][0]))
-    return worst
+    return float(field._distances(eps, nodes[mask], traj.states[mask])[0].max())
 
 
 def unit_ball_complement(dim: int = 1, box_radius: float = 2.0) -> ConstraintField:
@@ -346,143 +367,6 @@ def _feasible_samples(
     return np.concatenate(collected, axis=0)[:n_samples]
 
 
-def _certificate_times(field: ConstraintField, t_nodes, limit: int = 21) -> np.ndarray:
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    if not field.time_varying:
-        return t_nodes[:1]
-    if t_nodes.size <= limit:
-        return t_nodes
-    idx = np.unique(np.linspace(0, t_nodes.size - 1, limit).round().astype(int))
-    return t_nodes[idx]
-
-
-@dataclass(frozen=True)
-class TighteningReport:
-    """Outcome of a sampled perturbation check at one tightening level."""
-
-    ok: bool
-    eps: float
-    deviation_cap: float
-    worst_deviation: float
-    witness_t: float
-    witness_x: np.ndarray
-    n_points: int
-
-
-def check_tightening(
-    field: ConstraintField,
-    t_nodes,
-    eps: float,
-    deviation_cap: float,
-    n_samples: int = 4000,
-    seed: int = 0,
-    box_radius: float | None = None,
-) -> TighteningReport:
-    """Check that tightening by eps displaces feasible states by <= cap.
-
-    Samples the untightened feasible set inside the box at representative
-    times and measures each sample's distance to the tightened set.
-    """
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    witness_t, witness_x = float(np.asarray(t_nodes)[0]), np.zeros(field.dim)
-    total = 0
-    for t in _certificate_times(field, t_nodes):
-        samples = _feasible_samples(field, t, n_samples, rng, box_radius)
-        total += samples.shape[0]
-        deviations = field._distances(eps, float(t), samples)[0]
-        i = int(np.argmax(deviations))
-        if deviations[i] > worst:
-            worst = float(deviations[i])
-            witness_t, witness_x = float(t), samples[i].copy()
-    return TighteningReport(
-        ok=worst <= deviation_cap,
-        eps=eps,
-        deviation_cap=deviation_cap,
-        worst_deviation=worst,
-        witness_t=witness_t,
-        witness_x=witness_x,
-        n_points=total,
-    )
-
-
-def certify_regular_perturbation(
-    field: ConstraintField,
-    t_nodes,
-    deviation_cap: float,
-    eps_cap: float,
-    n_samples: int = 4000,
-    seed: int = 0,
-    box_radius: float | None = None,
-) -> float:
-    """Largest eps <= eps_cap whose sampled displacement stays under cap.
-
-    The displacement of a fixed sample is nondecreasing in eps, so with a
-    frozen sample set the predicate is monotone and bisection down from
-    eps_cap applies. Raises when no positive tightening certifies.
-    """
-    if eps_cap <= 0 or deviation_cap <= 0:
-        raise DomainError("eps_cap and deviation_cap must be positive")
-    rng = np.random.default_rng(seed)
-    times = _certificate_times(field, t_nodes)
-    samples = {float(t): _feasible_samples(field, t, n_samples, rng, box_radius) for t in times}
-
-    def worst(eps: float) -> tuple[float, float, np.ndarray]:
-        out, w_t, w_x = 0.0, times[0], samples[float(times[0])][0]
-        for t, pts in samples.items():
-            deviations = field._distances(eps, t, pts)[0]
-            i = int(np.argmax(deviations))
-            if deviations[i] > out:
-                out, w_t, w_x = float(deviations[i]), t, pts[i]
-        return out, w_t, w_x
-
-    if worst(eps_cap)[0] <= deviation_cap:
-        return eps_cap
-    lo, hi = 0.0, eps_cap
-    while hi - lo > 1e-4 * eps_cap:
-        mid = 0.5 * (lo + hi)
-        if worst(mid)[0] <= deviation_cap:
-            lo = mid
-        else:
-            hi = mid
-    if lo <= 0.0:
-        deviation, w_t, w_x = worst(hi)
-        raise CertificationError(
-            f"no positive tightening keeps sampled displacement under {deviation_cap} "
-            f"(eps={hi:.3g} already displaces {deviation:.3g})",
-            witness=(w_t, w_x),
-        )
-    return lo
-
-
-@dataclass(frozen=True)
-class PerturbationProfile:
-    """Perturbation data: tightening caps, boundary drift, and the
-    tolerance-to-tightening table."""
-
-    eps0: float
-    delta0: float
-    omega_A: ModulusTable
-    lambda_to_eps: tuple
-
-    def __post_init__(self):
-        pairs = tuple((float(lam), float(eps)) for lam, eps in self.lambda_to_eps)
-        for lam, eps in pairs:
-            if lam <= 0 or eps <= 0 or eps > self.eps0:
-                raise DomainError("tabled (tolerance, eps) pairs must be positive with eps <= eps0")
-        object.__setattr__(self, "lambda_to_eps", pairs)
-
-    def eps_for(self, lam: float) -> float:
-        """Largest tabled eps whose tolerance does not exceed lam."""
-        best = None
-        for lam_i, eps_i in self.lambda_to_eps:
-            if lam_i <= lam and (best is None or eps_i > best):
-                best = eps_i
-        if best is None:
-            raise DomainError(f"no tabled tightening for tolerance {lam}")
-        return best
-
-
 def build_boundary_modulus(
     field: ConstraintField,
     grid: TimeGrid,
@@ -504,7 +388,7 @@ def build_boundary_modulus(
     step = float(gaps.max())
     if gaps.min() < step * (1 - 1e-6):
         raise DomainError("boundary modulus tables require a uniform grid")
-    times = _certificate_times(field, grid.nodes, limit=41)
+    times = subsample(grid.nodes, 41)
     n_t = times.size
     gap = float(times[1] - times[0]) if n_t > 1 else grid.span
     j_cap = n_t - 1 if delta0 is None else min(n_t - 1, int(np.ceil(delta0 / gap)))

@@ -12,11 +12,11 @@ the sole input contract of the repair schedule.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DynamicsModel, drift_budget, rhs_batch, shift_selection
+from .dynamics import DynamicsModel, ball_points, drift_budget, rhs_batch, shift_selection
 from .errors import (
     BundleError,
     CertificationError,
@@ -25,7 +25,14 @@ from .errors import (
     ShapeError,
 )
 from .geometry import ConstraintField, boundary_points, build_boundary_modulus
-from .signals import ControlSignal, ModulusTable, TimeGrid, Trajectory
+from .signals import (
+    ControlSignal,
+    ModulusTable,
+    TimeGrid,
+    Trajectory,
+    subsample,
+    trapezoid_prefix,
+)
 
 _SAFETY = 1.1
 _VALIDATE_SLACK = 1.01  # declared constants may be undershot by sampling only
@@ -58,11 +65,8 @@ class SampledFunction:
         if not np.all(np.isfinite(values)):
             raise DomainError("sampled function values must be finite")
         object.__setattr__(self, "values", values)
-        gaps = np.diff(self.grid.nodes)
-        abs_cells = 0.5 * (np.abs(values[:-1]) + np.abs(values[1:])) * gaps
-        sq_cells = 0.5 * (values[:-1] ** 2 + values[1:] ** 2) * gaps
-        object.__setattr__(self, "_prefix_abs", np.concatenate([[0.0], np.cumsum(abs_cells)]))
-        object.__setattr__(self, "_prefix_sq", np.concatenate([[0.0], np.cumsum(sq_cells)]))
+        object.__setattr__(self, "_prefix_abs", trapezoid_prefix(self.grid, np.abs(values)))
+        object.__setattr__(self, "_prefix_sq", trapezoid_prefix(self.grid, values**2))
 
     @classmethod
     def constant(cls, grid: TimeGrid, value: float) -> "SampledFunction":
@@ -165,14 +169,6 @@ def certify_sublinear(
     return SampledFunction(time_grid, safety * raw)
 
 
-def _ball_points(rng, count: int, dim: int, radius: float) -> np.ndarray:
-    directions = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    radii = radius * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / dim)
-    return directions / norms * radii
-
-
 def certify_lipschitz(
     model: DynamicsModel,
     radius_R: float,
@@ -190,7 +186,7 @@ def certify_lipschitz(
     rng = np.random.default_rng(seed)
     control_box = np.asarray(control_box, dtype=float)
     n = model.state_dim
-    base = _ball_points(rng, n_samples, n, radius_R)
+    base = ball_points(rng, n_samples, n, radius_R)
     controls = rng.uniform(
         control_box[:, 0], control_box[:, 1], size=(n_samples, control_box.shape[0])
     )
@@ -218,10 +214,10 @@ def certify_lipschitz(
         first = last = None
         centers = None
         for sep in radius_R * np.array([0.04, 4e-3, 4e-4, 4e-5]):
-            pts = _ball_points(rng, 96, n, radius_R)
+            pts = ball_points(rng, 96, n, radius_R)
             if centers is not None:
                 cluster = np.repeat(centers, 12, axis=0)
-                pts = np.vstack([pts, cluster + _ball_points(rng, len(cluster), n, 8 * sep)])
+                pts = np.vstack([pts, cluster + ball_points(rng, len(cluster), n, 8 * sep)])
             pts = pts[: len(base)]
             last, witness, centers = quotient_max(t, float(sep), pts)
             if first is None:
@@ -248,13 +244,6 @@ def certify_lipschitz(
     return SampledFunction(time_grid, safety * raw)
 
 
-def _subsample(nodes: np.ndarray, limit: int) -> np.ndarray:
-    if nodes.size <= limit:
-        return nodes
-    idx = np.unique(np.linspace(0, nodes.size - 1, limit).round().astype(int))
-    return nodes[idx]
-
-
 def _collar_samples(
     field: ConstraintField,
     eps: float,
@@ -278,10 +267,9 @@ def _collar_samples(
         lattice = boundary_points(field, t, eps)
     except DomainError:
         return np.empty((0, dim))
-    picks = lattice[np.unique(np.linspace(0, len(lattice) - 1, count).round().astype(int))]
     hug = []
-    for b in picks:
-        ring = b + 0.02 * eta * _ball_points(rng, 24, dim, 1.0)
+    for b in subsample(lattice, count):
+        ring = b + 0.02 * eta * ball_points(rng, 24, dim, 1.0)
         margins = field.margin(t, ring, eps)
         if (margins >= 0).any():
             hug.append(ring[int(np.argmax(margins))])
@@ -318,7 +306,7 @@ def _collar_samples(
 def _control_candidates(rng, m: int, bound: float, count: int = CONTROL_CANDIDATES) -> np.ndarray:
     if m == 1:
         return bound * np.linspace(-1.0, 1.0, count)[:, None]
-    pts = _ball_points(rng, count * 4, m, bound)
+    pts = ball_points(rng, count * 4, m, bound)
     return np.vstack([np.zeros((1, m)), pts])
 
 
@@ -358,7 +346,7 @@ def inclusion_margins(
         return margins, velocities
     rng = np.random.default_rng(12)
     deltas = np.linspace(0.0, delta_cap, grid_points)[1:]
-    ys = x + _ball_points(rng, grid_points, field.dim, xi)
+    ys = x + ball_points(rng, grid_points, field.dim, xi)
     ys = np.vstack([x[None, :], ys])
     ys = ys[field.margin(t, ys, eps) >= 0]
 
@@ -414,7 +402,7 @@ def certify_inward_pointing(
     An empty collar (constraint inactive in the box) passes vacuously at
     the caps. Failure carries the witness (eps, t, x).
     """
-    times = _subsample(time_grid.nodes, COLLAR_TIMES)
+    times = subsample(time_grid.nodes, COLLAR_TIMES)
     horizon = float(time_grid.t1)
     etas = sorted(float(e) for e in collar_eta_grid)[::-1]
     rng = np.random.default_rng(seed)
@@ -496,7 +484,7 @@ def certify_time_regularity(
     the witness tuple.
     """
     rng = np.random.default_rng(seed)
-    s_nodes = _subsample(time_grid.nodes, node_limit)
+    s_nodes = subsample(time_grid.nodes, node_limit)
     sub = TimeGrid(s_nodes) if s_nodes.size >= 2 else time_grid
     horizon = float(time_grid.t1)
     meta = model.metadata
@@ -517,7 +505,7 @@ def certify_time_regularity(
             if t <= s:
                 continue
             x = box.sample_states(rng, 1)[0]
-            u_s = _ball_points(rng, 1, model.control_dim, radius)[0]
+            u_s = ball_points(rng, 1, model.control_dim, radius)[0]
             u_t = shift_selection(model, s, t, x, u_s, seed=seed)
             moved = float(np.linalg.norm(u_t - u_s))
             beta_vals[i] = max(beta_vals[i], moved)
@@ -654,11 +642,18 @@ _BUNDLE_SCALARS = (
 
 
 def validate_bundle(bundle: HypothesisBundle, reference_sup: float | None = None) -> None:
-    """Completeness gate: every scheduled constant present and usable."""
+    """Completeness gate: every scheduled constant present and usable.
+
+    The certified functions are bounds on norms, so a negative value is
+    rejected by name.
+    """
     for name in _BUNDLE_FUNCTIONS:
         fn = getattr(bundle, name, None)
         if not isinstance(fn, SampledFunction):
             raise BundleError(f"bundle is missing the sampled function {name!r}")
+        if np.any(fn.values < 0):
+            t = float(fn.grid.nodes[int(np.argmax(fn.values < 0))])
+            raise BundleError(f"bundle function {name!r} is negative at t={t:g}")
     for name in _BUNDLE_SCALARS:
         value = getattr(bundle, name, None)
         if value is None or not np.isfinite(value):
@@ -840,7 +835,3 @@ def load_bundle(path) -> HypothesisBundle:
         except json.JSONDecodeError as exc:
             raise BundleError(f"{path}: not a valid bundle file ({exc})") from None
     return bundle_from_dict(data)
-
-
-def with_config_hash(bundle: HypothesisBundle, config_hash: str) -> HypothesisBundle:
-    return replace(bundle, config_hash=config_hash)

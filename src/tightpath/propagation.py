@@ -225,25 +225,3 @@ def gronwall_radius(
         np.exp(theta_L1)
         * (1.0 + xbar_linf + (1.0 + M_u) * theta_L1 + theta_L2 * (ubar_L2 + betau_L2))
     )
-
-
-def filippov_gap(
-    model: DynamicsModel,
-    u_common: ControlSignal,
-    xa0,
-    xb0,
-    window,
-    omega_f_T: float,
-    cfg: IntegratorConfig | None = None,
-) -> tuple[float, float]:
-    """Observed sup gap of two trajectories under one control, and its bound.
-
-    The bound is the initial gap amplified by exp of the Lipschitz
-    modulus over the horizon; the observed gap must stay below it.
-    """
-    cfg = cfg or IntegratorConfig(richardson_check=False)
-    ta = integrate(model, u_common, xa0, window, cfg)
-    tb = integrate(model, u_common, xb0, window, cfg)
-    observed = float(np.linalg.norm(ta.states - tb.states, axis=1).max())
-    gap0 = float(np.linalg.norm(np.asarray(xa0, dtype=float) - np.asarray(xb0, dtype=float)))
-    return observed, gap0 * float(np.exp(omega_f_T))

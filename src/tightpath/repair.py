@@ -40,6 +40,7 @@ from .signals import (
     Trajectory,
     build_modulus_table,
     linf_distance,
+    trapezoid_prefix,
     weighted_l2_cost,
 )
 
@@ -77,6 +78,19 @@ class RepairConstants:
 
     def exp_omega_f(self, width: float) -> float:
         return float(np.exp(self.omega_f.value_at(width)))
+
+    def gap_growth(self, rho: float) -> float:
+        """The gap-growth map g: the sup gap one repaired interval can
+        introduce at violation level ``rho``. Monotone, 0 at 0, and it may
+        overflow to inf once ``k * rho`` leaves the modulus table."""
+        if rho == 0.0:
+            return 0.0
+        with np.errstate(over="ignore"):
+            e_delta = float(np.exp(2.0 * self.omega_f.value_at(self.Delta)))
+            slope = self.C_vDelta + self.M_Delta * e_delta
+            return self.exp_omega_f(self.horizon) * (
+                self.omega_bar.value_at(self.k * rho) + self.k * rho * slope
+            )
 
 
 @dataclass(frozen=True)
@@ -131,45 +145,31 @@ class RepairReport:
 def growth_maps(rho: float, c: RepairConstants):
     """Evaluate the interval growth map and its compositions at ``rho``.
 
-    Returns ``(g, g_tilde, d_tilde)`` where ``g`` bounds the sup gap one
-    repaired interval can introduce, ``g_tilde = rho + g(rho)`` bounds the
-    next violation level, and ``d_tilde[n-1]`` is the sum of the first n
-    compositions of ``g_tilde`` (the accumulated-distance bound after n
-    intervals). All three are monotone in ``rho``; compositions that leave
-    the modulus table saturate and may overflow to inf.
+    Returns ``(g, g_tilde, d_tilde)`` where ``g = c.gap_growth(rho)`` bounds
+    the sup gap one repaired interval can introduce, ``g_tilde = rho +
+    g(rho)`` bounds the next violation level, and ``d_tilde[n-1]`` is the
+    sum of the first n compositions of ``g_tilde`` (the accumulated-distance
+    bound after n intervals). All three are monotone in ``rho``;
+    compositions that leave the modulus table saturate and may overflow to
+    inf.
     """
     if rho < 0:
         raise DomainError("growth maps take a nonnegative violation level")
-    e_total = c.exp_omega_f(c.horizon)
-    slope = c.C_vDelta + c.M_Delta * float(np.exp(2.0 * c.omega_f.value_at(c.Delta)))
-
-    def g(r: float) -> float:
-        if r == 0.0:
-            return 0.0
-        return e_total * (c.omega_bar.value_at(c.k * r) + c.k * r * slope)
-
+    g_val = c.gap_growth(rho)
     with np.errstate(over="ignore"):
-        g_val = g(rho)
-        g_tilde = rho + g_val
-        d_tilde = np.empty(c.N0)
-        r = rho
-        acc = 0.0
+        d_tilde = np.cumsum(_compositions(c, rho))
+    return g_val, rho + g_val, d_tilde
+
+
+def _compositions(c: RepairConstants, rho: float) -> np.ndarray:
+    """The first ``c.N0`` compositions of ``r -> r + g(r)`` at ``rho``."""
+    out = np.empty(c.N0)
+    r = rho
+    with np.errstate(over="ignore"):
         for n in range(c.N0):
-            r = r + g(r)
-            acc += r
-            d_tilde[n] = acc
-    return g_val, g_tilde, d_tilde
-
-
-def _g_of(c: RepairConstants, rho: float) -> float:
-    """One application of the gap-growth map (no composition array)."""
-    if rho == 0.0:
-        return 0.0
-    slope = c.C_vDelta + c.M_Delta * float(np.exp(2.0 * c.omega_f.value_at(c.Delta)))
-    with np.errstate(over="ignore"):
-        return c.exp_omega_f(c.horizon) * (
-            c.omega_bar.value_at(c.k * rho) + c.k * rho * slope
-        )
+            r = r + c.gap_growth(r)
+            out[n] = r
+    return out
 
 
 def _window_tables(grid, states, theta_values, osc_coef: float, l2_coef: float):
@@ -180,13 +180,9 @@ def _window_tables(grid, states, theta_values, osc_coef: float, l2_coef: float):
     envelope L2), the quantity bounding how far an iterate can move across
     the window. The oscillation-only table backs the proxy gate.
     """
-    nodes = grid.nodes
-    gaps = np.diff(nodes)
-    th = np.abs(theta_values)
-    p1 = np.concatenate([[0.0], np.cumsum(0.5 * (th[:-1] + th[1:]) * gaps)])
-    sq = theta_values**2
-    p2 = np.concatenate([[0.0], np.cumsum(0.5 * (sq[:-1] + sq[1:]) * gaps)])
-    n = nodes.size
+    p1 = trapezoid_prefix(grid, np.abs(theta_values))
+    p2 = trapezoid_prefix(grid, theta_values**2)
+    n = grid.nodes.size
     combined = np.zeros(n)
     osc_only = np.zeros(n)
     best_c = 0.0
@@ -199,7 +195,7 @@ def _window_tables(grid, states, theta_values, osc_coef: float, l2_coef: float):
         best_o = max(best_o, float(np.max(osc)))
         combined[j] = best_c
         osc_only[j] = best_o
-    widths = np.concatenate([[0.0], np.cumsum(gaps)])
+    widths = np.concatenate([[0.0], np.cumsum(np.diff(grid.nodes))])
     return ModulusTable(widths, combined), ModulusTable(widths, osc_only)
 
 
@@ -251,8 +247,8 @@ def schedule_constants(
             "leaves an interior start",
         )
 
-    omega_gamma = build_modulus_table(grid, bundle.time_drift.values, mode="integral-sup")
-    omega_f = build_modulus_table(grid, bundle.state_lipschitz.values, mode="integral-sup")
+    omega_gamma = build_modulus_table(grid, bundle.time_drift.values)
+    omega_f = build_modulus_table(grid, bundle.state_lipschitz.values)
     ubar_l2 = float(np.sqrt(weighted_l2_cost(ubar)))
     beta_l2 = bundle.shift_radius.l2()
     theta = bundle.growth_envelope
@@ -399,22 +395,6 @@ def inward_control_at(
     return candidates[best].copy(), velocities[best].copy()
 
 
-def _interval_margins(field: ConstraintField, eps: float, traj: Trajectory, lo: int, hi: int):
-    nodes = traj.grid.nodes[lo : hi + 1]
-    states = traj.states[lo : hi + 1]
-    if not field.time_varying:
-        return np.asarray(field.margin(float(nodes[0]), states, eps), dtype=float)
-    return np.array([field.margin(float(t), s, eps) for t, s in zip(nodes, states)])
-
-
-def _resample_states(traj: Trajectory, times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    return np.stack(
-        [np.interp(times, traj.grid.nodes, traj.states[:, d]) for d in range(traj.states.shape[1])],
-        axis=-1,
-    )
-
-
 def repair_interval(
     index: int,
     xcur: Trajectory,
@@ -425,7 +405,11 @@ def repair_interval(
     model: DynamicsModel,
     diagnostics: bool = False,
 ):
-    """Repair one partition interval; returns the next iterate and record.
+    """Repair one partition interval.
+
+    Returns ``(traj, control, record, diag)``: the next iterate, the
+    interval's record, and its proof-side diagnostics when ``diagnostics``
+    is set (``None`` otherwise).
 
     Far from the boundary the interval is left untouched. Near it, the
     suffix violation level sets the burst length: the inward control is
@@ -449,9 +433,8 @@ def repair_interval(
     rho_i = violation_sup(field, c.eps, xcur, window=(t_i, float(nodes[-1])))
     boundary_gap = dist_to_boundary(field, c.eps, t_i, x_ti)
 
-    def finish(traj, control, case, record_kw):
-        margins = _interval_margins(field, c.eps, traj, lo, hi)
-        margin_min = float(margins.min())
+    def finish(traj, case, record_kw):
+        margin_min = float(field.margin(nodes[lo : hi + 1], traj.states[lo : hi + 1], c.eps).min())
         if margin_min <= 0:
             raise IntervalRepairError(
                 f"interval {index} margin {margin_min:g} at a grid node "
@@ -459,7 +442,7 @@ def repair_interval(
                 interval=index,
                 margin=margin_min,
             )
-        record = IterationRecord(
+        return IterationRecord(
             index=index,
             t_start=t_i,
             t_end=t_next,
@@ -470,12 +453,11 @@ def repair_interval(
             nodes_checked=hi - lo + 1,
             **record_kw,
         )
-        return traj, control, record
 
     if boundary_gap > bundle.collar_width / 2.0:
-        return finish(xcur, ucur, "case-1", {})
+        return xcur, ucur, finish(xcur, "case-1", {}), None
     if rho_i == 0.0:
-        return finish(xcur, ucur, "case-2-identity", {})
+        return xcur, ucur, finish(xcur, "case-2-identity", {}), None
 
     u0, v0 = inward_control_at(bundle, field, model, c.eps, t_i, x_ti)
     delay = c.k * rho_i
@@ -502,7 +484,7 @@ def repair_interval(
     traj = Trajectory(grid=grid, states=states)
 
     gap = float(np.max(np.linalg.norm(states[lo:] - xcur.states[lo:], axis=1)))
-    g_val = _g_of(c, rho_i)
+    g_val = c.gap_growth(rho_i)
 
     burst_sel = (nodes >= t_i) & (nodes <= burst_end + 1e-12)
     dt = nodes[burst_sel] - t_i
@@ -513,7 +495,7 @@ def repair_interval(
     if burst_end < t_next:
         tail_sel = (nodes >= burst_end) & (nodes <= t_next + 1e-12)
         tail_t = nodes[tail_sel]
-        y = _resample_states(xcur, tail_t - delay) + delay * v0[None, :]
+        y = xcur.resample(tail_t - delay) + delay * v0[None, :]
         bound = delay * c.M_Delta * (1.0 + c.exp_omega_f(c.Delta)) * c.exp_omega_f(c.Delta)
         delay_gap_excess = float(
             np.max(np.linalg.norm(states[tail_sel] - y, axis=1) - bound)
@@ -529,13 +511,13 @@ def repair_interval(
         gap_to_previous=gap,
         gap_bound=float(g_val),
     )
-    traj, control, record = finish(traj, control, "case-2", record_kw)
+    record = finish(traj, "case-2", record_kw)
+    diag = None
     if diagnostics:
         diag = _interval_diagnostics(
             field, model, c, xcur, traj, control, t_i, burst_end, t_next, delay, v0
         )
-        return traj, control, (record, diag)
-    return traj, control, record
+    return traj, control, record, diag
 
 
 def _interval_diagnostics(
@@ -568,7 +550,7 @@ def _interval_diagnostics(
         tail = ts[ts >= burst_end]
         proj = []
         for t in tail:
-            y = _resample_states(xprev, [t - delay])[0] + delay * v0
+            y = xprev.resample([t - delay])[0] + delay * v0
             d_set, _ = field._distances(c.eps, float(t - delay), y.reshape(1, -1))
             proj.append(float(d_set[0]))
         out["projection_gap_times"] = tail.copy()
@@ -584,7 +566,8 @@ def _cost_bound_terms(c: RepairConstants, bundle, ubar, weight) -> tuple:
     measured cost difference is what the contract checks, these terms only
     document how loose the analytic route is.
     """
-    rho_star = _compose(c, c.rho_bar_eps)
+    composed = _compositions(c, c.rho_bar_eps)
+    rho_star = float(composed[-1])
     if weight is None:
         mu_sq = 1.0
         omega_r = 0.0
@@ -623,21 +606,8 @@ def _cost_bound_terms(c: RepairConstants, bundle, ubar, weight) -> tuple:
         term2 = factor * (2.0 * bundle.control_bound * ku.l1() + ku.l2() ** 2)
         term3 = 2.0 * factor * ku.l2() * ubar_l2
         term4 = omega_r * ubar_l2**2
-        _, _, d_tilde = growth_maps(c.rho_bar_eps, c)
-        term5 = c.k * float(d_tilde[-1]) * bundle.control_bound**2 * mu_sq
+        term5 = c.k * float(np.cumsum(composed)[-1]) * bundle.control_bound**2 * mu_sq
     return (float(tail), float(term2), float(term3), float(term4), float(term5))
-
-
-def _compose(c: RepairConstants, rho: float) -> float:
-    with np.errstate(over="ignore"):
-        r = rho
-        e_total = c.exp_omega_f(c.horizon)
-        slope = c.C_vDelta + c.M_Delta * float(np.exp(2.0 * c.omega_f.value_at(c.Delta)))
-        for _ in range(c.N0):
-            if r == 0.0:
-                return 0.0
-            r = r + e_total * (c.omega_bar.value_at(c.k * r) + c.k * r * slope)
-    return float(r)
 
 
 def repair(
@@ -669,8 +639,7 @@ def repair(
     a burst is the reference itself and is not re-integrated. Returns
     ``(x_eps, u_eps, constants, report)``.
     """
-    nodes = xbar.grid.nodes
-    base_margins = _interval_margins(field, 0.0, xbar, 0, nodes.size - 1)
+    base_margins = field.margin(xbar.grid.nodes, xbar.states, 0.0)
     if float(base_margins.min()) < 0:
         raise RepairError(
             f"reference violates the untightened constraint by {-base_margins.min():g}",
@@ -766,10 +735,10 @@ def _sweep(xbar, ubar, c, bundle, field, model, weight, diagnostics):
     diag_blocks = {}
     envelope = float(np.max(np.abs(xbar.states)))
     for i in range(c.N0):
-        out = repair_interval(i, xcur, ucur, c, bundle, field, model, diagnostics)
-        xcur, ucur, record = out
-        if isinstance(record, tuple):
-            record, diag = record
+        xcur, ucur, record, diag = repair_interval(
+            i, xcur, ucur, c, bundle, field, model, diagnostics
+        )
+        if diag is not None:
             diag_blocks[i] = diag
         if record.case == "case-2":
             d_sup = float(linf_distance(xcur, xbar))
@@ -778,7 +747,7 @@ def _sweep(xbar, ubar, c, bundle, field, model, weight, diagnostics):
             d_sup = records[-1].d_sup if records else 0.0
         records.append(dataclasses.replace(record, d_sup=d_sup))
 
-    margins = _interval_margins(field, c.eps, xcur, 0, xcur.grid.nodes.size - 1)
+    margins = field.margin(xcur.grid.nodes, xcur.states, c.eps)
     cost_ref = float(weighted_l2_cost(ubar, weight))
     cost_out = float(weighted_l2_cost(ucur, weight))
     rho_final = violation_sup(field, c.eps, xcur, window=(float(c.partition[-1]),) * 2)
@@ -786,9 +755,9 @@ def _sweep(xbar, ubar, c, bundle, field, model, weight, diagnostics):
 
     iter_excess = -np.inf
     for prev, nxt in zip(records[:-1], records[1:]):
-        iter_excess = max(iter_excess, nxt.rho - (prev.rho + _g_of(c, prev.rho)))
+        iter_excess = max(iter_excess, nxt.rho - (prev.rho + c.gap_growth(prev.rho)))
     last = records[-1].rho
-    iter_excess = max(iter_excess, rho_final - (last + _g_of(c, last)))
+    iter_excess = max(iter_excess, rho_final - (last + c.gap_growth(last)))
 
     _, _, d_tilde = growth_maps(c.rho_bar_eps, c)
     with np.errstate(invalid="ignore"):

@@ -215,8 +215,16 @@ def motor_scenario(
 
 
 def config_number(table: dict, key: str, default, kind):
-    """Read ``table[key]`` (or ``default``) as ``kind``; a ConfigError names the key."""
+    """Read ``table[key]`` (or ``default``) as ``kind``; a ConfigError names the key.
+
+    For ``kind=int`` a bool or a float with a fractional part is rejected
+    rather than truncated.
+    """
     value = table.get(key, default)
+    if kind is int and (
+        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):

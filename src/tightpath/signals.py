@@ -8,7 +8,7 @@ interpolated linearly when two objects must share a grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,10 +129,8 @@ class ControlSignal:
         return self.values.shape[1]
 
     def eval(self, t: float) -> np.ndarray:
+        """Value driving the dynamics at time t (left-endpoint rule)."""
         return self.values[self.grid.index_left(t)]
-
-    def with_values(self, values: np.ndarray) -> "ControlSignal":
-        return ControlSignal(self.grid, values)
 
 
 @dataclass(frozen=True)
@@ -151,19 +149,18 @@ class Trajectory:
 
     def eval(self, t: float) -> np.ndarray:
         """Linear interpolation between the surrounding nodes."""
-        t = self.grid._check_domain(t)
-        out = np.empty(self.dim)
+        return self.resample([self.grid._check_domain(t)])[0]
+
+    def resample(self, times) -> np.ndarray:
+        """(len(times), dim) states interpolated linearly at ``times``."""
+        times = np.asarray(times, dtype=float)
+        out = np.empty((times.size, self.dim))
         for j in range(self.dim):
-            out[j] = np.interp(t, self.grid.nodes, self.states[:, j])
+            out[:, j] = np.interp(times, self.grid.nodes, self.states[:, j])
         return out
 
     def max_norm(self) -> float:
         return float(np.linalg.norm(self.states, axis=1).max())
-
-
-def eval_control(signal: ControlSignal, t: float) -> np.ndarray:
-    """Value driving the dynamics at time t (left-endpoint rule)."""
-    return signal.eval(t)
 
 
 @dataclass(frozen=True)
@@ -208,90 +205,39 @@ class ModulusTable:
         return self.value_at(delta)
 
 
-def _trapezoid_prefix(grid: TimeGrid, samples: np.ndarray) -> np.ndarray:
+def trapezoid_prefix(grid: TimeGrid, samples: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integrals of node samples, starting at 0."""
     gaps = np.diff(grid.nodes)
     pieces = 0.5 * (samples[:-1] + samples[1:]) * gaps
     return np.concatenate([[0.0], np.cumsum(pieces)])
 
 
-def sup_window_modulus(
-    grid: TimeGrid,
-    samples: np.ndarray,
-    delta: float,
-    mode: str = "integral-sup",
-) -> float:
-    """Largest window functional over all grid windows of width <= delta.
-
-    ``integral-sup`` maximizes the trapezoid integral of nonnegative scalar
-    samples; ``variation-sup`` maximizes the Euclidean distance between the
-    window endpoints of (possibly vector) samples.
-    """
-    if delta < 0:
-        raise DomainError("window width must be nonnegative")
-    nodes = grid.nodes
-    if mode == "integral-sup":
-        samples = _as_float_array(samples, "samples")
-        if samples.ndim != 1 or samples.size != len(grid):
-            raise ShapeError("integral-sup expects one scalar sample per node")
-        if np.any(samples < 0):
-            raise DomainError("integral-sup expects nonnegative samples")
-        prefix = _trapezoid_prefix(grid, samples)
-        # Nonnegative integrand: the best window from i always ends at the
-        # last node within reach.
-        ends = np.searchsorted(nodes, nodes + delta * (1 + _REL_TOL), side="right") - 1
-        return float(np.max(prefix[ends] - prefix))
-    if mode == "variation-sup":
-        samples = _check_samples(grid, samples, "samples")
-        best = 0.0
-        for i in range(len(grid) - 1):
-            j_max = int(np.searchsorted(nodes, nodes[i] + delta * (1 + _REL_TOL), side="right"))
-            if j_max <= i + 1:
-                continue
-            window = samples[i + 1 : j_max] - samples[i]
-            best = max(best, float(np.linalg.norm(window, axis=1).max()))
-        return best
-    raise DomainError(f"unknown modulus mode {mode!r}")
+def subsample(values, limit: int) -> np.ndarray:
+    """At most ``limit`` entries of ``values``, evenly spread, both ends kept."""
+    values = np.asarray(values)
+    if len(values) <= limit:
+        return values
+    return values[np.unique(np.linspace(0, len(values) - 1, limit).round().astype(int))]
 
 
-def build_modulus_table(
-    grid: TimeGrid,
-    samples: np.ndarray,
-    mode: str = "integral-sup",
-    max_gap: int | None = None,
-) -> ModulusTable:
-    """Tabulate the window modulus at every multiple of the grid step.
+def build_modulus_table(grid: TimeGrid, samples: np.ndarray) -> ModulusTable:
+    """Tabulate the window-integral modulus at every multiple of the grid step.
 
-    Only meaningful on uniform grids; widths are j * step for j up to
-    ``max_gap`` (all gaps by default), values accumulated to be monotone.
+    Only meaningful on uniform grids. The entry at width j * step is the
+    largest trapezoid integral of the samples over j consecutive cells,
+    accumulated to be monotone.
     """
     n = len(grid) - 1
     gaps = np.diff(grid.nodes)
     step = float(gaps.max())
     if gaps.min() < step * (1 - 1e-6):
         raise DomainError("modulus tables require a uniform grid")
-    j_max = n if max_gap is None else min(max_gap, n)
-    deltas = step * np.arange(j_max + 1)
-    values = np.zeros(j_max + 1)
-    if mode == "integral-sup":
-        samples = _as_float_array(samples, "samples")
-        prefix = _trapezoid_prefix(grid, samples)
-        for j in range(1, j_max + 1):
-            values[j] = float(np.max(prefix[j:] - prefix[:-j]))
-    elif mode == "variation-sup":
-        arr = _check_samples(grid, samples, "samples")
-        for j in range(1, j_max + 1):
-            diffs = arr[j:] - arr[:-j]
-            values[j] = float(np.linalg.norm(diffs, axis=1).max())
-    else:
-        raise DomainError(f"unknown modulus mode {mode!r}")
+    deltas = step * np.arange(n + 1)
+    values = np.zeros(n + 1)
+    prefix = trapezoid_prefix(grid, _as_float_array(samples, "samples"))
+    for j in range(1, n + 1):
+        values[j] = float(np.max(prefix[j:] - prefix[:-j]))
     return ModulusTable(deltas, np.maximum.accumulate(values))
-
-
-def _resample(traj: Trajectory, nodes: np.ndarray) -> np.ndarray:
-    out = np.empty((nodes.size, traj.dim))
-    for j in range(traj.dim):
-        out[:, j] = np.interp(nodes, traj.grid.nodes, traj.states[:, j])
-    return out
 
 
 def linf_distance(a: Trajectory, b: Trajectory) -> float:
@@ -308,7 +254,7 @@ def linf_distance(a: Trajectory, b: Trajectory) -> float:
             raise DomainError("trajectories do not overlap in time")
         union = np.union1d(a.grid.nodes, b.grid.nodes)
         union = union[(union >= lo) & (union <= hi)]
-        diff = _resample(a, union) - _resample(b, union)
+        diff = a.resample(union) - b.resample(union)
     return float(np.linalg.norm(diff, axis=1).max())
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from tightpath import cli
 from tightpath.hypotheses import bundle_to_dict, save_bundle
+from tightpath.scenarios import config_number
 
 SURGE_CONFIG = {
     "model": "motor_surge",
@@ -189,6 +190,17 @@ class TestRepair:
         assert code == 65
         assert "does not match" in capsys.readouterr().out
 
+    def test_negative_bundle_function_exits_64(self, workdir, surge_config_path, certified, capsys):
+        data = json.loads(Path(certified).read_text())
+        data["state_lipschitz"]["values"] = [-v for v in data["state_lipschitz"]["values"]]
+        path = workdir / "negative-bundle.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(
+            ["repair", "--config", surge_config_path, "--bundle", str(path), "--out", str(workdir / "neg-b")]
+        )
+        assert code == 64
+        assert "'state_lipschitz' is negative" in capsys.readouterr().err
+
     def test_lambda_and_weight_do_not_change_hash(self):
         other = dict(SURGE_CONFIG)
         other["lambda"] = 0.4
@@ -341,6 +353,21 @@ class TestConfigRejection:
             assert code == 64, (name, bad)
             err = capsys.readouterr().err
             assert f"{name!r} must be a number" in err, err
+
+    @pytest.mark.parametrize(
+        "name, bad", [("seed", 1.5), ("seed", True), ("steps", 2000.9), ("steps", False)]
+    )
+    def test_non_integer_field_names_itself(self, workdir, capsys, name, bad):
+        base = SURGE_CONFIG if name == "steps" else SUPERLINEAR_CONFIG
+        path = write_config(workdir / f"integer-{name}-{bad}.json", {**base, name: bad})
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "int")])
+        assert code == 64
+        assert f"{name!r} must be an integer, got {bad!r}" in capsys.readouterr().err
+
+    def test_integral_values_still_accepted(self):
+        for value in (3, 3.0, "3", -2.0):
+            assert config_number({"steps": value}, "steps", 0, int) == int(float(value))
+        assert config_number({}, "steps", 2000, int) == 2000
 
     def test_negative_seed_names_itself(self, workdir, capsys):
         path = write_config(workdir / "negative-seed.json", {**SUPERLINEAR_CONFIG, "seed": -1})

@@ -134,6 +134,36 @@ class TestDeclineDecay:
         assert _decline_decay(float(np.nextafter(1.0, 2.0))) < 1.0
 
 
+class TestBallSampler:
+    """The one ball sampler draws what the two it replaced drew."""
+
+    @staticmethod
+    def old_ball_candidates(center, radius, n, dim, rng):
+        # The multi-dimensional branch of the shift search's old sampler.
+        directions = rng.standard_normal((n, dim))
+        norms = np.linalg.norm(directions, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        radii = radius * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / dim)
+        offsets = directions / norms * radii
+        return center + offsets
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_draws_match_old_sampler_bitwise(self, dim):
+        from tightpath.dynamics import _ball_candidates, ball_points
+
+        center = np.linspace(-0.3, 0.4, dim)
+        for seed, radius, n in ((0, 1.0, 64), (3, 0.25, 9), (11, 4.0, 4096)):
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = self.old_ball_candidates(center, radius, n, dim, want_rng)
+            got = _ball_candidates(center, radius, n, dim, got_rng)
+            assert got.tobytes() == want.tobytes()
+            # Both generators end in the same state.
+            assert got_rng.standard_normal() == want_rng.standard_normal()
+            offsets = ball_points(np.random.default_rng(seed), n, dim, radius)
+            assert (center + offsets).tobytes() == want.tobytes()
+            assert np.all(np.linalg.norm(offsets, axis=1) <= radius)
+
+
 class TestShiftHooks:
     def test_surge_identity_before_break(self):
         model = motor_surge()

@@ -3,14 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tightpath.errors import CertificationError, DomainError, ExpressionError
+from tightpath.errors import DomainError, ExpressionError
 from tightpath.geometry import (
     ConstraintField,
-    PerturbationProfile,
     boundary_points,
     build_boundary_modulus,
-    certify_regular_perturbation,
-    check_tightening,
     compile_expression,
     dist_to_boundary,
     dist_to_set,
@@ -225,79 +222,83 @@ class TestViolationSup:
             violation_sup(field, 0.0, traj, window=(0.5, 2.0))
 
 
-class TestTightening:
-    def test_check_report_deviation_equals_eps(self):
-        field = unit_ball_complement(dim=1)
-        grid = TimeGrid.uniform(0.0, 2.0, 4)
-        report = check_tightening(
-            field, grid.nodes, eps=0.1, deviation_cap=0.1, n_samples=4000, seed=0
-        )
-        assert report.ok
-        assert report.worst_deviation <= 0.1
-        # Shell samples approach displacement eps from below.
-        assert report.worst_deviation > 0.08
+MOVING_DISK = {
+    "components": ["1 - sqrt((x1 - 0.1*t)**2 + x2**2)"],
+    "box": [[-2.0, 2.0], [-2.0, 2.0]],
+    "time_varying": True,
+    "resolution": 0.025,
+}
+DISK = "1 - sqrt(x1*x1 + x2*x2)"
+# Radius 1 - 2t: after t = 0.5 the whole box is feasible and the lattice
+# oracle has no boundary to query.
+SHRINKING_DISK = dict(MOVING_DISK, components=["1 - 2*t - sqrt(x1*x1 + x2*x2)"])
+# |x1| <= 3 + t holds on the whole box at every time, but not at every state.
+WIDE_SLAB = dict(MOVING_DISK, components=["abs(x1) - 3 - t"])
 
-    def test_bisection_matches_tolerance(self):
-        field = unit_ball_complement(dim=1)
-        grid = TimeGrid.uniform(0.0, 2.0, 4)
-        eps = certify_regular_perturbation(
-            field, grid.nodes, deviation_cap=0.1, eps_cap=0.5, seed=0
-        )
-        assert 0.095 <= eps <= 0.11
 
-    def test_cap_returned_when_certified(self):
-        field = unit_ball_complement(dim=1)
-        grid = TimeGrid.uniform(0.0, 1.0, 2)
-        eps = certify_regular_perturbation(
-            field, grid.nodes, deviation_cap=0.4, eps_cap=0.05, seed=0
-        )
-        assert eps == pytest.approx(0.05)
+def per_row_batch(n):
+    """n times with repeats, states near the moving unit circle, and three
+    states outside the sampling box."""
+    rng = np.random.default_rng(5)
+    times = rng.choice(np.linspace(0.0, 1.0, 7), size=n)
+    angles = rng.uniform(0.0, 2 * np.pi, size=n)
+    radii = 1.0 + rng.uniform(-0.2, 0.2, size=n)
+    states = np.column_stack([0.1 * times + radii * np.cos(angles), radii * np.sin(angles)])
+    far = np.array([[4.5, 0.0], [-4.2, 1.0], [0.0, 5.0]])
+    return np.concatenate([times, [1.0, 0.0, 0.5]]), np.vstack([states, far])
 
-    def test_monotone_in_deviation_cap(self):
-        field = unit_ball_complement(dim=1)
-        grid = TimeGrid.uniform(0.0, 1.0, 2)
-        found = [
-            certify_regular_perturbation(
-                field, grid.nodes, deviation_cap=cap, eps_cap=0.5, seed=1
+
+class TestPerRowTimes:
+    """One call with one time per row against the per-node loop it replaces."""
+
+    @pytest.mark.parametrize("config", [MOVING_DISK, SHRINKING_DISK, WIDE_SLAB])
+    def test_margin_and_distances_match_per_node_loop(self, config):
+        field = field_from_config(config)
+        times, states = per_row_batch(240)
+        for eps in (0.0, 0.05, 0.003125):
+            margins = field.margin(times, states, eps)
+            d_set, d_bdry = field._distances(eps, times, states)
+            for i, t in enumerate(times):
+                row = states[i : i + 1]
+                assert margins[i].tobytes() == field.margin(float(t), row, eps).tobytes()
+                want_set, want_bdry = field._distances(eps, float(t), row)
+                assert d_set[i].tobytes() == want_set[0].tobytes()
+                assert d_bdry[i].tobytes() == want_bdry[0].tobytes()
+        if config is SHRINKING_DISK:
+            late = times > 0.5
+            assert late.any() and np.all(d_bdry[late] == np.inf) and np.all(d_set[late] == 0.0)
+        if config is WIDE_SLAB:
+            # No boundary in the box: every set distance reads 0, even at
+            # the infeasible state outside it.
+            assert margins[-3] < 0 and np.all(d_set == 0.0) and np.all(d_bdry == np.inf)
+
+    def test_violation_sup_matches_per_node_loop(self):
+        field = field_from_config(MOVING_DISK)
+        grid = TimeGrid.uniform(0.0, 2.0, 60)
+        t = grid.nodes
+        traj = Trajectory(grid, np.column_stack([-1.5 + 1.5 * t, np.full(t.size, 1.0005)]))
+        for eps in (0.05, 0.025, 0.0125, 0.00625):
+            want = max(
+                float(field._distances(eps, float(s), x.reshape(1, -1))[0][0])
+                for s, x in zip(t, traj.states)
             )
-            for cap in (0.4, 0.2, 0.1, 0.05)
-        ]
-        assert all(a >= b - 1e-12 for a, b in zip(found, found[1:]))
+            assert violation_sup(field, eps, traj) == want
+        assert want > 0
 
-    def test_box_radius_excludes_witnesses(self):
-        # Tightening the slab |x| <= 1 only moves states near its edges;
-        # restricting samples to |x| <= 0.5 hides them, so the cap certifies.
-        slab = ConstraintField(
-            components=(
-                compile_expression("x1 - 1", dim=1),
-                compile_expression("0 - x1 - 1", dim=1),
-            ),
-            sampling_box=np.array([[-2.0, 2.0]]),
-        )
-        nodes = np.array([0.0, 1.0])
-        restricted = certify_regular_perturbation(
-            slab, nodes, deviation_cap=0.01, eps_cap=0.3, seed=0, box_radius=0.5
-        )
-        assert restricted == pytest.approx(0.3)
-        unrestricted = certify_regular_perturbation(
-            slab, nodes, deviation_cap=0.01, eps_cap=0.3, seed=0
-        )
-        assert 0.009 <= unrestricted <= 0.02
-
-    def test_failure_carries_witness(self):
-        # h = (|x| + x)(x - 2) vanishes identically on x <= 0, so those
-        # feasible states sit at distance >= 1 from every tightened set:
-        # no positive tightening is a regular perturbation here.
-        flat = ConstraintField(
-            components=(compile_expression("(abs(x1) + x1) * (x1 - 2)", dim=1),),
-            sampling_box=np.array([[-2.0, 2.5]]),
-        )
-        with pytest.raises(CertificationError) as err:
-            certify_regular_perturbation(
-                flat, np.array([0.0, 1.0]), deviation_cap=0.5, eps_cap=0.4, seed=0
-            )
-        _, witness_x = err.value.witness
-        assert witness_x[0] < 0.0
+    def test_static_field_evaluates_at_the_first_time(self):
+        # A static field ignores time, so per-row times collapse to one.
+        for field in (
+            unit_ball_complement(dim=2),
+            field_from_config(dict(MOVING_DISK, components=[DISK], time_varying=False)),
+        ):
+            times, states = per_row_batch(50)
+            want = field._distances(0.05, float(times[0]), states)
+            got = field._distances(0.05, times, states)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert field.margin(times, states, 0.05).tobytes() == field.margin(
+                float(times[0]), states, 0.05
+            ).tobytes()
 
 
 class TestBoundaryModulus:
@@ -320,26 +321,6 @@ class TestBoundaryModulus:
         slack = 4 * field.resolution
         assert table.value_at(0.2) == pytest.approx(0.02, abs=slack)
         assert table.value_at(0.5) == pytest.approx(0.05, abs=slack)
-
-
-class TestPerturbationProfile:
-    def test_eps_lookup(self):
-        profile = PerturbationProfile(
-            eps0=0.5,
-            delta0=0.4,
-            omega_A=None,
-            lambda_to_eps=((0.4, 0.4), (0.2, 0.2), (0.1, 0.1)),
-        )
-        assert profile.eps_for(0.25) == 0.2
-        assert profile.eps_for(0.1) == 0.1
-        with pytest.raises(DomainError):
-            profile.eps_for(0.05)
-
-    def test_rejects_eps_above_cap(self):
-        with pytest.raises(DomainError):
-            PerturbationProfile(
-                eps0=0.1, delta0=0.4, omega_A=None, lambda_to_eps=((0.4, 0.2),)
-            )
 
 
 class TestFieldConfig:

@@ -59,8 +59,8 @@ from tightpath import (
     unit_ball_complement,
     validate_bundle,
 )
-from tightpath.dynamics import DynamicsModel, rhs_batch
-from tightpath.hypotheses import INWARD_TIE_TOL, _ball_points, _control_candidates
+from tightpath.dynamics import DynamicsModel, ball_points, rhs_batch
+from tightpath.hypotheses import INWARD_TIE_TOL, _control_candidates
 
 GRID = TimeGrid.uniform(0.0, 2.0, 400)
 BALL = unit_ball_complement(dim=1, box_radius=2.0)
@@ -226,7 +226,7 @@ def unpruned_margins(field, model, eps, t, x, candidates, xi, horizon, grid_poin
         return margins, velocities
     rng = np.random.default_rng(12)
     deltas = np.linspace(0.0, delta_cap, grid_points)[1:]
-    ys = np.vstack([x[None, :], x + _ball_points(rng, grid_points, field.dim, xi)])
+    ys = np.vstack([x[None, :], x + ball_points(rng, grid_points, field.dim, xi)])
     ys = ys[field.margin(t, ys, eps) >= 0]
     safe_v = np.where(np.isfinite(velocities), velocities, 0.0)
     for delta in deltas:
@@ -473,6 +473,16 @@ class TestBundle:
             dataclasses.replace(bundle, holder_exponent=1.5)
         with pytest.raises(BundleError, match="slack"):
             dataclasses.replace(bundle, inward_slack=0.0)
+
+    @pytest.mark.parametrize(
+        "name", ["growth_envelope", "state_lipschitz", "time_drift", "shift_radius", "holder_rate"]
+    )
+    def test_negative_function_is_rejected(self, surge_bundle, name):
+        data = bundle_to_dict(surge_bundle[0])
+        data[name]["values"][len(data[name]["values"]) // 2] = -1e-9
+        bundle = bundle_from_dict(data)
+        with pytest.raises(BundleError, match=f"{name!r} is negative"):
+            validate_bundle(bundle)
 
     def test_reference_growth_invalidates(self, surge_bundle):
         bundle = surge_bundle[0]

@@ -1,4 +1,4 @@
-"""Integrator, envelope-radius, and two-trajectory gap tests.
+"""Integrator and envelope-radius tests.
 
 The motor endpoint oracle 1.4366352816953678 was computed independently
 of the integrator under test: the smooth phase on [0, 1] ran through an
@@ -13,7 +13,7 @@ import pytest
 
 from tightpath.dynamics import DynamicsModel, control_affine, motor_decline, motor_surge
 from tightpath.errors import AccuracyError, DomainError, PropagationError, ShapeError
-from tightpath.propagation import IntegratorConfig, filippov_gap, gronwall_radius, integrate
+from tightpath.propagation import IntegratorConfig, gronwall_radius, integrate
 from tightpath.signals import ControlSignal, TimeGrid
 
 SURGE_ENDPOINT_ORACLE = 1.4366352816953678
@@ -149,40 +149,3 @@ class TestGronwallRadius:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             gronwall_radius(-0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-class TestFilippovGap:
-    def test_identical_states(self):
-        model = motor_decline()
-        u = constant_control(0.3, 0.0, 2.0)
-        observed, bound = filippov_gap(model, u, [0.5], [0.5], (0.0, 2.0), 0.4)
-        assert observed == 0.0
-        assert bound == 0.0
-
-    def test_linear_field_closed_form(self):
-        model = scalar_affine(lambda t, x: -x)
-        u = constant_control(0.3)
-        observed, bound = filippov_gap(
-            model, u, [0.5], [0.4], (0.0, 1.0), 1.0,
-            cfg=IntegratorConfig(step=1e-3, richardson_check=False),
-        )
-        gap0 = 0.5 - 0.4
-        # The gap decays, so the sup sits at the initial node.
-        assert observed == pytest.approx(gap0, abs=1e-15)
-        assert bound == pytest.approx(gap0 * np.e, abs=1e-12)
-        assert observed <= bound
-
-    def test_decline_random_pairs_within_bound(self):
-        model = motor_decline()
-        rng = np.random.default_rng(11)
-        grid = TimeGrid.uniform(0.0, 2.0, 40)
-        omega_f_T = 0.4  # drift slope 0.2 integrated over the horizon
-        cfg = IntegratorConfig(step=0.01, richardson_check=False)
-        for _ in range(10):
-            values = rng.uniform(-1.5, 1.5, size=(41, 1))
-            u = ControlSignal(grid, values)
-            xa = rng.uniform(-0.5, 0.5, size=1)
-            xb = xa + 0.05 * rng.choice([-1.0, 1.0])
-            observed, bound = filippov_gap(model, u, xa, xb, (0.0, 2.0), omega_f_T, cfg=cfg)
-            assert observed <= bound
-            assert bound == pytest.approx(0.05 * np.exp(0.4), abs=1e-12)

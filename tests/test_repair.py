@@ -108,26 +108,27 @@ class TestGrowthMaps:
         with pytest.raises(DomainError):
             growth_maps(-0.1, linear_constants())
 
-    def test_naive_loop_oracle_matches_exactly(self, surge_run):
-        _, _, c, _ = surge_run
-        g, g_tilde, d_tilde = growth_maps(c.rho_bar_eps, c)
-        e_total = float(np.exp(c.omega_f.value_at(c.horizon)))
-        slope = c.C_vDelta + c.M_Delta * float(np.exp(2.0 * c.omega_f.value_at(c.Delta)))
+    def test_naive_loop_oracle_matches_exactly(self, surge_run, decline_run):
+        for _, _, c, _ in (surge_run, decline_run):
+            g, g_tilde, d_tilde = growth_maps(c.rho_bar_eps, c)
+            e_total = float(np.exp(c.omega_f.value_at(c.horizon)))
+            slope = c.C_vDelta + c.M_Delta * float(np.exp(2.0 * c.omega_f.value_at(c.Delta)))
 
-        def g_ref(r):
-            if r == 0.0:
-                return 0.0
-            return e_total * (c.omega_bar.value_at(c.k * r) + c.k * r * slope)
+            def g_ref(r):
+                if r == 0.0:
+                    return 0.0
+                return e_total * (c.omega_bar.value_at(c.k * r) + c.k * r * slope)
 
-        assert g == g_ref(c.rho_bar_eps)
-        assert g_tilde == c.rho_bar_eps + g_ref(c.rho_bar_eps)
-        with np.errstate(over="ignore"):
-            r = c.rho_bar_eps
-            acc = 0.0
-            for n in range(c.N0):
-                r = r + g_ref(r)
-                acc += r
-                assert d_tilde[n] == acc
+            assert g == g_ref(c.rho_bar_eps)
+            assert g_tilde == c.rho_bar_eps + g_ref(c.rho_bar_eps)
+            with np.errstate(over="ignore"):
+                r = c.rho_bar_eps
+                acc = 0.0
+                for n in range(c.N0):
+                    r = r + g_ref(r)
+                    acc += r
+                    assert d_tilde[n] == acc
+            assert np.isfinite(d_tilde[0])
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(0.0, 0.05), b=st.floats(0.0, 0.05))
@@ -350,10 +351,11 @@ class TestRepairInterval:
         _, _, c, _ = surge_run
         n = sc.grid.nodes.size
         deep = Trajectory(grid=sc.grid, states=np.full((n, 1), 1.5))
-        traj, control, record = repair_interval(
+        traj, control, record, diag = repair_interval(
             0, deep, sc.ubar, c, surge_bundle, sc.field, sc.model
         )
         assert record.case == "case-1"
+        assert diag is None
         assert traj is deep
         assert control is sc.ubar
         assert record.rho == 0.0
@@ -365,10 +367,11 @@ class TestRepairInterval:
         n = sc.grid.nodes.size
         level = 1.0 + c.eps + 0.01
         near = Trajectory(grid=sc.grid, states=np.full((n, 1), level))
-        traj, control, record = repair_interval(
+        traj, control, record, diag = repair_interval(
             0, near, sc.ubar, c, surge_bundle, sc.field, sc.model
         )
         assert record.case == "case-2-identity"
+        assert diag is None
         assert traj is near
         assert record.margin_min == pytest.approx(0.01)
 

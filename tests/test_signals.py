@@ -10,12 +10,11 @@ from tightpath.signals import (
     TimeGrid,
     Trajectory,
     build_modulus_table,
-    eval_control,
     linf_distance,
     load_control,
     load_trajectory,
     save_csv,
-    sup_window_modulus,
+    subsample,
     weighted_l2_cost,
 )
 
@@ -30,16 +29,6 @@ def brute_force_window_integral(nodes, samples, delta):
                 break
             acc += 0.5 * (samples[j] + samples[j + 1]) * (nodes[j + 1] - nodes[j])
         best = max(best, acc)
-    return best
-
-
-def brute_force_window_variation(nodes, samples, delta):
-    best = 0.0
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if nodes[j] > nodes[i] + delta * (1 + 1e-12):
-                break
-            best = max(best, float(np.linalg.norm(samples[j] - samples[i])))
     return best
 
 
@@ -81,11 +70,11 @@ class TestControlSignal:
     def test_left_rule_on_nodes_and_interior(self):
         grid = TimeGrid.uniform(0.0, 1.0, 2)
         sig = ControlSignal(grid, np.array([[1.0], [2.0], [3.0]]))
-        assert eval_control(sig, 0.0) == pytest.approx(1.0)
-        assert eval_control(sig, 0.49) == pytest.approx(1.0)
-        assert eval_control(sig, 0.5) == pytest.approx(2.0)
+        assert sig.eval(0.0) == pytest.approx(1.0)
+        assert sig.eval(0.49) == pytest.approx(1.0)
+        assert sig.eval(0.5) == pytest.approx(2.0)
         # Final node value applies at the right endpoint only.
-        assert eval_control(sig, 1.0) == pytest.approx(3.0)
+        assert sig.eval(1.0) == pytest.approx(3.0)
 
     @given(
         values=st.lists(
@@ -118,6 +107,8 @@ class TestTrajectory:
 
 
 class TestWindowModulus:
+    """``build_modulus_table`` against brute-force window integrals."""
+
     def test_decline_drift_window_quarter(self):
         # gamma(s) = 1/(4 sqrt(s-1)) on (1, 2], zero before the kink.
         # Analytic sup over quarter-width windows is the window at the kink:
@@ -125,7 +116,7 @@ class TestWindowModulus:
         grid = TimeGrid.uniform(0.0, 2.0, 20000)
         s = grid.nodes
         gamma = np.where(s > 1.0, 1.0 / (4.0 * np.sqrt(np.maximum(s - 1.0, 1e-300))), 0.0)
-        got = sup_window_modulus(grid, gamma, 0.25, mode="integral-sup")
+        got = build_modulus_table(grid, gamma).value_at(0.25)
         oracle = brute_force_window_integral(s[9000:13001], gamma[9000:13001], 0.25)
         assert got == pytest.approx(oracle, abs=1e-12)
         # Trapezoid under-resolves the inverse-sqrt singularity from above;
@@ -134,38 +125,38 @@ class TestWindowModulus:
 
     def test_integral_sup_matches_brute_force_random(self):
         rng = np.random.default_rng(7)
-        nodes = np.sort(rng.uniform(0, 3, 40))
-        nodes[0], nodes[-1] = 0.0, 3.0
-        grid = TimeGrid(np.unique(nodes))
+        grid = TimeGrid.uniform(0.0, 3.0, 39)
         samples = rng.uniform(0, 2, len(grid))
-        for delta in (0.1, 0.7, 1.5, 3.0):
-            got = sup_window_modulus(grid, samples, delta, mode="integral-sup")
+        table = build_modulus_table(grid, samples)
+        for cells in (1, 2, 9, 20, 39):
+            delta = cells * grid.step
             want = brute_force_window_integral(grid.nodes, samples, delta)
-            assert got == pytest.approx(want, abs=1e-12)
-
-    def test_variation_sup_matches_brute_force(self):
-        rng = np.random.default_rng(11)
-        grid = TimeGrid.uniform(0.0, 1.0, 60)
-        samples = rng.normal(size=(len(grid), 2))
-        for delta in (0.05, 0.3, 1.0):
-            got = sup_window_modulus(grid, samples, delta, mode="variation-sup")
-            want = brute_force_window_variation(grid.nodes, samples, delta)
-            assert got == pytest.approx(want, abs=1e-12)
+            assert table.value_at(delta) == pytest.approx(want, abs=1e-12)
 
     @given(delta_pair=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_width(self, delta_pair):
         lo, hi = sorted(delta_pair)
         grid = TimeGrid.uniform(0.0, 1.0, 50)
-        samples = np.abs(np.sin(17 * grid.nodes))
-        assert sup_window_modulus(grid, samples, lo) <= sup_window_modulus(
-            grid, samples, hi
-        ) + 1e-15
+        table = build_modulus_table(grid, np.abs(np.sin(17 * grid.nodes)))
+        assert table.value_at(lo) <= table.value_at(hi)
 
-    def test_rejects_negative_samples(self):
-        grid = TimeGrid.uniform(0.0, 1.0, 4)
-        with pytest.raises(DomainError):
-            sup_window_modulus(grid, np.array([0, 1, -1, 1, 0.0]), 0.5)
+
+class TestSubsample:
+    def test_matches_spread_indices_at_every_size(self):
+        # The collar sampler picked lattice rows with this formula at any
+        # size; the certifiers only applied it above the limit.
+        for n in range(1, 60):
+            values = np.arange(n) * 0.5
+            for limit in range(1, 25):
+                idx = np.unique(np.linspace(0, n - 1, limit).round().astype(int))
+                assert np.array_equal(subsample(values, limit), values[idx])
+
+    def test_keeps_ends_and_limit(self):
+        values = np.linspace(0.0, 2.0, 2001)
+        picked = subsample(values, 21)
+        assert picked.size == 21
+        assert picked[0] == 0.0 and picked[-1] == 2.0
 
 
 class TestModulusTable:
@@ -186,9 +177,9 @@ class TestModulusTable:
     def test_build_table_dominates_direct_modulus(self):
         grid = TimeGrid.uniform(0.0, 1.0, 100)
         samples = 1.0 + np.cos(5 * grid.nodes) ** 2
-        table = build_modulus_table(grid, samples, mode="integral-sup")
+        table = build_modulus_table(grid, samples)
         for delta in (0.013, 0.27, 0.5, 1.0):
-            direct = sup_window_modulus(grid, samples, delta)
+            direct = brute_force_window_integral(grid.nodes, samples, delta)
             assert table.value_at(delta) >= direct - 1e-12
 
     def test_zero_table(self):
