@@ -39,8 +39,9 @@ print(f"{'collar width':>16s}: {bundle.collar_width:.6g}")
 # gain, so the gain exponent stays at its regular value of one.
 print(f"{'holder exponent':>16s}: {bundle.holder_exponent}")
 
-# The drift modulus is a lookup table; values between nodes are read
-# by linear interpolation, values past the last node are clamped.
+# The drift modulus is a lookup table; a width between nodes reads the
+# value at the next tabulated width up, so a lookup never understates
+# the table, and widths past the last node are clamped.
 table = bundle.boundary_drift
 print(f"{'boundary drift':>16s}: {len(table.deltas)} nodes, "
       f"omega({table.deltas[-1]:.3g}) = {table.value_at(table.deltas[-1]):.6g}")

@@ -21,7 +21,6 @@ from .errors import (
 from .dynamics import (
     DeclaredRegularity,
     DynamicsModel,
-    MotorModel,
     control_affine,
     double_integrator,
     drift_budget,
@@ -39,7 +38,6 @@ from .geometry import (
     build_boundary_modulus,
     compile_expression,
     dist_to_boundary,
-    dist_to_set,
     field_from_config,
     unit_ball_complement,
     violation_sup,

@@ -31,23 +31,12 @@ from .errors import (
     ScheduleError,
     ShapeError,
     TightpathError,
+    config_number,
 )
-from .geometry import BOUNDARY_MODULUS_PROBES, field_from_config
-from .hypotheses import (
-    COLLAR_POINTS,
-    COLLAR_TIMES,
-    CONTROL_CANDIDATES,
-    GROWTH_SAMPLES,
-    LIPSCHITZ_SAMPLES,
-    STABILITY_GROWTH_SAMPLES,
-    STABILITY_LIPSCHITZ_SAMPLES,
-    TIME_REGULARITY_SAMPLES,
-    bundle_to_dict,
-    certify_all,
-    load_bundle,
-)
+from .geometry import field_from_config
+from .hypotheses import certify_all, load_bundle, save_bundle
 from .repair import render_report, repair
-from .scenarios import config_number, scenario_from_config
+from .scenarios import scenario_from_config
 from .signals import (
     ControlSignal,
     TimeGrid,
@@ -68,21 +57,6 @@ EXIT_MISMATCH = 65
 # Keys that do not change the certified system; the bundle hash covers the
 # rest so a bundle stays valid across tolerance and weight sweeps.
 _NON_IDENTITY_KEYS = ("lambda", "weight", "seed", "out", "eps")
-
-# The certifiers' default sample counts, which certify_all runs with.
-_SAMPLE_COUNTS = {
-    "growth_envelope": GROWTH_SAMPLES,
-    "state_lipschitz": LIPSCHITZ_SAMPLES,
-    "time_regularity": TIME_REGULARITY_SAMPLES,
-    "boundary_modulus_probes": BOUNDARY_MODULUS_PROBES,
-    "collar_times": COLLAR_TIMES,
-    "collar_points": COLLAR_POINTS,
-    "control_candidates": CONTROL_CANDIDATES,
-    "stability_resample": {
-        "growth_envelope": STABILITY_GROWTH_SAMPLES,
-        "state_lipschitz": STABILITY_LIPSCHITZ_SAMPLES,
-    },
-}
 
 
 class _UsageError(Exception):
@@ -213,16 +187,6 @@ def _out_dir(args, config: dict) -> str:
     return out
 
 
-def _binding_samples(bundle) -> dict:
-    """Worst witness per certified function: the sample where it binds."""
-    out = {}
-    for name in ("growth_envelope", "state_lipschitz", "time_drift", "shift_radius", "holder_rate"):
-        fn = getattr(bundle, name)
-        j = int(np.argmax(fn.values))
-        out[name] = {"t": float(fn.grid.nodes[j]), "value": float(fn.values[j])}
-    return out
-
-
 def cmd_certify(args) -> int:
     config = load_config(args.config)
     model, field, xbar, ubar = load_problem(config)
@@ -247,14 +211,7 @@ def cmd_certify(args) -> int:
         return EXIT_CONTRACT
     out = _out_dir(args, config)
     path = os.path.join(out, "bundle.json")
-    record = dict(bundle_to_dict(bundle))
-    record["certification"] = {
-        "sample_counts": _SAMPLE_COUNTS,
-        "binding_samples": _binding_samples(bundle),
-    }
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    save_bundle(path, bundle)
     for name in sorted(bundle.provenance):
         print(f"{name}: {bundle.provenance[name]}")
     for name in ("control_bound", "velocity_bound", "inward_slack", "collar_width", "holder_exponent"):

@@ -9,6 +9,7 @@ declared get them measured by the certification routines instead.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass, field
@@ -22,10 +23,14 @@ from .errors import (
     ModelEvaluationError,
     SelectionError,
     ShapeError,
+    config_number,
 )
 from .geometry import compile_expression
 
 _BREAK_TIME = 1.0  # both motor variants switch behaviour here
+# Rounds of local refinement in the sampled control transport, each on a
+# ball a quarter the size of the last.
+_REFINE_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -67,15 +72,6 @@ class DynamicsModel:
     # Times where t -> rhs(t, x, u) is kinked or singular: integrators must
     # place a node there and refine the adjacent spans.
     time_breakpoints: tuple = ()
-
-
-@dataclass(frozen=True)
-class MotorModel(DynamicsModel):
-    """Electric-motor field: bounded drift plus a time-scaled control term."""
-
-    variant: str = "surge"
-    drift: object = None
-    drift_amplitude: float = 0.2
 
 
 def eval_rhs(model: DynamicsModel, t: float, x, u) -> np.ndarray:
@@ -145,8 +141,6 @@ def shift_selection(
     u_s,
     radius: float | None = None,
     budget: float | None = None,
-    n_samples: int | None = None,
-    refine_rounds: int = 2,
     seed: int = 0,
 ) -> np.ndarray:
     """Transport the control u_s from time s to time t near the state x.
@@ -176,7 +170,7 @@ def shift_selection(
         budget = drift_budget(model, s, t)
     f_s = eval_rhs(model, s, x, u_s)
     rng = np.random.default_rng(seed)
-    n = n_samples or 64 ** min(model.control_dim, 2)
+    n = 64 ** min(model.control_dim, 2)
 
     def best_of(candidates: np.ndarray) -> tuple[np.ndarray, float]:
         # Keep every candidate inside the allowed ball around u_s.
@@ -194,7 +188,7 @@ def shift_selection(
 
     best_u, best_res = best_of(np.vstack([u_s[None, :], _ball_candidates(u_s, radius, n, model.control_dim, rng)]))
     local = radius
-    for _ in range(refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         local /= 4.0
         cand, res = best_of(
             _ball_candidates(best_u, local, max(n // 4, 9), model.control_dim, rng)
@@ -238,19 +232,12 @@ def _identity_transport(s, t, x, u_s):
     return np.asarray(u_s, dtype=float)
 
 
-def _default_drift(amplitude: float):
-    def drift(t, x):
-        return amplitude * np.cos(np.asarray(x)[..., 0])
-
-    return drift
+def _cosine_drift(amplitude: float, x) -> np.ndarray:
+    """The motors' state drift amplitude * cos(x1), with a trailing axis of 1."""
+    return amplitude * np.cos(np.asarray(x, dtype=float)[..., 0])[..., None]
 
 
-def motor_surge(
-    drift_amplitude: float = 0.2,
-    drift=None,
-    drift_bound: float | None = None,
-    drift_lipschitz: float | None = None,
-) -> MotorModel:
+def motor_surge(drift_amplitude: float = 0.2) -> DynamicsModel:
     """Motor with control gain 1 up to the break time, then (t-1)^(-1/4).
 
     The gain grows without bound just past t = 1, but transporting a
@@ -258,17 +245,9 @@ def motor_surge(
     field constant, so the field drifts not at all under the hook.
     """
     amp = float(drift_amplitude)
-    if drift is None:
-        drift = _default_drift(amp)
-        drift_bound = amp if drift_bound is None else float(drift_bound)
-        drift_lipschitz = amp if drift_lipschitz is None else float(drift_lipschitz)
-    elif drift_bound is None or drift_lipschitz is None:
-        raise DomainError("custom drift requires drift_bound and drift_lipschitz")
 
     def rhs(t, x, u):
-        return drift(t, np.asarray(x, dtype=float))[..., None] + _surge_scale(t) * np.asarray(
-            u, dtype=float
-        )
+        return _cosine_drift(amp, x) + _surge_scale(t) * np.asarray(u, dtype=float)
 
     def hook(s, t, x, u_s):
         if t <= _BREAK_TIME:
@@ -291,20 +270,18 @@ def motor_surge(
             out = gap ** -0.25
         return out if out.ndim else float(out)
 
-    bound = drift_bound
-
     def envelope(t):
-        return _surge_scale(t) + bound
+        return _surge_scale(t) + amp
 
     metadata = DeclaredRegularity(
         growth_envelope=envelope,
-        state_lipschitz=_constant(drift_lipschitz),
+        state_lipschitz=_constant(amp),
         time_drift=_constant(0.0),
         shift_radius_scale=radius_scale,
         holder_exponent=0.25,
         holder_rate_scale=rate_scale,
     )
-    return MotorModel(
+    return DynamicsModel(
         state_dim=1,
         control_dim=1,
         rhs=rhs,
@@ -312,17 +289,10 @@ def motor_surge(
         metadata=metadata,
         name="motor_surge",
         time_breakpoints=(_BREAK_TIME,),
-        variant="surge",
-        drift=drift,
-        drift_amplitude=amp,
     )
 
 
-def motor_decline(
-    drift_amplitude: float = 0.2,
-    drift=None,
-    drift_lipschitz: float | None = None,
-) -> MotorModel:
+def motor_decline(drift_amplitude: float = 0.2) -> DynamicsModel:
     """Motor with saturating control response that decays past the break.
 
     Keeping the control fixed, the field drifts by |decay(t) - decay(s)|
@@ -331,16 +301,9 @@ def motor_decline(
     control boxes inside |u| <= tan(1).
     """
     amp = float(drift_amplitude)
-    if drift is None:
-        drift = _default_drift(amp)
-        drift_lipschitz = amp if drift_lipschitz is None else float(drift_lipschitz)
-    elif drift_lipschitz is None:
-        raise DomainError("custom drift requires drift_lipschitz")
 
     def rhs(t, x, u):
-        return drift(t, np.asarray(x, dtype=float))[..., None] + _decline_decay(t) * np.arctan(
-            np.asarray(u, dtype=float)
-        )
+        return _cosine_drift(amp, x) + _decline_decay(t) * np.arctan(np.asarray(u, dtype=float))
 
     def drift_density(s):
         s = np.asarray(s, dtype=float)
@@ -351,14 +314,14 @@ def motor_decline(
 
     metadata = DeclaredRegularity(
         growth_envelope=None,
-        state_lipschitz=_constant(drift_lipschitz),
+        state_lipschitz=_constant(amp),
         time_drift=drift_density,
         drift_singularities=(_BREAK_TIME,),
         shift_radius_scale=_constant(0.0),
         holder_exponent=1.0,
         holder_rate_scale=_constant(0.0),
     )
-    return MotorModel(
+    return DynamicsModel(
         state_dim=1,
         control_dim=1,
         rhs=rhs,
@@ -366,9 +329,6 @@ def motor_decline(
         metadata=metadata,
         name="motor_decline",
         time_breakpoints=(_BREAK_TIME,),
-        variant="decline",
-        drift=drift,
-        drift_amplitude=amp,
     )
 
 
@@ -433,6 +393,24 @@ def _stacked_expressions(expressions, dim: int):
     return stacked
 
 
+def _autonomy(expressions) -> tuple:
+    """(shift hook, declared regularity entries) of a field built from
+    ``expressions``.
+
+    A field whose expressions never mention ``t`` transports controls by
+    the identity, exactly: it has no time drift and a zero shift radius.
+    Any other field gets no hook and no entries.
+    """
+    if any(re.search(r"\bt\b", str(e)) for e in expressions):
+        return None, {}
+    return _identity_transport, {
+        "time_drift": _constant(0.0),
+        "shift_radius_scale": _constant(0.0),
+        "holder_exponent": 1.0,
+        "holder_rate_scale": _constant(0.0),
+    }
+
+
 def expression_model(
     equations,
     state_dim: int,
@@ -462,19 +440,10 @@ def expression_model(
         z = np.concatenate([x, u], axis=-1)
         return np.stack([c(t, z) for c in compiled], axis=-1)
 
-    autonomous = not any(re.search(r"\bt\b", str(e)) for e in equations)
-    hook = None
-    metadata = DeclaredRegularity()
-    if autonomous:
-        hook = _identity_transport
-        metadata = DeclaredRegularity(
-            time_drift=_constant(0.0),
-            shift_radius_scale=_constant(0.0),
-            holder_exponent=1.0,
-            holder_rate_scale=_constant(0.0),
-        )
-    elif shift_radius is not None:
-        metadata = DeclaredRegularity(shift_radius_scale=_constant(float(shift_radius)))
+    hook, regularity = _autonomy(equations)
+    if hook is None and shift_radius is not None:
+        regularity = {"shift_radius_scale": _constant(float(shift_radius))}
+    metadata = DeclaredRegularity(**regularity)
     return DynamicsModel(
         state_dim=state_dim,
         control_dim=control_dim,
@@ -500,29 +469,27 @@ def model_from_config(config: dict) -> DynamicsModel:
     except KeyError:
         raise ConfigError("model config needs a 'model' key") from None
     if kind == "motor_surge":
-        return motor_surge(drift_amplitude=float(config.get("drift_amplitude", 0.2)))
+        return motor_surge(config_number(config, "drift_amplitude", 0.2, float))
     if kind == "motor_decline":
-        return motor_decline(drift_amplitude=float(config.get("drift_amplitude", 0.2)))
-    if kind == "expression":
-        try:
-            return expression_model(
-                config["rhs"],
-                int(config["state_dim"]),
-                int(config["control_dim"]),
-                name=str(config.get("name", "expression")),
-                shift_radius=config.get("shift_radius"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"expression model config needs {exc.args[0]!r}") from None
-    if kind != "control_affine":
+        return motor_decline(config_number(config, "drift_amplitude", 0.2, float))
+    if kind not in ("expression", "control_affine"):
         raise ConfigError(f"unknown model kind {kind!r}")
-    try:
-        state_dim = int(config["state_dim"])
-        control_dim = int(config["control_dim"])
-        drift_exprs = config["drift"]
-        gain_rows = config["gain"]
-    except KeyError as exc:
-        raise ConfigError(f"control_affine config needs {exc.args[0]!r}") from None
+    required = ("rhs",) if kind == "expression" else ("drift", "gain")
+    for key in required + ("state_dim", "control_dim"):
+        if key not in config:
+            raise ConfigError(f"{kind} model config needs {key!r}")
+    state_dim = config_number(config, "state_dim", None, int)
+    control_dim = config_number(config, "control_dim", None, int)
+    if kind == "expression":
+        return expression_model(
+            config["rhs"],
+            state_dim,
+            control_dim,
+            name=str(config.get("name", "expression")),
+            shift_radius=config_number(config, "shift_radius", None, float),
+        )
+    drift_exprs = config["drift"]
+    gain_rows = config["gain"]
     if len(drift_exprs) != state_dim or len(gain_rows) != state_dim:
         raise ConfigError("drift and gain must have one row per state")
     drift = _stacked_expressions(drift_exprs, state_dim)
@@ -531,16 +498,16 @@ def model_from_config(config: dict) -> DynamicsModel:
     def gain(t, x):
         return np.stack([row(t, x) for row in rows], axis=-2)
 
-    declared = {
-        name: _constant(float(config[name]))
-        for name in ("growth_envelope", "state_lipschitz")
-        if name in config
-    }
-    return control_affine(
+    hook, regularity = _autonomy([*drift_exprs, *(e for row in gain_rows for e in row)])
+    for name in ("growth_envelope", "state_lipschitz"):
+        if name in config:
+            regularity[name] = _constant(config_number(config, name, None, float))
+    model = control_affine(
         drift,
         gain,
         state_dim,
         control_dim,
-        metadata=DeclaredRegularity(**declared),
+        metadata=DeclaredRegularity(**regularity),
         name=str(config.get("name", "control_affine")),
     )
+    return dataclasses.replace(model, shift_hook=hook)

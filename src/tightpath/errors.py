@@ -19,6 +19,28 @@ class ConfigError(TightpathError, ValueError):
     """A scenario configuration failed validation; message names the field."""
 
 
+def config_number(table: dict, key: str, default, kind):
+    """Read ``table[key]`` as ``kind``, or ``default`` when the key is absent.
+
+    A ConfigError names the key. A bool is rejected rather than read as 0
+    or 1, and for ``kind=int`` so is a float with a fractional part rather
+    than truncated.
+    """
+    if key not in table:
+        return default
+    value = table[key]
+    if kind is int and (
+        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+    if isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be a number, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
+
+
 class ExpressionError(TightpathError, ValueError):
     """A constraint expression uses syntax outside the supported grammar."""
 

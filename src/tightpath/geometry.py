@@ -21,6 +21,7 @@ from .errors import (
     ExpressionError,
     InfeasibleTighteningError,
     ShapeError,
+    config_number,
 )
 from .signals import ModulusTable, TimeGrid, Trajectory, subsample
 
@@ -35,7 +36,7 @@ _ALLOWED_CALLS = {
 
 _MAX_TREE_CACHE = 64
 
-# Default number of feasible probes per tightening in the boundary modulus.
+# Feasible probes per tightening in the boundary modulus.
 BOUNDARY_MODULUS_PROBES = 128
 
 # Marker for "the whole sampling box is feasible": boundary out of reach.
@@ -112,6 +113,8 @@ class ConstraintField:
     ``value``, ``margin`` and ``_distances`` take the time ``t`` either as a
     scalar or, for an (n, dim) batch, as an (n,) array with one time per
     row. A static field evaluates every row at the first of those times.
+    ``value`` and ``margin`` evaluate a single (dim,) state as a one-row
+    batch, so its margin is bitwise the same alone and inside a batch.
 
     Parameters
     ----------
@@ -168,23 +171,20 @@ class ConstraintField:
         return t if self.time_varying else float(t[0])
 
     def value(self, t, x):
-        """max_j h_j(t, x); scalar for a single state, (n,) for a batch."""
+        """max_j h_j(t, x); a float for a single state, (n,) for a batch."""
         x = np.asarray(x, dtype=float)
+        batch = np.atleast_2d(x)
         t = self._times(t)
-        out = np.asarray(self.components[0](t, x), dtype=float)
+        out = np.asarray(self.components[0](t, batch), dtype=float)
         for comp in self.components[1:]:
-            out = np.maximum(out, np.asarray(comp(t, x), dtype=float))
-        return float(out) if x.ndim == 1 else out
+            out = np.maximum(out, np.asarray(comp(t, batch), dtype=float))
+        return float(out[0]) if x.ndim == 1 else out
 
     def margin(self, t, x, eps: float):
         """-(value + eps): nonnegative exactly on the tightened set."""
         x = np.asarray(x, dtype=float)
-        out = -(self.value(t, x) + eps)
-        return float(out) if x.ndim == 1 else out
-
-    def contains(self, t: float, x, eps: float = 0.0):
-        out = self.margin(t, x, eps) >= 0
-        return bool(out) if np.ndim(out) == 0 else out
+        out = -(self.value(t, np.atleast_2d(x)) + eps)
+        return float(out[0]) if x.ndim == 1 else out
 
     def _tree(self, t: float, eps: float):
         key = (round(t, 9) if self.time_varying else 0.0, round(eps, 12), self.resolution)
@@ -235,12 +235,6 @@ class ConstraintField:
         # An infinite boundary distance marks a time whose box is all feasible.
         inside = np.isinf(d_bdry) | (self.margin(t, points, eps) >= 0)
         return np.where(inside, 0.0, d_bdry), d_bdry
-
-
-def dist_to_set(field: ConstraintField, eps: float, t: float, x) -> float:
-    """Euclidean distance from x to the tightened set; 0 inside it."""
-    x = np.asarray(x, dtype=float)
-    return float(field._distances(eps, t, x.reshape(1, -1))[0][0])
 
 
 def dist_to_boundary(field: ConstraintField, eps: float, t: float, x) -> float:
@@ -373,7 +367,6 @@ def build_boundary_modulus(
     eps_list,
     delta0: float | None = None,
     box_radius: float | None = None,
-    n_probes: int = BOUNDARY_MODULUS_PROBES,
     seed: int = 0,
 ) -> ModulusTable:
     """Tabulated bound on the time drift of the boundary-distance field.
@@ -395,7 +388,9 @@ def build_boundary_modulus(
     rng = np.random.default_rng(seed)
     worst_per_width = np.zeros(j_cap + 1)
     for eps in eps_list:
-        probes = _feasible_samples(field, float(times[0]), n_probes, rng, box_radius)
+        probes = _feasible_samples(
+            field, float(times[0]), BOUNDARY_MODULUS_PROBES, rng, box_radius
+        )
         profile = np.stack(
             [field._distances(float(eps), float(t), probes)[1] for t in times]
         )
@@ -414,8 +409,8 @@ def field_from_config(config: dict) -> ConstraintField:
         if name != "unit_ball_complement":
             raise DomainError(f"unknown builtin constraint {name!r}")
         return unit_ball_complement(
-            dim=int(config.get("dim", 1)),
-            box_radius=float(config.get("box_radius", 2.0)),
+            dim=config_number(config, "dim", 1, int),
+            box_radius=config_number(config, "box_radius", 2.0, float),
         )
     try:
         box = np.asarray(config["box"], dtype=float)
@@ -430,6 +425,6 @@ def field_from_config(config: dict) -> ConstraintField:
         components=components,
         sampling_box=box,
         time_varying=bool(config.get("time_varying", False)),
-        resolution=float(config.get("resolution", 0.0)),
+        resolution=config_number(config, "resolution", 0.0, float),
         name=str(config.get("name", "")),
     )

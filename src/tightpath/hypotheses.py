@@ -24,7 +24,13 @@ from .errors import (
     InwardPointingError,
     ShapeError,
 )
-from .geometry import ConstraintField, boundary_points, build_boundary_modulus
+from .geometry import (
+    BOUNDARY_MODULUS_PROBES,
+    ConstraintField,
+    boundary_points,
+    build_boundary_modulus,
+)
+from .propagation import gronwall_radius
 from .signals import (
     ControlSignal,
     ModulusTable,
@@ -32,6 +38,7 @@ from .signals import (
     Trajectory,
     subsample,
     trapezoid_prefix,
+    weighted_l2_cost,
 )
 
 _SAFETY = 1.1
@@ -40,7 +47,7 @@ _VALIDATE_SLACK = 1.01  # declared constants may be undershot by sampling only
 # Forward-cone margins within this distance of the best one count as tied.
 INWARD_TIE_TOL = 1e-12
 
-# Default sample counts of the certifiers; bundle.json records them.
+# Sample counts of the certifiers; bundle.json records them.
 GROWTH_SAMPLES = 256
 LIPSCHITZ_SAMPLES = 192
 TIME_REGULARITY_SAMPLES = 24
@@ -50,10 +57,36 @@ CONTROL_CANDIDATES = 17
 STABILITY_GROWTH_SAMPLES = 512
 STABILITY_LIPSCHITZ_SAMPLES = 384
 
+_SAMPLE_COUNTS = {
+    "growth_envelope": GROWTH_SAMPLES,
+    "state_lipschitz": LIPSCHITZ_SAMPLES,
+    "time_regularity": TIME_REGULARITY_SAMPLES,
+    "boundary_modulus_probes": BOUNDARY_MODULUS_PROBES,
+    "collar_times": COLLAR_TIMES,
+    "collar_points": COLLAR_POINTS,
+    "control_candidates": CONTROL_CANDIDATES,
+    "stability_resample": {
+        "growth_envelope": STABILITY_GROWTH_SAMPLES,
+        "state_lipschitz": STABILITY_LIPSCHITZ_SAMPLES,
+    },
+}
+
+# The search grids of certify_all: tightening levels, collar widths,
+# control bounds and inward slacks, the last in order of preference.
+EPS_LIST = (0.05, 0.1, 0.2)
+COLLAR_ETA_GRID = (0.05, 0.1, 0.2, 0.4)
+CONTROL_BOUNDS = (0.5, 1.0, 2.0, 4.0)
+XI_CANDIDATES = (0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05)
+
+# Push times (and base points) of the forward-cone grid in inclusion_margins.
+INCLUSION_GRID_POINTS = 16
+# At most this many reference nodes are time-regularity base times.
+TIME_REGULARITY_NODES = 81
+
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Scalar function tabulated on a time grid, with window quadrature."""
+    """Scalar function tabulated on a time grid, with trapezoid norms."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -65,27 +98,15 @@ class SampledFunction:
         if not np.all(np.isfinite(values)):
             raise DomainError("sampled function values must be finite")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_prefix_abs", trapezoid_prefix(self.grid, np.abs(values)))
-        object.__setattr__(self, "_prefix_sq", trapezoid_prefix(self.grid, values**2))
-
-    @classmethod
-    def constant(cls, grid: TimeGrid, value: float) -> "SampledFunction":
-        return cls(grid, np.full(len(grid), float(value)))
 
     def value_at(self, t: float) -> float:
         return float(np.interp(t, self.grid.nodes, self.values))
 
     def l1(self) -> float:
-        return float(self._prefix_abs[-1])
+        return float(trapezoid_prefix(self.grid, np.abs(self.values))[-1])
 
     def l2(self) -> float:
-        return float(np.sqrt(self._prefix_sq[-1]))
-
-    def window_l1(self, i: int, j: int) -> float:
-        return float(self._prefix_abs[j] - self._prefix_abs[i])
-
-    def window_l2(self, i: int, j: int) -> float:
-        return float(np.sqrt(max(self._prefix_sq[j] - self._prefix_sq[i], 0.0)))
+        return float(np.sqrt(trapezoid_prefix(self.grid, self.values**2)[-1]))
 
 
 @dataclass(frozen=True)
@@ -130,7 +151,6 @@ def certify_sublinear(
     time_grid: TimeGrid,
     n_samples: int = GROWTH_SAMPLES,
     seed: int = 0,
-    safety: float = _SAFETY,
 ) -> SampledFunction:
     """Per-node envelope theta with |f(t,x,u)| <= theta(t)(1 + |x| + |u|).
 
@@ -166,7 +186,7 @@ def certify_sublinear(
             "field grows super-linearly in the control: no integrable envelope exists",
             witness={"t": float(probe_times[j]), "ratio_growth": float(growth[j])},
         )
-    return SampledFunction(time_grid, safety * raw)
+    return SampledFunction(time_grid, _SAFETY * raw)
 
 
 def certify_lipschitz(
@@ -176,7 +196,6 @@ def certify_lipschitz(
     time_grid: TimeGrid,
     n_samples: int = LIPSCHITZ_SAMPLES,
     seed: int = 0,
-    safety: float = _SAFETY,
 ) -> SampledFunction:
     """Per-node state-Lipschitz envelope of f on the radius_R ball.
 
@@ -241,7 +260,7 @@ def certify_lipschitz(
                 witness={"t": t_bad},
             )
         return SampledFunction(time_grid, bound)
-    return SampledFunction(time_grid, safety * raw)
+    return SampledFunction(time_grid, _SAFETY * raw)
 
 
 def _collar_samples(
@@ -303,10 +322,12 @@ def _collar_samples(
     return points[: 2 * count]
 
 
-def _control_candidates(rng, m: int, bound: float, count: int = CONTROL_CANDIDATES) -> np.ndarray:
+def control_candidates(rng, m: int, bound: float) -> np.ndarray:
+    """The controls of norm at most ``bound`` that the forward-cone search
+    tries: an even grid in 1-D, else zero plus ball samples."""
     if m == 1:
-        return bound * np.linspace(-1.0, 1.0, count)[:, None]
-    pts = ball_points(rng, count * 4, m, bound)
+        return bound * np.linspace(-1.0, 1.0, CONTROL_CANDIDATES)[:, None]
+    pts = ball_points(rng, CONTROL_CANDIDATES * 4, m, bound)
     return np.vstack([np.zeros((1, m)), pts])
 
 
@@ -319,7 +340,6 @@ def inclusion_margins(
     candidates: np.ndarray,
     xi: float,
     horizon: float,
-    grid_points: int = 16,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Worst slack of the forward-cone inclusion per control candidate.
 
@@ -345,8 +365,8 @@ def inclusion_margins(
     if delta_cap <= 0:
         return margins, velocities
     rng = np.random.default_rng(12)
-    deltas = np.linspace(0.0, delta_cap, grid_points)[1:]
-    ys = x + ball_points(rng, grid_points, field.dim, xi)
+    deltas = np.linspace(0.0, delta_cap, INCLUSION_GRID_POINTS)[1:]
+    ys = x + ball_points(rng, INCLUSION_GRID_POINTS, field.dim, xi)
     ys = np.vstack([x[None, :], ys])
     ys = ys[field.margin(t, ys, eps) >= 0]
 
@@ -388,9 +408,7 @@ def certify_inward_pointing(
     eps_list,
     collar_eta_grid,
     time_grid: TimeGrid,
-    control_bounds=(0.5, 1.0, 2.0, 4.0),
-    xi_candidates=(0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05),
-    n_collar: int = COLLAR_POINTS,
+    control_bounds=CONTROL_BOUNDS,
     box_radius: float | None = None,
     seed: int = 0,
 ) -> tuple[float, float, float, float]:
@@ -412,11 +430,11 @@ def certify_inward_pointing(
         for t in times:
             if field.time_varying or shared is None:
                 shared = _collar_samples(
-                    field, float(eps), float(t), etas[0], n_collar, rng, box_radius
+                    field, float(eps), float(t), etas[0], COLLAR_POINTS, rng, box_radius
                 )
             collars[(float(eps), float(t))] = shared
     if all(len(pts) == 0 for pts in collars.values()):
-        return float(min(control_bounds)), 0.0, float(max(xi_candidates)), float(etas[0])
+        return float(min(control_bounds)), 0.0, float(max(XI_CANDIDATES)), float(etas[0])
 
     depths = {
         key: field._distances(key[0], key[1], pts)[1] if len(pts) else np.empty(0)
@@ -424,10 +442,10 @@ def certify_inward_pointing(
     }
     eta_min = etas[-1]
     last_witness = None
-    for xi in xi_candidates:
+    for xi in XI_CANDIDATES:
         for m_u in sorted(control_bounds):
             cand_rng = np.random.default_rng(seed + 1)
-            candidates = _control_candidates(cand_rng, model.control_dim, m_u)
+            candidates = control_candidates(cand_rng, model.control_dim, m_u)
             rows = []
             aborted = False
             for (eps, t), pts in collars.items():
@@ -470,10 +488,7 @@ def certify_time_regularity(
     box: OperatingBox,
     time_grid: TimeGrid,
     control_bound: float = 0.0,
-    n_samples: int = TIME_REGULARITY_SAMPLES,
-    node_limit: int = 81,
     seed: int = 0,
-    safety: float = _SAFETY,
 ) -> tuple[SampledFunction, SampledFunction, float, SampledFunction]:
     """Certify the control-transport regularity: (gamma, beta_u, alpha, ku).
 
@@ -484,7 +499,7 @@ def certify_time_regularity(
     the witness tuple.
     """
     rng = np.random.default_rng(seed)
-    s_nodes = subsample(time_grid.nodes, node_limit)
+    s_nodes = subsample(time_grid.nodes, TIME_REGULARITY_NODES)
     sub = TimeGrid(s_nodes) if s_nodes.size >= 2 else time_grid
     horizon = float(time_grid.t1)
     meta = model.metadata
@@ -500,7 +515,7 @@ def certify_time_regularity(
         if s >= horizon:
             continue
         radius = control_radius(s)
-        for _ in range(n_samples):
+        for _ in range(TIME_REGULARITY_SAMPLES):
             t = float(rng.uniform(s, horizon))
             if t <= s:
                 continue
@@ -563,7 +578,7 @@ def certify_time_regularity(
                     vals[grow] = 2.0 * exact / (b - a) - vals[other]
         gamma = SampledFunction(time_grid, vals)
     else:
-        gamma = SampledFunction(sub, safety * drift_quot)
+        gamma = SampledFunction(sub, _SAFETY * drift_quot)
 
     beta_u = SampledFunction(sub, beta_vals)
 
@@ -584,7 +599,7 @@ def certify_time_regularity(
         ku = SampledFunction(sub, rates)
     else:
         alpha = 1.0
-        ku = SampledFunction(sub, safety * holder_quot)
+        ku = SampledFunction(sub, _SAFETY * holder_quot)
     return gamma, beta_u, alpha, ku
 
 
@@ -672,37 +687,35 @@ def certify_all(
     constraint: ConstraintField,
     ubar: ControlSignal,
     xbar: Trajectory,
-    eps_list=(0.05, 0.1, 0.2),
-    collar_eta_grid=(0.05, 0.1, 0.2, 0.4),
-    control_bounds=(0.5, 1.0, 2.0, 4.0),
-    xi_candidates=(0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05),
-    delta0: float | None = None,
     seed: int = 0,
     config_hash: str = "",
-    stability_check: bool = True,
 ) -> HypothesisBundle:
     """Run every certifier against one reference pair and assemble the bundle.
 
-    Declared constants are validated and marked ``declared``; sampled ones
-    are marked ``certified``. A failed 2x-resample stability check inflates
-    the constant and demotes it to ``declared-only``. When the time
-    regularity certificate fails at the chosen control bound (declared
-    drift densities are often valid only on a bounded control box), the
-    inward search is retried with the bound candidates narrowed below it.
+    The search runs over the module's grids (``EPS_LIST``,
+    ``COLLAR_ETA_GRID``, ``CONTROL_BOUNDS``, ``XI_CANDIDATES``) with the
+    sample counts that bundle.json records. Declared constants are
+    validated and marked ``declared``; sampled ones are marked
+    ``certified``. A failed 2x-resample stability check inflates the
+    constant and demotes it to ``declared-only``. When the time regularity
+    certificate fails at the chosen control bound (declared drift
+    densities are often valid only on a bounded control box), the inward
+    search is retried with the bound candidates narrowed below it. The
+    window cap is the horizon, or a quarter of it for a time-varying
+    constraint.
     """
     grid = ubar.grid
     reference_sup = xbar.max_norm()
     operating_radius = 1.0 + 2.0 * reference_sup
-    bounds = tuple(sorted(float(b) for b in control_bounds))
+    bounds = CONTROL_BOUNDS
     while True:
         m_u, m_v, xi, eta = certify_inward_pointing(
             constraint,
             model,
-            eps_list,
-            collar_eta_grid,
+            EPS_LIST,
+            COLLAR_ETA_GRID,
             grid,
             control_bounds=bounds,
-            xi_candidates=xi_candidates,
             box_radius=operating_radius,
             seed=seed,
         )
@@ -729,9 +742,6 @@ def certify_all(
         "holder_rate": "declared" if model.metadata.holder_rate_scale else "certified",
     }
     theta = certify_sublinear(model, box, grid, seed=seed)
-    from .propagation import gronwall_radius
-    from .signals import weighted_l2_cost
-
     radius = gronwall_radius(
         theta.l1(),
         theta.l2(),
@@ -741,23 +751,21 @@ def certify_all(
         beta_u.l2(),
     )
     kf = certify_lipschitz(model, radius, box.controls, grid, seed=seed)
-    if stability_check:
-        fine_theta = certify_sublinear(
-            model, box, grid, n_samples=STABILITY_GROWTH_SAMPLES, seed=seed + 1
-        )
-        if np.any(fine_theta.values > theta.values * _SAFETY + 1e-12):
-            theta = SampledFunction(grid, np.maximum(theta.values, _SAFETY * fine_theta.values))
-            provenance["growth_envelope"] = "declared-only"
-        fine_kf = certify_lipschitz(
-            model, radius, box.controls, grid, n_samples=STABILITY_LIPSCHITZ_SAMPLES, seed=seed + 1
-        )
-        if np.any(fine_kf.values > kf.values * _SAFETY + 1e-12):
-            kf = SampledFunction(grid, np.maximum(kf.values, _SAFETY * fine_kf.values))
-            provenance["state_lipschitz"] = "declared-only"
-    if delta0 is None:
-        delta0 = grid.span if not constraint.time_varying else grid.span / 4.0
+    fine_theta = certify_sublinear(
+        model, box, grid, n_samples=STABILITY_GROWTH_SAMPLES, seed=seed + 1
+    )
+    if np.any(fine_theta.values > theta.values * _SAFETY + 1e-12):
+        theta = SampledFunction(grid, np.maximum(theta.values, _SAFETY * fine_theta.values))
+        provenance["growth_envelope"] = "declared-only"
+    fine_kf = certify_lipschitz(
+        model, radius, box.controls, grid, n_samples=STABILITY_LIPSCHITZ_SAMPLES, seed=seed + 1
+    )
+    if np.any(fine_kf.values > kf.values * _SAFETY + 1e-12):
+        kf = SampledFunction(grid, np.maximum(kf.values, _SAFETY * fine_kf.values))
+        provenance["state_lipschitz"] = "declared-only"
+    window_cap = grid.span / 4.0 if constraint.time_varying else grid.span
     omega_a = build_boundary_modulus(
-        constraint, grid, eps_list, delta0=delta0, box_radius=operating_radius, seed=seed
+        constraint, grid, EPS_LIST, delta0=window_cap, box_radius=operating_radius, seed=seed
     )
     return HypothesisBundle(
         growth_envelope=theta,
@@ -768,14 +776,14 @@ def certify_all(
         velocity_bound=m_v,
         inward_slack=xi,
         collar_width=eta,
-        eps_cap=float(max(eps_list)),
-        window_cap=float(delta0),
+        eps_cap=float(max(EPS_LIST)),
+        window_cap=float(window_cap),
         boundary_drift=omega_a,
         holder_exponent=alpha,
         holder_rate=ku,
         provenance=provenance,
         reference_sup=reference_sup,
-        eps_list=tuple(eps_list),
+        eps_list=EPS_LIST,
         config_hash=config_hash,
         seed=seed,
     )
@@ -822,9 +830,26 @@ def bundle_from_dict(data: dict) -> HypothesisBundle:
     return HypothesisBundle(**kwargs)
 
 
+def _binding_samples(bundle: HypothesisBundle) -> dict:
+    """Worst witness per certified function: the sample where it binds."""
+    out = {}
+    for name in _BUNDLE_FUNCTIONS:
+        fn = getattr(bundle, name)
+        j = int(np.argmax(fn.values))
+        out[name] = {"t": float(fn.grid.nodes[j]), "value": float(fn.values[j])}
+    return out
+
+
 def save_bundle(path, bundle: HypothesisBundle) -> None:
+    """Write the bundle with a ``certification`` block: the sample counts
+    it was certified with and the sample where each function binds."""
+    record = bundle_to_dict(bundle)
+    record["certification"] = {
+        "sample_counts": _SAMPLE_COUNTS,
+        "binding_samples": _binding_samples(bundle),
+    }
     with open(path, "w") as fh:
-        json.dump(bundle_to_dict(bundle), fh, indent=1, sort_keys=True)
+        json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

@@ -39,14 +39,11 @@ class IntegratorConfig:
     checking once the suffix it returns.
     """
 
-    method: str = "rk4-fixed"
     step: float = 0.001
     richardson_check: bool = True
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.method != "rk4-fixed":
-            raise DomainError(f"unknown integration method {self.method!r}")
         if self.step <= 0:
             raise DomainError("integrator step must be positive")
         if self.tolerance < 0:

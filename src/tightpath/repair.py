@@ -28,8 +28,8 @@ from .errors import (
 from .geometry import ConstraintField, dist_to_boundary, violation_sup
 from .hypotheses import (
     HypothesisBundle,
-    _control_candidates,
     best_inward_candidate,
+    control_candidates,
     inclusion_margins,
     validate_bundle,
 )
@@ -139,7 +139,6 @@ class RepairReport:
     window_excess: float
     cost_bound_terms: tuple
     eps_trail: tuple
-    diagnostics: dict | None = None
 
 
 def growth_maps(rho: float, c: RepairConstants):
@@ -379,7 +378,7 @@ def inward_control_at(
     fine: the margin is simply generous there.
     """
     x = np.asarray(x, dtype=float)
-    candidates = _control_candidates(
+    candidates = control_candidates(
         np.random.default_rng(bundle.seed + 1), model.control_dim, bundle.control_bound
     )
     horizon = float(bundle.growth_envelope.grid.t1)
@@ -403,13 +402,11 @@ def repair_interval(
     bundle: HypothesisBundle,
     field: ConstraintField,
     model: DynamicsModel,
-    diagnostics: bool = False,
 ):
     """Repair one partition interval.
 
-    Returns ``(traj, control, record, diag)``: the next iterate, the
-    interval's record, and its proof-side diagnostics when ``diagnostics``
-    is set (``None`` otherwise).
+    Returns ``(traj, control, record)``: the next iterate and the
+    interval's record.
 
     Far from the boundary the interval is left untouched. Near it, the
     suffix violation level sets the burst length: the inward control is
@@ -455,9 +452,9 @@ def repair_interval(
         )
 
     if boundary_gap > bundle.collar_width / 2.0:
-        return xcur, ucur, finish(xcur, "case-1", {}), None
+        return xcur, ucur, finish(xcur, "case-1", {})
     if rho_i == 0.0:
-        return xcur, ucur, finish(xcur, "case-2-identity", {}), None
+        return xcur, ucur, finish(xcur, "case-2-identity", {})
 
     u0, v0 = inward_control_at(bundle, field, model, c.eps, t_i, x_ti)
     delay = c.k * rho_i
@@ -511,51 +508,7 @@ def repair_interval(
         gap_to_previous=gap,
         gap_bound=float(g_val),
     )
-    record = finish(traj, "case-2", record_kw)
-    diag = None
-    if diagnostics:
-        diag = _interval_diagnostics(
-            field, model, c, xcur, traj, control, t_i, burst_end, t_next, delay, v0
-        )
-    return traj, control, record, diag
-
-
-def _interval_diagnostics(
-    field, model, c, xprev, traj, control, t_i, burst_end, t_next, delay, v0
-):
-    """Proof-side quantities exposed on request: the drift integral of the
-    burst against the frozen inward velocity, and the delayed projection
-    targets (nearest feasible samples, lowest index on ties)."""
-    nodes = traj.grid.nodes
-    sel = (nodes >= t_i) & (nodes <= t_next + 1e-12)
-    ts = nodes[sel]
-    rhs = np.array(
-        [
-            np.asarray(
-                model.rhs(float(t), traj.states[j], control.eval(float(t))), dtype=float
-            )
-            for j, t in zip(np.nonzero(sel)[0], ts)
-        ]
-    )
-    drift = rhs - v0[None, :]
-    gaps = np.diff(ts)
-    phi = np.vstack(
-        [
-            np.zeros((1, drift.shape[1])),
-            np.cumsum(0.5 * (drift[1:] + drift[:-1]) * gaps[:, None], axis=0),
-        ]
-    )
-    out = {"phi_times": ts.copy(), "phi": phi}
-    if burst_end < t_next:
-        tail = ts[ts >= burst_end]
-        proj = []
-        for t in tail:
-            y = xprev.resample([t - delay])[0] + delay * v0
-            d_set, _ = field._distances(c.eps, float(t - delay), y.reshape(1, -1))
-            proj.append(float(d_set[0]))
-        out["projection_gap_times"] = tail.copy()
-        out["projection_gaps"] = np.asarray(proj)
-    return out
+    return traj, control, finish(traj, "case-2", record_kw)
 
 
 def _cost_bound_terms(c: RepairConstants, bundle, ubar, weight) -> tuple:
@@ -618,7 +571,6 @@ def repair(
     field: ConstraintField,
     model: DynamicsModel,
     weight=None,
-    diagnostics: bool = False,
 ):
     """Produce a strictly interior neighbor of the reference pair.
 
@@ -656,7 +608,7 @@ def repair(
 
     while True:
         try:
-            result = _sweep(xbar, ubar, c, bundle, field, model, weight, diagnostics)
+            result = _sweep(xbar, ubar, c, bundle, field, model, weight)
         except IntervalRepairError as exc:
             if interval_retry_used or halvings_left <= 0:
                 raise RepairError(
@@ -729,17 +681,12 @@ def _retighten(c: RepairConstants, field, xbar, trail) -> RepairConstants:
     )
 
 
-def _sweep(xbar, ubar, c, bundle, field, model, weight, diagnostics):
+def _sweep(xbar, ubar, c, bundle, field, model, weight):
     xcur, ucur = xbar, ubar
     records = []
-    diag_blocks = {}
     envelope = float(np.max(np.abs(xbar.states)))
     for i in range(c.N0):
-        xcur, ucur, record, diag = repair_interval(
-            i, xcur, ucur, c, bundle, field, model, diagnostics
-        )
-        if diag is not None:
-            diag_blocks[i] = diag
+        xcur, ucur, record = repair_interval(i, xcur, ucur, c, bundle, field, model)
         if record.case == "case-2":
             d_sup = float(linf_distance(xcur, xbar))
             envelope = max(envelope, float(np.max(np.abs(xcur.states))))
@@ -781,7 +728,6 @@ def _sweep(xbar, ubar, c, bundle, field, model, weight, diagnostics):
         window_excess=window_excess,
         cost_bound_terms=_cost_bound_terms(c, bundle, ubar, weight),
         eps_trail=c.eps_trail,
-        diagnostics=diag_blocks if diagnostics else None,
     )
     return xcur, ucur, report
 

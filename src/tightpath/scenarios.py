@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .dynamics import DynamicsModel, eval_rhs, motor_decline, motor_surge
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, config_number
 from .geometry import ConstraintField, unit_ball_complement
 from .propagation import IntegratorConfig, integrate
 from .signals import ControlSignal, TimeGrid, Trajectory
@@ -212,23 +212,6 @@ def motor_scenario(
         clearance=clearance,
         config=config,
     )
-
-
-def config_number(table: dict, key: str, default, kind):
-    """Read ``table[key]`` (or ``default``) as ``kind``; a ConfigError names the key.
-
-    For ``kind=int`` a bool or a float with a fractional part is rejected
-    rather than truncated.
-    """
-    value = table.get(key, default)
-    if kind is int and (
-        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
-    ):
-        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
 
 
 def scenario_from_config(config: dict) -> Scenario:

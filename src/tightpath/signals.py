@@ -88,14 +88,6 @@ class TimeGrid:
         idx = int(np.searchsorted(self.nodes, t, side="right")) - 1
         return min(max(idx, 0), self.nodes.size - 1)
 
-    def index_of(self, t: float) -> int:
-        """Index of the node equal to t, up to rounding slack."""
-        idx = self.index_left(t)
-        for j in (idx, idx + 1):
-            if j < self.nodes.size and abs(self.nodes[j] - t) <= self.span * _REL_TOL:
-                return j
-        raise DomainError(f"time {t} is not a grid node")
-
 
 def _check_samples(grid: TimeGrid, values: np.ndarray, name: str) -> np.ndarray:
     values = _as_float_array(values, name)
@@ -200,9 +192,6 @@ class ModulusTable:
         idx = int(np.searchsorted(self.deltas, delta * (1 - _REL_TOL), side="left"))
         idx = min(idx, self.deltas.size - 1)
         return float(self.values[idx])
-
-    def __call__(self, delta: float) -> float:
-        return self.value_at(delta)
 
 
 def trapezoid_prefix(grid: TimeGrid, samples: np.ndarray) -> np.ndarray:

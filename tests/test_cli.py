@@ -15,7 +15,7 @@ import pytest
 
 from tightpath import cli
 from tightpath.hypotheses import bundle_to_dict, save_bundle
-from tightpath.scenarios import config_number
+from tightpath.errors import ConfigError, config_number
 
 SURGE_CONFIG = {
     "model": "motor_surge",
@@ -47,6 +47,43 @@ SUPERLINEAR_CONFIG = {
     },
     "lambda": 0.1,
 }
+
+_DISK_TIMES = np.linspace(0.0, 2.0, 41).tolist()
+
+# An autonomous control-affine field, x' = u, on the static unit disk's
+# complement, with a reference that grazes the disk along x2 = 1.0005.
+CONTROL_AFFINE_CONFIG = {
+    "model": "control_affine",
+    "state_dim": 2,
+    "control_dim": 2,
+    "drift": ["0", "0"],
+    "gain": [[1, 0], [0, 1]],
+    "constraint": {
+        "box": [[-2.0, 2.0], [-2.0, 2.0]],
+        "components": ["1 - sqrt(x1*x1 + x2*x2)"],
+        "resolution": 0.05,
+    },
+    "reference": {
+        "kind": "inline",
+        "times": _DISK_TIMES,
+        "states": [[-1.5 + 1.5 * t, 1.0005] for t in _DISK_TIMES],
+        "controls": [[1.5, 0.0]] * len(_DISK_TIMES),
+    },
+    "lambda": 0.1,
+}
+
+
+def printed_numbers(text):
+    """``name = value`` lines of a command's output, as floats by name."""
+    out = {}
+    for line in text.splitlines():
+        name, sep, value = line.rpartition(" = ")
+        if sep:
+            try:
+                out[name] = float(value)
+            except ValueError:
+                pass
+    return out
 
 
 def write_config(path, config):
@@ -298,6 +335,33 @@ class TestEvaluate:
         assert "dimension" in capsys.readouterr().err
 
 
+class TestControlAffine:
+    def test_autonomous_config_certifies_repairs_and_evaluates(self, workdir, capsys):
+        path = write_config(workdir / "control_affine.json", CONTROL_AFFINE_CONFIG)
+        out = workdir / "control_affine"
+        code = cli.main(["certify", "--config", path, "--out", str(out)])
+        assert code == 0, capsys.readouterr()
+        capsys.readouterr()
+        bundle = str(out / "bundle.json")
+        code = cli.main(["repair", "--config", path, "--bundle", bundle, "--out", str(out)])
+        assert code == 0, capsys.readouterr()
+        repaired = printed_numbers(capsys.readouterr().out)
+        lam = CONTROL_AFFINE_CONFIG["lambda"]
+        assert repaired["interiority margin"] > 0
+        assert repaired["sup gap"] <= lam and repaired["cost gap"] <= lam
+        # Evaluate the repaired pair at the tightening repair chose.
+        scored = write_config(
+            workdir / "control_affine_eps.json", {**CONTROL_AFFINE_CONFIG, "eps": repaired["eps"]}
+        )
+        code = cli.main(
+            ["evaluate", str(out / "x_eps.csv"), str(out / "u_eps.csv"), "--config", scored]
+        )
+        assert code == 0
+        evaluated = printed_numbers(capsys.readouterr().out)
+        assert evaluated[f"interiority margin (eps = {cli._fmt(repaired['eps'])})"] > 0
+        assert evaluated["sup gap"] <= lam and evaluated["cost gap"] <= lam
+
+
 class TestConfigRejection:
     def test_every_malformed_field_names_itself(self, workdir, capsys):
         cases = [
@@ -363,6 +427,43 @@ class TestConfigRejection:
         code = cli.main(["certify", "--config", path, "--out", str(workdir / "int")])
         assert code == 64
         assert f"{name!r} must be an integer, got {bad!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config, name",
+        [
+            (
+                "certify",
+                {**SUPERLINEAR_CONFIG, "constraint": {"builtin": "unit_ball_complement", "dim": "abc"}},
+                "dim",
+            ),
+            ("certify", {**SUPERLINEAR_CONFIG, "state_dim": "x"}, "state_dim"),
+            (
+                "certify",
+                {
+                    **SUPERLINEAR_CONFIG,
+                    "model": "motor_surge",
+                    "drift_amplitude": True,
+                    "constraint": {"builtin": "unit_ball_complement", "dim": 1},
+                },
+                "drift_amplitude",
+            ),
+            ("repair", {**SUPERLINEAR_CONFIG, "lambda": True}, "lambda"),
+        ],
+        ids=["dim", "state_dim", "drift_amplitude", "lambda"],
+    )
+    def test_malformed_model_field_and_command_numbers(
+        self, workdir, capsys, command, config, name
+    ):
+        path = write_config(workdir / f"malformed-{name}.json", config)
+        out = ["--out", str(workdir / "malformed")]
+        extra = ["--bundle", str(workdir / "unread.json")] if command == "repair" else []
+        code = cli.main([command, "--config", path, *extra, *out])
+        assert code == 64
+        assert f"{name!r} must be" in capsys.readouterr().err
+
+    def test_bool_is_not_a_float(self):
+        with pytest.raises(ConfigError, match="'lambda' must be a number, got True"):
+            config_number({"lambda": True}, "lambda", None, float)
 
     def test_integral_values_still_accepted(self):
         for value in (3, 3.0, "3", -2.0):

@@ -352,10 +352,12 @@ class TestDeclaredLipschitz:
 class TestModelConfig:
     def test_motor_kinds(self):
         surge = model_from_config({"model": "motor_surge", "drift_amplitude": 0.1})
-        assert surge.variant == "surge"
-        assert surge.drift_amplitude == pytest.approx(0.1)
+        assert surge.name == "motor_surge"
+        # At x = 0 and u = 0 the field is the drift amplitude times cos(0).
+        assert eval_rhs(surge, 0.5, [0.0], [0.0])[0] == pytest.approx(0.1)
         decline = model_from_config({"model": "motor_decline"})
-        assert decline.variant == "decline"
+        assert decline.name == "motor_decline"
+        assert eval_rhs(decline, 0.5, [0.0], [0.0])[0] == pytest.approx(0.2)
         assert decline.metadata.time_drift is not None
 
     def test_control_affine_expressions(self):

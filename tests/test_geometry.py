@@ -10,12 +10,16 @@ from tightpath.geometry import (
     build_boundary_modulus,
     compile_expression,
     dist_to_boundary,
-    dist_to_set,
     field_from_config,
     unit_ball_complement,
     violation_sup,
 )
 from tightpath.signals import TimeGrid, Trajectory
+
+
+def set_distance(field, eps, t, x):
+    """Distance from one state to the tightened set, as a one-row query."""
+    return float(field._distances(eps, t, np.reshape(x, (1, -1)))[0][0])
 
 
 def circle_projection_oracle(x, radius, n_angles=200_000):
@@ -29,21 +33,21 @@ class TestUnitBallComplement:
     def test_membership_and_margin(self):
         field = unit_ball_complement(dim=1)
         # Inside the tightened set: |x| >= 1 + eps.
-        assert field.contains(0.0, np.array([1.3]), eps=0.1)
-        assert not field.contains(0.0, np.array([1.05]), eps=0.1)
+        assert field.margin(0.0, np.array([1.3]), eps=0.1) >= 0
+        assert field.margin(0.0, np.array([1.05]), eps=0.1) < 0
         assert field.margin(0.0, np.array([1.3]), eps=0.1) == pytest.approx(0.2)
         assert field.margin(0.0, np.array([-1.3]), eps=0.1) == pytest.approx(0.2)
 
     def test_set_and_boundary_distances(self):
         field = unit_ball_complement(dim=1)
         # Feasible point: set distance 0, boundary distance |x| - (1+eps).
-        assert dist_to_set(field, 0.0, 0.0, np.array([2.0])) == 0.0
+        assert set_distance(field, 0.0, 0.0, np.array([2.0])) == 0.0
         assert dist_to_boundary(field, 0.1, 0.0, np.array([2.0])) == pytest.approx(0.9)
         # Center of the excluded ball: both distances reach the sphere.
-        assert dist_to_set(field, 0.1, 0.0, np.array([0.0])) == pytest.approx(1.1)
+        assert set_distance(field, 0.1, 0.0, np.array([0.0])) == pytest.approx(1.1)
         assert dist_to_boundary(field, 0.0, 0.0, np.array([1.0])) == 0.0
         # Infeasible shell point.
-        assert dist_to_set(field, 0.1, 0.0, np.array([0.9])) == pytest.approx(0.2)
+        assert set_distance(field, 0.1, 0.0, np.array([0.9])) == pytest.approx(0.2)
 
     def test_2d_distance_against_projection_oracle(self):
         field = unit_ball_complement(dim=2)
@@ -59,7 +63,7 @@ class TestUnitBallComplement:
         margin = field.margin(0.0, x, eps)
         if margin >= 0:
             assert dist_to_boundary(field, eps, 0.0, x) == pytest.approx(margin, abs=1e-12)
-            assert dist_to_set(field, eps, 0.0, x) == 0.0
+            assert set_distance(field, eps, 0.0, x) == 0.0
 
     @given(r=st.floats(0.0, 1.9), pair=st.tuples(st.floats(0.01, 0.5), st.floats(0.01, 0.5)))
     @settings(max_examples=50, deadline=None)
@@ -67,7 +71,7 @@ class TestUnitBallComplement:
         lo, hi = sorted(pair)
         field = unit_ball_complement(dim=1)
         x = np.array([r])
-        assert dist_to_set(field, lo, 0.0, x) <= dist_to_set(field, hi, 0.0, x) + 1e-12
+        assert set_distance(field, lo, 0.0, x) <= set_distance(field, hi, 0.0, x) + 1e-12
 
 
 class TestExpressions:
@@ -122,7 +126,7 @@ class TestNumericDistance:
                 dist_to_boundary(numeric, 0.1, 0.0, x) - dist_to_boundary(analytic, 0.1, 0.0, x)
             ) <= 2 * res
             assert abs(
-                dist_to_set(numeric, 0.1, 0.0, x) - dist_to_set(analytic, 0.1, 0.0, x)
+                set_distance(numeric, 0.1, 0.0, x) - set_distance(analytic, 0.1, 0.0, x)
             ) <= 2 * res
 
     def test_2d_against_projection_oracle(self):
@@ -145,7 +149,7 @@ class TestNumericDistance:
             components=(compile_expression("x1 + x2 - 0.5", dim=2),),
             sampling_box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
         )
-        got = dist_to_set(halfplane, 0.2, 0.0, np.array([1.0, 1.0]))
+        got = set_distance(halfplane, 0.2, 0.0, np.array([1.0, 1.0]))
         assert got == pytest.approx(1.7 / np.sqrt(2.0), abs=2 * halfplane.resolution)
 
     def test_two_component_slab(self):
@@ -157,8 +161,8 @@ class TestNumericDistance:
             ),
             sampling_box=np.array([[-2.0, 2.0]]),
         )
-        assert slab.contains(0.0, np.array([0.85]), eps=0.1)
-        assert not slab.contains(0.0, np.array([0.95]), eps=0.1)
+        assert slab.margin(0.0, np.array([0.85]), eps=0.1) >= 0
+        assert slab.margin(0.0, np.array([0.95]), eps=0.1) < 0
         got = dist_to_boundary(slab, 0.1, 0.0, np.array([0.0]))
         assert abs(got - 0.9) <= 2 * slab.resolution
 
@@ -178,7 +182,7 @@ class TestNumericDistance:
             components=(compile_expression("0 - 10 - x1 * 0", dim=1),),
             sampling_box=np.array([[-2.0, 2.0]]),
         )
-        assert dist_to_set(always, 0.1, 0.0, np.array([0.5])) == 0.0
+        assert set_distance(always, 0.1, 0.0, np.array([0.5])) == 0.0
         assert dist_to_boundary(always, 0.1, 0.0, np.array([0.5])) == np.inf
 
     def test_empty_boundary_raises(self):
@@ -271,6 +275,18 @@ class TestPerRowTimes:
             # No boundary in the box: every set distance reads 0, even at
             # the infeasible state outside it.
             assert margins[-3] < 0 and np.all(d_set == 0.0) and np.all(d_bdry == np.inf)
+
+    def test_single_state_margin_equals_batched_bitwise(self):
+        # A single (dim,) state goes through the batched evaluation, so the
+        # interior-start check agrees with every batched check.
+        field = field_from_config(MOVING_DISK)
+        rng = np.random.default_rng(0)
+        times = rng.uniform(0.0, 2.0, size=20_000)
+        states = rng.uniform(-2.0, 2.0, size=(20_000, 2))
+        batched = field.margin(times, states, 0.05)
+        single = np.array([field.margin(float(t), x, 0.05) for t, x in zip(times, states)])
+        assert single.tobytes() == batched.tobytes()
+        assert isinstance(field.margin(0.0, states[0], 0.05), float)
 
     def test_violation_sup_matches_per_node_loop(self):
         field = field_from_config(MOVING_DISK)

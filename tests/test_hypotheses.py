@@ -12,8 +12,7 @@ Frozen oracle values, derived independently of the implementation:
   at s = 1.5 is 0.3535533905932738 and its exact integral over (1, 2] is
   0.5; the tabulated version must dominate every window integral.
 * Trapezoid quadrature of values (0, 1, 2) on nodes (0, 1, 2):
-  L1 = 2.0, L2 = sqrt(3.0) (cells 0.5 and 2.5), window [1, 2] of the
-  square is 2.5.
+  L1 = 2.0, L2 = sqrt(3.0) (cells 0.5 and 2.5).
 * Pushing the inner boundary point x = 1 + eps of the motor constraint
   with |u| <= 1 gives field speed at least 1 - 0.2 = 0.8 toward the
   interior for t <= 1, so an inward slack of 0.4 must certify; |u| <= 0.5
@@ -27,8 +26,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tightpath import (
     BundleError,
@@ -60,7 +57,8 @@ from tightpath import (
     validate_bundle,
 )
 from tightpath.dynamics import DynamicsModel, ball_points, rhs_batch
-from tightpath.hypotheses import INWARD_TIE_TOL, _control_candidates
+from tightpath.hypotheses import INCLUSION_GRID_POINTS, INWARD_TIE_TOL, control_candidates
+from tightpath.signals import trapezoid_prefix
 
 GRID = TimeGrid.uniform(0.0, 2.0, 400)
 BALL = unit_ball_complement(dim=1, box_radius=2.0)
@@ -217,7 +215,7 @@ PLANAR = model_from_config(
 )
 
 
-def unpruned_margins(field, model, eps, t, x, candidates, xi, horizon, grid_points=16):
+def unpruned_margins(field, model, eps, t, x, candidates, xi, horizon):
     """Reference: every candidate evaluated at every push time."""
     velocities = rhs_batch(model, float(t), np.tile(x, (len(candidates), 1)), candidates)
     margins = np.where(np.all(np.isfinite(velocities), axis=1), np.inf, -np.inf)
@@ -225,8 +223,8 @@ def unpruned_margins(field, model, eps, t, x, candidates, xi, horizon, grid_poin
     if delta_cap <= 0:
         return margins, velocities
     rng = np.random.default_rng(12)
-    deltas = np.linspace(0.0, delta_cap, grid_points)[1:]
-    ys = np.vstack([x[None, :], x + ball_points(rng, grid_points, field.dim, xi)])
+    deltas = np.linspace(0.0, delta_cap, INCLUSION_GRID_POINTS)[1:]
+    ys = np.vstack([x[None, :], x + ball_points(rng, INCLUSION_GRID_POINTS, field.dim, xi)])
     ys = ys[field.margin(t, ys, eps) >= 0]
     safe_v = np.where(np.isfinite(velocities), velocities, 0.0)
     for delta in deltas:
@@ -260,7 +258,7 @@ class TestPrunedInclusionMargins:
         eps = 0.05
         pruned = 0
         for bound in (0.5, 2.0):
-            cands = _control_candidates(np.random.default_rng(1), 2, bound)
+            cands = control_candidates(np.random.default_rng(1), 2, bound)
             for t in (0.0, 0.9, 1.95):
                 for angle in (0.4, 1.6, 2.9):
                     for depth in (0.002, 0.03):
@@ -276,7 +274,7 @@ class TestPrunedInclusionMargins:
         pruned = 0
         for model in (motor_surge(), motor_decline()):
             for bound in (0.5, 1.0, 4.0):
-                cands = _control_candidates(np.random.default_rng(1), 1, bound)
+                cands = control_candidates(np.random.default_rng(1), 1, bound)
                 for t in (0.3, 1.2, 1.9):
                     for x in (1.0501, 1.08, 1.3, -1.06):
                         for xi in (0.5, 0.25, 0.05):
@@ -287,7 +285,7 @@ class TestPrunedInclusionMargins:
 
     def test_planar_unit_ball_complement(self):
         ball = unit_ball_complement(dim=2, box_radius=2.0)
-        cands = _control_candidates(np.random.default_rng(1), 2, 1.0)
+        cands = control_candidates(np.random.default_rng(1), 2, 1.0)
         pruned = 0
         for x in ([1.06, 0.0], [0.5, 0.9], [-0.8, -0.8]):
             for xi in (0.4, 0.1):
@@ -360,10 +358,13 @@ class TestTimeRegularity:
         i = int(np.argmin(np.abs(gamma.grid.nodes - 1.5)))
         assert gamma.values[i] == pytest.approx(0.3535533905932738, rel=1e-12)
         # tabulated windows dominate the exact integral 0.5 sqrt(t - 1)
-        left = gamma.grid.index_of(1.0)
-        for j in (left + 1, left + 40, len(gamma.grid) - 1):
-            exact = 0.5 * np.sqrt(gamma.grid.nodes[j] - 1.0)
-            assert gamma.window_l1(left, j) >= exact - 1e-12
+        nodes = gamma.grid.nodes
+        left = int(np.argmin(np.abs(nodes - 1.0)))
+        assert nodes[left] == pytest.approx(1.0, abs=1e-12)
+        prefix = trapezoid_prefix(gamma.grid, np.abs(gamma.values))
+        for j in (left + 1, left + 40, len(nodes) - 1):
+            exact = 0.5 * np.sqrt(nodes[j] - 1.0)
+            assert prefix[j] - prefix[left] >= exact - 1e-12
 
     def test_drift_budget_violation_carries_witness(self):
         base = motor_decline()
@@ -386,22 +387,7 @@ class TestSampledFunction:
         fn = SampledFunction(TimeGrid(np.array([0.0, 1.0, 2.0])), np.array([0.0, 1.0, 2.0]))
         assert fn.l1() == pytest.approx(2.0, abs=1e-15)
         assert fn.l2() == pytest.approx(np.sqrt(3.0), rel=1e-15)
-        assert fn.window_l1(0, 1) == pytest.approx(0.5, abs=1e-15)
-        assert fn.window_l2(1, 2) == pytest.approx(np.sqrt(2.5), rel=1e-15)
         assert fn.value_at(0.5) == pytest.approx(0.5, abs=1e-15)
-
-    @given(
-        i=st.integers(min_value=0, max_value=20),
-        j=st.integers(min_value=0, max_value=20),
-        k=st.integers(min_value=0, max_value=20),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_windows_are_additive(self, i, j, k):
-        i, j, k = sorted((i, j, k))
-        rng = np.random.default_rng(7)
-        fn = SampledFunction(TimeGrid.uniform(0.0, 1.0, 20), rng.uniform(-1, 1, 21))
-        total = fn.window_l1(i, j) + fn.window_l1(j, k)
-        assert total == pytest.approx(fn.window_l1(i, k), abs=1e-12)
 
     def test_rejects_non_finite_and_misshapen(self):
         grid = TimeGrid.uniform(0.0, 1.0, 2)

@@ -131,8 +131,6 @@ class TestIntegrate:
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
-            IntegratorConfig(method="euler")
-        with pytest.raises(DomainError):
             IntegratorConfig(step=0.0)
         with pytest.raises(DomainError):
             IntegratorConfig(tolerance=-1.0)

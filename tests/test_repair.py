@@ -319,8 +319,8 @@ class TestInwardControl:
 
     def test_failure_carries_witness(self):
         grid = TimeGrid.uniform(0.0, 1.0, 10)
-        ones = SampledFunction.constant(grid, 1.0)
-        zeros = SampledFunction.constant(grid, 0.0)
+        ones = SampledFunction(grid, np.ones(len(grid)))
+        zeros = SampledFunction(grid, np.zeros(len(grid)))
         bundle = HypothesisBundle(
             growth_envelope=ones,
             state_lipschitz=ones,
@@ -351,11 +351,10 @@ class TestRepairInterval:
         _, _, c, _ = surge_run
         n = sc.grid.nodes.size
         deep = Trajectory(grid=sc.grid, states=np.full((n, 1), 1.5))
-        traj, control, record, diag = repair_interval(
+        traj, control, record = repair_interval(
             0, deep, sc.ubar, c, surge_bundle, sc.field, sc.model
         )
         assert record.case == "case-1"
-        assert diag is None
         assert traj is deep
         assert control is sc.ubar
         assert record.rho == 0.0
@@ -367,11 +366,10 @@ class TestRepairInterval:
         n = sc.grid.nodes.size
         level = 1.0 + c.eps + 0.01
         near = Trajectory(grid=sc.grid, states=np.full((n, 1), level))
-        traj, control, record, diag = repair_interval(
+        traj, control, record = repair_interval(
             0, near, sc.ubar, c, surge_bundle, sc.field, sc.model
         )
         assert record.case == "case-2-identity"
-        assert diag is None
         assert traj is near
         assert record.margin_min == pytest.approx(0.01)
 
@@ -470,16 +468,6 @@ class TestRepair:
             assert report.final_cost_gap <= lam
             chosen.append(c.eps)
         assert chosen[0] >= chosen[1]
-
-    def test_diagnostics_payload(self, surge_scenario, surge_bundle):
-        sc = surge_scenario
-        _, _, c, report = repair(
-            sc.xbar, sc.ubar, 0.1, surge_bundle, sc.field, sc.model, diagnostics=True
-        )
-        assert report.diagnostics
-        block = next(iter(report.diagnostics.values()))
-        assert "phi" in block and "phi_times" in block
-        assert block["phi"].shape[0] == block["phi_times"].size
 
 
 class TestSuffixVerification:

@@ -54,12 +54,6 @@ class TestTimeGrid:
         assert grid.index_left(0.25) == 1
         assert grid.index_left(1.0) == 4
 
-    def test_index_of_rejects_off_node(self):
-        grid = TimeGrid.uniform(0.0, 1.0, 4)
-        assert grid.index_of(0.75) == 3
-        with pytest.raises(DomainError):
-            grid.index_of(0.3)
-
     def test_domain_check(self):
         grid = TimeGrid.uniform(0.0, 1.0, 4)
         with pytest.raises(DomainError):
