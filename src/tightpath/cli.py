@@ -31,6 +31,7 @@ from .errors import (
     ScheduleError,
     ShapeError,
     TightpathError,
+    config_array,
     config_number,
 )
 from .geometry import field_from_config
@@ -96,11 +97,11 @@ def config_identity_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _inline_reference(config: dict, ref: dict):
+def _inline_reference(ref: dict):
     try:
-        times = np.asarray(ref["times"], dtype=float)
-        states = np.asarray(ref["states"], dtype=float)
-        controls = np.asarray(ref["controls"], dtype=float)
+        times = config_array(ref, "times")
+        states = config_array(ref, "states")
+        controls = config_array(ref, "controls")
     except KeyError as exc:
         raise ConfigError(f"inline reference needs {exc.args[0]!r}") from None
     grid = TimeGrid(times)
@@ -130,7 +131,7 @@ def load_problem(config: dict):
     if kind == "csv":
         xbar, ubar = _csv_reference(ref)
     elif kind == "inline":
-        xbar, ubar = _inline_reference(config, ref)
+        xbar, ubar = _inline_reference(ref)
     else:
         raise ConfigError(f"unknown reference kind {kind!r}")
     model = model_from_config(config)
@@ -148,9 +149,7 @@ def load_problem(config: dict):
         )
     if not np.array_equal(xbar.grid.nodes, ubar.grid.nodes):
         raise ConfigError("reference states and controls live on different grids")
-    if "x0" in config and not np.allclose(
-        np.asarray(config["x0"], dtype=float), xbar.states[0]
-    ):
+    if "x0" in config and not np.allclose(config_array(config, "x0"), xbar.states[0]):
         raise ConfigError("x0 does not match the first reference state")
     return model, field, xbar, ubar
 
@@ -167,7 +166,7 @@ def weight_from_config(config: dict, control_dim: int):
         return None
     if kind == "constant":
         try:
-            mat = np.asarray(spec["matrix"], dtype=float)
+            mat = config_array(spec, "matrix")
         except KeyError:
             raise ConfigError("constant weight needs 'matrix'") from None
         if mat.shape != (control_dim, control_dim):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class TightpathError(Exception):
     """Base class for all package errors."""
@@ -39,6 +41,19 @@ def config_number(table: dict, key: str, default, kind):
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
+
+
+def config_array(table: dict, key: str) -> np.ndarray:
+    """Read ``table[key]`` as a float array; a missing key raises KeyError.
+
+    A value that does not convert, such as a string or a ragged list, raises
+    a ConfigError that names the key.
+    """
+    value = table[key]
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be an array of numbers, got {value!r}") from None
 
 
 class ExpressionError(TightpathError, ValueError):

@@ -21,6 +21,7 @@ from .errors import (
     ExpressionError,
     InfeasibleTighteningError,
     ShapeError,
+    config_array,
     config_number,
 )
 from .signals import ModulusTable, TimeGrid, Trajectory, subsample
@@ -413,7 +414,7 @@ def field_from_config(config: dict) -> ConstraintField:
             box_radius=config_number(config, "box_radius", 2.0, float),
         )
     try:
-        box = np.asarray(config["box"], dtype=float)
+        box = config_array(config, "box")
         expressions = config["components"]
     except KeyError as exc:
         raise ConfigError(f"constraint config needs {exc.args[0]!r}") from None

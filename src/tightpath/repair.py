@@ -111,14 +111,12 @@ class IterationRecord:
     d_sup: float
     margin_min: float
     u0: tuple | None = None
-    v0: tuple | None = None
     delay: float = 0.0
     burst_end: float = 0.0
     cone_excess: float = -np.inf
     delay_gap_excess: float = -np.inf
     gap_to_previous: float = 0.0
     gap_bound: float = 0.0
-    nodes_checked: int = 0
 
 
 @dataclass(frozen=True)
@@ -133,12 +131,9 @@ class RepairReport:
     cost_repaired: float
     envelope_sup: float
     rho_final: float
-    d_final: float
     iter_rho_excess: float
     d_bound_excess: float
     window_excess: float
-    cost_bound_terms: tuple
-    eps_trail: tuple
 
 
 def growth_maps(rho: float, c: RepairConstants):
@@ -155,20 +150,14 @@ def growth_maps(rho: float, c: RepairConstants):
     if rho < 0:
         raise DomainError("growth maps take a nonnegative violation level")
     g_val = c.gap_growth(rho)
-    with np.errstate(over="ignore"):
-        d_tilde = np.cumsum(_compositions(c, rho))
-    return g_val, rho + g_val, d_tilde
-
-
-def _compositions(c: RepairConstants, rho: float) -> np.ndarray:
-    """The first ``c.N0`` compositions of ``r -> r + g(r)`` at ``rho``."""
-    out = np.empty(c.N0)
+    compositions = np.empty(c.N0)
     r = rho
     with np.errstate(over="ignore"):
         for n in range(c.N0):
             r = r + c.gap_growth(r)
-            out[n] = r
-    return out
+            compositions[n] = r
+        d_tilde = np.cumsum(compositions)
+    return g_val, rho + g_val, d_tilde
 
 
 def _window_tables(grid, states, theta_values, osc_coef: float, l2_coef: float):
@@ -212,7 +201,6 @@ def _tightened_nonempty(field: ConstraintField, eps: float, times) -> bool:
 def schedule_constants(
     bundle: HypothesisBundle,
     field: ConstraintField,
-    model: DynamicsModel,
     xbar: Trajectory,
     ubar: ControlSignal,
     lam: float,
@@ -447,7 +435,6 @@ def repair_interval(
             rho=float(rho_i),
             d_sup=0.0,
             margin_min=margin_min,
-            nodes_checked=hi - lo + 1,
             **record_kw,
         )
 
@@ -500,7 +487,6 @@ def repair_interval(
 
     record_kw = dict(
         u0=tuple(float(v) for v in u0),
-        v0=tuple(float(v) for v in v0),
         delay=float(delay),
         burst_end=float(burst_end),
         cone_excess=cone_excess,
@@ -509,58 +495,6 @@ def repair_interval(
         gap_bound=float(g_val),
     )
     return traj, control, finish(traj, "case-2", record_kw)
-
-
-def _cost_bound_terms(c: RepairConstants, bundle, ubar, weight) -> tuple:
-    """The five analytic terms bounding the cost change, for the report.
-
-    The composed violation level after all intervals drives four of them
-    and routinely saturates to inf on boundary-riding references; the
-    measured cost difference is what the contract checks, these terms only
-    document how loose the analytic route is.
-    """
-    composed = _compositions(c, c.rho_bar_eps)
-    rho_star = float(composed[-1])
-    if weight is None:
-        mu_sq = 1.0
-        omega_r = 0.0
-    else:
-        grid = ubar.grid
-        if callable(weight):
-            mats = np.array([np.asarray(weight(float(t)), dtype=float) for t in grid.nodes])
-        else:
-            mats = np.tile(np.asarray(weight, dtype=float), (grid.nodes.size, 1, 1))
-        norms = np.linalg.norm(mats, ord=2, axis=(1, 2))
-        mu_sq = float(norms.max())
-        width = min(rho_star, c.horizon) if np.isfinite(rho_star) else c.horizon
-        j = max(1, int(np.ceil(width / c.step - 1e-9)))
-        omega_r = 0.0
-        for jj in range(1, min(j + 1, len(grid.nodes))):
-            omega_r = max(
-                omega_r,
-                float(np.max(np.linalg.norm(mats[jj:] - mats[:-jj], ord=2, axis=(1, 2)))),
-            )
-    ku = bundle.holder_rate
-    ubar_l2 = float(np.sqrt(weighted_l2_cost(ubar)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        if rho_star == 0.0:
-            tail = 0.0
-        else:
-            nodes = ubar.grid.nodes
-            sq = np.sum(ubar.values**2, axis=1)
-            tail = 0.0
-            for t_end in c.partition[1:]:
-                a = max(float(t_end) - rho_star, float(nodes[0]))
-                sel = (nodes >= a) & (nodes <= float(t_end))
-                if np.count_nonzero(sel) > 1:
-                    tail += float(np.trapezoid(sq[sel], nodes[sel]))
-            tail *= mu_sq
-        factor = mu_sq * c.k**bundle.holder_exponent * rho_star**bundle.holder_exponent
-        term2 = factor * (2.0 * bundle.control_bound * ku.l1() + ku.l2() ** 2)
-        term3 = 2.0 * factor * ku.l2() * ubar_l2
-        term4 = omega_r * ubar_l2**2
-        term5 = c.k * float(np.cumsum(composed)[-1]) * bundle.control_bound**2 * mu_sq
-    return (float(tail), float(term2), float(term3), float(term4), float(term5))
 
 
 def repair(
@@ -600,17 +534,17 @@ def repair(
     if not np.all(np.isfinite(ubar.values)):
         raise RepairError("reference control is not essentially bounded", stage="precondition")
 
-    c = schedule_constants(bundle, field, model, xbar, ubar, lam)
-    halvings_left = _MAX_HALVINGS - (len(c.eps_trail) - 1)
+    c = schedule_constants(bundle, field, xbar, ubar, lam)
     interval_retry_used = False
-    trail = list(c.eps_trail)
     last_report = None
 
     while True:
+        # Every entry after the first of the trail is one halving.
+        exhausted = len(c.eps_trail) > _MAX_HALVINGS
         try:
-            result = _sweep(xbar, ubar, c, bundle, field, model, weight)
+            x_eps, u_eps, report = _sweep(xbar, ubar, c, bundle, field, model, weight)
         except IntervalRepairError as exc:
-            if interval_retry_used or halvings_left <= 0:
+            if interval_retry_used or exhausted:
                 raise RepairError(
                     f"interval {exc.interval} failed its interiority check twice "
                     f"(worst margin {exc.margin:g})",
@@ -618,29 +552,25 @@ def repair(
                     report=last_report,
                 ) from exc
             interval_retry_used = True
-            halvings_left -= 1
-            c = _retighten(c, field, xbar, trail)
-            continue
-        x_eps, u_eps, report = result
-        last_report = report
-        ok = (
-            report.interiority_margin > 0
-            and report.final_linf_gap <= lam
-            and report.final_cost_gap <= lam
-        )
-        if ok:
-            _verify_suffix(x_eps, u_eps, c, report, model)
-            return x_eps, u_eps, c, report
-        if halvings_left <= 0:
-            raise RepairError(
-                f"contract not met at the smallest tightening tried: margin "
-                f"{report.interiority_margin:g}, sup gap {report.final_linf_gap:g}, "
-                f"cost gap {report.final_cost_gap:g} vs lambda {lam:g}",
-                stage="contract",
-                report=report,
+        else:
+            last_report = report
+            ok = (
+                report.interiority_margin > 0
+                and report.final_linf_gap <= lam
+                and report.final_cost_gap <= lam
             )
-        halvings_left -= 1
-        c = _retighten(c, field, xbar, trail)
+            if ok:
+                _verify_suffix(x_eps, u_eps, c, report, model)
+                return x_eps, u_eps, c, report
+            if exhausted:
+                raise RepairError(
+                    f"contract not met at the smallest tightening tried: margin "
+                    f"{report.interiority_margin:g}, sup gap {report.final_linf_gap:g}, "
+                    f"cost gap {report.final_cost_gap:g} vs lambda {lam:g}",
+                    stage="contract",
+                    report=report,
+                )
+        c = _retighten(c, field, xbar)
 
 
 def _verify_suffix(x_eps: Trajectory, u_eps: ControlSignal, c, report, model) -> None:
@@ -669,16 +599,13 @@ def _verify_suffix(x_eps: Trajectory, u_eps: ControlSignal, c, report, model) ->
         )
 
 
-def _retighten(c: RepairConstants, field, xbar, trail) -> RepairConstants:
+def _retighten(c: RepairConstants, field, xbar) -> RepairConstants:
     """Halve eps after a failed sweep: the failed eps is marked rejected."""
-    failed_eps, failed_rho, _ = trail[-1]
-    trail[-1] = (failed_eps, failed_rho, False)
+    *earlier, (failed_eps, failed_rho, _) = c.eps_trail
     eps = c.eps / 2.0
     rho_bar = violation_sup(field, eps, xbar)
-    trail.append((float(eps), float(rho_bar), True))
-    return dataclasses.replace(
-        c, eps=float(eps), rho_bar_eps=float(rho_bar), eps_trail=tuple(trail)
-    )
+    trail = (*earlier, (failed_eps, failed_rho, False), (float(eps), float(rho_bar), True))
+    return dataclasses.replace(c, eps=float(eps), rho_bar_eps=float(rho_bar), eps_trail=trail)
 
 
 def _sweep(xbar, ubar, c, bundle, field, model, weight):
@@ -698,7 +625,7 @@ def _sweep(xbar, ubar, c, bundle, field, model, weight):
     cost_ref = float(weighted_l2_cost(ubar, weight))
     cost_out = float(weighted_l2_cost(ucur, weight))
     rho_final = violation_sup(field, c.eps, xcur, window=(float(c.partition[-1]),) * 2)
-    d_final = records[-1].d_sup if records else 0.0
+    linf_gap = records[-1].d_sup if records else 0.0
 
     iter_excess = -np.inf
     for prev, nxt in zip(records[:-1], records[1:]):
@@ -708,26 +635,23 @@ def _sweep(xbar, ubar, c, bundle, field, model, weight):
 
     _, _, d_tilde = growth_maps(c.rho_bar_eps, c)
     with np.errstate(invalid="ignore"):
-        d_excess = d_final - float(d_tilde[-1])
+        d_excess = linf_gap - float(d_tilde[-1])
         if np.isnan(d_excess):
             d_excess = -np.inf
 
     window_excess = _window_bound_excess(xcur, c)
     report = RepairReport(
         records=tuple(records),
-        final_linf_gap=d_final,
+        final_linf_gap=linf_gap,
         final_cost_gap=abs(cost_out - cost_ref),
         interiority_margin=float(margins.min()),
         cost_reference=cost_ref,
         cost_repaired=cost_out,
         envelope_sup=envelope,
         rho_final=float(rho_final),
-        d_final=d_final,
         iter_rho_excess=float(iter_excess),
         d_bound_excess=float(d_excess),
         window_excess=window_excess,
-        cost_bound_terms=_cost_bound_terms(c, bundle, ubar, weight),
-        eps_trail=c.eps_trail,
     )
     return xcur, ucur, report
 
@@ -780,7 +704,7 @@ def render_report(c: RepairConstants, report: RepairReport, lam: float) -> str:
     push(f"omega_bar(step) = {_fmt(c.omega_bar.value_at(c.step))}")
     push("")
     push("[tightening trail]")
-    for eps, rho_bar, ok in report.eps_trail:
+    for eps, rho_bar, ok in c.eps_trail:
         push(f"eps = {_fmt(eps)}  violation = {_fmt(rho_bar)}  {'kept' if ok else 'rejected'}")
     push("")
     push("[intervals]")
@@ -818,19 +742,5 @@ def render_report(c: RepairConstants, report: RepairReport, lam: float) -> str:
     push(f"envelope sup = {_fmt(report.envelope_sup)} (<= {_fmt(c.R - 1.0)} required)")
     push(f"window modulus excess = {_fmt(report.window_excess)} (<= 0 required)")
     push(f"final node violation = {_fmt(report.rho_final)}")
-    push("")
-    push("[analytic cost bound]")
-    names = (
-        "shifted reference tail",
-        "burst rate window",
-        "rate cross term",
-        "weight drift term",
-        "accumulated burst term",
-    )
-    for name, value in zip(names, report.cost_bound_terms):
-        push(f"{name} = {_fmt(value)}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(report.cost_bound_terms))
-    push(f"total = {_fmt(total)} (measured cost gap = {_fmt(report.final_cost_gap)})")
     push("")
     return "\n".join(lines)

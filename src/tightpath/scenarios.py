@@ -110,16 +110,18 @@ def boundary_tracking_reference(
     clearance: float = 5e-4,
     finish: float = 1.06,
     variant: str = "surge",
+    drift_amplitude: float = 0.2,
 ) -> tuple[Trajectory, ControlSignal]:
     """Build a reference that tracks the constraint boundary from outside.
 
     A feedback-inverted control steers the scalar motor state along a
     target path that descends from ``x0`` to ``1 + clearance``, holds that
     graze level across the actuator breakpoint, then climbs to ``finish``.
-    The gain inversion uses the exact cell mean of the actuator scale so
-    tracking stays tight through the power surge and decay. The returned
-    trajectory is re-integrated with the production integrator and checked
-    to be feasible (but only barely) for the untightened constraint.
+    The inversion cancels the motor's drift ``drift_amplitude * cos(x)``
+    and uses the exact cell mean of the actuator scale so tracking stays
+    tight through the power surge and decay. The returned trajectory is
+    re-integrated with the production integrator and checked to be
+    feasible (but only barely) for the untightened constraint.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
@@ -138,7 +140,7 @@ def boundary_tracking_reference(
     for j in range(nodes.size - 1):
         a, b = float(nodes[j]), float(nodes[j + 1])
         demand = float(rate[j]) + _FEEDBACK_GAIN * (float(level[j]) - float(x[0]))
-        demand -= 0.2 * float(np.cos(x[0]))
+        demand -= drift_amplitude * float(np.cos(x[0]))
         if variant == "surge":
             u = demand / _surge_gain_mean(a, b)
         else:
@@ -169,24 +171,27 @@ def motor_scenario(
     horizon: float = 2.0,
     x_start: float = 1.08,
     finish: float = 1.06,
+    drift_amplitude: float = 0.2,
 ) -> Scenario:
     """Assemble a ready-to-repair motor scenario.
 
     ``variant`` picks the dynamics: ``"surge"`` is the control-affine motor
     whose input gain spikes after t = 1, ``"decline"`` is the saturating
     arctan motor whose actuator decays. Both ride the complement of the
-    unit ball at the given clearance.
+    unit ball at the given clearance, under the state drift
+    ``drift_amplitude * cos(x)``.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
     if steps < 2:
         raise DomainError("need at least two grid steps")
-    model = motor_surge() if variant == "surge" else motor_decline()
+    model = (motor_surge if variant == "surge" else motor_decline)(drift_amplitude)
     field = unit_ball_complement(dim=1, box_radius=2.0)
     grid = TimeGrid.uniform(0.0, horizon, steps)
     x0 = np.array([x_start])
     xbar, ubar = boundary_tracking_reference(
-        model, field, grid, x0, clearance=clearance, finish=finish, variant=variant
+        model, field, grid, x0, clearance=clearance, finish=finish, variant=variant,
+        drift_amplitude=drift_amplitude,
     )
     config = {
         "model": f"motor_{variant}",
@@ -200,6 +205,7 @@ def motor_scenario(
         },
         "horizon": horizon,
         "steps": steps,
+        "drift_amplitude": drift_amplitude,
     }
     return Scenario(
         name=f"motor-{variant}",
@@ -233,6 +239,7 @@ def scenario_from_config(config: dict) -> Scenario:
         horizon=config_number(config, "horizon", 2.0, float),
         x_start=config_number(reference, "x_start", 1.08, float),
         finish=config_number(reference, "finish", 1.06, float),
+        drift_amplitude=config_number(config, "drift_amplitude", 0.2, float),
     )
     # The reference is integrated against the variant's own dynamics, so a
     # config that names a different model or constraint is inconsistent.

@@ -461,6 +461,19 @@ class TestConfigRejection:
         assert code == 64
         assert f"{name!r} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["box", "times", "states", "controls", "x0", "matrix"])
+    def test_non_numeric_array_field_names_itself(self, workdir, capsys, name):
+        config = json.loads(json.dumps(SUPERLINEAR_CONFIG))
+        if name == "matrix":
+            config["weight"] = {"kind": "constant", "matrix": "abc"}
+        else:
+            table = {"box": config["constraint"], "x0": config}.get(name, config["reference"])
+            table[name] = "abc"
+        path = write_config(workdir / f"array-{name}.json", config)
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "array")])
+        assert code == 64
+        assert f"{name!r} must be an array of numbers" in capsys.readouterr().err
+
     def test_bool_is_not_a_float(self):
         with pytest.raises(ConfigError, match="'lambda' must be a number, got True"):
             config_number({"lambda": True}, "lambda", None, float)

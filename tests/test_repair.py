@@ -181,7 +181,7 @@ class TestSchedule:
 
     def test_inequalities_by_direct_substitution(self, bundle_case):
         sc, bundle = bundle_case
-        c = schedule_constants(bundle, sc.field, sc.model, sc.xbar, sc.ubar, 0.1)
+        c = schedule_constants(bundle, sc.field, sc.xbar, sc.ubar, 0.1)
         xi = bundle.inward_slack
         eta = bundle.collar_width
         assert c.Delta <= min(xi, bundle.window_cap)
@@ -210,7 +210,7 @@ class TestSchedule:
 
     def test_oscillation_gate_inequality(self, bundle_case):
         sc, bundle = bundle_case
-        c = schedule_constants(bundle, sc.field, sc.model, sc.xbar, sc.ubar, 0.1)
+        c = schedule_constants(bundle, sc.field, sc.xbar, sc.ubar, 0.1)
         eta = bundle.collar_width
         if c.oscillation_gate == GATE_WINDOW:
             assert c.omega_bar.value_at(c.Delta) <= eta / 4
@@ -226,11 +226,11 @@ class TestSchedule:
 
     def test_gate_selection_per_variant(self, surge_scenario, surge_bundle, decline_scenario, decline_bundle):
         c_s = schedule_constants(
-            surge_bundle, surge_scenario.field, surge_scenario.model,
+            surge_bundle, surge_scenario.field,
             surge_scenario.xbar, surge_scenario.ubar, 0.1,
         )
         c_d = schedule_constants(
-            decline_bundle, decline_scenario.field, decline_scenario.model,
+            decline_bundle, decline_scenario.field,
             decline_scenario.xbar, decline_scenario.ubar, 0.1,
         )
         # The affine motor's certified envelope is too large for the full
@@ -241,7 +241,7 @@ class TestSchedule:
 
     def test_tightening_gates(self, bundle_case):
         sc, bundle = bundle_case
-        c = schedule_constants(bundle, sc.field, sc.model, sc.xbar, sc.ubar, 0.1)
+        c = schedule_constants(bundle, sc.field, sc.xbar, sc.ubar, 0.1)
         assert c.rho_bar_eps <= c.rho_hat
         assert sc.field.margin(0.0, sc.xbar.states[0], c.eps) > 0
         eps_values = [e for e, _, _ in c.eps_trail]
@@ -257,14 +257,14 @@ class TestSchedule:
         shift = sc.xbar.states[0, 0] - 1.0
         grounded = Trajectory(grid=sc.xbar.grid, states=sc.xbar.states - shift)
         with pytest.raises(ScheduleError) as err:
-            schedule_constants(surge_bundle, sc.field, sc.model, grounded, sc.ubar, 0.1)
+            schedule_constants(surge_bundle, sc.field, grounded, sc.ubar, 0.1)
         assert err.value.kind == "initial-condition"
 
     def test_delta_infeasible(self, surge_scenario, surge_bundle):
         sc = surge_scenario
         cramped = dataclasses.replace(surge_bundle, inward_slack=1e-6)
         with pytest.raises(ScheduleError) as err:
-            schedule_constants(cramped, sc.field, sc.model, sc.xbar, sc.ubar, 0.1)
+            schedule_constants(cramped, sc.field, sc.xbar, sc.ubar, 0.1)
         assert err.value.kind == "delta-infeasible"
 
     def test_eps_infeasible(self, surge_scenario, surge_bundle):
@@ -279,7 +279,7 @@ class TestSchedule:
         dipped = sc.xbar.states - 0.18 * bump[:, None]
         broken = Trajectory(grid=sc.xbar.grid, states=dipped)
         with pytest.raises(ScheduleError) as err:
-            schedule_constants(surge_bundle, sc.field, sc.model, broken, sc.ubar, 0.1)
+            schedule_constants(surge_bundle, sc.field, broken, sc.ubar, 0.1)
         assert err.value.kind == "eps-infeasible"
 
     def test_rejects_nonpositive_tolerance(self, surge_scenario, surge_bundle):
@@ -287,7 +287,7 @@ class TestSchedule:
 
         sc = surge_scenario
         with pytest.raises(DomainError):
-            schedule_constants(surge_bundle, sc.field, sc.model, sc.xbar, sc.ubar, 0.0)
+            schedule_constants(surge_bundle, sc.field, sc.xbar, sc.ubar, 0.0)
 
 
 class TestInwardControl:
@@ -447,17 +447,23 @@ class TestRepair:
     def test_trail_marks_retried_sweeps_rejected(self, surge_scenario, surge_bundle, surge_run):
         sc = surge_scenario
         _, _, c, report = surge_run
-        scheduled = schedule_constants(surge_bundle, sc.field, sc.model, sc.xbar, sc.ubar, 0.1)
+        scheduled = schedule_constants(surge_bundle, sc.field, sc.xbar, sc.ubar, 0.1)
         first_swept = len(scheduled.eps_trail) - 1
         assert scheduled.eps_trail[first_swept][2]  # the schedule kept this eps
         assert len(c.eps_trail) > len(scheduled.eps_trail)  # but its sweep was retried
         assert [ok for *_, ok in c.eps_trail] == [False] * (len(c.eps_trail) - 1) + [True]
-        assert report.eps_trail == c.eps_trail
         text = render_report(c, report, 0.1)
         trail = text.split("[tightening trail]\n")[1].split("\n\n")[0].splitlines()
         assert len(trail) == len(c.eps_trail)
         assert trail[first_swept].endswith("  rejected")
         assert trail[-1].endswith("  kept")
+
+    def test_report_sections_and_no_nan(self, surge_run, decline_run):
+        for _, _, c, report in (surge_run, decline_run):
+            text = render_report(c, report, 0.1)
+            assert "nan" not in text
+            headers = [line for line in text.splitlines() if line.startswith("[")]
+            assert headers == ["[constants]", "[tightening trail]", "[intervals]", "[checks]"]
 
     def test_tightening_monotone_under_lambda_sweep(self, surge_scenario, surge_bundle):
         sc = surge_scenario

@@ -76,6 +76,14 @@ def test_config_round_trip(scenario):
     assert np.array_equal(rebuilt.ubar.values, scenario.ubar.values)
 
 
+def test_config_drift_amplitude_reaches_model_and_reference(scenario):
+    rebuilt = scenario_from_config({**scenario.config, "drift_amplitude": 0.5})
+    assert rebuilt.model.rhs(0.0, np.array([0.0]), np.array([0.0]))[0] == 0.5
+    assert not np.array_equal(rebuilt.ubar.values, scenario.ubar.values)
+    margins = rebuilt.field.margin(0.0, rebuilt.xbar.states, 0.0)
+    assert float(np.min(margins)) > 0
+
+
 def test_config_rejects_mismatched_model(surge_scenario):
     config = dict(surge_scenario.config)
     config["model"] = "motor_decline"
