@@ -127,7 +127,21 @@ def load_problem(config: dict):
     kind = ref.get("kind", "boundary-tracking")
     if kind == "boundary-tracking":
         sc = scenario_from_config(config)
-        return sc.model, sc.field, sc.xbar, sc.ubar
+        model, field, xbar, ubar = sc.model, sc.field, sc.xbar, sc.ubar
+    else:
+        model, field, xbar, ubar = _sampled_problem(config, ref, kind)
+    if "x0" in config:
+        x0 = config_array(config, "x0")
+        if x0.size != xbar.dim or not np.allclose(x0.ravel(), xbar.states[0]):
+            raise ConfigError(
+                f"x0 {x0.tolist()} does not match the first reference state "
+                f"{xbar.states[0].tolist()}"
+            )
+    return model, field, xbar, ubar
+
+
+def _sampled_problem(config: dict, ref: dict, kind: str):
+    """(model, field, xbar, ubar) of a CSV or inline reference config."""
     if kind == "csv":
         xbar, ubar = _csv_reference(ref)
     elif kind == "inline":
@@ -149,8 +163,6 @@ def load_problem(config: dict):
         )
     if not np.array_equal(xbar.grid.nodes, ubar.grid.nodes):
         raise ConfigError("reference states and controls live on different grids")
-    if "x0" in config and not np.allclose(config_array(config, "x0"), xbar.states[0]):
-        raise ConfigError("x0 does not match the first reference state")
     return model, field, xbar, ubar
 
 

@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConfigError,
@@ -28,6 +27,10 @@ from .errors import (
 from .geometry import compile_expression
 
 _BREAK_TIME = 1.0  # both motor variants switch behaviour here
+# Factor that rounds a closed-form drift integral up. Its 2e-15 relative
+# margin is four times the worst rounding error of the formula below
+# (about 5e-16), so the budget never falls under the exact integral.
+_ROUND_UP = 1.0 + 2e-15
 # Rounds of local refinement in the sampled control transport, each on a
 # ball a quarter the size of the last.
 _REFINE_ROUNDS = 2
@@ -41,15 +44,31 @@ class DeclaredRegularity:
     ``shift_radius_scale`` and ``holder_rate_scale`` are per-unit-control
     factors: the certified radius at time s is scale(s) times the control
     magnitude cap there.
+
+    ``time_drift`` and ``drift_integral`` are declared both or neither:
+    the density tabulates the drift budget, and its integral
+    ``(s, t) -> upper bound on the integral of time_drift over [s, t]``,
+    for s <= t, is the budget the sampled transports are checked against.
+    A density alone would switch that check off, so it raises ConfigError.
     """
 
     growth_envelope: object = None  # t -> envelope in |f| <= env(t)(1+|x|+|u|)
     state_lipschitz: object = None  # t -> Lipschitz constant of f(t, ., u)
     time_drift: object = None  # s -> integrable density bounding |f(t,x,u_t)-f(s,x,u_s)|
+    drift_integral: object = None  # (s, t) -> upper bound on the integral of time_drift
     drift_singularities: tuple = ()  # interior times where time_drift blows up
     shift_radius_scale: object = None  # s -> sup_t |u_t - u_s| / control scale
     holder_exponent: float | None = None
     holder_rate_scale: object = None  # s -> rate in |u_t - u_s| <= (t-s)^alpha rate(s)
+
+    def __post_init__(self):
+        if (self.time_drift is None) != (self.drift_integral is None):
+            declared, missing = (
+                ("time_drift", "drift_integral")
+                if self.drift_integral is None
+                else ("drift_integral", "time_drift")
+            )
+            raise ConfigError(f"{declared} is declared without {missing}; declare both or neither")
 
 
 @dataclass(frozen=True)
@@ -107,15 +126,14 @@ def rhs_batch(model: DynamicsModel, t: float, x_batch: np.ndarray, u_batch: np.n
 
 
 def drift_budget(model: DynamicsModel, s: float, t: float) -> float | None:
-    """Integral of the declared time-drift density over [s, t], or None."""
-    density = model.metadata.time_drift
-    if density is None:
+    """Upper bound on the integral of the declared time-drift density over
+    [s, t], from the declared ``drift_integral``; None without a density."""
+    integral = model.metadata.drift_integral
+    if integral is None:
         return None
     if t <= s:
         return 0.0
-    interior = [p for p in model.metadata.drift_singularities if s < p < t]
-    value, _ = quad(lambda sigma: float(density(sigma)), s, t, points=interior or None, limit=200)
-    return float(value)
+    return float(integral(s, t))
 
 
 def ball_points(rng, count: int, dim: int, radius: float) -> np.ndarray:
@@ -227,6 +245,11 @@ def _constant(value: float):
     return fn
 
 
+def _no_drift(s, t):
+    """Integral of a zero drift density."""
+    return 0.0
+
+
 def _identity_transport(s, t, x, u_s):
     """Shift hook of a field that does not depend on t through the control."""
     return np.asarray(u_s, dtype=float)
@@ -277,6 +300,7 @@ def motor_surge(drift_amplitude: float = 0.2) -> DynamicsModel:
         growth_envelope=envelope,
         state_lipschitz=_constant(amp),
         time_drift=_constant(0.0),
+        drift_integral=_no_drift,
         shift_radius_scale=radius_scale,
         holder_exponent=0.25,
         holder_rate_scale=rate_scale,
@@ -312,10 +336,19 @@ def motor_decline(drift_amplitude: float = 0.2) -> DynamicsModel:
         out = np.where(late, 0.25 / np.sqrt(safe), 0.0)
         return out if out.ndim else float(out)
 
+    def drift_integral(s, t):
+        # 0.5 (sqrt(t-1) - sqrt(lo-1)), written without the cancellation.
+        lo = max(s, _BREAK_TIME)
+        if t <= lo:
+            return 0.0
+        root = math.sqrt(t - _BREAK_TIME) + math.sqrt(lo - _BREAK_TIME)
+        return 0.5 * (t - lo) / root * _ROUND_UP
+
     metadata = DeclaredRegularity(
         growth_envelope=None,
         state_lipschitz=_constant(amp),
         time_drift=drift_density,
+        drift_integral=drift_integral,
         drift_singularities=(_BREAK_TIME,),
         shift_radius_scale=_constant(0.0),
         holder_exponent=1.0,
@@ -370,6 +403,7 @@ def double_integrator() -> DynamicsModel:
         growth_envelope=_constant(1.0),
         state_lipschitz=_constant(1.0),
         time_drift=_constant(0.0),
+        drift_integral=_no_drift,
         shift_radius_scale=_constant(0.0),
         holder_exponent=1.0,
         holder_rate_scale=_constant(0.0),
@@ -405,6 +439,7 @@ def _autonomy(expressions) -> tuple:
         return None, {}
     return _identity_transport, {
         "time_drift": _constant(0.0),
+        "drift_integral": _no_drift,
         "shift_radius_scale": _constant(0.0),
         "holder_exponent": 1.0,
         "holder_rate_scale": _constant(0.0),

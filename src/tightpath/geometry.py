@@ -420,6 +420,14 @@ def field_from_config(config: dict) -> ConstraintField:
         raise ConfigError(f"constraint config needs {exc.args[0]!r}") from None
     if box.ndim != 2:
         raise ConfigError("constraint box must be a list of [lo, hi] pairs")
+    if (
+        not isinstance(expressions, (list, tuple))
+        or not expressions
+        or not all(isinstance(expr, str) for expr in expressions)
+    ):
+        raise ConfigError(
+            f"'components' must be a non-empty list of expression strings, got {expressions!r}"
+        )
     dim = box.shape[0]
     components = tuple(compile_expression(expr, dim) for expr in expressions)
     return ConstraintField(

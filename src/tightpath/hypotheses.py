@@ -212,18 +212,12 @@ def certify_lipschitz(
     directions = rng.standard_normal((n_samples, n))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
 
-    def quotient_max(t: float, separation: float, points=None) -> tuple[float, tuple, np.ndarray]:
-        xs = base if points is None else points
-        dirs = directions if points is None else directions[: len(points)]
-        other = xs + separation * dirs[: len(xs)]
-        us = controls[: len(xs)]
-        fa = rhs_batch(model, t, xs, us)
-        fb = rhs_batch(model, t, other, us)
-        quotients = np.linalg.norm(fa - fb, axis=1) / separation
-        order = np.argsort(quotients)[::-1]
-        i = int(order[0])
-        mids = 0.5 * (xs[order[:8]] + other[order[:8]])
-        return float(quotients[i]), (xs[i].copy(), other[i].copy()), mids
+    def quotients(t: float, separation: float, xs: np.ndarray, fa: np.ndarray):
+        """Difference quotients against the pair partners at ``separation``,
+        given ``fa``, the field at ``xs``; also returns the partners."""
+        other = xs + separation * directions[: len(xs)]
+        fb = rhs_batch(model, t, other, controls[: len(xs)])
+        return np.linalg.norm(fa - fb, axis=1) / separation, other
 
     # Non-Lipschitz probe: zoom toward the worst difference quotients;
     # on a Lipschitz field they saturate, on a kink they keep growing.
@@ -238,7 +232,12 @@ def certify_lipschitz(
                 cluster = np.repeat(centers, 12, axis=0)
                 pts = np.vstack([pts, cluster + ball_points(rng, len(cluster), n, 8 * sep)])
             pts = pts[: len(base)]
-            last, witness, centers = quotient_max(t, float(sep), pts)
+            fa = rhs_batch(model, t, pts, controls[: len(pts)])
+            q, other = quotients(t, float(sep), pts, fa)
+            order = np.argsort(q)[::-1]
+            i = int(order[0])
+            last, witness = float(q[i]), (pts[i].copy(), other[i].copy())
+            centers = 0.5 * (pts[order[:8]] + other[order[:8]])
             if first is None:
                 first = last
         if last > 5.0 * max(first, 1e-12) and last > first + 1.0:
@@ -249,7 +248,10 @@ def certify_lipschitz(
     scales = (0.4 * radius_R, 1e-2 * radius_R, 1e-4 * radius_R)
     declared = model.metadata.state_lipschitz
     nodes = time_grid.nodes
-    raw = np.array([max(quotient_max(float(t), s)[0] for s in scales) for t in nodes])
+    raw = np.empty(len(nodes))
+    for k, t in enumerate(nodes):
+        fa = rhs_batch(model, float(t), base, controls)  # shared by every scale
+        raw[k] = max(float(quotients(float(t), sep, base, fa)[0].max()) for sep in scales)
     if declared is not None:
         bound = np.array([float(declared(t)) for t in nodes])
         bad = raw > bound * _VALIDATE_SLACK + 1e-12
@@ -565,17 +567,18 @@ def certify_time_regularity(
         vals[~np.isfinite(vals)] = 0.0
         # Around integrable poles of the density the trapezoid rule can
         # undershoot: inflate the node beyond the pole until each cell's
-        # trapezoid dominates the exact integral.
+        # trapezoid dominates the declared integral, an upper bound on the
+        # exact one.
         for sigma in meta.drift_singularities:
             j = int(np.searchsorted(nodes, sigma))
             for i in range(max(j - 2, 0), min(j + 2, len(nodes) - 1)):
                 a, b = float(nodes[i]), float(nodes[i + 1])
-                exact = drift_budget(model, a, b)
+                budget = drift_budget(model, a, b)
                 trap = 0.5 * (vals[i] + vals[i + 1]) * (b - a)
-                if exact is not None and exact > trap:
+                if budget > trap:
                     grow = i + 1 if abs(b - sigma) >= abs(a - sigma) else i
                     other = i if grow == i + 1 else i + 1
-                    vals[grow] = 2.0 * exact / (b - a) - vals[other]
+                    vals[grow] = 2.0 * budget / (b - a) - vals[other]
         gamma = SampledFunction(time_grid, vals)
     else:
         gamma = SampledFunction(sub, _SAFETY * drift_quot)

@@ -474,6 +474,32 @@ class TestConfigRejection:
         assert code == 64
         assert f"{name!r} must be an array of numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "x0, needle",
+        [
+            ([5.0], "does not match the first reference state"),
+            ([1.08, 1.08], "does not match the first reference state"),
+            ("abc", "'x0' must be an array of numbers"),
+        ],
+        ids=["far", "wrong-size", "non-numeric"],
+    )
+    def test_boundary_tracking_x0_is_checked(self, workdir, capsys, x0, needle):
+        path = write_config(workdir / "tracking-x0.json", {**SURGE_CONFIG, "x0": x0})
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "x0")])
+        assert code == 64
+        assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [5, [], ["1 - x1", 3], "1 - x1"], ids=repr)
+    def test_malformed_components_name_the_key(self, workdir, capsys, bad):
+        config = json.loads(json.dumps(SUPERLINEAR_CONFIG))
+        config["constraint"]["components"] = bad
+        path = write_config(workdir / "components.json", config)
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "comp")])
+        assert code == 64
+        assert "'components' must be a non-empty list of expression strings" in (
+            capsys.readouterr().err
+        )
+
     def test_bool_is_not_a_float(self):
         with pytest.raises(ConfigError, match="'lambda' must be a number, got True"):
             config_number({"lambda": True}, "lambda", None, float)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -31,9 +32,13 @@ def decline_drift_integral(s, t):
     return 0.5 * (np.sqrt(hi - 1.0) - np.sqrt(lo - 1.0))
 
 
-def ramp_model(density=None):
+AUTONOMOUS_EXPRESSION = {"model": "expression", "state_dim": 1, "control_dim": 1, "rhs": ["u1"]}
+
+
+def ramp_model(rate=None):
     # f(t, x, u) = t + u: the field drifts linearly in time and any shift
-    # must be absorbed by the control.
+    # must be absorbed by the control. ``rate`` declares a constant drift
+    # density and its integral.
     def drift(t, x):
         x = np.asarray(x, dtype=float)
         return float(t) + np.zeros(x.shape[:-1] + (1,))
@@ -42,7 +47,11 @@ def ramp_model(density=None):
         x = np.asarray(x, dtype=float)
         return np.ones(x.shape[:-1] + (1, 1))
 
-    metadata = DeclaredRegularity(time_drift=density)
+    metadata = DeclaredRegularity()
+    if rate is not None:
+        metadata = DeclaredRegularity(
+            time_drift=lambda s: rate, drift_integral=lambda s, t: rate * (t - s)
+        )
     return control_affine(drift, gain, 1, 1, metadata=metadata, name="ramp")
 
 
@@ -246,6 +255,69 @@ class TestShiftHooks:
             )
 
 
+class TestDriftIntegral:
+    @staticmethod
+    def exact_decline(s, t):
+        # 0.5 (sqrt(hi - 1) - sqrt(lo - 1)) on the float endpoints, at 50 digits.
+        with mpmath.workdps(50):
+            lo = max(mpmath.mpf(s), 1)
+            hi = max(mpmath.mpf(t), 1)
+            return 0.5 * (mpmath.sqrt(hi - 1) - mpmath.sqrt(lo - 1)) if hi > lo else mpmath.mpf(0)
+
+    def assert_one_sided(self, model, s, t):
+        got = drift_budget(model, s, t)
+        exact = self.exact_decline(s, t)
+        with mpmath.workdps(50):
+            assert mpmath.mpf(got) >= exact, (s, t, got, exact)
+            assert mpmath.mpf(got) <= exact * (1 + mpmath.mpf(1e-14)), (s, t, got, exact)
+
+    def test_decline_integral_bounds_exact_on_random_intervals(self):
+        model = motor_decline()
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            s, t = sorted(float(v) for v in rng.uniform(0.0, 2.0, size=2))
+            self.assert_one_sided(model, s, t)
+
+    def test_decline_integral_bounds_exact_near_the_pole(self):
+        model = motor_decline()
+        nodes = np.linspace(0.0, 2.0, 2001)  # the decline workload's grid
+        cells = [(float(nodes[i]), float(nodes[i + 1])) for i in range(995, 1005)]
+        tiny = [
+            (1.0, float(np.nextafter(1.0, 2.0))),
+            (1.0, 1.0 + 2.0**-40),
+            (1.0 + 1e-12, 1.0 + 2e-12),
+        ]
+        for s, t in cells + tiny + [(0.5, 1.0), (0.999, 1.0), (1.0, 1.5), (1.3, 1.7)]:
+            self.assert_one_sided(model, s, t)
+
+    def test_decline_integral_is_zero_where_it_must_be(self):
+        model = motor_decline()
+        for s, t in [(0.2, 0.9), (0.5, 1.0), (1.0, 1.0), (1.4, 1.4)]:
+            assert model.metadata.drift_integral(s, t) == 0.0
+            assert drift_budget(model, s, t) == 0.0
+        assert drift_budget(model, 1.7, 1.2) == 0.0
+
+    @pytest.mark.parametrize(
+        "factory",
+        [motor_surge, double_integrator, lambda: model_from_config(AUTONOMOUS_EXPRESSION)],
+        ids=["motor_surge", "double_integrator", "autonomous-expression"],
+    )
+    def test_zero_density_models_declare_zero_integral(self, factory):
+        model = factory()
+        assert float(model.metadata.time_drift(1.5)) == 0.0
+        assert drift_budget(model, 0.2, 1.7) == 0.0
+
+    @pytest.mark.parametrize(
+        "declared, missing", [("time_drift", "drift_integral"), ("drift_integral", "time_drift")]
+    )
+    def test_density_and_integral_are_declared_together(self, declared, missing):
+        with pytest.raises(ConfigError, match=f"{declared} is declared without {missing}"):
+            DeclaredRegularity(**{declared: lambda *times: 0.1})
+
+    def test_no_density_means_no_budget(self):
+        assert drift_budget(ramp_model(), 0.2, 0.9) is None
+
+
 class TestShiftSearch:
     def test_autonomous_field_keeps_control(self):
         def drift(t, x):
@@ -262,18 +334,18 @@ class TestShiftSearch:
         assert got == pytest.approx(u_s, abs=0)
 
     def test_search_absorbs_time_ramp(self):
-        model = ramp_model(density=lambda s: 0.1)
+        model = ramp_model(rate=0.1)
         got = shift_selection(model, 0.5, 1.0, np.array([0.0]), np.array([0.0]), radius=0.6)
         assert got[0] == pytest.approx(-0.5, abs=0.01)
 
     def test_small_radius_raises_with_residual(self):
-        model = ramp_model(density=lambda s: 0.1)
+        model = ramp_model(rate=0.1)
         with pytest.raises(SelectionError) as err:
             shift_selection(model, 0.5, 1.0, np.array([0.0]), np.array([0.0]), radius=0.1)
         assert err.value.residual == pytest.approx(0.4, abs=1e-12)
 
     def test_explicit_budget_overrides_declared(self):
-        model = ramp_model(density=lambda s: 10.0)
+        model = ramp_model(rate=10.0)
         with pytest.raises(SelectionError):
             shift_selection(
                 model, 0.5, 1.0, np.array([0.0]), np.array([0.0]), radius=0.1, budget=0.01

@@ -373,6 +373,7 @@ class TestTimeRegularity:
             metadata=dataclasses.replace(
                 base.metadata,
                 time_drift=lambda s: 0.025 / np.sqrt(s - 1.0) if s > 1.0 else 0.0,
+                drift_integral=lambda s, t: 0.1 * base.metadata.drift_integral(s, t),
             ),
         )
         box = OperatingBox.from_radii(2.0, 1.45, 1, 1)

@@ -1,6 +1,9 @@
 """Module boundaries: no module imports another module's private name."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tightpath
@@ -26,3 +29,13 @@ def test_no_module_imports_a_private_name():
     assert len(sources) > 5
     offenders = [line for path in sources for line in private_imports(path)]
     assert offenders == []
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # Drift budgets are closed forms: the command line never needs quadrature.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), *sys.path]))
+    probe = "import sys, tightpath.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
