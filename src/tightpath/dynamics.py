@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
     ShapeError,
     config_number,
 )
-from .geometry import compile_expression
+from .geometry import compile_expression, reads_time
 
 _BREAK_TIME = 1.0  # both motor variants switch behaviour here
 # Factor that rounds a closed-form drift integral up. Its 2e-15 relative
@@ -435,7 +434,7 @@ def _autonomy(expressions) -> tuple:
     the identity, exactly: it has no time drift and a zero shift radius.
     Any other field gets no hook and no entries.
     """
-    if any(re.search(r"\bt\b", str(e)) for e in expressions):
+    if any(reads_time(e) for e in expressions):
         return None, {}
     return _identity_transport, {
         "time_drift": _constant(0.0),

@@ -43,6 +43,16 @@ def config_number(table: dict, key: str, default, kind):
         raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
 
 
+def config_flag(table: dict, key: str, default: bool) -> bool:
+    """Read ``table[key]`` as a JSON boolean, or ``default`` when the key is
+    absent. Anything else, such as the string ``"false"``, raises a
+    ConfigError that names the key."""
+    value = table.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
 def config_array(table: dict, key: str) -> np.ndarray:
     """Read ``table[key]`` as a float array; a missing key raises KeyError.
 

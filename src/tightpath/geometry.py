@@ -10,6 +10,7 @@ closed-form hook fall back to a KD-tree over lattice boundary crossings.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     InfeasibleTighteningError,
     ShapeError,
     config_array,
+    config_flag,
     config_number,
 )
 from .signals import ModulusTable, TimeGrid, Trajectory, subsample
@@ -42,6 +44,11 @@ BOUNDARY_MODULUS_PROBES = 128
 
 # Marker for "the whole sampling box is feasible": boundary out of reach.
 _NO_BOUNDARY = "no-boundary"
+
+
+def reads_time(expr) -> bool:
+    """Whether an expression mentions the time variable ``t``."""
+    return re.search(r"\bt\b", str(expr)) is not None
 
 
 def compile_expression(expr: str, dim: int, names: tuple = ()):
@@ -428,12 +435,20 @@ def field_from_config(config: dict) -> ConstraintField:
         raise ConfigError(
             f"'components' must be a non-empty list of expression strings, got {expressions!r}"
         )
+    time_varying = config_flag(config, "time_varying", False)
+    timed = [expr for expr in expressions if reads_time(expr)]
+    if timed and not time_varying:
+        # A static field evaluates every time as the first one and shares
+        # one distance cache across times, which a t-dependent set breaks.
+        raise ConfigError(
+            f"component {timed[0]!r} reads 't', so 'time_varying' must be true"
+        )
     dim = box.shape[0]
     components = tuple(compile_expression(expr, dim) for expr in expressions)
     return ConstraintField(
         components=components,
         sampling_box=box,
-        time_varying=bool(config.get("time_varying", False)),
+        time_varying=time_varying,
         resolution=config_number(config, "resolution", 0.0, float),
         name=str(config.get("name", "")),
     )

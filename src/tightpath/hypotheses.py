@@ -347,54 +347,81 @@ def inclusion_margins(
 
     Checks, on a fixed grid of push times delta and base points y near x,
     that the ball of radius delta*xi around y + delta*v stays inside the
-    tightened set at time t + delta, where v = f(t, x, u). Returns the
-    (n_candidates,) margins and the (n_candidates, N) velocities; a
-    negative margin means the inclusion fails on the sample grid. The
-    delta and y grids are deterministic, so repeated calls agree bitwise.
+    tightened set at time t + delta, where v = f(t, x, u). A negative
+    margin means the inclusion fails on the sample grid. The delta and y
+    grids are deterministic, so repeated calls agree bitwise.
 
-    The search is a branch-and-bound for ``best_inward_candidate``: the
-    leader after the first push time is evaluated at every push time, and
-    a candidate stops being evaluated once its running minimum falls below
-    the leader's exact margin minus ``INWARD_TIE_TOL``. So every candidate
-    that wins or ties has its exact margin; every other entry is an upper
-    bound on its margin that lies more than ``INWARD_TIE_TOL`` below the
-    best margin.
+    ``x`` is one base point of shape (dim,), giving (n_candidates,)
+    margins and (n_candidates, N) velocities, or a batch of shape
+    (P, dim), giving (P, n_candidates) margins and (P, n_candidates, N)
+    velocities. Every row of a batch is bitwise equal to the call on that
+    row alone: each margin comes from elementwise arithmetic and per-point
+    distance queries, and the running minimum is exact. Before the
+    horizon, a row none of whose base points is in the tightened set gets
+    margin -inf for every candidate; at the horizon there is no push time
+    and every finite velocity gets +inf.
+
+    The search is a branch-and-bound for ``best_inward_candidate``, run
+    row by row: the leader after the first push time is evaluated at every
+    push time, and a candidate stops being evaluated once its running
+    minimum falls below the leader's exact margin minus
+    ``INWARD_TIE_TOL``. So every candidate that wins or ties has its exact
+    margin; every other entry is an upper bound on its margin that lies
+    more than ``INWARD_TIE_TOL`` below the best margin of its row.
     """
     x = np.asarray(x, dtype=float)
-    velocities = rhs_batch(model, float(t), np.tile(x, (len(candidates), 1)), candidates)
-    margins = np.where(np.all(np.isfinite(velocities), axis=1), np.inf, -np.inf)
+    rows = np.atleast_2d(x)
+    n_rows, n_cand = len(rows), len(candidates)
+    velocities = rhs_batch(
+        model, float(t), np.repeat(rows, n_cand, axis=0), np.tile(candidates, (n_rows, 1))
+    ).reshape(n_rows, n_cand, -1)
+    margins = np.where(np.all(np.isfinite(velocities), axis=2), np.inf, -np.inf)
     delta_cap = min(xi, max(horizon - t, 0.0))
-    if delta_cap <= 0:
-        return margins, velocities
+    if delta_cap > 0:
+        _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap)
+    if x.ndim == 1:
+        return margins[0], velocities[0]
+    return margins, velocities
+
+
+def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) -> None:
+    """The branch-and-bound of ``inclusion_margins``; lowers ``margins`` in place."""
     rng = np.random.default_rng(12)
     deltas = np.linspace(0.0, delta_cap, INCLUSION_GRID_POINTS)[1:]
-    ys = x + ball_points(rng, INCLUSION_GRID_POINTS, field.dim, xi)
-    ys = np.vstack([x[None, :], ys])
-    ys = ys[field.margin(t, ys, eps) >= 0]
+    offsets = ball_points(rng, INCLUSION_GRID_POINTS, field.dim, xi)
+    ys = np.concatenate([rows[:, None, :], rows[:, None, :] + offsets[None, :, :]], axis=1)
+    base_ok = (field.margin(t, ys.reshape(-1, field.dim), eps) >= 0).reshape(ys.shape[:2])
+    margins[~base_ok.any(axis=1)] = -np.inf
 
-    def push(delta: float, idx: np.ndarray) -> None:
-        centers = (ys[None, :, :] + delta * velocities[idx, None, :]).reshape(-1, field.dim)
-        d_set, d_bdry = field._distances(eps, t + delta, centers)
-        slack = np.where(d_set > 0, -np.inf, d_bdry - delta * xi)
-        margins[idx] = np.minimum(margins[idx], slack.reshape(len(idx), -1).min(axis=1))
+    def push(delta: float, pairs: tuple) -> None:
+        r, c = pairs
+        keep = base_ok[r]
+        centers = ys[r] + delta * velocities[r, c][:, None, :]
+        d_set, d_bdry = field._distances(eps, t + delta, centers[keep])
+        slack = np.full(keep.shape, np.inf)
+        slack[keep] = np.where(d_set > 0, -np.inf, d_bdry - delta * xi)
+        margins[r, c] = np.minimum(margins[r, c], slack.min(axis=1))
 
-    # A running minimum only decreases, so a candidate already below the
-    # leader's exact margin minus the tie tolerance can neither win nor tie.
-    live = np.flatnonzero(margins > -np.inf)
-    if live.size == 0 or deltas.size == 0:
-        return margins, velocities
-    push(deltas[0], live)
-    leader = live[np.argmax(margins[live])]
+    # A running minimum only decreases, so a candidate already below its
+    # row leader's exact margin minus the tie tolerance can neither win nor tie.
+    live = margins > -np.inf
+    led = np.flatnonzero(live.any(axis=1))
+    if led.size == 0:
+        return
+    push(deltas[0], np.nonzero(live))
+    # Each row's leader is the first live candidate attaining its live maximum.
+    top = np.where(live, margins, -np.inf).max(axis=1)
+    leader = np.argmax(live & (margins == top[:, None]), axis=1)[led]
     for delta in deltas[1:]:
-        push(delta, np.array([leader]))
-    floor = margins[leader] - INWARD_TIE_TOL
-    live = live[live != leader]
+        push(delta, (led, leader))
+    floor = np.full(len(rows), np.inf)
+    floor[led] = margins[led, leader] - INWARD_TIE_TOL
+    live[led, leader] = False
     for delta in deltas[1:]:
-        live = live[margins[live] >= floor]
-        if live.size == 0:
+        live &= margins >= floor[:, None]
+        if not live.any():
             break
-        push(delta, live)
-    return margins, velocities
+        push(delta, np.nonzero(live))
 
 
 def best_inward_candidate(margins: np.ndarray, candidates: np.ndarray) -> int:
@@ -451,10 +478,14 @@ def certify_inward_pointing(
             rows = []
             aborted = False
             for (eps, t), pts in collars.items():
-                for x, depth in zip(pts, depths[(eps, t)]):
-                    margins, velocities = inclusion_margins(
-                        field, model, eps, t, x, candidates, xi, horizon
-                    )
+                if len(pts) == 0:
+                    continue
+                group_margins, group_velocities = inclusion_margins(
+                    field, model, eps, t, pts, candidates, xi, horizon
+                )
+                for x, depth, margins, velocities in zip(
+                    pts, depths[(eps, t)], group_margins, group_velocities
+                ):
                     best = best_inward_candidate(margins, candidates)
                     speed = (
                         float(np.linalg.norm(velocities[best]))

@@ -500,6 +500,29 @@ class TestConfigRejection:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("bad", ["false", "true", 0, 1, None], ids=repr)
+    def test_time_varying_must_be_a_json_boolean(self, workdir, capsys, bad):
+        config = json.loads(json.dumps(CONTROL_AFFINE_CONFIG))
+        config["constraint"]["time_varying"] = bad
+        path = write_config(workdir / "time-varying.json", config)
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "tv")])
+        assert code == 64
+        assert "'time_varying' must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [False, None], ids=["false", "absent"])
+    def test_component_reading_t_needs_time_varying(self, workdir, capsys, flag):
+        config = json.loads(json.dumps(CONTROL_AFFINE_CONFIG))
+        config["constraint"]["components"] = ["1 - sqrt((x1 - 0.5*t)**2 + x2**2)"]
+        if flag is None:
+            config["constraint"].pop("time_varying", None)
+        else:
+            config["constraint"]["time_varying"] = flag
+        path = write_config(workdir / "static-t.json", config)
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "st")])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "reads 't'" in err and "'time_varying' must be true" in err, err
+
     def test_bool_is_not_a_float(self):
         with pytest.raises(ConfigError, match="'lambda' must be a number, got True"):
             config_number({"lambda": True}, "lambda", None, float)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tightpath.errors import DomainError, ExpressionError
+from tightpath.dynamics import _autonomy
+from tightpath.errors import ConfigError, DomainError, ExpressionError
 from tightpath.geometry import (
     ConstraintField,
     boundary_points,
@@ -359,3 +360,12 @@ class TestFieldConfig:
     def test_unknown_builtin(self):
         with pytest.raises(DomainError):
             field_from_config({"builtin": "halfspace"})
+
+    def test_reads_t_is_the_rule_of_model_autonomy(self):
+        for expr in ("1 - x1", "sqrt(x1) - t", "cos(t)*x1", "pow(x1, 2)", "t", "1 - 2*x1"):
+            static_ok = True
+            try:
+                field_from_config({"components": [expr], "box": [[0.0, 2.0]]})
+            except ConfigError:
+                static_ok = False
+            assert static_ok == (_autonomy([expr])[0] is not None), expr

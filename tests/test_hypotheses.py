@@ -56,8 +56,16 @@ from tightpath import (
     unit_ball_complement,
     validate_bundle,
 )
+from tightpath.cli import load_problem
 from tightpath.dynamics import DynamicsModel, ball_points, rhs_batch
-from tightpath.hypotheses import INCLUSION_GRID_POINTS, INWARD_TIE_TOL, control_candidates
+from tightpath.hypotheses import (
+    COLLAR_ETA_GRID,
+    CONTROL_BOUNDS,
+    EPS_LIST,
+    INCLUSION_GRID_POINTS,
+    INWARD_TIE_TOL,
+    control_candidates,
+)
 from tightpath.signals import trapezoid_prefix
 
 GRID = TimeGrid.uniform(0.0, 2.0, 400)
@@ -313,6 +321,183 @@ class TestPrunedInclusionMargins:
         )
         assert margins[0] > margins[1] >= margins[0] - INWARD_TIE_TOL
         assert best_inward_candidate(margins, cands) == 1
+
+
+def check_batch_against_rows(field, model, eps, t, xs, candidates, xi, horizon=2.0):
+    """Assert a (P, dim) batch equals each 1-row call bitwise and, where the
+    base point is feasible, the unpruned reference; returns the batch."""
+    xs = np.asarray(xs, dtype=float)
+    margins, velocities = inclusion_margins(field, model, eps, t, xs, candidates, xi, horizon)
+    assert margins.shape == (len(xs), len(candidates))
+    assert velocities.shape == (len(xs), len(candidates), model.state_dim)
+    for row, x in enumerate(xs):
+        for one in (x, x[None, :]):
+            m, v = inclusion_margins(field, model, eps, t, one, candidates, xi, horizon)
+            assert m.reshape(-1).tobytes() == margins[row].tobytes()
+            assert v.reshape(velocities[row].shape).tobytes() == velocities[row].tobytes()
+        if field.margin(t, x, eps) >= 0:
+            check_against_unpruned(field, model, eps, t, x, candidates, xi, horizon)
+    return margins, velocities
+
+
+class TestBatchedInclusionMargins:
+    """A batch of base points against one call per row."""
+
+    def test_moving_disk_lattice_field(self):
+        eps = 0.05
+        for bound in (0.5, 2.0):
+            cands = control_candidates(np.random.default_rng(1), 2, bound)
+            for t in (0.0, 0.9, 1.95, 2.0):
+                xs = [
+                    [0.1 * t + r * np.cos(angle), r * np.sin(angle)]
+                    for angle in (0.4, 1.6, 2.9)
+                    for r in (1.0 + eps + 0.002, 1.0 + eps + 0.03, 1.0 + eps - 0.01, 0.2)
+                ]
+                for xi in (0.5, 0.05):
+                    check_batch_against_rows(MOVING_DISK, PLANAR, eps, t, xs, cands, xi)
+
+    def test_static_lattice_disk(self):
+        disk = field_from_config(
+            {
+                "components": ["1 - sqrt(x1*x1 + x2*x2)"],
+                "box": [[-2.0, 2.0], [-2.0, 2.0]],
+                "resolution": 0.025,
+            }
+        )
+        cands = control_candidates(np.random.default_rng(1), 2, 1.0)
+        xs = [[1.06, 0.0], [0.6, 0.85], [-0.75, -0.75], [0.0, 0.0]]
+        for t in (0.0, 1.5):
+            for xi in (0.4, 0.1):
+                check_batch_against_rows(disk, PLANAR, 0.05, t, xs, cands, xi)
+
+    def test_unit_ball_complement(self):
+        for model in (motor_surge(), motor_decline()):
+            cands = control_candidates(np.random.default_rng(1), 1, 1.0)
+            xs = [[1.0501], [1.08], [1.3], [-1.06], [1.04], [0.0]]
+            for t in (0.3, 1.2, 1.9, 2.0):
+                for xi in (0.5, 0.05):
+                    check_batch_against_rows(BALL, model, 0.05, t, xs, cands, xi)
+        ball = unit_ball_complement(dim=2, box_radius=2.0)
+        cands = control_candidates(np.random.default_rng(1), 2, 1.0)
+        xs = [[1.06, 0.0], [0.5, 0.9], [-0.8, -0.8], [0.1, 0.1]]
+        check_batch_against_rows(ball, PLANAR, 0.02, 0.5, xs, cands, 0.4)
+
+    def test_horizon_gives_no_push_time(self):
+        cands = control_candidates(np.random.default_rng(1), 1, 1.0)
+        margins, _ = check_batch_against_rows(
+            BALL, motor_surge(), 0.05, 2.0, [[1.06], [1.5]], cands, 0.3
+        )
+        assert np.all(margins == np.inf)
+
+    def test_rows_without_a_feasible_base_point_are_minus_inf(self):
+        cands = control_candidates(np.random.default_rng(1), 1, 1.0)
+        margins, _ = check_batch_against_rows(
+            BALL, motor_surge(), 0.05, 0.4, [[1.06], [0.0], [1.3]], cands, 0.3
+        )
+        assert np.all(margins[1] == -np.inf)
+        assert np.isfinite(margins[[0, 2]]).any()
+
+    def test_non_finite_velocity_never_leads_an_all_minus_inf_row(self):
+        # Candidate 0 has a NaN velocity; the other two push x = 1.06 out of
+        # the set at the first push time, so every live margin is -inf. The
+        # leader must be a live candidate: the first one attaining the row's
+        # live maximum, not the row's plain argmax.
+        def rhs(t, x, u):
+            u = np.asarray(u, dtype=float)
+            return np.where(u > 0.5, np.nan, -np.abs(u)) + 0.0 * np.asarray(x, dtype=float)
+
+        model = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs, name="nan-at-one")
+        cands = np.array([[1.0], [-1.0], [-0.5]])
+        margins, velocities = check_batch_against_rows(
+            BALL, model, 0.05, 0.4, [[1.06], [1.5], [1.0501]], cands, 0.3
+        )
+        assert np.isnan(velocities[:, 0]).all()
+        assert np.all(margins[0] == -np.inf)
+        assert not np.isnan(margins).any()
+
+    def test_ties_inside_a_batch(self):
+        def rhs(t, x, u):
+            return np.minimum(np.abs(np.asarray(u, dtype=float)), 0.5)
+
+        saturating = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs, name="sat")
+        cands = np.array([[1.0], [-0.3], [0.7], [0.5], [-0.5]])
+        margins, _ = check_batch_against_rows(
+            BALL, saturating, 0.05, 0.4, [[1.06], [1.2], [1.06]], cands, 0.3
+        )
+        assert best_inward_candidate(margins[0], cands) == 3
+        cands = np.array([[0.3], [0.3 - 1e-13], [0.1]])
+        margins, _ = check_batch_against_rows(
+            BALL, pure_control_model(), 0.05, 0.4, [[1.3], [1.06], [1.06]], cands, 0.3
+        )
+        for row in (1, 2):
+            assert margins[row, 0] > margins[row, 1] >= margins[row, 0] - INWARD_TIE_TOL
+            assert best_inward_candidate(margins[row], cands) == 1
+
+
+def _decline_config():
+    return {
+        "model": "motor_decline",
+        "constraint": {"builtin": "unit_ball_complement", "dim": 1, "box_radius": 2.0},
+        "reference": {
+            "kind": "boundary-tracking",
+            "variant": "decline",
+            "clearance": 0.0005,
+            "x_start": 1.08,
+            "finish": 1.06,
+        },
+        "horizon": 2.0,
+        "steps": 2000,
+    }
+
+
+def _moving_disk_config():
+    times = np.linspace(0.0, 2.0, 61).tolist()
+    return {
+        "model": "expression",
+        "state_dim": 2,
+        "control_dim": 2,
+        "rhs": ["u1", "u2"],
+        "constraint": {
+            "box": [[-2.0, 2.0], [-2.0, 2.0]],
+            "components": ["1 - sqrt((x1 - 0.1*t)**2 + x2**2)"],
+            "time_varying": True,
+            "resolution": 0.025,
+        },
+        "reference": {
+            "kind": "inline",
+            "times": times,
+            "states": [[-1.5 + 1.5 * t, 1.0005] for t in times],
+            "controls": [[1.5, 0.0]] * len(times),
+        },
+    }
+
+
+class TestPinnedInwardCertificate:
+    """certify_inward_pointing on the benchmark's gated configs returns the
+    tuples the one-point-per-call search returned."""
+
+    @pytest.mark.parametrize(
+        "config, bounds, seed, expected",
+        [
+            (_decline_config(), None, 1, (2.0, 1.2053846667889647, 0.5, 0.4)),
+            (_decline_config(), (0.5, 1.0), 1, (1.0, 0.8836341123923226, 0.3, 0.4)),
+            (_moving_disk_config(), None, 0, (1.0, 0.9995128224910061, 0.5, 0.4)),
+        ],
+        ids=["decline", "decline-narrowed", "moving-disk"],
+    )
+    def test_benchmark_config(self, config, bounds, seed, expected):
+        model, field, xbar, ubar = load_problem(config)
+        result = certify_inward_pointing(
+            field,
+            model,
+            EPS_LIST,
+            COLLAR_ETA_GRID,
+            ubar.grid,
+            control_bounds=bounds or CONTROL_BOUNDS,
+            box_radius=1.0 + 2.0 * xbar.max_norm(),
+            seed=seed,
+        )
+        assert result == expected
 
 
 class TestTimeRegularity:
