@@ -150,6 +150,8 @@ class ConstraintField:
     name: str = ""
     resolution: float = 0.0
     _tree_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # (1-D axes, flat (n, dim) points, grid shape) of the scan lattice.
+    _lattice: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         box = np.asarray(self.sampling_box, dtype=float)
@@ -216,6 +218,14 @@ class ConstraintField:
                 self._tree_cache.pop(next(iter(self._tree_cache)))
             self._tree_cache[key] = tree
         return tree
+
+    def boundary_cloud(self, t: float, eps: float) -> np.ndarray:
+        """Lattice crossings of the tightened boundary at time t, read from
+        the cached boundary tree, so each cache key costs one scan; (0, dim)
+        when the whole box is feasible. Raises InfeasibleTighteningError
+        when the tightened set misses the box."""
+        tree = self._tree(t, eps)
+        return np.empty((0, self.dim)) if tree is _NO_BOUNDARY else tree.data
 
     def _distances(self, eps: float, t, points: np.ndarray):
         """(d_set, d_boundary) arrays for a (n, dim) batch.
@@ -303,42 +313,42 @@ def unit_ball_complement(dim: int = 1, box_radius: float = 2.0) -> ConstraintFie
     )
 
 
-def _lattice_axes(box: np.ndarray, resolution: float) -> list[np.ndarray]:
-    axes = []
-    for lo, hi in box:
-        n = max(int(np.ceil((hi - lo) / resolution)) + 1, 2)
-        axes.append(np.linspace(lo, hi, n))
-    return axes
+def _build_lattice(box: np.ndarray, resolution: float) -> tuple:
+    axes = [
+        np.linspace(lo, hi, max(int(np.ceil((hi - lo) / resolution)) + 1, 2))
+        for lo, hi in box
+    ]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return axes, np.stack([m.ravel() for m in mesh], axis=-1), mesh[0].shape
 
 
-def boundary_points(
-    field: ConstraintField, t: float, eps: float, resolution: float | None = None
-) -> np.ndarray:
+def boundary_points(field: ConstraintField, t: float, eps: float) -> np.ndarray:
     """Point cloud on the tightened boundary inside the sampling box.
 
-    Scans every lattice edge for a sign change of value + eps and places a
-    linearly interpolated crossing point on it.
+    Scans every edge of the field's lattice, which is built once per field,
+    for a sign change of value + eps and places a linearly interpolated
+    crossing point on it. An edge with a NaN end never crosses.
     """
-    resolution = resolution or field.resolution
-    axes = _lattice_axes(field.sampling_box, resolution)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=-1)
-    values = field.value(t, flat).reshape(mesh[0].shape) + eps
+    if field._lattice is None:
+        field._lattice = _build_lattice(field.sampling_box, field.resolution)
+    axes, flat, shape = field._lattice
+    values = field.value(t, flat).reshape(shape) + eps
+    pos = values > 0
+    nonpos = values <= 0
     dim = len(axes)
     crossings = []
-    for a in range(dim):
-        lo_slice = [slice(None)] * dim
-        hi_slice = [slice(None)] * dim
-        lo_slice[a] = slice(0, -1)
-        hi_slice[a] = slice(1, None)
-        f_lo = values[tuple(lo_slice)]
-        f_hi = values[tuple(hi_slice)]
-        mask = ((f_lo <= 0) & (f_hi > 0)) | ((f_lo > 0) & (f_hi <= 0))
-        if not mask.any():
+    for a, axis in enumerate(axes):
+        lo = tuple(slice(0, -1) if k == a else slice(None) for k in range(dim))
+        hi = tuple(slice(1, None) if k == a else slice(None) for k in range(dim))
+        mask = (nonpos[lo] & pos[hi]) | (pos[lo] & nonpos[hi])
+        # The C-order indices of np.nonzero, which is about 7x slower on a 2-D mask.
+        ends = np.unravel_index(np.flatnonzero(mask), mask.shape)
+        if not ends[0].size:
             continue
-        frac = f_lo[mask] / (f_lo[mask] - f_hi[mask])
-        pts = np.stack([m[tuple(lo_slice)][mask] for m in mesh], axis=-1)
-        pts[:, a] += frac * (axes[a][1] - axes[a][0])
+        f_lo = values[lo][ends]
+        frac = f_lo / (f_lo - values[hi][ends])
+        pts = np.stack([ax[index] for ax, index in zip(axes, ends)], axis=-1)
+        pts[:, a] += frac * (axis[1] - axis[0])
         crossings.append(pts)
     if not crossings:
         raise DomainError(
@@ -427,6 +437,13 @@ def field_from_config(config: dict) -> ConstraintField:
         raise ConfigError(f"constraint config needs {exc.args[0]!r}") from None
     if box.ndim != 2:
         raise ConfigError("constraint box must be a list of [lo, hi] pairs")
+    if not np.isfinite(box).all():
+        raise ConfigError(f"'box' must hold finite numbers, got {config['box']!r}")
+    resolution = config_number(config, "resolution", 0.0, float)
+    if not np.isfinite(resolution) or resolution < 0:
+        raise ConfigError(
+            f"'resolution' must be positive and finite, got {config['resolution']!r}"
+        )
     if (
         not isinstance(expressions, (list, tuple))
         or not expressions
@@ -449,6 +466,6 @@ def field_from_config(config: dict) -> ConstraintField:
         components=components,
         sampling_box=box,
         time_varying=time_varying,
-        resolution=config_number(config, "resolution", 0.0, float),
+        resolution=resolution,
         name=str(config.get("name", "")),
     )

@@ -21,13 +21,13 @@ from .errors import (
     BundleError,
     CertificationError,
     DomainError,
+    InfeasibleTighteningError,
     InwardPointingError,
     ShapeError,
 )
 from .geometry import (
     BOUNDARY_MODULUS_PROBES,
     ConstraintField,
-    boundary_points,
     build_boundary_modulus,
 )
 from .propagation import gronwall_radius
@@ -285,9 +285,11 @@ def _collar_samples(
     box = field.sampling_box
     dim = field.dim
     try:
-        lattice = boundary_points(field, t, eps)
-    except DomainError:
+        lattice = field.boundary_cloud(t, eps)
+    except InfeasibleTighteningError:
         return np.empty((0, dim))
+    if not len(lattice):
+        return lattice
     hug = []
     for b in subsample(lattice, count):
         ring = b + 0.02 * eta * ball_points(rng, 24, dim, 1.0)

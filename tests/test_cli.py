@@ -500,6 +500,25 @@ class TestConfigRejection:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "name, bad, needle",
+        [
+            ("resolution", "nan", "'resolution' must be positive and finite"),
+            ("resolution", "inf", "'resolution' must be positive and finite"),
+            ("resolution", -0.025, "'resolution' must be positive and finite"),
+            ("box", [["-inf", 2.0], [-2.0, 2.0]], "'box' must hold finite numbers"),
+            ("box", [[-2.0, 2.0], [-2.0, "nan"]], "'box' must hold finite numbers"),
+        ],
+        ids=["nan-resolution", "inf-resolution", "negative-resolution", "inf-box", "nan-box"],
+    )
+    def test_bad_lattice_input_names_the_key(self, workdir, capsys, name, bad, needle):
+        config = json.loads(json.dumps(CONTROL_AFFINE_CONFIG))
+        config["constraint"][name] = bad
+        path = write_config(workdir / "lattice.json", config)
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "lattice")])
+        assert code == 64
+        assert needle in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["false", "true", 0, 1, None], ids=repr)
     def test_time_varying_must_be_a_json_boolean(self, workdir, capsys, bad):
         config = json.loads(json.dumps(CONTROL_AFFINE_CONFIG))

@@ -192,6 +192,97 @@ class TestNumericDistance:
             boundary_points(field, 0.0, eps=5.0)
 
 
+def reference_boundary_points(field, t, eps):
+    """Reference lattice scan: a fresh meshgrid per call and boolean
+    indexing of full mesh copies."""
+    axes = [
+        np.linspace(lo, hi, max(int(np.ceil((hi - lo) / field.resolution)) + 1, 2))
+        for lo, hi in field.sampling_box
+    ]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    flat = np.stack([m.ravel() for m in mesh], axis=-1)
+    values = field.value(t, flat).reshape(mesh[0].shape) + eps
+    dim = len(axes)
+    crossings = []
+    for a in range(dim):
+        lo_slice = [slice(None)] * dim
+        hi_slice = [slice(None)] * dim
+        lo_slice[a] = slice(0, -1)
+        hi_slice[a] = slice(1, None)
+        f_lo = values[tuple(lo_slice)]
+        f_hi = values[tuple(hi_slice)]
+        mask = ((f_lo <= 0) & (f_hi > 0)) | ((f_lo > 0) & (f_hi <= 0))
+        if not mask.any():
+            continue
+        frac = f_lo[mask] / (f_lo[mask] - f_hi[mask])
+        pts = np.stack([m[tuple(lo_slice)][mask] for m in mesh], axis=-1)
+        pts[:, a] += frac * (axes[a][1] - axes[a][0])
+        crossings.append(pts)
+    if not crossings:
+        raise DomainError("no crossings")
+    return np.concatenate(crossings, axis=0)
+
+
+# (components, box, resolution): every case is scanned at several t and eps.
+SCAN_CASES = {
+    "moving-disk": (["1 - sqrt((x1 - 0.1*t)**2 + x2**2)"], [[-2.0, 2.0], [-2.0, 2.0]], 0.025),
+    "1d-default": (["1 - abs(x1) + 0.2*t"], [[-2.0, 2.0]], 0.0),
+    "3d-ball": (["1 - sqrt(x1*x1 + x2*x2 + x3*x3)"], [[-2.0, 2.0], [-1.5, 2.0], [-2.0, 1.1]], 0.1),
+    # NaN outside the unit disk, positive just inside its rim: an edge with
+    # a NaN end must never count as a crossing.
+    "nan-region-2d": (["0.5 - sqrt(1 - x1*x1 - x2*x2)"], [[-2.0, 2.0], [-2.0, 2.0]], 0.05),
+    "nan-region-1d": (["0.5 - sqrt(x1) + 0*t"], [[-1.0, 2.0]], 0.0),
+    "two-components": (["x1 + x2 - 0.5", "x1*x1 - x2 - 1"], [[-2.0, 2.0], [-2.0, 2.0]], 0.04),
+    "slab": (["x1 - 1", "0 - x1 - 1"], [[-2.0, 2.0]], 0.0),
+    "all-feasible": (["0 - 10 - x1*0"], [[-2.0, 2.0]], 0.0),
+    "all-infeasible": (["10 + 0*x1 + 0*x2"], [[-2.0, 2.0], [-2.0, 2.0]], 0.1),
+}
+
+
+class TestLatticeScan:
+    """The scan over the field's cached lattice against the reference scan."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("case", sorted(SCAN_CASES))
+    def test_matches_reference_bitwise(self, case):
+        components, box, resolution = SCAN_CASES[case]
+        field = field_from_config(
+            {
+                "components": components,
+                "box": box,
+                "resolution": resolution,
+                "time_varying": True,
+            }
+        )
+        for t in (0.0, 0.7, 2.0):
+            for eps in (0.0, 0.003125, 0.05, 0.4):
+                try:
+                    want = reference_boundary_points(field, t, eps)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        boundary_points(field, t, eps)
+                    continue
+                got = boundary_points(field, t, eps)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (t, eps)
+                if case.startswith("nan-region"):
+                    assert np.isfinite(got).all()
+
+    def test_lattice_is_built_once(self):
+        field = field_from_config(MOVING_DISK)
+        boundary_points(field, 0.0, 0.05)
+        lattice = field._lattice
+        boundary_points(field, 1.0, 0.1)
+        assert field._lattice is lattice
+        assert lattice[1].shape == (161 * 161, 2) and lattice[2] == (161, 161)
+
+    def test_boundary_cloud_is_the_scan(self):
+        field = field_from_config(MOVING_DISK)
+        cloud = field.boundary_cloud(0.7, 0.05)
+        assert cloud.tobytes() == reference_boundary_points(field, 0.7, 0.05).tobytes()
+        wide = field_from_config(WIDE_SLAB)
+        assert wide.boundary_cloud(0.0, 0.05).shape == (0, 2)
+
+
 class TestViolationSup:
     def test_feasible_trajectory_scores_zero(self):
         field = unit_ball_complement(dim=1)
@@ -356,6 +447,11 @@ class TestFieldConfig:
         )
         assert field.dim == 1
         assert field.value(0.0, np.array([1.4])) == pytest.approx(-0.4)
+
+    def test_absent_or_zero_resolution_keeps_the_default(self):
+        disk = {"components": [DISK], "box": [[-2.0, 2.0], [-2.0, 3.0]]}
+        assert field_from_config(disk).resolution == 5.0 / 1024
+        assert field_from_config({**disk, "resolution": 0}).resolution == 5.0 / 1024
 
     def test_unknown_builtin(self):
         with pytest.raises(DomainError):

@@ -22,7 +22,9 @@ Frozen oracle values, derived independently of the implementation:
   collar sample with x2 < 0 defeats every candidate control.
 """
 
+import collections
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +58,7 @@ from tightpath import (
     unit_ball_complement,
     validate_bundle,
 )
+from tightpath import geometry
 from tightpath.cli import load_problem
 from tightpath.dynamics import DynamicsModel, ball_points, rhs_batch
 from tightpath.hypotheses import (
@@ -64,6 +67,7 @@ from tightpath.hypotheses import (
     EPS_LIST,
     INCLUSION_GRID_POINTS,
     INWARD_TIE_TOL,
+    _collar_samples,
     control_candidates,
 )
 from tightpath.signals import trapezoid_prefix
@@ -498,6 +502,52 @@ class TestPinnedInwardCertificate:
             seed=seed,
         )
         assert result == expected
+
+
+class TestCollarScans:
+    def test_moving_disk_scans_each_key_once(self, monkeypatch):
+        # With no eviction every key stays cached, so a second scan of a
+        # key would be waste: a collar reads the cloud its distance tree holds.
+        model, field, xbar, ubar = load_problem(_moving_disk_config())
+        scans = collections.Counter()
+        scan = geometry.boundary_points
+
+        def counted(field, t, eps):
+            scans[round(t, 9), round(eps, 12)] += 1
+            return scan(field, t, eps)
+
+        # Count the scan wherever a module binds it, as the benchmark's tracer does.
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("tightpath") and vars(module).get(
+                "boundary_points"
+            ) is scan:
+                monkeypatch.setattr(module, "boundary_points", counted)
+        monkeypatch.setattr(geometry, "_MAX_TREE_CACHE", 10**6)
+        result = certify_inward_pointing(
+            field,
+            model,
+            EPS_LIST,
+            COLLAR_ETA_GRID,
+            ubar.grid,
+            box_radius=1.0 + 2.0 * xbar.max_norm(),
+            seed=0,
+        )
+        assert result == (1.0, 0.9995128224910061, 0.5, 0.4)
+        assert scans and max(scans.values()) == 1
+
+    def test_box_without_boundary_gives_an_empty_collar(self):
+        # |x1| <= 1 - 3t - eps: a boundary at t = 0, an empty set at t = 1.
+        shrinking = field_from_config(
+            {"components": ["abs(x1) - 1 + 3*t"], "box": [[-2.0, 2.0]], "time_varying": True}
+        )
+        wide = field_from_config(
+            {"components": ["abs(x1) - 3 - t"], "box": [[-2.0, 2.0]], "time_varying": True}
+        )
+        rng = np.random.default_rng(0)
+        assert len(_collar_samples(shrinking, 0.1, 0.0, 0.4, 16, rng, None)) > 0
+        for field, t in ((shrinking, 1.0), (wide, 0.0)):
+            collar = _collar_samples(field, 0.1, t, 0.4, 16, rng, None)
+            assert collar.shape == (0, 1)
 
 
 class TestTimeRegularity:
