@@ -39,6 +39,7 @@ from .geometry import (
     compile_expression,
     dist_to_boundary,
     field_from_config,
+    node_violations,
     unit_ball_complement,
     violation_sup,
 )
@@ -63,6 +64,7 @@ from .propagation import (
     IntegratorConfig,
     gronwall_radius,
     integrate,
+    integrate_feedback,
 )
 from .repair import (
     IterationRecord,

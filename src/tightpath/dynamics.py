@@ -21,6 +21,7 @@ from .errors import (
     ModelEvaluationError,
     SelectionError,
     ShapeError,
+    config_expressions,
     config_number,
 )
 from .geometry import compile_expression, reads_time
@@ -75,10 +76,13 @@ class DynamicsModel:
     """A controlled field x' = rhs(t, x, u).
 
     ``rhs`` maps (t, x, u) with x of shape (state_dim,) and u of shape
-    (control_dim,) to the state derivative; builtin models broadcast over
-    a leading batch axis. ``shift_hook`` (s, t, x, u_s) -> u_t, when
-    present, is the exact control transport used instead of the sampled
-    search.
+    (control_dim,) to the state derivative, a float array of shape
+    (state_dim,); builtin models broadcast over a leading batch axis. The
+    RK4 stepper calls it four times per step, at float times and with
+    float arrays, and does arithmetic on what it returns without
+    converting or checking it.
+    ``shift_hook`` (s, t, x, u_s) -> u_t, when present, is the exact
+    control transport used instead of the sampled search.
     """
 
     state_dim: int
@@ -222,6 +226,10 @@ def shift_selection(
 
 
 def _surge_scale(t):
+    if isinstance(t, float):
+        # np.power on the scalar runs the same loop as the array path below;
+        # Python's ** and np.float64's ** can differ from it by an ulp.
+        return float(np.power(t - _BREAK_TIME, -0.25)) if t > _BREAK_TIME else 1.0
     t = np.asarray(t, dtype=float)
     late = t > _BREAK_TIME
     safe = np.where(late, t - _BREAK_TIME, 1.0)
@@ -256,7 +264,7 @@ def _identity_transport(s, t, x, u_s):
 
 def _cosine_drift(amplitude: float, x) -> np.ndarray:
     """The motors' state drift amplitude * cos(x1), with a trailing axis of 1."""
-    return amplitude * np.cos(np.asarray(x, dtype=float)[..., 0])[..., None]
+    return amplitude * np.cos(np.asarray(x, dtype=float)[..., :1])
 
 
 def motor_surge(drift_amplitude: float = 0.2) -> DynamicsModel:
@@ -516,16 +524,14 @@ def model_from_config(config: dict) -> DynamicsModel:
     control_dim = config_number(config, "control_dim", None, int)
     if kind == "expression":
         return expression_model(
-            config["rhs"],
+            config_expressions(config, "rhs", state_dim),
             state_dim,
             control_dim,
             name=str(config.get("name", "expression")),
             shift_radius=config_number(config, "shift_radius", None, float),
         )
-    drift_exprs = config["drift"]
-    gain_rows = config["gain"]
-    if len(drift_exprs) != state_dim or len(gain_rows) != state_dim:
-        raise ConfigError("drift and gain must have one row per state")
+    drift_exprs = config_expressions(config, "drift", state_dim)
+    gain_rows = config_expressions(config, "gain", state_dim, control_dim)
     drift = _stacked_expressions(drift_exprs, state_dim)
     rows = [_stacked_expressions(row, state_dim) for row in gain_rows]
 

@@ -10,6 +10,7 @@ closed-form hook fall back to a KD-tree over lattice boundary crossings.
 from __future__ import annotations
 
 import ast
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -38,6 +39,9 @@ _ALLOWED_CALLS = {
 }
 
 _MAX_TREE_CACHE = 64
+# Most points a scan lattice may have: 2048 x 2048 in 2-D, 161 per axis in
+# 3-D. The default resolutions stay well below it.
+_MAX_LATTICE_POINTS = 2048 * 2048
 
 # Feasible probes per tightening in the boundary modulus.
 BOUNDARY_MODULUS_PROBES = 128
@@ -261,6 +265,16 @@ def dist_to_boundary(field: ConstraintField, eps: float, t: float, x) -> float:
     return float(field._distances(eps, t, x.reshape(1, -1))[1][0])
 
 
+def node_violations(
+    field: ConstraintField, eps: float, traj: Trajectory, start: int = 0
+) -> np.ndarray:
+    """Distance to the tightened set of each node's state from node
+    ``start`` on, 0 where the state is feasible: the per-node values that
+    ``violation_sup`` takes the max of. Each entry depends on its own node
+    alone, so a slice of the result equals the result on that slice."""
+    return field._distances(eps, traj.grid.nodes[start:], traj.states[start:])[0]
+
+
 def violation_sup(
     field: ConstraintField,
     eps: float,
@@ -313,11 +327,30 @@ def unit_ball_complement(dim: int = 1, box_radius: float = 2.0) -> ConstraintFie
     )
 
 
+def _lattice_counts(box: np.ndarray, resolution: float) -> list:
+    """Points per axis of the scan lattice of a (dim, 2) box at a spacing.
+
+    Raises DomainError when the size cannot be computed or the lattice
+    would have more than ``_MAX_LATTICE_POINTS`` points, before anything
+    is allocated.
+    """
+    where = f"box {box.tolist()}, resolution {resolution!r}"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        spans = np.ceil((box[:, 1] - box[:, 0]) / resolution)
+    if not np.isfinite(spans).all():
+        raise DomainError(f"the scan lattice size cannot be computed ({where})")
+    counts = [max(int(span) + 1, 2) for span in spans]
+    if math.prod(counts) > _MAX_LATTICE_POINTS:
+        raise DomainError(
+            f"the scan lattice would have {math.prod(counts)} points, more than "
+            f"{_MAX_LATTICE_POINTS} ({where})"
+        )
+    return counts
+
+
 def _build_lattice(box: np.ndarray, resolution: float) -> tuple:
-    axes = [
-        np.linspace(lo, hi, max(int(np.ceil((hi - lo) / resolution)) + 1, 2))
-        for lo, hi in box
-    ]
+    counts = _lattice_counts(box, resolution)
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, counts)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return axes, np.stack([m.ravel() for m in mesh], axis=-1), mesh[0].shape
 
@@ -462,10 +495,15 @@ def field_from_config(config: dict) -> ConstraintField:
         )
     dim = box.shape[0]
     components = tuple(compile_expression(expr, dim) for expr in expressions)
-    return ConstraintField(
+    field = ConstraintField(
         components=components,
         sampling_box=box,
         time_varying=time_varying,
         resolution=resolution,
         name=str(config.get("name", "")),
     )
+    try:
+        _lattice_counts(field.sampling_box, field.resolution)
+    except DomainError as exc:
+        raise ConfigError(f"'box' and 'resolution' do not fit: {exc}") from None
+    return field

@@ -10,6 +10,7 @@ scheme loses there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,22 +51,49 @@ class IntegratorConfig:
             raise DomainError("integrator tolerance must be nonnegative")
 
 
-def _rk4_step(model: DynamicsModel, t: float, h: float, x: np.ndarray, u: np.ndarray):
-    k1 = np.asarray(model.rhs(t, x, u), dtype=float)
-    k2 = np.asarray(model.rhs(t + 0.5 * h, x + 0.5 * h * k1, u), dtype=float)
-    k3 = np.asarray(model.rhs(t + 0.5 * h, x + 0.5 * h * k2, u), dtype=float)
-    k4 = np.asarray(model.rhs(t + h, x + h * k3, u), dtype=float)
+_HALVES = tuple(2.0 ** -j for j in range(1, _REFINE_LEVELS + 1))
+
+
+def _rk4_step(rhs, t: float, h: float, x, u: np.ndarray):
+    """One classical RK4 step of x' = rhs(t, x, u) from t to t + h, for a
+    state x that is a float array, or a float under ``_on_floats``."""
+    half = 0.5 * h
+    mid = t + half
+    k1 = rhs(t, x, u)
+    k2 = rhs(mid, x + half * k1, u)
+    k3 = rhs(mid, x + half * k2, u)
+    k4 = rhs(t + h, x + h * k3, u)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _advance_uniform(model, a, b, x, u, m):
+def _check_finite(t: float, x) -> None:
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+        raise PropagationError(f"state not finite at t={t}", t=t)
+
+
+def _on_floats(rhs):
+    """The field of a one-state model as a map of Python floats.
+
+    RK4 steps a float state through it with the same IEEE operations, in
+    the same order, as a one-element array state, and so to the same bits,
+    without numpy's dispatch on each operation.
+    """
+
+    def field(t, v, u):
+        return rhs(t, np.array([v]), u).item()
+
+    return field
+
+
+def _advance_uniform(rhs, a, b, x, u, m):
     width = b - a
+    h = width / m
     for i in range(m):
-        x = _rk4_step(model, a + width * (i / m), width / m, x, u)
+        x = _rk4_step(rhs, a + width * (i / m), h, x, u)
     return x
 
 
-def _advance_zone(model, a, b, x, u, q, toward_start):
+def _advance_zone(rhs, a, b, x, u, q, toward_start):
     """Cross [a, b] when the field is singular at one endpoint.
 
     Geometric halving toward the singular endpoint keeps each piece's
@@ -73,18 +101,34 @@ def _advance_zone(model, a, b, x, u, q, toward_start):
     RK4 error at every level; the innermost sliver is one plain step.
     """
     width = b - a
-    halves = [2.0 ** -j for j in range(1, _REFINE_LEVELS + 1)]
     if toward_start:
-        cuts = [a] + [a + width * f for f in reversed(halves)] + [b]
-        x = _rk4_step(model, cuts[0], cuts[1] - cuts[0], x, u)
+        cuts = [a] + [a + width * f for f in reversed(_HALVES)] + [b]
+        x = _rk4_step(rhs, cuts[0], cuts[1] - cuts[0], x, u)
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            x = _advance_uniform(model, lo, hi, x, u, q)
+            x = _advance_uniform(rhs, lo, hi, x, u, q)
     else:
-        cuts = [a] + [b - width * f for f in halves] + [b]
+        cuts = [a] + [b - width * f for f in _HALVES] + [b]
         for lo, hi in zip(cuts[:-2], cuts[1:-1]):
-            x = _advance_uniform(model, lo, hi, x, u, q)
-        x = _rk4_step(model, cuts[-2], cuts[-1] - cuts[-2], x, u)
+            x = _advance_uniform(rhs, lo, hi, x, u, q)
+        x = _rk4_step(rhs, cuts[-2], cuts[-1] - cuts[-2], x, u)
     return x
+
+
+def _tile(rhs, a, width, m, x, u, last, nodes, states):
+    """m uniform steps across [a, a + width], keeping every node and its
+    state; the final node is recorded as ``last``."""
+    h = width / m
+    for i in range(1, m + 1):
+        x = _rk4_step(rhs, a + width * ((i - 1) / m), h, x, u)
+        node = last if i == m else a + width * (i / m)
+        nodes.append(node)
+        states.append(x)
+        _check_finite(node, x)
+    return x
+
+
+def _steps(length: float, step: float) -> int:
+    return max(1, math.ceil(length / step - _REL_TOL))
 
 
 def _anchors(u: ControlSignal, window, breakpoints) -> np.ndarray:
@@ -108,50 +152,68 @@ def _anchors(u: ControlSignal, window, breakpoints) -> np.ndarray:
 
 
 def _run(model, u, x0, anchors, step, q, breakpoints):
-    slack = (anchors[-1] - anchors[0]) * _REL_TOL
+    """Nodes and states of one fixed-step pass across the anchors.
 
-    def at_breakpoint(t):
-        return any(abs(t - b) <= slack for b in breakpoints)
-
-    nodes = [anchors[0]]
-    states = [np.asarray(x0, dtype=float)]
-
-    def emit(t, x):
-        nodes.append(t)
-        states.append(x)
-        if not np.all(np.isfinite(x)):
-            raise PropagationError(f"state not finite at t={t}", t=t)
-
-    for a, b in zip(anchors[:-1], anchors[1:]):
-        u_val = u.eval(a)
-        x = states[-1]
+    What is fixed for the run is looked up once: the control on each
+    anchor span (one vectorised left-endpoint lookup), which anchors sit
+    on a model breakpoint, and, for a one-state model, the float form of
+    the field.
+    """
+    rhs = model.rhs
+    x = x0
+    if x0.size == 1:
+        rhs, x = _on_floats(rhs), x0.item()
+    slack = float(anchors[-1] - anchors[0]) * _REL_TOL
+    near = np.zeros(anchors.shape, dtype=bool)
+    for b in breakpoints:
+        near |= np.abs(anchors - b) <= slack
+    controls = u.values[u.grid.indices_left(anchors[:-1])]
+    times = anchors.tolist()
+    nodes = [times[0]]
+    states = [x]
+    for k in range(len(times) - 1):
+        a, b = times[k], times[k + 1]
+        u_val = controls[k]
         zone = min(step, b - a)
-        if at_breakpoint(a):
+        if near[k]:
             end = b if b - a <= zone + slack else a + zone
-            x = _advance_zone(model, a, end, x, u_val, q, toward_start=True)
-            emit(end, x)
+            x = _advance_zone(rhs, a, end, x, u_val, q, toward_start=True)
+            nodes.append(end)
+            states.append(x)
+            _check_finite(end, x)
             if b - end > slack:
-                m = max(1, int(np.ceil((b - end) / step - _REL_TOL)))
-                width = b - end
-                for i in range(1, m + 1):
-                    x = _rk4_step(model, end + width * ((i - 1) / m), width / m, x, u_val)
-                    emit(b if i == m else end + width * (i / m), x)
-        elif at_breakpoint(b):
+                x = _tile(rhs, end, b - end, _steps(b - end, step), x, u_val, b, nodes, states)
+        elif near[k + 1]:
             if b - a > zone + slack:
-                m = max(1, int(np.ceil((b - a - zone) / step - _REL_TOL)))
                 width = (b - zone) - a
-                for i in range(1, m + 1):
-                    x = _rk4_step(model, a + width * ((i - 1) / m), width / m, x, u_val)
-                    emit(a + width * (i / m), x)
-            x = _advance_zone(model, b - zone, b, x, u_val, q, toward_start=False)
-            emit(b, x)
+                m = _steps(b - a - zone, step)
+                x = _tile(rhs, a, width, m, x, u_val, a + width, nodes, states)
+            x = _advance_zone(rhs, b - zone, b, x, u_val, q, toward_start=False)
+            nodes.append(b)
+            states.append(x)
+            _check_finite(b, x)
         else:
-            m = max(1, int(np.ceil((b - a) / step - _REL_TOL)))
-            width = b - a
-            for i in range(1, m + 1):
-                x = _rk4_step(model, a + width * ((i - 1) / m), width / m, x, u_val)
-                emit(b if i == m else a + width * (i / m), x)
-    return np.asarray(nodes), np.vstack(states)
+            x = _tile(rhs, a, b - a, _steps(b - a, step), x, u_val, b, nodes, states)
+    return np.array(nodes), np.array(states).reshape(len(states), -1)
+
+
+def _half_step_gap(nodes, states, fine_nodes, fine_states):
+    """Largest state gap between the two runs at their shared nodes, and
+    the first node where it occurs ((0.0, nodes[0]) when none is positive).
+
+    Nodes pair up when they agree after rounding to 12 decimals; a key
+    shared by several fine nodes pairs with the last of them.
+    """
+    keys = np.round(nodes, 12)
+    fine_keys = np.round(fine_nodes, 12)
+    match = np.searchsorted(fine_keys, keys, side="right") - 1
+    shared = match >= 0
+    shared[shared] = fine_keys[match[shared]] == keys[shared]
+    gaps = np.linalg.norm(states[shared] - fine_states[match[shared]], axis=1)
+    if gaps.size == 0 or not gaps.max() > 0.0:
+        return 0.0, float(nodes[0])
+    worst = int(np.argmax(gaps))
+    return float(gaps[worst]), float(nodes[shared][worst])
 
 
 def integrate(
@@ -184,21 +246,42 @@ def integrate(
         fine_nodes, fine_states = _run(
             model, u, x0, anchors, cfg.step / 2.0, 2 * _REFINE_SUBSTEPS, breakpoints
         )
-        index = {round(t, 12): i for i, t in enumerate(fine_nodes)}
-        worst, worst_t = 0.0, nodes[0]
-        for t, x in zip(nodes, states):
-            i = index.get(round(t, 12))
-            if i is None:
-                continue
-            gap = float(np.linalg.norm(x - fine_states[i]))
-            if gap > worst:
-                worst, worst_t = gap, t
+        worst, worst_t = _half_step_gap(nodes, states, fine_nodes, fine_states)
         if worst > cfg.tolerance:
             raise AccuracyError(
                 f"half-step disagreement {worst:.3e} at t={worst_t} exceeds "
                 f"tolerance {cfg.tolerance:.3e}"
             )
     return Trajectory(TimeGrid(nodes), states)
+
+
+def integrate_feedback(model: DynamicsModel, grid: TimeGrid, x0, law):
+    """Close a feedback loop on the grid with one RK4 step per cell.
+
+    The control held across cell j, [t_j, t_{j+1}], is ``law(j, x_j)``: a
+    (control_dim,) array chosen from the state at the cell's left node.
+    Returns the node states (n, state_dim) and the cell controls
+    (n - 1, control_dim). A non-finite state raises PropagationError
+    naming its node.
+    """
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (model.state_dim,):
+        raise ShapeError(f"x0 must have shape ({model.state_dim},), got {x.shape}")
+    rhs = model.rhs
+    times = grid.nodes.tolist()
+    states = [x]
+    controls = []
+    for j in range(len(times) - 1):
+        u = np.asarray(law(j, x), dtype=float)
+        if u.shape != (model.control_dim,):
+            raise ShapeError(
+                f"feedback control must have shape ({model.control_dim},), got {u.shape}"
+            )
+        controls.append(u)
+        x = _rk4_step(rhs, times[j], times[j + 1] - times[j], x, u)
+        states.append(x)
+        _check_finite(times[j + 1], x)
+    return np.vstack(states), np.vstack(controls)
 
 
 def gronwall_radius(

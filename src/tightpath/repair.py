@@ -25,7 +25,7 @@ from .errors import (
     RepairError,
     ScheduleError,
 )
-from .geometry import ConstraintField, dist_to_boundary, violation_sup
+from .geometry import ConstraintField, dist_to_boundary, node_violations, violation_sup
 from .hypotheses import (
     HypothesisBundle,
     best_inward_candidate,
@@ -382,6 +382,11 @@ def inward_control_at(
     return candidates[best].copy(), velocities[best].copy()
 
 
+def _node_at(nodes: np.ndarray, t: float) -> int:
+    """Index of the grid node at a partition time t."""
+    return int(np.searchsorted(nodes, t * (1 - 1e-12)))
+
+
 def repair_interval(
     index: int,
     xcur: Trajectory,
@@ -390,11 +395,14 @@ def repair_interval(
     bundle: HypothesisBundle,
     field: ConstraintField,
     model: DynamicsModel,
+    violations: np.ndarray | None = None,
 ):
     """Repair one partition interval.
 
     Returns ``(traj, control, record)``: the next iterate and the
-    interval's record.
+    interval's record. ``violations`` is ``node_violations`` of ``xcur``
+    at ``c.eps``, when the caller keeps it; the suffix violation is its
+    max over the nodes from the interval start on.
 
     Far from the boundary the interval is left untouched. Near it, the
     suffix violation level sets the burst length: the inward control is
@@ -411,11 +419,14 @@ def repair_interval(
     nodes = grid.nodes
     t_i = float(c.partition[index])
     t_next = float(c.partition[index + 1])
-    lo = int(np.searchsorted(nodes, t_i * (1 - 1e-12)))
-    hi = int(np.searchsorted(nodes, t_next * (1 - 1e-12)))
+    lo = _node_at(nodes, t_i)
+    hi = _node_at(nodes, t_next)
     x_ti = xcur.states[lo]
 
-    rho_i = violation_sup(field, c.eps, xcur, window=(t_i, float(nodes[-1])))
+    if violations is None:
+        violations = node_violations(field, c.eps, xcur)
+    # The nodes of violation_sup's window (t_i, t_end).
+    rho_i = float(violations[int(np.searchsorted(nodes, t_i - 1e-12)) :].max())
     boundary_gap = dist_to_boundary(field, c.eps, t_i, x_ti)
 
     def finish(traj, case, record_kw):
@@ -579,7 +590,7 @@ def _verify_suffix(x_eps: Trajectory, u_eps: ControlSignal, c, report, model) ->
     if not bursts:
         return
     nodes = x_eps.grid.nodes
-    lo = int(np.searchsorted(nodes, bursts[0] * (1 - 1e-12)))
+    lo = _node_at(nodes, bursts[0])
     fresh = integrate(
         model, u_eps, x_eps.states[lo], (bursts[0], float(nodes[-1])), IntegratorConfig(step=c.step)
     )
@@ -612,9 +623,16 @@ def _sweep(xbar, ubar, c, bundle, field, model, weight):
     xcur, ucur = xbar, ubar
     records = []
     envelope = float(np.max(np.abs(xbar.states)))
+    # Node violations of the current iterate. A burst changes the states
+    # from its interval start on, and only those entries are recomputed.
+    violations = node_violations(field, c.eps, xcur)
     for i in range(c.N0):
-        xcur, ucur, record = repair_interval(i, xcur, ucur, c, bundle, field, model)
+        xcur, ucur, record = repair_interval(i, xcur, ucur, c, bundle, field, model, violations)
         if record.case == "case-2":
+            lo = _node_at(xcur.grid.nodes, record.t_start)
+            violations = np.concatenate(
+                [violations[:lo], node_violations(field, c.eps, xcur, start=lo)]
+            )
             d_sup = float(linf_distance(xcur, xbar))
             envelope = max(envelope, float(np.max(np.abs(xcur.states))))
         else:

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .dynamics import DynamicsModel, eval_rhs, motor_decline, motor_surge
+from .dynamics import DynamicsModel, motor_decline, motor_surge
 from .errors import ConfigError, DomainError, config_number
 from .geometry import ConstraintField, unit_ball_complement
-from .propagation import IntegratorConfig, integrate
+from .propagation import IntegratorConfig, integrate, integrate_feedback
 from .signals import ControlSignal, TimeGrid, Trajectory
 
 _VARIANTS = ("surge", "decline")
@@ -94,14 +94,6 @@ def _decline_decay_mean(a: float, b: float) -> float:
     return ((1.0 - a) + upper) / (b - a)
 
 
-def _rk4(model: DynamicsModel, t: float, x: np.ndarray, u: np.ndarray, h: float):
-    k1 = eval_rhs(model, t, x, u)
-    k2 = eval_rhs(model, t + 0.5 * h, x + 0.5 * h * k1, u)
-    k3 = eval_rhs(model, t + 0.5 * h, x + 0.5 * h * k2, u)
-    k4 = eval_rhs(model, t + h, x + h * k3, u)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def boundary_tracking_reference(
     model: DynamicsModel,
     field: ConstraintField,
@@ -135,9 +127,7 @@ def boundary_tracking_reference(
     graze = 1.0 + clearance
     level, rate = _target_path(nodes, float(x0[0]), graze, finish)
 
-    controls = np.zeros((nodes.size, 1))
-    x = x0.copy()
-    for j in range(nodes.size - 1):
+    def law(j, x):
         a, b = float(nodes[j]), float(nodes[j + 1])
         demand = float(rate[j]) + _FEEDBACK_GAIN * (float(level[j]) - float(x[0]))
         demand -= drift_amplitude * float(np.cos(x[0]))
@@ -146,10 +136,10 @@ def boundary_tracking_reference(
         else:
             arg = demand / _decline_decay_mean(a, b)
             u = float(np.tan(np.clip(arg, -1.3, 1.3)))
-        u = float(np.clip(u, -_CONTROL_CAP, _CONTROL_CAP))
-        controls[j, 0] = u
-        x = _rk4(model, a, x, np.array([u]), b - a)
-    controls[-1] = controls[-2]
+        return np.array([float(np.clip(u, -_CONTROL_CAP, _CONTROL_CAP))])
+
+    _, cells = integrate_feedback(model, grid, x0, law)
+    controls = np.vstack([cells, cells[-1:]])
 
     ubar = ControlSignal(grid=grid, values=controls)
     cfg = IntegratorConfig(step=grid.step)

@@ -88,6 +88,13 @@ class TimeGrid:
         idx = int(np.searchsorted(self.nodes, t, side="right")) - 1
         return min(max(idx, 0), self.nodes.size - 1)
 
+    def indices_left(self, times: np.ndarray) -> np.ndarray:
+        """``index_left`` of each time in a nonempty 1-d array, in one lookup."""
+        self._check_domain(float(times.min()))
+        self._check_domain(float(times.max()))
+        idx = np.searchsorted(self.nodes, np.clip(times, self.t0, self.t1), side="right") - 1
+        return np.clip(idx, 0, self.nodes.size - 1)
+
 
 def _check_samples(grid: TimeGrid, values: np.ndarray, name: str) -> np.ndarray:
     values = _as_float_array(values, name)

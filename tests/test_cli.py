@@ -519,6 +519,48 @@ class TestConfigRejection:
         assert code == 64
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "resolution, corner",
+        [(0.05, 1e308), (1e-4, 2.0), (1e-300, 2.0)],
+        ids=["size-not-computable", "lattice-too-large", "tiny-resolution"],
+    )
+    def test_oversized_lattice_names_box_and_resolution(
+        self, workdir, capsys, resolution, corner
+    ):
+        config = json.loads(json.dumps(CONTROL_AFFINE_CONFIG))
+        config["constraint"]["resolution"] = resolution
+        config["constraint"]["box"][0][1] = corner
+        path = write_config(workdir / "lattice-size.json", config)
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "size")])
+        assert code == 64
+        assert "'box' and 'resolution'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("drift", 5),
+            ("drift", ["0"]),
+            ("drift", ["0", None]),
+            ("gain", [1, [0, 1]]),
+            ("gain", [[1, 0], [0]]),
+            ("gain", [[1, 0], [0, True]]),
+            ("gain", "eye"),
+        ],
+        ids=repr,
+    )
+    def test_malformed_control_affine_field_names_the_key(self, workdir, capsys, key, bad):
+        path = write_config(workdir / "affine-shape.json", {**CONTROL_AFFINE_CONFIG, key: bad})
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "shape")])
+        assert code == 64
+        assert f"{key!r} must be one {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [5, "u1*u1", [["u1"]], [False]], ids=repr)
+    def test_malformed_rhs_names_the_key(self, workdir, capsys, bad):
+        path = write_config(workdir / "rhs-shape.json", {**SUPERLINEAR_CONFIG, "rhs": bad})
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "shape")])
+        assert code == 64
+        assert "'rhs' must be one rhs expression per state" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["false", "true", 0, 1, None], ids=repr)
     def test_time_varying_must_be_a_json_boolean(self, workdir, capsys, bad):
         config = json.loads(json.dumps(CONTROL_AFFINE_CONFIG))

@@ -12,6 +12,7 @@ from tightpath.geometry import (
     compile_expression,
     dist_to_boundary,
     field_from_config,
+    _lattice_counts,
     unit_ball_complement,
     violation_sup,
 )
@@ -452,6 +453,19 @@ class TestFieldConfig:
         disk = {"components": [DISK], "box": [[-2.0, 2.0], [-2.0, 3.0]]}
         assert field_from_config(disk).resolution == 5.0 / 1024
         assert field_from_config({**disk, "resolution": 0}).resolution == 5.0 / 1024
+
+    def test_lattice_is_bounded_before_it_is_built(self):
+        # A direct field skips the config check: its first scan must refuse
+        # the lattice with a named error before allocating anything.
+        field = ConstraintField(
+            components=(compile_expression(DISK, 2),),
+            sampling_box=np.array([[-2.0, 1e308], [-2.0, 2.0]]),
+            resolution=0.05,
+        )
+        with pytest.raises(DomainError, match="scan lattice"):
+            boundary_points(field, 0.0, 0.1)
+        assert field._lattice is None
+        assert _lattice_counts(np.array([[-2.0, 2.0], [-2.0, 2.0]]), 0.025) == [161, 161]
 
     def test_unknown_builtin(self):
         with pytest.raises(DomainError):

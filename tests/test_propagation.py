@@ -11,9 +11,25 @@ equation dx/dtau = 0.8 tau^3 cos(x) + 2 tau^2 on tau in [0, 1].
 import numpy as np
 import pytest
 
-from tightpath.dynamics import DynamicsModel, control_affine, motor_decline, motor_surge
+from tightpath.dynamics import (
+    DynamicsModel,
+    _surge_scale,
+    control_affine,
+    expression_model,
+    motor_decline,
+    motor_surge,
+)
 from tightpath.errors import AccuracyError, DomainError, PropagationError, ShapeError
-from tightpath.propagation import IntegratorConfig, gronwall_radius, integrate
+from tightpath.propagation import (
+    _REFINE_SUBSTEPS,
+    IntegratorConfig,
+    _anchors,
+    _half_step_gap,
+    _run,
+    gronwall_radius,
+    integrate,
+    integrate_feedback,
+)
 from tightpath.signals import ControlSignal, TimeGrid
 
 SURGE_ENDPOINT_ORACLE = 1.4366352816953678
@@ -34,6 +50,248 @@ def scalar_affine(drift_fn, lipschitz=None):
         return np.ones(x.shape[:-1] + (1, 1))
 
     return control_affine(drift, gain, 1, 1)
+
+
+# Reference code: a plain stepper, run loop and half-step comparison that
+# make every lookup per step and step every state as an array. Every node
+# and state the program computes must equal theirs bit for bit.
+
+
+def ref_rk4_step(model, t, h, x, u):
+    k1 = np.asarray(model.rhs(t, x, u), dtype=float)
+    k2 = np.asarray(model.rhs(t + 0.5 * h, x + 0.5 * h * k1, u), dtype=float)
+    k3 = np.asarray(model.rhs(t + 0.5 * h, x + 0.5 * h * k2, u), dtype=float)
+    k4 = np.asarray(model.rhs(t + h, x + h * k3, u), dtype=float)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def ref_advance_uniform(model, a, b, x, u, m):
+    width = b - a
+    for i in range(m):
+        x = ref_rk4_step(model, a + width * (i / m), width / m, x, u)
+    return x
+
+
+def ref_advance_zone(model, a, b, x, u, q, toward_start):
+    width = b - a
+    halves = [2.0 ** -j for j in range(1, 49)]
+    if toward_start:
+        cuts = [a] + [a + width * f for f in reversed(halves)] + [b]
+        x = ref_rk4_step(model, cuts[0], cuts[1] - cuts[0], x, u)
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            x = ref_advance_uniform(model, lo, hi, x, u, q)
+    else:
+        cuts = [a] + [b - width * f for f in halves] + [b]
+        for lo, hi in zip(cuts[:-2], cuts[1:-1]):
+            x = ref_advance_uniform(model, lo, hi, x, u, q)
+        x = ref_rk4_step(model, cuts[-2], cuts[-1] - cuts[-2], x, u)
+    return x
+
+
+def ref_run(model, u, x0, anchors, step, q, breakpoints):
+    slack = (anchors[-1] - anchors[0]) * 1e-9
+
+    def at_breakpoint(t):
+        return any(abs(t - b) <= slack for b in breakpoints)
+
+    nodes = [anchors[0]]
+    states = [np.asarray(x0, dtype=float)]
+
+    def emit(t, x):
+        nodes.append(t)
+        states.append(x)
+        if not np.all(np.isfinite(x)):
+            raise PropagationError(f"state not finite at t={t}", t=t)
+
+    for a, b in zip(anchors[:-1], anchors[1:]):
+        u_val = u.eval(a)
+        x = states[-1]
+        zone = min(step, b - a)
+        if at_breakpoint(a):
+            end = b if b - a <= zone + slack else a + zone
+            x = ref_advance_zone(model, a, end, x, u_val, q, toward_start=True)
+            emit(end, x)
+            if b - end > slack:
+                m = max(1, int(np.ceil((b - end) / step - 1e-9)))
+                width = b - end
+                for i in range(1, m + 1):
+                    x = ref_rk4_step(model, end + width * ((i - 1) / m), width / m, x, u_val)
+                    emit(b if i == m else end + width * (i / m), x)
+        elif at_breakpoint(b):
+            if b - a > zone + slack:
+                m = max(1, int(np.ceil((b - a - zone) / step - 1e-9)))
+                width = (b - zone) - a
+                for i in range(1, m + 1):
+                    x = ref_rk4_step(model, a + width * ((i - 1) / m), width / m, x, u_val)
+                    emit(a + width * (i / m), x)
+            x = ref_advance_zone(model, b - zone, b, x, u_val, q, toward_start=False)
+            emit(b, x)
+        else:
+            m = max(1, int(np.ceil((b - a) / step - 1e-9)))
+            width = b - a
+            for i in range(1, m + 1):
+                x = ref_rk4_step(model, a + width * ((i - 1) / m), width / m, x, u_val)
+                emit(b if i == m else a + width * (i / m), x)
+    return np.asarray(nodes), np.vstack(states)
+
+
+def ref_half_step_gap(nodes, states, fine_nodes, fine_states):
+    index = {round(t, 12): i for i, t in enumerate(fine_nodes)}
+    worst, worst_t = 0.0, nodes[0]
+    for t, x in zip(nodes, states):
+        i = index.get(round(t, 12))
+        if i is None:
+            continue
+        gap = float(np.linalg.norm(x - fine_states[i]))
+        if gap > worst:
+            worst, worst_t = gap, t
+    return worst, worst_t
+
+
+def both_runs(model, u, x0, window, step):
+    """(program, reference) results of both passes of a checked integrate."""
+    x0 = np.asarray(x0, dtype=float)
+    breakpoints = tuple(model.time_breakpoints)
+    anchors = _anchors(u, window, breakpoints)
+    out = []
+    for run in (_run, ref_run):
+        coarse = run(model, u, x0, anchors, step, _REFINE_SUBSTEPS, breakpoints)
+        fine = run(model, u, x0, anchors, step / 2.0, 2 * _REFINE_SUBSTEPS, breakpoints)
+        out.append((coarse, fine))
+    return out
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def varied_control(grid, dim, seed=0):
+    rng = np.random.default_rng(seed)
+    return ControlSignal(grid, rng.uniform(-0.45, 0.45, (len(grid), dim)))
+
+
+def affine_2d():
+    def drift(t, x):
+        return np.stack([x[..., 1], -np.sin(x[..., 0]) + 0.1 * np.cos(3.0 * t)], axis=-1)
+
+    def gain(t, x):
+        g = np.zeros(x.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = 1.0 + 0.5 * np.cos(x[..., 0])
+        return g
+
+    return control_affine(drift, gain, 2, 2)
+
+
+def expression_2d():
+    return expression_model(["x2 + 0.5*u1", "-x1 + sin(t)*u2 + t**2/4"], 2, 2)
+
+
+FINE = TimeGrid.uniform(0.0, 2.0, 400)
+# Seven cells: t = 1 falls inside one, so the breakpoint is not a node.
+COARSE = TimeGrid.uniform(0.0, 2.0, 7)
+RAMP = TimeGrid(np.cumsum(np.r_[0.0, np.linspace(0.002, 0.02, 150)]))
+SCATTERED = TimeGrid(np.sort(np.r_[0.0, np.random.default_rng(3).uniform(0.0, 2.0, 80), 2.0]))
+
+# name: (model, grid, control dim, x0, window, step)
+BITWISE_CASES = {
+    "decline-full": (motor_decline(), FINE, 1, [1.08], (0.0, 2.0), 0.005),
+    "surge-full": (motor_surge(), FINE, 1, [1.08], (0.0, 2.0), 0.005),
+    "decline-mid-window": (motor_decline(), FINE, 1, [1.02], (0.715, 1.6), 0.005),
+    "surge-mid-window": (motor_surge(), FINE, 1, [1.02], (0.4, 1.9), 0.005),
+    "surge-breakpoint-off-grid": (motor_surge(), COARSE, 1, [1.1], (0.0, 2.0), 0.05),
+    "decline-window-ends-at-breakpoint": (motor_decline(), FINE, 1, [1.1], (0.3, 1.0), 0.005),
+    "surge-window-ends-at-breakpoint": (motor_surge(), COARSE, 1, [1.1], (0.0, 1.0), 0.05),
+    "decline-non-uniform": (motor_decline(), RAMP, 1, [1.05], (0.0, RAMP.t1), 0.007),
+    "expression-1d": (
+        expression_model(["-x1 + u1*cos(t)"], 1, 1), SCATTERED, 1, [0.4], (0.0, 2.0), 0.01
+    ),
+    "affine-2d": (affine_2d(), TimeGrid.uniform(0.0, 2.0, 120), 2, [0.3, -0.2], (0.0, 2.0), 0.01),
+    "expression-2d": (expression_2d(), SCATTERED, 2, [0.3, -0.2], (0.25, 2.0), 0.01),
+}
+
+
+class TestBitwiseAgainstReference:
+    @pytest.mark.parametrize("case", sorted(BITWISE_CASES))
+    def test_nodes_states_and_half_step_gap(self, case):
+        model, grid, dim, x0, window, step = BITWISE_CASES[case]
+        u = varied_control(grid, dim)
+        (coarse, fine), (ref_coarse, ref_fine) = both_runs(model, u, x0, window, step)
+        for got, want in ((coarse, ref_coarse), (fine, ref_fine)):
+            assert_bitwise(got[0], want[0])
+            assert_bitwise(got[1], want[1])
+        worst, worst_t = _half_step_gap(*coarse, *fine)
+        assert (worst, worst_t) == ref_half_step_gap(*ref_coarse, *ref_fine)
+
+    def test_cases_cover_breakpoint_spans(self):
+        assert 1.0 not in COARSE.nodes
+        assert BITWISE_CASES["decline-window-ends-at-breakpoint"][4][1] == 1.0
+        assert np.ptp(np.diff(RAMP.nodes)) > 0.01
+
+    def test_integrate_returns_the_reference_run(self):
+        model, grid, dim, x0, window, step = BITWISE_CASES["decline-mid-window"]
+        u = varied_control(grid, dim)
+        traj = integrate(model, u, x0, window, IntegratorConfig(step=step))
+        _, (ref_coarse, _) = both_runs(model, u, x0, window, step)
+        assert_bitwise(traj.grid.nodes, ref_coarse[0])
+        assert_bitwise(traj.states, ref_coarse[1])
+
+
+class TestFeedbackLoop:
+    def test_one_step_per_cell_with_the_law_of_the_left_state(self):
+        model = motor_decline()
+        grid = TimeGrid.uniform(0.0, 2.0, 50)
+        seen = []
+
+        def law(j, x):
+            seen.append(j)
+            return np.array([0.3 - 0.2 * x[0]])
+
+        states, controls = integrate_feedback(model, grid, [1.05], law)
+        assert seen == list(range(50))
+        assert states.shape == (51, 1) and controls.shape == (50, 1)
+        x = np.array([1.05])
+        for j in range(50):
+            a, b = float(grid.nodes[j]), float(grid.nodes[j + 1])
+            u = np.array([0.3 - 0.2 * x[0]])
+            assert controls[j].tobytes() == u.tobytes()
+            x = ref_rk4_step(model, a, b - a, x, u)
+            assert states[j + 1].tobytes() == x.tobytes()
+
+    def test_rejects_misshapen_input(self):
+        model = motor_decline()
+        grid = TimeGrid.uniform(0.0, 1.0, 4)
+        with pytest.raises(ShapeError):
+            integrate_feedback(model, grid, [1.0, 2.0], lambda j, x: np.zeros(1))
+        with pytest.raises(ShapeError):
+            integrate_feedback(model, grid, [1.0], lambda j, x: np.zeros(2))
+
+    def test_blowup_names_the_node(self):
+        model = scalar_affine(lambda t, x: x * x)
+        grid = TimeGrid.uniform(0.0, 1.0, 100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PropagationError) as err:
+                integrate_feedback(model, grid, [1.5], lambda j, x: np.zeros(1))
+        assert err.value.t == grid.nodes[69]
+
+
+def test_surge_scale_float_path_equals_array_path():
+    # Powers of two just past the break probe the steepest part of the
+    # gain; the rest spread over both sides of it.
+    rng = np.random.default_rng(11)
+    times = np.concatenate(
+        [
+            1.0 + 2.0 ** -np.arange(1.0, 53.0),
+            rng.uniform(0.0, 3.0, 20_000),
+            rng.uniform(1.0, 1.001, 20_000),
+            [0.0, 1.0, np.nextafter(1.0, 2.0), 2.0, 3.0],
+        ]
+    )
+    got = np.array([_surge_scale(t) for t in times.tolist()])
+    assert all(isinstance(_surge_scale(t), float) for t in (0.5, 1.5, np.float64(1.5)))
+    assert_bitwise(got, _surge_scale(times))
 
 
 class TestIntegrate:
@@ -100,8 +358,9 @@ class TestIntegrate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PropagationError) as err:
                 integrate(model, constant_control(0.0), [1.5], (0.0, 1.0), cfg)
-        assert err.value.t is not None
-        assert 0.0 < err.value.t <= 1.0
+        # x' = x^2 from 1.5 blows up at t = 2/3; the step ending at 0.69
+        # is the first whose state overflows.
+        assert err.value.t == 0.69
 
     def test_halving_step_cuts_endpoint_error_eightfold(self):
         model = scalar_affine(lambda t, x: -x)

@@ -46,15 +46,19 @@ from tightpath import (
     certify_all,
     double_integrator,
     eval_rhs,
+    expression_model,
+    field_from_config,
     growth_maps,
     integrate,
     inward_control_at,
     motor_scenario,
+    node_violations,
     render_report,
     repair,
     repair_interval,
     schedule_constants,
     unit_ball_complement,
+    violation_sup,
     weighted_l2_cost,
 )
 
@@ -542,3 +546,111 @@ class TestSuffixVerification:
             repair(sc.xbar, sc.ubar, 0.1, decline_bundle, sc.field, sc.model)
         assert len(checked) > 1
         assert checked.count(True) == 1 and checked[-1]
+
+
+def replay_rho(xbar, ubar, c, bundle, field, model):
+    """Suffix violation of every interval, from scratch: the sweep of the
+    accepted constants replayed with a full ``violation_sup`` per
+    interval, which is what each record's ``rho`` must equal."""
+    xcur, ucur = xbar, ubar
+    end = float(xbar.grid.t1)
+    rhos = []
+    for i in range(c.N0):
+        rhos.append(violation_sup(field, c.eps, xcur, window=(float(c.partition[i]), end)))
+        xcur, ucur, _ = repair_interval(i, xcur, ucur, c, bundle, field, model)
+    return rhos
+
+
+@pytest.fixture(scope="module")
+def moving_disk_run():
+    times = np.linspace(0.0, 2.0, 61)
+    model = expression_model(["u1", "u2"], 2, 2)
+    field = field_from_config(
+        {
+            "box": [[-2.0, 2.0], [-2.0, 2.0]],
+            "components": ["1 - sqrt((x1 - 0.1*t)**2 + x2**2)"],
+            "time_varying": True,
+            "resolution": 0.025,
+        }
+    )
+    grid = TimeGrid(times)
+    xbar = Trajectory(grid, np.column_stack([-1.5 + 1.5 * times, np.full(times.size, 1.0005)]))
+    ubar = ControlSignal(grid, np.tile([1.5, 0.0], (times.size, 1)))
+    bundle = certify_all(model, field, ubar, xbar)
+    x_eps, u_eps, c, report = repair(xbar, ubar, 0.1, bundle, field, model)
+    return xbar, ubar, c, report, bundle, field, model
+
+
+class TestNodeViolations:
+    """The sweep keeps each iterate's node violations and recomputes them
+    only from a burst's interval start on."""
+
+    @pytest.mark.parametrize("case", ["decline", "moving-disk"])
+    def test_sweep_passes_the_violations_of_each_iterate(
+        self, monkeypatch, case, decline_scenario, decline_bundle, decline_run, moving_disk_run
+    ):
+        if case == "decline":
+            sc = decline_scenario
+            xbar, ubar, field, model = sc.xbar, sc.ubar, sc.field, sc.model
+            c, bundle = decline_run[2], decline_bundle
+        else:
+            xbar, ubar, c, _, bundle, field, model = moving_disk_run
+        module = importlib.import_module("tightpath.repair")
+        real = module.repair_interval
+        checked = []
+
+        def checking(index, xcur, ucur, c, bundle, field, model, violations):
+            fresh = node_violations(field, c.eps, xcur)
+            checked.append(violations.tobytes() == fresh.tobytes())
+            return real(index, xcur, ucur, c, bundle, field, model, violations)
+
+        monkeypatch.setattr(module, "repair_interval", checking)
+        _, _, report = module._sweep(xbar, ubar, c, bundle, field, model, None)
+        assert any(r.case == "case-2" for r in report.records)
+        assert len(checked) == c.N0 and all(checked)
+
+    def test_rho_is_the_max_from_the_interval_start_on(
+        self, surge_scenario, surge_bundle, surge_run
+    ):
+        # A far interval returns at once: its record carries the rho read
+        # from the given vector, over the nodes from t_i on and no earlier.
+        sc = surge_scenario
+        _, _, c, _ = surge_run
+        n = sc.grid.nodes.size
+        deep = Trajectory(grid=sc.grid, states=np.full((n, 1), 1.5))
+        lo = int(np.searchsorted(sc.grid.nodes, c.partition[3] * (1 - 1e-12)))
+        violations = np.zeros(n)
+        violations[lo - 1] = 0.75
+        violations[lo] = 0.5
+        violations[lo + 1 :] = 0.25
+        _, _, record = repair_interval(
+            3, deep, sc.ubar, c, surge_bundle, sc.field, sc.model, violations
+        )
+        assert record.case == "case-1"
+        assert record.rho == 0.5
+
+    def test_record_rho_equals_a_full_violation_sup(
+        self, decline_scenario, decline_bundle, decline_run
+    ):
+        sc = decline_scenario
+        _, _, c, report = decline_run
+        want = replay_rho(sc.xbar, sc.ubar, c, decline_bundle, sc.field, sc.model)
+        got = [r.rho for r in report.records]
+        assert any(r.case == "case-2" for r in report.records)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_record_rho_on_a_time_varying_lattice_field(self, moving_disk_run):
+        xbar, ubar, c, report, bundle, field, model = moving_disk_run
+        want = replay_rho(xbar, ubar, c, bundle, field, model)
+        got = [r.rho for r in report.records]
+        assert any(r.case == "case-2" for r in report.records)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_slices_equal_the_vector_of_the_slice(self, moving_disk_run):
+        xbar, _, c, _, _, field, _ = moving_disk_run
+        full = node_violations(field, c.eps, xbar)
+        assert full.shape == (len(xbar.grid),)
+        for start in (0, 1, 17, len(xbar.grid) - 2):
+            part = node_violations(field, c.eps, xbar, start=start)
+            assert part.tobytes() == full[start:].tobytes()
+        assert float(full.max()) == violation_sup(field, c.eps, xbar)

@@ -16,15 +16,25 @@ Oracle facts, computed independently of the builder:
 import numpy as np
 import pytest
 
+from test_propagation import assert_bitwise, ref_run
 from tightpath import (
     ConfigError,
     DomainError,
     IntegratorConfig,
     boundary_tracking_reference,
+    eval_rhs,
     integrate,
     motor_scenario,
     scenario_from_config,
     unit_ball_complement,
+)
+from tightpath.propagation import _REFINE_SUBSTEPS, _anchors
+from tightpath.scenarios import (
+    _CONTROL_CAP,
+    _FEEDBACK_GAIN,
+    _decline_decay_mean,
+    _surge_gain_mean,
+    _target_path,
 )
 
 
@@ -68,6 +78,51 @@ def test_reference_reintegrates_bitwise(scenario):
         cfg,
     )
     assert np.array_equal(redo.states, scenario.xbar.states)
+
+
+def reference_builder_controls(sc, variant, finish=1.06, drift_amplitude=0.2):
+    """The builder's feedback loop as it was with its own RK4 stepper,
+    which went through eval_rhs: the reference the built controls must
+    equal bit for bit."""
+
+    def rk4(t, x, u, h):
+        k1 = eval_rhs(sc.model, t, x, u)
+        k2 = eval_rhs(sc.model, t + 0.5 * h, x + 0.5 * h * k1, u)
+        k3 = eval_rhs(sc.model, t + 0.5 * h, x + 0.5 * h * k2, u)
+        k4 = eval_rhs(sc.model, t + h, x + h * k3, u)
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    nodes = sc.grid.nodes
+    level, rate = _target_path(nodes, float(sc.x0[0]), 1.0 + sc.clearance, finish)
+    controls = np.zeros((nodes.size, 1))
+    x = sc.x0.copy()
+    for j in range(nodes.size - 1):
+        a, b = float(nodes[j]), float(nodes[j + 1])
+        demand = float(rate[j]) + _FEEDBACK_GAIN * (float(level[j]) - float(x[0]))
+        demand -= drift_amplitude * float(np.cos(x[0]))
+        if variant == "surge":
+            u = demand / _surge_gain_mean(a, b)
+        else:
+            arg = demand / _decline_decay_mean(a, b)
+            u = float(np.tan(np.clip(arg, -1.3, 1.3)))
+        u = float(np.clip(u, -_CONTROL_CAP, _CONTROL_CAP))
+        controls[j, 0] = u
+        x = rk4(a, x, np.array([u]), b - a)
+    controls[-1] = controls[-2]
+    return controls
+
+
+@pytest.mark.parametrize("variant", ["surge", "decline"])
+def test_built_reference_equals_the_reference_loop(variant, surge_scenario, decline_scenario):
+    sc = surge_scenario if variant == "surge" else decline_scenario
+    assert_bitwise(sc.ubar.values, reference_builder_controls(sc, variant))
+    breakpoints = tuple(sc.model.time_breakpoints)
+    anchors = _anchors(sc.ubar, (sc.grid.t0, sc.grid.t1), breakpoints)
+    nodes, states = ref_run(
+        sc.model, sc.ubar, sc.x0, anchors, sc.grid.step, _REFINE_SUBSTEPS, breakpoints
+    )
+    assert_bitwise(sc.xbar.grid.nodes, nodes)
+    assert_bitwise(sc.xbar.states, states)
 
 
 def test_config_round_trip(scenario):

@@ -58,6 +58,15 @@ class TestTimeGrid:
         grid = TimeGrid.uniform(0.0, 1.0, 4)
         with pytest.raises(DomainError):
             grid.index_left(1.5)
+        with pytest.raises(DomainError):
+            grid.indices_left(np.array([0.5, 1.5]))
+
+    def test_indices_left_is_index_left_per_time(self):
+        grid = TimeGrid(np.array([0.0, 0.1, 0.35, 0.4, 0.9, 1.0]))
+        slack = 0.5e-9
+        times = np.r_[grid.nodes, grid.nodes[1:] - 1e-13, -slack, 1.0 + slack, 0.2, 0.95]
+        want = [grid.index_left(t) for t in times.tolist()]
+        assert grid.indices_left(times).tolist() == want
 
 
 class TestControlSignal:
