@@ -61,7 +61,6 @@ from .hypotheses import (
     validate_bundle,
 )
 from .propagation import (
-    IntegratorConfig,
     gronwall_radius,
     integrate,
     integrate_feedback,

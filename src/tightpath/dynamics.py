@@ -41,9 +41,12 @@ class DeclaredRegularity:
     """Closed-form regularity data a model may carry.
 
     Every field is optional; absent entries are certified numerically.
+    Each declared function is called with one float time (``drift_integral``
+    with two) and returns a float; none is called with an array.
     ``shift_radius_scale`` and ``holder_rate_scale`` are per-unit-control
     factors: the certified radius at time s is scale(s) times the control
-    magnitude cap there.
+    magnitude cap there. The declared rate is used only together with
+    ``holder_exponent``.
 
     ``time_drift`` and ``drift_integral`` are declared both or neither:
     the density tabulates the drift budget, and its integral
@@ -82,7 +85,9 @@ class DynamicsModel:
     float arrays, and does arithmetic on what it returns without
     converting or checking it.
     ``shift_hook`` (s, t, x, u_s) -> u_t, when present, is the exact
-    control transport used instead of the sampled search.
+    control transport used instead of the sampled search. ``rhs`` and the
+    functions in ``metadata`` (see DeclaredRegularity) take the time as
+    one float, never as an array.
     """
 
     state_dim: int
@@ -161,7 +166,6 @@ def shift_selection(
     x,
     u_s,
     radius: float | None = None,
-    budget: float | None = None,
     seed: int = 0,
 ) -> np.ndarray:
     """Transport the control u_s from time s to time t near the state x.
@@ -169,9 +173,9 @@ def shift_selection(
     With a declared hook the hook's value is returned directly. Otherwise
     the search minimizes |f(t, x, .) - f(s, x, u_s)| over the ball of the
     given radius around u_s (declared shift radius by default), sampling
-    64^min(control_dim, 2) candidates plus local refinement. When a drift
-    budget applies (declared density, or an explicit bound), a residual
-    above it is an error carrying that residual.
+    64^min(control_dim, 2) candidates plus local refinement. When the model
+    declares a drift density, a residual above its drift budget over
+    [s, t] is an error carrying that residual.
     """
     if not 0 <= s < t:
         raise DomainError(f"need 0 <= s < t, got s={s}, t={t}")
@@ -187,8 +191,7 @@ def shift_selection(
         if scale is None:
             raise DomainError("model declares no shift radius; pass radius explicitly")
         radius = float(scale(s)) * float(np.linalg.norm(u_s))
-    if budget is None:
-        budget = drift_budget(model, s, t)
+    budget = drift_budget(model, s, t)
     f_s = eval_rhs(model, s, x, u_s)
     rng = np.random.default_rng(seed)
     n = 64 ** min(model.control_dim, 2)
@@ -225,16 +228,10 @@ def shift_selection(
     return best_u
 
 
-def _surge_scale(t):
-    if isinstance(t, float):
-        # np.power on the scalar runs the same loop as the array path below;
-        # Python's ** and np.float64's ** can differ from it by an ulp.
-        return float(np.power(t - _BREAK_TIME, -0.25)) if t > _BREAK_TIME else 1.0
-    t = np.asarray(t, dtype=float)
-    late = t > _BREAK_TIME
-    safe = np.where(late, t - _BREAK_TIME, 1.0)
-    out = np.where(late, safe ** -0.25, 1.0)
-    return out if out.ndim else float(out)
+def _surge_scale(t: float) -> float:
+    # numpy's power ufunc, not Python's ** or np.float64's **, which can
+    # differ from it by an ulp: the certified values were made with it.
+    return float(np.power(t - _BREAK_TIME, -0.25)) if t > _BREAK_TIME else 1.0
 
 
 def _decline_decay(t: float) -> float:
@@ -244,10 +241,10 @@ def _decline_decay(t: float) -> float:
 
 
 def _constant(value: float):
-    """t -> value, elementwise when t is an array."""
+    """t -> value."""
 
     def fn(t):
-        return value + np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else value
+        return value
 
     return fn
 
@@ -286,19 +283,15 @@ def motor_surge(drift_amplitude: float = 0.2) -> DynamicsModel:
             return (t - _BREAK_TIME) ** 0.25 * np.asarray(u_s, dtype=float)
         return ((t - _BREAK_TIME) / (s - _BREAK_TIME)) ** 0.25 * np.asarray(u_s, dtype=float)
 
+    # Each scale keeps the power it was certified with, bit for bit: numpy's
+    # power ufunc in radius_scale, the C library's pow behind ** in rate_scale.
     def radius_scale(s):
-        s = np.asarray(s, dtype=float)
-        late = s > _BREAK_TIME
-        safe = np.where(late, s - _BREAK_TIME, 1.0)
-        out = np.where(late, np.maximum(safe ** -0.25 - 1.0, 0.0), 1.0)
-        return out if out.ndim else float(out)
+        if s <= _BREAK_TIME:
+            return 1.0
+        return max(float(np.power(s - _BREAK_TIME, -0.25)) - 1.0, 0.0)
 
     def rate_scale(s):
-        s = np.asarray(s, dtype=float)
-        gap = np.abs(s - _BREAK_TIME)
-        with np.errstate(divide="ignore"):
-            out = gap ** -0.25
-        return out if out.ndim else float(out)
+        return abs(s - _BREAK_TIME) ** -0.25 if s != _BREAK_TIME else math.inf
 
     def envelope(t):
         return _surge_scale(t) + amp
@@ -337,11 +330,8 @@ def motor_decline(drift_amplitude: float = 0.2) -> DynamicsModel:
         return _cosine_drift(amp, x) + _decline_decay(t) * np.arctan(np.asarray(u, dtype=float))
 
     def drift_density(s):
-        s = np.asarray(s, dtype=float)
-        late = s > _BREAK_TIME
-        safe = np.where(late, s - _BREAK_TIME, 1.0)
-        out = np.where(late, 0.25 / np.sqrt(safe), 0.0)
-        return out if out.ndim else float(out)
+        # sqrt is correctly rounded in math and numpy alike.
+        return 0.25 / math.sqrt(s - _BREAK_TIME) if s > _BREAK_TIME else 0.0
 
     def drift_integral(s, t):
         # 0.5 (sqrt(t-1) - sqrt(lo-1)), written without the cancellation.

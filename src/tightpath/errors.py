@@ -115,7 +115,7 @@ class PropagationError(TightpathError):
 
 
 class AccuracyError(TightpathError):
-    """Half-step cross-check disagreed beyond the configured tolerance."""
+    """Half-step cross-check disagreed beyond ``HALF_STEP_TOLERANCE``."""
 
 
 class SelectionError(TightpathError):

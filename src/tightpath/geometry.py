@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     ExpressionError,
     InfeasibleTighteningError,
+    ModelEvaluationError,
     ShapeError,
     config_array,
     config_flag,
@@ -61,7 +62,9 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
     The grammar is arithmetic (+, -, *, /, **) plus abs, sqrt, sin, cos,
     arctan, and pow; anything else is rejected before evaluation. The
     returned callable maps (t, x) with x of shape (dim,) or (n, dim) to a
-    scalar or an (n,) array. ``names`` relabels the coordinates (one name
+    scalar or an (n,) array. A division by zero or an overflow in Python
+    float arithmetic on a scalar ``t`` raises ModelEvaluationError naming
+    the expression and ``t``. ``names`` relabels the coordinates (one name
     per component) so callers can expose mixed variable sets.
     """
     if names and len(names) != dim:
@@ -110,7 +113,11 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
         namespace["t"] = t
         for i, label in enumerate(labels):
             namespace[label] = x[..., i]
-        out = eval(code, {"__builtins__": {}}, namespace)  # noqa: S307
+        try:
+            out = eval(code, {"__builtins__": {}}, namespace)  # noqa: S307
+        except (ZeroDivisionError, OverflowError) as exc:
+            # A Python float t raises where a numpy time would give inf.
+            raise ModelEvaluationError(f"{expr!r} cannot be evaluated at t={t}: {exc}") from None
         return np.asarray(out, dtype=float) + np.zeros(x.shape[:-1])
 
     component.dim = dim
@@ -275,28 +282,10 @@ def node_violations(
     return field._distances(eps, traj.grid.nodes[start:], traj.states[start:])[0]
 
 
-def violation_sup(
-    field: ConstraintField,
-    eps: float,
-    traj: Trajectory,
-    window: tuple[float, float] | None = None,
-) -> float:
-    """Largest node distance to the tightened set over a time window.
-
-    This is the maximal constraint violation of the trajectory; a feasible
-    trajectory scores 0.
-    """
-    nodes = traj.grid.nodes
-    if window is None:
-        lo, hi = nodes[0], nodes[-1]
-    else:
-        lo, hi = window
-        if lo < nodes[0] - 1e-12 or hi > nodes[-1] + 1e-12:
-            raise DomainError("window exceeds the trajectory domain")
-    mask = (nodes >= lo - 1e-12) & (nodes <= hi + 1e-12)
-    if not mask.any():
-        raise DomainError("window contains no grid node")
-    return float(field._distances(eps, nodes[mask], traj.states[mask])[0].max())
+def violation_sup(field: ConstraintField, eps: float, traj: Trajectory) -> float:
+    """Largest node distance to the tightened set: the maximal constraint
+    violation of the trajectory, 0 for a feasible one."""
+    return float(node_violations(field, eps, traj).max())
 
 
 def unit_ball_complement(dim: int = 1, box_radius: float = 2.0) -> ConstraintField:

@@ -139,6 +139,20 @@ class OperatingBox:
         )
 
 
+def _envelope(time_grid: TimeGrid, raw: np.ndarray, declared, undershoot: str) -> SampledFunction:
+    """The declared envelope checked against the sampled maxima ``raw`` at
+    each node, or without one, ``raw`` inflated by the safety factor."""
+    if declared is None:
+        return SampledFunction(time_grid, _SAFETY * raw)
+    nodes = time_grid.nodes
+    bound = np.array([float(declared(t)) for t in nodes])
+    bad = raw > bound * _VALIDATE_SLACK + 1e-12
+    if bad.any():
+        t_bad = float(nodes[int(np.argmax(bad))])
+        raise CertificationError(f"declared {undershoot} at t={t_bad}", witness={"t": t_bad})
+    return SampledFunction(time_grid, bound)
+
+
 def _ratio_max(model, t, states, controls) -> float:
     values = rhs_batch(model, t, states, controls)
     scale = 1.0 + np.linalg.norm(states, axis=1) + np.linalg.norm(controls, axis=1)
@@ -165,28 +179,19 @@ def certify_sublinear(
     declared = model.metadata.growth_envelope
     nodes = time_grid.nodes
     raw = np.array([_ratio_max(model, t, states, controls) for t in nodes])
-    if declared is not None:
-        bound = np.array([float(declared(t)) for t in nodes])
-        bad = raw > bound * _VALIDATE_SLACK + 1e-12
-        if bad.any():
-            t_bad = float(nodes[int(np.argmax(bad))])
+    if declared is None:
+        # Super-linear probe: growth must saturate as the control box scales.
+        probe_times = nodes[:: max(1, nodes.size // 8)]
+        last = np.array([_ratio_max(model, t, states, 4.0 * controls) for t in probe_times])
+        final = np.array([_ratio_max(model, t, states, 8.0 * controls) for t in probe_times])
+        growth = final / np.maximum(last, 1e-12)
+        if float(growth.max()) > 1.5:
+            j = int(np.argmax(growth))
             raise CertificationError(
-                f"declared growth envelope undershoots sampled ratio at t={t_bad}",
-                witness={"t": t_bad},
+                "field grows super-linearly in the control: no integrable envelope exists",
+                witness={"t": float(probe_times[j]), "ratio_growth": float(growth[j])},
             )
-        return SampledFunction(time_grid, bound)
-    # Super-linear probe: growth must saturate as the control box scales.
-    probe_times = nodes[:: max(1, nodes.size // 8)]
-    last = np.array([_ratio_max(model, t, states, 4.0 * controls) for t in probe_times])
-    final = np.array([_ratio_max(model, t, states, 8.0 * controls) for t in probe_times])
-    growth = final / np.maximum(last, 1e-12)
-    if float(growth.max()) > 1.5:
-        j = int(np.argmax(growth))
-        raise CertificationError(
-            "field grows super-linearly in the control: no integrable envelope exists",
-            witness={"t": float(probe_times[j]), "ratio_growth": float(growth[j])},
-        )
-    return SampledFunction(time_grid, _SAFETY * raw)
+    return _envelope(time_grid, raw, declared, "growth envelope undershoots sampled ratio")
 
 
 def certify_lipschitz(
@@ -252,17 +257,7 @@ def certify_lipschitz(
     for k, t in enumerate(nodes):
         fa = rhs_batch(model, float(t), base, controls)  # shared by every scale
         raw[k] = max(float(quotients(float(t), sep, base, fa)[0].max()) for sep in scales)
-    if declared is not None:
-        bound = np.array([float(declared(t)) for t in nodes])
-        bad = raw > bound * _VALIDATE_SLACK + 1e-12
-        if bad.any():
-            t_bad = float(nodes[int(np.argmax(bad))])
-            raise CertificationError(
-                f"declared Lipschitz modulus undershoots sampled quotient at t={t_bad}",
-                witness={"t": t_bad},
-            )
-        return SampledFunction(time_grid, bound)
-    return SampledFunction(time_grid, _SAFETY * raw)
+    return _envelope(time_grid, raw, declared, "Lipschitz modulus undershoots sampled quotient")
 
 
 def _collar_samples(
@@ -517,6 +512,11 @@ def certify_inward_pointing(
     )
 
 
+def _declares_holder(meta) -> bool:
+    """Whether the declared Hölder data is used: it needs both parts."""
+    return meta.holder_exponent is not None and meta.holder_rate_scale is not None
+
+
 def certify_time_regularity(
     model: DynamicsModel,
     ubar: ControlSignal,
@@ -572,7 +572,7 @@ def certify_time_regularity(
                     )
             elif t - s <= 4 * sub.step:
                 drift_quot[i] = max(drift_quot[i], residual / (t - s))
-            if meta.holder_exponent is not None and meta.holder_rate_scale is not None:
+            if _declares_holder(meta):
                 rate = float(meta.holder_rate_scale(s))
                 if np.isfinite(rate):
                     cap = (t - s) ** meta.holder_exponent * rate * radius
@@ -618,7 +618,7 @@ def certify_time_regularity(
 
     beta_u = SampledFunction(sub, beta_vals)
 
-    if meta.holder_exponent is not None and meta.holder_rate_scale is not None:
+    if _declares_holder(meta):
         alpha = float(meta.holder_exponent)
         rates = np.array(
             [float(meta.holder_rate_scale(s)) * control_radius(float(s)) for s in sub.nodes]
@@ -769,13 +769,14 @@ def certify_all(
             if not narrowed:
                 raise
             bounds = narrowed
+    meta = model.metadata
     provenance = {
         "inward": "certified",
-        "growth_envelope": "declared" if model.metadata.growth_envelope else "certified",
-        "state_lipschitz": "declared" if model.metadata.state_lipschitz else "certified",
-        "time_drift": "declared" if model.metadata.time_drift else "certified",
+        "growth_envelope": "declared" if meta.growth_envelope is not None else "certified",
+        "state_lipschitz": "declared" if meta.state_lipschitz is not None else "certified",
+        "time_drift": "declared" if meta.time_drift is not None else "certified",
         "shift_radius": "certified",
-        "holder_rate": "declared" if model.metadata.holder_rate_scale else "certified",
+        "holder_rate": "declared" if _declares_holder(meta) else "certified",
     }
     theta = certify_sublinear(model, box, grid, seed=seed)
     radius = gronwall_radius(
@@ -787,25 +788,23 @@ def certify_all(
         beta_u.l2(),
     )
     kf = certify_lipschitz(model, radius, box.controls, grid, seed=seed)
-    fine_theta = certify_sublinear(
-        model, box, grid, n_samples=STABILITY_GROWTH_SAMPLES, seed=seed + 1
-    )
-    if np.any(fine_theta.values > theta.values * _SAFETY + 1e-12):
-        theta = SampledFunction(grid, np.maximum(theta.values, _SAFETY * fine_theta.values))
-        provenance["growth_envelope"] = "declared-only"
-    fine_kf = certify_lipschitz(
-        model, radius, box.controls, grid, n_samples=STABILITY_LIPSCHITZ_SAMPLES, seed=seed + 1
-    )
-    if np.any(fine_kf.values > kf.values * _SAFETY + 1e-12):
-        kf = SampledFunction(grid, np.maximum(kf.values, _SAFETY * fine_kf.values))
-        provenance["state_lipschitz"] = "declared-only"
+    certified = {"growth_envelope": theta, "state_lipschitz": kf}
+    for name, certify, args in (
+        ("growth_envelope", certify_sublinear, (model, box, grid)),
+        ("state_lipschitz", certify_lipschitz, (model, radius, box.controls, grid)),
+    ):
+        fine = certify(*args, n_samples=_SAMPLE_COUNTS["stability_resample"][name], seed=seed + 1)
+        coarse = certified[name].values
+        if np.any(fine.values > coarse * _SAFETY + 1e-12):
+            certified[name] = SampledFunction(grid, np.maximum(coarse, _SAFETY * fine.values))
+            provenance[name] = "declared-only"
     window_cap = grid.span / 4.0 if constraint.time_varying else grid.span
     omega_a = build_boundary_modulus(
         constraint, grid, EPS_LIST, delta0=window_cap, box_radius=operating_radius, seed=seed
     )
     return HypothesisBundle(
-        growth_envelope=theta,
-        state_lipschitz=kf,
+        growth_envelope=certified["growth_envelope"],
+        state_lipschitz=certified["state_lipschitz"],
         time_drift=gamma,
         shift_radius=beta_u,
         control_bound=m_u,

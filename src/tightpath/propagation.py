@@ -11,7 +11,6 @@ scheme loses there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,31 +24,8 @@ _REL_TOL = 1e-9
 # double-precision noise floor of the zone width.
 _REFINE_LEVELS = 48
 _REFINE_SUBSTEPS = 8
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step RK4 settings.
-
-    ``step`` is an upper bound: integrate subdivides each inter-breakpoint
-    span uniformly, so the effective step divides the span exactly.
-    ``richardson_check`` re-runs at half the step and compares shared
-    nodes against ``tolerance``. The check does not change the returned
-    trajectory, so callers that re-integrate repeatedly may switch it off
-    for intermediate runs and check the final one: ``repair`` does so,
-    checking once the suffix it returns.
-    """
-
-    step: float = 0.001
-    richardson_check: bool = True
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise DomainError("integrator step must be positive")
-        if self.tolerance < 0:
-            raise DomainError("integrator tolerance must be nonnegative")
-
+# Largest state gap the half-step rerun may show at a shared node.
+HALF_STEP_TOLERANCE = 1e-6
 
 _HALVES = tuple(2.0 ** -j for j in range(1, _REFINE_LEVELS + 1))
 
@@ -221,15 +197,23 @@ def integrate(
     u: ControlSignal,
     x0,
     window,
-    cfg: IntegratorConfig,
+    step: float,
+    check: bool = True,
 ) -> Trajectory:
     """Propagate x' = f(t, x, u(t)) across the window from x0.
 
-    Returns the trajectory on the breakpoint-aligned integration grid. A
-    non-finite state raises with the first bad node; with the Richardson
-    check on, a half-step rerun must agree at shared nodes within the
-    configured tolerance.
+    Returns the trajectory on the breakpoint-aligned integration grid.
+    ``step`` is an upper bound on the RK4 step: each span between anchors
+    (control nodes and model breakpoints) is cut into equal steps no
+    longer than it. A non-finite state raises PropagationError naming the
+    first bad node. With ``check`` on, the run is repeated at half the
+    step and the two must agree within ``HALF_STEP_TOLERANCE`` (1e-6) at
+    every shared node, else AccuracyError. The check never changes the
+    returned trajectory, so a caller that re-integrates many times may
+    switch it off and check the run it keeps: ``repair`` does so.
     """
+    if step <= 0:
+        raise DomainError("integrator step must be positive")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.state_dim,):
         raise ShapeError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
@@ -241,16 +225,16 @@ def integrate(
         )
     breakpoints = tuple(model.time_breakpoints)
     anchors = _anchors(u, window, breakpoints)
-    nodes, states = _run(model, u, x0, anchors, cfg.step, _REFINE_SUBSTEPS, breakpoints)
-    if cfg.richardson_check:
+    nodes, states = _run(model, u, x0, anchors, step, _REFINE_SUBSTEPS, breakpoints)
+    if check:
         fine_nodes, fine_states = _run(
-            model, u, x0, anchors, cfg.step / 2.0, 2 * _REFINE_SUBSTEPS, breakpoints
+            model, u, x0, anchors, step / 2.0, 2 * _REFINE_SUBSTEPS, breakpoints
         )
         worst, worst_t = _half_step_gap(nodes, states, fine_nodes, fine_states)
-        if worst > cfg.tolerance:
+        if worst > HALF_STEP_TOLERANCE:
             raise AccuracyError(
                 f"half-step disagreement {worst:.3e} at t={worst_t} exceeds "
-                f"tolerance {cfg.tolerance:.3e}"
+                f"tolerance {HALF_STEP_TOLERANCE:.3e}"
             )
     return Trajectory(TimeGrid(nodes), states)
 

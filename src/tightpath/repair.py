@@ -33,7 +33,7 @@ from .hypotheses import (
     inclusion_margins,
     validate_bundle,
 )
-from .propagation import IntegratorConfig, gronwall_radius, integrate
+from .propagation import gronwall_radius, integrate
 from .signals import (
     ControlSignal,
     ModulusTable,
@@ -395,14 +395,14 @@ def repair_interval(
     bundle: HypothesisBundle,
     field: ConstraintField,
     model: DynamicsModel,
-    violations: np.ndarray | None = None,
+    violations: np.ndarray,
 ):
     """Repair one partition interval.
 
     Returns ``(traj, control, record)``: the next iterate and the
     interval's record. ``violations`` is ``node_violations`` of ``xcur``
-    at ``c.eps``, when the caller keeps it; the suffix violation is its
-    max over the nodes from the interval start on.
+    at ``c.eps``, which the sweep keeps; the suffix violation is its max
+    over the nodes from the interval start on.
 
     Far from the boundary the interval is left untouched. Near it, the
     suffix violation level sets the burst length: the inward control is
@@ -423,9 +423,6 @@ def repair_interval(
     hi = _node_at(nodes, t_next)
     x_ti = xcur.states[lo]
 
-    if violations is None:
-        violations = node_violations(field, c.eps, xcur)
-    # The nodes of violation_sup's window (t_i, t_end).
     rho_i = float(violations[int(np.searchsorted(nodes, t_i - 1e-12)) :].max())
     boundary_gap = dist_to_boundary(field, c.eps, t_i, x_ti)
 
@@ -468,8 +465,7 @@ def repair_interval(
             values[j] = shift_selection(model, t_j - delay, t_j, x_ti, target)
     control = ControlSignal(grid=grid, values=values)
 
-    cfg = IntegratorConfig(step=c.step, richardson_check=False)
-    segment = integrate(model, control, x_ti, (t_i, float(nodes[-1])), cfg)
+    segment = integrate(model, control, x_ti, (t_i, float(nodes[-1])), c.step, check=False)
     if not np.array_equal(segment.grid.nodes, nodes[lo:]):
         raise RepairError(
             "re-integrated suffix landed off the reference grid",
@@ -591,9 +587,7 @@ def _verify_suffix(x_eps: Trajectory, u_eps: ControlSignal, c, report, model) ->
         return
     nodes = x_eps.grid.nodes
     lo = _node_at(nodes, bursts[0])
-    fresh = integrate(
-        model, u_eps, x_eps.states[lo], (bursts[0], float(nodes[-1])), IntegratorConfig(step=c.step)
-    )
+    fresh = integrate(model, u_eps, x_eps.states[lo], (bursts[0], float(nodes[-1])), c.step)
     if not np.array_equal(fresh.grid.nodes, nodes[lo:]):
         raise RepairError(
             "the verifying run of the repaired suffix landed off the reference grid",
@@ -642,7 +636,7 @@ def _sweep(xbar, ubar, c, bundle, field, model, weight):
     margins = field.margin(xcur.grid.nodes, xcur.states, c.eps)
     cost_ref = float(weighted_l2_cost(ubar, weight))
     cost_out = float(weighted_l2_cost(ucur, weight))
-    rho_final = violation_sup(field, c.eps, xcur, window=(float(c.partition[-1]),) * 2)
+    rho_final = float(violations[-1])  # at the horizon node
     linf_gap = records[-1].d_sup if records else 0.0
 
     iter_excess = -np.inf

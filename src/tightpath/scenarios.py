@@ -16,7 +16,7 @@ import numpy as np
 from .dynamics import DynamicsModel, motor_decline, motor_surge
 from .errors import ConfigError, DomainError, config_number
 from .geometry import ConstraintField, unit_ball_complement
-from .propagation import IntegratorConfig, integrate, integrate_feedback
+from .propagation import integrate, integrate_feedback
 from .signals import ControlSignal, TimeGrid, Trajectory
 
 _VARIANTS = ("surge", "decline")
@@ -142,8 +142,7 @@ def boundary_tracking_reference(
     controls = np.vstack([cells, cells[-1:]])
 
     ubar = ControlSignal(grid=grid, values=controls)
-    cfg = IntegratorConfig(step=grid.step)
-    xbar = integrate(model, ubar, x0, (float(nodes[0]), float(nodes[-1])), cfg)
+    xbar = integrate(model, ubar, x0, (float(nodes[0]), float(nodes[-1])), grid.step)
     margins = field.margin(float(nodes[0]), xbar.states, 0.0)
     worst = float(np.min(margins))
     if worst < 0.4 * clearance:

@@ -76,20 +76,14 @@ class TimeGrid:
     def __len__(self) -> int:
         return self.nodes.size
 
-    def _check_domain(self, t: float) -> float:
+    def _check_domain(self, t: float) -> None:
         slack = self.span * _REL_TOL
         if t < self.t0 - slack or t > self.t1 + slack:
             raise DomainError(f"time {t} outside grid [{self.t0}, {self.t1}]")
-        return min(max(t, self.t0), self.t1)
-
-    def index_left(self, t: float) -> int:
-        """Index of the greatest node <= t (endpoint maps to the last node)."""
-        t = self._check_domain(t)
-        idx = int(np.searchsorted(self.nodes, t, side="right")) - 1
-        return min(max(idx, 0), self.nodes.size - 1)
 
     def indices_left(self, times: np.ndarray) -> np.ndarray:
-        """``index_left`` of each time in a nonempty 1-d array, in one lookup."""
+        """Index of the greatest node <= t for each time t in a nonempty 1-d
+        array, in one lookup; the endpoint maps to the last node."""
         self._check_domain(float(times.min()))
         self._check_domain(float(times.max()))
         idx = np.searchsorted(self.nodes, np.clip(times, self.t0, self.t1), side="right") - 1
@@ -129,7 +123,7 @@ class ControlSignal:
 
     def eval(self, t: float) -> np.ndarray:
         """Value driving the dynamics at time t (left-endpoint rule)."""
-        return self.values[self.grid.index_left(t)]
+        return self.values[self.grid.indices_left(np.array([t]))[0]]
 
 
 @dataclass(frozen=True)
@@ -145,10 +139,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-    def eval(self, t: float) -> np.ndarray:
-        """Linear interpolation between the surrounding nodes."""
-        return self.resample([self.grid._check_domain(t)])[0]
 
     def resample(self, times) -> np.ndarray:
         """(len(times), dim) states interpolated linearly at ``times``."""

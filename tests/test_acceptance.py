@@ -14,7 +14,6 @@ import pytest
 from tightpath import (
     CertificationError,
     ControlSignal,
-    IntegratorConfig,
     TimeGrid,
     certify_all,
     certify_inward_pointing,
@@ -143,13 +142,12 @@ def test_criterion_6_filippov_gap(variant, surge_run, decline_run):
     # the tracking reference feasible at this resolution.
     sc = motor_scenario(variant, steps=250, clearance=5e-3)
     window = (sc.grid.t0, sc.grid.t1)
-    cfg = IntegratorConfig(step=sc.grid.step, richardson_check=False)
-    base = integrate(sc.model, sc.ubar, sc.x0, window, cfg)
+    base = integrate(sc.model, sc.ubar, sc.x0, window, sc.grid.step, check=False)
     rng = np.random.default_rng(2026)
     worst = 0.0
     for _ in range(100):
         gap0 = float(rng.uniform(1e-3, 0.05)) * float(rng.choice([-1.0, 1.0]))
-        shifted = integrate(sc.model, sc.ubar, sc.x0 + gap0, window, cfg)
+        shifted = integrate(sc.model, sc.ubar, sc.x0 + gap0, window, sc.grid.step, check=False)
         observed = float(np.max(np.abs(shifted.states - base.states)))
         assert observed <= factor * abs(gap0)
         worst = max(worst, observed / (factor * abs(gap0)))
@@ -194,8 +192,8 @@ def test_criterion_8_oracle_equivalence():
     endpoint_gaps = []
     for model, x0 in ((double_integrator(), [0.0, 0.0]), (motor_surge(), [1.2])):
         window = (0.0, 0.9) if model.name == "motor_surge" else (0.0, 2.0)
-        coarse = integrate(model, wave, x0, window, IntegratorConfig(step=grid.step))
-        fine = integrate(model, wave, x0, window, IntegratorConfig(step=grid.step / 10.0))
+        coarse = integrate(model, wave, x0, window, grid.step)
+        fine = integrate(model, wave, x0, window, grid.step / 10.0)
         gap = float(np.max(np.abs(coarse.states[-1] - fine.states[-1])))
         endpoint_gaps.append(gap)
         assert gap <= INTEGRATOR_TOL

@@ -73,6 +73,23 @@ CONTROL_AFFINE_CONFIG = {
 }
 
 
+# The moving-disk scenario: x' = u as an expression model, on the
+# complement of a disk whose centre moves along x1.
+MOVING_DISK_CONFIG = {
+    "model": "expression",
+    "state_dim": 2,
+    "control_dim": 2,
+    "rhs": ["u1", "u2"],
+    "constraint": {
+        **CONTROL_AFFINE_CONFIG["constraint"],
+        "components": ["1 - sqrt((x1 - 0.1*t)**2 + x2**2)"],
+        "time_varying": True,
+    },
+    "reference": CONTROL_AFFINE_CONFIG["reference"],
+    "lambda": 0.1,
+}
+
+
 def printed_numbers(text):
     """``name = value`` lines of a command's output, as floats by name."""
     out = {}
@@ -168,6 +185,29 @@ class TestCertify:
             ["certify", "--config", surge_config_path, "--out", str(workdir / "partial")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "expression, overrides",
+        [
+            ("u1 + 0*t**-0.5", {"rhs": ["u1 + 0*t**-0.5", "u2"], "shift_radius": 0.1}),
+            ("1 - sqrt(x1*x1 + x2*x2) + 0*t**-0.5", {}),
+            ("u1 + 0*(t+2.0)**2000.5", {"rhs": ["u1 + 0*(t+2.0)**2000.5", "u2"]}),
+        ],
+        ids=["pole-in-rhs", "pole-in-component", "overflow-in-rhs"],
+    )
+    def test_pole_or_overflow_at_a_float_time_is_an_error(
+        self, workdir, capsys, expression, overrides
+    ):
+        # A scalar t reaches the expression as a Python float, whose
+        # arithmetic raises where numpy's would give inf.
+        config = json.loads(json.dumps({**MOVING_DISK_CONFIG, **overrides}))
+        if not overrides:
+            config["constraint"]["components"] = [expression]
+        path = write_config(workdir / "pole.json", config)
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "pole"), "--seed", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {expression!r} cannot be evaluated at t="), err
 
     def test_parse_error_names_position(self, workdir, capsys):
         bad = workdir / "bad.json"

@@ -143,6 +143,90 @@ class TestDeclineDecay:
         assert _decline_decay(float(np.nextafter(1.0, 2.0))) < 1.0
 
 
+class TestDeclaredTimeFunctions:
+    """The declared time functions take one float and return a float.
+
+    Reference code: the formulas each had while it also accepted arrays.
+    The pipeline called them with one time, so each ran on a 0-d array;
+    the scalar forms must give the same bits on every input.
+    """
+
+    @staticmethod
+    def ref_surge_scale(t):
+        t = np.asarray(t, dtype=float)
+        late = t > 1.0
+        safe = np.where(late, t - 1.0, 1.0)
+        out = np.where(late, safe**-0.25, 1.0)
+        return out if out.ndim else float(out)
+
+    @staticmethod
+    def ref_constant(value, t):
+        return value + np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else value
+
+    @staticmethod
+    def ref_radius_scale(s):
+        s = np.asarray(s, dtype=float)
+        late = s > 1.0
+        safe = np.where(late, s - 1.0, 1.0)
+        out = np.where(late, np.maximum(safe**-0.25 - 1.0, 0.0), 1.0)
+        return out if out.ndim else float(out)
+
+    @staticmethod
+    def ref_rate_scale(s):
+        s = np.asarray(s, dtype=float)
+        gap = np.abs(s - 1.0)
+        with np.errstate(divide="ignore"):
+            out = gap**-0.25
+        return out if out.ndim else float(out)
+
+    @staticmethod
+    def ref_drift_density(s):
+        s = np.asarray(s, dtype=float)
+        late = s > 1.0
+        safe = np.where(late, s - 1.0, 1.0)
+        out = np.where(late, 0.25 / np.sqrt(safe), 0.0)
+        return out if out.ndim else float(out)
+
+    @pytest.fixture(scope="class")
+    def times(self):
+        # Uniform draws, 1 +- 2^-k up to the last bit, the decline grid and
+        # the break itself: 204,106 floats.
+        drawn = np.random.default_rng(12).uniform(0.0, 3.0, 200_000).tolist()
+        powers = [1.0 + sign * 2.0**-k for k in range(1, 53) for sign in (1.0, -1.0)]
+        return drawn + powers + np.linspace(0.0, 2.0, 4001).tolist() + [1.0]
+
+    def pairs(self):
+        """(scalar form, reference, whether the reference may run on the
+        whole input array at once). rate_scale's may not: on an array its
+        ** is numpy's power ufunc, on one time it was the C library's pow."""
+        from tightpath.dynamics import _constant, _surge_scale
+
+        surge, decline = motor_surge().metadata, motor_decline().metadata
+        return [
+            (_surge_scale, self.ref_surge_scale, True),
+            (_constant(0.2), lambda t: self.ref_constant(0.2, t), True),
+            (surge.shift_radius_scale, self.ref_radius_scale, True),
+            (surge.holder_rate_scale, self.ref_rate_scale, False),
+            (decline.time_drift, self.ref_drift_density, True),
+        ]
+
+    def test_scalar_forms_match_the_array_formulas_bitwise(self, times):
+        assert len(times) == 204_106
+        for fn, ref, whole in self.pairs():
+            got = np.array([fn(t) for t in times])
+            want = ref(np.array(times)) if whole else np.array([ref(t) for t in times])
+            assert got.tobytes() == want.tobytes(), fn
+            assert all(type(fn(t)) is float for t in (0.5, 1.0, 1.5))
+
+    def test_one_time_at_a_time_as_certification_passes_them(self):
+        # Grid nodes arrive as numpy floats, one call per node.
+        nodes = np.linspace(0.0, 2.0, 4001)
+        for fn, ref, _ in self.pairs():
+            got = np.array([float(fn(t)) for t in nodes])
+            want = np.array([float(ref(t)) for t in nodes])
+            assert got.tobytes() == want.tobytes(), fn
+
+
 class TestBallSampler:
     """The one ball sampler draws what the two it replaced drew."""
 
@@ -343,13 +427,6 @@ class TestShiftSearch:
         with pytest.raises(SelectionError) as err:
             shift_selection(model, 0.5, 1.0, np.array([0.0]), np.array([0.0]), radius=0.1)
         assert err.value.residual == pytest.approx(0.4, abs=1e-12)
-
-    def test_explicit_budget_overrides_declared(self):
-        model = ramp_model(rate=10.0)
-        with pytest.raises(SelectionError):
-            shift_selection(
-                model, 0.5, 1.0, np.array([0.0]), np.array([0.0]), radius=0.1, budget=0.01
-            )
 
     def test_no_radius_available(self):
         model = ramp_model()

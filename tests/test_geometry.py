@@ -13,6 +13,7 @@ from tightpath.geometry import (
     dist_to_boundary,
     field_from_config,
     _lattice_counts,
+    node_violations,
     unit_ball_complement,
     violation_sup,
 )
@@ -304,19 +305,15 @@ class TestViolationSup:
         path = lambda t: 1.2 - 0.3 * np.sin(np.pi * t)  # noqa: E731
         t_c = Trajectory(coarse, path(coarse.nodes)[:, None])
         t_f = Trajectory(fine, path(fine.nodes)[:, None])
-        got = violation_sup(field, 0.05, t_c, window=(0.0, 1.0))
-        want = violation_sup(field, 0.05, t_f, window=(0.0, 1.0))
+        # The window [0, 1] is a prefix of each node vector, [1, 2] a suffix.
+        first_half = [int(np.searchsorted(g.nodes, 1.0 + 1e-12)) for g in (coarse, fine)]
+        got = float(node_violations(field, 0.05, t_c)[: first_half[0]].max())
+        want = float(node_violations(field, 0.05, t_f)[: first_half[1]].max())
         # Coarse and fine sups differ by at most one grid cell's variation.
         cell_var = 0.3 * np.pi * coarse.step
         assert abs(got - want) <= cell_var
-        assert violation_sup(field, 0.05, t_c, window=(1.0, 2.0)) == 0.0
-
-    def test_window_outside_domain(self):
-        field = unit_ball_complement(dim=1)
-        grid = TimeGrid.uniform(0.0, 1.0, 4)
-        traj = Trajectory(grid, np.ones((5, 1)))
-        with pytest.raises(DomainError):
-            violation_sup(field, 0.0, traj, window=(0.5, 2.0))
+        second_half = int(np.searchsorted(coarse.nodes, 1.0 - 1e-12))
+        assert float(node_violations(field, 0.05, t_c, start=second_half).max()) == 0.0
 
 
 MOVING_DISK = {

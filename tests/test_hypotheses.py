@@ -34,7 +34,6 @@ from tightpath import (
     CertificationError,
     ControlSignal,
     InwardPointingError,
-    IntegratorConfig,
     OperatingBox,
     SampledFunction,
     TimeGrid,
@@ -637,10 +636,7 @@ class TestSampledFunction:
 def surge_bundle():
     grid = TimeGrid.uniform(0.0, 2.0, 800)
     ubar = ControlSignal(grid, (0.25 * np.sin(0.7 * np.pi * grid.nodes))[:, None])
-    xbar = integrate(
-        motor_surge(), ubar, np.array([1.08]), (0.0, 2.0),
-        IntegratorConfig(step=0.0025, richardson_check=False),
-    )
+    xbar = integrate(motor_surge(), ubar, np.array([1.08]), (0.0, 2.0), 0.0025, check=False)
     return certify_all(motor_surge(), BALL, ubar, xbar, seed=0), ubar, xbar
 
 
@@ -661,16 +657,27 @@ class TestBundle:
     def test_decline_narrows_control_bound_to_declared_validity(self):
         grid = TimeGrid.uniform(0.0, 2.0, 800)
         ubar = ControlSignal(grid, (0.25 * np.sin(0.7 * np.pi * grid.nodes))[:, None])
-        xbar = integrate(
-            motor_decline(), ubar, np.array([1.08]), (0.0, 2.0),
-            IntegratorConfig(step=0.0025, richardson_check=False),
-        )
+        xbar = integrate(motor_decline(), ubar, np.array([1.08]), (0.0, 2.0), 0.0025, check=False)
         bundle = certify_all(motor_decline(), BALL, ubar, xbar, seed=0)
         # arctan drift equality only holds up to |u| = tan(1) ~ 1.557, so
         # the 2.0 and 4.0 candidates must have been discarded
         assert bundle.control_bound == 1.0
         assert bundle.provenance["growth_envelope"] == "certified"
         assert bundle.time_drift.l1() >= 0.5
+
+    def test_holder_rate_without_exponent_is_certified(self):
+        # The certifier uses a declared rate only with its exponent, and
+        # the provenance label must say what the certifier did.
+        base = motor_surge()
+        model = dataclasses.replace(
+            base, metadata=dataclasses.replace(base.metadata, holder_exponent=None)
+        )
+        grid = TimeGrid.uniform(0.0, 2.0, 100)
+        ubar = ControlSignal(grid, (0.25 * np.sin(0.7 * np.pi * grid.nodes))[:, None])
+        xbar = integrate(model, ubar, np.array([1.08]), (0.0, 2.0), 0.02, check=False)
+        bundle = certify_all(model, BALL, ubar, xbar, seed=0)
+        assert bundle.provenance["holder_rate"] == "certified"
+        assert bundle.holder_exponent == 1.0
 
     def test_bundle_roundtrip_is_exact(self, surge_bundle, tmp_path):
         bundle = surge_bundle[0]

@@ -8,12 +8,13 @@ x' = 0.2 cos(x) + 0.5 (t-1)^(-1/4) into the polynomial-coefficient
 equation dx/dtau = 0.8 tau^3 cos(x) + 2 tau^2 on tau in [0, 1].
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
 from tightpath.dynamics import (
     DynamicsModel,
-    _surge_scale,
     control_affine,
     expression_model,
     motor_decline,
@@ -22,7 +23,6 @@ from tightpath.dynamics import (
 from tightpath.errors import AccuracyError, DomainError, PropagationError, ShapeError
 from tightpath.propagation import (
     _REFINE_SUBSTEPS,
-    IntegratorConfig,
     _anchors,
     _half_step_gap,
     _run,
@@ -33,6 +33,8 @@ from tightpath.propagation import (
 from tightpath.signals import ControlSignal, TimeGrid
 
 SURGE_ENDPOINT_ORACLE = 1.4366352816953678
+
+propagation = importlib.import_module("tightpath.propagation")
 
 
 def constant_control(value, t0=0.0, t1=1.0, dim=1):
@@ -233,7 +235,7 @@ class TestBitwiseAgainstReference:
     def test_integrate_returns_the_reference_run(self):
         model, grid, dim, x0, window, step = BITWISE_CASES["decline-mid-window"]
         u = varied_control(grid, dim)
-        traj = integrate(model, u, x0, window, IntegratorConfig(step=step))
+        traj = integrate(model, u, x0, window, step)
         _, (ref_coarse, _) = both_runs(model, u, x0, window, step)
         assert_bitwise(traj.grid.nodes, ref_coarse[0])
         assert_bitwise(traj.states, ref_coarse[1])
@@ -277,47 +279,23 @@ class TestFeedbackLoop:
         assert err.value.t == grid.nodes[69]
 
 
-def test_surge_scale_float_path_equals_array_path():
-    # Powers of two just past the break probe the steepest part of the
-    # gain; the rest spread over both sides of it.
-    rng = np.random.default_rng(11)
-    times = np.concatenate(
-        [
-            1.0 + 2.0 ** -np.arange(1.0, 53.0),
-            rng.uniform(0.0, 3.0, 20_000),
-            rng.uniform(1.0, 1.001, 20_000),
-            [0.0, 1.0, np.nextafter(1.0, 2.0), 2.0, 3.0],
-        ]
-    )
-    got = np.array([_surge_scale(t) for t in times.tolist()])
-    assert all(isinstance(_surge_scale(t), float) for t in (0.5, 1.5, np.float64(1.5)))
-    assert_bitwise(got, _surge_scale(times))
-
-
 class TestIntegrate:
     def test_zero_field_is_constant(self):
         model = DynamicsModel(state_dim=1, control_dim=1, rhs=lambda t, x, u: np.zeros(1))
-        traj = integrate(
-            model, constant_control(0.0), [0.7], (0.0, 1.0), IntegratorConfig(step=0.1)
-        )
+        traj = integrate(model, constant_control(0.0), [0.7], (0.0, 1.0), 0.1)
         assert np.all(traj.states == 0.7)
 
     def test_pure_control_integral_is_exact(self):
         model = scalar_affine(lambda t, x: np.zeros(x.shape[:-1] + (1,)))
-        cfg = IntegratorConfig(step=1.0 / 1024.0, richardson_check=False)
-        traj = integrate(model, constant_control(1.0), [0.0], (0.0, 1.0), cfg)
+        traj = integrate(model, constant_control(1.0), [0.0], (0.0, 1.0), 1.0 / 1024.0, check=False)
         # Dyadic steps accumulate without rounding: the endpoint is exact.
         assert traj.states[-1, 0] == 1.0
 
     def test_surge_endpoint_matches_fine_step_oracle(self):
         model = motor_surge()
         u = constant_control(0.5, 0.0, 2.0)
-        coarse = integrate(
-            model, u, [0.0], (0.0, 2.0), IntegratorConfig(step=1e-3, richardson_check=False)
-        )
-        fine = integrate(
-            model, u, [0.0], (0.0, 2.0), IntegratorConfig(step=1e-4, richardson_check=False)
-        )
+        coarse = integrate(model, u, [0.0], (0.0, 2.0), 1e-3, check=False)
+        fine = integrate(model, u, [0.0], (0.0, 2.0), 1e-4, check=False)
         assert abs(coarse.states[-1, 0] - fine.states[-1, 0]) <= 1e-6
         assert coarse.states[-1, 0] == pytest.approx(SURGE_ENDPOINT_ORACLE, abs=1e-6)
         assert fine.states[-1, 0] == pytest.approx(SURGE_ENDPOINT_ORACLE, abs=1e-6)
@@ -326,8 +304,7 @@ class TestIntegrate:
         model = motor_surge()
         grid = TimeGrid.uniform(0.0, 2.0, 3)  # nodes miss t = 1
         u = ControlSignal(grid, np.full((4, 1), 0.2))
-        cfg = IntegratorConfig(step=0.05, richardson_check=False)
-        traj = integrate(model, u, [0.0], (0.0, 2.0), cfg)
+        traj = integrate(model, u, [0.0], (0.0, 2.0), 0.05, check=False)
         assert 1.0 in traj.grid.nodes
 
     def test_control_jump_never_straddled(self):
@@ -335,29 +312,27 @@ class TestIntegrate:
         grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
         u = ControlSignal(grid, np.array([[0.0], [1.0], [1.0]]))
         # 0.3 does not divide 0.5: the spans must still align to the jump.
-        cfg = IntegratorConfig(step=0.3, richardson_check=False)
-        traj = integrate(model, u, [0.0], (0.0, 1.0), cfg)
+        traj = integrate(model, u, [0.0], (0.0, 1.0), 0.3, check=False)
         assert 0.5 in traj.grid.nodes
         assert traj.states[-1, 0] == 0.5
 
-    def test_richardson_passes_on_smooth_field(self):
+    def test_richardson_passes_on_smooth_field(self, monkeypatch):
         model = scalar_affine(lambda t, x: -x)
-        cfg = IntegratorConfig(step=0.01, richardson_check=True, tolerance=1e-8)
-        traj = integrate(model, constant_control(0.0), [1.0], (0.0, 1.0), cfg)
+        monkeypatch.setattr(propagation, "HALF_STEP_TOLERANCE", 1e-8)
+        traj = integrate(model, constant_control(0.0), [1.0], (0.0, 1.0), 0.01)
         assert traj.states[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-8)
 
     def test_richardson_flags_unstable_step(self):
         model = scalar_affine(lambda t, x: -50.0 * x)
-        cfg = IntegratorConfig(step=0.1, richardson_check=True, tolerance=1e-6)
+        assert propagation.HALF_STEP_TOLERANCE == 1e-6
         with pytest.raises(AccuracyError):
-            integrate(model, constant_control(0.0), [1.0], (0.0, 1.0), cfg)
+            integrate(model, constant_control(0.0), [1.0], (0.0, 1.0), 0.1)
 
     def test_blowup_reports_first_bad_node(self):
         model = scalar_affine(lambda t, x: x * x)
-        cfg = IntegratorConfig(step=0.01, richardson_check=False)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PropagationError) as err:
-                integrate(model, constant_control(0.0), [1.5], (0.0, 1.0), cfg)
+                integrate(model, constant_control(0.0), [1.5], (0.0, 1.0), 0.01, check=False)
         # x' = x^2 from 1.5 blows up at t = 2/3; the step ending at 0.69
         # is the first whose state overflows.
         assert err.value.t == 0.69
@@ -367,32 +342,30 @@ class TestIntegrate:
         u = constant_control(0.0)
         errors = []
         for step in (0.1, 0.05):
-            cfg = IntegratorConfig(step=step, richardson_check=False)
-            traj = integrate(model, u, [1.0], (0.0, 1.0), cfg)
+            traj = integrate(model, u, [1.0], (0.0, 1.0), step, check=False)
             errors.append(abs(traj.states[-1, 0] - np.exp(-1.0)))
         assert errors[0] / errors[1] >= 8.0
 
     def test_window_and_shape_validation(self):
         model = motor_surge()
         u = constant_control(0.0, 0.0, 1.0)
-        cfg = IntegratorConfig(step=0.1)
         with pytest.raises(DomainError):
-            integrate(model, u, [0.0], (0.0, 2.0), cfg)
+            integrate(model, u, [0.0], (0.0, 2.0), 0.1)
         with pytest.raises(DomainError):
-            integrate(model, u, [0.0], (0.5, 0.5), cfg)
+            integrate(model, u, [0.0], (0.5, 0.5), 0.1)
         with pytest.raises(ShapeError):
-            integrate(model, u, [0.0, 0.0], (0.0, 1.0), cfg)
+            integrate(model, u, [0.0, 0.0], (0.0, 1.0), 0.1)
         with pytest.raises(DomainError):
-            integrate(model, u, [np.nan], (0.0, 1.0), cfg)
+            integrate(model, u, [np.nan], (0.0, 1.0), 0.1)
         wide = ControlSignal(TimeGrid(np.array([0.0, 1.0])), np.zeros((2, 2)))
         with pytest.raises(ShapeError):
-            integrate(model, wide, [0.0], (0.0, 1.0), cfg)
+            integrate(model, wide, [0.0], (0.0, 1.0), 0.1)
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            IntegratorConfig(step=0.0)
-        with pytest.raises(DomainError):
-            IntegratorConfig(tolerance=-1.0)
+        u = constant_control(0.0)
+        for step in (0.0, -0.1):
+            with pytest.raises(DomainError, match="step must be positive"):
+                integrate(motor_surge(), u, [0.0], (0.0, 1.0), step)
 
 
 class TestGronwallRadius:

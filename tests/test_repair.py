@@ -22,7 +22,6 @@ Frozen oracle values, derived independently of the implementation:
 """
 
 import dataclasses
-import functools
 import importlib
 
 import numpy as np
@@ -34,7 +33,6 @@ from tightpath import (
     AccuracyError,
     ControlSignal,
     HypothesisBundle,
-    IntegratorConfig,
     InwardPointingError,
     ModulusTable,
     RepairConstants,
@@ -355,8 +353,9 @@ class TestRepairInterval:
         _, _, c, _ = surge_run
         n = sc.grid.nodes.size
         deep = Trajectory(grid=sc.grid, states=np.full((n, 1), 1.5))
+        violations = node_violations(sc.field, c.eps, deep)
         traj, control, record = repair_interval(
-            0, deep, sc.ubar, c, surge_bundle, sc.field, sc.model
+            0, deep, sc.ubar, c, surge_bundle, sc.field, sc.model, violations
         )
         assert record.case == "case-1"
         assert traj is deep
@@ -370,8 +369,9 @@ class TestRepairInterval:
         n = sc.grid.nodes.size
         level = 1.0 + c.eps + 0.01
         near = Trajectory(grid=sc.grid, states=np.full((n, 1), level))
+        violations = node_violations(sc.field, c.eps, near)
         traj, control, record = repair_interval(
-            0, near, sc.ubar, c, surge_bundle, sc.field, sc.model
+            0, near, sc.ubar, c, surge_bundle, sc.field, sc.model, violations
         )
         assert record.case == "case-2-identity"
         assert traj is near
@@ -501,7 +501,7 @@ class TestSuffixVerification:
                 u_eps,
                 x_eps.states[lo],
                 (t_start, float(x_eps.grid.t1)),
-                IntegratorConfig(step=c.step),
+                c.step,
             )
             assert np.array_equal(fresh.grid.nodes, x_eps.grid.nodes[lo:])
             assert np.array_equal(fresh.states, x_eps.states[lo:])
@@ -513,9 +513,9 @@ class TestSuffixVerification:
         sc = decline_scenario
         real = self.module.integrate
 
-        def corrupted(model, u, x0, window, cfg):
-            traj = real(model, u, x0, window, cfg)
-            if cfg.richardson_check:
+        def corrupted(model, u, x0, window, step, check=True):
+            traj = real(model, u, x0, window, step, check)
+            if check:
                 return traj
             states = traj.states.copy()
             states[states.shape[0] // 2] += 1e-12
@@ -534,13 +534,13 @@ class TestSuffixVerification:
         real = self.module.integrate
         checked = []
 
-        def recording(model, u, x0, window, cfg):
-            checked.append(cfg.richardson_check)
-            return real(model, u, x0, window, cfg)
+        def recording(model, u, x0, window, step, check=True):
+            checked.append(check)
+            return real(model, u, x0, window, step, check)
 
         monkeypatch.setattr(self.module, "integrate", recording)
         monkeypatch.setattr(
-            self.module, "IntegratorConfig", functools.partial(IntegratorConfig, tolerance=0.0)
+            importlib.import_module("tightpath.propagation"), "HALF_STEP_TOLERANCE", 0.0
         )
         with pytest.raises(AccuracyError):
             repair(sc.xbar, sc.ubar, 0.1, decline_bundle, sc.field, sc.model)
@@ -550,14 +550,16 @@ class TestSuffixVerification:
 
 def replay_rho(xbar, ubar, c, bundle, field, model):
     """Suffix violation of every interval, from scratch: the sweep of the
-    accepted constants replayed with a full ``violation_sup`` per
-    interval, which is what each record's ``rho`` must equal."""
+    accepted constants replayed, with each interval's violation recomputed
+    over the current iterate's nodes from the interval start on. Each
+    record's ``rho`` must equal it."""
     xcur, ucur = xbar, ubar
-    end = float(xbar.grid.t1)
     rhos = []
     for i in range(c.N0):
-        rhos.append(violation_sup(field, c.eps, xcur, window=(float(c.partition[i]), end)))
-        xcur, ucur, _ = repair_interval(i, xcur, ucur, c, bundle, field, model)
+        start = int(np.searchsorted(xcur.grid.nodes, float(c.partition[i]) - 1e-12))
+        rhos.append(float(node_violations(field, c.eps, xcur, start=start).max()))
+        violations = node_violations(field, c.eps, xcur)
+        xcur, ucur, _ = repair_interval(i, xcur, ucur, c, bundle, field, model, violations)
     return rhos
 
 
@@ -578,7 +580,7 @@ def moving_disk_run():
     ubar = ControlSignal(grid, np.tile([1.5, 0.0], (times.size, 1)))
     bundle = certify_all(model, field, ubar, xbar)
     x_eps, u_eps, c, report = repair(xbar, ubar, 0.1, bundle, field, model)
-    return xbar, ubar, c, report, bundle, field, model
+    return xbar, ubar, c, report, bundle, field, model, x_eps
 
 
 class TestNodeViolations:
@@ -594,7 +596,7 @@ class TestNodeViolations:
             xbar, ubar, field, model = sc.xbar, sc.ubar, sc.field, sc.model
             c, bundle = decline_run[2], decline_bundle
         else:
-            xbar, ubar, c, _, bundle, field, model = moving_disk_run
+            xbar, ubar, c, _, bundle, field, model, _ = moving_disk_run
         module = importlib.import_module("tightpath.repair")
         real = module.repair_interval
         checked = []
@@ -640,14 +642,26 @@ class TestNodeViolations:
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_record_rho_on_a_time_varying_lattice_field(self, moving_disk_run):
-        xbar, ubar, c, report, bundle, field, model = moving_disk_run
+        xbar, ubar, c, report, bundle, field, model, _ = moving_disk_run
         want = replay_rho(xbar, ubar, c, bundle, field, model)
         got = [r.rho for r in report.records]
         assert any(r.case == "case-2" for r in report.records)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("case", ["decline", "moving-disk"])
+    def test_rho_final_is_the_violation_of_the_last_node(
+        self, case, decline_scenario, decline_run, moving_disk_run
+    ):
+        if case == "decline":
+            field, (x_eps, _, c, report) = decline_scenario.field, decline_run
+        else:
+            _, _, c, report, _, field, _, x_eps = moving_disk_run
+        last = node_violations(field, c.eps, x_eps, start=len(x_eps.grid) - 1)
+        assert last.shape == (1,)
+        assert np.float64(report.rho_final).tobytes() == last.tobytes()
+
     def test_slices_equal_the_vector_of_the_slice(self, moving_disk_run):
-        xbar, _, c, _, _, field, _ = moving_disk_run
+        xbar, _, c, _, _, field, _, _ = moving_disk_run
         full = node_violations(field, c.eps, xbar)
         assert full.shape == (len(xbar.grid),)
         for start in (0, 1, 17, len(xbar.grid) - 2):

@@ -20,7 +20,6 @@ from test_propagation import assert_bitwise, ref_run
 from tightpath import (
     ConfigError,
     DomainError,
-    IntegratorConfig,
     boundary_tracking_reference,
     eval_rhs,
     integrate,
@@ -69,13 +68,12 @@ def test_control_stays_capped(scenario):
 
 
 def test_reference_reintegrates_bitwise(scenario):
-    cfg = IntegratorConfig(step=scenario.grid.step)
     redo = integrate(
         scenario.model,
         scenario.ubar,
         scenario.x0,
         (float(scenario.grid.t0), float(scenario.grid.t1)),
-        cfg,
+        scenario.grid.step,
     )
     assert np.array_equal(redo.states, scenario.xbar.states)
 

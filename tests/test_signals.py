@@ -50,14 +50,12 @@ class TestTimeGrid:
 
     def test_index_left_interior_and_endpoint(self):
         grid = TimeGrid.uniform(0.0, 1.0, 4)
-        assert grid.index_left(0.3) == 1
-        assert grid.index_left(0.25) == 1
-        assert grid.index_left(1.0) == 4
+        assert grid.indices_left(np.array([0.3, 0.25, 1.0])).tolist() == [1, 1, 4]
 
     def test_domain_check(self):
         grid = TimeGrid.uniform(0.0, 1.0, 4)
         with pytest.raises(DomainError):
-            grid.index_left(1.5)
+            ControlSignal.constant(grid, 0.0).eval(1.5)
         with pytest.raises(DomainError):
             grid.indices_left(np.array([0.5, 1.5]))
 
@@ -65,7 +63,11 @@ class TestTimeGrid:
         grid = TimeGrid(np.array([0.0, 0.1, 0.35, 0.4, 0.9, 1.0]))
         slack = 0.5e-9
         times = np.r_[grid.nodes, grid.nodes[1:] - 1e-13, -slack, 1.0 + slack, 0.2, 0.95]
-        want = [grid.index_left(t) for t in times.tolist()]
+        # Reference: clamp each time into the grid, then take the last node
+        # at or before it.
+        nodes = grid.nodes.tolist()
+        clamped = [min(max(t, nodes[0]), nodes[-1]) for t in times.tolist()]
+        want = [max(i for i, node in enumerate(nodes) if node <= t) for t in clamped]
         assert grid.indices_left(times).tolist() == want
 
 
@@ -105,7 +107,7 @@ class TestTrajectory:
     def test_linear_interpolation(self):
         grid = TimeGrid.uniform(0.0, 1.0, 2)
         traj = Trajectory(grid, np.array([[0.0, 0.0], [1.0, -1.0], [0.0, 0.0]]))
-        assert traj.eval(0.25) == pytest.approx([0.5, -0.5])
+        assert traj.resample([0.25])[0] == pytest.approx([0.5, -0.5])
         assert traj.max_norm() == pytest.approx(np.sqrt(2.0))
 
 
