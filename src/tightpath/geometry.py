@@ -63,9 +63,12 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
     arctan, and pow; anything else is rejected before evaluation. The
     returned callable maps (t, x) with x of shape (dim,) or (n, dim) to a
     scalar or an (n,) array. A division by zero or an overflow in Python
-    float arithmetic on a scalar ``t`` raises ModelEvaluationError naming
-    the expression and ``t``. ``names`` relabels the coordinates (one name
-    per component) so callers can expose mixed variable sets.
+    float arithmetic on ``t`` raises ModelEvaluationError naming the
+    expression and ``t``. A numpy time (a scalar, or one per row) raises
+    for exactly the rows a Python float time raises for: each row that
+    comes out non-finite is evaluated again at its own float time.
+    ``names`` relabels the coordinates (one name per component) so callers
+    can expose mixed variable sets.
     """
     if names and len(names) != dim:
         raise ExpressionError(f"{expr!r}: need one name per coordinate, got {names}")
@@ -107,18 +110,29 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
         raise ExpressionError(f"{expr!r}: disallowed syntax {type(node).__name__}")
     code = compile(tree, "<constraint>", "eval")
 
-    def component(t, x):
-        x = np.asarray(x, dtype=float)
+    def evaluate(t, x):
         namespace = dict(_ALLOWED_CALLS)
         namespace["t"] = t
         for i, label in enumerate(labels):
             namespace[label] = x[..., i]
         try:
-            out = eval(code, {"__builtins__": {}}, namespace)  # noqa: S307
+            return eval(code, {"__builtins__": {}}, namespace)  # noqa: S307
         except (ZeroDivisionError, OverflowError) as exc:
-            # A Python float t raises where a numpy time would give inf.
             raise ModelEvaluationError(f"{expr!r} cannot be evaluated at t={t}: {exc}") from None
-        return np.asarray(out, dtype=float) + np.zeros(x.shape[:-1])
+
+    def component(t, x):
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(evaluate(t, x), dtype=float) + np.zeros(x.shape[:-1])
+        if isinstance(t, (np.ndarray, np.generic)):
+            bad = ~np.isfinite(out)
+            if bad.any():
+                # A numpy time gives inf or NaN where a Python float time
+                # raises: re-evaluate those rows at their own float times.
+                # Rows that stay non-finite (NaN regions of x) are kept.
+                times = np.broadcast_to(np.asarray(t, dtype=float), out.shape)
+                for time in np.unique(times[bad]):
+                    evaluate(float(time), x[bad & (times == time)])
+        return out
 
     component.dim = dim
     component.source = expr

@@ -80,6 +80,9 @@ XI_CANDIDATES = (0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05)
 
 # Push times (and base points) of the forward-cone grid in inclusion_margins.
 INCLUSION_GRID_POINTS = 16
+# Rounding allowance of the staged push's distance bounds, per unit of the
+# largest coordinate they involve; their rounding error is a few ulps of it.
+_PUSH_BOUND_SLACK = 1e-9
 # At most this many reference nodes are time-regularity base times.
 TIME_REGULARITY_NODES = 81
 
@@ -365,6 +368,14 @@ def inclusion_margins(
     ``INWARD_TIE_TOL``. So every candidate that wins or ties has its exact
     margin; every other entry is an upper bound on its margin that lies
     more than ``INWARD_TIE_TOL`` below the best margin of its row.
+
+    On the KD-tree fallback a push of several candidates in a row is
+    staged: the row's first candidate queries all its base points, and
+    the others only the points whose 1-Lipschitz lower bound from it can
+    reach their minimum, plus every point outside the set. A skipped
+    point is provably farther than a queried one and rounding is
+    monotone, so every entry, exact or bound, is bitwise the value a
+    query of every point gives (see ``_staged_queries``).
     """
     x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(x)
@@ -382,7 +393,14 @@ def inclusion_margins(
 
 
 def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) -> None:
-    """The branch-and-bound of ``inclusion_margins``; lowers ``margins`` in place."""
+    """The branch-and-bound of ``inclusion_margins``; lowers ``margins`` in place.
+
+    On the KD-tree fallback, a push with more than one pair in some row
+    queries only the base points that can set a pair's minimum (see
+    ``_staged_queries``), and every pair's minimum comes out bitwise as a
+    query of all its base points gives it. An analytic oracle answers all
+    points in one vectorised call, so there every push queries them all.
+    """
     rng = np.random.default_rng(12)
     deltas = np.linspace(0.0, delta_cap, INCLUSION_GRID_POINTS)[1:]
     offsets = ball_points(rng, INCLUSION_GRID_POINTS, field.dim, xi)
@@ -393,10 +411,21 @@ def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) 
     def push(delta: float, pairs: tuple) -> None:
         r, c = pairs
         keep = base_ok[r]
-        centers = ys[r] + delta * velocities[r, c][:, None, :]
-        d_set, d_bdry = field._distances(eps, t + delta, centers[keep])
+        steps = delta * velocities[r, c]
+        centers = ys[r] + steps[:, None, :]
         slack = np.full(keep.shape, np.inf)
-        slack[keep] = np.where(d_set > 0, -np.inf, d_bdry - delta * xi)
+
+        def query(mask: np.ndarray) -> np.ndarray:
+            d_set, d_bdry = field._distances(eps, t + delta, centers[mask])
+            slack[mask] = np.where(d_set > 0, -np.inf, d_bdry - delta * xi)
+            return d_bdry
+
+        # np.nonzero lists the pairs of a row together; the first is its anchor.
+        first = np.concatenate(([True], r[1:] != r[:-1]))
+        if field.analytic_distance is None and not first.all():
+            _staged_queries(field, eps, t + delta, query, first, steps, keep, centers)
+        else:
+            query(keep)
         margins[r, c] = np.minimum(margins[r, c], slack.min(axis=1))
 
     # A running minimum only decreases, so a candidate already below its
@@ -419,6 +448,59 @@ def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) 
         if not live.any():
             break
         push(delta, np.nonzero(live))
+
+
+def _staged_queries(field, eps, t, query, first, steps, keep, centers) -> None:
+    """Query the pushed base points that can set a pair's minimum slack.
+
+    ``centers`` is (pairs, base points, dim): each base point moved by its
+    pair's ``steps`` entry, delta * v. ``keep`` marks the feasible base
+    points, and ``first`` the first pair of each row, its anchor; a row's
+    pairs are consecutive. ``query(mask)`` makes one ``_distances`` call at
+    time ``t`` over the masked centers, records their slacks and returns
+    their boundary distances.
+
+    1. Each anchor queries all its kept base points.
+    2. The boundary distance is 1-Lipschitz, and a pair's center lies
+       |step - step_anchor| from its anchor's center of the same base
+       point, so the anchor's distance minus that shift bounds the pair's
+       distance from below, less ``_PUSH_BOUND_SLACK`` times the
+       coordinate scale for rounding.
+    3. The base point with the lowest bound, the anchor's nearest, is
+       queried exactly.
+    4. So is every point whose bound does not exceed that exact distance,
+    5. and every point whose margin is not ``>= 0`` (NaN included), which
+       may make its pair -inf whatever its distance.
+
+    A skipped point is then inside the set and provably farther than the
+    exactly queried one. Rounding is monotone, so its slack
+    ``d - delta * xi`` is no lower than that point's, and each queried
+    point gets the value an unstaged push's query gives it: the pair's
+    minimum is bitwise unchanged, for winners and losers alike.
+    """
+    anchor = np.flatnonzero(first)[np.cumsum(first) - 1]
+    head = keep & first[:, None]
+    d_anchor = np.full(keep.shape, np.inf)
+    d_anchor[head] = query(head)
+    d_anchor = d_anchor[anchor]
+    rest = np.flatnonzero(~first)
+    nearest = np.argmin(d_anchor[rest], axis=1)
+    # With no boundary in the box every distance is inf: take a kept point.
+    nearest = np.where(keep[rest, nearest], nearest, np.argmax(keep[rest], axis=1))
+    pick = np.zeros(keep.shape, dtype=bool)
+    pick[rest, nearest] = True
+    exact = np.full(len(anchor), np.inf)
+    exact[rest] = query(pick)
+    scale = 1.0 + max(centers.max(), -centers.min()) + float(np.abs(field.sampling_box).max())
+    shift = np.linalg.norm(steps - steps[anchor], axis=1)
+    bound = d_anchor - (shift + _PUSH_BOUND_SLACK * scale)[:, None]
+    open_ = keep & ~first[:, None] & ~pick
+    todo = open_ & ~(bound > exact[:, None])
+    maybe = open_ & ~todo
+    if maybe.any():
+        todo[maybe] = ~(field.margin(t, centers[maybe], eps) >= 0)
+    if todo.any():
+        query(todo)
 
 
 def best_inward_candidate(margins: np.ndarray, candidates: np.ndarray) -> int:

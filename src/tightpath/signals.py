@@ -94,7 +94,11 @@ def _check_samples(grid: TimeGrid, values: np.ndarray, name: str) -> np.ndarray:
     values = _as_float_array(values, name)
     if values.ndim == 1:
         values = values[:, None]
-    if values.ndim != 2 or values.shape[0] != len(grid):
+    if values.ndim != 2:
+        raise ShapeError(
+            f"{name} must be a list of rows, one per grid node, got shape {values.shape}"
+        )
+    if values.shape[0] != len(grid):
         raise ShapeError(
             f"{name} must have one row per grid node "
             f"({values.shape[0]} rows, {len(grid)} nodes)"

@@ -469,6 +469,39 @@ class TestConfigRejection:
         assert f"{name!r} must be an integer, got {bad!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key, bad, needle",
+        [
+            ("states", 1.0, "states must be a list of rows, one per grid node, got shape ()"),
+            (
+                "controls",
+                1.0,
+                "control values must be a list of rows, one per grid node, got shape ()",
+            ),
+            (
+                "states",
+                [[[1.2]]] * 5,
+                "states must be a list of rows, one per grid node, got shape (5, 1, 1)",
+            ),
+        ],
+        ids=["scalar-states", "scalar-controls", "3d-states"],
+    )
+    def test_inline_samples_that_are_not_rows_name_their_shape(
+        self, workdir, capsys, key, bad, needle
+    ):
+        config = json.loads(json.dumps(SUPERLINEAR_CONFIG))
+        config["reference"][key] = bad
+        path = write_config(workdir / f"samples-{key}.json", config)
+        xp, up = workdir / "samples_x.csv", workdir / "samples_u.csv"
+        xp.write_text("t,x1\n0,1.2\n0.5,1.2\n1,1.2\n")
+        up.write_text("t,u1\n0,0\n0.5,0\n1,0\n")
+        for argv in (
+            ["certify", "--config", path, "--out", str(workdir / "samples")],
+            ["evaluate", str(xp), str(up), "--config", path],
+        ):
+            assert cli.main(argv) == 64, argv[0]
+            assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command, config, name",
         [
             (

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tightpath.dynamics import _autonomy
-from tightpath.errors import ConfigError, DomainError, ExpressionError
+from tightpath.errors import ConfigError, DomainError, ExpressionError, ModelEvaluationError
 from tightpath.geometry import (
     ConstraintField,
     boundary_points,
@@ -390,6 +390,31 @@ class TestPerRowTimes:
             )
             assert violation_sup(field, eps, traj) == want
         assert want > 0
+
+    def test_a_time_pole_raises_for_per_row_times_as_for_a_float_time(self):
+        # 0*t**-0.5 is NaN for a numpy t = 0 but raises for a float t = 0;
+        # a row at t = 0 must raise in a batch too, not come back NaN.
+        field = field_from_config(
+            dict(MOVING_DISK, components=["1 - sqrt(x1*x1 + x2*x2) + 0*t**-0.5"])
+        )
+        x = np.array([[0.3, 0.2], [0.3, 0.2]])
+        with pytest.raises(ModelEvaluationError, match="t=0.0"):
+            field.margin(0.0, x, 0.05)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ModelEvaluationError, match="t=0.0"):
+                field.margin(np.array([0.0, 0.5]), x, 0.05)
+            with pytest.raises(ModelEvaluationError, match="t=0.0"):
+                field.margin(np.float64(0.0), x, 0.05)
+        margins = field.margin(np.array([0.25, 0.5]), x, 0.05)
+        assert margins.tobytes() == field.margin(0.25, x, 0.05).tobytes()
+
+    def test_nan_regions_of_x_stay_nan_for_per_row_times(self):
+        field = field_from_config(dict(MOVING_DISK, components=["sqrt(x1) - 1 + 0.1*t"]))
+        x = np.array([[-1.0, 0.0], [0.25, 0.0], [-0.5, 1.0]])
+        with np.errstate(invalid="ignore"):
+            margins = field.margin(np.array([0.0, 0.5, 1.0]), x, 0.05)
+        assert np.isnan(margins[[0, 2]]).all()
+        assert margins[1] == pytest.approx(0.5 - 0.05 - 0.05)
 
     def test_static_field_evaluates_at_the_first_time(self):
         # A static field ignores time, so per-row times collapse to one.

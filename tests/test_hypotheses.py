@@ -25,6 +25,7 @@ Frozen oracle values, derived independently of the implementation:
 import collections
 import dataclasses
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ from tightpath import (
     unit_ball_complement,
     validate_bundle,
 )
-from tightpath import geometry
+from tightpath import geometry, hypotheses
 from tightpath.cli import load_problem
 from tightpath.dynamics import DynamicsModel, ball_points, rhs_batch
 from tightpath.hypotheses import (
@@ -437,6 +438,229 @@ class TestBatchedInclusionMargins:
             assert best_inward_candidate(margins[row], cands) == 1
 
 
+def unstaged_push(field, eps, t, rows, velocities, margins, xi, delta_cap) -> None:
+    """Reference: the forward-cone push before staging, which queries every
+    kept base point of every pair at each push time."""
+    rng = np.random.default_rng(12)
+    deltas = np.linspace(0.0, delta_cap, INCLUSION_GRID_POINTS)[1:]
+    offsets = ball_points(rng, INCLUSION_GRID_POINTS, field.dim, xi)
+    ys = np.concatenate([rows[:, None, :], rows[:, None, :] + offsets[None, :, :]], axis=1)
+    base_ok = (field.margin(t, ys.reshape(-1, field.dim), eps) >= 0).reshape(ys.shape[:2])
+    margins[~base_ok.any(axis=1)] = -np.inf
+
+    def push(delta, pairs):
+        r, c = pairs
+        keep = base_ok[r]
+        centers = ys[r] + delta * velocities[r, c][:, None, :]
+        d_set, d_bdry = field._distances(eps, t + delta, centers[keep])
+        slack = np.full(keep.shape, np.inf)
+        slack[keep] = np.where(d_set > 0, -np.inf, d_bdry - delta * xi)
+        margins[r, c] = np.minimum(margins[r, c], slack.min(axis=1))
+
+    live = margins > -np.inf
+    led = np.flatnonzero(live.any(axis=1))
+    if led.size == 0:
+        return
+    push(deltas[0], np.nonzero(live))
+    top = np.where(live, margins, -np.inf).max(axis=1)
+    leader = np.argmax(live & (margins == top[:, None]), axis=1)[led]
+    for delta in deltas[1:]:
+        push(delta, (led, leader))
+    floor = np.full(len(rows), np.inf)
+    floor[led] = margins[led, leader] - INWARD_TIE_TOL
+    live[led, leader] = False
+    for delta in deltas[1:]:
+        live &= margins >= floor[:, None]
+        if not live.any():
+            break
+        push(delta, np.nonzero(live))
+
+
+def counting_points(run):
+    """(result of run(), points passed to ``_distances`` during it)."""
+    seen = []
+    real = geometry.ConstraintField._distances
+
+    def counted(self, eps, t, points):
+        seen.append(len(points))
+        return real(self, eps, t, points)
+
+    with mock.patch.object(geometry.ConstraintField, "_distances", counted):
+        out = run()
+    return out, sum(seen)
+
+
+def check_staged_push(field, model, eps, t, xs, candidates, xi, horizon=2.0):
+    """Assert inclusion_margins equals the unstaged push bitwise, margins and
+    velocities; returns (margins, points queried, points the reference queried)."""
+    xs = np.asarray(xs, dtype=float)
+
+    def run():
+        return inclusion_margins(field, model, eps, t, xs, candidates, xi, horizon)
+
+    (margins, velocities), points = counting_points(run)
+    with mock.patch.object(hypotheses, "_push_forward_cone", unstaged_push):
+        (want_margins, want_velocities), want_points = counting_points(run)
+    assert margins.tobytes() == want_margins.tobytes()
+    assert velocities.tobytes() == want_velocities.tobytes()
+    return margins, points, want_points
+
+
+def first_push_view(field, eps, t, x, v_anchor, v, xi, horizon=2.0):
+    """One pair's kept base points at the first push time, read from the
+    oracle directly: the anchor's distances less delta * |v - v_anchor|
+    (the staged lower bounds without their rounding allowance), the exact
+    distances, the exact distance at the anchor's nearest point, and the
+    margins."""
+    delta = np.linspace(0.0, min(xi, horizon - t), INCLUSION_GRID_POINTS)[1]
+    offsets = ball_points(np.random.default_rng(12), INCLUSION_GRID_POINTS, field.dim, xi)
+    ys = np.vstack([x, x + offsets])
+    ys = ys[field.margin(t, ys, eps) >= 0]
+    d_anchor = field._distances(eps, t + delta, ys + delta * v_anchor)[1]
+    pushed = ys + delta * v
+    d = field._distances(eps, t + delta, pushed)[1]
+    bound = d_anchor - delta * np.linalg.norm(v - v_anchor)
+    return bound, d, d[np.argmin(d_anchor)], field.margin(t + delta, pushed, eps)
+
+
+def lattice_copy(field):
+    """The same constraint answered by the KD-tree fallback."""
+    return dataclasses.replace(field, analytic_distance=None, _tree_cache={}, _lattice=None)
+
+
+class TestStagedPush:
+    """The staged forward-cone push against the push that queries every point."""
+
+    def test_moving_disk_lattice_field(self):
+        eps = 0.05
+        for bound in (0.5, 2.0):
+            cands = control_candidates(np.random.default_rng(1), 2, bound)
+            for t in (0.0, 0.9, 1.95, 2.0):
+                xs = [
+                    [0.1 * t + r * np.cos(angle), r * np.sin(angle)]
+                    for angle in (0.4, 1.6, 2.9)
+                    for r in (1.0 + eps + 0.002, 1.0 + eps + 0.03, 1.0 + eps - 0.01, 1.4)
+                ]
+                for xi in (0.5, 0.05):
+                    _, points, want = check_staged_push(MOVING_DISK, PLANAR, eps, t, xs, cands, xi)
+                    assert points < want if t < 2.0 else points == want == 0
+
+    def test_static_lattice_disk(self):
+        disk = field_from_config(
+            {
+                "components": ["1 - sqrt(x1*x1 + x2*x2)"],
+                "box": [[-2.0, 2.0], [-2.0, 2.0]],
+                "resolution": 0.025,
+            }
+        )
+        cands = control_candidates(np.random.default_rng(1), 2, 1.0)
+        xs = [[1.06, 0.0], [0.6, 0.85], [-0.75, -0.75], [0.0, 0.0]]
+        for t in (0.0, 1.5, 2.0):
+            for xi in (0.4, 0.1):
+                _, points, want = check_staged_push(disk, PLANAR, 0.05, t, xs, cands, xi)
+                assert points < want if t < 2.0 else points == want == 0
+
+    def test_unit_ball_complement_analytic_and_lattice(self):
+        planar_ball = unit_ball_complement(dim=2, box_radius=2.0)
+        cases = [
+            (BALL, motor_surge(), 1, [[1.0501], [1.08], [1.3], [-1.06], [1.04]], 0.05),
+            (BALL, motor_decline(), 1, [[1.0501], [1.08], [1.3], [-1.06], [1.04]], 0.05),
+            (planar_ball, PLANAR, 2, [[1.06, 0.0], [0.5, 0.9], [-0.8, -0.8], [0.1, 0.1]], 0.02),
+        ]
+        for field, model, dim, xs, eps in cases:
+            cands = control_candidates(np.random.default_rng(1), dim, 1.0)
+            for t in (0.3, 1.9, 2.0):
+                for xi in (0.5, 0.05):
+                    # An analytic oracle answers every point in one call: no staging.
+                    _, points, want = check_staged_push(field, model, eps, t, xs, cands, xi)
+                    assert points == want
+                    _, points, want = check_staged_push(
+                        lattice_copy(field), model, eps, t, xs, cands, xi
+                    )
+                    assert points < want if t < 2.0 else points == want == 0
+
+    def test_rounding_near_a_tie_is_absorbed_by_the_slack(self):
+        # Far from the origin, positions round at 1e-13 and distances do
+        # not. Pair 1's minimum lies 3e-14 below the exact distance at its
+        # anchor's nearest point, and the Lipschitz bound of that minimum
+        # rounds 2e-14 above it: without a rounding allowance the staged
+        # push would skip the minimum. Pair 1 moves away from the disk, so
+        # its margin is set at the first push time.
+        disk = field_from_config(
+            {
+                "components": ["1 - sqrt((x1 - 1000.0)**2 + x2**2)"],
+                "box": [[998.0, 1002.0], [-2.0, 2.0]],
+            }
+        )
+        x = np.array([1001.3, -0.34493318878826473])
+        cands = np.array([[30.0, 0.0], [10.78077461753235, 0.0]])
+        bound, d, exact, _ = first_push_view(disk, 0.05, 0.0, x, cands[0], cands[1], 0.5)
+        nearest = np.argmin(d)
+        assert d[nearest] < exact < bound[nearest]
+        margins, points, want = check_staged_push(disk, PLANAR, 0.05, 0.0, [x], cands, 0.5)
+        assert np.isfinite(margins).all() and points < want
+
+    # In the next two tests the anchor moves away from the boundary line
+    # x2 = 0.9 and leads, while pair 1 moves towards it, so a pair 1 that
+    # came out finite would be pruned with that value and never pushed again.
+
+    def test_a_point_outside_the_set_is_queried_whatever_its_bound(self):
+        # x1 >= -2.45 bounds the set outside the box, so the boundary cloud
+        # is the line x2 = 0.9 alone. Pair 1 pushes base points past
+        # x1 = -2.45, far from the cloud: their bounds exceed the exact
+        # distance at the anchor's nearest point, and the pair is -inf only
+        # through them.
+        field = field_from_config(
+            {"components": ["x2 - 0.95", "-x1 - 2.5"], "box": [[-2.0, 2.0], [-2.0, 2.0]]}
+        )
+        cands = np.array([[0.0, -3.0], [-15.0, 1.0]])
+        x = np.array([-1.7, 0.2])
+        bound, _, exact, margin = first_push_view(field, 0.05, 0.0, x, cands[0], cands[1], 0.5)
+        outside = ~(margin >= 0)
+        assert outside.any() and np.all(bound[outside] > exact)
+        margins, _, _ = check_staged_push(field, PLANAR, 0.05, 0.0, [x], cands, 0.5)
+        assert np.isfinite(margins[0, 0]) and margins[0, 1] == -np.inf
+
+    def test_a_nan_margin_point_counts_as_outside(self):
+        # sqrt(x1) is NaN for x1 < 0, and a lattice edge with a NaN end
+        # never crosses: the cloud is the line x2 = 0.9 for x1 >= 0. Pair 1
+        # pushes a base point to x1 < 0, where its margin is NaN.
+        field = field_from_config(
+            {"components": ["x2 - 0.95", "sqrt(x1) - 10"], "box": [[-2.0, 2.0], [-2.0, 2.0]]}
+        )
+        cands = np.array([[0.0, -3.0], [-3.0, 1.0]])
+        with np.errstate(invalid="ignore"):
+            for x in ([0.35, 0.1], [0.4, 0.3]):
+                bound, _, exact, margin = first_push_view(
+                    field, 0.05, 0.0, np.array(x), cands[0], cands[1], 0.5
+                )
+                outside = ~(margin >= 0)
+                assert outside.any() and np.isnan(margin[outside]).all()
+                assert np.all(bound[outside] > exact)
+                margins, _, _ = check_staged_push(
+                    field, PLANAR, 0.05, 0.0, [x], cands, 0.5
+                )
+                assert np.isfinite(margins[0, 0]) and margins[0, 1] == -np.inf
+
+    def test_push_times_with_no_boundary_in_the_box(self):
+        # The disk's radius 1 - 2t leaves the box empty of boundary from
+        # t = 0.475 at eps = 0.05, so later push times read every distance
+        # inf, and from t = 0.6 on every push time does.
+        shrinking = field_from_config(
+            {
+                "components": ["1 - 2*t - sqrt(x1*x1 + x2*x2)"],
+                "box": [[-2.0, 2.0], [-2.0, 2.0]],
+                "time_varying": True,
+                "resolution": 0.025,
+            }
+        )
+        cands = control_candidates(np.random.default_rng(1), 2, 1.0)
+        xs = [[0.2, 0.1], [0.5, -0.4], [-1.5, 1.0]]
+        for t in (0.3, 0.45, 0.6):
+            margins, _, _ = check_staged_push(shrinking, PLANAR, 0.05, t, xs, cands, 0.5)
+        assert np.all(margins == np.inf)
+
+
 def _decline_config():
     return {
         "model": "motor_decline",
@@ -501,6 +725,26 @@ class TestPinnedInwardCertificate:
             seed=seed,
         )
         assert result == expected
+
+    def test_moving_disk_queries_at_most_a_third_of_the_unstaged_points(self):
+        # The unstaged push passed 1,929,834 points to _distances in this
+        # certificate; the staged push needs 564,774.
+        model, field, xbar, ubar = load_problem(_moving_disk_config())
+
+        def run():
+            return certify_inward_pointing(
+                field,
+                model,
+                EPS_LIST,
+                COLLAR_ETA_GRID,
+                ubar.grid,
+                box_radius=1.0 + 2.0 * xbar.max_norm(),
+                seed=0,
+            )
+
+        result, points = counting_points(run)
+        assert result == (1.0, 0.9995128224910061, 0.5, 0.4)
+        assert points <= 0.35 * 1_929_834
 
 
 class TestCollarScans:
