@@ -88,6 +88,13 @@ class DynamicsModel:
     control transport used instead of the sampled search. ``rhs`` and the
     functions in ``metadata`` (see DeclaredRegularity) take the time as
     one float, never as an array.
+
+    ``float_rhs`` declares that ``rhs`` of a one-state, one-control model
+    also takes the state and the control as floats and returns the
+    derivative as a float (a Python or numpy float), bitwise equal to the
+    entry its one-element-array form returns. The integrators then step
+    on floats and call ``rhs`` with them directly. A model that does not
+    declare it, as every custom model by default, is stepped as before.
     """
 
     state_dim: int
@@ -99,6 +106,14 @@ class DynamicsModel:
     # Times where t -> rhs(t, x, u) is kinked or singular: integrators must
     # place a node there and refine the adjacent spans.
     time_breakpoints: tuple = ()
+    float_rhs: bool = False
+
+    def __post_init__(self):
+        if self.float_rhs and (self.state_dim, self.control_dim) != (1, 1):
+            raise ShapeError(
+                "float_rhs is declared only by a model with one state and one control, "
+                f"not ({self.state_dim}, {self.control_dim})"
+            )
 
 
 def eval_rhs(model: DynamicsModel, t: float, x, u) -> np.ndarray:
@@ -259,9 +274,14 @@ def _identity_transport(s, t, x, u_s):
     return np.asarray(u_s, dtype=float)
 
 
-def _cosine_drift(amplitude: float, x) -> np.ndarray:
-    """The motors' state drift amplitude * cos(x1), with a trailing axis of 1."""
-    return amplitude * np.cos(np.asarray(x, dtype=float)[..., :1])
+def _cosine_drift(amplitude: float, x):
+    """The motors' state drift amplitude * cos(x), in the shape of x: a
+    float for a float state, an array for a (1,) state or an (n, 1) batch.
+
+    numpy's cos on a float runs the same loop as on a one-element array,
+    so both forms agree bitwise; math.cos is another library and may not.
+    """
+    return amplitude * np.cos(x)
 
 
 def motor_surge(drift_amplitude: float = 0.2) -> DynamicsModel:
@@ -274,7 +294,7 @@ def motor_surge(drift_amplitude: float = 0.2) -> DynamicsModel:
     amp = float(drift_amplitude)
 
     def rhs(t, x, u):
-        return _cosine_drift(amp, x) + _surge_scale(t) * np.asarray(u, dtype=float)
+        return _cosine_drift(amp, x) + _surge_scale(t) * u
 
     def hook(s, t, x, u_s):
         if t <= _BREAK_TIME:
@@ -313,6 +333,7 @@ def motor_surge(drift_amplitude: float = 0.2) -> DynamicsModel:
         metadata=metadata,
         name="motor_surge",
         time_breakpoints=(_BREAK_TIME,),
+        float_rhs=True,
     )
 
 
@@ -327,7 +348,9 @@ def motor_decline(drift_amplitude: float = 0.2) -> DynamicsModel:
     amp = float(drift_amplitude)
 
     def rhs(t, x, u):
-        return _cosine_drift(amp, x) + _decline_decay(t) * np.arctan(np.asarray(u, dtype=float))
+        # numpy's arctan, not math.atan, which differs from it by an ulp
+        # on some inputs: the float and array forms must agree bitwise.
+        return _cosine_drift(amp, x) + _decline_decay(t) * np.arctan(u)
 
     def drift_density(s):
         # sqrt is correctly rounded in math and numpy alike.
@@ -359,6 +382,7 @@ def motor_decline(drift_amplitude: float = 0.2) -> DynamicsModel:
         metadata=metadata,
         name="motor_decline",
         time_breakpoints=(_BREAK_TIME,),
+        float_rhs=True,
     )
 
 

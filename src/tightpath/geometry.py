@@ -51,6 +51,11 @@ BOUNDARY_MODULUS_PROBES = 128
 _NO_BOUNDARY = "no-boundary"
 
 
+def _names(node) -> set:
+    """The names read anywhere in an expression's syntax tree."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
 def reads_time(expr) -> bool:
     """Whether an expression mentions the time variable ``t``."""
     return re.search(r"\bt\b", str(expr)) is not None
@@ -65,8 +70,10 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
     scalar or an (n,) array. A division by zero or an overflow in Python
     float arithmetic on ``t`` raises ModelEvaluationError naming the
     expression and ``t``. A numpy time (a scalar, or one per row) raises
-    for exactly the rows a Python float time raises for: each row that
-    comes out non-finite is evaluated again at its own float time.
+    for exactly the rows a Python float time raises for: when a / or **
+    acts on a term of ``t`` alone, the only place a float time can raise,
+    each row that comes out non-finite is evaluated again at its own float
+    time, and the vectorised pass gives no numpy warning.
     ``names`` relabels the coordinates (one name per component) so callers
     can expose mixed variable sets.
     """
@@ -109,6 +116,16 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
             raise ExpressionError(f"{expr!r}: only numeric constants allowed")
         raise ExpressionError(f"{expr!r}: disallowed syntax {type(node).__name__}")
     code = compile(tree, "<constraint>", "eval")
+    # Python float arithmetic raises only in / and ** on terms of t and
+    # constants alone; every term that reads a coordinate is numpy's, which
+    # warns and returns inf or NaN for a float time and a numpy time alike.
+    time_poles = any(
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, (ast.Div, ast.Pow))
+        and "t" in _names(node)
+        and not _names(node) & set(labels)
+        for node in ast.walk(tree)
+    )
 
     def evaluate(t, x):
         namespace = dict(_ALLOWED_CALLS)
@@ -122,16 +139,19 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
 
     def component(t, x):
         x = np.asarray(x, dtype=float)
-        out = np.asarray(evaluate(t, x), dtype=float) + np.zeros(x.shape[:-1])
-        if isinstance(t, (np.ndarray, np.generic)):
-            bad = ~np.isfinite(out)
-            if bad.any():
-                # A numpy time gives inf or NaN where a Python float time
-                # raises: re-evaluate those rows at their own float times.
-                # Rows that stay non-finite (NaN regions of x) are kept.
-                times = np.broadcast_to(np.asarray(t, dtype=float), out.shape)
-                for time in np.unique(times[bad]):
-                    evaluate(float(time), x[bad & (times == time)])
+        if not (time_poles and isinstance(t, (np.ndarray, np.generic))):
+            return np.asarray(evaluate(t, x), dtype=float) + np.zeros(x.shape[:-1])
+        # A numpy time gives inf or NaN where a Python float time raises:
+        # re-evaluate those rows at their own float times, which raises or
+        # warns as a float time does, so this pass stays silent. Rows that
+        # stay non-finite (NaN regions of x) are kept.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.asarray(evaluate(t, x), dtype=float) + np.zeros(x.shape[:-1])
+        bad = ~np.isfinite(out)
+        if bad.any():
+            times = np.broadcast_to(np.asarray(t, dtype=float), out.shape)
+            for time in np.unique(times[bad]):
+                evaluate(float(time), x[bad & (times == time)])
         return out
 
     component.dim = dim

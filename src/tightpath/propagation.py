@@ -30,9 +30,13 @@ HALF_STEP_TOLERANCE = 1e-6
 _HALVES = tuple(2.0 ** -j for j in range(1, _REFINE_LEVELS + 1))
 
 
-def _rk4_step(rhs, t: float, h: float, x, u: np.ndarray):
-    """One classical RK4 step of x' = rhs(t, x, u) from t to t + h, for a
-    state x that is a float array, or a float under ``_on_floats``."""
+def _rk4_step(rhs, t: float, h: float, x, u):
+    """One classical RK4 step of x' = rhs(t, x, u) from t to t + h.
+
+    The state x is a float array, or a float: under ``_on_floats``, or
+    for a model that declares ``float_rhs``, whose control u is then a
+    float too. Both forms run the same IEEE operations in the same order.
+    """
     half = 0.5 * h
     mid = t + half
     k1 = rhs(t, x, u)
@@ -48,7 +52,8 @@ def _check_finite(t: float, x) -> None:
 
 
 def _on_floats(rhs):
-    """The field of a one-state model as a map of Python floats.
+    """The field of a one-state model that does not declare ``float_rhs``,
+    as a map of a float state to a float.
 
     RK4 steps a float state through it with the same IEEE operations, in
     the same order, as a one-element array state, and so to the same bits,
@@ -133,17 +138,20 @@ def _run(model, u, x0, anchors, step, q, breakpoints):
     What is fixed for the run is looked up once: the control on each
     anchor span (one vectorised left-endpoint lookup), which anchors sit
     on a model breakpoint, and, for a one-state model, the float form of
-    the field.
+    the state. A model that declares ``float_rhs`` gets float controls as
+    well; another one-state model steps through ``_on_floats``.
     """
     rhs = model.rhs
     x = x0
-    if x0.size == 1:
+    controls = u.values[u.grid.indices_left(anchors[:-1])]
+    if model.float_rhs:
+        x, controls = x0.item(), controls[:, 0].tolist()
+    elif x0.size == 1:
         rhs, x = _on_floats(rhs), x0.item()
     slack = float(anchors[-1] - anchors[0]) * _REL_TOL
     near = np.zeros(anchors.shape, dtype=bool)
     for b in breakpoints:
         near |= np.abs(anchors - b) <= slack
-    controls = u.values[u.grid.indices_left(anchors[:-1])]
     times = anchors.tolist()
     nodes = [times[0]]
     states = [x]
@@ -246,23 +254,27 @@ def integrate_feedback(model: DynamicsModel, grid: TimeGrid, x0, law):
     (control_dim,) array chosen from the state at the cell's left node.
     Returns the node states (n, state_dim) and the cell controls
     (n - 1, control_dim). A non-finite state raises PropagationError
-    naming its node.
+    naming its node. A model that declares ``float_rhs`` is stepped on a
+    float state and control; the law still sees a (1,) state.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (model.state_dim,):
         raise ShapeError(f"x0 must have shape ({model.state_dim},), got {x.shape}")
     rhs = model.rhs
+    floats = model.float_rhs
+    if floats:
+        x = x.item()
     times = grid.nodes.tolist()
     states = [x]
     controls = []
     for j in range(len(times) - 1):
-        u = np.asarray(law(j, x), dtype=float)
+        u = np.asarray(law(j, np.array([x]) if floats else x), dtype=float)
         if u.shape != (model.control_dim,):
             raise ShapeError(
                 f"feedback control must have shape ({model.control_dim},), got {u.shape}"
             )
         controls.append(u)
-        x = _rk4_step(rhs, times[j], times[j + 1] - times[j], x, u)
+        x = _rk4_step(rhs, times[j], times[j + 1] - times[j], x, u.item() if floats else u)
         states.append(x)
         _check_finite(times[j + 1], x)
     return np.vstack(states), np.vstack(controls)

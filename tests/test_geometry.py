@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -407,6 +409,22 @@ class TestPerRowTimes:
                 field.margin(np.float64(0.0), x, 0.05)
         margins = field.margin(np.array([0.25, 0.5]), x, 0.05)
         assert margins.tobytes() == field.margin(0.25, x, 0.05).tobytes()
+
+    @pytest.mark.parametrize("pole", ["0*t**-0.5", "0/(t - 0.0)", "x1*t**-1"])
+    def test_a_time_pole_raises_without_numpy_warnings(self, pole):
+        # The vectorised pass over numpy times is silent; the float-time
+        # re-evaluation raises. A NaN region of x still warns.
+        field = field_from_config(
+            dict(MOVING_DISK, components=[f"1 - sqrt(x1*x1 + x2*x2) + {pole}"])
+        )
+        x = np.array([[0.3, 0.2], [0.3, 0.2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelEvaluationError, match="t=0.0"):
+                field.margin(np.array([0.0, 0.5]), x, 0.05)
+        field = field_from_config(dict(MOVING_DISK, components=["sqrt(x1) - 1 + 0.1*t"]))
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            field.margin(np.array([0.0, 0.5]), np.array([[-1.0, 0.0], [0.25, 0.0]]), 0.05)
 
     def test_nan_regions_of_x_stay_nan_for_per_row_times(self):
         field = field_from_config(dict(MOVING_DISK, components=["sqrt(x1) - 1 + 0.1*t"]))

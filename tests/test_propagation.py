@@ -8,6 +8,7 @@ x' = 0.2 cos(x) + 0.5 (t-1)^(-1/4) into the polynomial-coefficient
 equation dx/dtau = 0.8 tau^3 cos(x) + 2 tau^2 on tau in [0, 1].
 """
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -25,6 +26,7 @@ from tightpath.propagation import (
     _REFINE_SUBSTEPS,
     _anchors,
     _half_step_gap,
+    _on_floats,
     _run,
     gronwall_radius,
     integrate,
@@ -239,6 +241,104 @@ class TestBitwiseAgainstReference:
         _, (ref_coarse, _) = both_runs(model, u, x0, window, step)
         assert_bitwise(traj.grid.nodes, ref_coarse[0])
         assert_bitwise(traj.states, ref_coarse[1])
+
+
+# Times at and just past the motors' break at t = 1, where their time
+# factors switch on, and (state, control) pairs across the clipped range.
+# The last four controls are inputs where math.atan and numpy's arctan
+# differed by an ulp under numpy 2.4 on x86-64.
+FLOAT_TIMES = [0.0, 0.5, 1.0] + [1.0 + 2.0 ** -k for k in range(1, 53)] + [2.0]
+FLOAT_POINTS = [
+    (1.08, 0.3),
+    (1.0005, -1.4),
+    (0.0, 0.0),
+    (-2.5, 7.0),
+    (1.2, -0.01),
+    (1.01, 0.07823302013086852),
+    (0.9, -0.03220863182918521),
+    (1.3, 1.2033492301122077),
+    (-0.4, 2.130297032547201),
+]
+
+
+def without_float_rhs(model):
+    """The model with its ``float_rhs`` declaration withdrawn, so that the
+    integrators step it as an undeclared model."""
+    return dataclasses.replace(model, float_rhs=False)
+
+
+def counting(rhs, calls):
+    """rhs wrapped to count its calls and whether the state came as a float,
+    as a tracer that swaps ``model.rhs`` does."""
+
+    def counted(t, x, u):
+        calls[isinstance(x, float)] += 1
+        return rhs(t, x, u)
+
+    return counted
+
+
+class TestFloatField:
+    @pytest.mark.parametrize("make", [motor_surge, motor_decline])
+    def test_float_rhs_equals_the_adaptor_bitwise(self, make):
+        model = make()
+        assert model.float_rhs
+        adaptor = _on_floats(model.rhs)
+        for t in FLOAT_TIMES:
+            for x, u in FLOAT_POINTS:
+                got = model.rhs(t, x, u)
+                want = adaptor(t, x, np.array([u]))
+                assert isinstance(got, float)
+                assert float(got).hex() == want.hex(), (t, x, u)
+
+    @pytest.mark.parametrize("variant", ["surge", "decline"])
+    def test_reference_integrates_as_without_the_declaration(
+        self, variant, surge_scenario, decline_scenario
+    ):
+        sc = surge_scenario if variant == "surge" else decline_scenario
+        window = (float(sc.grid.t0), float(sc.grid.t1))
+        got = integrate(sc.model, sc.ubar, sc.x0, window, sc.grid.step, check=True)
+        want = integrate(
+            without_float_rhs(sc.model), sc.ubar, sc.x0, window, sc.grid.step, check=True
+        )
+        assert_bitwise(got.grid.nodes, want.grid.nodes)
+        assert_bitwise(got.states, want.states)
+
+    @pytest.mark.parametrize("make", [motor_surge, motor_decline])
+    def test_feedback_loop_steps_as_without_the_declaration(self, make):
+        model = make()
+        grid = TimeGrid.uniform(0.0, 2.0, 50)
+
+        def law(j, x):
+            assert x.shape == (1,)
+            return np.array([0.3 - 0.2 * x[0]])
+
+        got = integrate_feedback(model, grid, [1.05], law)
+        want = integrate_feedback(without_float_rhs(model), grid, [1.05], law)
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+
+    @pytest.mark.parametrize("make", [motor_surge, motor_decline])
+    def test_float_path_makes_as_many_rhs_calls(self, make):
+        # A counter that swaps model.rhs sees every call on either path.
+        model = make()
+        u = varied_control(FINE, 1)
+        grid = TimeGrid.uniform(0.0, 2.0, 50)
+        counts = {}
+        for declared in (True, False):
+            calls = [0, 0]  # array states, float states
+            counted = dataclasses.replace(
+                model, rhs=counting(model.rhs, calls), float_rhs=declared
+            )
+            integrate(counted, u, [1.08], (0.0, 2.0), 0.005)
+            integrate_feedback(counted, grid, [1.05], lambda j, x: np.array([0.1]))
+            counts[declared] = calls
+        assert counts[True][0] == 0 and counts[False][1] == 0
+        assert counts[True][1] == counts[False][0] > 0
+
+    def test_only_a_one_state_one_control_model_declares_it(self):
+        with pytest.raises(ShapeError):
+            dataclasses.replace(affine_2d(), float_rhs=True)
 
 
 class TestFeedbackLoop:
