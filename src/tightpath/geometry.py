@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     ConfigError,
@@ -70,10 +69,10 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
     scalar or an (n,) array. A division by zero or an overflow in Python
     float arithmetic on ``t`` raises ModelEvaluationError naming the
     expression and ``t``. A numpy time (a scalar, or one per row) raises
-    for exactly the rows a Python float time raises for: when a / or **
+    for exactly the times a Python float time raises for: when a / or **
     acts on a term of ``t`` alone, the only place a float time can raise,
-    each row that comes out non-finite is evaluated again at its own float
-    time, and the vectorised pass gives no numpy warning.
+    one row per distinct time is evaluated again at its float time, and
+    the vectorised pass gives no numpy warning.
     ``names`` relabels the coordinates (one name per component) so callers
     can expose mixed variable sets.
     """
@@ -141,17 +140,19 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
         x = np.asarray(x, dtype=float)
         if not (time_poles and isinstance(t, (np.ndarray, np.generic))):
             return np.asarray(evaluate(t, x), dtype=float) + np.zeros(x.shape[:-1])
-        # A numpy time gives inf or NaN where a Python float time raises:
-        # re-evaluate those rows at their own float times, which raises or
-        # warns as a float time does, so this pass stays silent. Rows that
-        # stay non-finite (NaN regions of x) are kept.
+        # A numpy time gives inf, NaN or even a finite value where a Python
+        # float time raises, and whether a float time raises does not depend
+        # on x: probe one row per distinct time at its float time, a
+        # non-finite row where there is one, so that it raises or warns as a
+        # float time does and this pass stays silent. Every row keeps the
+        # vectorised value.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = np.asarray(evaluate(t, x), dtype=float) + np.zeros(x.shape[:-1])
-        bad = ~np.isfinite(out)
-        if bad.any():
-            times = np.broadcast_to(np.asarray(t, dtype=float), out.shape)
-            for time in np.unique(times[bad]):
-                evaluate(float(time), x[bad & (times == time)])
+        times = np.broadcast_to(np.asarray(t, dtype=float), out.shape).ravel()
+        rows = np.broadcast_to(x, out.shape + x.shape[-1:]).reshape(-1, x.shape[-1])
+        order = np.lexsort((np.isfinite(out).ravel(), times))
+        for row in order[np.unique(times[order], return_index=True)[1]]:
+            evaluate(float(times[row]), rows[row])
         return out
 
     component.dim = dim
@@ -183,6 +184,8 @@ class ConstraintField:
         (eps, t, x) -> (distance to the tightened set, distance to its
         boundary), broadcasting like the components. When absent, both
         distances come from a KD-tree over lattice boundary crossings.
+        That tree is the only use of scipy: ``scipy.spatial`` is imported
+        on the first such query, so a field with this hook never loads it.
     resolution : float
         Lattice spacing of the fallback; defaults to the longest box edge
         over 2048 (dim 1), 1024 (dim 2), or 128.
@@ -241,12 +244,15 @@ class ConstraintField:
         out = -(self.value(t, np.atleast_2d(x)) + eps)
         return float(out[0]) if x.ndim == 1 else out
 
-    def _tree(self, t: float, eps: float):
+    def _tree(self, t: float, eps: float, query: bool = True):
+        """The cache entry of (t, eps): its boundary scan, _NO_BOUNDARY or,
+        once ``query`` asks for one, a KD-tree over the scan. The upgrade
+        keeps the key's place in the FIFO order and imports scipy.spatial."""
         key = (round(t, 9) if self.time_varying else 0.0, round(eps, 12), self.resolution)
         tree = self._tree_cache.get(key)
         if tree is None:
             try:
-                tree = cKDTree(boundary_points(self, t, eps))
+                tree = boundary_points(self, t, eps)
             except DomainError:
                 # No crossings: either the box is entirely feasible (the
                 # boundary is out of reach) or entirely infeasible.
@@ -262,15 +268,22 @@ class ConstraintField:
             if len(self._tree_cache) >= _MAX_TREE_CACHE:
                 self._tree_cache.pop(next(iter(self._tree_cache)))
             self._tree_cache[key] = tree
+        if query and isinstance(tree, np.ndarray):
+            from scipy.spatial import cKDTree
+
+            tree = self._tree_cache[key] = cKDTree(tree)
         return tree
 
     def boundary_cloud(self, t: float, eps: float) -> np.ndarray:
-        """Lattice crossings of the tightened boundary at time t, read from
-        the cached boundary tree, so each cache key costs one scan; (0, dim)
+        """Lattice crossings of the tightened boundary at time t: the key's
+        cached scan, also the data of a KD-tree once a distance query built
+        one. Each key costs one scan, and reading it builds no tree; (0, dim)
         when the whole box is feasible. Raises InfeasibleTighteningError
         when the tightened set misses the box."""
-        tree = self._tree(t, eps)
-        return np.empty((0, self.dim)) if tree is _NO_BOUNDARY else tree.data
+        tree = self._tree(t, eps, query=False)
+        if tree is _NO_BOUNDARY:
+            return np.empty((0, self.dim))
+        return tree if isinstance(tree, np.ndarray) else tree.data
 
     def _distances(self, eps: float, t, points: np.ndarray):
         """(d_set, d_boundary) arrays for a (n, dim) batch.

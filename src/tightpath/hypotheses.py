@@ -271,13 +271,14 @@ def _collar_samples(
     count: int,
     rng,
     box_radius: float | None,
-) -> np.ndarray:
-    """Feasible points within eta of the tightened boundary at time t.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feasible points within eta of the tightened boundary at time t,
+    and their distances to it, the depths.
 
     Lattice crossings nudged just inside cover every boundary sheet at
     near-zero depth (the hard cases for the forward cone); bisecting
     random feasible-infeasible pairs adds points deeper in the collar.
-    Returns an empty array when the box contains no boundary (vacuous
+    Returns empty arrays when the box contains no boundary (vacuous
     condition).
     """
     box = field.sampling_box
@@ -285,9 +286,9 @@ def _collar_samples(
     try:
         lattice = field.boundary_cloud(t, eps)
     except InfeasibleTighteningError:
-        return np.empty((0, dim))
+        lattice = np.empty((0, dim))
     if not len(lattice):
-        return lattice
+        return np.empty((0, dim)), np.empty(0)
     hug = []
     for b in subsample(lattice, count):
         ring = b + 0.02 * eta * ball_points(rng, 24, dim, 1.0)
@@ -318,10 +319,11 @@ def _collar_samples(
         deep = (lo + depths * inward / norms)[:count]
     points = np.vstack([hug, deep])
     points = points[field.margin(t, points, eps) >= 0]
-    points = points[field._distances(eps, t, points)[1] <= eta * (1 + 1e-9)]
+    to_boundary = field._distances(eps, t, points)[1]
+    keep = to_boundary <= eta * (1 + 1e-9)
     if box_radius is not None:
-        points = points[np.linalg.norm(points, axis=1) <= box_radius]
-    return points[: 2 * count]
+        keep &= np.linalg.norm(points, axis=1) <= box_radius
+    return points[keep][: 2 * count], to_boundary[keep][: 2 * count]
 
 
 def control_candidates(rng, m: int, bound: float) -> np.ndarray:
@@ -532,7 +534,7 @@ def certify_inward_pointing(
     horizon = float(time_grid.t1)
     etas = sorted(float(e) for e in collar_eta_grid)[::-1]
     rng = np.random.default_rng(seed)
-    collars = {}
+    collars = {}  # (eps, t) -> (collar points, their depths)
     for eps in eps_list:
         shared = None
         for t in times:
@@ -541,13 +543,9 @@ def certify_inward_pointing(
                     field, float(eps), float(t), etas[0], COLLAR_POINTS, rng, box_radius
                 )
             collars[(float(eps), float(t))] = shared
-    if all(len(pts) == 0 for pts in collars.values()):
+    if all(len(pts) == 0 for pts, _ in collars.values()):
         return float(min(control_bounds)), 0.0, float(max(XI_CANDIDATES)), float(etas[0])
 
-    depths = {
-        key: field._distances(key[0], key[1], pts)[1] if len(pts) else np.empty(0)
-        for key, pts in collars.items()
-    }
     eta_min = etas[-1]
     last_witness = None
     for xi in XI_CANDIDATES:
@@ -556,14 +554,14 @@ def certify_inward_pointing(
             candidates = control_candidates(cand_rng, model.control_dim, m_u)
             rows = []
             aborted = False
-            for (eps, t), pts in collars.items():
+            for (eps, t), (pts, depths) in collars.items():
                 if len(pts) == 0:
                     continue
                 group_margins, group_velocities = inclusion_margins(
                     field, model, eps, t, pts, candidates, xi, horizon
                 )
                 for x, depth, margins, velocities in zip(
-                    pts, depths[(eps, t)], group_margins, group_velocities
+                    pts, depths, group_margins, group_velocities
                 ):
                     best = best_inward_candidate(margins, candidates)
                     speed = (

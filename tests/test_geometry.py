@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tightpath import geometry
 from tightpath.dynamics import _autonomy
 from tightpath.errors import ConfigError, DomainError, ExpressionError, ModelEvaluationError
 from tightpath.geometry import (
@@ -287,6 +288,55 @@ class TestLatticeScan:
         assert wide.boundary_cloud(0.0, 0.05).shape == (0, 2)
 
 
+def kd_trees(field) -> int:
+    """Cache entries that hold a KD-tree rather than a scan or a marker."""
+    return sum(hasattr(entry, "query") for entry in field._tree_cache.values())
+
+
+class TestTreeCache:
+    """A cache entry holds its key's scan until the first distance query
+    builds a KD-tree over it."""
+
+    def test_cloud_is_the_scan_before_and_after_the_first_query(self):
+        field = field_from_config(MOVING_DISK)
+        want = reference_boundary_points(field, 0.7, 0.05).tobytes()
+        assert field.boundary_cloud(0.7, 0.05).tobytes() == want
+        assert kd_trees(field) == 0
+        field._distances(0.05, 0.7, np.array([[0.3, 0.2]]))
+        assert kd_trees(field) == 1 and len(field._tree_cache) == 1
+        assert field.boundary_cloud(0.7, 0.05).tobytes() == want
+
+    def test_distances_after_clouds_match_a_fresh_field(self):
+        clouds, fresh = field_from_config(MOVING_DISK), field_from_config(MOVING_DISK)
+        times = np.array([0.0, 0.7, 0.7, 1.4])
+        for t in np.unique(times):
+            clouds.boundary_cloud(float(t), 0.05)
+        points = np.array([[0.3, 0.2], [1.5, -0.4], [-1.1, 0.0], [0.9, 0.9]])
+        for t in (0.7, times):
+            got, want = clouds._distances(0.05, t, points), fresh._distances(0.05, t, points)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_an_analytic_field_builds_no_tree(self):
+        field = unit_ball_complement(dim=2)
+        cloud = field.boundary_cloud(0.0, 0.05)
+        assert len(cloud) and len(field._tree_cache) == 1 and kd_trees(field) == 0
+        field._distances(0.05, 0.0, cloud[:3])
+        assert kd_trees(field) == 0
+
+    def test_a_key_counts_once_against_the_bound(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_TREE_CACHE", 3)
+        field = field_from_config(MOVING_DISK)
+        for t in (0.0, 0.5, 1.0):
+            field.boundary_cloud(t, 0.05)
+        keys = list(field._tree_cache)
+        field._distances(0.05, 0.0, np.array([[0.3, 0.2]]))
+        # The upgrade keeps the key and its place in the FIFO order.
+        assert list(field._tree_cache) == keys and kd_trees(field) == 1
+        field.boundary_cloud(1.5, 0.05)
+        assert list(field._tree_cache) == keys[1:] + [(1.5, 0.05, field.resolution)]
+        assert kd_trees(field) == 0
+
+
 class TestViolationSup:
     def test_feasible_trajectory_scores_zero(self):
         field = unit_ball_complement(dim=1)
@@ -425,6 +475,21 @@ class TestPerRowTimes:
         field = field_from_config(dict(MOVING_DISK, components=["sqrt(x1) - 1 + 0.1*t"]))
         with pytest.warns(RuntimeWarning, match="invalid value"):
             field.margin(np.array([0.0, 0.5]), np.array([[-1.0, 0.0], [0.25, 0.0]]), 0.05)
+
+    def test_a_time_pole_mapped_to_a_finite_value_raises_as_for_a_float_time(self):
+        # x1/(1 + t**-1) is 0 for a numpy t = 0 but raises for a float t = 0.
+        field = field_from_config(
+            dict(MOVING_DISK, components=["1 - sqrt(x1*x1 + x2*x2) + x1/(1 + t**-1)"])
+        )
+        x = np.array([[0.3, 0.2], [0.4, -0.1], [0.3, 0.2]])
+        for t in (0.0, np.float64(0.0), np.array([0.5, 0.0, 0.25])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ModelEvaluationError, match="t=0.0"):
+                    field.margin(t, x, 0.05)
+        times = np.array([0.5, 0.25, 0.5])
+        want = [field.margin(float(s), row, 0.05) for s, row in zip(times, x)]
+        assert field.margin(times, x, 0.05).tolist() == want
 
     def test_nan_regions_of_x_stay_nan_for_per_row_times(self):
         field = field_from_config(dict(MOVING_DISK, components=["sqrt(x1) - 1 + 0.1*t"]))

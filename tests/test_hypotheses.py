@@ -787,10 +787,23 @@ class TestCollarScans:
             {"components": ["abs(x1) - 3 - t"], "box": [[-2.0, 2.0]], "time_varying": True}
         )
         rng = np.random.default_rng(0)
-        assert len(_collar_samples(shrinking, 0.1, 0.0, 0.4, 16, rng, None)) > 0
+        assert len(_collar_samples(shrinking, 0.1, 0.0, 0.4, 16, rng, None)[0]) > 0
         for field, t in ((shrinking, 1.0), (wide, 0.0)):
-            collar = _collar_samples(field, 0.1, t, 0.4, 16, rng, None)
-            assert collar.shape == (0, 1)
+            collar, depths = _collar_samples(field, 0.1, t, 0.4, 16, rng, None)
+            assert collar.shape == (0, 1) and depths.shape == (0,)
+
+    @pytest.mark.parametrize("config", [_decline_config(), _moving_disk_config()])
+    def test_depths_are_the_boundary_distances_of_the_points(self, config):
+        # The depths filter the collar, then rank it against each eta: they
+        # must be bitwise what a query of the returned points gives.
+        model, field, xbar, ubar = load_problem(config)
+        rng = np.random.default_rng(0)
+        box_radius = 1.0 + 2.0 * xbar.max_norm()
+        for t in (0.0, 0.7):
+            pts, depths = _collar_samples(field, 0.05, t, 0.4, 16, rng, box_radius)
+            assert len(pts) and depths.shape == (len(pts),)
+            assert depths.tobytes() == field._distances(0.05, t, pts)[1].tobytes()
+            assert (depths <= 0.4 * (1 + 1e-9)).all()
 
 
 class TestTimeRegularity:

@@ -1,6 +1,8 @@
-"""Module boundaries: no module imports another module's private name."""
+"""Module boundaries: no module imports another module's private name, and
+the command line loads scipy only for a lattice distance query."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -31,11 +33,72 @@ def test_no_module_imports_a_private_name():
     assert offenders == []
 
 
+def fresh_interpreter(probe: str, cwd=None) -> str:
+    """Standard output of ``probe`` run in a new Python process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), *sys.path]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, cwd=cwd, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # Drift budgets are closed forms: the command line never needs quadrature.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), *sys.path]))
     probe = "import sys, tightpath.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert fresh_interpreter(probe) == "False"
+
+
+def test_cli_import_loads_no_scipy():
+    assert fresh_interpreter("import sys, tightpath.cli; " + SCIPY_MODULES) == "[]"
+
+
+def test_a_motor_pipeline_on_the_analytic_ball_loads_no_scipy(tmp_path):
+    # The unit ball answers distances in closed form: no KD-tree, no scipy.
+    config = {
+        "model": "motor_surge",
+        "constraint": {"builtin": "unit_ball_complement", "dim": 1, "box_radius": 2.0},
+        "reference": {
+            "kind": "boundary-tracking",
+            "variant": "surge",
+            "clearance": 0.005,
+            "x_start": 1.08,
+            "finish": 1.06,
+        },
+        "horizon": 2.0,
+        "steps": 200,
+        "lambda": 0.1,
+        "seed": 0,
+    }
+    (tmp_path / "scenario.json").write_text(json.dumps(config))
+    probe = (
+        "import contextlib, io, sys\n"
+        "from tightpath import cli\n"
+        "commands = [\n"
+        "    ['certify', '--config', 'scenario.json', '--out', 'out'],\n"
+        "    ['repair', '--config', 'scenario.json', '--bundle', 'out/bundle.json',\n"
+        "     '--out', 'out'],\n"
+        "    ['evaluate', 'out/x_eps.csv', 'out/u_eps.csv', '--config', 'scenario.json'],\n"
+        "]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in commands]\n"
+        "print(codes)\n" + SCIPY_MODULES
     )
-    assert out.stdout.strip() == "False"
+    codes, modules = fresh_interpreter(probe, cwd=tmp_path).splitlines()
+    assert codes == "[0, 0, 0]" and modules == "[]"
+
+
+def test_a_lattice_distance_query_loads_scipy_spatial():
+    probe = (
+        "import sys, numpy as np\n"
+        "from tightpath.geometry import field_from_config\n"
+        "field = field_from_config({'components': ['1 - sqrt(x1*x1 + x2*x2)'],\n"
+        "                           'box': [[-2.0, 2.0], [-2.0, 2.0]]})\n"
+        "field.boundary_cloud(0.0, 0.05)\n"
+        "print('scipy.spatial' in sys.modules)\n"
+        "field._distances(0.05, 0.0, np.array([[1.5, 0.0]]))\n"
+        "print('scipy.spatial' in sys.modules)"
+    )
+    assert fresh_interpreter(probe).splitlines() == ["False", "True"]
