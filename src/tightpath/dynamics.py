@@ -24,7 +24,7 @@ from .errors import (
     config_expressions,
     config_number,
 )
-from .geometry import compile_expression, reads_time
+from .geometry import compile_expression
 
 _BREAK_TIME = 1.0  # both motor variants switch behaviour here
 # Factor that rounds a closed-form drift integral up. Its 2e-15 relative
@@ -53,13 +53,15 @@ class DeclaredRegularity:
     ``(s, t) -> upper bound on the integral of time_drift over [s, t]``,
     for s <= t, is the budget the sampled transports are checked against.
     A density alone would switch that check off, so it raises ConfigError.
+    The density may blow up only at the model's ``time_breakpoints``: the
+    certified drift table is inflated around those times, so that each
+    cell's trapezoid dominates the declared integral.
     """
 
     growth_envelope: object = None  # t -> envelope in |f| <= env(t)(1+|x|+|u|)
     state_lipschitz: object = None  # t -> Lipschitz constant of f(t, ., u)
     time_drift: object = None  # s -> integrable density bounding |f(t,x,u_t)-f(s,x,u_s)|
     drift_integral: object = None  # (s, t) -> upper bound on the integral of time_drift
-    drift_singularities: tuple = ()  # interior times where time_drift blows up
     shift_radius_scale: object = None  # s -> sup_t |u_t - u_s| / control scale
     holder_exponent: float | None = None
     holder_rate_scale: object = None  # s -> rate in |u_t - u_s| <= (t-s)^alpha rate(s)
@@ -104,7 +106,8 @@ class DynamicsModel:
     metadata: DeclaredRegularity = field(default_factory=DeclaredRegularity)
     name: str = ""
     # Times where t -> rhs(t, x, u) is kinked or singular: integrators must
-    # place a node there and refine the adjacent spans.
+    # place a node there and refine the adjacent spans, and the certified
+    # drift table is inflated around them.
     time_breakpoints: tuple = ()
     float_rhs: bool = False
 
@@ -369,7 +372,6 @@ def motor_decline(drift_amplitude: float = 0.2) -> DynamicsModel:
         state_lipschitz=_constant(amp),
         time_drift=drift_density,
         drift_integral=drift_integral,
-        drift_singularities=(_BREAK_TIME,),
         shift_radius_scale=_constant(0.0),
         holder_exponent=1.0,
         holder_rate_scale=_constant(0.0),
@@ -439,24 +441,27 @@ def double_integrator() -> DynamicsModel:
     )
 
 
-def _stacked_expressions(expressions, dim: int):
-    compiled = [compile_expression(str(e), dim) for e in expressions]
+def _stacked_expressions(expressions, dim: int, names: tuple = ()):
+    """(t, x) -> the compiled expressions stacked along a last axis, with
+    ``reads_time`` set when any of them reads ``t``."""
+    compiled = [compile_expression(str(e), dim, names) for e in expressions]
 
     def stacked(t, x):
         return np.stack([c(t, x) for c in compiled], axis=-1)
 
+    stacked.reads_time = any(c.reads_time for c in compiled)
     return stacked
 
 
-def _autonomy(expressions) -> tuple:
+def _autonomy(reads_time: bool) -> tuple:
     """(shift hook, declared regularity entries) of a field built from
-    ``expressions``.
+    expressions, which read ``t`` or not.
 
     A field whose expressions never mention ``t`` transports controls by
     the identity, exactly: it has no time drift and a zero shift radius.
     Any other field gets no hook and no entries.
     """
-    if any(reads_time(e) for e in expressions):
+    if reads_time:
         return None, {}
     return _identity_transport, {
         "time_drift": _constant(0.0),
@@ -485,18 +490,14 @@ def expression_model(
     labels = tuple(f"x{i + 1}" for i in range(state_dim)) + tuple(
         f"u{j + 1}" for j in range(control_dim)
     )
-    compiled = [
-        compile_expression(str(e), state_dim + control_dim, names=labels)
-        for e in equations
-    ]
+    stacked = _stacked_expressions(equations, state_dim + control_dim, labels)
 
     def rhs(t, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        z = np.concatenate([x, u], axis=-1)
-        return np.stack([c(t, z) for c in compiled], axis=-1)
+        return stacked(t, np.concatenate([x, u], axis=-1))
 
-    hook, regularity = _autonomy(equations)
+    hook, regularity = _autonomy(stacked.reads_time)
     if hook is None and shift_radius is not None:
         regularity = {"shift_radius_scale": _constant(float(shift_radius))}
     metadata = DeclaredRegularity(**regularity)
@@ -552,7 +553,7 @@ def model_from_config(config: dict) -> DynamicsModel:
     def gain(t, x):
         return np.stack([row(t, x) for row in rows], axis=-2)
 
-    hook, regularity = _autonomy([*drift_exprs, *(e for row in gain_rows for e in row)])
+    hook, regularity = _autonomy(drift.reads_time or any(row.reads_time for row in rows))
     for name in ("growth_envelope", "state_lipschitz"):
         if name in config:
             regularity[name] = _constant(config_number(config, name, None, float))

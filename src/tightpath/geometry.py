@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ast
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +36,10 @@ _ALLOWED_CALLS = {
     "arctan": np.arctan,
     "pow": np.power,
 }
+_ALLOWED_NODES = (
+    ast.Expression, ast.Load, ast.BinOp, ast.UnaryOp,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd,
+)
 
 _MAX_TREE_CACHE = 64
 # Most points a scan lattice may have: 2048 x 2048 in 2-D, 161 per axis in
@@ -53,11 +56,6 @@ _NO_BOUNDARY = "no-boundary"
 def _names(node) -> set:
     """The names read anywhere in an expression's syntax tree."""
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-def reads_time(expr) -> bool:
-    """Whether an expression mentions the time variable ``t``."""
-    return re.search(r"\bt\b", str(expr)) is not None
 
 
 def compile_expression(expr: str, dim: int, names: tuple = ()):
@@ -85,17 +83,9 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
     labels = tuple(names) or tuple(f"x{i + 1}" for i in range(dim))
     variables = {"t"} | set(labels)
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Expression, ast.Load)):
-            continue
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-        ):
-            continue
-        if isinstance(node, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
-            continue
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            continue
-        if isinstance(node, (ast.USub, ast.UAdd)):
+        # ast.walk visits every operator node too, so an operator outside
+        # the grammar is caught on its own.
+        if isinstance(node, _ALLOWED_NODES):
             continue
         if isinstance(node, ast.Call):
             if (
@@ -157,6 +147,7 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
 
     component.dim = dim
     component.source = expr
+    component.reads_time = "t" in _names(tree)
     return component
 
 
@@ -464,10 +455,7 @@ def build_boundary_modulus(
     """
     if not field.time_varying:
         return ModulusTable.zero(grid.span)
-    gaps = np.diff(grid.nodes)
-    step = float(gaps.max())
-    if gaps.min() < step * (1 - 1e-6):
-        raise DomainError("boundary modulus tables require a uniform grid")
+    grid.uniform_step()
     times = subsample(grid.nodes, 41)
     n_t = times.size
     gap = float(times[1] - times[0]) if n_t > 1 else grid.span
@@ -522,15 +510,14 @@ def field_from_config(config: dict) -> ConstraintField:
             f"'components' must be a non-empty list of expression strings, got {expressions!r}"
         )
     time_varying = config_flag(config, "time_varying", False)
-    timed = [expr for expr in expressions if reads_time(expr)]
+    components = tuple(compile_expression(expr, box.shape[0]) for expr in expressions)
+    timed = [comp.source for comp in components if comp.reads_time]
     if timed and not time_varying:
         # A static field evaluates every time as the first one and shares
         # one distance cache across times, which a t-dependent set breaks.
         raise ConfigError(
             f"component {timed[0]!r} reads 't', so 'time_varying' must be true"
         )
-    dim = box.shape[0]
-    components = tuple(compile_expression(expr, dim) for expr in expressions)
     field = ConstraintField(
         components=components,
         sampling_box=box,

@@ -20,6 +20,7 @@ from .dynamics import DynamicsModel, ball_points, drift_budget, rhs_batch, shift
 from .errors import (
     BundleError,
     CertificationError,
+    ConfigError,
     DomainError,
     InfeasibleTighteningError,
     InwardPointingError,
@@ -326,12 +327,13 @@ def _collar_samples(
     return points[keep][: 2 * count], to_boundary[keep][: 2 * count]
 
 
-def control_candidates(rng, m: int, bound: float) -> np.ndarray:
+def control_candidates(seed: int, m: int, bound: float) -> np.ndarray:
     """The controls of norm at most ``bound`` that the forward-cone search
-    tries: an even grid in 1-D, else zero plus ball samples."""
+    tries under the certifier seed ``seed``: an even grid in 1-D, else zero
+    plus ball samples drawn from ``seed + 1``."""
     if m == 1:
         return bound * np.linspace(-1.0, 1.0, CONTROL_CANDIDATES)[:, None]
-    pts = ball_points(rng, CONTROL_CANDIDATES * 4, m, bound)
+    pts = ball_points(np.random.default_rng(seed + 1), CONTROL_CANDIDATES * 4, m, bound)
     return np.vstack([np.zeros((1, m)), pts])
 
 
@@ -550,8 +552,7 @@ def certify_inward_pointing(
     last_witness = None
     for xi in XI_CANDIDATES:
         for m_u in sorted(control_bounds):
-            cand_rng = np.random.default_rng(seed + 1)
-            candidates = control_candidates(cand_rng, model.control_dim, m_u)
+            candidates = control_candidates(seed, model.control_dim, m_u)
             rows = []
             aborted = False
             for (eps, t), (pts, depths) in collars.items():
@@ -678,11 +679,11 @@ def certify_time_regularity(
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.array([float(meta.time_drift(t)) for t in nodes])
         vals[~np.isfinite(vals)] = 0.0
-        # Around integrable poles of the density the trapezoid rule can
-        # undershoot: inflate the node beyond the pole until each cell's
-        # trapezoid dominates the declared integral, an upper bound on the
-        # exact one.
-        for sigma in meta.drift_singularities:
+        # Around integrable poles of the density, which lie at the model's
+        # breakpoints, the trapezoid rule can undershoot: inflate the node
+        # beyond the pole until each cell's trapezoid dominates the declared
+        # integral, an upper bound on the exact one.
+        for sigma in model.time_breakpoints:
             j = int(np.searchsorted(nodes, sigma))
             for i in range(max(j - 2, 0), min(j + 2, len(nodes) - 1)):
                 a, b = float(nodes[i]), float(nodes[i + 1])
@@ -818,11 +819,19 @@ def certify_all(
     densities are often valid only on a bounded control box), the inward
     search is retried with the bound candidates narrowed below it. The
     window cap is the horizon, or a quarter of it for a time-varying
-    constraint.
+    constraint. A reference whose operating box of radius 1 + 2 x its
+    largest state norm overflows raises ConfigError.
     """
     grid = ubar.grid
-    reference_sup = xbar.max_norm()
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        reference_sup = xbar.max_norm()
     operating_radius = 1.0 + 2.0 * reference_sup
+    if not np.isfinite(2.0 * operating_radius):
+        # The certifiers draw states uniformly across the operating box.
+        raise ConfigError(
+            f"reference 'states' reach norm {reference_sup:g}: the operating box "
+            "of radius 1 + 2 x that norm cannot be sampled"
+        )
     bounds = CONTROL_BOUNDS
     while True:
         m_u, m_v, xi, eta = certify_inward_pointing(
@@ -858,7 +867,19 @@ def certify_all(
         "shift_radius": "certified",
         "holder_rate": "declared" if _declares_holder(meta) else "certified",
     }
-    theta = certify_sublinear(model, box, grid, seed=seed)
+
+    def resampled(name: str, certify, *args) -> SampledFunction:
+        """The certificate, checked against a 2x resample on ``seed + 1``."""
+        coarse = certify(*args, seed=seed)
+        fine = certify(*args, n_samples=_SAMPLE_COUNTS["stability_resample"][name], seed=seed + 1)
+        if np.any(fine.values > coarse.values * _SAFETY + 1e-12):
+            provenance[name] = "declared-only"
+            return SampledFunction(grid, np.maximum(coarse.values, _SAFETY * fine.values))
+        return coarse
+
+    # The Lipschitz modulus is certified on the ball the schedule derives
+    # from the resampled envelope.
+    theta = resampled("growth_envelope", certify_sublinear, model, box, grid)
     radius = gronwall_radius(
         theta.l1(),
         theta.l2(),
@@ -867,24 +888,14 @@ def certify_all(
         float(np.sqrt(weighted_l2_cost(ubar))),
         beta_u.l2(),
     )
-    kf = certify_lipschitz(model, radius, box.controls, grid, seed=seed)
-    certified = {"growth_envelope": theta, "state_lipschitz": kf}
-    for name, certify, args in (
-        ("growth_envelope", certify_sublinear, (model, box, grid)),
-        ("state_lipschitz", certify_lipschitz, (model, radius, box.controls, grid)),
-    ):
-        fine = certify(*args, n_samples=_SAMPLE_COUNTS["stability_resample"][name], seed=seed + 1)
-        coarse = certified[name].values
-        if np.any(fine.values > coarse * _SAFETY + 1e-12):
-            certified[name] = SampledFunction(grid, np.maximum(coarse, _SAFETY * fine.values))
-            provenance[name] = "declared-only"
+    kf = resampled("state_lipschitz", certify_lipschitz, model, radius, box.controls, grid)
     window_cap = grid.span / 4.0 if constraint.time_varying else grid.span
     omega_a = build_boundary_modulus(
         constraint, grid, EPS_LIST, delta0=window_cap, box_radius=operating_radius, seed=seed
     )
     return HypothesisBundle(
-        growth_envelope=certified["growth_envelope"],
-        state_lipschitz=certified["state_lipschitz"],
+        growth_envelope=theta,
+        state_lipschitz=kf,
         time_drift=gamma,
         shift_radius=beta_u,
         control_bound=m_u,

@@ -62,7 +62,7 @@ class RepairConstants:
     rho_hat: float
     eps: float
     N0: int
-    partition: np.ndarray
+    partition: np.ndarray  # grid node indices of the interval ends
     M_Delta: float
     C_vDelta: float
     R: float
@@ -252,7 +252,9 @@ def schedule_constants(
     k = 4.0 / xi
     rho_hat = min(1.0 / (k * m_v), xi / k, 1.0 / k)
 
-    def window_passes(width: float, gate: str):
+    modulus_check = "window modulus <= eta/4"
+
+    def window_checks(width: float, gate: str):
         drift = omega_gamma.value_at(width) + m_v * omega_f.value_at(width)
         e_w = float(np.exp(omega_f.value_at(width)))
         checks = {
@@ -262,49 +264,47 @@ def schedule_constants(
             <= k * xi / 2,
         }
         if gate == GATE_WINDOW_MODULUS:
-            checks["window modulus <= eta/4"] = omega_bar.value_at(width) <= eta / 4
+            checks[modulus_check] = omega_bar.value_at(width) <= eta / 4
         else:
             checks["state oscillation + boundary drift <= eta/4"] = (
                 osc_table.value_at(width) + bundle.boundary_drift.value_at(width)
                 <= eta / 4
             )
-        return drift, all(checks.values()), checks
+        return drift, checks
 
     def ladder(gate: str):
+        """((stride, width, drift) of the widest passing window, []), or
+        (None, the checks that still fail at one grid step per window)."""
         width = min(xi, bundle.window_cap, horizon)
-        last_checks = None
         while True:
             stride = max(1, int(width / step * (1.0 + 1e-9)))
-            eff = stride * step
-            drift, ok, checks = window_passes(eff, gate)
-            if ok:
-                return stride, eff, drift
-            last_checks = checks
+            drift, checks = window_checks(stride * step, gate)
+            if all(checks.values()):
+                return (stride, stride * step, drift), []
             if stride == 1:
-                failed = ", ".join(name for name, good in last_checks.items() if not good)
-                raise ScheduleError(
-                    "delta-infeasible",
-                    f"at one grid step per window ({eff:g}) still violated: {failed}",
-                )
+                return None, [name for name, good in checks.items() if not good]
             width /= 2.0
 
-    try:
-        stride, delta, m_delta = ladder(GATE_WINDOW_MODULUS)
-        gate = GATE_WINDOW_MODULUS
-    except ScheduleError as exc:
-        if "window modulus" not in exc.detail:
-            raise
-        stride, delta, m_delta = ladder(GATE_STATE_OSCILLATION)
+    gate = GATE_WINDOW_MODULUS
+    window, failed = ladder(gate)
+    if modulus_check in failed:
         gate = GATE_STATE_OSCILLATION
+        window, failed = ladder(gate)
+    if failed:
+        raise ScheduleError(
+            "delta-infeasible",
+            f"at one grid step per window ({step:g}) still violated: {', '.join(failed)}",
+        )
+    stride, delta, m_delta = window
 
     c_v_delta = m_v + m_delta * float(np.exp(omega_f.value_at(delta)))
     indices = list(range(0, grid.nodes.size, stride))
     if indices[-1] != grid.nodes.size - 1:
         indices.append(grid.nodes.size - 1)
-    partition = grid.nodes[np.asarray(indices)]
+    partition = np.asarray(indices)
     n0 = len(partition) - 1
 
-    probe_times = partition[:: max(1, n0 // 8)]
+    probe_times = grid.nodes[partition[:: max(1, n0 // 8)]]
     eps = bundle.eps_cap
     trail = []
     chosen = None
@@ -366,9 +366,7 @@ def inward_control_at(
     fine: the margin is simply generous there.
     """
     x = np.asarray(x, dtype=float)
-    candidates = control_candidates(
-        np.random.default_rng(bundle.seed + 1), model.control_dim, bundle.control_bound
-    )
+    candidates = control_candidates(bundle.seed, model.control_dim, bundle.control_bound)
     horizon = float(bundle.growth_envelope.grid.t1)
     margins, velocities = inclusion_margins(
         field, model, eps, float(t), x, candidates, bundle.inward_slack, horizon
@@ -380,11 +378,6 @@ def inward_control_at(
             witness={"eps": float(eps), "t": float(t), "x": x.copy(), "margin": float(margins[best])},
         )
     return candidates[best].copy(), velocities[best].copy()
-
-
-def _node_at(nodes: np.ndarray, t: float) -> int:
-    """Index of the grid node at a partition time t."""
-    return int(np.searchsorted(nodes, t * (1 - 1e-12)))
 
 
 def repair_interval(
@@ -417,13 +410,11 @@ def repair_interval(
     """
     grid = xcur.grid
     nodes = grid.nodes
-    t_i = float(c.partition[index])
-    t_next = float(c.partition[index + 1])
-    lo = _node_at(nodes, t_i)
-    hi = _node_at(nodes, t_next)
+    lo, hi = int(c.partition[index]), int(c.partition[index + 1])
+    t_i, t_next = float(nodes[lo]), float(nodes[hi])
     x_ti = xcur.states[lo]
 
-    rho_i = float(violations[int(np.searchsorted(nodes, t_i - 1e-12)) :].max())
+    rho_i = float(violations[lo:].max())
     boundary_gap = dist_to_boundary(field, c.eps, t_i, x_ti)
 
     def finish(traj, case, record_kw):
@@ -582,12 +573,12 @@ def repair(
 
 def _verify_suffix(x_eps: Trajectory, u_eps: ControlSignal, c, report, model) -> None:
     """Half-step check the returned suffix, and tie the stitched states to it."""
-    bursts = [r.t_start for r in report.records if r.case == "case-2"]
+    bursts = [r.index for r in report.records if r.case == "case-2"]
     if not bursts:
         return
     nodes = x_eps.grid.nodes
-    lo = _node_at(nodes, bursts[0])
-    fresh = integrate(model, u_eps, x_eps.states[lo], (bursts[0], float(nodes[-1])), c.step)
+    lo = int(c.partition[bursts[0]])
+    fresh = integrate(model, u_eps, x_eps.states[lo], (float(nodes[lo]), float(nodes[-1])), c.step)
     if not np.array_equal(fresh.grid.nodes, nodes[lo:]):
         raise RepairError(
             "the verifying run of the repaired suffix landed off the reference grid",
@@ -623,7 +614,7 @@ def _sweep(xbar, ubar, c, bundle, field, model, weight):
     for i in range(c.N0):
         xcur, ucur, record = repair_interval(i, xcur, ucur, c, bundle, field, model, violations)
         if record.case == "case-2":
-            lo = _node_at(xcur.grid.nodes, record.t_start)
+            lo = int(c.partition[i])
             violations = np.concatenate(
                 [violations[:lo], node_violations(field, c.eps, xcur, start=lo)]
             )

@@ -70,28 +70,25 @@ def _target_path(t, start: float, graze: float, finish: float):
     return level, rate
 
 
-def _surge_gain_mean(a: float, b: float) -> float:
-    """Mean of the surge input gain over a cell [a, b]."""
-    if b <= 1.0:
+# Antiderivative over [brk, brk + d] of each motor's actuator scale past its
+# break time brk, where the scale is 1 up to brk: the surge gain
+# (s - brk)^(-1/4) and the decline decay 1 - 0.5 sqrt(s - brk).
+_SCALE_INTEGRALS = {
+    "surge": lambda d: (4.0 / 3.0) * d**0.75,
+    "decline": lambda d: d - (1.0 / 3.0) * d**1.5,
+}
+
+
+def _cell_mean(variant: str, brk: float, a: float, b: float) -> float:
+    """Mean of the variant's actuator scale over a cell [a, b]."""
+    if b <= brk:
         return 1.0
-    # Integral of (s - 1)^(-1/4) from max(a, 1) to b is closed form.
-    tail = (4.0 / 3.0) * (b - 1.0) ** 0.75
-    if a >= 1.0:
-        tail -= (4.0 / 3.0) * (a - 1.0) ** 0.75
+    integral = _SCALE_INTEGRALS[variant]
+    tail = integral(b - brk)
+    if a >= brk:
+        tail -= integral(a - brk)
         return tail / (b - a)
-    return ((1.0 - a) + tail) / (b - a)
-
-
-def _decline_decay_mean(a: float, b: float) -> float:
-    """Mean of the decline actuator decay over a cell [a, b]."""
-    if b <= 1.0:
-        return 1.0
-    # Integral of 1 - 0.5 sqrt(s - 1) from max(a, 1) to b is closed form.
-    upper = (b - 1.0) - (1.0 / 3.0) * (b - 1.0) ** 1.5
-    if a >= 1.0:
-        upper -= (a - 1.0) - (1.0 / 3.0) * (a - 1.0) ** 1.5
-        return upper / (b - a)
-    return ((1.0 - a) + upper) / (b - a)
+    return ((brk - a) + tail) / (b - a)
 
 
 def boundary_tracking_reference(
@@ -110,10 +107,11 @@ def boundary_tracking_reference(
     target path that descends from ``x0`` to ``1 + clearance``, holds that
     graze level across the actuator breakpoint, then climbs to ``finish``.
     The inversion cancels the motor's drift ``drift_amplitude * cos(x)``
-    and uses the exact cell mean of the actuator scale so tracking stays
-    tight through the power surge and decay. The returned trajectory is
-    re-integrated with the production integrator and checked to be
-    feasible (but only barely) for the untightened constraint.
+    and uses the exact cell mean of the actuator scale, which switches at
+    the model's one time breakpoint, so tracking stays tight through the
+    power surge and decay. The returned trajectory is re-integrated with
+    the production integrator and checked to be feasible (but only
+    barely) for the untightened constraint.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
@@ -122,8 +120,11 @@ def boundary_tracking_reference(
         raise DomainError("boundary tracking references are scalar")
     if clearance < 0.0:
         raise DomainError("clearance must be nonnegative")
+    if len(model.time_breakpoints) != 1:
+        raise DomainError("boundary tracking needs a motor model with one time breakpoint")
 
     nodes = grid.nodes
+    (brk,) = model.time_breakpoints
     graze = 1.0 + clearance
     level, rate = _target_path(nodes, float(x0[0]), graze, finish)
 
@@ -131,11 +132,8 @@ def boundary_tracking_reference(
         a, b = float(nodes[j]), float(nodes[j + 1])
         demand = float(rate[j]) + _FEEDBACK_GAIN * (float(level[j]) - float(x[0]))
         demand -= drift_amplitude * float(np.cos(x[0]))
-        if variant == "surge":
-            u = demand / _surge_gain_mean(a, b)
-        else:
-            arg = demand / _decline_decay_mean(a, b)
-            u = float(np.tan(np.clip(arg, -1.3, 1.3)))
+        demand /= _cell_mean(variant, brk, a, b)
+        u = demand if variant == "surge" else float(np.tan(np.clip(demand, -1.3, 1.3)))
         return np.array([float(np.clip(u, -_CONTROL_CAP, _CONTROL_CAP))])
 
     _, cells = integrate_feedback(model, grid, x0, law)

@@ -81,6 +81,17 @@ class TimeGrid:
         if t < self.t0 - slack or t > self.t1 + slack:
             raise DomainError(f"time {t} outside grid [{self.t0}, {self.t1}]")
 
+    def uniform_step(self) -> float:
+        """The largest gap, which every gap matches to a relative 1e-6 on a
+        uniform grid; raises DomainError on any other grid."""
+        gaps = np.diff(self.nodes)
+        step = float(gaps.max())
+        if gaps.min() < step * (1 - 1e-6):
+            raise DomainError(
+                f"a uniform grid is required, got gaps from {gaps.min():g} to {step:g}"
+            )
+        return step
+
     def indices_left(self, times: np.ndarray) -> np.ndarray:
         """Index of the greatest node <= t for each time t in a nonempty 1-d
         array, in one lookup; the endpoint maps to the last node."""
@@ -218,10 +229,7 @@ def build_modulus_table(grid: TimeGrid, samples: np.ndarray) -> ModulusTable:
     accumulated to be monotone.
     """
     n = len(grid) - 1
-    gaps = np.diff(grid.nodes)
-    step = float(gaps.max())
-    if gaps.min() < step * (1 - 1e-6):
-        raise DomainError("modulus tables require a uniform grid")
+    step = grid.uniform_step()
     deltas = step * np.arange(n + 1)
     values = np.zeros(n + 1)
     prefix = trapezoid_prefix(grid, _as_float_array(samples, "samples"))

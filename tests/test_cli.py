@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tightpath import cli
+from tightpath import ControlSignal, TimeGrid, cli, expression_model, integrate
 from tightpath.hypotheses import bundle_to_dict, save_bundle
 from tightpath.errors import ConfigError, config_number
 
@@ -375,31 +375,65 @@ class TestEvaluate:
         assert "dimension" in capsys.readouterr().err
 
 
+def certify_repair_evaluate(workdir, capsys, name, config):
+    """Run certify, repair and evaluate on ``config`` and check that each
+    succeeds and the repaired pair meets the contract; returns what
+    certify printed and the numbers repair printed."""
+    path = write_config(workdir / f"{name}.json", config)
+    out = workdir / name
+    code = cli.main(["certify", "--config", path, "--out", str(out)])
+    certified = capsys.readouterr()
+    assert code == 0, certified
+    bundle = str(out / "bundle.json")
+    code = cli.main(["repair", "--config", path, "--bundle", bundle, "--out", str(out)])
+    assert code == 0, capsys.readouterr()
+    repaired = printed_numbers(capsys.readouterr().out)
+    lam = config["lambda"]
+    assert repaired["interiority margin"] > 0
+    assert repaired["sup gap"] <= lam and repaired["cost gap"] <= lam
+    # Evaluate the repaired pair at the tightening repair chose.
+    scored = write_config(workdir / f"{name}_eps.json", {**config, "eps": repaired["eps"]})
+    code = cli.main(
+        ["evaluate", str(out / "x_eps.csv"), str(out / "u_eps.csv"), "--config", scored]
+    )
+    assert code == 0
+    evaluated = printed_numbers(capsys.readouterr().out)
+    assert evaluated[f"interiority margin (eps = {cli._fmt(repaired['eps'])})"] > 0
+    assert evaluated["sup gap"] <= lam and evaluated["cost gap"] <= lam
+    return certified.out, repaired
+
+
 class TestControlAffine:
     def test_autonomous_config_certifies_repairs_and_evaluates(self, workdir, capsys):
-        path = write_config(workdir / "control_affine.json", CONTROL_AFFINE_CONFIG)
-        out = workdir / "control_affine"
-        code = cli.main(["certify", "--config", path, "--out", str(out)])
-        assert code == 0, capsys.readouterr()
-        capsys.readouterr()
-        bundle = str(out / "bundle.json")
-        code = cli.main(["repair", "--config", path, "--bundle", bundle, "--out", str(out)])
-        assert code == 0, capsys.readouterr()
-        repaired = printed_numbers(capsys.readouterr().out)
-        lam = CONTROL_AFFINE_CONFIG["lambda"]
-        assert repaired["interiority margin"] > 0
-        assert repaired["sup gap"] <= lam and repaired["cost gap"] <= lam
-        # Evaluate the repaired pair at the tightening repair chose.
-        scored = write_config(
-            workdir / "control_affine_eps.json", {**CONTROL_AFFINE_CONFIG, "eps": repaired["eps"]}
+        certify_repair_evaluate(workdir, capsys, "control_affine", CONTROL_AFFINE_CONFIG)
+
+
+def time_dependent_config() -> dict:
+    """The moving-disk config with x1' = u1 + 0.05 sin(3t), a model that
+    reads t: the transport search and the sampled drift and Hölder
+    certificates run. The program does not check that a reference solves
+    its model, so this one is integrated from it."""
+    rhs = ["u1 + 0.05*sin(3*t)", "u2"]
+    grid = TimeGrid(np.array(_DISK_TIMES))
+    ubar = ControlSignal(grid, MOVING_DISK_CONFIG["reference"]["controls"])
+    model = expression_model(rhs, 2, 2, shift_radius=0.5)
+    xbar = integrate(model, ubar, np.array([-1.5, 1.0005]), (grid.t0, grid.t1), grid.step)
+    assert np.array_equal(xbar.grid.nodes, grid.nodes)
+    reference = {**MOVING_DISK_CONFIG["reference"], "states": xbar.states.tolist()}
+    return {**MOVING_DISK_CONFIG, "rhs": rhs, "shift_radius": 0.5, "reference": reference}
+
+
+class TestTimeDependentExpression:
+    def test_config_certifies_repairs_and_evaluates(self, workdir, capsys):
+        printed, repaired = certify_repair_evaluate(
+            workdir, capsys, "time_dependent", time_dependent_config()
         )
-        code = cli.main(
-            ["evaluate", str(out / "x_eps.csv"), str(out / "u_eps.csv"), "--config", scored]
+        provenance = dict(
+            line.split(": ", 1) for line in printed.splitlines() if line.count(": ") == 1
         )
-        assert code == 0
-        evaluated = printed_numbers(capsys.readouterr().out)
-        assert evaluated[f"interiority margin (eps = {cli._fmt(repaired['eps'])})"] > 0
-        assert evaluated["sup gap"] <= lam and evaluated["cost gap"] <= lam
+        # The drift and Hölder rate included: both were sampled.
+        assert len(provenance) == 6 and set(provenance.values()) == {"certified"}, provenance
+        assert repaired["sup gap"] > 0  # a real repair, not the reference handed back
 
 
 class TestConfigRejection:
@@ -656,6 +690,18 @@ class TestConfigRejection:
         assert code == 64
         err = capsys.readouterr().err
         assert "reads 't'" in err and "'time_varying' must be true" in err, err
+
+    @pytest.mark.parametrize("big", [1e308, 1e200], ids=["range", "norm"])
+    def test_reference_too_large_to_sample_names_the_key(self, workdir, capsys, big):
+        # 1e308 overflows the sampling range of the operating box, and
+        # 1e200 already the state norm it is derived from.
+        config = json.loads(json.dumps(MOVING_DISK_CONFIG))
+        config["reference"]["states"][3] = [-big, 1.0005]
+        path = write_config(workdir / "huge-state.json", config)
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "huge")])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "reference 'states'" in err and "cannot be sampled" in err, err
 
     def test_bool_is_not_a_float(self):
         with pytest.raises(ConfigError, match="'lambda' must be a number, got True"):

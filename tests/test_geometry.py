@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tightpath import geometry
-from tightpath.dynamics import _autonomy
+from tightpath.dynamics import expression_model
 from tightpath.errors import ConfigError, DomainError, ExpressionError, ModelEvaluationError
 from tightpath.geometry import (
     ConstraintField,
@@ -583,4 +583,5 @@ class TestFieldConfig:
                 field_from_config({"components": [expr], "box": [[0.0, 2.0]]})
             except ConfigError:
                 static_ok = False
-            assert static_ok == (_autonomy([expr])[0] is not None), expr
+            autonomous = expression_model([expr], 1, 1).shift_hook is not None
+            assert static_ok == autonomous, expr

@@ -49,10 +49,12 @@ from tightpath import (
     double_integrator,
     field_from_config,
     inclusion_margins,
+    gronwall_radius,
     integrate,
     load_bundle,
     model_from_config,
     motor_decline,
+    motor_scenario,
     motor_surge,
     save_bundle,
     unit_ball_complement,
@@ -70,7 +72,7 @@ from tightpath.hypotheses import (
     _collar_samples,
     control_candidates,
 )
-from tightpath.signals import trapezoid_prefix
+from tightpath.signals import trapezoid_prefix, weighted_l2_cost
 
 GRID = TimeGrid.uniform(0.0, 2.0, 400)
 BALL = unit_ball_complement(dim=1, box_radius=2.0)
@@ -270,7 +272,7 @@ class TestPrunedInclusionMargins:
         eps = 0.05
         pruned = 0
         for bound in (0.5, 2.0):
-            cands = control_candidates(np.random.default_rng(1), 2, bound)
+            cands = control_candidates(0, 2, bound)
             for t in (0.0, 0.9, 1.95):
                 for angle in (0.4, 1.6, 2.9):
                     for depth in (0.002, 0.03):
@@ -286,7 +288,7 @@ class TestPrunedInclusionMargins:
         pruned = 0
         for model in (motor_surge(), motor_decline()):
             for bound in (0.5, 1.0, 4.0):
-                cands = control_candidates(np.random.default_rng(1), 1, bound)
+                cands = control_candidates(0, 1, bound)
                 for t in (0.3, 1.2, 1.9):
                     for x in (1.0501, 1.08, 1.3, -1.06):
                         for xi in (0.5, 0.25, 0.05):
@@ -297,7 +299,7 @@ class TestPrunedInclusionMargins:
 
     def test_planar_unit_ball_complement(self):
         ball = unit_ball_complement(dim=2, box_radius=2.0)
-        cands = control_candidates(np.random.default_rng(1), 2, 1.0)
+        cands = control_candidates(0, 2, 1.0)
         pruned = 0
         for x in ([1.06, 0.0], [0.5, 0.9], [-0.8, -0.8]):
             for xi in (0.4, 0.1):
@@ -350,7 +352,7 @@ class TestBatchedInclusionMargins:
     def test_moving_disk_lattice_field(self):
         eps = 0.05
         for bound in (0.5, 2.0):
-            cands = control_candidates(np.random.default_rng(1), 2, bound)
+            cands = control_candidates(0, 2, bound)
             for t in (0.0, 0.9, 1.95, 2.0):
                 xs = [
                     [0.1 * t + r * np.cos(angle), r * np.sin(angle)]
@@ -368,7 +370,7 @@ class TestBatchedInclusionMargins:
                 "resolution": 0.025,
             }
         )
-        cands = control_candidates(np.random.default_rng(1), 2, 1.0)
+        cands = control_candidates(0, 2, 1.0)
         xs = [[1.06, 0.0], [0.6, 0.85], [-0.75, -0.75], [0.0, 0.0]]
         for t in (0.0, 1.5):
             for xi in (0.4, 0.1):
@@ -376,25 +378,25 @@ class TestBatchedInclusionMargins:
 
     def test_unit_ball_complement(self):
         for model in (motor_surge(), motor_decline()):
-            cands = control_candidates(np.random.default_rng(1), 1, 1.0)
+            cands = control_candidates(0, 1, 1.0)
             xs = [[1.0501], [1.08], [1.3], [-1.06], [1.04], [0.0]]
             for t in (0.3, 1.2, 1.9, 2.0):
                 for xi in (0.5, 0.05):
                     check_batch_against_rows(BALL, model, 0.05, t, xs, cands, xi)
         ball = unit_ball_complement(dim=2, box_radius=2.0)
-        cands = control_candidates(np.random.default_rng(1), 2, 1.0)
+        cands = control_candidates(0, 2, 1.0)
         xs = [[1.06, 0.0], [0.5, 0.9], [-0.8, -0.8], [0.1, 0.1]]
         check_batch_against_rows(ball, PLANAR, 0.02, 0.5, xs, cands, 0.4)
 
     def test_horizon_gives_no_push_time(self):
-        cands = control_candidates(np.random.default_rng(1), 1, 1.0)
+        cands = control_candidates(0, 1, 1.0)
         margins, _ = check_batch_against_rows(
             BALL, motor_surge(), 0.05, 2.0, [[1.06], [1.5]], cands, 0.3
         )
         assert np.all(margins == np.inf)
 
     def test_rows_without_a_feasible_base_point_are_minus_inf(self):
-        cands = control_candidates(np.random.default_rng(1), 1, 1.0)
+        cands = control_candidates(0, 1, 1.0)
         margins, _ = check_batch_against_rows(
             BALL, motor_surge(), 0.05, 0.4, [[1.06], [0.0], [1.3]], cands, 0.3
         )
@@ -534,7 +536,7 @@ class TestStagedPush:
     def test_moving_disk_lattice_field(self):
         eps = 0.05
         for bound in (0.5, 2.0):
-            cands = control_candidates(np.random.default_rng(1), 2, bound)
+            cands = control_candidates(0, 2, bound)
             for t in (0.0, 0.9, 1.95, 2.0):
                 xs = [
                     [0.1 * t + r * np.cos(angle), r * np.sin(angle)]
@@ -553,7 +555,7 @@ class TestStagedPush:
                 "resolution": 0.025,
             }
         )
-        cands = control_candidates(np.random.default_rng(1), 2, 1.0)
+        cands = control_candidates(0, 2, 1.0)
         xs = [[1.06, 0.0], [0.6, 0.85], [-0.75, -0.75], [0.0, 0.0]]
         for t in (0.0, 1.5, 2.0):
             for xi in (0.4, 0.1):
@@ -568,7 +570,7 @@ class TestStagedPush:
             (planar_ball, PLANAR, 2, [[1.06, 0.0], [0.5, 0.9], [-0.8, -0.8], [0.1, 0.1]], 0.02),
         ]
         for field, model, dim, xs, eps in cases:
-            cands = control_candidates(np.random.default_rng(1), dim, 1.0)
+            cands = control_candidates(0, dim, 1.0)
             for t in (0.3, 1.9, 2.0):
                 for xi in (0.5, 0.05):
                     # An analytic oracle answers every point in one call: no staging.
@@ -654,7 +656,7 @@ class TestStagedPush:
                 "resolution": 0.025,
             }
         )
-        cands = control_candidates(np.random.default_rng(1), 2, 1.0)
+        cands = control_candidates(0, 2, 1.0)
         xs = [[0.2, 0.1], [0.5, -0.4], [-1.5, 1.0]]
         for t in (0.3, 0.45, 0.6):
             margins, _, _ = check_staged_push(shrinking, PLANAR, 0.05, t, xs, cands, 0.5)
@@ -921,6 +923,41 @@ class TestBundle:
         assert bundle.control_bound == 1.0
         assert bundle.provenance["growth_envelope"] == "certified"
         assert bundle.time_drift.l1() >= 0.5
+
+    def test_lipschitz_is_certified_on_the_ball_the_schedule_uses(self, monkeypatch):
+        # A stability resample that inflates the growth envelope also
+        # enlarges the radius R that the schedule derives from it; both
+        # Lipschitz passes must sample that ball, not the one of the
+        # envelope before the resample.
+        real_sublinear, real_lipschitz = certify_sublinear, certify_lipschitz
+        radii = []
+
+        def inflated(*args, n_samples=hypotheses.GROWTH_SAMPLES, seed=0):
+            out = real_sublinear(*args, n_samples=n_samples, seed=seed)
+            if n_samples == hypotheses.STABILITY_GROWTH_SAMPLES:
+                return SampledFunction(out.grid, 2.0 * out.values)
+            return out
+
+        def recording(model, radius_R, *args, **kwargs):
+            radii.append(radius_R)
+            return real_lipschitz(model, radius_R, *args, **kwargs)
+
+        monkeypatch.setattr(hypotheses, "certify_sublinear", inflated)
+        monkeypatch.setattr(hypotheses, "certify_lipschitz", recording)
+        sc = motor_scenario("decline", steps=400)
+        bundle = certify_all(sc.model, sc.field, sc.ubar, sc.xbar, seed=1)
+        assert bundle.provenance["growth_envelope"] == "declared-only"
+        theta = bundle.growth_envelope
+        # The radius of schedule_constants, from the bundle's constants.
+        radius = gronwall_radius(
+            theta.l1(),
+            theta.l2(),
+            sc.xbar.max_norm(),
+            bundle.control_bound,
+            float(np.sqrt(weighted_l2_cost(sc.ubar))),
+            bundle.shift_radius.l2(),
+        )
+        assert radii == [radius, radius]
 
     def test_holder_rate_without_exponent_is_certified(self):
         # The certifier uses a declared rate only with its exponent, and

@@ -75,7 +75,7 @@ def linear_constants() -> RepairConstants:
         rho_hat=1.0,
         eps=0.1,
         N0=3,
-        partition=np.array([0.0, 0.5, 1.0, 1.5]),
+        partition=np.array([0, 1, 2, 3]),
         M_Delta=0.25,
         C_vDelta=0.25,
         R=2.0,
@@ -203,11 +203,12 @@ class TestSchedule:
         assert c.C_vDelta == pytest.approx(
             bundle.velocity_bound + c.M_Delta * e_f, rel=1e-12
         )
-        widths = np.diff(c.partition)
+        widths = np.diff(sc.grid.nodes[c.partition])
         assert np.all(widths > 0)
         assert np.all(widths <= c.Delta * (1 + 1e-12))
-        assert c.partition[0] == sc.grid.nodes[0]
-        assert c.partition[-1] == sc.grid.nodes[-1]
+        assert c.partition.dtype.kind == "i"
+        assert c.partition[0] == 0
+        assert c.partition[-1] == sc.grid.nodes.size - 1
         assert c.N0 == len(c.partition) - 1
 
     def test_oscillation_gate_inequality(self, bundle_case):
@@ -556,7 +557,7 @@ def replay_rho(xbar, ubar, c, bundle, field, model):
     xcur, ucur = xbar, ubar
     rhos = []
     for i in range(c.N0):
-        start = int(np.searchsorted(xcur.grid.nodes, float(c.partition[i]) - 1e-12))
+        start = int(c.partition[i])
         rhos.append(float(node_violations(field, c.eps, xcur, start=start).max()))
         violations = node_violations(field, c.eps, xcur)
         xcur, ucur, _ = repair_interval(i, xcur, ucur, c, bundle, field, model, violations)
@@ -620,7 +621,7 @@ class TestNodeViolations:
         _, _, c, _ = surge_run
         n = sc.grid.nodes.size
         deep = Trajectory(grid=sc.grid, states=np.full((n, 1), 1.5))
-        lo = int(np.searchsorted(sc.grid.nodes, c.partition[3] * (1 - 1e-12)))
+        lo = int(c.partition[3])
         violations = np.zeros(n)
         violations[lo - 1] = 0.75
         violations[lo] = 0.5

@@ -13,6 +13,8 @@ Oracle facts, computed independently of the builder:
   |u| < tan(1) ~ 1.557.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,6 @@ from tightpath.propagation import _REFINE_SUBSTEPS, _anchors
 from tightpath.scenarios import (
     _CONTROL_CAP,
     _FEEDBACK_GAIN,
-    _decline_decay_mean,
-    _surge_gain_mean,
     _target_path,
 )
 
@@ -78,10 +78,34 @@ def test_reference_reintegrates_bitwise(scenario):
     assert np.array_equal(redo.states, scenario.xbar.states)
 
 
+def _surge_gain_mean(a: float, b: float) -> float:
+    """Mean of the surge input gain over a cell [a, b], break at t = 1."""
+    if b <= 1.0:
+        return 1.0
+    # Integral of (s - 1)^(-1/4) from max(a, 1) to b is closed form.
+    tail = (4.0 / 3.0) * (b - 1.0) ** 0.75
+    if a >= 1.0:
+        tail -= (4.0 / 3.0) * (a - 1.0) ** 0.75
+        return tail / (b - a)
+    return ((1.0 - a) + tail) / (b - a)
+
+
+def _decline_decay_mean(a: float, b: float) -> float:
+    """Mean of the decline actuator decay over a cell [a, b], break at t = 1."""
+    if b <= 1.0:
+        return 1.0
+    # Integral of 1 - 0.5 sqrt(s - 1) from max(a, 1) to b is closed form.
+    upper = (b - 1.0) - (1.0 / 3.0) * (b - 1.0) ** 1.5
+    if a >= 1.0:
+        upper -= (a - 1.0) - (1.0 / 3.0) * (a - 1.0) ** 1.5
+        return upper / (b - a)
+    return ((1.0 - a) + upper) / (b - a)
+
+
 def reference_builder_controls(sc, variant, finish=1.06, drift_amplitude=0.2):
     """The builder's feedback loop as it was with its own RK4 stepper,
-    which went through eval_rhs: the reference the built controls must
-    equal bit for bit."""
+    which went through eval_rhs, and with one cell mean per variant: the
+    reference the built controls must equal bit for bit."""
 
     def rk4(t, x, u, h):
         k1 = eval_rhs(sc.model, t, x, u)
@@ -173,6 +197,15 @@ def test_infeasible_target_rejected(surge_scenario):
             clearance=5e-4,
             finish=0.5,
             variant="surge",
+        )
+
+
+def test_model_without_one_breakpoint_rejected(surge_scenario):
+    # The cell means switch at the model's breakpoint, so it needs one.
+    sc = surge_scenario
+    with pytest.raises(DomainError, match="one time breakpoint"):
+        boundary_tracking_reference(
+            dataclasses.replace(sc.model, time_breakpoints=()), sc.field, sc.grid, sc.x0
         )
 
 
