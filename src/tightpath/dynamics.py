@@ -82,8 +82,12 @@ class DynamicsModel:
 
     ``rhs`` maps (t, x, u) with x of shape (state_dim,) and u of shape
     (control_dim,) to the state derivative, a float array of shape
-    (state_dim,); builtin models broadcast over a leading batch axis. The
-    RK4 stepper calls it four times per step, at float times and with
+    (state_dim,); builtin models broadcast over a leading batch axis. A
+    broadcasting ``rhs`` computes each row from that row alone: the
+    certifiers stack rows from different sample sets into one call
+    (``rhs_batch``), and a row must come out bitwise the same whichever
+    rows share its call. An ``rhs`` that does not broadcast is called one
+    row at a time. The RK4 stepper calls it four times per step, at float times and with
     float arrays, and does arithmetic on what it returns without
     converting or checking it.
     ``shift_hook`` (s, t, x, u_s) -> u_t, when present, is the exact

@@ -157,9 +157,15 @@ def _envelope(time_grid: TimeGrid, raw: np.ndarray, declared, undershoot: str) -
     return SampledFunction(time_grid, bound)
 
 
-def _ratio_max(model, t, states, controls) -> float:
+def _ratio_scale(states, controls) -> np.ndarray:
+    """The denominators 1 + |x| + |u| of the growth ratios."""
+    return 1.0 + np.linalg.norm(states, axis=1) + np.linalg.norm(controls, axis=1)
+
+
+def _ratio_max(model, t, states, controls, scale) -> float:
+    """Largest growth ratio |f| / ``scale`` at time t; ``scale`` is the
+    ``_ratio_scale`` of the same states and controls."""
     values = rhs_batch(model, t, states, controls)
-    scale = 1.0 + np.linalg.norm(states, axis=1) + np.linalg.norm(controls, axis=1)
     return float((np.linalg.norm(values, axis=1) / scale).max())
 
 
@@ -182,12 +188,15 @@ def certify_sublinear(
     controls = box.sample_controls(rng, n_samples)
     declared = model.metadata.growth_envelope
     nodes = time_grid.nodes
-    raw = np.array([_ratio_max(model, t, states, controls) for t in nodes])
+    scale = _ratio_scale(states, controls)
+    raw = np.array([_ratio_max(model, t, states, controls, scale) for t in nodes])
     if declared is None:
         # Super-linear probe: growth must saturate as the control box scales.
         probe_times = nodes[:: max(1, nodes.size // 8)]
-        last = np.array([_ratio_max(model, t, states, 4.0 * controls) for t in probe_times])
-        final = np.array([_ratio_max(model, t, states, 8.0 * controls) for t in probe_times])
+        wide, wider = 4.0 * controls, 8.0 * controls
+        scale_wide, scale_wider = _ratio_scale(states, wide), _ratio_scale(states, wider)
+        last = np.array([_ratio_max(model, t, states, wide, scale_wide) for t in probe_times])
+        final = np.array([_ratio_max(model, t, states, wider, scale_wider) for t in probe_times])
         growth = final / np.maximum(last, 1e-12)
         if float(growth.max()) > 1.5:
             j = int(np.argmax(growth))
@@ -254,13 +263,18 @@ def certify_lipschitz(
                 f"difference quotients diverge at t={t}: field is not Lipschitz in x",
                 witness={"t": t, "pair": witness},
             )
-    scales = (0.4 * radius_R, 1e-2 * radius_R, 1e-4 * radius_R)
+    # Each node's field is one call on the base points stacked over their
+    # partners at every separation; the rows of a call are independent.
+    seps = np.array([0.4 * radius_R, 1e-2 * radius_R, 1e-4 * radius_R])
+    stacked = np.vstack([base] + [base + sep * directions for sep in seps])
+    stacked_controls = np.tile(controls, (len(seps) + 1, 1))
+    shape = (len(seps) + 1, n_samples, n)
     declared = model.metadata.state_lipschitz
     nodes = time_grid.nodes
     raw = np.empty(len(nodes))
     for k, t in enumerate(nodes):
-        fa = rhs_batch(model, float(t), base, controls)  # shared by every scale
-        raw[k] = max(float(quotients(float(t), sep, base, fa)[0].max()) for sep in scales)
+        f = rhs_batch(model, float(t), stacked, stacked_controls).reshape(shape)
+        raw[k] = (np.linalg.norm(f[0] - f[1:], axis=2) / seps[:, None]).max()
     return _envelope(time_grid, raw, declared, "Lipschitz modulus undershoots sampled quotient")
 
 
@@ -366,17 +380,18 @@ def inclusion_margins(
     and every finite velocity gets +inf.
 
     The search is a branch-and-bound for ``best_inward_candidate``, run
-    row by row: the leader after the first push time is evaluated at every
-    push time, and a candidate stops being evaluated once its running
-    minimum falls below the leader's exact margin minus
-    ``INWARD_TIE_TOL``. So every candidate that wins or ties has its exact
-    margin; every other entry is an upper bound on its margin that lies
-    more than ``INWARD_TIE_TOL`` below the best margin of its row.
+    row by row: the leaders after the first push time are evaluated at
+    every later push time, all in one distance query, and a candidate
+    stops being evaluated once its running minimum falls below the
+    leader's exact margin minus ``INWARD_TIE_TOL``. So every candidate
+    that wins or ties has its exact margin; every other entry is an upper
+    bound on its margin that lies more than ``INWARD_TIE_TOL`` below the
+    best margin of its row.
 
-    On the KD-tree fallback a push of several candidates in a row is
-    staged: the row's first candidate queries all its base points, and
-    the others only the points whose 1-Lipschitz lower bound from it can
-    reach their minimum, plus every point outside the set. A skipped
+    On the KD-tree fallback a single-time push of several candidates in a
+    row is staged: the row's first candidate queries all its base points,
+    and the others only the points whose 1-Lipschitz lower bound from it
+    can reach their minimum, plus every point outside the set. A skipped
     point is provably farther than a queried one and rounding is
     monotone, so every entry, exact or bound, is bitwise the value a
     query of every point gives (see ``_staged_queries``).
@@ -399,10 +414,16 @@ def inclusion_margins(
 def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) -> None:
     """The branch-and-bound of ``inclusion_margins``; lowers ``margins`` in place.
 
-    On the KD-tree fallback, a push with more than one pair in some row
-    queries only the base points that can set a pair's minimum (see
-    ``_staged_queries``), and every pair's minimum comes out bitwise as a
-    query of all its base points gives it. An analytic oracle answers all
+    Every live pair is pushed at the first push time. Then the row leaders
+    are pushed at all later push times in one ``_distances`` call with a
+    time per point: the lattice fallback groups the points by time, and an
+    analytic oracle answers them all at once. Then the pairs still in
+    contention are pushed one push time at a time.
+
+    On the KD-tree fallback, a single-time push with more than one pair in
+    some row queries only the base points that can set a pair's minimum
+    (see ``_staged_queries``), and every pair's minimum comes out bitwise as
+    a query of all its base points gives it. An analytic oracle answers all
     points in one vectorised call, so there every push queries them all.
     """
     rng = np.random.default_rng(12)
@@ -412,25 +433,31 @@ def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) 
     base_ok = (field.margin(t, ys.reshape(-1, field.dim), eps) >= 0).reshape(ys.shape[:2])
     margins[~base_ok.any(axis=1)] = -np.inf
 
-    def push(delta: float, pairs: tuple) -> None:
+    def push(delta, pairs: tuple) -> None:
+        """Lower the margins of ``pairs`` to their worst slack at push time
+        ``delta``, a float, or at one push time per pair, an array; there a
+        pair may recur at other times."""
         r, c = pairs
         keep = base_ok[r]
-        steps = delta * velocities[r, c]
+        lag = np.broadcast_to(np.reshape(delta, (-1, 1)), keep.shape)  # per point
+        steps = lag[:, :1] * velocities[r, c]
         centers = ys[r] + steps[:, None, :]
         slack = np.full(keep.shape, np.inf)
 
         def query(mask: np.ndarray) -> np.ndarray:
-            d_set, d_bdry = field._distances(eps, t + delta, centers[mask])
-            slack[mask] = np.where(d_set > 0, -np.inf, d_bdry - delta * xi)
+            at = t + (delta if np.ndim(delta) == 0 else lag[mask])
+            d_set, d_bdry = field._distances(eps, at, centers[mask])
+            slack[mask] = np.where(d_set > 0, -np.inf, d_bdry - lag[mask] * xi)
             return d_bdry
 
         # np.nonzero lists the pairs of a row together; the first is its anchor.
         first = np.concatenate(([True], r[1:] != r[:-1]))
-        if field.analytic_distance is None and not first.all():
+        if np.ndim(delta) == 0 and field.analytic_distance is None and not first.all():
             _staged_queries(field, eps, t + delta, query, first, steps, keep, centers)
         else:
             query(keep)
-        margins[r, c] = np.minimum(margins[r, c], slack.min(axis=1))
+        # Unbuffered, so a recurring pair takes the minimum over its times.
+        np.minimum.at(margins, (r, c), slack.min(axis=1))
 
     # A running minimum only decreases, so a candidate already below its
     # row leader's exact margin minus the tie tolerance can neither win nor tie.
@@ -442,8 +469,9 @@ def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) 
     # Each row's leader is the first live candidate attaining its live maximum.
     top = np.where(live, margins, -np.inf).max(axis=1)
     leader = np.argmax(live & (margins == top[:, None]), axis=1)[led]
-    for delta in deltas[1:]:
-        push(delta, (led, leader))
+    # Every leader at every later push time, in one query.
+    later = len(deltas) - 1
+    push(np.repeat(deltas[1:], len(led)), (np.tile(led, later), np.tile(leader, later)))
     floor = np.full(len(rows), np.inf)
     floor[led] = margins[led, leader] - INWARD_TIE_TOL
     live[led, leader] = False
@@ -507,11 +535,17 @@ def _staged_queries(field, eps, t, query, first, steps, keep, centers) -> None:
         query(todo)
 
 
-def best_inward_candidate(margins: np.ndarray, candidates: np.ndarray) -> int:
-    """Index of the max-margin candidate; ties go to the smaller control."""
-    top = float(margins.max())
-    tied = np.flatnonzero(margins >= top - INWARD_TIE_TOL)
-    return int(tied[np.argmin(np.linalg.norm(candidates[tied], axis=1))])
+def best_inward_candidate(margins: np.ndarray, candidates: np.ndarray):
+    """Index of the max-margin candidate; ties go to the smaller control,
+    and among equal norms to the first. (C,) margins give an int, (P, C)
+    margins one index per row."""
+    margins = np.asarray(margins)
+    rows = np.atleast_2d(margins)
+    top = rows.max(axis=1, keepdims=True)
+    tied = rows >= top - INWARD_TIE_TOL
+    norms = np.linalg.norm(candidates, axis=1)
+    best = np.argmin(np.where(tied, norms, np.inf), axis=1)
+    return int(best[0]) if margins.ndim == 1 else best
 
 
 def certify_inward_pointing(
@@ -561,10 +595,10 @@ def certify_inward_pointing(
                 group_margins, group_velocities = inclusion_margins(
                     field, model, eps, t, pts, candidates, xi, horizon
                 )
-                for x, depth, margins, velocities in zip(
-                    pts, depths, group_margins, group_velocities
+                group_best = best_inward_candidate(group_margins, candidates)
+                for x, depth, margins, velocities, best in zip(
+                    pts, depths, group_margins, group_velocities, group_best
                 ):
-                    best = best_inward_candidate(margins, candidates)
                     speed = (
                         float(np.linalg.norm(velocities[best]))
                         if np.isfinite(margins[best])
@@ -745,13 +779,16 @@ class HypothesisBundle:
 
     def __post_init__(self):
         if not (0.0 < self.holder_exponent <= 1.0):
-            raise BundleError("the Hölder exponent must lie in (0, 1]")
-        if self.inward_slack <= 0 or self.collar_width <= 0:
-            raise BundleError("inward slack and collar width must be positive")
-        if self.control_bound < 0 or self.velocity_bound < 0:
-            raise BundleError("control and velocity bounds must be nonnegative")
-        if self.eps_cap <= 0 or self.window_cap <= 0:
-            raise BundleError("eps cap and window cap must be positive")
+            raise BundleError(
+                f"'holder_exponent', the Hölder exponent, must lie in (0, 1], "
+                f"got {self.holder_exponent!r}"
+            )
+        for name in ("inward_slack", "collar_width", "eps_cap", "window_cap"):
+            if not getattr(self, name) > 0:
+                raise BundleError(f"{name!r} must be positive, got {getattr(self, name)!r}")
+        for name in ("control_bound", "velocity_bound"):
+            if not getattr(self, name) >= 0:
+                raise BundleError(f"{name!r} must be nonnegative, got {getattr(self, name)!r}")
         object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
 
 
@@ -919,8 +956,54 @@ def _function_to_dict(fn: SampledFunction) -> dict:
     return {"nodes": fn.grid.nodes.tolist(), "values": fn.values.tolist()}
 
 
-def _function_from_dict(data: dict) -> SampledFunction:
-    return SampledFunction(TimeGrid(np.asarray(data["nodes"])), np.asarray(data["values"]))
+def _function_from_dict(data) -> SampledFunction:
+    return SampledFunction(TimeGrid(_float_array(data, "nodes")), _float_array(data, "values"))
+
+
+def _float_array(table, key: str) -> np.ndarray:
+    """``table[key]`` as a float array, or TypeError (or KeyError) on
+    anything else: a value that is not a table, a string, a ragged list."""
+    if not isinstance(table, dict):
+        raise TypeError(f"expected a table with {key!r}, got {type(table).__name__}")
+    return np.asarray(table[key], dtype=float)
+
+
+def _finite_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _seed(value) -> int:
+    number = _finite_number(value)
+    if not number.is_integer() or number < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def _number_list(value) -> tuple:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(_finite_number(item) for item in value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _string_table(value) -> dict:
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise TypeError(f"expected a table of strings, got {value!r}")
+    return dict(value)
+
+
+def _modulus_table(value) -> ModulusTable:
+    return ModulusTable(_float_array(value, "deltas"), _float_array(value, "values"))
 
 
 def bundle_to_dict(bundle: HypothesisBundle) -> dict:
@@ -938,21 +1021,33 @@ def bundle_to_dict(bundle: HypothesisBundle) -> dict:
     return out
 
 
+_MISSING = object()
+
+
 def bundle_from_dict(data: dict) -> HypothesisBundle:
-    try:
-        kwargs = {name: _function_from_dict(data[name]) for name in _BUNDLE_FUNCTIONS}
-        kwargs.update({name: float(data[name]) for name in _BUNDLE_SCALARS})
-        drift = data["boundary_drift"]
-        kwargs["boundary_drift"] = ModulusTable(
-            np.asarray(drift["deltas"]), np.asarray(drift["values"])
-        )
-        kwargs["provenance"] = dict(data.get("provenance", {}))
-        kwargs["reference_sup"] = float(data.get("reference_sup", 0.0))
-        kwargs["eps_list"] = tuple(data.get("eps_list", ()))
-        kwargs["config_hash"] = str(data.get("config_hash", ""))
-        kwargs["seed"] = int(data.get("seed", 0))
-    except KeyError as exc:
-        raise BundleError(f"bundle file is missing {exc.args[0]!r}") from None
+    """The bundle of a ``bundle_to_dict`` record. A missing key, or a value
+    of the wrong type, shape or range, raises a BundleError naming the key."""
+    if not isinstance(data, dict):
+        raise BundleError(f"a bundle must be a JSON object, got {type(data).__name__}")
+
+    def read(name: str, parse, default=_MISSING):
+        value = data.get(name, default)
+        if value is _MISSING:
+            raise BundleError(f"bundle file is missing {name!r}")
+        try:
+            return parse(value)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            detail = f"no {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+            raise BundleError(f"bundle value {name!r} is malformed: {detail}") from None
+
+    kwargs = {name: read(name, _function_from_dict) for name in _BUNDLE_FUNCTIONS}
+    kwargs.update({name: read(name, _finite_number) for name in _BUNDLE_SCALARS})
+    kwargs["boundary_drift"] = read("boundary_drift", _modulus_table)
+    kwargs["provenance"] = read("provenance", _string_table, {})
+    kwargs["reference_sup"] = read("reference_sup", _finite_number, 0.0)
+    kwargs["eps_list"] = read("eps_list", _number_list, [])
+    kwargs["config_hash"] = read("config_hash", _string, "")
+    kwargs["seed"] = read("seed", _seed, 0)
     return HypothesisBundle(**kwargs)
 
 

@@ -5,17 +5,21 @@ a session-scoped artifact directory; exit-code and config-rejection paths
 use small fabricated configs.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tightpath import ControlSignal, TimeGrid, cli, expression_model, integrate
-from tightpath.hypotheses import bundle_to_dict, save_bundle
-from tightpath.errors import ConfigError, config_number
+from tightpath import ControlSignal, TimeGrid, cli, expression_model, integrate, motor_scenario
+from tightpath.hypotheses import bundle_from_dict, bundle_to_dict, save_bundle
+from tightpath.errors import BundleError, ConfigError, config_number
 
 SURGE_CONFIG = {
     "model": "motor_surge",
@@ -746,3 +750,154 @@ class TestConfigRejection:
         code = cli.main(["certify", "--config", path, "--out", str(workdir / "w")])
         assert code == 64
         assert "matrix" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def decline_400(tmp_path_factory):
+    """(config path, bundle record, output directory) of the certified
+    400-step decline scenario, with its reference inline so that a command
+    reads it rather than integrating it; its repair fails fast at
+    scheduling."""
+    sc = motor_scenario("decline", steps=400)
+    reference = {
+        "kind": "inline",
+        "times": sc.xbar.grid.nodes.tolist(),
+        "states": sc.xbar.states.tolist(),
+        "controls": sc.ubar.values.tolist(),
+    }
+    out = tmp_path_factory.mktemp("decline-400")
+    config = write_config(
+        out / "decline.json",
+        {**SURGE_CONFIG, "model": "motor_decline", "reference": reference},
+    )
+    assert cli.main(["certify", "--config", config, "--out", str(out)]) == 0
+    return config, json.loads((out / "bundle.json").read_text()), out
+
+
+_DELETED = object()
+
+
+def mutated(record: dict, path: tuple, value) -> dict:
+    """A deep copy of ``record`` with the entry at ``path`` set to
+    ``value``, or removed for ``_DELETED``."""
+    record = json.loads(json.dumps(record))
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    if value is _DELETED:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return record
+
+
+def repair_with_bundle(config: str, record: dict, out) -> tuple:
+    """(exit code, printed text) of ``repair`` on the bundle ``record``."""
+    bundle = out / "mutated.json"
+    bundle.write_text(json.dumps(record))
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        code = cli.main(
+            ["repair", "--config", config, "--bundle", str(bundle), "--out", str(out / "r")]
+        )
+    return code, printed.getvalue()
+
+
+def bundle_paths(record, prefix=()):
+    """Every key of the record, nested ones included, and the first, middle
+    and last entry of every list."""
+    if isinstance(record, dict):
+        for key, value in record.items():
+            yield prefix + (key,)
+            yield from bundle_paths(value, prefix + (key,))
+    elif isinstance(record, list) and record:
+        for index in sorted({0, len(record) // 2, len(record) - 1}):
+            yield prefix + (index,)
+            yield from bundle_paths(record[index], prefix + (index,))
+
+
+class TestMalformedBundle:
+    """A malformed bundle value is a named diagnostic (exit 64), never a
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("eps_list",), 1e308),
+            (("eps_list",), [0.05, "x"]),
+            (("seed",), float("nan")),
+            (("seed",), -1),
+            (("seed",), 1.5),
+            (("holder_rate",), [1.0]),
+            (("holder_rate", "values"), "x"),
+            (("boundary_drift",), "x"),
+            (("boundary_drift", "deltas"), None),
+            (("growth_envelope", "nodes", 0), [1.0]),
+            (("state_lipschitz", "values", 0), 10**400),
+            (("control_bound",), True),
+            (("inward_slack",), float("nan")),
+            (("reference_sup",), float("inf")),
+            (("provenance",), ["certified"]),
+            (("config_hash",), {"a": 1}),
+        ],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else repr(v)[:12],
+    )
+    def test_malformed_value_names_its_key(self, decline_400, path, value):
+        config, record, out = decline_400
+        bad = mutated(record, path, value)
+        with pytest.raises(BundleError, match=repr(path[0])):
+            bundle_from_dict(bad)
+        code, printed = repair_with_bundle(config, bad, out)
+        assert code == 64
+        assert f"config error: bundle value {path[0]!r} is malformed" in printed
+
+    def test_missing_key_and_non_object_name_themselves(self, decline_400):
+        config, record, out = decline_400
+        code, printed = repair_with_bundle(config, mutated(record, ("window_cap",), _DELETED), out)
+        assert code == 64 and "missing 'window_cap'" in printed
+        code, printed = repair_with_bundle(config, [record], out)
+        assert code == 64 and "must be a JSON object, got list" in printed
+
+    def test_range_violations_name_their_key(self, decline_400):
+        config, record, out = decline_400
+        for name, value in (("holder_exponent", 1.5), ("collar_width", 0.0), ("velocity_bound", -1)):
+            code, printed = repair_with_bundle(config, mutated(record, (name,), value), out)
+            assert code == 64 and repr(name) in printed
+
+    def test_unchanged_record_loads(self, decline_400):
+        config, record, out = decline_400
+        bundle = bundle_from_dict(record)
+        assert bundle.seed == 0 and bundle.eps_list == (0.05, 0.1, 0.2)
+        assert repair_with_bundle(config, record, out)[0] == 1  # the schedule fails
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_any_one_key_mutation_ends_in_an_exit_code(self, decline_400, data):
+        config, record, out = decline_400
+        path = data.draw(st.sampled_from(sorted(bundle_paths(record), key=repr)), label="path")
+        scalar = st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(min_value=-(10**400), max_value=10**400),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.text(max_size=4),
+        )
+        value = data.draw(
+            st.one_of(
+                st.just(_DELETED),
+                scalar,
+                st.lists(scalar, max_size=3),
+                st.lists(st.lists(st.floats(), max_size=2), max_size=2),
+                st.dictionaries(st.text(max_size=3), scalar, max_size=2),
+            ),
+            label="value",
+        )
+        code, printed = repair_with_bundle(config, mutated(record, path, value), out)
+        assert code in (0, 1, 2, 64, 65)
+        assert printed.strip()

@@ -478,8 +478,8 @@ def unstaged_push(field, eps, t, rows, velocities, margins, xi, delta_cap) -> No
         push(delta, np.nonzero(live))
 
 
-def counting_points(run):
-    """(result of run(), points passed to ``_distances`` during it)."""
+def counting_queries(run):
+    """(result of run(), ``_distances`` calls during it, points they queried)."""
     seen = []
     real = geometry.ConstraintField._distances
 
@@ -489,7 +489,7 @@ def counting_points(run):
 
     with mock.patch.object(geometry.ConstraintField, "_distances", counted):
         out = run()
-    return out, sum(seen)
+    return out, len(seen), sum(seen)
 
 
 def check_staged_push(field, model, eps, t, xs, candidates, xi, horizon=2.0):
@@ -500,9 +500,9 @@ def check_staged_push(field, model, eps, t, xs, candidates, xi, horizon=2.0):
     def run():
         return inclusion_margins(field, model, eps, t, xs, candidates, xi, horizon)
 
-    (margins, velocities), points = counting_points(run)
+    (margins, velocities), _, points = counting_queries(run)
     with mock.patch.object(hypotheses, "_push_forward_cone", unstaged_push):
-        (want_margins, want_velocities), want_points = counting_points(run)
+        (want_margins, want_velocities), _, want_points = counting_queries(run)
     assert margins.tobytes() == want_margins.tobytes()
     assert velocities.tobytes() == want_velocities.tobytes()
     return margins, points, want_points
@@ -663,6 +663,355 @@ class TestStagedPush:
         assert np.all(margins == np.inf)
 
 
+def per_time_push(field, eps, t, rows, velocities, margins, xi, delta_cap) -> None:
+    """Reference: the staged forward-cone push that pushes the row leaders
+    once per later push time, one distance query each."""
+    rng = np.random.default_rng(12)
+    deltas = np.linspace(0.0, delta_cap, INCLUSION_GRID_POINTS)[1:]
+    offsets = ball_points(rng, INCLUSION_GRID_POINTS, field.dim, xi)
+    ys = np.concatenate([rows[:, None, :], rows[:, None, :] + offsets[None, :, :]], axis=1)
+    base_ok = (field.margin(t, ys.reshape(-1, field.dim), eps) >= 0).reshape(ys.shape[:2])
+    margins[~base_ok.any(axis=1)] = -np.inf
+
+    def push(delta, pairs):
+        r, c = pairs
+        keep = base_ok[r]
+        steps = delta * velocities[r, c]
+        centers = ys[r] + steps[:, None, :]
+        slack = np.full(keep.shape, np.inf)
+
+        def query(mask):
+            d_set, d_bdry = field._distances(eps, t + delta, centers[mask])
+            slack[mask] = np.where(d_set > 0, -np.inf, d_bdry - delta * xi)
+            return d_bdry
+
+        first = np.concatenate(([True], r[1:] != r[:-1]))
+        if field.analytic_distance is None and not first.all():
+            hypotheses._staged_queries(field, eps, t + delta, query, first, steps, keep, centers)
+        else:
+            query(keep)
+        margins[r, c] = np.minimum(margins[r, c], slack.min(axis=1))
+
+    live = margins > -np.inf
+    led = np.flatnonzero(live.any(axis=1))
+    if led.size == 0:
+        return
+    push(deltas[0], np.nonzero(live))
+    top = np.where(live, margins, -np.inf).max(axis=1)
+    leader = np.argmax(live & (margins == top[:, None]), axis=1)[led]
+    for delta in deltas[1:]:
+        push(delta, (led, leader))
+    floor = np.full(len(rows), np.inf)
+    floor[led] = margins[led, leader] - INWARD_TIE_TOL
+    live[led, leader] = False
+    for delta in deltas[1:]:
+        live &= margins >= floor[:, None]
+        if not live.any():
+            break
+        push(delta, np.nonzero(live))
+
+
+# Push times after the first: one query for all of them instead of one each.
+SAVED_CALLS = INCLUSION_GRID_POINTS - 3
+
+
+def check_leader_push(field, model, eps, t, xs, candidates, xi, horizon=2.0):
+    """Assert inclusion_margins equals the per-time leader push bitwise and
+    queries the same points; returns the margins and the number of distance
+    calls saved, 0 without leaders and ``SAVED_CALLS`` with them."""
+    xs = np.asarray(xs, dtype=float)
+
+    def run():
+        return inclusion_margins(field, model, eps, t, xs, candidates, xi, horizon)
+
+    (margins, velocities), calls, points = counting_queries(run)
+    with mock.patch.object(hypotheses, "_push_forward_cone", per_time_push):
+        (want_margins, want_velocities), want_calls, want_points = counting_queries(run)
+    assert margins.tobytes() == want_margins.tobytes()
+    assert velocities.tobytes() == want_velocities.tobytes()
+    assert points == want_points
+    assert want_calls - calls in (0, SAVED_CALLS)
+    return margins, want_calls - calls
+
+
+class TestBatchedLeaderPush:
+    """The leaders' later push times in one query, against one query per time."""
+
+    def test_moving_lattice_disk(self):
+        eps = 0.05
+        for bound in (0.5, 2.0):
+            cands = control_candidates(0, 2, bound)
+            for t in (0.0, 0.9, 1.95, 2.0):
+                xs = [
+                    [0.1 * t + r * np.cos(angle), r * np.sin(angle)]
+                    for angle in (0.4, 1.6, 2.9)
+                    for r in (1.0 + eps + 0.002, 1.0 + eps + 0.03, 1.0 + eps - 0.01, 1.4)
+                ]
+                for xi in (0.5, 0.05):
+                    _, saved = check_leader_push(MOVING_DISK, PLANAR, eps, t, xs, cands, xi)
+                    assert saved == (SAVED_CALLS if t < 2.0 else 0)
+
+    def test_static_lattice_disk(self):
+        disk = field_from_config(
+            {
+                "components": ["1 - sqrt(x1*x1 + x2*x2)"],
+                "box": [[-2.0, 2.0], [-2.0, 2.0]],
+                "resolution": 0.025,
+            }
+        )
+        cands = control_candidates(0, 2, 1.0)
+        xs = [[1.06, 0.0], [0.6, 0.85], [-0.75, -0.75], [1.3, 0.4]]
+        for t in (0.0, 1.5, 2.0):
+            for xi in (0.4, 0.1):
+                _, saved = check_leader_push(disk, PLANAR, 0.05, t, xs, cands, xi)
+                assert saved == (SAVED_CALLS if t < 2.0 else 0)
+
+    def test_unit_ball_complement_in_one_and_two_dimensions(self):
+        planar_ball = unit_ball_complement(dim=2, box_radius=2.0)
+        cases = [
+            (BALL, motor_surge(), 1, [[1.0501], [1.08], [1.3], [-1.06], [1.04]], 0.05),
+            (BALL, motor_decline(), 1, [[1.0501], [1.08], [1.3], [-1.06], [1.04]], 0.05),
+            (planar_ball, PLANAR, 2, [[1.06, 0.0], [0.5, 0.9], [-0.8, -0.8], [0.1, 0.1]], 0.02),
+        ]
+        for field, model, dim, xs, eps in cases:
+            cands = control_candidates(0, dim, 1.0)
+            for t in (0.3, 1.9, 2.0):
+                for xi in (0.5, 0.05):
+                    for oracle in (field, lattice_copy(field)):
+                        _, saved = check_leader_push(oracle, model, eps, t, xs, cands, xi)
+                        assert saved == (SAVED_CALLS if t < 2.0 else 0)
+
+    def test_rows_without_a_feasible_base_point_stay_minus_inf(self):
+        cands = control_candidates(0, 1, 1.0)
+        xs = [[1.06], [0.0], [1.3], [0.2]]
+        for field in (BALL, lattice_copy(BALL)):
+            margins, saved = check_leader_push(field, motor_surge(), 0.05, 0.4, xs, cands, 0.3)
+            assert np.all(margins[[1, 3]] == -np.inf)
+            assert np.isfinite(margins[[0, 2]]).any()
+            assert saved == SAVED_CALLS
+        # No row has a feasible base point: there is no leader to push.
+        margins, saved = check_leader_push(BALL, motor_surge(), 0.05, 0.4, [[0.0], [0.5]], cands, 0.3)
+        assert np.all(margins == -np.inf) and saved == 0
+
+    def test_push_times_with_and_without_a_boundary(self):
+        # The disk's radius 1 - 2t leaves the box empty of boundary from
+        # t = 0.475 at eps = 0.05: from t = 0.3 with xi = 0.5 the leaders'
+        # later push times straddle that time. The origin is infeasible
+        # until then.
+        shrinking = field_from_config(
+            {
+                "components": ["1 - 2*t - sqrt(x1*x1 + x2*x2)"],
+                "box": [[-2.0, 2.0], [-2.0, 2.0]],
+                "time_varying": True,
+                "resolution": 0.025,
+            }
+        )
+        cands = control_candidates(0, 2, 1.0)
+        xs = [[0.2, 0.1], [0.5, -0.4], [-1.5, 1.0], [0.0, 0.0]]
+        for t in (0.3, 0.45, 0.6):
+            margins, saved = check_leader_push(shrinking, PLANAR, 0.05, t, xs, cands, 0.5)
+            assert saved == SAVED_CALLS
+        assert np.all(margins == np.inf)
+
+
+def scalar_best_inward_candidate(margins, candidates) -> int:
+    """Reference: the one-row form, its own tie set and norms per call."""
+    top = float(margins.max())
+    tied = np.flatnonzero(margins >= top - INWARD_TIE_TOL)
+    return int(tied[np.argmin(np.linalg.norm(candidates[tied], axis=1))])
+
+
+class TestBestInwardCandidateRows:
+    """One index per row of a (P, C) margin array, against the one-row form."""
+
+    def check(self, margins, candidates):
+        margins = np.asarray(margins, dtype=float)
+        best = best_inward_candidate(margins, candidates)
+        assert best.shape == (len(margins),)
+        for row, index in zip(margins, best):
+            assert index == scalar_best_inward_candidate(row, candidates)
+            one = best_inward_candidate(row, candidates)
+            assert type(one) is int and one == index
+        return best
+
+    def test_exact_ties_go_to_the_smaller_control_then_the_first(self):
+        cands = np.array([[-0.8], [0.2], [0.0], [-0.2], [0.0]])
+        best = self.check(
+            [
+                [1.0, 1.0, 0.5, 1.0, 0.5],
+                [0.3, 0.3, 0.3, 0.3, 0.3],
+                [0.1, 0.2, 0.2 - 1e-13, 0.0, 0.2 - 1e-13],
+                [0.1, 0.2, 0.2 - 1e-11, 0.0, 0.2],
+            ],
+            cands,
+        )
+        assert best.tolist() == [1, 2, 2, 4]
+
+    def test_rows_of_minus_inf_and_inf(self):
+        cands = control_candidates(0, 2, 1.0)
+        rng = np.random.default_rng(5)
+        margins = rng.choice([-np.inf, -0.1, 0.0, 0.25, np.inf], size=(40, len(cands)))
+        margins[0] = -np.inf
+        margins[1] = np.inf
+        margins[2, ::3] = -np.inf
+        best = self.check(margins, cands)
+        assert best[0] == best[1] == 0  # the zero control is the smallest
+
+    def test_inward_certificate_rows_are_unchanged(self):
+        cands = control_candidates(0, 2, 1.0)
+        xs = [
+            [0.1 * 0.9 + r * np.cos(angle), r * np.sin(angle)]
+            for angle in (0.4, 1.6, 2.9)
+            for r in (1.052, 1.08, 1.04, 1.4)
+        ]
+        margins, _ = inclusion_margins(MOVING_DISK, PLANAR, 0.05, 0.9, np.array(xs), cands, 0.3, 2.0)
+        self.check(margins, cands)
+
+
+def non_broadcasting_model() -> DynamicsModel:
+    """A 2-D model whose rhs takes one state at a time: ``rhs_batch`` loops."""
+
+    def rhs(t, x, u):
+        if np.ndim(x) != 1:
+            raise TypeError("one state at a time")
+        return np.array([np.sin(x[1]) * u[0] + 0.3 * x[0], np.cos(t + x[0]) - u[0] * x[1]])
+
+    return DynamicsModel(state_dim=2, control_dim=1, rhs=rhs, name="per-row")
+
+
+PLANAR_DRIFT = model_from_config(
+    {
+        "model": "expression",
+        "state_dim": 2,
+        "control_dim": 2,
+        "rhs": ["sin(x2)*u1 + 0.5*x1 + t", "cos(x1) - u2*x2 + arctan(x1*x2)"],
+    }
+)
+
+
+def envelope_raw(certify, *args, **kwargs) -> np.ndarray:
+    """The per-node sampled maxima a certifier hands to ``_envelope``."""
+    seen = []
+    real = hypotheses._envelope
+
+    def capture(time_grid, raw, declared, undershoot):
+        seen.append(np.array(raw))
+        return real(time_grid, raw, declared, undershoot)
+
+    with mock.patch.object(hypotheses, "_envelope", capture):
+        certify(*args, **kwargs)
+    return seen[0]
+
+
+def per_node_lipschitz_raw(model, radius_R, control_box, time_grid, n_samples, seed):
+    """Reference: four ``rhs_batch`` calls per node, one per separation and
+    one for the base points, and one quotient norm per separation."""
+    rng = np.random.default_rng(seed)
+    control_box = np.asarray(control_box, dtype=float)
+    n = model.state_dim
+    base = ball_points(rng, n_samples, n, radius_R)
+    controls = rng.uniform(
+        control_box[:, 0], control_box[:, 1], size=(n_samples, control_box.shape[0])
+    )
+    directions = rng.standard_normal((n_samples, n))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    raw = np.empty(len(time_grid.nodes))
+    for k, t in enumerate(time_grid.nodes):
+        fa = rhs_batch(model, float(t), base, controls)
+        quotients = []
+        for sep in (0.4 * radius_R, 1e-2 * radius_R, 1e-4 * radius_R):
+            fb = rhs_batch(model, float(t), base + sep * directions, controls)
+            quotients.append(float((np.linalg.norm(fa - fb, axis=1) / sep).max()))
+        raw[k] = max(quotients)
+    return raw
+
+
+def per_node_ratio_max(model, t, states, controls) -> float:
+    """Reference: the growth ratio's scale recomputed on every call."""
+    values = rhs_batch(model, t, states, controls)
+    scale = 1.0 + np.linalg.norm(states, axis=1) + np.linalg.norm(controls, axis=1)
+    return float((np.linalg.norm(values, axis=1) / scale).max())
+
+
+def per_node_sublinear_raw(model, box, time_grid, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    states = box.sample_states(rng, n_samples)
+    controls = box.sample_controls(rng, n_samples)
+    return np.array([per_node_ratio_max(model, t, states, controls) for t in time_grid.nodes])
+
+
+BATCHED_MODELS = [
+    (motor_decline(), 1),
+    (motor_surge(), 1),
+    (PLANAR_DRIFT, 2),
+    (non_broadcasting_model(), 1),
+]
+
+
+class TestBatchedSampleLoops:
+    """The certifiers' stacked per-node calls against the per-node loops."""
+
+    SMALL_GRID = TimeGrid.uniform(0.0, 2.0, 40)
+
+    @pytest.mark.parametrize("model, m", BATCHED_MODELS, ids=lambda v: getattr(v, "name", ""))
+    def test_lipschitz_raw_is_bitwise(self, model, m):
+        box = np.tile([-1.5, 1.5], (m, 1))
+        for radius, n_samples, seed in ((2.5, 64, 0), (0.7, 33, 4)):
+            got = envelope_raw(
+                certify_lipschitz, model, radius, box, self.SMALL_GRID, n_samples=n_samples, seed=seed
+            )
+            want = per_node_lipschitz_raw(model, radius, box, self.SMALL_GRID, n_samples, seed)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model, m", BATCHED_MODELS, ids=lambda v: getattr(v, "name", ""))
+    def test_sublinear_raw_is_bitwise(self, model, m):
+        for n_samples, seed in ((64, 0), (33, 4)):
+            box = OperatingBox.from_radii(2.5, 1.5, model.state_dim, m)
+            got = envelope_raw(
+                certify_sublinear, model, box, self.SMALL_GRID, n_samples=n_samples, seed=seed
+            )
+            want = per_node_sublinear_raw(model, box, self.SMALL_GRID, n_samples, seed)
+            assert got.tobytes() == want.tobytes()
+
+    def test_superlinear_probe_witness_is_bitwise(self):
+        box = OperatingBox.from_radii(2.0, 2.0, 1, 1)
+        model = pure_control_model(power=2)
+        with pytest.raises(CertificationError, match="super-linear") as info:
+            certify_sublinear(model, box, self.SMALL_GRID, n_samples=50, seed=2)
+        rng = np.random.default_rng(2)
+        states, controls = box.sample_states(rng, 50), box.sample_controls(rng, 50)
+        nodes = self.SMALL_GRID.nodes
+        probe_times = nodes[:: max(1, nodes.size // 8)]
+        growth = np.array(
+            [
+                per_node_ratio_max(model, t, states, 8.0 * controls)
+                / max(per_node_ratio_max(model, t, states, 4.0 * controls), 1e-12)
+                for t in probe_times
+            ]
+        )
+        j = int(np.argmax(growth))
+        assert info.value.witness == {"t": float(probe_times[j]), "ratio_growth": float(growth[j])}
+
+    def test_one_rhs_call_per_node(self):
+        calls = []
+
+        def rhs(t, x, u):
+            calls.append(np.shape(x))
+            return np.sin(np.asarray(x, dtype=float)) * np.asarray(u, dtype=float)
+
+        model = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs)
+        nodes = self.SMALL_GRID.nodes
+        certify_lipschitz(model, 1.0, CONTROL_BOX, self.SMALL_GRID, n_samples=32)
+        # The zoom probe makes two calls per separation at each probe time.
+        probes = len(nodes[:: max(1, nodes.size // 4)])
+        assert len(calls) == 8 * probes + len(nodes)
+        assert calls[-1] == (4 * 32, 1)
+        calls.clear()
+        certify_sublinear(model, OperatingBox.from_radii(1.0, 1.0, 1, 1), self.SMALL_GRID)
+        probes = len(nodes[:: max(1, nodes.size // 8)])
+        assert len(calls) == len(nodes) + 2 * probes
+
+
 def _decline_config():
     return {
         "model": "motor_decline",
@@ -744,7 +1093,7 @@ class TestPinnedInwardCertificate:
                 seed=0,
             )
 
-        result, points = counting_points(run)
+        result, _, points = counting_queries(run)
         assert result == (1.0, 0.9995128224910061, 0.5, 0.4)
         assert points <= 0.35 * 1_929_834
 
