@@ -7,7 +7,8 @@ a bundle: sampled rate functions, scalar slacks, a boundary drift
 modulus, and a provenance tag per hypothesis saying whether the value
 was confirmed by sampling or merely declared by the model.  This
 script certifies the declining-load motor and walks through the
-result, then shows the bundle surviving a save and load round trip.
+result, then shows the bundle surviving a save and load round trip
+and a tampered copy being refused.
 """
 
 import numpy as np
@@ -57,5 +58,15 @@ loaded = tp.load_bundle("decline_bundle.json")
 assert np.array_equal(loaded.growth_envelope.values, bundle.growth_envelope.values)
 assert loaded.control_bound == bundle.control_bound
 assert loaded.provenance == bundle.provenance
-tp.validate_bundle(loaded, reference_sup=float(np.abs(scenario.xbar.states).max()))
-print("\nround trip exact, bundle validates")
+print("\nround trip exact")
+
+# Construction is the completeness gate: a bundle checks its functions
+# and constants as it is built, so a tampered record never becomes one.
+record = tp.bundle_to_dict(loaded)
+record["state_lipschitz"]["values"][0] = -1.0
+try:
+    tp.bundle_from_dict(record)
+except tp.BundleError as exc:
+    print(f"tampered copy refused: {exc}")
+else:
+    raise AssertionError("a negative Lipschitz bound was accepted")

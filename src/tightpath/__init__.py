@@ -58,7 +58,6 @@ from .hypotheses import (
     inclusion_margins,
     load_bundle,
     save_bundle,
-    validate_bundle,
 )
 from .propagation import (
     gronwall_radius,

@@ -45,14 +45,14 @@ class DeclaredRegularity:
     with two) and returns a float; none is called with an array.
     ``shift_radius_scale`` and ``holder_rate_scale`` are per-unit-control
     factors: the certified radius at time s is scale(s) times the control
-    magnitude cap there. The declared rate is used only together with
-    ``holder_exponent``.
+    magnitude cap there.
 
-    ``time_drift`` and ``drift_integral`` are declared both or neither:
-    the density tabulates the drift budget, and its integral
+    ``time_drift`` and ``drift_integral`` are declared both or neither, and
+    so are ``holder_exponent`` and ``holder_rate_scale``; a pair declared
+    by half raises ConfigError. The density tabulates the drift budget,
+    and its integral
     ``(s, t) -> upper bound on the integral of time_drift over [s, t]``,
     for s <= t, is the budget the sampled transports are checked against.
-    A density alone would switch that check off, so it raises ConfigError.
     The density may blow up only at the model's ``time_breakpoints``: the
     certified drift table is inflated around those times, so that each
     cell's trapezoid dominates the declared integral.
@@ -67,13 +67,10 @@ class DeclaredRegularity:
     holder_rate_scale: object = None  # s -> rate in |u_t - u_s| <= (t-s)^alpha rate(s)
 
     def __post_init__(self):
-        if (self.time_drift is None) != (self.drift_integral is None):
-            declared, missing = (
-                ("time_drift", "drift_integral")
-                if self.drift_integral is None
-                else ("drift_integral", "time_drift")
-            )
-            raise ConfigError(f"{declared} is declared without {missing}; declare both or neither")
+        for pair in (("time_drift", "drift_integral"), ("holder_exponent", "holder_rate_scale")):
+            declared, missing = sorted(pair, key=lambda name: getattr(self, name) is None)
+            if getattr(self, declared) is not None and getattr(self, missing) is None:
+                raise ConfigError(f"{declared} is declared without {missing}; declare both or neither")
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ class DynamicsModel:
     derivative as a float (a Python or numpy float), bitwise equal to the
     entry its one-element-array form returns. The integrators then step
     on floats and call ``rhs`` with them directly. A model that does not
-    declare it, as every custom model by default, is stepped as before.
+    declare it, as every custom model by default, is stepped on arrays.
     """
 
     state_dim: int
@@ -187,14 +184,13 @@ def shift_selection(
     t: float,
     x,
     u_s,
-    radius: float | None = None,
     seed: int = 0,
 ) -> np.ndarray:
     """Transport the control u_s from time s to time t near the state x.
 
     With a declared hook the hook's value is returned directly. Otherwise
-    the search minimizes |f(t, x, .) - f(s, x, u_s)| over the ball of the
-    given radius around u_s (declared shift radius by default), sampling
+    the search minimizes |f(t, x, .) - f(s, x, u_s)| over the ball around
+    u_s of the declared shift radius, scale(s) times |u_s|, sampling
     64^min(control_dim, 2) candidates plus local refinement. When the model
     declares a drift density, a residual above its drift budget over
     [s, t] is an error carrying that residual.
@@ -208,11 +204,10 @@ def shift_selection(
         if not np.all(np.isfinite(u_t)):
             raise ModelEvaluationError(f"shift hook not finite at s={s}, t={t}")
         return u_t
-    if radius is None:
-        scale = model.metadata.shift_radius_scale
-        if scale is None:
-            raise DomainError("model declares no shift radius; pass radius explicitly")
-        radius = float(scale(s)) * float(np.linalg.norm(u_s))
+    scale = model.metadata.shift_radius_scale
+    if scale is None:
+        raise DomainError("model declares neither a shift hook nor a shift radius")
+    radius = float(scale(s)) * float(np.linalg.norm(u_s))
     budget = drift_budget(model, s, t)
     f_s = eval_rhs(model, s, x, u_s)
     rng = np.random.default_rng(seed)
@@ -224,7 +219,8 @@ def shift_selection(
         norms = np.linalg.norm(offset, axis=1, keepdims=True)
         over = norms[:, 0] > radius
         if radius > 0 and over.any():
-            candidates = np.where(over[:, None], u_s + offset * (radius / norms), candidates)
+            # Only the rows outside: a row at u_s has norm 0.
+            candidates[over] = u_s + offset[over] * (radius / norms[over])
         states = np.broadcast_to(x, (candidates.shape[0], model.state_dim))
         values = rhs_batch(model, t, states, candidates)
         residuals = np.linalg.norm(values - f_s, axis=1)

@@ -23,7 +23,6 @@ from .errors import (
     ModelEvaluationError,
     ShapeError,
     config_array,
-    config_flag,
     config_number,
 )
 from .signals import ModulusTable, TimeGrid, Trajectory, subsample
@@ -418,16 +417,14 @@ def boundary_points(field: ConstraintField, t: float, eps: float) -> np.ndarray:
 
 
 def _feasible_samples(
-    field: ConstraintField, t: float, n_samples: int, rng, box_radius: float | None = None
+    field: ConstraintField, t: float, n_samples: int, rng, box_radius: float
 ) -> np.ndarray:
     box = field.sampling_box
     collected = []
     total = 0
     for _ in range(64):
         draw = rng.uniform(box[:, 0], box[:, 1], size=(4 * n_samples, field.dim))
-        keep = field.value(t, draw) <= 0.0
-        if box_radius is not None:
-            keep &= np.linalg.norm(draw, axis=1) <= box_radius
+        keep = (field.value(t, draw) <= 0.0) & (np.linalg.norm(draw, axis=1) <= box_radius)
         kept = draw[keep]
         if kept.size:
             collected.append(kept)
@@ -443,23 +440,23 @@ def build_boundary_modulus(
     field: ConstraintField,
     grid: TimeGrid,
     eps_list,
-    delta0: float | None = None,
-    box_radius: float | None = None,
+    delta0: float,
+    box_radius: float,
     seed: int = 0,
 ) -> ModulusTable:
     """Tabulated bound on the time drift of the boundary-distance field.
 
-    For fixed feasible probes x the table records, per window width, the
-    largest observed |d_boundary(eps, t + delta, x) - d_boundary(eps, t, x)|
-    across tightening levels. Static fields return the zero table.
+    For fixed feasible probes x with |x| <= box_radius the table records,
+    per window width up to delta0, the largest observed
+    |d_boundary(eps, t + delta, x) - d_boundary(eps, t, x)| across
+    tightening levels. Static fields return the zero table.
     """
     if not field.time_varying:
         return ModulusTable.zero(grid.span)
     grid.uniform_step()
     times = subsample(grid.nodes, 41)
-    n_t = times.size
-    gap = float(times[1] - times[0]) if n_t > 1 else grid.span
-    j_cap = n_t - 1 if delta0 is None else min(n_t - 1, int(np.ceil(delta0 / gap)))
+    gap = float(times[1] - times[0])
+    j_cap = min(times.size - 1, int(np.ceil(delta0 / gap)))
     rng = np.random.default_rng(seed)
     worst_per_width = np.zeros(j_cap + 1)
     for eps in eps_list:
@@ -478,7 +475,8 @@ def build_boundary_modulus(
 
 
 def field_from_config(config: dict) -> ConstraintField:
-    """Build a field from a config mapping (builtin name or expressions)."""
+    """Build a field from a config mapping (builtin name or expressions);
+    an expression field is time-varying when one of its components reads t."""
     if "builtin" in config:
         name = config["builtin"]
         if name != "unit_ball_complement":
@@ -509,19 +507,11 @@ def field_from_config(config: dict) -> ConstraintField:
         raise ConfigError(
             f"'components' must be a non-empty list of expression strings, got {expressions!r}"
         )
-    time_varying = config_flag(config, "time_varying", False)
     components = tuple(compile_expression(expr, box.shape[0]) for expr in expressions)
-    timed = [comp.source for comp in components if comp.reads_time]
-    if timed and not time_varying:
-        # A static field evaluates every time as the first one and shares
-        # one distance cache across times, which a t-dependent set breaks.
-        raise ConfigError(
-            f"component {timed[0]!r} reads 't', so 'time_varying' must be true"
-        )
     field = ConstraintField(
         components=components,
         sampling_box=box,
-        time_varying=time_varying,
+        time_varying=any(comp.reads_time for comp in components),
         resolution=resolution,
         name=str(config.get("name", "")),
     )

@@ -285,10 +285,10 @@ def _collar_samples(
     eta: float,
     count: int,
     rng,
-    box_radius: float | None,
+    box_radius: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feasible points within eta of the tightened boundary at time t,
-    and their distances to it, the depths.
+    """Feasible points of norm at most ``box_radius`` within eta of the
+    tightened boundary at time t, and their distances to it, the depths.
 
     Lattice crossings nudged just inside cover every boundary sheet at
     near-zero depth (the hard cases for the forward cone); bisecting
@@ -335,9 +335,7 @@ def _collar_samples(
     points = np.vstack([hug, deep])
     points = points[field.margin(t, points, eps) >= 0]
     to_boundary = field._distances(eps, t, points)[1]
-    keep = to_boundary <= eta * (1 + 1e-9)
-    if box_radius is not None:
-        keep &= np.linalg.norm(points, axis=1) <= box_radius
+    keep = (to_boundary <= eta * (1 + 1e-9)) & (np.linalg.norm(points, axis=1) <= box_radius)
     return points[keep][: 2 * count], to_boundary[keep][: 2 * count]
 
 
@@ -554,8 +552,8 @@ def certify_inward_pointing(
     eps_list,
     collar_eta_grid,
     time_grid: TimeGrid,
+    box_radius: float,
     control_bounds=CONTROL_BOUNDS,
-    box_radius: float | None = None,
     seed: int = 0,
 ) -> tuple[float, float, float, float]:
     """Search (control bound, inward slack, collar width) certifying the
@@ -627,17 +625,12 @@ def certify_inward_pointing(
     )
 
 
-def _declares_holder(meta) -> bool:
-    """Whether the declared Hölder data is used: it needs both parts."""
-    return meta.holder_exponent is not None and meta.holder_rate_scale is not None
-
-
 def certify_time_regularity(
     model: DynamicsModel,
     ubar: ControlSignal,
     box: OperatingBox,
     time_grid: TimeGrid,
-    control_bound: float = 0.0,
+    control_bound: float,
     seed: int = 0,
 ) -> tuple[SampledFunction, SampledFunction, float, SampledFunction]:
     """Certify the control-transport regularity: (gamma, beta_u, alpha, ku).
@@ -649,8 +642,7 @@ def certify_time_regularity(
     the witness tuple.
     """
     rng = np.random.default_rng(seed)
-    s_nodes = subsample(time_grid.nodes, TIME_REGULARITY_NODES)
-    sub = TimeGrid(s_nodes) if s_nodes.size >= 2 else time_grid
+    sub = TimeGrid(subsample(time_grid.nodes, TIME_REGULARITY_NODES))
     horizon = float(time_grid.t1)
     meta = model.metadata
 
@@ -687,7 +679,7 @@ def certify_time_regularity(
                     )
             elif t - s <= 4 * sub.step:
                 drift_quot[i] = max(drift_quot[i], residual / (t - s))
-            if _declares_holder(meta):
+            if meta.holder_exponent is not None:
                 rate = float(meta.holder_rate_scale(s))
                 if np.isfinite(rate):
                     cap = (t - s) ** meta.holder_exponent * rate * radius
@@ -733,7 +725,7 @@ def certify_time_regularity(
 
     beta_u = SampledFunction(sub, beta_vals)
 
-    if _declares_holder(meta):
+    if meta.holder_exponent is not None:
         alpha = float(meta.holder_exponent)
         rates = np.array(
             [float(meta.holder_rate_scale(s)) * control_radius(float(s)) for s in sub.nodes]
@@ -754,9 +746,29 @@ def certify_time_regularity(
     return gamma, beta_u, alpha, ku
 
 
+_BUNDLE_FUNCTIONS = (
+    "growth_envelope",
+    "state_lipschitz",
+    "time_drift",
+    "shift_radius",
+    "holder_rate",
+)
+_BUNDLE_SCALARS = (
+    "control_bound",
+    "velocity_bound",
+    "inward_slack",
+    "collar_width",
+    "eps_cap",
+    "window_cap",
+    "holder_exponent",
+)
+
+
 @dataclass(frozen=True)
 class HypothesisBundle:
-    """Certified constants consumed by the repair schedule."""
+    """Certified constants consumed by the repair schedule. Construction
+    is the completeness gate: a missing, negative (the functions bound
+    norms) or non-finite entry raises a BundleError naming it."""
 
     growth_envelope: SampledFunction
     state_lipschitz: SampledFunction
@@ -778,6 +790,19 @@ class HypothesisBundle:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _BUNDLE_FUNCTIONS:
+            fn = getattr(self, name)
+            if not isinstance(fn, SampledFunction):
+                raise BundleError(f"bundle is missing the sampled function {name!r}")
+            if np.any(fn.values < 0):
+                t = float(fn.grid.nodes[int(np.argmax(fn.values < 0))])
+                raise BundleError(f"bundle function {name!r} is negative at t={t:g}")
+        for name in _BUNDLE_SCALARS:
+            value = getattr(self, name)
+            if value is None or not np.isfinite(value):
+                raise BundleError(f"bundle constant {name!r} must be finite, got {value!r}")
+        if not isinstance(self.boundary_drift, ModulusTable):
+            raise BundleError("bundle is missing the boundary drift table")
         if not (0.0 < self.holder_exponent <= 1.0):
             raise BundleError(
                 f"'holder_exponent', the Hölder exponent, must lie in (0, 1], "
@@ -790,50 +815,6 @@ class HypothesisBundle:
             if not getattr(self, name) >= 0:
                 raise BundleError(f"{name!r} must be nonnegative, got {getattr(self, name)!r}")
         object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
-
-
-_BUNDLE_FUNCTIONS = (
-    "growth_envelope",
-    "state_lipschitz",
-    "time_drift",
-    "shift_radius",
-    "holder_rate",
-)
-_BUNDLE_SCALARS = (
-    "control_bound",
-    "velocity_bound",
-    "inward_slack",
-    "collar_width",
-    "eps_cap",
-    "window_cap",
-    "holder_exponent",
-)
-
-
-def validate_bundle(bundle: HypothesisBundle, reference_sup: float | None = None) -> None:
-    """Completeness gate: every scheduled constant present and usable.
-
-    The certified functions are bounds on norms, so a negative value is
-    rejected by name.
-    """
-    for name in _BUNDLE_FUNCTIONS:
-        fn = getattr(bundle, name, None)
-        if not isinstance(fn, SampledFunction):
-            raise BundleError(f"bundle is missing the sampled function {name!r}")
-        if np.any(fn.values < 0):
-            t = float(fn.grid.nodes[int(np.argmax(fn.values < 0))])
-            raise BundleError(f"bundle function {name!r} is negative at t={t:g}")
-    for name in _BUNDLE_SCALARS:
-        value = getattr(bundle, name, None)
-        if value is None or not np.isfinite(value):
-            raise BundleError(f"bundle is missing the constant {name!r}")
-    if not isinstance(bundle.boundary_drift, ModulusTable):
-        raise BundleError("bundle is missing the boundary drift table")
-    if reference_sup is not None and reference_sup > bundle.reference_sup * (1 + 1e-9):
-        raise BundleError(
-            f"bundle was certified for references up to {bundle.reference_sup}, "
-            f"got {reference_sup}"
-        )
 
 
 def certify_all(
@@ -902,7 +883,7 @@ def certify_all(
         "state_lipschitz": "declared" if meta.state_lipschitz is not None else "certified",
         "time_drift": "declared" if meta.time_drift is not None else "certified",
         "shift_radius": "certified",
-        "holder_rate": "declared" if _declares_holder(meta) else "certified",
+        "holder_rate": "declared" if meta.holder_exponent is not None else "certified",
     }
 
     def resampled(name: str, certify, *args) -> SampledFunction:

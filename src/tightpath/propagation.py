@@ -33,9 +33,9 @@ _HALVES = tuple(2.0 ** -j for j in range(1, _REFINE_LEVELS + 1))
 def _rk4_step(rhs, t: float, h: float, x, u):
     """One classical RK4 step of x' = rhs(t, x, u) from t to t + h.
 
-    The state x is a float array, or a float: under ``_on_floats``, or
-    for a model that declares ``float_rhs``, whose control u is then a
-    float too. Both forms run the same IEEE operations in the same order.
+    The state x is a float array, or, for a model that declares
+    ``float_rhs``, a float, whose control u is then a float too. Both
+    forms run the same IEEE operations in the same order.
     """
     half = 0.5 * h
     mid = t + half
@@ -49,21 +49,6 @@ def _rk4_step(rhs, t: float, h: float, x, u):
 def _check_finite(t: float, x) -> None:
     if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
         raise PropagationError(f"state not finite at t={t}", t=t)
-
-
-def _on_floats(rhs):
-    """The field of a one-state model that does not declare ``float_rhs``,
-    as a map of a float state to a float.
-
-    RK4 steps a float state through it with the same IEEE operations, in
-    the same order, as a one-element array state, and so to the same bits,
-    without numpy's dispatch on each operation.
-    """
-
-    def field(t, v, u):
-        return rhs(t, np.array([v]), u).item()
-
-    return field
 
 
 def _advance_uniform(rhs, a, b, x, u, m):
@@ -137,17 +122,14 @@ def _run(model, u, x0, anchors, step, q, breakpoints):
 
     What is fixed for the run is looked up once: the control on each
     anchor span (one vectorised left-endpoint lookup), which anchors sit
-    on a model breakpoint, and, for a one-state model, the float form of
-    the state. A model that declares ``float_rhs`` gets float controls as
-    well; another one-state model steps through ``_on_floats``.
+    on a model breakpoint, and, for a model that declares ``float_rhs``,
+    the float form of the state and the controls.
     """
     rhs = model.rhs
     x = x0
     controls = u.values[u.grid.indices_left(anchors[:-1])]
     if model.float_rhs:
         x, controls = x0.item(), controls[:, 0].tolist()
-    elif x0.size == 1:
-        rhs, x = _on_floats(rhs), x0.item()
     slack = float(anchors[-1] - anchors[0]) * _REL_TOL
     near = np.zeros(anchors.shape, dtype=bool)
     for b in breakpoints:

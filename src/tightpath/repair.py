@@ -19,6 +19,7 @@ import numpy as np
 
 from .dynamics import DynamicsModel, shift_selection
 from .errors import (
+    BundleError,
     DomainError,
     IntervalRepairError,
     InwardPointingError,
@@ -31,7 +32,6 @@ from .hypotheses import (
     best_inward_candidate,
     control_candidates,
     inclusion_margins,
-    validate_bundle,
 )
 from .propagation import gronwall_radius, integrate
 from .signals import (
@@ -53,15 +53,22 @@ GATE_WINDOW_MODULUS = "window-modulus"
 GATE_STATE_OSCILLATION = "state-oscillation"
 
 
+def _exp(value: float) -> float:
+    """exp(value), inf where it overflows: the checks fail by name, unwarned."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(value))
+
+
 @dataclass(frozen=True)
 class RepairConstants:
-    """The scheduled constants consumed by the interval loop."""
+    """The scheduled constants consumed by the interval loop.
 
-    Delta: float
+    ``eps_trail`` lists every tightening tried as (eps, violation, kept);
+    its last entry, the one in force, gives ``eps`` and ``rho_bar_eps``.
+    """
+
     k: float
     rho_hat: float
-    eps: float
-    N0: int
     partition: np.ndarray  # grid node indices of the interval ends
     M_Delta: float
     C_vDelta: float
@@ -69,15 +76,30 @@ class RepairConstants:
     omega_gamma: ModulusTable
     omega_f: ModulusTable
     omega_bar: ModulusTable
-    rho_bar_eps: float
     stride: int
     step: float
     oscillation_gate: str
     eps_trail: tuple
     horizon: float
 
+    @property
+    def Delta(self) -> float:
+        return self.stride * self.step
+
+    @property
+    def N0(self) -> int:
+        return len(self.partition) - 1
+
+    @property
+    def eps(self) -> float:
+        return self.eps_trail[-1][0]
+
+    @property
+    def rho_bar_eps(self) -> float:
+        return self.eps_trail[-1][1]
+
     def exp_omega_f(self, width: float) -> float:
-        return float(np.exp(self.omega_f.value_at(width)))
+        return _exp(self.omega_f.value_at(width))
 
     def gap_growth(self, rho: float) -> float:
         """The gap-growth map g: the sup gap one repaired interval can
@@ -85,12 +107,10 @@ class RepairConstants:
         overflow to inf once ``k * rho`` leaves the modulus table."""
         if rho == 0.0:
             return 0.0
-        with np.errstate(over="ignore"):
-            e_delta = float(np.exp(2.0 * self.omega_f.value_at(self.Delta)))
-            slope = self.C_vDelta + self.M_Delta * e_delta
-            return self.exp_omega_f(self.horizon) * (
-                self.omega_bar.value_at(self.k * rho) + self.k * rho * slope
-            )
+        slope = self.C_vDelta + self.M_Delta * _exp(2.0 * self.omega_f.value_at(self.Delta))
+        return self.exp_omega_f(self.horizon) * (
+            self.omega_bar.value_at(self.k * rho) + self.k * rho * slope
+        )
 
 
 @dataclass(frozen=True)
@@ -212,14 +232,20 @@ def schedule_constants(
     inequalities all hold; the burst rate is 4 over the inward slack; the
     violation cap is the smallest of the three proof caps; the tightening
     halves from the certified cap until the reference's violation fits
-    under the cap with a strictly interior start. When the full window
+    under the cap with a strictly interior start. A reference larger than
+    the bundle was certified for raises BundleError. When the full window
     modulus cannot fit under a quarter collar at any representable width
     (references with large certified envelopes), the gate falls back to
     the observed state oscillation and records that choice.
     """
     if lam <= 0:
         raise DomainError("the closeness tolerance must be positive")
-    validate_bundle(bundle, reference_sup=xbar.max_norm())
+    reference_sup = xbar.max_norm()
+    if reference_sup > bundle.reference_sup * (1 + 1e-9):
+        raise BundleError(
+            f"bundle was certified for references up to {bundle.reference_sup}, "
+            f"got {reference_sup}"
+        )
     grid = ubar.grid
     if not np.array_equal(grid.nodes, xbar.grid.nodes):
         raise DomainError("reference control and trajectory must share a grid")
@@ -240,7 +266,7 @@ def schedule_constants(
     beta_l2 = bundle.shift_radius.l2()
     theta = bundle.growth_envelope
     radius = gronwall_radius(
-        theta.l1(), theta.l2(), xbar.max_norm(), bundle.control_bound, ubar_l2, beta_l2
+        theta.l1(), theta.l2(), reference_sup, bundle.control_bound, ubar_l2, beta_l2
     )
     omega_bar, osc_table = _window_tables(
         grid, xbar.states, theta.values, radius + bundle.control_bound, ubar_l2 + beta_l2
@@ -256,7 +282,7 @@ def schedule_constants(
 
     def window_checks(width: float, gate: str):
         drift = omega_gamma.value_at(width) + m_v * omega_f.value_at(width)
-        e_w = float(np.exp(omega_f.value_at(width)))
+        e_w = _exp(omega_f.value_at(width))
         checks = {
             "boundary drift <= eta/4": bundle.boundary_drift.value_at(width) <= eta / 4,
             "interval drift x exp <= xi/2": drift * e_w <= xi / 2,
@@ -297,7 +323,7 @@ def schedule_constants(
         )
     stride, delta, m_delta = window
 
-    c_v_delta = m_v + m_delta * float(np.exp(omega_f.value_at(delta)))
+    c_v_delta = m_v + m_delta * _exp(omega_f.value_at(delta))
     indices = list(range(0, grid.nodes.size, stride))
     if indices[-1] != grid.nodes.size - 1:
         indices.append(grid.nodes.size - 1)
@@ -307,7 +333,6 @@ def schedule_constants(
     probe_times = grid.nodes[partition[:: max(1, n0 // 8)]]
     eps = bundle.eps_cap
     trail = []
-    chosen = None
     for _ in range(_MAX_HALVINGS + 1):
         rho_bar = violation_sup(field, eps, xbar)
         interior = float(field.margin(t0, xbar.states[0], eps)) > 0
@@ -315,10 +340,9 @@ def schedule_constants(
         ok = rho_bar <= rho_hat and interior and nonempty
         trail.append((float(eps), float(rho_bar), bool(ok)))
         if ok:
-            chosen = (eps, rho_bar)
             break
         eps /= 2.0
-    if chosen is None:
+    if not ok:
         last_eps, last_rho, _ = trail[-1]
         if last_rho > rho_hat:
             detail = f"violation {last_rho:g} still above the cap {rho_hat:g} at eps={last_eps:g}"
@@ -327,11 +351,8 @@ def schedule_constants(
         raise ScheduleError("eps-infeasible", detail)
 
     return RepairConstants(
-        Delta=float(delta),
         k=float(k),
         rho_hat=float(rho_hat),
-        eps=float(chosen[0]),
-        N0=int(n0),
         partition=partition,
         M_Delta=float(m_delta),
         C_vDelta=float(c_v_delta),
@@ -339,7 +360,6 @@ def schedule_constants(
         omega_gamma=omega_gamma,
         omega_f=omega_f,
         omega_bar=omega_bar,
-        rho_bar_eps=float(chosen[1]),
         stride=int(stride),
         step=step,
         oscillation_gate=gate,
@@ -598,10 +618,10 @@ def _verify_suffix(x_eps: Trajectory, u_eps: ControlSignal, c, report, model) ->
 def _retighten(c: RepairConstants, field, xbar) -> RepairConstants:
     """Halve eps after a failed sweep: the failed eps is marked rejected."""
     *earlier, (failed_eps, failed_rho, _) = c.eps_trail
-    eps = c.eps / 2.0
+    eps = failed_eps / 2.0
     rho_bar = violation_sup(field, eps, xbar)
     trail = (*earlier, (failed_eps, failed_rho, False), (float(eps), float(rho_bar), True))
-    return dataclasses.replace(c, eps=float(eps), rho_bar_eps=float(rho_bar), eps_trail=trail)
+    return dataclasses.replace(c, eps_trail=trail)
 
 
 def _sweep(xbar, ubar, c, bundle, field, model, weight):

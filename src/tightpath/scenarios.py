@@ -96,10 +96,10 @@ def boundary_tracking_reference(
     field: ConstraintField,
     grid: TimeGrid,
     x0,
-    clearance: float = 5e-4,
-    finish: float = 1.06,
-    variant: str = "surge",
-    drift_amplitude: float = 0.2,
+    clearance: float,
+    finish: float,
+    variant: str,
+    drift_amplitude: float,
 ) -> tuple[Trajectory, ControlSignal]:
     """Build a reference that tracks the constraint boundary from outside.
 
@@ -219,15 +219,17 @@ def scenario_from_config(config: dict) -> Scenario:
     variant = reference.get("variant")
     if variant not in _VARIANTS:
         raise ConfigError("reference variant must be 'surge' or 'decline'")
-    scenario = motor_scenario(
-        variant,
-        clearance=config_number(reference, "clearance", 5e-4, float),
-        steps=config_number(config, "steps", 2000, int),
-        horizon=config_number(config, "horizon", 2.0, float),
-        x_start=config_number(reference, "x_start", 1.08, float),
-        finish=config_number(reference, "finish", 1.06, float),
-        drift_amplitude=config_number(config, "drift_amplitude", 0.2, float),
-    )
+    # Only the keys the config sets: motor_scenario holds the defaults.
+    settings = {
+        key: config_number(table, key, None, int if key == "steps" else float)
+        for table, keys in (
+            (reference, ("clearance", "x_start", "finish")),
+            (config, ("steps", "horizon", "drift_amplitude")),
+        )
+        for key in keys
+        if key in table
+    }
+    scenario = motor_scenario(variant, **settings)
     # The reference is integrated against the variant's own dynamics, so a
     # config that names a different model or constraint is inconsistent.
     if "model" in config and config["model"] != scenario.config["model"]:

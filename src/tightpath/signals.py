@@ -259,34 +259,24 @@ def linf_distance(a: Trajectory, b: Trajectory) -> float:
 def weighted_l2_cost(signal: ControlSignal, weight=None) -> float:
     """Integral of u(t)' W(t) u(t) over the signal's span.
 
-    ``weight`` is None (identity), a constant PSD matrix, or a callable
-    t -> PSD matrix. Piecewise-constant controls make the u-part exact per
-    piece; the scalar weight factor is integrated with Simpson's rule,
-    exact for weights constant or linear in t.
+    ``weight`` is None (identity) or a callable t -> PSD matrix.
+    Piecewise-constant controls make the u-part exact per piece; the
+    scalar weight factor is integrated with Simpson's rule, exact for
+    weights constant or linear in t.
     """
     m = signal.dim
-    if weight is None:
-        weight_fn = None
-    elif callable(weight):
-        weight_fn = weight
-    else:
-        const = np.asarray(weight, dtype=float)
-        if const.shape != (m, m):
-            raise ShapeError(f"weight matrix must be {m}x{m}")
-        weight_fn = lambda t: const  # noqa: E731
-
     nodes = signal.grid.nodes
     total = 0.0
     checked = False
     for i in range(nodes.size - 1):
         h = nodes[i + 1] - nodes[i]
         u = signal.values[i]
-        if weight_fn is None:
+        if weight is None:
             total += h * float(u @ u)
             continue
         quads = []
         for t in (nodes[i], 0.5 * (nodes[i] + nodes[i + 1]), nodes[i + 1]):
-            mat = np.asarray(weight_fn(t), dtype=float)
+            mat = np.asarray(weight(t), dtype=float)
             if mat.shape != (m, m):
                 raise ShapeError(f"weight at t={t} must be {m}x{m}")
             if not checked:

@@ -181,6 +181,7 @@ def test_criterion_7_certifier_fidelity(surge_scenario, surge_bundle):
             eps_list=(0.05, 0.1),
             collar_eta_grid=(0.05, 0.1, 0.2, 0.4),
             time_grid=TimeGrid.uniform(0.0, 1.0, 10),
+            box_radius=3.0,  # the whole box
         )
     print(f"[acceptance] criterion 7: PASS alpha=1/4, {checked} rate samples, order-2 rejected")
 

@@ -35,10 +35,11 @@ def decline_drift_integral(s, t):
 AUTONOMOUS_EXPRESSION = {"model": "expression", "state_dim": 1, "control_dim": 1, "rhs": ["u1"]}
 
 
-def ramp_model(rate=None):
+def ramp_model(rate=None, radius_scale=None):
     # f(t, x, u) = t + u: the field drifts linearly in time and any shift
     # must be absorbed by the control. ``rate`` declares a constant drift
-    # density and its integral.
+    # density and its integral, ``radius_scale`` a constant shift radius
+    # per unit of control.
     def drift(t, x):
         x = np.asarray(x, dtype=float)
         return float(t) + np.zeros(x.shape[:-1] + (1,))
@@ -47,11 +48,12 @@ def ramp_model(rate=None):
         x = np.asarray(x, dtype=float)
         return np.ones(x.shape[:-1] + (1, 1))
 
-    metadata = DeclaredRegularity()
+    regularity = {}
     if rate is not None:
-        metadata = DeclaredRegularity(
-            time_drift=lambda s: rate, drift_integral=lambda s, t: rate * (t - s)
-        )
+        regularity.update(time_drift=lambda s: rate, drift_integral=lambda s, t: rate * (t - s))
+    if radius_scale is not None:
+        regularity.update(shift_radius_scale=lambda s: radius_scale)
+    metadata = DeclaredRegularity(**regularity)
     return control_affine(drift, gain, 1, 1, metadata=metadata, name="ramp")
 
 
@@ -398,6 +400,16 @@ class TestDriftIntegral:
         with pytest.raises(ConfigError, match=f"{declared} is declared without {missing}"):
             DeclaredRegularity(**{declared: lambda *times: 0.1})
 
+    @pytest.mark.parametrize(
+        "declared, value, missing",
+        [("holder_exponent", 0.25, "holder_rate_scale"), ("holder_rate_scale", abs, "holder_exponent")],
+        ids=["exponent", "rate"],
+    )
+    def test_holder_exponent_and_rate_are_declared_together(self, declared, value, missing):
+        # Half a Hölder pair would otherwise be dropped and the pair sampled.
+        with pytest.raises(ConfigError, match=f"{declared} is declared without {missing}"):
+            DeclaredRegularity(**{declared: value})
+
     def test_no_density_means_no_budget(self):
         assert drift_budget(ramp_model(), 0.2, 0.9) is None
 
@@ -412,20 +424,24 @@ class TestShiftSearch:
             x = np.asarray(x, dtype=float)
             return np.ones(x.shape[:-1] + (1, 1))
 
-        model = control_affine(drift, gain, 1, 1)
+        # A shift radius of 0.5 around u_s.
+        metadata = DeclaredRegularity(shift_radius_scale=lambda s: 1.25)
+        model = control_affine(drift, gain, 1, 1, metadata=metadata)
         u_s = np.array([0.4])
-        got = shift_selection(model, 0.3, 0.8, np.array([0.1]), u_s, radius=0.5)
+        got = shift_selection(model, 0.3, 0.8, np.array([0.1]), u_s)
         assert got == pytest.approx(u_s, abs=0)
 
     def test_search_absorbs_time_ramp(self):
-        model = ramp_model(rate=0.1)
-        got = shift_selection(model, 0.5, 1.0, np.array([0.0]), np.array([0.0]), radius=0.6)
-        assert got[0] == pytest.approx(-0.5, abs=0.01)
+        # Radius 1.2 x 0.5 = 0.6 around u_s = 0.5.
+        model = ramp_model(rate=0.1, radius_scale=1.2)
+        got = shift_selection(model, 0.5, 1.0, np.array([0.0]), np.array([0.5]))
+        assert got[0] == pytest.approx(0.0, abs=0.01)
 
     def test_small_radius_raises_with_residual(self):
-        model = ramp_model(rate=0.1)
+        # Radius 0.2 x 0.5 = 0.1 around u_s = 0.5.
+        model = ramp_model(rate=0.1, radius_scale=0.2)
         with pytest.raises(SelectionError) as err:
-            shift_selection(model, 0.5, 1.0, np.array([0.0]), np.array([0.0]), radius=0.1)
+            shift_selection(model, 0.5, 1.0, np.array([0.0]), np.array([0.5]))
         assert err.value.residual == pytest.approx(0.4, abs=1e-12)
 
     def test_no_radius_available(self):
@@ -453,17 +469,17 @@ class TestShiftSearch:
             x = np.asarray(x, dtype=float)
             return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
 
-        model = control_affine(drift, gain, 2, 2)
-        got = shift_selection(
-            model, 0.2, 0.5, np.zeros(2), np.zeros(2), radius=0.6, seed=1
-        )
-        assert got == pytest.approx([-0.3, 0.3], abs=0.02)
+        # Radius sqrt(2) x |u_s| = 0.6 around u_s = (0.3, -0.3).
+        metadata = DeclaredRegularity(shift_radius_scale=lambda s: np.sqrt(2.0))
+        model = control_affine(drift, gain, 2, 2, metadata=metadata)
+        got = shift_selection(model, 0.2, 0.5, np.zeros(2), np.array([0.3, -0.3]), seed=1)
+        assert got == pytest.approx([0.0, 0.0], abs=0.02)
 
     def test_search_is_deterministic(self):
-        model = ramp_model()
-        args = (0.5, 1.0, np.array([0.0]), np.array([0.0]))
-        a = shift_selection(model, *args, radius=0.6)
-        b = shift_selection(model, *args, radius=0.6)
+        model = ramp_model(radius_scale=1.2)
+        args = (0.5, 1.0, np.array([0.0]), np.array([0.5]))
+        a = shift_selection(model, *args)
+        b = shift_selection(model, *args)
         assert np.array_equal(a, b)
 
 

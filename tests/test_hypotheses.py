@@ -38,6 +38,7 @@ from tightpath import (
     OperatingBox,
     SampledFunction,
     TimeGrid,
+    Trajectory,
     best_inward_candidate,
     bundle_from_dict,
     bundle_to_dict,
@@ -57,8 +58,8 @@ from tightpath import (
     motor_scenario,
     motor_surge,
     save_bundle,
+    schedule_constants,
     unit_ball_complement,
-    validate_bundle,
 )
 from tightpath import geometry, hypotheses
 from tightpath.cli import load_problem
@@ -177,7 +178,7 @@ class TestInwardPointing:
     def test_strong_control_verifies_at_larger_slack(self):
         m_u, _, xi, _ = certify_inward_pointing(
             BALL, motor_surge(), [0.1], [0.2], GRID,
-            control_bounds=(2.0,), seed=0,
+            control_bounds=(2.0,), box_radius=2.0, seed=0,
         )
         assert m_u == 2.0
         assert xi >= 0.4
@@ -185,7 +186,7 @@ class TestInwardPointing:
     def test_inactive_constraint_passes_vacuously_at_caps(self):
         slack = field_from_config({"components": ["x1 - 10"], "box": [[-2.0, 2.0]]})
         m_u, m_v, xi, eta = certify_inward_pointing(
-            slack, motor_surge(), [0.1], [0.1, 0.3], GRID
+            slack, motor_surge(), [0.1], [0.1, 0.3], GRID, box_radius=2.0
         )
         assert (m_u, m_v) == (0.5, 0.0)
         assert xi == 0.5
@@ -197,7 +198,7 @@ class TestInwardPointing:
         )
         with pytest.raises(InwardPointingError) as info:
             certify_inward_pointing(
-                position, double_integrator(), [0.05], [0.1, 0.2], GRID, seed=0
+                position, double_integrator(), [0.05], [0.1, 0.2], GRID, box_radius=3.0, seed=0
             )
         witness = info.value.witness
         assert witness["x"][1] < 0.0
@@ -1138,9 +1139,9 @@ class TestCollarScans:
             {"components": ["abs(x1) - 3 - t"], "box": [[-2.0, 2.0]], "time_varying": True}
         )
         rng = np.random.default_rng(0)
-        assert len(_collar_samples(shrinking, 0.1, 0.0, 0.4, 16, rng, None)[0]) > 0
+        assert len(_collar_samples(shrinking, 0.1, 0.0, 0.4, 16, rng, 2.0)[0]) > 0
         for field, t in ((shrinking, 1.0), (wide, 0.0)):
-            collar, depths = _collar_samples(field, 0.1, t, 0.4, 16, rng, None)
+            collar, depths = _collar_samples(field, 0.1, t, 0.4, 16, rng, 2.0)
             assert collar.shape == (0, 1) and depths.shape == (0,)
 
     @pytest.mark.parametrize("config", [_decline_config(), _moving_disk_config()])
@@ -1260,7 +1261,8 @@ class TestBundle:
         assert bundle.holder_exponent == 0.25
         assert bundle.eps_cap == 0.2
         assert bundle.reference_sup == pytest.approx(xbar.max_norm())
-        validate_bundle(bundle, reference_sup=xbar.max_norm())
+        # Construction is the completeness gate: the bundle builds again.
+        dataclasses.replace(bundle)
 
     def test_decline_narrows_control_bound_to_declared_validity(self):
         grid = TimeGrid.uniform(0.0, 2.0, 800)
@@ -1308,20 +1310,6 @@ class TestBundle:
         )
         assert radii == [radius, radius]
 
-    def test_holder_rate_without_exponent_is_certified(self):
-        # The certifier uses a declared rate only with its exponent, and
-        # the provenance label must say what the certifier did.
-        base = motor_surge()
-        model = dataclasses.replace(
-            base, metadata=dataclasses.replace(base.metadata, holder_exponent=None)
-        )
-        grid = TimeGrid.uniform(0.0, 2.0, 100)
-        ubar = ControlSignal(grid, (0.25 * np.sin(0.7 * np.pi * grid.nodes))[:, None])
-        xbar = integrate(model, ubar, np.array([1.08]), (0.0, 2.0), 0.02, check=False)
-        bundle = certify_all(model, BALL, ubar, xbar, seed=0)
-        assert bundle.provenance["holder_rate"] == "certified"
-        assert bundle.holder_exponent == 1.0
-
     def test_bundle_roundtrip_is_exact(self, surge_bundle, tmp_path):
         bundle = surge_bundle[0]
         path = tmp_path / "bundle.json"
@@ -1345,6 +1333,12 @@ class TestBundle:
             dataclasses.replace(bundle, holder_exponent=1.5)
         with pytest.raises(BundleError, match="slack"):
             dataclasses.replace(bundle, inward_slack=0.0)
+        with pytest.raises(BundleError, match="'window_cap' must be finite"):
+            dataclasses.replace(bundle, window_cap=np.inf)
+        with pytest.raises(BundleError, match="sampled function 'holder_rate'"):
+            dataclasses.replace(bundle, holder_rate=None)
+        with pytest.raises(BundleError, match="boundary drift table"):
+            dataclasses.replace(bundle, boundary_drift=None)
 
     @pytest.mark.parametrize(
         "name", ["growth_envelope", "state_lipschitz", "time_drift", "shift_radius", "holder_rate"]
@@ -1352,11 +1346,11 @@ class TestBundle:
     def test_negative_function_is_rejected(self, surge_bundle, name):
         data = bundle_to_dict(surge_bundle[0])
         data[name]["values"][len(data[name]["values"]) // 2] = -1e-9
-        bundle = bundle_from_dict(data)
         with pytest.raises(BundleError, match=f"{name!r} is negative"):
-            validate_bundle(bundle)
+            bundle_from_dict(data)
 
     def test_reference_growth_invalidates(self, surge_bundle):
-        bundle = surge_bundle[0]
+        bundle, ubar, xbar = surge_bundle
+        grown = Trajectory(xbar.grid, 3.0 * xbar.states)
         with pytest.raises(BundleError, match="certified for references"):
-            validate_bundle(bundle, reference_sup=bundle.reference_sup * 3.0)
+            schedule_constants(bundle, BALL, grown, ubar, 0.1)

@@ -70,11 +70,8 @@ def linear_constants() -> RepairConstants:
     ramp_d = np.array([0.0, 0.5, 1.5, 4.5, 8.0])
     ramp = ModulusTable(ramp_d, 0.5 * ramp_d)
     return RepairConstants(
-        Delta=0.5,
         k=2.0,
         rho_hat=1.0,
-        eps=0.1,
-        N0=3,
         partition=np.array([0, 1, 2, 3]),
         M_Delta=0.25,
         C_vDelta=0.25,
@@ -82,7 +79,6 @@ def linear_constants() -> RepairConstants:
         omega_gamma=flat,
         omega_f=flat,
         omega_bar=ramp,
-        rho_bar_eps=0.25,
         stride=1,
         step=0.5,
         oscillation_gate=GATE_WINDOW,

@@ -197,6 +197,7 @@ def test_infeasible_target_rejected(surge_scenario):
             clearance=5e-4,
             finish=0.5,
             variant="surge",
+            drift_amplitude=0.2,
         )
 
 
@@ -205,7 +206,14 @@ def test_model_without_one_breakpoint_rejected(surge_scenario):
     sc = surge_scenario
     with pytest.raises(DomainError, match="one time breakpoint"):
         boundary_tracking_reference(
-            dataclasses.replace(sc.model, time_breakpoints=()), sc.field, sc.grid, sc.x0
+            dataclasses.replace(sc.model, time_breakpoints=()),
+            sc.field,
+            sc.grid,
+            sc.x0,
+            clearance=5e-4,
+            finish=1.06,
+            variant="surge",
+            drift_amplitude=0.2,
         )
 
 

@@ -238,13 +238,13 @@ class TestWeightedCost:
         sig = ControlSignal(grid, np.tile([1.0, 2.0], (5, 1)))
         weight = np.array([[2.0, 0.0], [0.0, 1.0]])
         # u' W u = 2 + 4 = 6 on a span of 2.
-        assert weighted_l2_cost(sig, weight) == pytest.approx(12.0)
+        assert weighted_l2_cost(sig, lambda t: weight) == pytest.approx(12.0)
 
     def test_rejects_indefinite_weight(self):
         grid = TimeGrid.uniform(0.0, 1.0, 2)
         sig = ControlSignal(grid, np.ones((3, 1)))
         with pytest.raises(DomainError):
-            weighted_l2_cost(sig, np.array([[-1.0]]))
+            weighted_l2_cost(sig, lambda t: np.array([[-1.0]]))
 
     @given(scale=st.floats(0.1, 5.0))
     @settings(max_examples=30, deadline=None)
