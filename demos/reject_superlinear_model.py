@@ -16,8 +16,7 @@ import tightpath as tp
 
 # x' = u^2 on the half line x >= 1.  Inward pointing holds trivially:
 # any control with u^2 > 0 moves away from the boundary at x = 1.
-model = tp.expression_model(["u1*u1"], state_dim=1, control_dim=1,
-                            name="quadratic-thrust")
+model = tp.expression_model(["u1*u1"], state_dim=1, control_dim=1)
 field = tp.field_from_config({"box": [[0.0, 3.0]], "components": ["1 - x1"]})
 
 grid = tp.TimeGrid.uniform(0.0, 1.0, 64)
@@ -35,8 +34,7 @@ else:
 
 # The same expressions with the square removed describe an admissible
 # model, and the full pipeline goes through.
-linear = tp.expression_model(["u1"], state_dim=1, control_dim=1,
-                             name="linear-thrust")
+linear = tp.expression_model(["u1"], state_dim=1, control_dim=1)
 bundle = tp.certify_all(linear, field, ubar, xbar, seed=0)
 x_eps, u_eps, c, report = tp.repair(xbar, ubar, 0.2, bundle, field, linear)
 print(f"\nlinear variant certifies and repairs: eps = {c.eps}, "

@@ -22,7 +22,6 @@ from .dynamics import (
     DeclaredRegularity,
     DynamicsModel,
     control_affine,
-    double_integrator,
     drift_budget,
     eval_rhs,
     expression_model,

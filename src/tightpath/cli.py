@@ -27,6 +27,7 @@ from .errors import (
     CertificationError,
     ConfigError,
     ExpressionError,
+    PropagationError,
     RepairError,
     ScheduleError,
     ShapeError,
@@ -35,7 +36,8 @@ from .errors import (
     config_number,
 )
 from .geometry import field_from_config
-from .hypotheses import certify_all, load_bundle, save_bundle
+from .hypotheses import certify_all, load_bundle, reference_norm, save_bundle
+from .propagation import HALF_STEP_TOLERANCE, integrate
 from .repair import render_report, repair
 from .scenarios import scenario_from_config
 from .signals import (
@@ -163,7 +165,29 @@ def _sampled_problem(config: dict, ref: dict, kind: str):
         )
     if not np.array_equal(xbar.grid.nodes, ubar.grid.nodes):
         raise ConfigError("reference states and controls live on different grids")
+    reference_norm(xbar)  # a reference too large to sample is named as such first
+    _check_trajectory(model, xbar, ubar)
     return model, field, xbar, ubar
+
+
+def _check_trajectory(model, xbar: Trajectory, ubar: ControlSignal) -> None:
+    """ConfigError naming 'states' unless the reference states lie within
+    HALF_STEP_TOLERANCE, at every node, of one run of the model under the
+    reference controls from the first state at the grid's step."""
+    grid = xbar.grid
+    with np.errstate(all="ignore"):  # a run that blows up is named below
+        try:
+            run = integrate(model, ubar, xbar.states[0], (grid.t0, grid.t1), grid.step, check=False)
+            gaps = np.linalg.norm(run.resample(grid.nodes) - xbar.states, axis=1)
+        except PropagationError as exc:
+            gaps = np.where(grid.nodes < exc.t, 0.0, np.inf)
+    bad = np.flatnonzero(~(gaps <= HALF_STEP_TOLERANCE))
+    if bad.size:
+        raise ConfigError(
+            "reference 'states' are not a trajectory of the model under 'controls': the run "
+            f"from the first state is {gaps[bad[0]]:.3g} away at t={grid.nodes[bad[0]]:g}, "
+            f"more than {HALF_STEP_TOLERANCE:g}"
+        )
 
 
 def weight_from_config(config: dict, control_dim: int):

@@ -105,7 +105,6 @@ class DynamicsModel:
     rhs: object
     shift_hook: object = None
     metadata: DeclaredRegularity = field(default_factory=DeclaredRegularity)
-    name: str = ""
     # Times where t -> rhs(t, x, u) is kinked or singular: integrators must
     # place a node there and refine the adjacent spans, and the certified
     # drift table is inflated around them.
@@ -334,7 +333,6 @@ def motor_surge(drift_amplitude: float = 0.2) -> DynamicsModel:
         rhs=rhs,
         shift_hook=hook,
         metadata=metadata,
-        name="motor_surge",
         time_breakpoints=(_BREAK_TIME,),
         float_rhs=True,
     )
@@ -382,7 +380,6 @@ def motor_decline(drift_amplitude: float = 0.2) -> DynamicsModel:
         rhs=rhs,
         shift_hook=_identity_transport,
         metadata=metadata,
-        name="motor_decline",
         time_breakpoints=(_BREAK_TIME,),
         float_rhs=True,
     )
@@ -394,7 +391,6 @@ def control_affine(
     state_dim: int,
     control_dim: int,
     metadata: DeclaredRegularity | None = None,
-    name: str = "control_affine",
 ) -> DynamicsModel:
     """Field drift(t, x) + gain(t, x) @ u with drift (.., N), gain (.., N, M)."""
 
@@ -410,34 +406,6 @@ def control_affine(
         control_dim=control_dim,
         rhs=rhs,
         metadata=metadata or DeclaredRegularity(),
-        name=name,
-    )
-
-
-def double_integrator() -> DynamicsModel:
-    """Position-velocity chain x1' = x2, x2' = u."""
-
-    def rhs(t, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return np.stack([x[..., 1], u[..., 0]], axis=-1)
-
-    metadata = DeclaredRegularity(
-        growth_envelope=_constant(1.0),
-        state_lipschitz=_constant(1.0),
-        time_drift=_constant(0.0),
-        drift_integral=_no_drift,
-        shift_radius_scale=_constant(0.0),
-        holder_exponent=1.0,
-        holder_rate_scale=_constant(0.0),
-    )
-    return DynamicsModel(
-        state_dim=2,
-        control_dim=1,
-        rhs=rhs,
-        shift_hook=_identity_transport,
-        metadata=metadata,
-        name="double_integrator",
     )
 
 
@@ -476,7 +444,6 @@ def expression_model(
     equations,
     state_dim: int,
     control_dim: int,
-    name: str = "expression",
     shift_radius: float | None = None,
 ) -> DynamicsModel:
     """Field with one expression per state over ``t, x1..xN, u1..uM``.
@@ -507,7 +474,6 @@ def expression_model(
         rhs=rhs,
         shift_hook=hook,
         metadata=metadata,
-        name=name,
     )
 
 
@@ -542,7 +508,6 @@ def model_from_config(config: dict) -> DynamicsModel:
             config_expressions(config, "rhs", state_dim),
             state_dim,
             control_dim,
-            name=str(config.get("name", "expression")),
             shift_radius=config_number(config, "shift_radius", None, float),
         )
     drift_exprs = config_expressions(config, "drift", state_dim)
@@ -563,6 +528,5 @@ def model_from_config(config: dict) -> DynamicsModel:
         state_dim,
         control_dim,
         metadata=DeclaredRegularity(**regularity),
-        name=str(config.get("name", "control_affine")),
     )
     return dataclasses.replace(model, shift_hook=hook)

@@ -185,7 +185,6 @@ class ConstraintField:
     sampling_box: np.ndarray
     time_varying: bool = False
     analytic_distance: object = None
-    name: str = ""
     resolution: float = 0.0
     _tree_cache: dict = field(default_factory=dict, repr=False, compare=False)
     # (1-D axes, flat (n, dim) points, grid shape) of the scan lattice.
@@ -347,9 +346,7 @@ def unit_ball_complement(dim: int = 1, box_radius: float = 2.0) -> ConstraintFie
     return ConstraintField(
         components=(component,),
         sampling_box=box,
-        time_varying=False,
         analytic_distance=distance,
-        name="unit_ball_complement",
     )
 
 
@@ -513,7 +510,6 @@ def field_from_config(config: dict) -> ConstraintField:
         sampling_box=box,
         time_varying=any(comp.reads_time for comp in components),
         resolution=resolution,
-        name=str(config.get("name", "")),
     )
     try:
         _lattice_counts(field.sampling_box, field.resolution)

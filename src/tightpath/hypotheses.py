@@ -110,7 +110,8 @@ class SampledFunction:
         return float(trapezoid_prefix(self.grid, np.abs(self.values))[-1])
 
     def l2(self) -> float:
-        return float(np.sqrt(trapezoid_prefix(self.grid, self.values**2)[-1]))
+        with np.errstate(over="ignore"):  # inf, which the Gronwall checks name
+            return float(np.sqrt(trapezoid_prefix(self.grid, self.values**2)[-1]))
 
 
 @dataclass(frozen=True)
@@ -354,12 +355,12 @@ def inclusion_margins(
     model: DynamicsModel,
     eps: float,
     t: float,
-    x: np.ndarray,
+    rows: np.ndarray,
     candidates: np.ndarray,
     xi: float,
     horizon: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Worst slack of the forward-cone inclusion per control candidate.
+    """Worst forward-cone slack per base point and control candidate.
 
     Checks, on a fixed grid of push times delta and base points y near x,
     that the ball of radius delta*xi around y + delta*v stays inside the
@@ -367,15 +368,13 @@ def inclusion_margins(
     margin means the inclusion fails on the sample grid. The delta and y
     grids are deterministic, so repeated calls agree bitwise.
 
-    ``x`` is one base point of shape (dim,), giving (n_candidates,)
-    margins and (n_candidates, N) velocities, or a batch of shape
-    (P, dim), giving (P, n_candidates) margins and (P, n_candidates, N)
-    velocities. Every row of a batch is bitwise equal to the call on that
-    row alone: each margin comes from elementwise arithmetic and per-point
-    distance queries, and the running minimum is exact. Before the
-    horizon, a row none of whose base points is in the tightened set gets
-    margin -inf for every candidate; at the horizon there is no push time
-    and every finite velocity gets +inf.
+    ``rows`` holds P base points x, shape (P, dim); the margins are
+    (P, n_candidates) and the velocities (P, n_candidates, N). Each row is
+    bitwise what a one-row call on it gives: each margin comes from
+    elementwise arithmetic and per-point distance queries, and the running
+    minimum is exact. Before the horizon, a row none of whose base points
+    is in the tightened set gets margin -inf for every candidate; at the
+    horizon there is no push time and every finite velocity gets +inf.
 
     The search is a branch-and-bound for ``best_inward_candidate``, run
     row by row: the leaders after the first push time are evaluated at
@@ -386,16 +385,11 @@ def inclusion_margins(
     bound on its margin that lies more than ``INWARD_TIE_TOL`` below the
     best margin of its row.
 
-    On the KD-tree fallback a single-time push of several candidates in a
-    row is staged: the row's first candidate queries all its base points,
-    and the others only the points whose 1-Lipschitz lower bound from it
-    can reach their minimum, plus every point outside the set. A skipped
-    point is provably farther than a queried one and rounding is
-    monotone, so every entry, exact or bound, is bitwise the value a
-    query of every point gives (see ``_staged_queries``).
+    On the KD-tree fallback a push queries only the base points that can
+    set a pair's minimum, and every entry, exact or bound, is bitwise what
+    a query of every point gives (see ``_staged_queries``).
     """
-    x = np.asarray(x, dtype=float)
-    rows = np.atleast_2d(x)
+    rows = np.asarray(rows, dtype=float)
     n_rows, n_cand = len(rows), len(candidates)
     velocities = rhs_batch(
         model, float(t), np.repeat(rows, n_cand, axis=0), np.tile(candidates, (n_rows, 1))
@@ -404,8 +398,6 @@ def inclusion_margins(
     delta_cap = min(xi, max(horizon - t, 0.0))
     if delta_cap > 0:
         _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap)
-    if x.ndim == 1:
-        return margins[0], velocities[0]
     return margins, velocities
 
 
@@ -534,16 +526,12 @@ def _staged_queries(field, eps, t, query, first, steps, keep, centers) -> None:
 
 
 def best_inward_candidate(margins: np.ndarray, candidates: np.ndarray):
-    """Index of the max-margin candidate; ties go to the smaller control,
-    and among equal norms to the first. (C,) margins give an int, (P, C)
-    margins one index per row."""
-    margins = np.asarray(margins)
-    rows = np.atleast_2d(margins)
-    top = rows.max(axis=1, keepdims=True)
-    tied = rows >= top - INWARD_TIE_TOL
+    """Index of the max-margin candidate in each row of (P, C) margins;
+    ties go to the smaller control, and among equal norms to the first."""
+    top = margins.max(axis=1, keepdims=True)
+    tied = margins >= top - INWARD_TIE_TOL
     norms = np.linalg.norm(candidates, axis=1)
-    best = np.argmin(np.where(tied, norms, np.inf), axis=1)
-    return int(best[0]) if margins.ndim == 1 else best
+    return np.argmin(np.where(tied, norms, np.inf), axis=1)
 
 
 def certify_inward_pointing(
@@ -719,9 +707,11 @@ def certify_time_regularity(
                     grow = i + 1 if abs(b - sigma) >= abs(a - sigma) else i
                     other = i if grow == i + 1 else i + 1
                     vals[grow] = 2.0 * budget / (b - a) - vals[other]
-        gamma = SampledFunction(time_grid, vals)
     else:
-        gamma = SampledFunction(sub, _SAFETY * drift_quot)
+        # On the reference grid, as a declared density is: the schedule
+        # tabulates it there.
+        vals = np.interp(time_grid.nodes, sub.nodes, _SAFETY * drift_quot)
+    gamma = SampledFunction(time_grid, vals)
 
     beta_u = SampledFunction(sub, beta_vals)
 
@@ -817,6 +807,19 @@ class HypothesisBundle:
         object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
 
 
+def reference_norm(xbar: Trajectory) -> float:
+    """Largest state norm of ``xbar``; ConfigError when the operating box of
+    radius 1 + 2 x that norm, which the certifiers draw states from, overflows."""
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norm = xbar.max_norm()
+    if not np.isfinite(2.0 * (1.0 + 2.0 * norm)):
+        raise ConfigError(
+            f"reference 'states' reach norm {norm:g}: the operating box "
+            "of radius 1 + 2 x that norm cannot be sampled"
+        )
+    return norm
+
+
 def certify_all(
     model: DynamicsModel,
     constraint: ConstraintField,
@@ -838,18 +841,12 @@ def certify_all(
     search is retried with the bound candidates narrowed below it. The
     window cap is the horizon, or a quarter of it for a time-varying
     constraint. A reference whose operating box of radius 1 + 2 x its
-    largest state norm overflows raises ConfigError.
+    largest state norm overflows raises ConfigError, and a growth envelope
+    whose Gronwall radius overflows raises CertificationError.
     """
     grid = ubar.grid
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-        reference_sup = xbar.max_norm()
+    reference_sup = reference_norm(xbar)
     operating_radius = 1.0 + 2.0 * reference_sup
-    if not np.isfinite(2.0 * operating_radius):
-        # The certifiers draw states uniformly across the operating box.
-        raise ConfigError(
-            f"reference 'states' reach norm {reference_sup:g}: the operating box "
-            "of radius 1 + 2 x that norm cannot be sampled"
-        )
     bounds = CONTROL_BOUNDS
     while True:
         m_u, m_v, xi, eta = certify_inward_pointing(
@@ -906,6 +903,10 @@ def certify_all(
         float(np.sqrt(weighted_l2_cost(ubar))),
         beta_u.l2(),
     )
+    if not np.isfinite(radius):
+        raise CertificationError(
+            f"the growth envelope's integral {theta.l1():g} overflows the Gronwall radius"
+        )
     kf = resampled("state_lipschitz", certify_lipschitz, model, radius, box.controls, grid)
     window_cap = grid.span / 4.0 if constraint.time_varying else grid.span
     omega_a = build_boundary_modulus(

@@ -274,12 +274,13 @@ def gronwall_radius(
 
     Combines the growth envelope's integral with the reference magnitude
     and the control budget; downstream checks assert states stay within
-    this radius minus one.
+    this radius minus one. An overflowing radius is inf, unwarned.
     """
     values = (theta_L1, theta_L2, xbar_linf, M_u, ubar_L2, betau_L2)
     if any(v < 0 for v in values):
         raise DomainError("gronwall_radius inputs must be nonnegative")
-    return float(
-        np.exp(theta_L1)
-        * (1.0 + xbar_linf + (1.0 + M_u) * theta_L1 + theta_L2 * (ubar_L2 + betau_L2))
-    )
+    with np.errstate(over="ignore"):
+        return float(
+            np.exp(theta_L1)
+            * (1.0 + xbar_linf + (1.0 + M_u) * theta_L1 + theta_L2 * (ubar_L2 + betau_L2))
+        )

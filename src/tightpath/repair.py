@@ -156,28 +156,20 @@ class RepairReport:
     window_excess: float
 
 
-def growth_maps(rho: float, c: RepairConstants):
-    """Evaluate the interval growth map and its compositions at ``rho``.
-
-    Returns ``(g, g_tilde, d_tilde)`` where ``g = c.gap_growth(rho)`` bounds
-    the sup gap one repaired interval can introduce, ``g_tilde = rho +
-    g(rho)`` bounds the next violation level, and ``d_tilde[n-1]`` is the
-    sum of the first n compositions of ``g_tilde`` (the accumulated-distance
-    bound after n intervals). All three are monotone in ``rho``;
-    compositions that leave the modulus table saturate and may overflow to
-    inf.
-    """
+def growth_maps(rho: float, c: RepairConstants) -> np.ndarray:
+    """Accumulated-distance bounds at violation level ``rho``: entry n-1
+    sums the first n compositions at ``rho`` of r -> r + c.gap_growth(r),
+    the next violation level's bound. Monotone in ``rho``; compositions
+    that leave the modulus table saturate and may overflow to inf."""
     if rho < 0:
         raise DomainError("growth maps take a nonnegative violation level")
-    g_val = c.gap_growth(rho)
     compositions = np.empty(c.N0)
     r = rho
     with np.errstate(over="ignore"):
         for n in range(c.N0):
             r = r + c.gap_growth(r)
             compositions[n] = r
-        d_tilde = np.cumsum(compositions)
-    return g_val, rho + g_val, d_tilde
+        return np.cumsum(compositions)
 
 
 def _window_tables(grid, states, theta_values, osc_coef: float, l2_coef: float):
@@ -233,10 +225,12 @@ def schedule_constants(
     violation cap is the smallest of the three proof caps; the tightening
     halves from the certified cap until the reference's violation fits
     under the cap with a strictly interior start. A reference larger than
-    the bundle was certified for raises BundleError. When the full window
-    modulus cannot fit under a quarter collar at any representable width
-    (references with large certified envelopes), the gate falls back to
-    the observed state oscillation and records that choice.
+    the bundle was certified for, a bundle function off the reference
+    grid, or a growth envelope whose Gronwall radius overflows raises
+    BundleError. When the full window modulus cannot fit under a quarter
+    collar at any representable width (references with large certified
+    envelopes), the gate falls back to the observed state oscillation and
+    records that choice.
     """
     if lam <= 0:
         raise DomainError("the closeness tolerance must be positive")
@@ -249,6 +243,9 @@ def schedule_constants(
     grid = ubar.grid
     if not np.array_equal(grid.nodes, xbar.grid.nodes):
         raise DomainError("reference control and trajectory must share a grid")
+    for name in ("growth_envelope", "state_lipschitz", "time_drift"):
+        if not np.array_equal(getattr(bundle, name).grid.nodes, grid.nodes):
+            raise BundleError(f"bundle function {name!r} is not tabulated on the reference grid")
     t0, t1 = float(grid.t0), float(grid.t1)
     horizon = t1 - t0
     step = float(grid.step)
@@ -260,14 +257,19 @@ def schedule_constants(
             "leaves an interior start",
         )
 
-    omega_gamma = build_modulus_table(grid, bundle.time_drift.values)
-    omega_f = build_modulus_table(grid, bundle.state_lipschitz.values)
     ubar_l2 = float(np.sqrt(weighted_l2_cost(ubar)))
     beta_l2 = bundle.shift_radius.l2()
     theta = bundle.growth_envelope
     radius = gronwall_radius(
         theta.l1(), theta.l2(), reference_sup, bundle.control_bound, ubar_l2, beta_l2
     )
+    if not np.isfinite(radius):
+        raise BundleError(
+            f"the Gronwall radius overflows: bundle function 'growth_envelope' integrates "
+            f"to {theta.l1():g}, and 'shift_radius' has L2 norm {beta_l2:g}"
+        )
+    omega_gamma = build_modulus_table(grid, bundle.time_drift.values)
+    omega_f = build_modulus_table(grid, bundle.state_lipschitz.values)
     omega_bar, osc_table = _window_tables(
         grid, xbar.states, theta.values, radius + bundle.control_bound, ubar_l2 + beta_l2
     )
@@ -389,9 +391,10 @@ def inward_control_at(
     candidates = control_candidates(bundle.seed, model.control_dim, bundle.control_bound)
     horizon = float(bundle.growth_envelope.grid.t1)
     margins, velocities = inclusion_margins(
-        field, model, eps, float(t), x, candidates, bundle.inward_slack, horizon
+        field, model, eps, float(t), x[None, :], candidates, bundle.inward_slack, horizon
     )
-    best = best_inward_candidate(margins, candidates)
+    best = int(best_inward_candidate(margins, candidates)[0])
+    margins, velocities = margins[0], velocities[0]
     if margins[best] < 0:
         raise InwardPointingError(
             f"no candidate control points inward at t={t:g}",
@@ -656,7 +659,7 @@ def _sweep(xbar, ubar, c, bundle, field, model, weight):
     last = records[-1].rho
     iter_excess = max(iter_excess, rho_final - (last + c.gap_growth(last)))
 
-    _, _, d_tilde = growth_maps(c.rho_bar_eps, c)
+    d_tilde = growth_maps(c.rho_bar_eps, c)
     with np.errstate(invalid="ignore"):
         d_excess = linf_gap - float(d_tilde[-1])
         if np.isnan(d_excess):

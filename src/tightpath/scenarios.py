@@ -9,17 +9,19 @@ infeasible and the repair pipeline has real work to do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import DynamicsModel, motor_decline, motor_surge
 from .errors import ConfigError, DomainError, config_number
-from .geometry import ConstraintField, unit_ball_complement
+from .geometry import ConstraintField, field_from_config
 from .propagation import integrate, integrate_feedback
 from .signals import ControlSignal, TimeGrid, Trajectory
 
 _VARIANTS = ("surge", "decline")
+# Every motor scenario's constraint table: its field, and the only one a config may name.
+_CONSTRAINT = {"builtin": "unit_ball_complement", "dim": 1, "box_radius": 2.0}
 
 # Tracking gain and the hard cap on the reference control magnitude. The
 # cap stays well below each motor's certified control bound so the repair
@@ -32,15 +34,10 @@ _CONTROL_CAP = 0.45
 class Scenario:
     """A model, a constraint field, and a feasible reference pair."""
 
-    name: str
     model: DynamicsModel
     field: ConstraintField
-    grid: TimeGrid
-    x0: np.ndarray
     xbar: Trajectory
     ubar: ControlSignal
-    clearance: float
-    config: dict = dataclass_field(repr=False, default_factory=dict)
 
 
 def _smoothstep(s):
@@ -173,38 +170,13 @@ def motor_scenario(
     if steps < 2:
         raise DomainError("need at least two grid steps")
     model = (motor_surge if variant == "surge" else motor_decline)(drift_amplitude)
-    field = unit_ball_complement(dim=1, box_radius=2.0)
+    field = field_from_config(_CONSTRAINT)
     grid = TimeGrid.uniform(0.0, horizon, steps)
-    x0 = np.array([x_start])
     xbar, ubar = boundary_tracking_reference(
-        model, field, grid, x0, clearance=clearance, finish=finish, variant=variant,
-        drift_amplitude=drift_amplitude,
+        model, field, grid, np.array([x_start]), clearance=clearance, finish=finish,
+        variant=variant, drift_amplitude=drift_amplitude,
     )
-    config = {
-        "model": f"motor_{variant}",
-        "constraint": {"builtin": "unit_ball_complement", "dim": 1, "box_radius": 2.0},
-        "reference": {
-            "kind": "boundary-tracking",
-            "variant": variant,
-            "clearance": clearance,
-            "x_start": x_start,
-            "finish": finish,
-        },
-        "horizon": horizon,
-        "steps": steps,
-        "drift_amplitude": drift_amplitude,
-    }
-    return Scenario(
-        name=f"motor-{variant}",
-        model=model,
-        field=field,
-        grid=grid,
-        x0=x0,
-        xbar=xbar,
-        ubar=ubar,
-        clearance=clearance,
-        config=config,
-    )
+    return Scenario(model=model, field=field, xbar=xbar, ubar=ubar)
 
 
 def scenario_from_config(config: dict) -> Scenario:
@@ -229,13 +201,12 @@ def scenario_from_config(config: dict) -> Scenario:
         for key in keys
         if key in table
     }
-    scenario = motor_scenario(variant, **settings)
     # The reference is integrated against the variant's own dynamics, so a
     # config that names a different model or constraint is inconsistent.
-    if "model" in config and config["model"] != scenario.config["model"]:
+    if "model" in config and config["model"] != f"motor_{variant}":
         raise ConfigError(
             f"model {config['model']!r} does not match reference variant {variant!r}"
         )
-    if "constraint" in config and config["constraint"] != scenario.config["constraint"]:
+    if "constraint" in config and config["constraint"] != _CONSTRAINT:
         raise ConfigError("constraint table does not match the built-in scenario field")
-    return scenario
+    return motor_scenario(variant, **settings)

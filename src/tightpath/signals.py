@@ -127,11 +127,6 @@ class ControlSignal:
     def __post_init__(self):
         object.__setattr__(self, "values", _check_samples(self.grid, self.values, "control values"))
 
-    @classmethod
-    def constant(cls, grid: TimeGrid, value) -> "ControlSignal":
-        value = np.atleast_1d(np.asarray(value, dtype=float))
-        return cls(grid, np.tile(value, (len(grid), 1)))
-
     @property
     def dim(self) -> int:
         return self.values.shape[1]

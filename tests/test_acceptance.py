@@ -18,13 +18,14 @@ from tightpath import (
     certify_all,
     certify_inward_pointing,
     cli,
-    double_integrator,
     field_from_config,
     integrate,
+    model_from_config,
     motor_scenario,
     motor_surge,
     repair,
 )
+from test_dynamics import DOUBLE_INTEGRATOR
 
 RUNTIME_BUDGET = 30.0
 INTEGRATOR_TOL = 1e-6
@@ -71,7 +72,7 @@ def sweep_runs(surge_scenario, surge_bundle):
 
 def test_criterion_1_motor_surge_end_to_end():
     sc, bundle, x_eps, u_eps, c, report, elapsed = run_pipeline("surge", 0.1)
-    assert sc.grid.nodes.size == 2001
+    assert sc.xbar.grid.nodes.size == 2001
     margin, linf, cost_gap = check_theorem_contract(sc, x_eps, u_eps, c, 0.1)
     assert elapsed <= RUNTIME_BUDGET
     print(
@@ -141,13 +142,14 @@ def test_criterion_6_filippov_gap(variant, surge_run, decline_run):
     # irrelevant to the growth bound, so the clearance is relaxed to keep
     # the tracking reference feasible at this resolution.
     sc = motor_scenario(variant, steps=250, clearance=5e-3)
-    window = (sc.grid.t0, sc.grid.t1)
-    base = integrate(sc.model, sc.ubar, sc.x0, window, sc.grid.step, check=False)
+    grid, x0 = sc.xbar.grid, sc.xbar.states[0]
+    window = (grid.t0, grid.t1)
+    base = integrate(sc.model, sc.ubar, x0, window, grid.step, check=False)
     rng = np.random.default_rng(2026)
     worst = 0.0
     for _ in range(100):
         gap0 = float(rng.uniform(1e-3, 0.05)) * float(rng.choice([-1.0, 1.0]))
-        shifted = integrate(sc.model, sc.ubar, sc.x0 + gap0, window, sc.grid.step, check=False)
+        shifted = integrate(sc.model, sc.ubar, x0 + gap0, window, grid.step, check=False)
         observed = float(np.max(np.abs(shifted.states - base.states)))
         assert observed <= factor * abs(gap0)
         worst = max(worst, observed / (factor * abs(gap0)))
@@ -177,7 +179,7 @@ def test_criterion_7_certifier_fidelity(surge_scenario, surge_bundle):
     with pytest.raises(CertificationError):
         certify_inward_pointing(
             order2,
-            double_integrator(),
+            model_from_config(DOUBLE_INTEGRATOR),
             eps_list=(0.05, 0.1),
             collar_eta_grid=(0.05, 0.1, 0.2, 0.4),
             time_grid=TimeGrid.uniform(0.0, 1.0, 10),
@@ -191,8 +193,12 @@ def test_criterion_8_oracle_equivalence():
     grid = TimeGrid.uniform(0.0, 2.0, 100)
     wave = ControlSignal(grid, np.sin(grid.nodes)[:, None])
     endpoint_gaps = []
-    for model, x0 in ((double_integrator(), [0.0, 0.0]), (motor_surge(), [1.2])):
-        window = (0.0, 0.9) if model.name == "motor_surge" else (0.0, 2.0)
+    # The surge window stops short of the gain's singularity at t = 1.
+    cases = (
+        (model_from_config(DOUBLE_INTEGRATOR), [0.0, 0.0], (0.0, 2.0)),
+        (motor_surge(), [1.2], (0.0, 0.9)),
+    )
+    for model, x0, window in cases:
         coarse = integrate(model, wave, x0, window, grid.step)
         fine = integrate(model, wave, x0, window, grid.step / 10.0)
         gap = float(np.max(np.abs(coarse.states[-1] - fine.states[-1])))

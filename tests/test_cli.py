@@ -17,7 +17,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tightpath import ControlSignal, TimeGrid, cli, expression_model, integrate, motor_scenario
+from tightpath import (
+    ControlSignal,
+    TimeGrid,
+    cli,
+    expression_model,
+    integrate,
+    motor_scenario,
+    motor_surge,
+)
 from tightpath.geometry import field_from_config
 from tightpath.hypotheses import bundle_from_dict, bundle_to_dict, load_bundle, save_bundle
 from tightpath.errors import BundleError, ConfigError, config_number
@@ -439,18 +447,23 @@ class TestControlAffine:
         certify_repair_evaluate(workdir, capsys, "control_affine", CONTROL_AFFINE_CONFIG)
 
 
-def time_dependent_config() -> dict:
+def time_dependent_config(steps: int = 40) -> dict:
     """The moving-disk config with x1' = u1 + 0.05 sin(3t), a model that
-    reads t: the transport search and the sampled drift and Hölder
-    certificates run. The program does not check that a reference solves
-    its model, so this one is integrated from it."""
+    reads t, on ``steps`` uniform steps over [0, 2]: the transport search
+    and the sampled drift and Hölder certificates run. The reference is
+    integrated from the model."""
     rhs = ["u1 + 0.05*sin(3*t)", "u2"]
-    grid = TimeGrid(np.array(_DISK_TIMES))
-    ubar = ControlSignal(grid, MOVING_DISK_CONFIG["reference"]["controls"])
+    grid = TimeGrid(np.linspace(0.0, 2.0, steps + 1))
+    ubar = ControlSignal(grid, [[1.5, 0.0]] * len(grid))
     model = expression_model(rhs, 2, 2, shift_radius=0.5)
     xbar = integrate(model, ubar, np.array([-1.5, 1.0005]), (grid.t0, grid.t1), grid.step)
     assert np.array_equal(xbar.grid.nodes, grid.nodes)
-    reference = {**MOVING_DISK_CONFIG["reference"], "states": xbar.states.tolist()}
+    reference = {
+        "kind": "inline",
+        "times": grid.nodes.tolist(),
+        "states": xbar.states.tolist(),
+        "controls": ubar.values.tolist(),
+    }
     return {**MOVING_DISK_CONFIG, "rhs": rhs, "shift_radius": 0.5, "reference": reference}
 
 
@@ -465,6 +478,30 @@ class TestTimeDependentExpression:
         # The drift and Hölder rate included: both were sampled.
         assert len(provenance) == 6 and set(provenance.values()) == {"certified"}, provenance
         assert repaired["sup gap"] > 0  # a real repair, not the reference handed back
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_more_nodes_than_the_time_regularity_subgrid_repair(self, tmp_path):
+        # 101 nodes: the sampled drift density is certified on an 81-node
+        # subgrid and must reach the schedule tabulated on the 101.
+        config = write_config(tmp_path / "fine.json", time_dependent_config(steps=100))
+        bundle = str(tmp_path / "bundle.json")
+        assert cli.main(["certify", "--config", config, "--out", str(tmp_path)]) == 0
+        assert len(load_bundle(bundle).time_drift.grid) == 101
+        code = cli.main(["repair", "--config", config, "--bundle", bundle, "--out", str(tmp_path)])
+        assert code == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_reference_that_is_not_a_trajectory_names_states(self, tmp_path, capsys):
+        # The straight line solves x' = u, not this model, which drifts in x1.
+        config = {**MOVING_DISK_CONFIG, "rhs": ["u1 + 0.05*sin(3*t)", "u2"], "shift_radius": 0.5}
+        path = write_config(tmp_path / "not-a-trajectory.json", config)
+        for argv in (
+            ["certify", "--config", path, "--out", str(tmp_path)],
+            ["evaluate", "x.csv", "u.csv", "--config", path],
+        ):
+            assert cli.main(argv) == 64
+            err = capsys.readouterr().err
+            assert "reference 'states' are not a trajectory of the model" in err, err
 
 
 class TestConfigRejection:
@@ -732,7 +769,9 @@ class TestConfigRejection:
         section = readme.split("A boundary tracking config names a built-in profile:", 1)[1]
         config = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
         model, field, xbar, ubar = cli.load_problem(config)
-        assert model.name == "motor_surge"
+        # The surge motor: its gain past the break, and its Hölder exponent.
+        assert model.rhs(1.5, 0.0, 1.0) == motor_surge().rhs(1.5, 0.0, 1.0)
+        assert model.metadata.holder_exponent == 0.25
         assert xbar.states[0, 0] == config["x0"][0]
 
     def test_inline_reference_grid_mismatch(self, workdir, capsys):
@@ -907,15 +946,65 @@ class TestMalformedBundle:
         assert printed.strip()
 
 
+@pytest.fixture(scope="module")
+def surge_400(tmp_path_factory):
+    """(config path, bundle record, output directory) of the certified
+    400-step surge scenario."""
+    out = tmp_path_factory.mktemp("surge-400")
+    config = write_config(out / "surge.json", {**SURGE_CONFIG, "steps": 400})
+    assert cli.main(["certify", "--config", config, "--out", str(out)]) == 0
+    return config, json.loads((out / "bundle.json").read_text()), out
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_overflowing_lipschitz_bound_fails_by_name_without_a_warning(tmp_path):
+def test_overflowing_lipschitz_bound_fails_by_name_without_a_warning(surge_400):
     # exp of the Lipschitz modulus overflows in the schedule; the failure
     # must be the named diagnostic alone, with no numpy warning on stderr.
-    config = write_config(tmp_path / "surge.json", {**SURGE_CONFIG, "steps": 400})
-    assert cli.main(["certify", "--config", config, "--out", str(tmp_path)]) == 0
-    record = json.loads((tmp_path / "bundle.json").read_text())
-    values = record["state_lipschitz"]["values"]
-    values[len(values) // 2] = 1e308
-    code, printed = repair_with_bundle(config, record, tmp_path)
+    config, record, out = surge_400
+    middle = len(record["state_lipschitz"]["values"]) // 2
+    bad = mutated(record, ("state_lipschitz", "values", middle), 1e308)
+    code, printed = repair_with_bundle(config, bad, out)
     assert code == 1
     assert "repair failed: delta-infeasible" in printed, printed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_gronwall_radius_names_the_growth_envelope(surge_400, tmp_path, capsys):
+    # In repair: one bundle value of 1e6 makes exp of the envelope's
+    # integral overflow, and one of 1e200 its square as well.
+    config, record, out = surge_400
+    for value in (1e6, 1e200):
+        code, printed = repair_with_bundle(
+            config, mutated(record, ("growth_envelope", "values", 200), value), out
+        )
+        assert code == 64
+        assert "'growth_envelope'" in printed and "Gronwall radius overflows" in printed, printed
+    # In certify: a declared envelope of 1000 over a unit horizon.
+    affine = {
+        "model": "control_affine",
+        "state_dim": 1,
+        "control_dim": 1,
+        "drift": ["0"],
+        "gain": [["1"]],
+        "growth_envelope": 1000,
+        "constraint": {"box": [[0.0, 3.0]], "components": ["1 - x1"]},
+        "reference": {
+            "kind": "inline",
+            "times": [0.0, 0.5, 1.0],
+            "states": [[1.2]] * 3,
+            "controls": [[0.0]] * 3,
+        },
+    }
+    path = write_config(tmp_path / "steep.json", affine)
+    assert cli.main(["certify", "--config", path, "--out", str(tmp_path)]) == 1
+    assert "growth envelope" in capsys.readouterr().out
+
+
+def test_bundle_function_off_the_reference_grid_names_itself(surge_400):
+    # Unchecked, two nodes would broadcast across the 400 cells unnoticed.
+    config, record, out = surge_400
+    for name in ("growth_envelope", "state_lipschitz", "time_drift"):
+        bad = mutated(record, (name,), {"nodes": [0, 2], "values": [0.2, 0.2]})
+        code, printed = repair_with_bundle(config, bad, out)
+        assert code == 64
+        assert f"bundle function {name!r} is not tabulated on the reference grid" in printed

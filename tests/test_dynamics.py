@@ -8,7 +8,6 @@ from tightpath.dynamics import (
     DeclaredRegularity,
     DynamicsModel,
     control_affine,
-    double_integrator,
     drift_budget,
     eval_rhs,
     model_from_config,
@@ -34,6 +33,18 @@ def decline_drift_integral(s, t):
 
 AUTONOMOUS_EXPRESSION = {"model": "expression", "state_dim": 1, "control_dim": 1, "rhs": ["u1"]}
 
+# The position-velocity chain x1' = x2, x2' = u as a config model: an
+# autonomous control-affine field with unit growth and Lipschitz constants.
+DOUBLE_INTEGRATOR = {
+    "model": "control_affine",
+    "state_dim": 2,
+    "control_dim": 1,
+    "drift": ["x2", 0],
+    "gain": [[0], [1]],
+    "growth_envelope": 1,
+    "state_lipschitz": 1,
+}
+
 
 def ramp_model(rate=None, radius_scale=None):
     # f(t, x, u) = t + u: the field drifts linearly in time and any shift
@@ -54,7 +65,7 @@ def ramp_model(rate=None, radius_scale=None):
     if radius_scale is not None:
         regularity.update(shift_radius_scale=lambda s: radius_scale)
     metadata = DeclaredRegularity(**regularity)
-    return control_affine(drift, gain, 1, 1, metadata=metadata, name="ramp")
+    return control_affine(drift, gain, 1, 1, metadata=metadata)
 
 
 class TestEvalRhs:
@@ -90,7 +101,7 @@ class TestEvalRhs:
         )
 
     def test_double_integrator(self):
-        model = double_integrator()
+        model = model_from_config(DOUBLE_INTEGRATOR)
         assert eval_rhs(model, 0.0, [0.3, -0.5], [2.0]) == pytest.approx([-0.5, 2.0])
 
     def test_non_finite_output_reports_point(self):
@@ -385,7 +396,11 @@ class TestDriftIntegral:
 
     @pytest.mark.parametrize(
         "factory",
-        [motor_surge, double_integrator, lambda: model_from_config(AUTONOMOUS_EXPRESSION)],
+        [
+            motor_surge,
+            lambda: model_from_config(DOUBLE_INTEGRATOR),
+            lambda: model_from_config(AUTONOMOUS_EXPRESSION),
+        ],
         ids=["motor_surge", "double_integrator", "autonomous-expression"],
     )
     def test_zero_density_models_declare_zero_integral(self, factory):
@@ -517,11 +532,9 @@ class TestDeclaredLipschitz:
 class TestModelConfig:
     def test_motor_kinds(self):
         surge = model_from_config({"model": "motor_surge", "drift_amplitude": 0.1})
-        assert surge.name == "motor_surge"
         # At x = 0 and u = 0 the field is the drift amplitude times cos(0).
         assert eval_rhs(surge, 0.5, [0.0], [0.0])[0] == pytest.approx(0.1)
         decline = model_from_config({"model": "motor_decline"})
-        assert decline.name == "motor_decline"
         assert eval_rhs(decline, 0.5, [0.0], [0.0])[0] == pytest.approx(0.2)
         assert decline.metadata.time_drift is not None
 

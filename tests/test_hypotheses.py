@@ -47,7 +47,6 @@ from tightpath import (
     certify_lipschitz,
     certify_sublinear,
     certify_time_regularity,
-    double_integrator,
     field_from_config,
     inclusion_margins,
     gronwall_radius,
@@ -74,6 +73,7 @@ from tightpath.hypotheses import (
     control_candidates,
 )
 from tightpath.signals import trapezoid_prefix, weighted_l2_cost
+from test_dynamics import DOUBLE_INTEGRATOR
 
 GRID = TimeGrid.uniform(0.0, 2.0, 400)
 BALL = unit_ball_complement(dim=1, box_radius=2.0)
@@ -85,7 +85,7 @@ def pure_control_model(power: int = 1) -> DynamicsModel:
         u = np.asarray(u, dtype=float)
         return u**power + 0.0 * np.asarray(x, dtype=float)
 
-    return DynamicsModel(state_dim=1, control_dim=1, rhs=rhs, name=f"u^{power}")
+    return DynamicsModel(state_dim=1, control_dim=1, rhs=rhs)
 
 
 class TestSublinear:
@@ -198,13 +198,19 @@ class TestInwardPointing:
         )
         with pytest.raises(InwardPointingError) as info:
             certify_inward_pointing(
-                position, double_integrator(), [0.05], [0.1, 0.2], GRID, box_radius=3.0, seed=0
+                position,
+                model_from_config(DOUBLE_INTEGRATOR),
+                [0.05],
+                [0.1, 0.2],
+                GRID,
+                box_radius=3.0,
+                seed=0,
             )
         witness = info.value.witness
         assert witness["x"][1] < 0.0
 
     def test_margins_are_deterministic(self):
-        x = np.array([1.08])
+        x = np.array([[1.08]])
         cands = np.linspace(-1.0, 1.0, 9)[:, None]
         first = inclusion_margins(BALL, motor_surge(), 0.05, 0.3, x, cands, 0.4, 2.0)
         second = inclusion_margins(BALL, motor_surge(), 0.05, 0.3, x, cands, 0.4, 2.0)
@@ -212,9 +218,9 @@ class TestInwardPointing:
         assert np.array_equal(first[1], second[1])
 
     def test_tie_break_prefers_smaller_control(self):
-        margins = np.array([1.0, 1.0, 0.5])
+        margins = np.array([[1.0, 1.0, 0.5]])
         cands = np.array([[-0.8], [0.2], [0.0]])
-        assert best_inward_candidate(margins, cands) == 1
+        assert best_inward_candidate(margins, cands).tolist() == [1]
 
 
 MOVING_DISK = field_from_config(
@@ -250,14 +256,26 @@ def unpruned_margins(field, model, eps, t, x, candidates, xi, horizon):
     return margins, velocities
 
 
+def margins_at(field, model, eps, t, x, candidates, xi, horizon=2.0):
+    """Row 0 of the margins and velocities of the one-row batch holding x."""
+    x = np.asarray(x, dtype=float)
+    margins, velocities = inclusion_margins(field, model, eps, t, x[None, :], candidates, xi, horizon)
+    return margins[0], velocities[0]
+
+
+def best_of(margins, candidates) -> int:
+    """The best candidate of one row of margins."""
+    return int(best_inward_candidate(margins[None, :], candidates)[0])
+
+
 def check_against_unpruned(field, model, eps, t, x, candidates, xi, horizon=2.0) -> int:
     """Assert the pruned search picks the same winner bitwise; returns the
     number of loser margins that came back as bounds rather than exact."""
     x = np.asarray(x, dtype=float)
-    margins, velocities = inclusion_margins(field, model, eps, t, x, candidates, xi, horizon)
+    margins, velocities = margins_at(field, model, eps, t, x, candidates, xi, horizon)
     ref_margins, ref_velocities = unpruned_margins(field, model, eps, t, x, candidates, xi, horizon)
-    best = best_inward_candidate(margins, candidates)
-    assert best == best_inward_candidate(ref_margins, candidates)
+    best = best_of(margins, candidates)
+    assert best == best_of(ref_margins, candidates)
     assert margins[best].tobytes() == ref_margins[best].tobytes()
     assert velocities.tobytes() == ref_velocities.tobytes()
     exact = margins == ref_margins
@@ -311,11 +329,11 @@ class TestPrunedInclusionMargins:
         def rhs(t, x, u):
             return np.minimum(np.abs(np.asarray(u, dtype=float)), 0.5)
 
-        saturating = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs, name="sat")
+        saturating = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs)
         cands = np.array([[1.0], [-0.3], [0.7], [0.5], [-0.5]])
         check_against_unpruned(BALL, saturating, 0.05, 0.4, [1.06], cands, 0.3)
-        margins, _ = inclusion_margins(BALL, saturating, 0.05, 0.4, np.array([1.06]), cands, 0.3, 2.0)
-        assert best_inward_candidate(margins, cands) == 3
+        margins, _ = margins_at(BALL, saturating, 0.05, 0.4, [1.06], cands, 0.3)
+        assert best_of(margins, cands) == 3
 
     def test_near_tie_within_tolerance_stays_exact(self):
         # At v = xi the leader's slack is flat in the push time; the smaller
@@ -323,11 +341,9 @@ class TestPrunedInclusionMargins:
         # push. It ties, wins on its norm, and its margin must be exact.
         cands = np.array([[0.3], [0.3 - 1e-13], [0.1]])
         check_against_unpruned(BALL, pure_control_model(), 0.05, 0.4, [1.06], cands, 0.3)
-        margins, _ = inclusion_margins(
-            BALL, pure_control_model(), 0.05, 0.4, np.array([1.06]), cands, 0.3, 2.0
-        )
+        margins, _ = margins_at(BALL, pure_control_model(), 0.05, 0.4, [1.06], cands, 0.3)
         assert margins[0] > margins[1] >= margins[0] - INWARD_TIE_TOL
-        assert best_inward_candidate(margins, cands) == 1
+        assert best_of(margins, cands) == 1
 
 
 def check_batch_against_rows(field, model, eps, t, xs, candidates, xi, horizon=2.0):
@@ -338,10 +354,9 @@ def check_batch_against_rows(field, model, eps, t, xs, candidates, xi, horizon=2
     assert margins.shape == (len(xs), len(candidates))
     assert velocities.shape == (len(xs), len(candidates), model.state_dim)
     for row, x in enumerate(xs):
-        for one in (x, x[None, :]):
-            m, v = inclusion_margins(field, model, eps, t, one, candidates, xi, horizon)
-            assert m.reshape(-1).tobytes() == margins[row].tobytes()
-            assert v.reshape(velocities[row].shape).tobytes() == velocities[row].tobytes()
+        m, v = margins_at(field, model, eps, t, x, candidates, xi, horizon)
+        assert m.tobytes() == margins[row].tobytes()
+        assert v.tobytes() == velocities[row].tobytes()
         if field.margin(t, x, eps) >= 0:
             check_against_unpruned(field, model, eps, t, x, candidates, xi, horizon)
     return margins, velocities
@@ -413,7 +428,7 @@ class TestBatchedInclusionMargins:
             u = np.asarray(u, dtype=float)
             return np.where(u > 0.5, np.nan, -np.abs(u)) + 0.0 * np.asarray(x, dtype=float)
 
-        model = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs, name="nan-at-one")
+        model = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs)
         cands = np.array([[1.0], [-1.0], [-0.5]])
         margins, velocities = check_batch_against_rows(
             BALL, model, 0.05, 0.4, [[1.06], [1.5], [1.0501]], cands, 0.3
@@ -426,19 +441,19 @@ class TestBatchedInclusionMargins:
         def rhs(t, x, u):
             return np.minimum(np.abs(np.asarray(u, dtype=float)), 0.5)
 
-        saturating = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs, name="sat")
+        saturating = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs)
         cands = np.array([[1.0], [-0.3], [0.7], [0.5], [-0.5]])
         margins, _ = check_batch_against_rows(
             BALL, saturating, 0.05, 0.4, [[1.06], [1.2], [1.06]], cands, 0.3
         )
-        assert best_inward_candidate(margins[0], cands) == 3
+        assert best_of(margins[0], cands) == 3
         cands = np.array([[0.3], [0.3 - 1e-13], [0.1]])
         margins, _ = check_batch_against_rows(
             BALL, pure_control_model(), 0.05, 0.4, [[1.3], [1.06], [1.06]], cands, 0.3
         )
         for row in (1, 2):
             assert margins[row, 0] > margins[row, 1] >= margins[row, 0] - INWARD_TIE_TOL
-            assert best_inward_candidate(margins[row], cands) == 1
+            assert best_of(margins[row], cands) == 1
 
 
 def unstaged_push(field, eps, t, rows, velocities, margins, xi, delta_cap) -> None:
@@ -831,8 +846,7 @@ class TestBestInwardCandidateRows:
         assert best.shape == (len(margins),)
         for row, index in zip(margins, best):
             assert index == scalar_best_inward_candidate(row, candidates)
-            one = best_inward_candidate(row, candidates)
-            assert type(one) is int and one == index
+            assert best_inward_candidate(row[None, :], candidates).tolist() == [index]
         return best
 
     def test_exact_ties_go_to_the_smaller_control_then_the_first(self):
@@ -877,7 +891,7 @@ def non_broadcasting_model() -> DynamicsModel:
             raise TypeError("one state at a time")
         return np.array([np.sin(x[1]) * u[0] + 0.3 * x[0], np.cos(t + x[0]) - u[0] * x[1]])
 
-    return DynamicsModel(state_dim=2, control_dim=1, rhs=rhs, name="per-row")
+    return DynamicsModel(state_dim=2, control_dim=1, rhs=rhs)
 
 
 PLANAR_DRIFT = model_from_config(
@@ -942,10 +956,10 @@ def per_node_sublinear_raw(model, box, time_grid, n_samples, seed):
 
 
 BATCHED_MODELS = [
-    (motor_decline(), 1),
-    (motor_surge(), 1),
-    (PLANAR_DRIFT, 2),
-    (non_broadcasting_model(), 1),
+    pytest.param(motor_decline(), 1, id="motor_decline-"),
+    pytest.param(motor_surge(), 1, id="motor_surge-"),
+    pytest.param(PLANAR_DRIFT, 2, id="expression-"),
+    pytest.param(non_broadcasting_model(), 1, id="per-row-"),
 ]
 
 
@@ -954,7 +968,7 @@ class TestBatchedSampleLoops:
 
     SMALL_GRID = TimeGrid.uniform(0.0, 2.0, 40)
 
-    @pytest.mark.parametrize("model, m", BATCHED_MODELS, ids=lambda v: getattr(v, "name", ""))
+    @pytest.mark.parametrize("model, m", BATCHED_MODELS)
     def test_lipschitz_raw_is_bitwise(self, model, m):
         box = np.tile([-1.5, 1.5], (m, 1))
         for radius, n_samples, seed in ((2.5, 64, 0), (0.7, 33, 4)):
@@ -964,7 +978,7 @@ class TestBatchedSampleLoops:
             want = per_node_lipschitz_raw(model, radius, box, self.SMALL_GRID, n_samples, seed)
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("model, m", BATCHED_MODELS, ids=lambda v: getattr(v, "name", ""))
+    @pytest.mark.parametrize("model, m", BATCHED_MODELS)
     def test_sublinear_raw_is_bitwise(self, model, m):
         for n_samples, seed in ((64, 0), (33, 4)):
             box = OperatingBox.from_radii(2.5, 1.5, model.state_dim, m)
@@ -1158,11 +1172,16 @@ class TestCollarScans:
             assert (depths <= 0.4 * (1 + 1e-9)).all()
 
 
+def constant_control(value: float) -> ControlSignal:
+    """The one-control signal holding ``value`` at every node of GRID."""
+    return ControlSignal(GRID, np.full((len(GRID), 1), value))
+
+
 class TestTimeRegularity:
     def test_time_invariant_model_is_all_zero(self):
         box = OperatingBox.from_radii(2.0, 1.0, 2, 1)
         gamma, beta_u, alpha, ku = certify_time_regularity(
-            double_integrator(), ControlSignal.constant(GRID, [0.0]), box, GRID,
+            model_from_config(DOUBLE_INTEGRATOR), constant_control(0.0), box, GRID,
             control_bound=1.0,
         )
         assert gamma.values.max() == 0.0
@@ -1172,7 +1191,7 @@ class TestTimeRegularity:
 
     def test_surge_holder_data(self):
         box = OperatingBox.from_radii(2.0, 1.3, 1, 1)
-        ubar = ControlSignal.constant(GRID, [0.3])
+        ubar = constant_control(0.3)
         gamma, beta_u, alpha, ku = certify_time_regularity(
             motor_surge(), ubar, box, GRID, control_bound=1.0, seed=0
         )
@@ -1191,7 +1210,7 @@ class TestTimeRegularity:
 
     def test_decline_density_is_validated_and_tabulated(self):
         box = OperatingBox.from_radii(2.0, 1.45, 1, 1)
-        ubar = ControlSignal.constant(GRID, [0.45])
+        ubar = constant_control(0.45)
         gamma, beta_u, alpha, ku = certify_time_regularity(
             motor_decline(), ubar, box, GRID, control_bound=1.0, seed=0
         )
@@ -1220,7 +1239,7 @@ class TestTimeRegularity:
             ),
         )
         box = OperatingBox.from_radii(2.0, 1.45, 1, 1)
-        ubar = ControlSignal.constant(GRID, [0.45])
+        ubar = constant_control(0.45)
         with pytest.raises(CertificationError, match="exceeds the declared budget") as info:
             certify_time_regularity(starved, ubar, box, GRID, control_bound=1.0, seed=0)
         assert info.value.witness["t"] > info.value.witness["s"]

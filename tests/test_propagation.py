@@ -296,11 +296,10 @@ class TestFloatField:
         self, variant, surge_scenario, decline_scenario
     ):
         sc = surge_scenario if variant == "surge" else decline_scenario
-        window = (float(sc.grid.t0), float(sc.grid.t1))
-        got = integrate(sc.model, sc.ubar, sc.x0, window, sc.grid.step, check=True)
-        want = integrate(
-            without_float_rhs(sc.model), sc.ubar, sc.x0, window, sc.grid.step, check=True
-        )
+        grid, x0 = sc.xbar.grid, sc.xbar.states[0]
+        window = (float(grid.t0), float(grid.t1))
+        got = integrate(sc.model, sc.ubar, x0, window, grid.step, check=True)
+        want = integrate(without_float_rhs(sc.model), sc.ubar, x0, window, grid.step, check=True)
         assert_bitwise(got.grid.nodes, want.grid.nodes)
         assert_bitwise(got.states, want.states)
 

@@ -42,13 +42,13 @@ from tightpath import (
     TimeGrid,
     Trajectory,
     certify_all,
-    double_integrator,
     eval_rhs,
     expression_model,
     field_from_config,
     growth_maps,
     integrate,
     inward_control_at,
+    model_from_config,
     motor_scenario,
     node_violations,
     render_report,
@@ -59,6 +59,8 @@ from tightpath import (
     violation_sup,
     weighted_l2_cost,
 )
+
+from test_dynamics import DOUBLE_INTEGRATOR
 
 GATE_WINDOW = "window-modulus"
 GATE_OSC = "state-oscillation"
@@ -89,16 +91,14 @@ def linear_constants() -> RepairConstants:
 
 class TestGrowthMaps:
     def test_zero_is_a_fixed_point(self):
-        g, g_tilde, d_tilde = growth_maps(0.0, linear_constants())
-        assert g == 0.0
-        assert g_tilde == 0.0
-        assert np.array_equal(d_tilde, np.zeros(3))
+        c = linear_constants()
+        assert c.gap_growth(0.0) == 0.0
+        assert np.array_equal(growth_maps(0.0, c), np.zeros(3))
 
     def test_linear_recursion_closed_form(self):
-        g, g_tilde, d_tilde = growth_maps(0.25, linear_constants())
-        assert g == 0.5
-        assert g_tilde == 0.75
-        assert np.array_equal(d_tilde, np.array([0.75, 3.0, 9.75]))
+        c = linear_constants()
+        assert c.gap_growth(0.25) == 0.5
+        assert np.array_equal(growth_maps(0.25, c), np.array([0.75, 3.0, 9.75]))
 
     def test_negative_violation_rejected(self):
         from tightpath import DomainError
@@ -108,7 +108,8 @@ class TestGrowthMaps:
 
     def test_naive_loop_oracle_matches_exactly(self, surge_run, decline_run):
         for _, _, c, _ in (surge_run, decline_run):
-            g, g_tilde, d_tilde = growth_maps(c.rho_bar_eps, c)
+            g = c.gap_growth(c.rho_bar_eps)
+            d_tilde = growth_maps(c.rho_bar_eps, c)
             e_total = float(np.exp(c.omega_f.value_at(c.horizon)))
             slope = c.C_vDelta + c.M_Delta * float(np.exp(2.0 * c.omega_f.value_at(c.Delta)))
 
@@ -118,7 +119,6 @@ class TestGrowthMaps:
                 return e_total * (c.omega_bar.value_at(c.k * r) + c.k * r * slope)
 
             assert g == g_ref(c.rho_bar_eps)
-            assert g_tilde == c.rho_bar_eps + g_ref(c.rho_bar_eps)
             with np.errstate(over="ignore"):
                 r = c.rho_bar_eps
                 acc = 0.0
@@ -134,11 +134,9 @@ class TestGrowthMaps:
         c = linear_constants()
         if a > b:
             a, b = b, a
-        ga, gta, da = growth_maps(a, c)
-        gb, gtb, db = growth_maps(b, c)
-        assert ga <= gb
-        assert gta <= gtb
-        assert np.all(da <= db)
+        assert c.gap_growth(a) <= c.gap_growth(b)
+        assert a + c.gap_growth(a) <= b + c.gap_growth(b)
+        assert np.all(growth_maps(a, c) <= growth_maps(b, c))
 
 
 def window_integral(nodes, values, width):
@@ -152,7 +150,7 @@ def window_integral(nodes, values, width):
 
 def combined_window_sup(scenario, bundle, c, width):
     """Independent brute-force evaluation of the window modulus."""
-    nodes = scenario.grid.nodes
+    nodes = scenario.xbar.grid.nodes
     states = scenario.xbar.states
     theta = bundle.growth_envelope.values
     gaps = np.diff(nodes)
@@ -190,8 +188,8 @@ class TestSchedule:
         assert c.rho_hat == min(
             1.0 / (c.k * bundle.velocity_bound), xi / c.k, 1.0 / c.k
         )
-        om_g = window_integral(sc.grid.nodes, bundle.time_drift.values, c.Delta)
-        om_f = window_integral(sc.grid.nodes, bundle.state_lipschitz.values, c.Delta)
+        om_g = window_integral(sc.xbar.grid.nodes, bundle.time_drift.values, c.Delta)
+        om_f = window_integral(sc.xbar.grid.nodes, bundle.state_lipschitz.values, c.Delta)
         assert c.M_Delta == pytest.approx(om_g + bundle.velocity_bound * om_f, rel=1e-12)
         e_f = np.exp(om_f)
         assert c.M_Delta * e_f <= xi / 2
@@ -199,12 +197,12 @@ class TestSchedule:
         assert c.C_vDelta == pytest.approx(
             bundle.velocity_bound + c.M_Delta * e_f, rel=1e-12
         )
-        widths = np.diff(sc.grid.nodes[c.partition])
+        widths = np.diff(sc.xbar.grid.nodes[c.partition])
         assert np.all(widths > 0)
         assert np.all(widths <= c.Delta * (1 + 1e-12))
         assert c.partition.dtype.kind == "i"
         assert c.partition[0] == 0
-        assert c.partition[-1] == sc.grid.nodes.size - 1
+        assert c.partition[-1] == sc.xbar.grid.nodes.size - 1
         assert c.N0 == len(c.partition) - 1
 
     def test_oscillation_gate_inequality(self, bundle_case):
@@ -271,7 +269,7 @@ class TestSchedule:
         # sinking 0.12 past the untightened boundary, which exceeds the
         # violation cap at every tightening level.
         sc = surge_scenario
-        t = sc.grid.nodes
+        t = sc.xbar.grid.nodes
         bump = np.where(
             (t >= 0.5) & (t <= 1.0), np.sin(np.pi * (t - 0.5) / 0.5) ** 2, 0.0
         )
@@ -338,7 +336,9 @@ class TestInwardControl:
         )
         field = unit_ball_complement(dim=2, box_radius=2.0)
         with pytest.raises(InwardPointingError) as err:
-            inward_control_at(bundle, field, double_integrator(), 0.05, 0.0, [1.05, 0.0])
+            inward_control_at(
+                bundle, field, model_from_config(DOUBLE_INTEGRATOR), 0.05, 0.0, [1.05, 0.0]
+            )
         witness = err.value.witness
         assert witness["t"] == 0.0
         assert witness["margin"] < 0
@@ -348,8 +348,8 @@ class TestRepairInterval:
     def test_far_interval_is_identity(self, surge_scenario, surge_bundle, surge_run):
         sc = surge_scenario
         _, _, c, _ = surge_run
-        n = sc.grid.nodes.size
-        deep = Trajectory(grid=sc.grid, states=np.full((n, 1), 1.5))
+        n = sc.xbar.grid.nodes.size
+        deep = Trajectory(grid=sc.xbar.grid, states=np.full((n, 1), 1.5))
         violations = node_violations(sc.field, c.eps, deep)
         traj, control, record = repair_interval(
             0, deep, sc.ubar, c, surge_bundle, sc.field, sc.model, violations
@@ -363,9 +363,9 @@ class TestRepairInterval:
     def test_near_clean_interval_is_identity(self, surge_scenario, surge_bundle, surge_run):
         sc = surge_scenario
         _, _, c, _ = surge_run
-        n = sc.grid.nodes.size
+        n = sc.xbar.grid.nodes.size
         level = 1.0 + c.eps + 0.01
-        near = Trajectory(grid=sc.grid, states=np.full((n, 1), level))
+        near = Trajectory(grid=sc.xbar.grid, states=np.full((n, 1), level))
         violations = node_violations(sc.field, c.eps, near)
         traj, control, record = repair_interval(
             0, near, sc.ubar, c, surge_bundle, sc.field, sc.model, violations
@@ -615,8 +615,8 @@ class TestNodeViolations:
         # from the given vector, over the nodes from t_i on and no earlier.
         sc = surge_scenario
         _, _, c, _ = surge_run
-        n = sc.grid.nodes.size
-        deep = Trajectory(grid=sc.grid, states=np.full((n, 1), 1.5))
+        n = sc.xbar.grid.nodes.size
+        deep = Trajectory(grid=sc.xbar.grid, states=np.full((n, 1), 1.5))
         lo = int(c.partition[3])
         violations = np.zeros(n)
         violations[lo - 1] = 0.75

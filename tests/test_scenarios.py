@@ -37,25 +37,51 @@ from tightpath.scenarios import (
 )
 
 
+# The clearance the session fixtures' scenarios are built with.
+CLEARANCE = 5e-4
+
+
+def motor_config(variant: str) -> dict:
+    """The config of ``motor_scenario(variant, clearance=CLEARANCE)``."""
+    return {
+        "model": f"motor_{variant}",
+        "constraint": {"builtin": "unit_ball_complement", "dim": 1, "box_radius": 2.0},
+        "reference": {
+            "kind": "boundary-tracking",
+            "variant": variant,
+            "clearance": CLEARANCE,
+            "x_start": 1.08,
+            "finish": 1.06,
+        },
+        "horizon": 2.0,
+        "steps": 2000,
+        "drift_amplitude": 0.2,
+    }
+
+
 @pytest.fixture(params=["surge", "decline"])
-def scenario(request, surge_scenario, decline_scenario):
-    return surge_scenario if request.param == "surge" else decline_scenario
+def variant(request):
+    return request.param
+
+
+@pytest.fixture
+def scenario(variant, surge_scenario, decline_scenario):
+    return surge_scenario if variant == "surge" else decline_scenario
 
 
 def test_reference_shares_the_grid(scenario):
-    assert np.array_equal(scenario.grid.nodes, scenario.xbar.grid.nodes)
-    assert np.array_equal(scenario.grid.nodes, scenario.ubar.grid.nodes)
-    assert scenario.grid.nodes.size == 2001
+    assert np.array_equal(scenario.xbar.grid.nodes, scenario.ubar.grid.nodes)
+    assert scenario.xbar.grid.nodes.size == 2001
 
 
 def test_reference_hugs_the_boundary(scenario):
     margins = scenario.field.margin(0.0, scenario.xbar.states, 0.0)
     worst = float(np.min(margins))
-    assert 0.4 * scenario.clearance <= worst <= 2.0 * scenario.clearance
+    assert 0.4 * CLEARANCE <= worst <= 2.0 * CLEARANCE
     # The graze segment straddles the actuator breakpoint at t = 1.
-    nodes = scenario.grid.nodes
+    nodes = scenario.xbar.grid.nodes
     graze = (nodes >= 0.8) & (nodes <= 1.25)
-    assert float(np.max(margins[graze])) < 5.0 * scenario.clearance
+    assert float(np.max(margins[graze])) < 5.0 * CLEARANCE
 
 
 def test_reference_endpoints(scenario):
@@ -68,12 +94,13 @@ def test_control_stays_capped(scenario):
 
 
 def test_reference_reintegrates_bitwise(scenario):
+    grid = scenario.xbar.grid
     redo = integrate(
         scenario.model,
         scenario.ubar,
-        scenario.x0,
-        (float(scenario.grid.t0), float(scenario.grid.t1)),
-        scenario.grid.step,
+        scenario.xbar.states[0],
+        (float(grid.t0), float(grid.t1)),
+        grid.step,
     )
     assert np.array_equal(redo.states, scenario.xbar.states)
 
@@ -114,10 +141,10 @@ def reference_builder_controls(sc, variant, finish=1.06, drift_amplitude=0.2):
         k4 = eval_rhs(sc.model, t + h, x + h * k3, u)
         return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    nodes = sc.grid.nodes
-    level, rate = _target_path(nodes, float(sc.x0[0]), 1.0 + sc.clearance, finish)
+    nodes = sc.xbar.grid.nodes
+    level, rate = _target_path(nodes, float(sc.xbar.states[0, 0]), 1.0 + CLEARANCE, finish)
     controls = np.zeros((nodes.size, 1))
-    x = sc.x0.copy()
+    x = sc.xbar.states[0].copy()
     for j in range(nodes.size - 1):
         a, b = float(nodes[j]), float(nodes[j + 1])
         demand = float(rate[j]) + _FEEDBACK_GAIN * (float(level[j]) - float(x[0]))
@@ -139,30 +166,31 @@ def test_built_reference_equals_the_reference_loop(variant, surge_scenario, decl
     sc = surge_scenario if variant == "surge" else decline_scenario
     assert_bitwise(sc.ubar.values, reference_builder_controls(sc, variant))
     breakpoints = tuple(sc.model.time_breakpoints)
-    anchors = _anchors(sc.ubar, (sc.grid.t0, sc.grid.t1), breakpoints)
+    grid = sc.xbar.grid
+    anchors = _anchors(sc.ubar, (grid.t0, grid.t1), breakpoints)
     nodes, states = ref_run(
-        sc.model, sc.ubar, sc.x0, anchors, sc.grid.step, _REFINE_SUBSTEPS, breakpoints
+        sc.model, sc.ubar, sc.xbar.states[0], anchors, grid.step, _REFINE_SUBSTEPS, breakpoints
     )
     assert_bitwise(sc.xbar.grid.nodes, nodes)
     assert_bitwise(sc.xbar.states, states)
 
 
-def test_config_round_trip(scenario):
-    rebuilt = scenario_from_config(scenario.config)
+def test_config_round_trip(scenario, variant):
+    rebuilt = scenario_from_config(motor_config(variant))
     assert np.array_equal(rebuilt.xbar.states, scenario.xbar.states)
     assert np.array_equal(rebuilt.ubar.values, scenario.ubar.values)
 
 
-def test_config_drift_amplitude_reaches_model_and_reference(scenario):
-    rebuilt = scenario_from_config({**scenario.config, "drift_amplitude": 0.5})
+def test_config_drift_amplitude_reaches_model_and_reference(scenario, variant):
+    rebuilt = scenario_from_config({**motor_config(variant), "drift_amplitude": 0.5})
     assert rebuilt.model.rhs(0.0, np.array([0.0]), np.array([0.0]))[0] == 0.5
     assert not np.array_equal(rebuilt.ubar.values, scenario.ubar.values)
     margins = rebuilt.field.margin(0.0, rebuilt.xbar.states, 0.0)
     assert float(np.min(margins)) > 0
 
 
-def test_config_rejects_mismatched_model(surge_scenario):
-    config = dict(surge_scenario.config)
+def test_config_rejects_mismatched_model():
+    config = motor_config("surge")
     config["model"] = "motor_decline"
     with pytest.raises(ConfigError):
         scenario_from_config(config)
@@ -192,7 +220,7 @@ def test_infeasible_target_rejected(surge_scenario):
         boundary_tracking_reference(
             surge_scenario.model,
             field,
-            surge_scenario.grid,
+            surge_scenario.xbar.grid,
             np.array([1.08]),
             clearance=5e-4,
             finish=0.5,
@@ -208,8 +236,8 @@ def test_model_without_one_breakpoint_rejected(surge_scenario):
         boundary_tracking_reference(
             dataclasses.replace(sc.model, time_breakpoints=()),
             sc.field,
-            sc.grid,
-            sc.x0,
+            sc.xbar.grid,
+            sc.xbar.states[0],
             clearance=5e-4,
             finish=1.06,
             variant="surge",

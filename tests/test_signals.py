@@ -55,7 +55,7 @@ class TestTimeGrid:
     def test_domain_check(self):
         grid = TimeGrid.uniform(0.0, 1.0, 4)
         with pytest.raises(DomainError):
-            ControlSignal.constant(grid, 0.0).eval(1.5)
+            ControlSignal(grid, np.zeros((len(grid), 1))).eval(1.5)
         with pytest.raises(DomainError):
             grid.indices_left(np.array([0.5, 1.5]))
 
