@@ -36,7 +36,6 @@ from .geometry import (
     boundary_points,
     build_boundary_modulus,
     compile_expression,
-    dist_to_boundary,
     field_from_config,
     node_violations,
     unit_ball_complement,

@@ -94,8 +94,8 @@ class DynamicsModel:
 
     ``float_rhs`` declares that ``rhs`` of a one-state, one-control model
     also takes the state and the control as floats and returns the
-    derivative as a float (a Python or numpy float), bitwise equal to the
-    entry its one-element-array form returns. The integrators then step
+    derivative as a Python float, bitwise equal to the entry its
+    one-element-array form returns. The integrators then step
     on floats and call ``rhs`` with them directly. A model that does not
     declare it, as every custom model by default, is stepped on arrays.
     """
@@ -276,14 +276,21 @@ def _identity_transport(s, t, x, u_s):
     return np.asarray(u_s, dtype=float)
 
 
+def _float_form(value, x):
+    """``value``, a numpy ufunc's result on ``x``, as a Python float when x
+    is a float, so that the float RK4 path does no numpy-scalar arithmetic.
+
+    numpy's ufuncs on a float run the same loop as on a one-element array,
+    so both forms agree bitwise; the math module is another library and
+    may not.
+    """
+    return float(value) if isinstance(x, float) else value
+
+
 def _cosine_drift(amplitude: float, x):
     """The motors' state drift amplitude * cos(x), in the shape of x: a
-    float for a float state, an array for a (1,) state or an (n, 1) batch.
-
-    numpy's cos on a float runs the same loop as on a one-element array,
-    so both forms agree bitwise; math.cos is another library and may not.
-    """
-    return amplitude * np.cos(x)
+    float for a float state, an array for a (1,) state or an (n, 1) batch."""
+    return amplitude * _float_form(np.cos(x), x)
 
 
 def motor_surge(drift_amplitude: float = 0.2) -> DynamicsModel:
@@ -351,7 +358,7 @@ def motor_decline(drift_amplitude: float = 0.2) -> DynamicsModel:
     def rhs(t, x, u):
         # numpy's arctan, not math.atan, which differs from it by an ulp
         # on some inputs: the float and array forms must agree bitwise.
-        return _cosine_drift(amp, x) + _decline_decay(t) * np.arctan(u)
+        return _cosine_drift(amp, x) + _decline_decay(t) * _float_form(np.arctan(u), u)
 
     def drift_density(s):
         # sqrt is correctly rounded in math and numpy alike.

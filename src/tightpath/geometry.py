@@ -233,11 +233,14 @@ class ConstraintField:
         out = -(self.value(t, np.atleast_2d(x)) + eps)
         return float(out[0]) if x.ndim == 1 else out
 
+    def _key(self, t: float, eps: float) -> tuple:
+        return (round(t, 9) if self.time_varying else 0.0, round(eps, 12), self.resolution)
+
     def _tree(self, t: float, eps: float, query: bool = True):
         """The cache entry of (t, eps): its boundary scan, _NO_BOUNDARY or,
         once ``query`` asks for one, a KD-tree over the scan. The upgrade
-        keeps the key's place in the FIFO order and imports scipy.spatial."""
-        key = (round(t, 9) if self.time_varying else 0.0, round(eps, 12), self.resolution)
+        keeps the key's place in the FIFO order."""
+        key = self._key(t, eps)
         tree = self._tree_cache.get(key)
         if tree is None:
             try:
@@ -258,9 +261,7 @@ class ConstraintField:
                 self._tree_cache.pop(next(iter(self._tree_cache)))
             self._tree_cache[key] = tree
         if query and isinstance(tree, np.ndarray):
-            from scipy.spatial import cKDTree
-
-            tree = self._tree_cache[key] = cKDTree(tree)
+            tree = self._tree_cache[key] = _kd_tree(tree)
         return tree
 
     def boundary_cloud(self, t: float, eps: float) -> np.ndarray:
@@ -301,11 +302,48 @@ class ConstraintField:
         inside = np.isinf(d_bdry) | (self.margin(t, points, eps) >= 0)
         return np.where(inside, 0.0, d_bdry), d_bdry
 
+    def boundary_within(self, eps: float, t: float, x, r: float) -> bool:
+        """Whether the tightened boundary at time t comes within ``r`` of
+        the (dim,) state x: whether its boundary distance from
+        ``_distances`` is at most ``r``.
 
-def dist_to_boundary(field: ConstraintField, eps: float, t: float, x) -> float:
-    """Euclidean distance from x to the tightened set's boundary."""
-    x = np.asarray(x, dtype=float)
-    return float(field._distances(eps, t, x.reshape(1, -1))[1][0])
+        The lattice fallback queries the key's KD-tree when one is cached.
+        Otherwise it scans only the window of lattice nodes within r plus
+        two spacings of x on every axis, which holds both ends of every
+        edge whose crossing lies within r of x, and runs the same KD-tree
+        query on the window's crossings. A window that is the whole
+        lattice, or that holds neither a crossing nor a feasible node,
+        takes the full scan, so a tightened set that misses the box still
+        raises InfeasibleTighteningError.
+        """
+        x = np.asarray(x, dtype=float).reshape(1, -1)
+        if self.analytic_distance is None and not hasattr(
+            self._tree_cache.get(self._key(t, eps)), "query"
+        ):
+            axes = _lattice_nodes(self)[0]
+            window = []
+            for axis, centre in zip(axes, x[0]):
+                reach = r + 2.0 * (axis[1] - axis[0])
+                lo = int(np.searchsorted(axis, centre - reach, side="left"))
+                window.append(slice(lo, int(np.searchsorted(axis, centre + reach, side="right"))))
+            window = tuple(window)
+            if any(part.stop - part.start < axis.size for part, axis in zip(window, axes)):
+                try:
+                    crossings = boundary_points(self, t, eps, window)
+                except DomainError:
+                    points = _lattice_nodes(self, window)[1]
+                    if np.any(self.margin(t, points, eps) >= 0):
+                        return False
+                else:
+                    return bool(_kd_tree(crossings).query(x)[0][0] <= r)
+        return bool(self._distances(eps, t, x)[1][0] <= r)
+
+
+def _kd_tree(points: np.ndarray):
+    """A KD-tree over (n, dim) points; scipy.spatial is imported at the first."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
 
 
 def node_violations(
@@ -314,8 +352,21 @@ def node_violations(
     """Distance to the tightened set of each node's state from node
     ``start`` on, 0 where the state is feasible: the per-node values that
     ``violation_sup`` takes the max of. Each entry depends on its own node
-    alone, so a slice of the result equals the result on that slice."""
-    return field._distances(eps, traj.grid.nodes[start:], traj.states[start:])[0]
+    alone, so a slice of the result equals the result on that slice.
+
+    A lattice field queries its oracle only at the rows whose margin is
+    not >= 0 (NaN included): a time whose rows are all feasible needs no
+    scan. An analytic field answers every row from its hook."""
+    times, states = traj.grid.nodes[start:], traj.states[start:]
+    if field.analytic_distance is not None:
+        return field._distances(eps, times, states)[0]
+    times = field._times(times)
+    out = np.zeros(states.shape[0])
+    rows = np.flatnonzero(~(field.margin(times, states, eps) >= 0))
+    if rows.size:
+        at = times[rows] if isinstance(times, np.ndarray) else times
+        out[rows] = field._distances(eps, at, states[rows])[0]
+    return out
 
 
 def violation_sup(field: ConstraintField, eps: float, traj: Trajectory) -> float:
@@ -378,22 +429,42 @@ def _build_lattice(box: np.ndarray, resolution: float) -> tuple:
     return axes, np.stack([m.ravel() for m in mesh], axis=-1), mesh[0].shape
 
 
-def boundary_points(field: ConstraintField, t: float, eps: float) -> np.ndarray:
+def _lattice_nodes(field: ConstraintField, nodes: tuple | None = None) -> tuple:
+    """(1-D axes, flat (n, dim) points, grid shape) of the sub-box ``nodes``
+    of the field's scan lattice, one slice of node indices per axis; the
+    whole lattice, built once per field, when ``nodes`` is None."""
+    if field._lattice is None:
+        field._lattice = _build_lattice(field.sampling_box, field.resolution)
+    if nodes is None:
+        return field._lattice
+    axes, flat, shape = field._lattice
+    sub = [axis[part] for axis, part in zip(axes, nodes)]
+    points = flat.reshape(*shape, len(axes))[nodes].reshape(-1, len(axes))
+    return sub, points, tuple(axis.size for axis in sub)
+
+
+def boundary_points(
+    field: ConstraintField, t: float, eps: float, nodes: tuple | None = None
+) -> np.ndarray:
     """Point cloud on the tightened boundary inside the sampling box.
 
     Scans every edge of the field's lattice, which is built once per field,
     for a sign change of value + eps and places a linearly interpolated
-    crossing point on it. An edge with a NaN end never crosses.
+    crossing point on it. An edge with a NaN end never crosses. ``nodes``,
+    one slice of node indices per axis, scans only that sub-box: its
+    crossings are bitwise those of the whole scan whose edges have both
+    ends in it.
     """
-    if field._lattice is None:
-        field._lattice = _build_lattice(field.sampling_box, field.resolution)
-    axes, flat, shape = field._lattice
+    # A crossing steps off its lower end by the whole lattice's spacing,
+    # which a sub-box's first two nodes need not reproduce.
+    spacings = [axis[1] - axis[0] for axis in _lattice_nodes(field)[0]]
+    axes, flat, shape = _lattice_nodes(field, nodes)
     values = field.value(t, flat).reshape(shape) + eps
     pos = values > 0
     nonpos = values <= 0
     dim = len(axes)
     crossings = []
-    for a, axis in enumerate(axes):
+    for a in range(dim):
         lo = tuple(slice(0, -1) if k == a else slice(None) for k in range(dim))
         hi = tuple(slice(1, None) if k == a else slice(None) for k in range(dim))
         mask = (nonpos[lo] & pos[hi]) | (pos[lo] & nonpos[hi])
@@ -404,7 +475,7 @@ def boundary_points(field: ConstraintField, t: float, eps: float) -> np.ndarray:
         f_lo = values[lo][ends]
         frac = f_lo / (f_lo - values[hi][ends])
         pts = np.stack([ax[index] for ax, index in zip(axes, ends)], axis=-1)
-        pts[:, a] += frac * (axis[1] - axis[0])
+        pts[:, a] += frac * spacings[a]
         crossings.append(pts)
     if not crossings:
         raise DomainError(

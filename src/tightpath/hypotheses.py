@@ -107,7 +107,8 @@ class SampledFunction:
         return float(np.interp(t, self.grid.nodes, self.values))
 
     def l1(self) -> float:
-        return float(trapezoid_prefix(self.grid, np.abs(self.values))[-1])
+        with np.errstate(over="ignore"):  # inf, which the Gronwall checks name
+            return float(trapezoid_prefix(self.grid, np.abs(self.values))[-1])
 
     def l2(self) -> float:
         with np.errstate(over="ignore"):  # inf, which the Gronwall checks name

@@ -26,7 +26,7 @@ from .errors import (
     RepairError,
     ScheduleError,
 )
-from .geometry import ConstraintField, dist_to_boundary, node_violations, violation_sup
+from .geometry import ConstraintField, node_violations, violation_sup
 from .hypotheses import (
     HypothesisBundle,
     best_inward_candidate,
@@ -420,10 +420,11 @@ def repair_interval(
     at ``c.eps``, which the sweep keeps; the suffix violation is its max
     over the nodes from the interval start on.
 
-    Far from the boundary the interval is left untouched. Near it, the
-    suffix violation level sets the burst length: the inward control is
-    transported across the burst, the current control replays with that
-    delay across the rest of the interval, and everything past the
+    An interval that starts more than half a collar width from the
+    tightened boundary is left untouched. Otherwise the suffix violation
+    level sets the burst length: the inward control is transported
+    across the burst, the current control replays with that delay
+    across the rest of the interval, and everything past the
     interval end is kept; the trajectory is re-integrated from the
     interval start and the interval's grid margins must come out strictly
     positive. The sup gap to the incoming iterate is recorded against its
@@ -438,7 +439,7 @@ def repair_interval(
     x_ti = xcur.states[lo]
 
     rho_i = float(violations[lo:].max())
-    boundary_gap = dist_to_boundary(field, c.eps, t_i, x_ti)
+    near = field.boundary_within(c.eps, t_i, x_ti, bundle.collar_width / 2.0)
 
     def finish(traj, case, record_kw):
         margin_min = float(field.margin(nodes[lo : hi + 1], traj.states[lo : hi + 1], c.eps).min())
@@ -460,7 +461,7 @@ def repair_interval(
             **record_kw,
         )
 
-    if boundary_gap > bundle.collar_width / 2.0:
+    if not near:
         return xcur, ucur, finish(xcur, "case-1", {})
     if rho_i == 0.0:
         return xcur, ucur, finish(xcur, "case-2-identity", {})

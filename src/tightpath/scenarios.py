@@ -22,6 +22,13 @@ from .signals import ControlSignal, TimeGrid, Trajectory
 _VARIANTS = ("surge", "decline")
 # Every motor scenario's constraint table: its field, and the only one a config may name.
 _CONSTRAINT = {"builtin": "unit_ball_complement", "dim": 1, "box_radius": 2.0}
+# Largest grid a config may ask for, checked before the grid's nodes are
+# allocated: 2**20 steps, few enough that linspace's rounding stays inside
+# TimeGrid's relative step tolerance. Longest horizon: far past the
+# motors' break at t = 1, and short enough that the reference's
+# closed-form actuator integrals and target path stay finite.
+_MAX_STEPS = 1 << 20
+_MAX_HORIZON = 1e6
 
 # Tracking gain and the hard cap on the reference control magnitude. The
 # cap stays well below each motor's certified control bound so the repair
@@ -201,6 +208,12 @@ def scenario_from_config(config: dict) -> Scenario:
         for key in keys
         if key in table
     }
+    if "steps" in settings and not 2 <= settings["steps"] <= _MAX_STEPS:
+        raise ConfigError(f"'steps' must be from 2 to {_MAX_STEPS}, got {config['steps']!r}")
+    if "horizon" in settings and not 0.0 < settings["horizon"] <= _MAX_HORIZON:
+        raise ConfigError(
+            f"'horizon' must be positive and at most {_MAX_HORIZON:g}, got {config['horizon']!r}"
+        )
     # The reference is integrated against the variant's own dynamics, so a
     # config that names a different model or constraint is inconsistent.
     if "model" in config and config["model"] != f"motor_{variant}":

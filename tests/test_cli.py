@@ -26,6 +26,7 @@ from tightpath import (
     motor_scenario,
     motor_surge,
 )
+from tightpath import geometry
 from tightpath.geometry import field_from_config
 from tightpath.hypotheses import bundle_from_dict, bundle_to_dict, load_bundle, save_bundle
 from tightpath.errors import BundleError, ConfigError, config_number
@@ -262,6 +263,45 @@ class TestTimeVarying:
         config = json.loads(json.dumps(CONTROL_AFFINE_CONFIG))
         config["constraint"]["time_varying"] = flag
         assert not field_from_config(config["constraint"]).time_varying
+
+
+def test_moving_disk_repair_scans_the_whole_lattice_at_most_130_times(tmp_path, monkeypatch):
+    # The benchmark's moving-disk workload. Repair asks the lattice oracle
+    # only what it reads: no scan for a time whose nodes are all feasible,
+    # and a window scan for the far-from-boundary test. Scanning every node
+    # time of every tightening tried takes 366 whole scans.
+    times = np.linspace(0.0, 2.0, 61).tolist()
+    config = {
+        "model": "expression",
+        "state_dim": 2,
+        "control_dim": 2,
+        "rhs": ["u1", "u2"],
+        "constraint": {
+            "box": [[-2.0, 2.0], [-2.0, 2.0]],
+            "components": ["1 - sqrt((x1 - 0.1*t)**2 + x2**2)"],
+            "resolution": 0.025,
+        },
+        "reference": {
+            "kind": "inline",
+            "times": times,
+            "states": [[-1.5 + 1.5 * t, 1.0005] for t in times],
+            "controls": [[1.5, 0.0]] * len(times),
+        },
+        "lambda": 0.1,
+    }
+    path = write_config(tmp_path / "moving-disk.json", config)
+    assert cli.main(["certify", "--config", path, "--out", str(tmp_path)]) == 0
+    scans = {"whole": 0, "window": 0}
+    scan = geometry.boundary_points
+
+    def counted(field, t, eps, nodes=None):
+        scans["whole" if nodes is None else "window"] += 1
+        return scan(field, t, eps, nodes)
+
+    monkeypatch.setattr(geometry, "boundary_points", counted)
+    bundle = str(tmp_path / "bundle.json")
+    assert cli.main(["repair", "--config", path, "--bundle", bundle, "--out", str(tmp_path)]) == 0
+    assert 0 < scans["whole"] <= 130 and scans["window"] > 0, scans
 
 
 class TestRepair:
@@ -559,6 +599,31 @@ class TestConfigRejection:
             assert code == 64, (name, bad)
             err = capsys.readouterr().err
             assert f"{name!r} must be a number" in err, err
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("steps", 1e308),
+            ("steps", 1e8),
+            ("steps", 1),
+            ("horizon", 1e308),
+            ("horizon", -1.0),
+            ("horizon", float("nan")),
+        ],
+    )
+    def test_grid_that_cannot_be_built_names_its_key(self, workdir, capsys, name, bad):
+        # Checked before the grid's nodes are allocated or the reference's
+        # actuator integrals overflow.
+        config = {
+            **SURGE_CONFIG,
+            "model": "motor_decline",
+            "reference": {**SURGE_CONFIG["reference"], "variant": "decline"},
+            name: bad,
+        }
+        path = write_config(workdir / f"grid-{name}-{bad}.json", config)
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "grid")])
+        assert code == 64
+        assert f"config error: {name!r} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, bad", [("seed", 1.5), ("seed", True), ("steps", 2000.9), ("steps", False)]
@@ -998,6 +1063,20 @@ def test_overflowing_gronwall_radius_names_the_growth_envelope(surge_400, tmp_pa
     path = write_config(tmp_path / "steep.json", affine)
     assert cli.main(["certify", "--config", path, "--out", str(tmp_path)]) == 1
     assert "growth envelope" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_adjacent_huge_envelope_values_name_the_growth_envelope_alone(surge_400):
+    # Two adjacent values of 1e308 overflow the sum of the envelope's
+    # first trapezoid; the overflow must reach the user as the named
+    # Gronwall error, with no numpy warning before it.
+    config, record, out = surge_400
+    bad = mutated(record, ("growth_envelope", "values", 200), 1e308)
+    bad = mutated(bad, ("growth_envelope", "values", 201), 1e308)
+    code, printed = repair_with_bundle(config, bad, out)
+    assert code == 64
+    assert "'growth_envelope'" in printed and "Gronwall radius overflows" in printed, printed
+    assert "RuntimeWarning" not in printed, printed
 
 
 def test_bundle_function_off_the_reference_grid_names_itself(surge_400):

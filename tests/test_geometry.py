@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 
 from tightpath import geometry
 from tightpath.dynamics import expression_model
-from tightpath.errors import ConfigError, DomainError, ExpressionError, ModelEvaluationError
+from tightpath.errors import (
+    ConfigError,
+    DomainError,
+    ExpressionError,
+    InfeasibleTighteningError,
+    ModelEvaluationError,
+)
 from tightpath.geometry import (
     ConstraintField,
     boundary_points,
     build_boundary_modulus,
     compile_expression,
-    dist_to_boundary,
     field_from_config,
     _lattice_counts,
     node_violations,
@@ -26,6 +31,11 @@ from tightpath.signals import TimeGrid, Trajectory
 def set_distance(field, eps, t, x):
     """Distance from one state to the tightened set, as a one-row query."""
     return float(field._distances(eps, t, np.reshape(x, (1, -1)))[0][0])
+
+
+def dist_to_boundary(field, eps, t, x):
+    """Distance from one state to the tightened boundary, as a one-row query."""
+    return float(field._distances(eps, t, np.reshape(x, (1, -1)))[1][0])
 
 
 def circle_projection_oracle(x, radius, n_angles=200_000):
@@ -380,6 +390,147 @@ DISK = "1 - sqrt(x1*x1 + x2*x2)"
 SHRINKING_DISK = dict(MOVING_DISK, components=["1 - 2*t - sqrt(x1*x1 + x2*x2)"])
 # |x1| <= 3 + t holds on the whole box at every time, but not at every state.
 WIDE_SLAB = dict(MOVING_DISK, components=["abs(x1) - 3 - t"])
+
+
+def full_tree_distance(field, eps, t, x) -> float:
+    """Boundary distance of x from a KD-tree over the reference scan of the
+    whole lattice."""
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(reference_boundary_points(field, t, eps))
+    return float(tree.query(np.reshape(x, (1, -1)))[0][0])
+
+
+WITHIN_CASES = {
+    name: SCAN_CASES[name]
+    for name in ("moving-disk", "3d-ball", "two-components", "nan-region-2d")
+}
+WITHIN_CASES["static-disk"] = ([DISK], [[-2.0, 2.0], [-2.0, 2.0]], 0.025)
+
+
+class TestBoundaryWithin:
+    """The window predicate against a KD-tree over the whole lattice."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("case", sorted(WITHIN_CASES))
+    def test_matches_a_full_tree_bitwise(self, case):
+        components, box, resolution = WITHIN_CASES[case]
+        field = field_from_config({"components": components, "box": box, "resolution": resolution})
+        box = np.asarray(box)
+        edge = float((box[:, 1] - box[:, 0]).max())
+        rng = np.random.default_rng(7)
+        for t, eps in ((0.0, 0.05), (0.7, 0.003125)):
+            crossings = reference_boundary_points(field, t, eps)
+            near = crossings[rng.choice(len(crossings), 10)]
+            near = near + rng.normal(scale=0.1, size=near.shape)
+            # Some of these fall outside the box, and the last far outside.
+            spread = rng.uniform(box[:, 0] - 0.5, box[:, 1] + 0.5, size=(10, len(box)))
+            far = box[:, 1] + 3.0
+            for x in np.vstack([near, spread, far]):
+                d = full_tree_distance(field, eps, t, x)
+                for r in (0.2, d, np.nextafter(d, -np.inf), 2.0 * edge):
+                    field._tree_cache.clear()
+                    got = field.boundary_within(eps, t, x, r)
+                    assert got is bool(d <= r), (t, eps, x, r, d)
+            # A cached tree answers the same.
+            field._tree_cache.clear()
+            field._distances(eps, t, crossings[:1])
+            assert kd_trees(field) == 1
+            for x in np.vstack([near, spread]):
+                d = full_tree_distance(field, eps, t, x)
+                for r in (0.2, d, np.nextafter(d, -np.inf)):
+                    assert field.boundary_within(eps, t, x, r) is bool(d <= r)
+            assert kd_trees(field) == 1
+
+    def test_a_near_state_scans_only_its_window(self, monkeypatch):
+        field = field_from_config(MOVING_DISK)
+        windows = []
+        scan = geometry.boundary_points
+
+        def counted(field, t, eps, nodes=None):
+            windows.append(nodes)
+            return scan(field, t, eps, nodes)
+
+        monkeypatch.setattr(geometry, "boundary_points", counted)
+        assert field.boundary_within(0.05, 0.7, np.array([0.07, 1.1]), 0.2)
+        assert not field.boundary_within(0.05, 0.7, np.array([1.9, -1.9]), 0.2)
+        # Neither answer took the full scan, and neither built a tree.
+        assert len(windows) == 2 and None not in windows and field._tree_cache == {}
+        for nodes in windows:
+            assert all(part.stop - part.start <= 21 for part in nodes)
+
+    def test_infeasible_window_takes_the_full_scan(self):
+        # No crossing and no feasible node near the disk's centre: the full
+        # scan finds the boundary beyond 0.2 and caches its tree.
+        field = field_from_config(MOVING_DISK)
+        assert not field.boundary_within(0.05, 0.0, np.array([0.0, 0.0]), 0.2)
+        assert kd_trees(field) == 1
+        blocked = field_from_config(dict(MOVING_DISK, components=SCAN_CASES["all-infeasible"][0]))
+        with pytest.raises(InfeasibleTighteningError):
+            blocked.boundary_within(0.05, 0.0, np.array([0.3, 0.2]), 0.2)
+
+    def test_analytic_field_answers_from_its_hook(self):
+        field = unit_ball_complement(dim=2)
+        x = np.array([1.5, 0.0])
+        d = dist_to_boundary(field, 0.1, 0.0, x)
+        assert d == pytest.approx(0.4) and field.boundary_within(0.1, 0.0, x, d)
+        assert not field.boundary_within(0.1, 0.0, x, np.nextafter(d, 0.0))
+        assert field._tree_cache == {}
+
+
+def lazy_trajectory():
+    """A trajectory on [0, 2] whose states sit near the unit circle, some
+    feasible and some not, with a few outside the sampling box."""
+    rng = np.random.default_rng(3)
+    grid = TimeGrid.uniform(0.0, 2.0, 120)
+    angles = rng.uniform(0.0, 2 * np.pi, size=121)
+    radii = 1.0 + rng.uniform(-0.3, 0.3, size=121)
+    states = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    states[::17] *= 2.5
+    return Trajectory(grid, states)
+
+
+class TestLazyNodeViolations:
+    """node_violations asks the oracle only at rows whose margin is not
+    >= 0, with bitwise the entries of the full query."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize(
+        "config",
+        [
+            MOVING_DISK,
+            WIDE_SLAB,
+            SHRINKING_DISK,
+            dict(MOVING_DISK, components=SCAN_CASES["nan-region-2d"][0]),
+        ],
+        ids=["moving-disk", "wide-slab", "shrinking-disk", "nan-region"],
+    )
+    def test_matches_the_full_query_bitwise(self, config):
+        # The NaN region's trajectory has NaN-margin rows, which are queried.
+        traj = lazy_trajectory()
+        lazy, full = field_from_config(config), field_from_config(config)
+        for eps in (0.0, 0.05):
+            for start in (0, 50, len(traj.grid) - 1):
+                got = node_violations(lazy, eps, traj, start=start)
+                want = full._distances(eps, traj.grid.nodes[start:], traj.states[start:])[0]
+                assert got.tobytes() == want.tobytes(), (eps, start)
+
+    def test_all_feasible_box_scans_nothing(self):
+        field = field_from_config(WIDE_SLAB)
+        grid = TimeGrid.uniform(0.0, 2.0, 40)
+        traj = Trajectory(grid, np.column_stack([np.linspace(-1.9, 1.9, 41), np.zeros(41)]))
+        got = node_violations(field, 0.05, traj)
+        assert got.tobytes() == np.zeros(41).tobytes() and field._tree_cache == {}
+
+    def test_all_infeasible_box_raises_as_before(self):
+        config = dict(MOVING_DISK, components=SCAN_CASES["all-infeasible"][0])
+        traj = lazy_trajectory()
+        for query in (
+            lambda field: node_violations(field, 0.05, traj),
+            lambda field: field._distances(0.05, traj.grid.nodes, traj.states),
+        ):
+            with pytest.raises(InfeasibleTighteningError):
+                query(field_from_config(config))
 
 
 def per_row_batch(n):

@@ -288,8 +288,8 @@ class TestFloatField:
             for x, u in FLOAT_POINTS:
                 got = model.rhs(t, x, u)
                 want = model.rhs(t, np.array([x]), np.array([u])).item()
-                assert isinstance(got, float)
-                assert float(got).hex() == want.hex(), (t, x, u)
+                assert type(got) is float
+                assert got.hex() == want.hex(), (t, x, u)
 
     @pytest.mark.parametrize("variant", ["surge", "decline"])
     def test_reference_integrates_as_without_the_declaration(
