@@ -428,16 +428,19 @@ def _stacked_expressions(expressions, dim: int, names: tuple = ()):
     return stacked
 
 
-def _autonomy(reads_time: bool) -> tuple:
+def _autonomy(reads_time: bool, shift_radius: float | None = None) -> tuple:
     """(shift hook, declared regularity entries) of a field built from
     expressions, which read ``t`` or not.
 
     A field whose expressions never mention ``t`` transports controls by
     the identity, exactly: it has no time drift and a zero shift radius.
-    Any other field gets no hook and no entries.
+    Any other field gets no hook, and only the declared ``shift_radius``
+    scale for the generic transport search, when there is one.
     """
     if reads_time:
-        return None, {}
+        if shift_radius is None:
+            return None, {}
+        return None, {"shift_radius_scale": _constant(float(shift_radius))}
     return _identity_transport, {
         "time_drift": _constant(0.0),
         "drift_integral": _no_drift,
@@ -471,9 +474,7 @@ def expression_model(
         u = np.asarray(u, dtype=float)
         return stacked(t, np.concatenate([x, u], axis=-1))
 
-    hook, regularity = _autonomy(stacked.reads_time)
-    if hook is None and shift_radius is not None:
-        regularity = {"shift_radius_scale": _constant(float(shift_radius))}
+    hook, regularity = _autonomy(stacked.reads_time, shift_radius)
     metadata = DeclaredRegularity(**regularity)
     return DynamicsModel(
         state_dim=state_dim,
@@ -492,7 +493,9 @@ def model_from_config(config: dict) -> DynamicsModel:
     ``control_dim``, and ``rhs`` (one expression per state over
     ``t, x1.., u1..``), and ``control_affine`` with ``state_dim``,
     ``control_dim``, ``drift`` (one expression per state), and ``gain``
-    (rows of expressions or numbers, one row per state).
+    (rows of expressions or numbers, one row per state). Either kind
+    takes an optional ``shift_radius`` scale, which a field that reads
+    ``t`` needs for the generic transport search.
     """
     try:
         kind = config["model"]
@@ -525,7 +528,10 @@ def model_from_config(config: dict) -> DynamicsModel:
     def gain(t, x):
         return np.stack([row(t, x) for row in rows], axis=-2)
 
-    hook, regularity = _autonomy(drift.reads_time or any(row.reads_time for row in rows))
+    hook, regularity = _autonomy(
+        drift.reads_time or any(row.reads_time for row in rows),
+        config_number(config, "shift_radius", None, float),
+    )
     for name in ("growth_envelope", "state_lipschitz"):
         if name in config:
             regularity[name] = _constant(config_number(config, name, None, float))

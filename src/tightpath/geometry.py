@@ -5,6 +5,8 @@ feasible set at tightening eps and time t collects the states with
 max_j h_j(t, x) + eps <= 0, so raising eps shrinks the set. Distance
 queries cover both the set itself and its boundary; fields without a
 closed-form hook fall back to a KD-tree over lattice boundary crossings.
+A key without crossings has an empty crossing set, whose tree puts the
+boundary at infinite distance.
 """
 
 from __future__ import annotations
@@ -47,9 +49,6 @@ _MAX_LATTICE_POINTS = 2048 * 2048
 
 # Feasible probes per tightening in the boundary modulus.
 BOUNDARY_MODULUS_PROBES = 128
-
-# Marker for "the whole sampling box is feasible": boundary out of reach.
-_NO_BOUNDARY = "no-boundary"
 
 
 def _names(node) -> set:
@@ -144,8 +143,6 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
             evaluate(float(times[row]), rows[row])
         return out
 
-    component.dim = dim
-    component.source = expr
     component.reads_time = "t" in _names(tree)
     return component
 
@@ -237,26 +234,20 @@ class ConstraintField:
         return (round(t, 9) if self.time_varying else 0.0, round(eps, 12), self.resolution)
 
     def _tree(self, t: float, eps: float, query: bool = True):
-        """The cache entry of (t, eps): its boundary scan, _NO_BOUNDARY or,
-        once ``query`` asks for one, a KD-tree over the scan. The upgrade
-        keeps the key's place in the FIFO order."""
+        """The cache entry of (t, eps): its boundary scan or, once ``query``
+        asks for one, a KD-tree over the scan. The upgrade keeps the key's
+        place in the FIFO order. An empty scan is cached like any other,
+        and its tree answers inf to every query, unless the box is entirely
+        infeasible: then InfeasibleTighteningError is raised, judged by the
+        margin at the box centre."""
         key = self._key(t, eps)
         tree = self._tree_cache.get(key)
         if tree is None:
-            try:
-                tree = boundary_points(self, t, eps)
-            except DomainError:
-                # No crossings: either the box is entirely feasible (the
-                # boundary is out of reach) or entirely infeasible.
-                probe = self.sampling_box.mean(axis=1)
-                if self.margin(t, probe, eps) >= 0:
-                    tree = _NO_BOUNDARY
-                else:
-                    raise InfeasibleTighteningError(
-                        f"tightened set at eps={eps}, t={t} misses the sampling box",
-                        eps=eps,
-                        t=t,
-                    ) from None
+            tree = boundary_points(self, t, eps)
+            if not len(tree) and not self.margin(t, self.sampling_box.mean(axis=1), eps) >= 0:
+                raise InfeasibleTighteningError(
+                    f"tightened set at eps={eps}, t={t} misses the sampling box", eps=eps, t=t
+                )
             if len(self._tree_cache) >= _MAX_TREE_CACHE:
                 self._tree_cache.pop(next(iter(self._tree_cache)))
             self._tree_cache[key] = tree
@@ -271,8 +262,6 @@ class ConstraintField:
         when the whole box is feasible. Raises InfeasibleTighteningError
         when the tightened set misses the box."""
         tree = self._tree(t, eps, query=False)
-        if tree is _NO_BOUNDARY:
-            return np.empty((0, self.dim))
         return tree if isinstance(tree, np.ndarray) else tree.data
 
     def _distances(self, eps: float, t, points: np.ndarray):
@@ -284,20 +273,15 @@ class ConstraintField:
         if self.analytic_distance is not None:
             d_set, d_bdry = self.analytic_distance(eps, t, points)
             return np.asarray(d_set, dtype=float), np.asarray(d_bdry, dtype=float)
-        if not isinstance(t, np.ndarray):
-            tree = self._tree(t, eps)
-            if tree is _NO_BOUNDARY:
-                n = points.shape[0]
-                return np.zeros(n), np.full(n, np.inf)
-            d_bdry = np.asarray(tree.query(points)[0], dtype=float)
-            inside = self.margin(t, points, eps) >= 0
-            return np.where(inside, 0.0, d_bdry), d_bdry
-        order = np.argsort(t, kind="stable")
-        d_bdry = np.full(points.shape[0], np.inf)
-        for rows in np.split(order, np.flatnonzero(np.diff(t[order])) + 1):
-            tree = self._tree(float(t[rows[0]]), eps)
-            if tree is not _NO_BOUNDARY:
-                d_bdry[rows] = tree.query(points[rows])[0]
+        if isinstance(t, np.ndarray):
+            order = np.argsort(t, kind="stable")
+            splits = np.split(order, np.flatnonzero(np.diff(t[order])) + 1)
+            groups = [(float(t[rows[0]]), rows) for rows in splits]
+        else:
+            groups = [(t, slice(None))]
+        d_bdry = np.empty(points.shape[0])
+        for at, rows in groups:
+            d_bdry[rows] = self._tree(at, eps).query(points[rows])[0]
         # An infinite boundary distance marks a time whose box is all feasible.
         inside = np.isinf(d_bdry) | (self.margin(t, points, eps) >= 0)
         return np.where(inside, 0.0, d_bdry), d_bdry
@@ -328,14 +312,11 @@ class ConstraintField:
                 window.append(slice(lo, int(np.searchsorted(axis, centre + reach, side="right"))))
             window = tuple(window)
             if any(part.stop - part.start < axis.size for part, axis in zip(window, axes)):
-                try:
-                    crossings = boundary_points(self, t, eps, window)
-                except DomainError:
-                    points = _lattice_nodes(self, window)[1]
-                    if np.any(self.margin(t, points, eps) >= 0):
-                        return False
-                else:
+                crossings = boundary_points(self, t, eps, window)
+                if len(crossings):
                     return bool(_kd_tree(crossings).query(x)[0][0] <= r)
+                if np.any(self.margin(t, _lattice_nodes(self, window)[1], eps) >= 0):
+                    return False
         return bool(self._distances(eps, t, x)[1][0] <= r)
 
 
@@ -360,12 +341,10 @@ def node_violations(
     times, states = traj.grid.nodes[start:], traj.states[start:]
     if field.analytic_distance is not None:
         return field._distances(eps, times, states)[0]
-    times = field._times(times)
     out = np.zeros(states.shape[0])
     rows = np.flatnonzero(~(field.margin(times, states, eps) >= 0))
     if rows.size:
-        at = times[rows] if isinstance(times, np.ndarray) else times
-        out[rows] = field._distances(eps, at, states[rows])[0]
+        out[rows] = field._distances(eps, times[rows], states[rows])[0]
     return out
 
 
@@ -453,7 +432,7 @@ def boundary_points(
     crossing point on it. An edge with a NaN end never crosses. ``nodes``,
     one slice of node indices per axis, scans only that sub-box: its
     crossings are bitwise those of the whole scan whose edges have both
-    ends in it.
+    ends in it. With no crossing, the cloud is a (0, dim) array.
     """
     # A crossing steps off its lower end by the whole lattice's spacing,
     # which a sub-box's first two nodes need not reproduce.
@@ -470,17 +449,11 @@ def boundary_points(
         mask = (nonpos[lo] & pos[hi]) | (pos[lo] & nonpos[hi])
         # The C-order indices of np.nonzero, which is about 7x slower on a 2-D mask.
         ends = np.unravel_index(np.flatnonzero(mask), mask.shape)
-        if not ends[0].size:
-            continue
         f_lo = values[lo][ends]
         frac = f_lo / (f_lo - values[hi][ends])
         pts = np.stack([ax[index] for ax, index in zip(axes, ends)], axis=-1)
         pts[:, a] += frac * spacings[a]
         crossings.append(pts)
-    if not crossings:
-        raise DomainError(
-            f"no boundary of the eps={eps} set inside the sampling box at t={t}"
-        )
     return np.concatenate(crossings, axis=0)
 
 

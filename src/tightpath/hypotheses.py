@@ -103,9 +103,6 @@ class SampledFunction:
             raise DomainError("sampled function values must be finite")
         object.__setattr__(self, "values", values)
 
-    def value_at(self, t: float) -> float:
-        return float(np.interp(t, self.grid.nodes, self.values))
-
     def l1(self) -> float:
         with np.errstate(over="ignore"):  # inf, which the Gronwall checks name
             return float(trapezoid_prefix(self.grid, np.abs(self.values))[-1])

@@ -278,7 +278,10 @@ def schedule_constants(
     eta = bundle.collar_width
     m_v = bundle.velocity_bound
     k = 4.0 / xi
-    rho_hat = min(1.0 / (k * m_v), xi / k, 1.0 / k)
+    # The first cap keeps k rho m_v <= 1. With k m_v = 0 (m_v = 0, or an
+    # underflow) a burst moves nothing, and that cap is +inf.
+    burst = k * m_v
+    rho_hat = min(1.0 / burst if burst else np.inf, xi / k, 1.0 / k)
 
     modulus_check = "window modulus <= eta/4"
 

@@ -486,6 +486,17 @@ class TestControlAffine:
     def test_autonomous_config_certifies_repairs_and_evaluates(self, workdir, capsys):
         certify_repair_evaluate(workdir, capsys, "control_affine", CONTROL_AFFINE_CONFIG)
 
+    def test_time_dependent_config_reads_its_shift_radius(self, workdir, capsys):
+        # x' = (0.05 sin(3t), 0) + u on the static disk: a drift that reads
+        # t needs the declared shift radius, as the expression form does.
+        config = {
+            **CONTROL_AFFINE_CONFIG,
+            "drift": ["0.05*sin(3*t)", "0"],
+            "shift_radius": 0.5,
+            "reference": time_dependent_config()["reference"],
+        }
+        certify_repair_evaluate(workdir, capsys, "control_affine_t", config)
+
 
 def time_dependent_config(steps: int = 40) -> dict:
     """The moving-disk config with x1' = u1 + 0.05 sin(3t), a model that
@@ -972,6 +983,13 @@ class TestMalformedBundle:
             code, printed = repair_with_bundle(config, mutated(record, (name,), value), out)
             assert code == 64 and repr(name) in printed
 
+    def test_zero_velocity_bound_reaches_the_schedule(self, decline_400):
+        # With m_v = 0 a burst moves nothing: the cap 1 / (k m_v) is +inf,
+        # and the schedule fails by name as for the unchanged record.
+        config, record, out = decline_400
+        code, printed = repair_with_bundle(config, mutated(record, ("velocity_bound",), 0.0), out)
+        assert code == 1 and "repair failed: delta-infeasible" in printed, printed
+
     def test_unchanged_record_loads(self, decline_400):
         config, record, out = decline_400
         bundle = bundle_from_dict(record)
@@ -994,6 +1012,7 @@ class TestMalformedBundle:
             st.booleans(),
             st.integers(min_value=-(10**400), max_value=10**400),
             st.floats(allow_nan=True, allow_infinity=True),
+            st.just(0.0),
             st.text(max_size=4),
         )
         value = data.draw(

@@ -201,10 +201,9 @@ class TestNumericDistance:
         assert set_distance(always, 0.1, 0.0, np.array([0.5])) == 0.0
         assert dist_to_boundary(always, 0.1, 0.0, np.array([0.5])) == np.inf
 
-    def test_empty_boundary_raises(self):
+    def test_empty_boundary_is_an_empty_cloud(self):
         field = unit_ball_complement(dim=1)
-        with pytest.raises(DomainError):
-            boundary_points(field, 0.0, eps=5.0)
+        assert boundary_points(field, 0.0, eps=5.0).shape == (0, 1)
 
 
 def reference_boundary_points(field, t, eps):
@@ -234,7 +233,7 @@ def reference_boundary_points(field, t, eps):
         pts[:, a] += frac * (axes[a][1] - axes[a][0])
         crossings.append(pts)
     if not crossings:
-        raise DomainError("no crossings")
+        return np.empty((0, dim))
     return np.concatenate(crossings, axis=0)
 
 
@@ -271,14 +270,11 @@ class TestLatticeScan:
         )
         for t in (0.0, 0.7, 2.0):
             for eps in (0.0, 0.003125, 0.05, 0.4):
-                try:
-                    want = reference_boundary_points(field, t, eps)
-                except DomainError:
-                    with pytest.raises(DomainError):
-                        boundary_points(field, t, eps)
-                    continue
+                want = reference_boundary_points(field, t, eps)
                 got = boundary_points(field, t, eps)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (t, eps)
+                if case.startswith("all-"):
+                    assert got.shape == (0, field.dim)
                 if case.startswith("nan-region"):
                     assert np.isfinite(got).all()
 
@@ -299,7 +295,8 @@ class TestLatticeScan:
 
 
 def kd_trees(field) -> int:
-    """Cache entries that hold a KD-tree rather than a scan or a marker."""
+    """Cache entries that hold a KD-tree rather than a scan, which may be
+    empty."""
     return sum(hasattr(entry, "query") for entry in field._tree_cache.values())
 
 
@@ -525,9 +522,13 @@ class TestLazyNodeViolations:
     def test_all_infeasible_box_raises_as_before(self):
         config = dict(MOVING_DISK, components=SCAN_CASES["all-infeasible"][0])
         traj = lazy_trajectory()
+        x = np.array([0.3, 0.2])
         for query in (
             lambda field: node_violations(field, 0.05, traj),
             lambda field: field._distances(0.05, traj.grid.nodes, traj.states),
+            lambda field: field._distances(0.05, 0.7, traj.states),
+            lambda field: field.boundary_within(0.05, 0.7, x, 0.2),
+            lambda field: field.boundary_cloud(0.7, 0.05),
         ):
             with pytest.raises(InfeasibleTighteningError):
                 query(field_from_config(config))
@@ -568,6 +569,28 @@ class TestPerRowTimes:
             # No boundary in the box: every set distance reads 0, even at
             # the infeasible state outside it.
             assert margins[-3] < 0 and np.all(d_set == 0.0) and np.all(d_bdry == np.inf)
+
+    def test_times_with_and_without_a_boundary_in_one_batch(self):
+        # The shrinking disk has crossings up to t = 0.5 and none after:
+        # rows at later times read d_set 0 and d_bdry inf, and the others
+        # read a KD-tree over their time's reference scan.
+        from scipy.spatial import cKDTree
+
+        field = field_from_config(SHRINKING_DISK)
+        times, states = per_row_batch(120)
+        late = times > 0.5
+        assert late.any() and not late.all()
+        for eps in (0.0, 0.05):
+            d_set, d_bdry = field._distances(eps, times, states)
+            want_bdry = np.full(len(times), np.inf)
+            for t in np.unique(times[~late]):
+                rows = times == t
+                tree = cKDTree(reference_boundary_points(field, t, eps))
+                want_bdry[rows] = tree.query(states[rows])[0]
+            inside = late | (field.margin(times, states, eps) >= 0)
+            assert d_bdry.tobytes() == want_bdry.tobytes()
+            assert d_set.tobytes() == np.where(inside, 0.0, want_bdry).tobytes()
+            assert np.all(d_set[late] == 0.0) and np.all(d_bdry[late] == np.inf)
 
     def test_single_state_margin_equals_batched_bitwise(self):
         # A single (dim,) state goes through the batched evaluation, so the

@@ -108,7 +108,7 @@ class TestSublinear:
             ratios = np.linalg.norm(rhs_batch(model, t, xs, us), axis=1) / (
                 1.0 + np.abs(xs[:, 0]) + np.abs(us[:, 0])
             )
-            assert ratios.max() <= theta.value_at(t)
+            assert ratios.max() <= np.interp(t, theta.grid.nodes, theta.values)
 
     def test_quadratic_field_fails(self):
         box = OperatingBox.from_radii(2.0, 2.0, 1, 1)
@@ -118,8 +118,10 @@ class TestSublinear:
     def test_surge_declared_envelope_is_validated_and_returned(self):
         box = OperatingBox.from_radii(3.0, 1.5, 1, 1)
         theta = certify_sublinear(motor_surge(), box, GRID, seed=1)
-        assert theta.value_at(0.3) == pytest.approx(1.2, abs=1e-12)
-        assert theta.value_at(1.5) == pytest.approx(1.389207115002721, abs=1e-12)
+        assert np.interp(0.3, theta.grid.nodes, theta.values) == pytest.approx(1.2, abs=1e-12)
+        assert np.interp(1.5, theta.grid.nodes, theta.values) == pytest.approx(
+            1.389207115002721, abs=1e-12
+        )
 
     def test_undershooting_declaration_is_rejected(self):
         bad = dataclasses.replace(
@@ -1250,7 +1252,7 @@ class TestSampledFunction:
         fn = SampledFunction(TimeGrid(np.array([0.0, 1.0, 2.0])), np.array([0.0, 1.0, 2.0]))
         assert fn.l1() == pytest.approx(2.0, abs=1e-15)
         assert fn.l2() == pytest.approx(np.sqrt(3.0), rel=1e-15)
-        assert fn.value_at(0.5) == pytest.approx(0.5, abs=1e-15)
+        assert np.interp(0.5, fn.grid.nodes, fn.values) == pytest.approx(0.5, abs=1e-15)
 
     def test_rejects_non_finite_and_misshapen(self):
         grid = TimeGrid.uniform(0.0, 1.0, 2)

@@ -205,6 +205,14 @@ class TestSchedule:
         assert c.partition[-1] == sc.xbar.grid.nodes.size - 1
         assert c.N0 == len(c.partition) - 1
 
+    def test_zero_velocity_bound_drops_the_burst_cap(self, surge_scenario, surge_bundle):
+        # With m_v = 0 a burst moves nothing, so 1 / (k m_v) is +inf.
+        sc = surge_scenario
+        bundle = dataclasses.replace(surge_bundle, velocity_bound=0.0)
+        c = schedule_constants(bundle, sc.field, sc.xbar, sc.ubar, 0.1)
+        xi = bundle.inward_slack
+        assert c.rho_hat == min(xi / c.k, 1.0 / c.k)
+
     def test_oscillation_gate_inequality(self, bundle_case):
         sc, bundle = bundle_case
         c = schedule_constants(bundle, sc.field, sc.xbar, sc.ubar, 0.1)
