@@ -418,11 +418,14 @@ def control_affine(
 
 def _stacked_expressions(expressions, dim: int, names: tuple = ()):
     """(t, x) -> the compiled expressions stacked along a last axis, with
-    ``reads_time`` set when any of them reads ``t``."""
+    ``reads_time`` set when any of them reads ``t``; ``t`` is one float."""
     compiled = [compile_expression(str(e), dim, names) for e in expressions]
 
     def stacked(t, x):
-        return np.stack([c(t, x) for c in compiled], axis=-1)
+        out = np.empty(np.shape(x)[:-1] + (len(compiled),))
+        for i, c in enumerate(compiled):
+            out[..., i] = c(t, x)
+        return out
 
     stacked.reads_time = any(c.reads_time for c in compiled)
     return stacked
@@ -513,12 +516,15 @@ def model_from_config(config: dict) -> DynamicsModel:
             raise ConfigError(f"{kind} model config needs {key!r}")
     state_dim = config_number(config, "state_dim", None, int)
     control_dim = config_number(config, "control_dim", None, int)
+    shift_radius = config_number(config, "shift_radius", None, float)
+    if shift_radius is not None and not 0 <= shift_radius < math.inf:
+        raise ConfigError(f"'shift_radius' must be finite and >= 0, got {config['shift_radius']!r}")
     if kind == "expression":
         return expression_model(
             config_expressions(config, "rhs", state_dim),
             state_dim,
             control_dim,
-            shift_radius=config_number(config, "shift_radius", None, float),
+            shift_radius=shift_radius,
         )
     drift_exprs = config_expressions(config, "drift", state_dim)
     gain_rows = config_expressions(config, "gain", state_dim, control_dim)
@@ -529,8 +535,7 @@ def model_from_config(config: dict) -> DynamicsModel:
         return np.stack([row(t, x) for row in rows], axis=-2)
 
     hook, regularity = _autonomy(
-        drift.reads_time or any(row.reads_time for row in rows),
-        config_number(config, "shift_radius", None, float),
+        drift.reads_time or any(row.reads_time for row in rows), shift_radius
     )
     for name in ("growth_envelope", "state_lipschitz"):
         if name in config:

@@ -6,13 +6,15 @@ max_j h_j(t, x) + eps <= 0, so raising eps shrinks the set. Distance
 queries cover both the set itself and its boundary; fields without a
 closed-form hook fall back to a KD-tree over lattice boundary crossings.
 A key without crossings has an empty crossing set, whose tree puts the
-boundary at infinite distance.
+boundary at infinite distance. A question about one state at a key
+without a tree reads only a lattice window around it, bitwise alike.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +72,8 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
     one row per distinct time is evaluated again at its float time, and
     the vectorised pass gives no numpy warning.
     ``names`` relabels the coordinates (one name per component) so callers
-    can expose mixed variable sets.
+    can expose mixed variable sets. The checked tree is compiled once, as
+    a function of ``(t, *labels)`` that takes the column views of x.
     """
     if names and len(names) != dim:
         raise ExpressionError(f"{expr!r}: need one name per coordinate, got {names}")
@@ -102,7 +105,10 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
                 continue
             raise ExpressionError(f"{expr!r}: only numeric constants allowed")
         raise ExpressionError(f"{expr!r}: disallowed syntax {type(node).__name__}")
-    code = compile(tree, "<constraint>", "eval")
+    params = [ast.arg(name) for name in ("t",) + labels]
+    lam = ast.Lambda(ast.arguments([], params, None, [], [], None, []), tree.body)
+    code = compile(ast.fix_missing_locations(ast.Expression(lam)), "<constraint>", "eval")
+    function = eval(code, {"__builtins__": {}, **_ALLOWED_CALLS})  # noqa: S307
     # Python float arithmetic raises only in / and ** on terms of t and
     # constants alone; every term that reads a coordinate is numpy's, which
     # warns and returns inf or NaN for a float time and a numpy time alike.
@@ -115,12 +121,8 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
     )
 
     def evaluate(t, x):
-        namespace = dict(_ALLOWED_CALLS)
-        namespace["t"] = t
-        for i, label in enumerate(labels):
-            namespace[label] = x[..., i]
         try:
-            return eval(code, {"__builtins__": {}}, namespace)  # noqa: S307
+            return function(t, *(x[..., i] for i in range(len(labels))))
         except (ZeroDivisionError, OverflowError) as exc:
             raise ModelEvaluationError(f"{expr!r} cannot be evaluated at t={t}: {exc}") from None
 
@@ -291,33 +293,25 @@ class ConstraintField:
         the (dim,) state x: whether its boundary distance from
         ``_distances`` is at most ``r``.
 
-        The lattice fallback queries the key's KD-tree when one is cached.
-        Otherwise it scans only the window of lattice nodes within r plus
-        two spacings of x on every axis, which holds both ends of every
-        edge whose crossing lies within r of x, and runs the same KD-tree
-        query on the window's crossings. A window that is the whole
-        lattice, or that holds neither a crossing nor a feasible node,
-        takes the full scan, so a tightened set that misses the box still
-        raises InfeasibleTighteningError.
+        The lattice fallback queries the key's KD-tree when one is cached,
+        and otherwise the nearest crossing of a window (``_window_nearest``).
+        A window that is the whole lattice or empty, or that holds neither a
+        crossing nor a feasible node, takes the full scan, so a tightened set
+        that misses the box still raises InfeasibleTighteningError.
         """
         x = np.asarray(x, dtype=float).reshape(1, -1)
-        if self.analytic_distance is None and not hasattr(
-            self._tree_cache.get(self._key(t, eps)), "query"
-        ):
-            axes = _lattice_nodes(self)[0]
-            window = []
-            for axis, centre in zip(axes, x[0]):
-                reach = r + 2.0 * (axis[1] - axis[0])
-                lo = int(np.searchsorted(axis, centre - reach, side="left"))
-                window.append(slice(lo, int(np.searchsorted(axis, centre + reach, side="right"))))
-            window = tuple(window)
-            if any(part.stop - part.start < axis.size for part, axis in zip(window, axes)):
-                crossings = boundary_points(self, t, eps, window)
-                if len(crossings):
-                    return bool(_kd_tree(crossings).query(x)[0][0] <= r)
-                if np.any(self.margin(t, _lattice_nodes(self, window)[1], eps) >= 0):
+        if self.analytic_distance is None and not self._has_tree(t, eps):
+            near = _window_nearest(self, t, eps, x[0], r)
+            if near is not None:
+                if near[1] < np.inf:
+                    return bool(near[1] <= r)
+                if np.any(self.margin(t, _lattice_nodes(self, near[0])[1], eps) >= 0):
                     return False
         return bool(self._distances(eps, t, x)[1][0] <= r)
+
+    def _has_tree(self, t: float, eps: float) -> bool:
+        """Whether the key of (t, eps) holds a KD-tree, not a scan or nothing."""
+        return hasattr(self._tree_cache.get(self._key(t, eps)), "query")
 
 
 def _kd_tree(points: np.ndarray):
@@ -325,6 +319,27 @@ def _kd_tree(points: np.ndarray):
     from scipy.spatial import cKDTree
 
     return cKDTree(points)
+
+
+def _window_nearest(field: ConstraintField, t: float, eps: float, x: np.ndarray, r: float):
+    """(window, distance): the lattice nodes within r plus two spacings of
+    the (dim,) state x on every axis, one slice of indices per axis, and
+    the distance from x to their nearest crossing, inf without one; None
+    when the window is the whole lattice or empty, as for a non-finite x.
+    The window holds both ends of every edge crossing within r of x, so a
+    distance <= r is bitwise the whole scan's KD-tree answer: the root of
+    the least sum of squares, added axis by axis."""
+    axes = _lattice_nodes(field)[0]
+    window = []
+    for axis, centre in zip(axes, x):
+        reach = r + 2.0 * (axis[1] - axis[0])
+        lo = int(axis.searchsorted(centre - reach, side="left"))
+        window.append(slice(lo, int(axis.searchsorted(centre + reach, side="right"))))
+    sizes = [part.stop - part.start for part in window]
+    if 0 in sizes or sizes == [axis.size for axis in axes]:
+        return None
+    crossings = boundary_points(field, t, eps, tuple(window))
+    return tuple(window), float(np.sqrt(((crossings - x) ** 2).sum(axis=1)).min(initial=np.inf))
 
 
 def node_violations(
@@ -337,14 +352,34 @@ def node_violations(
 
     A lattice field queries its oracle only at the rows whose margin is
     not >= 0 (NaN included): a time whose rows are all feasible needs no
-    scan. An analytic field answers every row from its hook."""
+    scan. An infeasible row alone in the call at its key, which holds no
+    KD-tree, reads the nearest crossing of a window around its state
+    (``_window_nearest``) from a reach of four spacings, doubled while the
+    window has none; a crossing d beyond the reach takes one rescan at
+    reach d. Other rows, such as a static field's, which share one key,
+    take one ``_distances`` call, bitwise alike. An analytic field answers
+    every row from its hook."""
     times, states = traj.grid.nodes[start:], traj.states[start:]
     if field.analytic_distance is not None:
         return field._distances(eps, times, states)[0]
     out = np.zeros(states.shape[0])
     rows = np.flatnonzero(~(field.margin(times, states, eps) >= 0))
-    if rows.size:
-        out[rows] = field._distances(eps, times[rows], states[rows])[0]
+    keys = Counter(field._key(float(t), eps) for t in times[rows])
+    whole = []
+    for row in rows:
+        t, near = float(times[row]), None
+        if keys[field._key(t, eps)] == 1 and not field._has_tree(t, eps):
+            r = 4.0 * field.resolution
+            near = _window_nearest(field, t, eps, states[row], r)
+            while near is not None and near[1] > r:
+                r = 2.0 * r if near[1] == np.inf else near[1]
+                near = _window_nearest(field, t, eps, states[row], r)
+        if near is None:
+            whole.append(row)
+        else:
+            out[row] = near[1]
+    if whole:
+        out[whole] = field._distances(eps, times[whole], states[whole])[0]
     return out
 
 
@@ -448,10 +483,10 @@ def boundary_points(
         hi = tuple(slice(1, None) if k == a else slice(None) for k in range(dim))
         mask = (nonpos[lo] & pos[hi]) | (pos[lo] & nonpos[hi])
         # The C-order indices of np.nonzero, which is about 7x slower on a 2-D mask.
-        ends = np.unravel_index(np.flatnonzero(mask), mask.shape)
+        ends = np.unravel_index(mask.ravel().nonzero()[0], mask.shape)
         f_lo = values[lo][ends]
         frac = f_lo / (f_lo - values[hi][ends])
-        pts = np.stack([ax[index] for ax, index in zip(axes, ends)], axis=-1)
+        pts = np.array([ax[index] for ax, index in zip(axes, ends)]).T
         pts[:, a] += frac * spacings[a]
         crossings.append(pts)
     return np.concatenate(crossings, axis=0)

@@ -27,6 +27,7 @@ from tightpath import (
     motor_surge,
 )
 from tightpath import geometry
+from tightpath.dynamics import model_from_config
 from tightpath.geometry import field_from_config
 from tightpath.hypotheses import bundle_from_dict, bundle_to_dict, load_bundle, save_bundle
 from tightpath.errors import BundleError, ConfigError, config_number
@@ -265,11 +266,13 @@ class TestTimeVarying:
         assert not field_from_config(config["constraint"]).time_varying
 
 
-def test_moving_disk_repair_scans_the_whole_lattice_at_most_130_times(tmp_path, monkeypatch):
+def test_moving_disk_repair_scans_the_whole_lattice_at_most_80_times(tmp_path, monkeypatch):
     # The benchmark's moving-disk workload. Repair asks the lattice oracle
     # only what it reads: no scan for a time whose nodes are all feasible,
-    # and a window scan for the far-from-boundary test. Scanning every node
-    # time of every tightening tried takes 366 whole scans.
+    # and window scans for the far-from-boundary test and for a node
+    # violation alone at its time. Scanning every node time of every
+    # tightening tried takes 366 whole scans; with node violations from
+    # whole scans, 120.
     times = np.linspace(0.0, 2.0, 61).tolist()
     config = {
         "model": "expression",
@@ -301,7 +304,7 @@ def test_moving_disk_repair_scans_the_whole_lattice_at_most_130_times(tmp_path, 
     monkeypatch.setattr(geometry, "boundary_points", counted)
     bundle = str(tmp_path / "bundle.json")
     assert cli.main(["repair", "--config", path, "--bundle", bundle, "--out", str(tmp_path)]) == 0
-    assert 0 < scans["whole"] <= 130 and scans["window"] > 0, scans
+    assert 0 < scans["whole"] <= 80 and 0 < scans["window"] <= 330, scans
 
 
 class TestRepair:
@@ -804,6 +807,22 @@ class TestConfigRejection:
         code = cli.main(["certify", "--config", path, "--out", str(workdir / "shape")])
         assert code == 64
         assert f"{key!r} must be one {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["expression", "control_affine"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0], ids=repr)
+    def test_malformed_shift_radius_names_the_key(self, workdir, capsys, kind, bad):
+        # Before it was checked, NaN and Infinity certified with exit 0 and
+        # -1 failed certification with a witness (exit 1).
+        config = time_dependent_config() if kind == "expression" else CONTROL_AFFINE_CONFIG
+        path = write_config(workdir / "shift-radius.json", {**config, "shift_radius": bad})
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "radius")])
+        assert code == 64
+        assert "'shift_radius' must be finite and >= 0" in capsys.readouterr().err
+
+    def test_zero_shift_radius_is_valid(self):
+        for config in (time_dependent_config(), CONTROL_AFFINE_CONFIG):
+            model = model_from_config({**config, "shift_radius": 0})
+            assert model.metadata.shift_radius_scale(0.5) == 0.0
 
     @pytest.mark.parametrize("bad", [5, "u1*u1", [["u1"]], [False]], ids=repr)
     def test_malformed_rhs_names_the_key(self, workdir, capsys, bad):

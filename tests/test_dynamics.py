@@ -10,6 +10,7 @@ from tightpath.dynamics import (
     control_affine,
     drift_budget,
     eval_rhs,
+    expression_model,
     model_from_config,
     motor_decline,
     motor_surge,
@@ -23,6 +24,7 @@ from tightpath.errors import (
     SelectionError,
     ShapeError,
 )
+from tightpath.geometry import compile_expression
 
 
 def decline_drift_integral(s, t):
@@ -562,3 +564,114 @@ class TestModelConfig:
             model_from_config({})
         with pytest.raises(ConfigError):
             model_from_config({"model": "control_affine", "state_dim": 1})
+
+
+# Every expression of the benchmark workloads, the tests' configs and the
+# README, with labels, beside the same formula written in numpy.
+X12 = ("x1", "x2")
+XU = ("x1", "x2", "u1", "u2")
+EXPRESSIONS = {
+    "1 - sqrt((x1 - 0.1*t)**2 + x2**2)": (
+        X12, lambda t, x1, x2: 1 - np.sqrt((x1 - 0.1 * t) ** 2 + x2**2)
+    ),
+    "1 - sqrt(x1*x1 + x2*x2)": (X12, lambda t, x1, x2: 1 - np.sqrt(x1 * x1 + x2 * x2)),
+    "1 - 2*t - sqrt(x1*x1 + x2*x2)": (
+        X12, lambda t, x1, x2: 1 - 2 * t - np.sqrt(x1 * x1 + x2 * x2)
+    ),
+    "1 - sqrt((x1 - 1000.0)**2 + x2**2)": (
+        X12, lambda t, x1, x2: 1 - np.sqrt((x1 - 1000.0) ** 2 + x2**2)
+    ),
+    "0.5 - sqrt(1 - x1*x1 - x2*x2)": (X12, lambda t, x1, x2: 0.5 - np.sqrt(1 - x1 * x1 - x2 * x2)),
+    "x1 + x2 - 0.5": (X12, lambda t, x1, x2: x1 + x2 - 0.5),
+    "x1*x1 - x2 - 1": (X12, lambda t, x1, x2: x1 * x1 - x2 - 1),
+    "x2 - 0.95": (X12, lambda t, x1, x2: x2 - 0.95),
+    "-x1 - 2.5": (X12, lambda t, x1, x2: -x1 - 2.5),
+    "sqrt(x1) - 10": (X12, lambda t, x1, x2: np.sqrt(x1) - 10),
+    "abs(x1) - 3 - t": (X12, lambda t, x1, x2: np.abs(x1) - 3 - t),
+    "1 - sqrt(x1*x1 + x2*x2) + 0*t**-0.5": (
+        X12, lambda t, x1, x2: 1 - np.sqrt(x1 * x1 + x2 * x2) + 0 * t**-0.5
+    ),
+    "1 - x1": (("x1",), lambda t, x1: 1 - x1),
+    "x1 - 10": (("x1",), lambda t, x1: x1 - 10),
+    "1 - abs(x1) + 0.2*t": (("x1",), lambda t, x1: 1 - np.abs(x1) + 0.2 * t),
+    "u1": (XU, lambda t, x1, x2, u1, u2: u1),
+    "u2": (XU, lambda t, x1, x2, u1, u2: u2),
+    "u1 + 0.05*sin(3*t)": (XU, lambda t, x1, x2, u1, u2: u1 + 0.05 * np.sin(3 * t)),
+    "u1 + 0*t**-0.5": (XU, lambda t, x1, x2, u1, u2: u1 + 0 * t**-0.5),
+    "sin(x2)*u1 + 0.5*x1 + t": (XU, lambda t, x1, x2, u1, u2: np.sin(x2) * u1 + 0.5 * x1 + t),
+    "cos(x1) - u2*x2 + arctan(x1*x2)": (
+        XU, lambda t, x1, x2, u1, u2: np.cos(x1) - u2 * x2 + np.arctan(x1 * x2)
+    ),
+    "pow(x1, 3)/x2": (X12, lambda t, x1, x2: np.power(x1, 3) / x2),
+    "0.05*sin(3*t)": (X12, lambda t, x1, x2: 0.05 * np.sin(3 * t)),
+    "sin(t)": (("x1",), lambda t, x1: np.sin(t)),
+    "u1*u1": (("x1", "u1"), lambda t, x1, u1: u1 * u1),
+    "x2": (X12, lambda t, x1, x2: x2),
+    "0": (X12, lambda t, x1, x2: 0),
+    "2": (("x1",), lambda t, x1: 2),
+}
+
+
+def written(expr, t, x):
+    """The test's numpy formula of ``expr`` on column views of x, broadcast
+    to a batch as a component's value is."""
+    labels, formula = EXPRESSIONS[expr]
+    value = formula(t, *(x[..., i] for i in range(len(labels))))
+    return np.asarray(value, dtype=float) + np.zeros(x.shape[:-1])
+
+
+class TestCompiledExpressions:
+    """A compiled expression computes what the same formula written in
+    numpy computes, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("expr", sorted(EXPRESSIONS))
+    def test_component_matches_numpy_bitwise(self, expr):
+        labels = EXPRESSIONS[expr][0]
+        component = compile_expression(expr, len(labels), labels)
+        rng = np.random.default_rng(len(expr))
+        batch = rng.uniform(-2.0, 2.0, size=(64, len(labels)))
+        times = rng.uniform(0.1, 2.0, size=64)
+        for t, x in ((0.7, batch), (0.7, batch[3]), (times, batch), (np.float64(1.3), batch)):
+            got = component(t, x)
+            want = written(expr, t, x)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (t, x)
+
+    def test_constant_broadcasts_and_negative_zero_reads_zero(self):
+        batch = np.linspace(-1.0, 1.0, 10).reshape(5, 2)
+        assert compile_expression("0", 2)(0.5, batch).tobytes() == np.zeros(5).tobytes()
+        for expr in ("-0.0", "0*x1", "-(0*x2)"):
+            got = compile_expression(expr, 2)(0.5, batch)
+            assert got.shape == (5,) and not np.signbit(got).any(), expr
+        assert compile_expression("-0.0", 2)(0.5, batch[0]).shape == ()
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [
+            ["u1", "u2"],
+            ["u1 + 0.05*sin(3*t)", "u2"],
+            ["sin(x2)*u1 + 0.5*x1 + t", "cos(x1) - u2*x2 + arctan(x1*x2)"],
+        ],
+        ids=repr,
+    )
+    def test_stacked_rhs_matches_numpy_bitwise(self, rhs):
+        model = expression_model(rhs, 2, 2)
+        rng = np.random.default_rng(1)
+        x, u = rng.uniform(-2.0, 2.0, size=(2, 50, 2))
+        xu = np.concatenate([x, u], axis=-1)
+        for rows in (slice(None), 7):
+            got = model.rhs(0.9, x[rows], u[rows])
+            want = np.stack([written(expr, 0.9, xu[rows]) for expr in rhs], axis=-1)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_control_affine_config_matches_numpy_bitwise(self):
+        model = model_from_config(
+            {**DOUBLE_INTEGRATOR, "drift": ["x2", "0.05*sin(3*t)"], "gain": [["2"], ["x2"]],
+             "shift_radius": 0.5}
+        )
+        rng = np.random.default_rng(2)
+        x, u = rng.uniform(-2.0, 2.0, size=(40, 2)), rng.uniform(-1.0, 1.0, size=(40, 1))
+        drift = np.stack([written("x2", 0.4, x), written("0.05*sin(3*t)", 0.4, x)], axis=-1)
+        gain = np.stack([written("2", 0.4, x[:, :1]), written("x2", 0.4, x)], axis=-1)
+        want = drift + np.einsum("...nm,...m->...n", gain[..., None], u)
+        assert model.rhs(0.4, x, u).tobytes() == want.tobytes()

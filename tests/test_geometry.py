@@ -398,6 +398,20 @@ def full_tree_distance(field, eps, t, x) -> float:
     return float(tree.query(np.reshape(x, (1, -1)))[0][0])
 
 
+def recorded_scans(monkeypatch) -> list:
+    """Record every boundary_points call as (t, nodes): nodes is None for a
+    whole scan and one slice per axis for a window."""
+    scans = []
+    scan = geometry.boundary_points
+
+    def counted(field, t, eps, nodes=None):
+        scans.append((t, nodes))
+        return scan(field, t, eps, nodes)
+
+    monkeypatch.setattr(geometry, "boundary_points", counted)
+    return scans
+
+
 WITHIN_CASES = {
     name: SCAN_CASES[name]
     for name in ("moving-disk", "3d-ball", "two-components", "nan-region-2d")
@@ -441,17 +455,11 @@ class TestBoundaryWithin:
 
     def test_a_near_state_scans_only_its_window(self, monkeypatch):
         field = field_from_config(MOVING_DISK)
-        windows = []
-        scan = geometry.boundary_points
-
-        def counted(field, t, eps, nodes=None):
-            windows.append(nodes)
-            return scan(field, t, eps, nodes)
-
-        monkeypatch.setattr(geometry, "boundary_points", counted)
+        scans = recorded_scans(monkeypatch)
         assert field.boundary_within(0.05, 0.7, np.array([0.07, 1.1]), 0.2)
         assert not field.boundary_within(0.05, 0.7, np.array([1.9, -1.9]), 0.2)
         # Neither answer took the full scan, and neither built a tree.
+        windows = [nodes for _, nodes in scans]
         assert len(windows) == 2 and None not in windows and field._tree_cache == {}
         for nodes in windows:
             assert all(part.stop - part.start <= 21 for part in nodes)
@@ -532,6 +540,130 @@ class TestLazyNodeViolations:
         ):
             with pytest.raises(InfeasibleTighteningError):
                 query(field_from_config(config))
+
+
+MOVING_BALL = {
+    "components": ["1 - sqrt((x1 - 0.1*t)**2 + x2*x2 + x3*x3)"],
+    "box": [[-2.0, 2.0], [-1.5, 2.0], [-2.0, 1.1]],
+    "resolution": 0.05,
+}
+MOVING_TWO_COMPONENTS = dict(
+    MOVING_DISK, components=["x1 + x2 - 0.5 + 0.1*t", "x1*x1 - x2 - 1"], resolution=0.04
+)
+
+
+def one_row_per_time(field, eps, deep, n=41):
+    """States at n distinct times on [0, 2], each near a crossing of its own
+    time's tightened boundary, ending with the state ``deep`` far from it."""
+    rng = np.random.default_rng(17)
+    times = np.linspace(0.0, 2.0, n)
+    states = []
+    for t in times[:-1]:
+        crossings = reference_boundary_points(field, t, eps)
+        near = crossings[rng.integers(len(crossings))]
+        states.append(near + rng.normal(scale=0.08, size=field.dim))
+    return Trajectory(TimeGrid(times), np.vstack(states + [deep]))
+
+
+class TestWindowedNodeViolations:
+    """An infeasible row alone at its key reads a lattice window around its
+    state, with bitwise the entry of the whole scan's KD-tree."""
+
+    @pytest.mark.parametrize(
+        "config, deep",
+        [
+            (MOVING_DISK, [0.2, 0.0]),
+            (MOVING_BALL, [0.2, 0.0, 0.0]),
+            (MOVING_TWO_COMPONENTS, [1.9, 1.9]),
+        ],
+        ids=["moving-disk", "moving-ball", "two-components"],
+    )
+    def test_matches_the_whole_scan_bitwise(self, monkeypatch, config, deep):
+        windowed, whole = field_from_config(config), field_from_config(config)
+        traj = one_row_per_time(whole, 0.05, np.array(deep))
+        scans = recorded_scans(monkeypatch)
+        for eps in (0.05, 0.003125):
+            for start in (0, len(traj.grid) - 1):
+                want = whole._distances(eps, traj.grid.nodes[start:], traj.states[start:])[0]
+                scans.clear()
+                got = node_violations(windowed, eps, traj, start=start)
+                assert got.tobytes() == want.tobytes(), (eps, start)
+                assert np.count_nonzero(got) > 0 and windowed._tree_cache == {}
+                assert all(nodes is not None for _, nodes in scans)
+            # The deep state is far from every crossing: its reach grew at
+            # least twice before the window held one.
+            assert len(scans) >= 3, scans
+
+    def test_a_key_with_a_cached_tree_reads_the_tree(self, monkeypatch):
+        field, fresh = field_from_config(MOVING_DISK), field_from_config(MOVING_DISK)
+        traj = one_row_per_time(fresh, 0.05, np.array([0.2, 0.0]))
+        infeasible = np.flatnonzero(field.margin(traj.grid.nodes, traj.states, 0.05) < 0)
+        row = infeasible[0]
+        cached = float(traj.grid.nodes[row])
+        field._distances(0.05, cached, traj.states[row : row + 1])
+        want = fresh._distances(0.05, traj.grid.nodes, traj.states)[0]
+        scans = recorded_scans(monkeypatch)
+        got = node_violations(field, 0.05, traj)
+        assert got.tobytes() == want.tobytes()
+        assert cached not in [t for t, _ in scans]
+        assert len(scans) > len(infeasible) - 1 and all(nodes is not None for _, nodes in scans)
+
+    def test_a_static_field_keeps_one_whole_scan(self, monkeypatch):
+        # Every row of a static field has the same key: one whole scan and
+        # one KD-tree serve them all.
+        config = dict(MOVING_DISK, components=[DISK])
+        field, fresh = field_from_config(config), field_from_config(config)
+        assert not field.time_varying
+        traj = one_row_per_time(fresh, 0.05, np.array([0.0, 0.0]))
+        assert np.count_nonzero(field.margin(0.0, traj.states, 0.05) < 0) > 5
+        want = fresh._distances(0.05, traj.grid.nodes, traj.states)[0]
+        scans = recorded_scans(monkeypatch)
+        got = node_violations(field, 0.05, traj)
+        assert [nodes for _, nodes in scans] == [None] and kd_trees(field) == 1
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_a_nan_margin_row_reads_its_window(self, monkeypatch):
+        # NaN outside the unit disk: rows there are infeasible, and their
+        # windows hold the crossings inside its rim that the whole scan has.
+        config = dict(MOVING_DISK, components=["0.5 - sqrt(1 - x1*x1 - x2*x2) + 0*t"])
+        field, fresh = field_from_config(config), field_from_config(config)
+        traj = Trajectory(
+            TimeGrid(np.array([0.0, 0.5, 1.0])), np.array([[1.05, 0.0], [0.0, -1.2], [0.5, 0.5]])
+        )
+        assert np.isnan(field.margin(traj.grid.nodes, traj.states, 0.05)[:2]).all()
+        want = fresh._distances(0.05, traj.grid.nodes, traj.states)[0]
+        scans = recorded_scans(monkeypatch)
+        got = node_violations(field, 0.05, traj)
+        assert got.tobytes() == want.tobytes() and got[0] > 0 and got[1] > 0
+        assert scans and all(nodes is not None for _, nodes in scans)
+
+    def test_a_lone_row_in_an_infeasible_box_raises(self, monkeypatch):
+        config = dict(MOVING_DISK, components=SCAN_CASES["all-infeasible"][0])
+        traj = Trajectory(TimeGrid(np.array([0.0, 0.7])), np.array([[0.3, 0.2], [0.3, 0.2]]))
+        scans = recorded_scans(monkeypatch)
+        with pytest.raises(InfeasibleTighteningError):
+            node_violations(field_from_config(config), 0.05, traj, start=1)
+        # The window grew until it was the whole lattice.
+        assert scans[-1] == (0.7, None) and len(scans) > 2
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_window_distance_is_the_kd_tree_query_bitwise(self, monkeypatch, dim):
+        from scipy.spatial import cKDTree
+
+        field = field_from_config(
+            {"components": [DISK if dim == 2 else MOVING_BALL["components"][0]],
+             "box": [[-2.0, 2.0]] * dim, "resolution": 0.1}
+        )
+        rng = np.random.default_rng(dim)
+        cloud = np.empty((0, dim))
+        monkeypatch.setattr(geometry, "boundary_points", lambda *args: cloud)
+        for count in [1] * 200 + list(rng.integers(2, 300, size=800)):
+            x = rng.uniform(-1.5, 1.5, size=dim)
+            cloud = x + rng.normal(scale=10.0 ** rng.uniform(-6, 0), size=(count, dim))
+            got = geometry._window_nearest(field, 0.0, 0.0, x, 0.3)[1]
+            want = cKDTree(cloud).query(x)[0]
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (count, x)
 
 
 def per_row_batch(n):
