@@ -332,6 +332,8 @@ def cmd_evaluate(args) -> int:
             f"control has dimension {control.dim}, model expects {model.control_dim}"
         )
     eps = config_number(config, "eps", 0.0, float)
+    if not (np.isfinite(eps) and eps >= 0):
+        raise ConfigError(f"'eps' must be finite and >= 0, got {config['eps']!r}")
     margin = float(np.min(field.margin(traj.grid.nodes, traj.states, eps)))
     weight = weight_from_config(config, model.control_dim)
     cost_ref = float(weighted_l2_cost(ubar, weight))

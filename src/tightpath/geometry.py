@@ -4,17 +4,17 @@ A constraint field is a finite family of scalar functions h_j(t, x); the
 feasible set at tightening eps and time t collects the states with
 max_j h_j(t, x) + eps <= 0, so raising eps shrinks the set. Distance
 queries cover both the set itself and its boundary; fields without a
-closed-form hook fall back to a KD-tree over lattice boundary crossings.
-A key without crossings has an empty crossing set, whose tree puts the
-boundary at infinite distance. A question about one state at a key
-without a tree reads only a lattice window around it, bitwise alike.
+closed-form hook fall back to lattice boundary crossings: a key caches
+only the KD-tree over its whole scan, and a question about one state at a
+key without a tree reads lattice windows around it, bitwise alike. An
+empty tree puts the boundary at infinite distance; a tightened set that
+misses the box raises InfeasibleTighteningError, the one emptiness test.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,9 +172,10 @@ class ConstraintField:
     analytic_distance : callable, optional
         (eps, t, x) -> (distance to the tightened set, distance to its
         boundary), broadcasting like the components. When absent, both
-        distances come from a KD-tree over lattice boundary crossings.
-        That tree is the only use of scipy: ``scipy.spatial`` is imported
-        on the first such query, so a field with this hook never loads it.
+        distances come from lattice boundary crossings (see
+        ``_distances``). Their KD-tree is the only use of scipy:
+        ``scipy.spatial`` is imported when the first one is built, so a
+        field with this hook never loads it.
     resolution : float
         Lattice spacing of the fallback; defaults to the longest box edge
         over 2048 (dim 1), 1024 (dim 2), or 128.
@@ -235,41 +236,37 @@ class ConstraintField:
     def _key(self, t: float, eps: float) -> tuple:
         return (round(t, 9) if self.time_varying else 0.0, round(eps, 12), self.resolution)
 
-    def _tree(self, t: float, eps: float, query: bool = True):
-        """The cache entry of (t, eps): its boundary scan or, once ``query``
-        asks for one, a KD-tree over the scan. The upgrade keeps the key's
-        place in the FIFO order. An empty scan is cached like any other,
-        and its tree answers inf to every query, unless the box is entirely
-        infeasible: then InfeasibleTighteningError is raised, judged by the
-        margin at the box centre."""
+    def _tree(self, t: float, eps: float):
+        """The KD-tree over the whole lattice scan of (t, eps), built at the
+        key's first use; an empty scan's tree answers inf to every query,
+        unless the box is entirely infeasible: then InfeasibleTighteningError
+        is raised, judged by the margin at the box centre."""
         key = self._key(t, eps)
-        tree = self._tree_cache.get(key)
-        if tree is None:
-            tree = boundary_points(self, t, eps)
-            if not len(tree) and not self.margin(t, self.sampling_box.mean(axis=1), eps) >= 0:
+        if key not in self._tree_cache:
+            scan = boundary_points(self, t, eps)
+            if not len(scan) and not self.margin(t, self.sampling_box.mean(axis=1), eps) >= 0:
                 raise InfeasibleTighteningError(
                     f"tightened set at eps={eps}, t={t} misses the sampling box", eps=eps, t=t
                 )
             if len(self._tree_cache) >= _MAX_TREE_CACHE:
                 self._tree_cache.pop(next(iter(self._tree_cache)))
-            self._tree_cache[key] = tree
-        if query and isinstance(tree, np.ndarray):
-            tree = self._tree_cache[key] = _kd_tree(tree)
-        return tree
+            self._tree_cache[key] = _kd_tree(scan)
+        return self._tree_cache[key]
 
     def boundary_cloud(self, t: float, eps: float) -> np.ndarray:
-        """Lattice crossings of the tightened boundary at time t: the key's
-        cached scan, also the data of a KD-tree once a distance query built
-        one. Each key costs one scan, and reading it builds no tree; (0, dim)
-        when the whole box is feasible. Raises InfeasibleTighteningError
-        when the tightened set misses the box."""
-        tree = self._tree(t, eps, query=False)
-        return tree if isinstance(tree, np.ndarray) else tree.data
+        """Lattice crossings of the tightened boundary at time t, (0, dim)
+        without any: the data of the key's KD-tree, or a fresh scan for an
+        analytic field, which builds no tree."""
+        if self.analytic_distance is not None:
+            return boundary_points(self, t, eps)
+        return self._tree(t, eps).data
 
     def _distances(self, eps: float, t, points: np.ndarray):
         """(d_set, d_boundary) arrays for a (n, dim) batch.
 
-        The lattice fallback queries one boundary tree per distinct time.
+        The lattice fallback answers each distinct time on its own: a lone
+        point at a key without a tree from lattice windows
+        (``_lone_distance``), anything else from the key's tree, bitwise alike.
         """
         t = self._times(t)
         if self.analytic_distance is not None:
@@ -283,7 +280,10 @@ class ConstraintField:
             groups = [(t, slice(None))]
         d_bdry = np.empty(points.shape[0])
         for at, rows in groups:
-            d_bdry[rows] = self._tree(at, eps).query(points[rows])[0]
+            x, d = points[rows], None
+            if len(x) == 1 and self._key(at, eps) not in self._tree_cache:
+                d = _lone_distance(self, at, eps, x[0])
+            d_bdry[rows] = self._tree(at, eps).query(x)[0] if d is None else d
         # An infinite boundary distance marks a time whose box is all feasible.
         inside = np.isinf(d_bdry) | (self.margin(t, points, eps) >= 0)
         return np.where(inside, 0.0, d_bdry), d_bdry
@@ -294,13 +294,14 @@ class ConstraintField:
         ``_distances`` is at most ``r``.
 
         The lattice fallback queries the key's KD-tree when one is cached,
-        and otherwise the nearest crossing of a window (``_window_nearest``).
-        A window that is the whole lattice or empty, or that holds neither a
-        crossing nor a feasible node, takes the full scan, so a tightened set
-        that misses the box still raises InfeasibleTighteningError.
+        and otherwise the nearest crossing of one window at reach ``r``
+        (``_window_nearest``). A window that is the whole lattice or empty,
+        or that holds neither a crossing nor a feasible node, asks
+        ``_distances``, so a tightened set that misses the box still raises
+        InfeasibleTighteningError.
         """
         x = np.asarray(x, dtype=float).reshape(1, -1)
-        if self.analytic_distance is None and not self._has_tree(t, eps):
+        if self.analytic_distance is None and self._key(t, eps) not in self._tree_cache:
             near = _window_nearest(self, t, eps, x[0], r)
             if near is not None:
                 if near[1] < np.inf:
@@ -308,10 +309,6 @@ class ConstraintField:
                 if np.any(self.margin(t, _lattice_nodes(self, near[0])[1], eps) >= 0):
                     return False
         return bool(self._distances(eps, t, x)[1][0] <= r)
-
-    def _has_tree(self, t: float, eps: float) -> bool:
-        """Whether the key of (t, eps) holds a KD-tree, not a scan or nothing."""
-        return hasattr(self._tree_cache.get(self._key(t, eps)), "query")
 
 
 def _kd_tree(points: np.ndarray):
@@ -342,6 +339,19 @@ def _window_nearest(field: ConstraintField, t: float, eps: float, x: np.ndarray,
     return tuple(window), float(np.sqrt(((crossings - x) ** 2).sum(axis=1)).min(initial=np.inf))
 
 
+def _lone_distance(field: ConstraintField, t: float, eps: float, x: np.ndarray):
+    """Distance from the (dim,) state x to the nearest crossing of growing
+    windows (``_window_nearest``), or None once a window is the whole
+    lattice or empty. The reach starts at four spacings and doubles while
+    the window has no crossing; a crossing d beyond it takes a rescan at d."""
+    r = 4.0 * field.resolution
+    near = _window_nearest(field, t, eps, x, r)
+    while near is not None and near[1] > r:
+        r = 2.0 * r if near[1] == np.inf else near[1]
+        near = _window_nearest(field, t, eps, x, r)
+    return None if near is None else near[1]
+
+
 def node_violations(
     field: ConstraintField, eps: float, traj: Trajectory, start: int = 0
 ) -> np.ndarray:
@@ -350,36 +360,14 @@ def node_violations(
     ``violation_sup`` takes the max of. Each entry depends on its own node
     alone, so a slice of the result equals the result on that slice.
 
-    A lattice field queries its oracle only at the rows whose margin is
-    not >= 0 (NaN included): a time whose rows are all feasible needs no
-    scan. An infeasible row alone in the call at its key, which holds no
-    KD-tree, reads the nearest crossing of a window around its state
-    (``_window_nearest``) from a reach of four spacings, doubled while the
-    window has none; a crossing d beyond the reach takes one rescan at
-    reach d. Other rows, such as a static field's, which share one key,
-    take one ``_distances`` call, bitwise alike. An analytic field answers
-    every row from its hook."""
+    Only the rows whose margin is not >= 0 (NaN included) ask the oracle,
+    in one ``_distances`` call: a time whose rows are all feasible needs
+    no scan, and an infeasible row alone at its time reads windows."""
     times, states = traj.grid.nodes[start:], traj.states[start:]
-    if field.analytic_distance is not None:
-        return field._distances(eps, times, states)[0]
     out = np.zeros(states.shape[0])
     rows = np.flatnonzero(~(field.margin(times, states, eps) >= 0))
-    keys = Counter(field._key(float(t), eps) for t in times[rows])
-    whole = []
-    for row in rows:
-        t, near = float(times[row]), None
-        if keys[field._key(t, eps)] == 1 and not field._has_tree(t, eps):
-            r = 4.0 * field.resolution
-            near = _window_nearest(field, t, eps, states[row], r)
-            while near is not None and near[1] > r:
-                r = 2.0 * r if near[1] == np.inf else near[1]
-                near = _window_nearest(field, t, eps, states[row], r)
-        if near is None:
-            whole.append(row)
-        else:
-            out[row] = near[1]
-    if whole:
-        out[whole] = field._distances(eps, times[whole], states[whole])[0]
+    if rows.size:
+        out[rows] = field._distances(eps, times[rows], states[rows])[0]
     return out
 
 

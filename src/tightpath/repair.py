@@ -22,6 +22,7 @@ from .errors import (
     BundleError,
     DomainError,
     IntervalRepairError,
+    InfeasibleTighteningError,
     InwardPointingError,
     RepairError,
     ScheduleError,
@@ -199,17 +200,6 @@ def _window_tables(grid, states, theta_values, osc_coef: float, l2_coef: float):
     return ModulusTable(widths, combined), ModulusTable(widths, osc_only)
 
 
-def _tightened_nonempty(field: ConstraintField, eps: float, times) -> bool:
-    """Probe a box lattice for at least one feasible state at each time."""
-    box = field.sampling_box
-    axes = [np.linspace(lo, hi, 13) for lo, hi in box]
-    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, field.dim)
-    for t in times:
-        if not np.any(field.margin(float(t), lattice, eps) >= 0):
-            return False
-    return True
-
-
 def schedule_constants(
     bundle: HypothesisBundle,
     field: ConstraintField,
@@ -223,9 +213,10 @@ def schedule_constants(
     halves until the boundary-drift, oscillation, and drift-versus-slack
     inequalities all hold; the burst rate is 4 over the inward slack; the
     violation cap is the smallest of the three proof caps; the tightening
-    halves from the certified cap until the reference's violation fits
-    under the cap with a strictly interior start. A reference larger than
-    the bundle was certified for, a bundle function off the reference
+    halves from the certified cap until the reference's violation fits under
+    the cap with a strictly interior start (an eps whose tightened set the
+    oracle finds empty is rejected at violation inf). A reference larger
+    than the bundle was certified for, a bundle function off the reference
     grid, or a growth envelope whose Gronwall radius overflows raises
     BundleError. When the full window modulus cannot fit under a quarter
     collar at any representable width (references with large certified
@@ -333,26 +324,27 @@ def schedule_constants(
     if indices[-1] != grid.nodes.size - 1:
         indices.append(grid.nodes.size - 1)
     partition = np.asarray(indices)
-    n0 = len(partition) - 1
 
-    probe_times = grid.nodes[partition[:: max(1, n0 // 8)]]
     eps = bundle.eps_cap
     trail = []
     for _ in range(_MAX_HALVINGS + 1):
-        rho_bar = violation_sup(field, eps, xbar)
-        interior = float(field.margin(t0, xbar.states[0], eps)) > 0
-        nonempty = _tightened_nonempty(field, eps, probe_times)
-        ok = rho_bar <= rho_hat and interior and nonempty
+        try:
+            rho_bar = violation_sup(field, eps, xbar)
+        except InfeasibleTighteningError:
+            rho_bar = np.inf  # the distance to an empty set
+        ok = rho_bar <= rho_hat and float(field.margin(t0, xbar.states[0], eps)) > 0
         trail.append((float(eps), float(rho_bar), bool(ok)))
         if ok:
             break
         eps /= 2.0
     if not ok:
         last_eps, last_rho, _ = trail[-1]
-        if last_rho > rho_hat:
+        if last_rho == np.inf:
+            detail = f"the tightened set is still empty at eps={last_eps:g}"
+        elif last_rho > rho_hat:
             detail = f"violation {last_rho:g} still above the cap {rho_hat:g} at eps={last_eps:g}"
         else:
-            detail = f"no interior start or empty tightened set down to eps={last_eps:g}"
+            detail = f"no interior start down to eps={last_eps:g}"
         raise ScheduleError("eps-infeasible", detail)
 
     return RepairConstants(

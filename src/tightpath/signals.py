@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 
 _REL_TOL = 1e-9
 
@@ -303,31 +303,54 @@ def save_csv(path, obj: ControlSignal | Trajectory) -> None:
 def load_csv(path) -> tuple[np.ndarray, np.ndarray, str]:
     """Read a CSV written by :func:`save_csv`.
 
-    Returns (times, columns, kind) where kind is ``"x"`` or ``"u"``.
+    Returns (times, columns, kind) where kind is ``"x"`` or ``"u"``. A file
+    that is not such a CSV raises ConfigError naming it, and the line of a
+    non-numeric cell or a ragged row.
     """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not header or header[0] != "t" or len(header) < 2:
-        raise DomainError(f"{path}: expected a 't,<x1|u1>...' header")
-    kind = header[1][0]
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            lines = [(number, line.strip()) for number, line in enumerate(fh, 2) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
+    if header[0] != "t" or len(header) < 2:
+        raise ConfigError(f"{path}: expected a 't,<x1|u1>...' header")
+    kind = header[1][:1]
     if kind not in ("x", "u"):
-        raise DomainError(f"{path}: unknown column prefix {header[1]!r}")
-    data = np.array([[float(v) for v in row] for row in rows])
-    if data.shape[1] != len(header):
-        raise ShapeError(f"{path}: ragged rows")
+        raise ConfigError(f"{path}: unknown column prefix {header[1]!r}")
+    if not lines:
+        raise ConfigError(f"{path}: no data rows after the header")
+    rows = []
+    for number, line in lines:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(
+                f"{path}, line {number}: {len(cells)} cells, the header has {len(header)}"
+            )
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError:
+            raise ConfigError(f"{path}, line {number}: a cell is not a number: {line!r}") from None
+    data = np.array(rows)
     return data[:, 0], data[:, 1:], kind
 
 
+def _load_signal(path, kind: str, build):
+    """``build(grid, columns)`` from the CSV at ``path``, which must hold
+    ``kind`` columns; a grid or sample error raises ConfigError naming it."""
+    times, cols, found = load_csv(path)
+    if found != kind:
+        held = {"x": "state", "u": "control"}
+        raise ConfigError(f"{path}: holds {held[found]} columns, not {held[kind]}s")
+    try:
+        return build(TimeGrid(times), cols)
+    except (DomainError, ShapeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def load_trajectory(path) -> Trajectory:
-    times, cols, kind = load_csv(path)
-    if kind != "x":
-        raise DomainError(f"{path}: holds control columns, not states")
-    return Trajectory(TimeGrid(times), cols)
+    return _load_signal(path, "x", Trajectory)
 
 
 def load_control(path) -> ControlSignal:
-    times, cols, kind = load_csv(path)
-    if kind != "u":
-        raise DomainError(f"{path}: holds state columns, not controls")
-    return ControlSignal(TimeGrid(times), cols)
+    return _load_signal(path, "u", ControlSignal)

@@ -307,6 +307,29 @@ def test_moving_disk_repair_scans_the_whole_lattice_at_most_80_times(tmp_path, m
     assert 0 < scans["whole"] <= 80 and 0 < scans["window"] <= 330, scans
 
 
+def test_an_empty_tightened_set_is_a_rejected_rung(tmp_path, capsys):
+    # The certified cap eps = 0.2 leaves x1 <= 0.9, outside the box: the
+    # oracle finds that set empty, and the ladder halves past it to 0.1,
+    # where the reference is 0.03 inside. Before, repair exited 1 with
+    # "misses the sampling box".
+    config = {
+        **SUPERLINEAR_CONFIG,
+        "rhs": ["u1"],
+        "constraint": {"box": [[0.95, 3.0]], "components": ["x1 - 1.1"]},
+        "reference": {**SUPERLINEAR_CONFIG["reference"], "states": [[0.97]] * 5},
+    }
+    path = write_config(tmp_path / "empty-rung.json", config)
+    assert cli.main(["certify", "--config", path, "--out", str(tmp_path)]) == 0
+    bundle = str(tmp_path / "bundle.json")
+    assert cli.main(["repair", "--config", path, "--bundle", bundle, "--out", str(tmp_path)]) == 0
+    assert "eps = 0.10000000000000001\n" in capsys.readouterr().out
+    report = (tmp_path / "report.txt").read_text().split("[tightening trail]\n", 1)[1]
+    assert report.splitlines()[:2] == [
+        "eps = 0.20000000000000001  violation = inf  rejected",
+        "eps = 0.10000000000000001  violation = 0  kept",
+    ]
+
+
 class TestRepair:
     def test_artifacts_written(self, repaired):
         for name in ("x_eps.csv", "u_eps.csv", "report.txt", "overlay.svg"):
@@ -455,6 +478,54 @@ class TestEvaluate:
         code = cli.main(["evaluate", str(bad_x), str(bad_u), "--config", surge_config_path])
         assert code == 64
         assert "dimension" in capsys.readouterr().err
+
+
+# (state CSV, the line it is rejected at, a message fragment): each must
+# exit 64 naming the file, through evaluate and through a csv reference.
+MALFORMED_CSVS = {
+    "header-only": ("t,x1\n", None, "no data rows"),
+    "non-numeric": ("t,x1\n0,1.2\n0.5,abc\n1,1.2\n", 3, "not a number"),
+    "ragged": ("t,x1\n0,1.2\n0.5,1.2,7\n1,1.2\n", 3, "3 cells, the header has 2"),
+    "unknown-prefix": ("t,y1\n0,1.2\n0.5,1.2\n1,1.2\n", None, "unknown column prefix"),
+    "non-increasing": ("t,x1\n0,1.2\n0.5,1.2\n0.5,1.2\n", None, "strictly increasing"),
+    "not-utf-8": ("t,x1\n0,\xff\n", None, "not a text file"),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSVS))
+    def test_a_malformed_csv_exits_64_naming_the_file(self, tmp_path, capsys, case):
+        text, line, needle = MALFORMED_CSVS[case]
+        xp, up = tmp_path / f"{case}.csv", tmp_path / "u.csv"
+        xp.write_bytes(text.encode("latin-1"))
+        up.write_text("t,u1\n0,0\n0.5,0\n1,0\n")
+        config = write_config(tmp_path / "config.json", SUPERLINEAR_CONFIG)
+        reference = {"kind": "csv", "states": str(xp), "controls": str(up)}
+        by_csv = write_config(
+            tmp_path / "csv.json", {**SUPERLINEAR_CONFIG, "reference": reference}
+        )
+        for argv in (
+            ["evaluate", str(xp), str(up), "--config", config],
+            ["certify", "--config", by_csv, "--out", str(tmp_path / "out")],
+        ):
+            assert cli.main(argv) == 64, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and str(xp) in err and needle in err, err
+            if line is not None:
+                assert f"line {line}:" in err, err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0], ids=repr)
+    def test_a_bad_eps_in_evaluate_names_the_key(self, tmp_path, capsys, bad):
+        # Before, NaN and Infinity exited 1, and -1 scored against an
+        # enlarged set with exit 0.
+        xp, up = tmp_path / "x.csv", tmp_path / "u.csv"
+        xp.write_text("t,x1\n0,1.2\n0.5,1.2\n1,1.2\n")
+        up.write_text("t,u1\n0,0\n0.5,0\n1,0\n")
+        for eps, code in ((bad, 64), (0, 0)):
+            path = write_config(tmp_path / "eps.json", {**SUPERLINEAR_CONFIG, "eps": eps})
+            assert cli.main(["evaluate", str(xp), str(up), "--config", path]) == code, eps
+            if code == 64:
+                assert "'eps' must be finite and >= 0" in capsys.readouterr().err
 
 
 def certify_repair_evaluate(workdir, capsys, name, config):

@@ -294,23 +294,17 @@ class TestLatticeScan:
         assert wide.boundary_cloud(0.0, 0.05).shape == (0, 2)
 
 
-def kd_trees(field) -> int:
-    """Cache entries that hold a KD-tree rather than a scan, which may be
-    empty."""
-    return sum(hasattr(entry, "query") for entry in field._tree_cache.values())
-
-
 class TestTreeCache:
-    """A cache entry holds its key's scan until the first distance query
-    builds a KD-tree over it."""
+    """A lattice key caches one thing, the KD-tree over its whole scan,
+    built at its first use; an analytic field caches nothing."""
 
     def test_cloud_is_the_scan_before_and_after_the_first_query(self):
         field = field_from_config(MOVING_DISK)
         want = reference_boundary_points(field, 0.7, 0.05).tobytes()
         assert field.boundary_cloud(0.7, 0.05).tobytes() == want
-        assert kd_trees(field) == 0
-        field._distances(0.05, 0.7, np.array([[0.3, 0.2]]))
-        assert kd_trees(field) == 1 and len(field._tree_cache) == 1
+        assert list(field._tree_cache) == [(0.7, 0.05, field.resolution)]
+        field._distances(0.05, 0.7, np.array([[0.3, 0.2], [1.5, -0.4]]))
+        assert len(field._tree_cache) == 1
         assert field.boundary_cloud(0.7, 0.05).tobytes() == want
 
     def test_distances_after_clouds_match_a_fresh_field(self):
@@ -326,9 +320,10 @@ class TestTreeCache:
     def test_an_analytic_field_builds_no_tree(self):
         field = unit_ball_complement(dim=2)
         cloud = field.boundary_cloud(0.0, 0.05)
-        assert len(cloud) and len(field._tree_cache) == 1 and kd_trees(field) == 0
+        assert len(cloud) and field._tree_cache == {}
+        assert field.boundary_cloud(0.0, 0.05).tobytes() == cloud.tobytes()
         field._distances(0.05, 0.0, cloud[:3])
-        assert kd_trees(field) == 0
+        assert field._tree_cache == {}
 
     def test_a_key_counts_once_against_the_bound(self, monkeypatch):
         monkeypatch.setattr(geometry, "_MAX_TREE_CACHE", 3)
@@ -336,12 +331,12 @@ class TestTreeCache:
         for t in (0.0, 0.5, 1.0):
             field.boundary_cloud(t, 0.05)
         keys = list(field._tree_cache)
-        field._distances(0.05, 0.0, np.array([[0.3, 0.2]]))
-        # The upgrade keeps the key and its place in the FIFO order.
-        assert list(field._tree_cache) == keys and kd_trees(field) == 1
+        trees = list(field._tree_cache.values())
+        field._distances(0.05, 0.0, np.array([[0.3, 0.2], [1.5, -0.4]]))
+        # A query at a cached key reads its tree and keeps its FIFO place.
+        assert list(field._tree_cache) == keys and list(field._tree_cache.values()) == trees
         field.boundary_cloud(1.5, 0.05)
         assert list(field._tree_cache) == keys[1:] + [(1.5, 0.05, field.resolution)]
-        assert kd_trees(field) == 0
 
 
 class TestViolationSup:
@@ -443,15 +438,16 @@ class TestBoundaryWithin:
                     field._tree_cache.clear()
                     got = field.boundary_within(eps, t, x, r)
                     assert got is bool(d <= r), (t, eps, x, r, d)
-            # A cached tree answers the same.
+            # A cached tree answers the same. A one-point query would read
+            # windows, so two points build it.
             field._tree_cache.clear()
-            field._distances(eps, t, crossings[:1])
-            assert kd_trees(field) == 1
+            field._distances(eps, t, crossings[:2])
+            assert len(field._tree_cache) == 1
             for x in np.vstack([near, spread]):
                 d = full_tree_distance(field, eps, t, x)
                 for r in (0.2, d, np.nextafter(d, -np.inf)):
                     assert field.boundary_within(eps, t, x, r) is bool(d <= r)
-            assert kd_trees(field) == 1
+            assert len(field._tree_cache) == 1
 
     def test_a_near_state_scans_only_its_window(self, monkeypatch):
         field = field_from_config(MOVING_DISK)
@@ -464,15 +460,21 @@ class TestBoundaryWithin:
         for nodes in windows:
             assert all(part.stop - part.start <= 21 for part in nodes)
 
-    def test_infeasible_window_takes_the_full_scan(self):
-        # No crossing and no feasible node near the disk's centre: the full
-        # scan finds the boundary beyond 0.2 and caches its tree.
+    def test_an_infeasible_window_falls_back_to_distances(self, monkeypatch):
+        # No crossing and no feasible node within 0.2 of the disk's centre:
+        # _distances grows windows of its own until one holds the boundary,
+        # 1.05 away, and builds no tree.
         field = field_from_config(MOVING_DISK)
+        scans = recorded_scans(monkeypatch)
         assert not field.boundary_within(0.05, 0.0, np.array([0.0, 0.0]), 0.2)
-        assert kd_trees(field) == 1
+        assert len(scans) > 2 and all(nodes is not None for _, nodes in scans)
+        assert field._tree_cache == {}
+        # In an all-infeasible box the windows grow to the whole scan.
         blocked = field_from_config(dict(MOVING_DISK, components=SCAN_CASES["all-infeasible"][0]))
+        scans.clear()
         with pytest.raises(InfeasibleTighteningError):
             blocked.boundary_within(0.05, 0.0, np.array([0.3, 0.2]), 0.2)
+        assert scans[-1] == (0.0, None)
 
     def test_analytic_field_answers_from_its_hook(self):
         field = unit_ball_complement(dim=2)
@@ -481,6 +483,47 @@ class TestBoundaryWithin:
         assert d == pytest.approx(0.4) and field.boundary_within(0.1, 0.0, x, d)
         assert not field.boundary_within(0.1, 0.0, x, np.nextafter(d, 0.0))
         assert field._tree_cache == {}
+
+
+class TestLoneDistances:
+    """A lone _distances row reads lattice windows at a key without a tree
+    and the tree at a key with one, with bitwise a whole-lattice tree's
+    answer either way."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("case", sorted(WITHIN_CASES))
+    def test_matches_a_whole_lattice_tree_bitwise(self, monkeypatch, case):
+        from scipy.spatial import cKDTree
+
+        components, box, resolution = WITHIN_CASES[case]
+        field = field_from_config({"components": components, "box": box, "resolution": resolution})
+        box = np.asarray(box)
+        rng = np.random.default_rng(11)
+        scans = recorded_scans(monkeypatch)
+        for t, eps in ((0.0, 0.05), (0.7, 0.003125)):
+            crossings = reference_boundary_points(field, t, eps)
+            whole = cKDTree(crossings)
+            near = crossings[rng.choice(len(crossings), 10)]
+            near = near + rng.normal(scale=0.1, size=near.shape)
+            spread = rng.uniform(box[:, 0] - 0.5, box[:, 1] + 0.5, size=(10, len(box)))
+            states = np.vstack([near, spread, box[:, 1] + 3.0])
+            d_bdry = whole.query(states)[0]
+            inside = np.isinf(d_bdry) | (field.margin(t, states, eps) >= 0)
+            d_set = np.where(inside, 0.0, d_bdry)
+            for cached in (False, True):
+                field._tree_cache.clear()
+                if cached:
+                    field._distances(eps, t, crossings[:2])
+                scans.clear()
+                for i, x in enumerate(states):
+                    got = field._distances(eps, t, x[None, :])
+                    assert got[0].tobytes() == d_set[i : i + 1].tobytes(), (t, eps, x, cached)
+                    assert got[1].tobytes() == d_bdry[i : i + 1].tobytes(), (t, eps, x, cached)
+                    if not cached and i < len(near):
+                        # A state near the boundary never grows to the whole scan.
+                        assert field._tree_cache == {}
+                if cached:
+                    assert scans == [] and len(field._tree_cache) == 1
 
 
 def lazy_trajectory():
@@ -600,7 +643,9 @@ class TestWindowedNodeViolations:
         infeasible = np.flatnonzero(field.margin(traj.grid.nodes, traj.states, 0.05) < 0)
         row = infeasible[0]
         cached = float(traj.grid.nodes[row])
-        field._distances(0.05, cached, traj.states[row : row + 1])
+        # Two points build the tree; one would read windows.
+        field._distances(0.05, cached, traj.states[row : row + 2])
+        assert len(field._tree_cache) == 1
         want = fresh._distances(0.05, traj.grid.nodes, traj.states)[0]
         scans = recorded_scans(monkeypatch)
         got = node_violations(field, 0.05, traj)
@@ -619,7 +664,7 @@ class TestWindowedNodeViolations:
         want = fresh._distances(0.05, traj.grid.nodes, traj.states)[0]
         scans = recorded_scans(monkeypatch)
         got = node_violations(field, 0.05, traj)
-        assert [nodes for _, nodes in scans] == [None] and kd_trees(field) == 1
+        assert [nodes for _, nodes in scans] == [None] and len(field._tree_cache) == 1
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")

@@ -1,5 +1,5 @@
 """Module boundaries: no module imports another module's private name, and
-the command line loads scipy only for a lattice distance query."""
+the command line loads scipy only for a lattice field's KD-tree."""
 
 import ast
 import json
@@ -91,14 +91,21 @@ def test_a_motor_pipeline_on_the_analytic_ball_loads_no_scipy(tmp_path):
 
 
 def test_a_lattice_distance_query_loads_scipy_spatial():
-    probe = (
+    # A lone state reads lattice windows and builds no KD-tree; a query of
+    # two states builds one, and so does a lattice field's first cloud.
+    field = (
         "import sys, numpy as np\n"
         "from tightpath.geometry import field_from_config\n"
         "field = field_from_config({'components': ['1 - sqrt(x1*x1 + x2*x2)'],\n"
         "                           'box': [[-2.0, 2.0], [-2.0, 2.0]]})\n"
-        "field.boundary_cloud(0.0, 0.05)\n"
-        "print('scipy.spatial' in sys.modules)\n"
+    )
+    query = (
         "field._distances(0.05, 0.0, np.array([[1.5, 0.0]]))\n"
+        "print('scipy.spatial' in sys.modules)\n"
+        "field._distances(0.05, 0.0, np.array([[1.5, 0.0], [0.0, 1.5]]))\n"
         "print('scipy.spatial' in sys.modules)"
     )
-    assert fresh_interpreter(probe).splitlines() == ["False", "True"]
+    assert fresh_interpreter(field + query).splitlines() == ["False", "True"]
+    cloud = "field.boundary_cloud(0.0, 0.05)\nprint('scipy.spatial' in sys.modules)"
+    assert fresh_interpreter(field + cloud).splitlines() == ["True"]
+

@@ -33,6 +33,7 @@ from tightpath import (
     AccuracyError,
     ControlSignal,
     HypothesisBundle,
+    InfeasibleTighteningError,
     InwardPointingError,
     ModulusTable,
     RepairConstants,
@@ -286,6 +287,21 @@ class TestSchedule:
         with pytest.raises(ScheduleError) as err:
             schedule_constants(surge_bundle, sc.field, broken, sc.ubar, 0.1)
         assert err.value.kind == "eps-infeasible"
+
+    def test_an_empty_set_at_every_rung_names_itself(
+        self, monkeypatch, surge_scenario, surge_bundle
+    ):
+        # Each rung the oracle finds empty is rejected at violation inf, and
+        # the detail says the set is empty, not that the start is outside it.
+        def empty(field, eps, traj):
+            raise InfeasibleTighteningError("empty", eps=eps)
+
+        monkeypatch.setattr(importlib.import_module("tightpath.repair"), "violation_sup", empty)
+        sc = surge_scenario
+        with pytest.raises(ScheduleError) as err:
+            schedule_constants(surge_bundle, sc.field, sc.xbar, sc.ubar, 0.1)
+        assert err.value.kind == "eps-infeasible"
+        assert err.value.detail.startswith("the tightened set is still empty at eps=")
 
     def test_rejects_nonpositive_tolerance(self, surge_scenario, surge_bundle):
         from tightpath import DomainError

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tightpath.errors import DomainError, ShapeError
+from tightpath.errors import ConfigError, DomainError, ShapeError
 from tightpath.signals import (
     ControlSignal,
     ModulusTable,
@@ -282,7 +282,7 @@ class TestCsvRoundTrip:
     def test_kind_mixup_rejected(self, tmp_path):
         grid = TimeGrid.uniform(0.0, 1.0, 3)
         save_csv(tmp_path / "u.csv", ControlSignal(grid, np.ones(4)))
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match="u.csv: holds control columns, not states"):
             load_trajectory(tmp_path / "u.csv")
 
     def test_deterministic_bytes(self, tmp_path):
