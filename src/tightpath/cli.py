@@ -26,6 +26,7 @@ from .errors import (
     BundleError,
     CertificationError,
     ConfigError,
+    DomainError,
     ExpressionError,
     PropagationError,
     RepairError,
@@ -106,7 +107,10 @@ def _inline_reference(ref: dict):
         controls = config_array(ref, "controls")
     except KeyError as exc:
         raise ConfigError(f"inline reference needs {exc.args[0]!r}") from None
-    grid = TimeGrid(times)
+    try:
+        grid = TimeGrid(times)
+    except (DomainError, ShapeError) as exc:
+        raise ConfigError(f"inline reference 'times': {exc}") from None
     return Trajectory(grid, states), ControlSignal(grid, controls)
 
 

@@ -83,13 +83,15 @@ class DynamicsModel:
     broadcasting ``rhs`` computes each row from that row alone: the
     certifiers stack rows from different sample sets into one call
     (``rhs_batch``), and a row must come out bitwise the same whichever
-    rows share its call. An ``rhs`` that does not broadcast is called one
-    row at a time. The RK4 stepper calls it four times per step, at float times and with
-    float arrays, and does arithmetic on what it returns without
-    converting or checking it.
+    rows share its call. A batch call passes the time as one float or as
+    an (n,) array with one time per row, which a broadcasting ``rhs``
+    broadcasts over. An ``rhs`` that does not broadcast is called one row
+    at a time, with that row's time as a float. The RK4 stepper calls it
+    four times per step, at float times and with float arrays, and does
+    arithmetic on what it returns without converting or checking it.
     ``shift_hook`` (s, t, x, u_s) -> u_t, when present, is the exact
-    control transport used instead of the sampled search. ``rhs`` and the
-    functions in ``metadata`` (see DeclaredRegularity) take the time as
+    control transport used instead of the sampled search. It and the
+    functions in ``metadata`` (see DeclaredRegularity) take each time as
     one float, never as an array.
 
     ``float_rhs`` declares that ``rhs`` of a one-state, one-control model
@@ -135,20 +137,20 @@ def eval_rhs(model: DynamicsModel, t: float, x, u) -> np.ndarray:
     return out
 
 
-def rhs_batch(model: DynamicsModel, t: float, x_batch: np.ndarray, u_batch: np.ndarray):
-    """Field values for (n, N) states and (n, M) controls; loops if the
-    model's rhs does not broadcast."""
+def rhs_batch(model: DynamicsModel, t, x_batch: np.ndarray, u_batch: np.ndarray):
+    """Field values for (n, N) states and (n, M) controls at a float time t or (n,)
+    row times; loops, with a float time per row, if the model's rhs does not broadcast."""
     x_batch = np.asarray(x_batch, dtype=float)
     u_batch = np.asarray(u_batch, dtype=float)
+    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
     try:
-        out = np.asarray(model.rhs(float(t), x_batch, u_batch), dtype=float)
+        out = np.asarray(model.rhs(t, x_batch, u_batch), dtype=float)
         if out.shape == x_batch.shape:
             return out
     except Exception:
         pass
-    return np.stack(
-        [np.asarray(model.rhs(float(t), xi, ui), dtype=float) for xi, ui in zip(x_batch, u_batch)]
-    )
+    rows = zip(np.broadcast_to(t, len(x_batch)).tolist(), x_batch, u_batch)
+    return np.stack([np.asarray(model.rhs(ti, xi, ui), dtype=float) for ti, xi, ui in rows])
 
 
 def drift_budget(model: DynamicsModel, s: float, t: float) -> float | None:
@@ -252,9 +254,15 @@ def _surge_scale(t: float) -> float:
 
 
 def _decline_decay(t: float) -> float:
-    # Scalar only: motor_decline's rhs is its one caller. sqrt is correctly
-    # rounded in both math and numpy, so this matches the array formula.
+    # sqrt is correctly rounded in math and numpy alike, so this matches
+    # the array branch of the rhs.
     return 1.0 - 0.5 * math.sqrt(t - _BREAK_TIME) if t > _BREAK_TIME else 1.0
+
+
+def _since_break(t) -> np.ndarray:
+    """Time past the break, 0 before it, of a float time or of row times,
+    as a column that scales (1,) or (n, 1) controls row by row."""
+    return np.maximum(np.asarray(t, dtype=float)[..., None] - _BREAK_TIME, 0.0)
 
 
 def _constant(value: float):
@@ -276,23 +284,6 @@ def _identity_transport(s, t, x, u_s):
     return np.asarray(u_s, dtype=float)
 
 
-def _float_form(value, x):
-    """``value``, a numpy ufunc's result on ``x``, as a Python float when x
-    is a float, so that the float RK4 path does no numpy-scalar arithmetic.
-
-    numpy's ufuncs on a float run the same loop as on a one-element array,
-    so both forms agree bitwise; the math module is another library and
-    may not.
-    """
-    return float(value) if isinstance(x, float) else value
-
-
-def _cosine_drift(amplitude: float, x):
-    """The motors' state drift amplitude * cos(x), in the shape of x: a
-    float for a float state, an array for a (1,) state or an (n, 1) batch."""
-    return amplitude * _float_form(np.cos(x), x)
-
-
 def motor_surge(drift_amplitude: float = 0.2) -> DynamicsModel:
     """Motor with control gain 1 up to the break time, then (t-1)^(-1/4).
 
@@ -302,8 +293,13 @@ def motor_surge(drift_amplitude: float = 0.2) -> DynamicsModel:
     """
     amp = float(drift_amplitude)
 
+    # One dispatch: the float RK4 path does no numpy-scalar arithmetic. A
+    # ufunc runs the same loop on a float as on an array: both agree bitwise.
     def rhs(t, x, u):
-        return _cosine_drift(amp, x) + _surge_scale(t) * u
+        if isinstance(x, float):
+            return amp * float(np.cos(x)) + _surge_scale(t) * u
+        gap = _since_break(t)  # power(1, -1/4) is exactly 1
+        return amp * np.cos(x) + np.power(np.where(gap > 0, gap, 1.0), -0.25) * u
 
     def hook(s, t, x, u_s):
         if t <= _BREAK_TIME:
@@ -358,7 +354,9 @@ def motor_decline(drift_amplitude: float = 0.2) -> DynamicsModel:
     def rhs(t, x, u):
         # numpy's arctan, not math.atan, which differs from it by an ulp
         # on some inputs: the float and array forms must agree bitwise.
-        return _cosine_drift(amp, x) + _decline_decay(t) * _float_form(np.arctan(u), u)
+        if isinstance(x, float):
+            return amp * float(np.cos(x)) + _decline_decay(t) * float(np.arctan(u))
+        return amp * np.cos(x) + (1.0 - 0.5 * np.sqrt(_since_break(t))) * np.arctan(u)
 
     def drift_density(s):
         # sqrt is correctly rounded in math and numpy alike.

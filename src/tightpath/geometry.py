@@ -66,11 +66,11 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
     returned callable maps (t, x) with x of shape (dim,) or (n, dim) to a
     scalar or an (n,) array. A division by zero or an overflow in Python
     float arithmetic on ``t`` raises ModelEvaluationError naming the
-    expression and ``t``. A numpy time (a scalar, or one per row) raises
-    for exactly the times a Python float time raises for: when a / or **
-    acts on a term of ``t`` alone, the only place a float time can raise,
-    one row per distinct time is evaluated again at its float time, and
-    the vectorised pass gives no numpy warning.
+    expression and ``t``. A numpy time (a scalar, or one per row) gives
+    each row bitwise what a Python float time gives it, and raises for
+    exactly the times a float time raises for: when a / or ** acts on a
+    term of ``t`` alone, the only place where float and numpy arithmetic
+    differ, the rows of each distinct time are evaluated at its float time.
     ``names`` relabels the coordinates (one name per component) so callers
     can expose mixed variable sets. The checked tree is compiled once, as
     a function of ``(t, *labels)`` that takes the column views of x.
@@ -126,24 +126,25 @@ def compile_expression(expr: str, dim: int, names: tuple = ()):
         except (ZeroDivisionError, OverflowError) as exc:
             raise ModelEvaluationError(f"{expr!r} cannot be evaluated at t={t}: {exc}") from None
 
+    def values(t, x):
+        return np.asarray(evaluate(t, x), dtype=float) + np.zeros(x.shape[:-1])
+
     def component(t, x):
         x = np.asarray(x, dtype=float)
         if not (time_poles and isinstance(t, (np.ndarray, np.generic))):
-            return np.asarray(evaluate(t, x), dtype=float) + np.zeros(x.shape[:-1])
-        # A numpy time gives inf, NaN or even a finite value where a Python
-        # float time raises, and whether a float time raises does not depend
-        # on x: probe one row per distinct time at its float time, a
-        # non-finite row where there is one, so that it raises or warns as a
-        # float time does and this pass stays silent. Every row keeps the
-        # vectorised value.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.asarray(evaluate(t, x), dtype=float) + np.zeros(x.shape[:-1])
-        times = np.broadcast_to(np.asarray(t, dtype=float), out.shape).ravel()
-        rows = np.broadcast_to(x, out.shape + x.shape[-1:]).reshape(-1, x.shape[-1])
-        order = np.lexsort((np.isfinite(out).ravel(), times))
-        for row in order[np.unique(times[order], return_index=True)[1]]:
-            evaluate(float(times[row]), rows[row])
-        return out
+            return values(t, x)
+        # On a term of t alone, float arithmetic raises where numpy's warns,
+        # and its ** may differ by an ulp: evaluate each distinct time's rows
+        # at its float time, in increasing order, as a loop over times would.
+        shape = np.broadcast_shapes(np.shape(t), x.shape[:-1])
+        times = np.broadcast_to(np.asarray(t, dtype=float), shape).ravel()
+        rows = np.broadcast_to(x, shape + x.shape[-1:]).reshape(-1, x.shape[-1])
+        out = np.empty(times.size)
+        order = np.argsort(times, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(times[order])) + 1):
+            if group.size:
+                out[group] = values(float(times[group[0]]), rows[group])
+        return out.reshape(shape)[()]
 
     component.reads_time = "t" in _names(tree)
     return component
@@ -282,7 +283,7 @@ class ConstraintField:
         for at, rows in groups:
             x, d = points[rows], None
             if len(x) == 1 and self._key(at, eps) not in self._tree_cache:
-                d = _lone_distance(self, at, eps, x[0])
+                d = _lone_distance(self, at, eps, x[0], 4.0 * self.resolution)
             d_bdry[rows] = self._tree(at, eps).query(x)[0] if d is None else d
         # An infinite boundary distance marks a time whose box is all feasible.
         inside = np.isinf(d_bdry) | (self.margin(t, points, eps) >= 0)
@@ -295,10 +296,10 @@ class ConstraintField:
 
         The lattice fallback queries the key's KD-tree when one is cached,
         and otherwise the nearest crossing of one window at reach ``r``
-        (``_window_nearest``). A window that is the whole lattice or empty,
-        or that holds neither a crossing nor a feasible node, asks
-        ``_distances``, so a tightened set that misses the box still raises
-        InfeasibleTighteningError.
+        (``_window_nearest``). A window with neither a crossing nor a feasible
+        node resumes ``_lone_distance``'s growth at reach 2r, one that is the
+        whole lattice or empty asks ``_distances``: a tightened set that
+        misses the box still ends in the whole scan, which raises.
         """
         x = np.asarray(x, dtype=float).reshape(1, -1)
         if self.analytic_distance is None and self._key(t, eps) not in self._tree_cache:
@@ -308,6 +309,8 @@ class ConstraintField:
                     return bool(near[1] <= r)
                 if np.any(self.margin(t, _lattice_nodes(self, near[0])[1], eps) >= 0):
                     return False
+                d = _lone_distance(self, t, eps, x[0], 2.0 * r)
+                return bool((self._tree(t, eps).query(x)[0][0] if d is None else d) <= r)
         return bool(self._distances(eps, t, x)[1][0] <= r)
 
 
@@ -339,12 +342,11 @@ def _window_nearest(field: ConstraintField, t: float, eps: float, x: np.ndarray,
     return tuple(window), float(np.sqrt(((crossings - x) ** 2).sum(axis=1)).min(initial=np.inf))
 
 
-def _lone_distance(field: ConstraintField, t: float, eps: float, x: np.ndarray):
+def _lone_distance(field: ConstraintField, t: float, eps: float, x: np.ndarray, r: float):
     """Distance from the (dim,) state x to the nearest crossing of growing
     windows (``_window_nearest``), or None once a window is the whole
-    lattice or empty. The reach starts at four spacings and doubles while
-    the window has no crossing; a crossing d beyond it takes a rescan at d."""
-    r = 4.0 * field.resolution
+    lattice or empty. The reach starts at ``r`` and doubles while the
+    window has no crossing; a crossing d beyond it takes a rescan at d."""
     near = _window_nearest(field, t, eps, x, r)
     while near is not None and near[1] > r:
         r = 2.0 * r if near[1] == np.inf else near[1]

@@ -86,6 +86,9 @@ INCLUSION_GRID_POINTS = 16
 _PUSH_BOUND_SLACK = 1e-9
 # At most this many reference nodes are time-regularity base times.
 TIME_REGULARITY_NODES = 81
+# Rows per model call of the growth and Lipschitz node loops, which tile their
+# samples over a chunk of nodes: larger chunks ran slower and raise peak memory.
+_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -134,12 +137,18 @@ class OperatingBox:
         )
 
     def sample_states(self, rng, count: int) -> np.ndarray:
-        return rng.uniform(self.states[:, 0], self.states[:, 1], size=(count, self.states.shape[0]))
+        return _draw_box(rng, self.states, count)
 
     def sample_controls(self, rng, count: int) -> np.ndarray:
-        return rng.uniform(
-            self.controls[:, 0], self.controls[:, 1], size=(count, self.controls.shape[0])
-        )
+        return _draw_box(rng, self.controls, count)
+
+
+def _draw_box(rng, box: np.ndarray, count: int) -> np.ndarray:
+    """``count`` points drawn uniformly from a (dim, 2) box; axes that share one range
+    pass it as floats, which numpy draws the same numbers from, without a broadcast."""
+    rows = box.tolist()
+    lo, hi = rows[0] if rows.count(rows[0]) == len(rows) else (box[:, 0], box[:, 1])
+    return rng.uniform(lo, hi, size=(count, len(rows)))
 
 
 def _envelope(time_grid: TimeGrid, raw: np.ndarray, declared, undershoot: str) -> SampledFunction:
@@ -156,16 +165,27 @@ def _envelope(time_grid: TimeGrid, raw: np.ndarray, declared, undershoot: str) -
     return SampledFunction(time_grid, bound)
 
 
-def _ratio_scale(states, controls) -> np.ndarray:
-    """The denominators 1 + |x| + |u| of the growth ratios."""
-    return 1.0 + np.linalg.norm(states, axis=1) + np.linalg.norm(controls, axis=1)
+def _node_maxima(model, times, states, controls, reduce) -> np.ndarray:
+    """``reduce(f)`` of the field f, shaped (nodes, rows, N), at the sample
+    rows at each of ``times``: one ``rhs_batch`` call per chunk of nodes,
+    of at most ``_CHUNK_ROWS`` tiled rows unless one node alone has more."""
+    per = max(1, _CHUNK_ROWS // len(states))
+    x, u = (np.tile(rows, (min(per, len(times)), 1)) for rows in (states, controls))
+    out = np.empty(len(times))
+    for start in range(0, len(times), per):
+        chunk = np.asarray(times[start : start + per], dtype=float)
+        n = len(chunk) * len(states)
+        f = rhs_batch(model, np.repeat(chunk, len(states)), x[:n], u[:n])
+        out[start : start + len(chunk)] = reduce(f.reshape(len(chunk), len(states), -1))
+    return out
 
 
-def _ratio_max(model, t, states, controls, scale) -> float:
-    """Largest growth ratio |f| / ``scale`` at time t; ``scale`` is the
-    ``_ratio_scale`` of the same states and controls."""
-    values = rhs_batch(model, t, states, controls)
-    return float((np.linalg.norm(values, axis=1) / scale).max())
+def _ratio_maxima(model, times, states, controls) -> np.ndarray:
+    """Largest growth ratio |f| / (1 + |x| + |u|) over the samples at each of ``times``."""
+    scale = 1.0 + np.linalg.norm(states, axis=1) + np.linalg.norm(controls, axis=1)
+    return _node_maxima(
+        model, times, states, controls, lambda f: (np.linalg.norm(f, axis=2) / scale).max(axis=1)
+    )
 
 
 def certify_sublinear(
@@ -187,15 +207,12 @@ def certify_sublinear(
     controls = box.sample_controls(rng, n_samples)
     declared = model.metadata.growth_envelope
     nodes = time_grid.nodes
-    scale = _ratio_scale(states, controls)
-    raw = np.array([_ratio_max(model, t, states, controls, scale) for t in nodes])
+    raw = _ratio_maxima(model, nodes, states, controls)
     if declared is None:
         # Super-linear probe: growth must saturate as the control box scales.
         probe_times = nodes[:: max(1, nodes.size // 8)]
-        wide, wider = 4.0 * controls, 8.0 * controls
-        scale_wide, scale_wider = _ratio_scale(states, wide), _ratio_scale(states, wider)
-        last = np.array([_ratio_max(model, t, states, wide, scale_wide) for t in probe_times])
-        final = np.array([_ratio_max(model, t, states, wider, scale_wider) for t in probe_times])
+        last = _ratio_maxima(model, probe_times, states, 4.0 * controls)
+        final = _ratio_maxima(model, probe_times, states, 8.0 * controls)
         growth = final / np.maximum(last, 1e-12)
         if float(growth.max()) > 1.5:
             j = int(np.argmax(growth))
@@ -223,9 +240,7 @@ def certify_lipschitz(
     control_box = np.asarray(control_box, dtype=float)
     n = model.state_dim
     base = ball_points(rng, n_samples, n, radius_R)
-    controls = rng.uniform(
-        control_box[:, 0], control_box[:, 1], size=(n_samples, control_box.shape[0])
-    )
+    controls = _draw_box(rng, control_box, n_samples)
     directions = rng.standard_normal((n_samples, n))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
 
@@ -262,18 +277,17 @@ def certify_lipschitz(
                 f"difference quotients diverge at t={t}: field is not Lipschitz in x",
                 witness={"t": t, "pair": witness},
             )
-    # Each node's field is one call on the base points stacked over their
-    # partners at every separation; the rows of a call are independent.
+    # Each node's field at the base points stacked over their partners.
     seps = np.array([0.4 * radius_R, 1e-2 * radius_R, 1e-4 * radius_R])
     stacked = np.vstack([base] + [base + sep * directions for sep in seps])
     stacked_controls = np.tile(controls, (len(seps) + 1, 1))
-    shape = (len(seps) + 1, n_samples, n)
+
+    def quotient_maxima(f):
+        f = f.reshape(len(f), len(seps) + 1, n_samples, n)
+        return (np.linalg.norm(f[:, :1] - f[:, 1:], axis=3) / seps[:, None]).max(axis=(1, 2))
+
+    raw = _node_maxima(model, time_grid.nodes, stacked, stacked_controls, quotient_maxima)
     declared = model.metadata.state_lipschitz
-    nodes = time_grid.nodes
-    raw = np.empty(len(nodes))
-    for k, t in enumerate(nodes):
-        f = rhs_batch(model, float(t), stacked, stacked_controls).reshape(shape)
-        raw[k] = (np.linalg.norm(f[0] - f[1:], axis=2) / seps[:, None]).max()
     return _envelope(time_grid, raw, declared, "Lipschitz modulus undershoots sampled quotient")
 
 
@@ -311,7 +325,7 @@ def _collar_samples(
             hug.append(ring[int(np.argmax(margins))])
     hug = np.asarray(hug).reshape(-1, dim)
 
-    draws = rng.uniform(box[:, 0], box[:, 1], size=(64 * count, dim))
+    draws = _draw_box(rng, box, 64 * count)
     margins = field.margin(t, draws, eps)
     feasible = draws[margins >= 0]
     infeasible = draws[margins < 0]
@@ -611,6 +625,20 @@ def certify_inward_pointing(
     )
 
 
+def _drift_fields(model: DynamicsModel, s: float, drawn: list):
+    """(f(s, x, u_s), f(t, x, u_t)) of each drawn (t, x, u_s, u_t): from one
+    call at s and one with a time per row, or if either raises, lazily from
+    two calls per sample, so the first error in sample order is raised."""
+    if not drawn:
+        return ()
+    ts, xs, us, uts = (np.array(column) for column in zip(*drawn))
+    try:
+        return zip(rhs_batch(model, s, xs, us), rhs_batch(model, ts, xs, uts))
+    except Exception:
+        pairs = ((model.rhs(s, x, u_s), model.rhs(t, x, u_t)) for t, x, u_s, u_t in drawn)
+        return ((np.asarray(a, dtype=float), np.asarray(b, dtype=float)) for a, b in pairs)
+
+
 def certify_time_regularity(
     model: DynamicsModel,
     ubar: ControlSignal,
@@ -643,17 +671,24 @@ def certify_time_regularity(
         if s >= horizon:
             continue
         radius = control_radius(s)
+        # Draw and transport one sample at a time, in the RNG stream's order;
+        # a failed transport is raised after the checks of the samples before it.
+        drawn, failed = [], None
         for _ in range(TIME_REGULARITY_SAMPLES):
             t = float(rng.uniform(s, horizon))
             if t <= s:
                 continue
             x = box.sample_states(rng, 1)[0]
             u_s = ball_points(rng, 1, model.control_dim, radius)[0]
-            u_t = shift_selection(model, s, t, x, u_s, seed=seed)
+            try:
+                drawn.append((t, x, u_s, shift_selection(model, s, t, x, u_s, seed=seed)))
+            except Exception as exc:
+                failed = exc
+                break
+        rate = float(meta.holder_rate_scale(s)) if meta.holder_exponent is not None else None
+        for (t, x, u_s, u_t), (f_s, f_t) in zip(drawn, _drift_fields(model, s, drawn)):
             moved = float(np.linalg.norm(u_t - u_s))
             beta_vals[i] = max(beta_vals[i], moved)
-            f_s = np.asarray(model.rhs(s, x, u_s), dtype=float)
-            f_t = np.asarray(model.rhs(t, x, u_t), dtype=float)
             residual = float(np.linalg.norm(f_t - f_s))
             budget = drift_budget(model, s, t)
             if budget is not None:
@@ -666,7 +701,6 @@ def certify_time_regularity(
             elif t - s <= 4 * sub.step:
                 drift_quot[i] = max(drift_quot[i], residual / (t - s))
             if meta.holder_exponent is not None:
-                rate = float(meta.holder_rate_scale(s))
                 if np.isfinite(rate):
                     cap = (t - s) ** meta.holder_exponent * rate * radius
                     if moved > cap * _VALIDATE_SLACK + 1e-12:
@@ -677,6 +711,8 @@ def certify_time_regularity(
                         )
             else:
                 holder_quot[i] = max(holder_quot[i], moved / (t - s))
+        if failed is not None:
+            raise failed
         if meta.shift_radius_scale is not None:
             declared_radius = float(meta.shift_radius_scale(s)) * radius
             if beta_vals[i] > declared_radius * _VALIDATE_SLACK + 1e-12:

@@ -514,6 +514,15 @@ class TestMalformedInputs:
             if line is not None:
                 assert f"line {line}:" in err, err
 
+    def test_inline_times_that_do_not_increase_exit_64_naming_times(self, tmp_path, capsys):
+        # Before, TimeGrid's DomainError reached the user as exit 1.
+        reference = {**SUPERLINEAR_CONFIG["reference"], "times": [0.0, 0.25, 0.25, 0.75, 1.0]}
+        path = write_config(tmp_path / "times.json", {**SUPERLINEAR_CONFIG, "reference": reference})
+        assert cli.main(["certify", "--config", path, "--out", str(tmp_path / "out")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("config error: inline reference 'times'")
+        assert "strictly increasing" in err
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0], ids=repr)
     def test_a_bad_eps_in_evaluate_names_the_key(self, tmp_path, capsys, bad):
         # Before, NaN and Infinity exited 1, and -1 scored against an

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -128,6 +130,75 @@ class TestEvalRhs:
         batch = rhs_batch(model, 1.3, xs, us)
         rows = np.stack([eval_rhs(model, 1.3, x, u) for x, u in zip(xs, us)])
         assert batch == pytest.approx(rows, abs=0)
+
+
+def non_broadcasting(rhs):
+    """A one-state, one-control model whose rhs takes one row and one
+    float time at a time."""
+
+    def one_row(t, x, u):
+        if np.ndim(x) != 1 or not isinstance(t, float):
+            raise TypeError("one row and one float time at a time")
+        return rhs(t, x, u)
+
+    return DynamicsModel(state_dim=1, control_dim=1, rhs=one_row)
+
+
+# Times before, at and after the motors' break at 1.0, each on several rows.
+ROW_TIMES = np.repeat(
+    [0.0, 0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-9, 1.3, 2.0, 3.7], 7
+)
+
+ROW_TIME_MODELS = {
+    "motor_surge": motor_surge(),
+    "motor_decline": motor_decline(),
+    "expression": expression_model(
+        ["sin(x2)*u1 + 0.5*x1 + t", "cos(3*t)*u2 - x1*(t + 1)**0.25 + 2**t"], 2, 2
+    ),
+    "control_affine": model_from_config(
+        {**DOUBLE_INTEGRATOR, "drift": ["x2", "0.05*sin(3*t)"], "gain": [["2"], ["x2*t**1.5"]]}
+    ),
+    "non-broadcasting": non_broadcasting(lambda t, x, u: np.sin(x) * u + np.cos(t) * t**0.5),
+}
+
+
+class TestRowTimes:
+    """rhs_batch with one time per row against row-by-row calls at float times."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_TIME_MODELS))
+    def test_matches_float_time_rows_bitwise(self, name):
+        model = ROW_TIME_MODELS[name]
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(-2.0, 2.0, size=(len(ROW_TIMES), model.state_dim))
+        us = rng.uniform(-2.0, 2.0, size=(len(ROW_TIMES), model.control_dim))
+        got = rhs_batch(model, ROW_TIMES, xs, us)
+        want = np.stack([model.rhs(float(t), x, u) for t, x, u in zip(ROW_TIMES, xs, us)])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if model.float_rhs:
+            rows = zip(ROW_TIMES.tolist(), xs[:, 0].tolist(), us[:, 0].tolist())
+            floats = np.array([model.rhs(t, x, u) for t, x, u in rows])
+            assert got[:, 0].tobytes() == floats.tobytes()
+
+    def test_a_time_pole_raises_at_the_time_of_the_per_node_loop(self):
+        model = expression_model(["u1 + x1/(t - 1.3)"], 1, 1)
+        pole = expression_model(["u1 + 1/(t - 1.3)"], 1, 1)
+        xs = np.linspace(-1.0, 1.0, len(ROW_TIMES))[:, None]
+        us = np.full((len(ROW_TIMES), 1), 0.5)
+        # A pole that reads x is numpy's: inf with a warning, both ways.
+        with np.errstate(divide="ignore"):
+            rows = zip(ROW_TIMES, xs, us)
+            want = np.stack([rhs_batch(model, float(t), x[None], u[None])[0] for t, x, u in rows])
+            assert rhs_batch(model, ROW_TIMES, xs, us).tobytes() == want.tobytes()
+        for times in (ROW_TIMES, ROW_TIMES[::-1]):
+            with pytest.raises(ModelEvaluationError) as per_node:
+                for t in np.unique(times):
+                    rhs_batch(pole, float(t), xs, us)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ModelEvaluationError) as per_row:
+                    rhs_batch(pole, times, xs, us)
+            assert str(per_row.value) == str(per_node.value)
+            assert "at t=1.3:" in str(per_row.value)
 
 
 class TestDeclineDecay:

@@ -462,8 +462,8 @@ class TestBoundaryWithin:
 
     def test_an_infeasible_window_falls_back_to_distances(self, monkeypatch):
         # No crossing and no feasible node within 0.2 of the disk's centre:
-        # _distances grows windows of its own until one holds the boundary,
-        # 1.05 away, and builds no tree.
+        # the windows grow from there until one holds the boundary, 1.05
+        # away, and no tree is built.
         field = field_from_config(MOVING_DISK)
         scans = recorded_scans(monkeypatch)
         assert not field.boundary_within(0.05, 0.0, np.array([0.0, 0.0]), 0.2)
@@ -475,6 +475,24 @@ class TestBoundaryWithin:
         with pytest.raises(InfeasibleTighteningError):
             blocked.boundary_within(0.05, 0.0, np.array([0.3, 0.2]), 0.2)
         assert scans[-1] == (0.0, None)
+
+    def test_an_infeasible_window_resumes_growth_at_its_reach(self, monkeypatch):
+        # Within 0.2 of the disk's centre there is neither a crossing nor a
+        # feasible node. The growth resumes at reach 0.4 and doubles to 0.8,
+        # whose window holds the boundary 1.05 away, then rescans at that
+        # distance: four windows, where a restart at four spacings took six.
+        field = field_from_config(MOVING_DISK)
+        states = np.array([[0.0, 0.0], [0.1, -0.2]])
+        distances = [full_tree_distance(field, 0.05, 0.0, x) for x in states]
+        scans = recorded_scans(monkeypatch)
+        assert not field.boundary_within(0.05, 0.0, states[0], 0.2)
+        sizes = [tuple(part.stop - part.start for part in nodes) for _, nodes in scans]
+        assert sizes == [(19, 19), (35, 35), (68, 68), (87, 87)]
+        assert field._tree_cache == {}
+        for x, d in zip(states, distances):
+            for r in (0.2, 0.5, np.nextafter(d, -np.inf), d):
+                assert field.boundary_within(0.05, 0.0, x, r) is bool(d <= r), (x, r)
+        assert field._tree_cache == {}
 
     def test_analytic_field_answers_from_its_hook(self):
         field = unit_ball_complement(dim=2)

@@ -62,7 +62,16 @@ from tightpath import (
 )
 from tightpath import geometry, hypotheses
 from tightpath.cli import load_problem
-from tightpath.dynamics import DynamicsModel, ball_points, rhs_batch
+from tightpath.dynamics import (
+    DeclaredRegularity,
+    DynamicsModel,
+    _identity_transport,
+    ball_points,
+    drift_budget,
+    rhs_batch,
+    shift_selection,
+)
+from tightpath.errors import ModelEvaluationError, SelectionError
 from tightpath.hypotheses import (
     COLLAR_ETA_GRID,
     CONTROL_BOUNDS,
@@ -72,7 +81,7 @@ from tightpath.hypotheses import (
     _collar_samples,
     control_candidates,
 )
-from tightpath.signals import trapezoid_prefix, weighted_l2_cost
+from tightpath.signals import subsample, trapezoid_prefix, weighted_l2_cost
 from test_dynamics import DOUBLE_INTEGRATOR
 
 GRID = TimeGrid.uniform(0.0, 2.0, 400)
@@ -86,6 +95,27 @@ def pure_control_model(power: int = 1) -> DynamicsModel:
         return u**power + 0.0 * np.asarray(x, dtype=float)
 
     return DynamicsModel(state_dim=1, control_dim=1, rhs=rhs)
+
+
+class TestBoxDraws:
+    @pytest.mark.parametrize(
+        "states",
+        [[[-3.2, 3.2]], [[-3.2, 3.2]] * 3, [[-1.0, 2.0], [-1.0, 2.5]], [[0.0, 1.0], [-1.0, 1.0]]],
+        ids=["cube-1", "cube-3", "uneven-high", "uneven-low"],
+    )
+    def test_draws_are_the_column_draws_bitwise(self, states):
+        # A box whose axes share one range is drawn from two floats; numpy
+        # must give the bits and leave the stream where the columns do.
+        box = OperatingBox(np.array(states), np.array([[-1.5, 1.5]]))
+        for count in (1, 5, 300):
+            ours, theirs = np.random.default_rng(count), np.random.default_rng(count)
+            for _ in range(50):
+                got = box.sample_states(ours, count)
+                want = theirs.uniform(box.states[:, 0], box.states[:, 1], size=got.shape)
+                assert got.shape == (count, len(states)) and got.tobytes() == want.tobytes()
+                want = theirs.uniform(box.controls[:, 0], box.controls[:, 1], size=(1, 1))
+                assert box.sample_controls(ours, 1).tobytes() == want.tobytes()
+            assert ours.random() == theirs.random()
 
 
 class TestSublinear:
@@ -906,6 +936,18 @@ PLANAR_DRIFT = model_from_config(
 )
 
 
+# Python's ** on a float time and numpy's on row times differ by an ulp on
+# some inputs; the rows of each time must read as at a float time.
+TIME_POWER_DRIFT = model_from_config(
+    {
+        "model": "expression",
+        "state_dim": 2,
+        "control_dim": 2,
+        "rhs": ["x1*(t + 0.5)**0.25 + u1", "u2*x2 - (3*t + 1)**1.5 + 2**t"],
+    }
+)
+
+
 def envelope_raw(certify, *args, **kwargs) -> np.ndarray:
     """The per-node sampled maxima a certifier hands to ``_envelope``."""
     seen = []
@@ -961,6 +1003,7 @@ BATCHED_MODELS = [
     pytest.param(motor_decline(), 1, id="motor_decline-"),
     pytest.param(motor_surge(), 1, id="motor_surge-"),
     pytest.param(PLANAR_DRIFT, 2, id="expression-"),
+    pytest.param(TIME_POWER_DRIFT, 2, id="expression-time-power-"),
     pytest.param(non_broadcasting_model(), 1, id="per-row-"),
 ]
 
@@ -982,7 +1025,8 @@ class TestBatchedSampleLoops:
 
     @pytest.mark.parametrize("model, m", BATCHED_MODELS)
     def test_sublinear_raw_is_bitwise(self, model, m):
-        for n_samples, seed in ((64, 0), (33, 4)):
+        # 300 samples split the 41 nodes into two chunks.
+        for n_samples, seed in ((64, 0), (33, 4), (300, 1)):
             box = OperatingBox.from_radii(2.5, 1.5, model.state_dim, m)
             got = envelope_raw(
                 certify_sublinear, model, box, self.SMALL_GRID, n_samples=n_samples, seed=seed
@@ -1009,24 +1053,42 @@ class TestBatchedSampleLoops:
         j = int(np.argmax(growth))
         assert info.value.witness == {"t": float(probe_times[j]), "ratio_growth": float(growth[j])}
 
-    def test_one_rhs_call_per_node(self):
+    def test_one_rhs_call_per_chunk_of_nodes(self):
         calls = []
 
         def rhs(t, x, u):
-            calls.append(np.shape(x))
+            calls.append((np.shape(x), np.array(t, dtype=float)))
             return np.sin(np.asarray(x, dtype=float)) * np.asarray(u, dtype=float)
+
+        def chunked(times, rows):
+            """(shape, row times) of each call over ``times`` at ``rows`` rows per node."""
+            per = hypotheses._CHUNK_ROWS // rows
+            parts = np.split(times, np.arange(per, len(times), per))
+            return [((len(part) * rows, 1), np.repeat(part, rows)) for part in parts]
+
+        def check(want):
+            assert [shape for shape, _ in calls] == [shape for shape, _ in want]
+            for (_, t), (_, want_t) in zip(calls, want):
+                assert t.tobytes() == want_t.tobytes()
+            calls.clear()
 
         model = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs)
         nodes = self.SMALL_GRID.nodes
         certify_lipschitz(model, 1.0, CONTROL_BOX, self.SMALL_GRID, n_samples=32)
-        # The zoom probe makes two calls per separation at each probe time.
-        probes = len(nodes[:: max(1, nodes.size // 4)])
-        assert len(calls) == 8 * probes + len(nodes)
-        assert calls[-1] == (4 * 32, 1)
-        calls.clear()
+        # The zoom probe makes two calls per separation at each probe time,
+        # at that one time. Then the 4 x 32 stacked rows of all 41 nodes
+        # take one call of 5,248 rows.
+        zoom = [((32, 1), np.array(t)) for t in nodes[:: max(1, nodes.size // 4)] for _ in range(8)]
+        want = zoom + chunked(nodes, 4 * 32)
+        assert [shape for shape, _ in want[len(zoom) :]] == [(5248, 1)]
+        check(want)
         certify_sublinear(model, OperatingBox.from_radii(1.0, 1.0, 1, 1), self.SMALL_GRID)
-        probes = len(nodes[:: max(1, nodes.size // 8)])
-        assert len(calls) == len(nodes) + 2 * probes
+        # 256 samples: 32 nodes per call, then the super-linear probe's 9
+        # times in one call per control box.
+        probes = nodes[:: max(1, nodes.size // 8)]
+        want = chunked(nodes, 256) + 2 * chunked(probes, 256)
+        assert [shape[0] for shape, _ in want] == [8192, 2304, 2304, 2304]
+        check(want)
 
 
 def _decline_config():
@@ -1245,6 +1307,233 @@ class TestTimeRegularity:
         with pytest.raises(CertificationError, match="exceeds the declared budget") as info:
             certify_time_regularity(starved, ubar, box, GRID, control_bound=1.0, seed=0)
         assert info.value.witness["t"] > info.value.witness["s"]
+
+
+def per_sample_time_regularity(model, ubar, box, time_grid, control_bound, seed=0):
+    """Reference: certify_time_regularity as it was before each base
+    node's samples shared two model calls, with two single-state calls and
+    their checks per sample, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    sub = TimeGrid(subsample(time_grid.nodes, hypotheses.TIME_REGULARITY_NODES))
+    horizon = float(time_grid.t1)
+    meta = model.metadata
+    slack = hypotheses._VALIDATE_SLACK
+
+    def control_radius(s):
+        return control_bound + float(np.linalg.norm(ubar.eval(s)))
+
+    beta_vals, drift_quot, holder_quot = np.zeros((3, len(sub)))
+    for i, s in enumerate(sub.nodes):
+        s = float(s)
+        if s >= horizon:
+            continue
+        radius = control_radius(s)
+        for _ in range(hypotheses.TIME_REGULARITY_SAMPLES):
+            t = float(rng.uniform(s, horizon))
+            if t <= s:
+                continue
+            x = box.sample_states(rng, 1)[0]
+            u_s = ball_points(rng, 1, model.control_dim, radius)[0]
+            u_t = shift_selection(model, s, t, x, u_s, seed=seed)
+            moved = float(np.linalg.norm(u_t - u_s))
+            beta_vals[i] = max(beta_vals[i], moved)
+            f_s = np.asarray(model.rhs(s, x, u_s), dtype=float)
+            f_t = np.asarray(model.rhs(t, x, u_t), dtype=float)
+            residual = float(np.linalg.norm(f_t - f_s))
+            budget = drift_budget(model, s, t)
+            witness = {"s": s, "t": t, "x": x.copy(), "u": u_s.copy()}
+            if budget is not None:
+                if residual > budget * slack + 1e-9:
+                    raise CertificationError("drift", witness=witness)
+            elif t - s <= 4 * sub.step:
+                drift_quot[i] = max(drift_quot[i], residual / (t - s))
+            if meta.holder_exponent is not None:
+                rate = float(meta.holder_rate_scale(s))
+                if np.isfinite(rate):
+                    cap = (t - s) ** meta.holder_exponent * rate * radius
+                    if moved > cap * slack + 1e-12:
+                        raise CertificationError("holder", witness=witness)
+            else:
+                holder_quot[i] = max(holder_quot[i], moved / (t - s))
+        if meta.shift_radius_scale is not None:
+            if beta_vals[i] > float(meta.shift_radius_scale(s)) * radius * slack + 1e-12:
+                raise CertificationError("radius", witness={"s": s})
+    if meta.time_drift is not None:
+        nodes = time_grid.nodes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.array([float(meta.time_drift(t)) for t in nodes])
+        vals[~np.isfinite(vals)] = 0.0
+        for sigma in model.time_breakpoints:
+            j = int(np.searchsorted(nodes, sigma))
+            for i in range(max(j - 2, 0), min(j + 2, len(nodes) - 1)):
+                a, b = float(nodes[i]), float(nodes[i + 1])
+                budget = drift_budget(model, a, b)
+                if budget > 0.5 * (vals[i] + vals[i + 1]) * (b - a):
+                    grow = i + 1 if abs(b - sigma) >= abs(a - sigma) else i
+                    other = i if grow == i + 1 else i + 1
+                    vals[grow] = 2.0 * budget / (b - a) - vals[other]
+    else:
+        vals = np.interp(time_grid.nodes, sub.nodes, hypotheses._SAFETY * drift_quot)
+    if meta.holder_exponent is None:
+        return vals, beta_vals, 1.0, hypotheses._SAFETY * holder_quot
+    rates = np.array(
+        [float(meta.holder_rate_scale(s)) * control_radius(float(s)) for s in sub.nodes]
+    )
+    for i, s in enumerate(sub.nodes):
+        if not np.isfinite(rates[i]):
+            half = float(meta.holder_rate_scale(float(s) + 0.5 * sub.step))
+            rates[i] = half * control_radius(float(s))
+    return vals, beta_vals, float(meta.holder_exponent), rates
+
+
+def hooked_model(rhs, hook, state_dim=1, control_dim=1, **regularity) -> DynamicsModel:
+    return DynamicsModel(
+        state_dim=state_dim,
+        control_dim=control_dim,
+        rhs=rhs,
+        shift_hook=hook,
+        metadata=DeclaredRegularity(**regularity),
+    )
+
+
+def late_failing_rhs(t, x, u):
+    """u + t, or ModelEvaluationError naming the latest time past 1.7 it
+    was asked for: a batch names another time than its first late row."""
+    late = np.asarray(t, dtype=float) > 1.7
+    if late.any():
+        raise ModelEvaluationError(f"no field at t={float(np.max(np.asarray(t)[late]))}")
+    column = np.reshape(t, np.shape(t) + (1,) * (np.ndim(u) - np.ndim(t)))
+    return np.asarray(u, dtype=float) + column
+
+
+class TestTwoCallsPerBaseNode:
+    """certify_time_regularity against the per-sample loop it replaced."""
+
+    SMALL_GRID = TimeGrid.uniform(0.0, 2.0, 40)
+
+    MODELS = {
+        "motor_decline": (motor_decline(), 1),
+        "motor_surge": (motor_surge(), 1),
+        "expression-reads-t": (
+            model_from_config(
+                {
+                    "model": "expression",
+                    "state_dim": 2,
+                    "control_dim": 2,
+                    "rhs": ["sin(x2)*u1 + 0.5*x1 + t", "cos(3*t)*u2 - x1*(t + 1)**0.25"],
+                    "shift_radius": 0.5,
+                }
+            ),
+            2,
+        ),
+        "control-affine-reads-t": (
+            model_from_config(
+                {**DOUBLE_INTEGRATOR, "drift": ["x2", "0.05*sin(3*t)"], "shift_radius": 0.5}
+            ),
+            1,
+        ),
+        "per-row": (
+            dataclasses.replace(non_broadcasting_model(), shift_hook=_identity_transport),
+            1,
+        ),
+    }
+
+    def run_both(self, model, m, **kwargs):
+        grid = self.SMALL_GRID
+        ubar = ControlSignal(grid, np.full((len(grid), m), 0.3))
+        box = OperatingBox.from_radii(2.0, 1.3, model.state_dim, m)
+        args = (model, ubar, box, grid, 1.0)
+        outcomes = []
+        for certify in (certify_time_regularity, per_sample_time_regularity):
+            try:
+                outcomes.append(certify(*args, **kwargs))
+            except Exception as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_certificate_is_bitwise(self, name):
+        model, m = self.MODELS[name]
+        for seed in (0, 3):
+            (gamma, beta_u, alpha, ku), want = self.run_both(model, m, seed=seed)
+            got = (gamma.values, beta_u.values, alpha, ku.values)
+            assert got[2] == want[2]
+            for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_two_model_calls_per_base_node(self):
+        calls = []
+
+        def rhs(t, x, u):
+            calls.append(np.shape(t))
+            return np.asarray(u, dtype=float) * np.cos(np.asarray(x, dtype=float))
+
+        model = hooked_model(rhs, _identity_transport)
+        self.run_both(model, 1)
+        # 40 base nodes before the horizon, one call at s and one with
+        # 24 row times each; then the reference's two calls per sample.
+        assert calls == [(), (24,)] * 40 + [()] * 2 * 24 * 40
+
+    def test_first_budget_witness_is_the_per_sample_one(self):
+        base = motor_decline()
+        starved = dataclasses.replace(
+            base,
+            metadata=dataclasses.replace(
+                base.metadata,
+                drift_integral=lambda s, t: 0.1 * base.metadata.drift_integral(s, t),
+            ),
+        )
+        got, want = self.run_both(starved, 1, seed=0)
+        assert isinstance(got, CertificationError) and isinstance(want, CertificationError)
+        assert "exceeds the declared budget" in str(got) and str(want) == "drift"
+        assert got.witness.keys() == want.witness.keys()
+        for key in got.witness:
+            assert np.asarray(got.witness[key]).tobytes() == np.asarray(want.witness[key]).tobytes()
+
+    def test_a_raising_call_reports_the_first_error_in_sample_order(self):
+        # The first base node draws samples past t = 1.7, where the field
+        # raises. Alone, the first of them raises; under a Hölder rate that
+        # the node's first sample breaks, that check comes first.
+        def shifting(s, t, x, u_s):
+            return np.asarray(u_s, dtype=float) + (t - s)
+
+        got, want = self.run_both(hooked_model(late_failing_rhs, _identity_transport), 1)
+        assert isinstance(got, ModelEvaluationError) and str(got) == str(want)
+        strict = {"holder_exponent": 1.0, "holder_rate_scale": lambda s: 0.01}
+        got, want = self.run_both(hooked_model(late_failing_rhs, shifting, **strict), 1)
+        assert isinstance(got, CertificationError) and "Hölder" in str(got)
+        assert str(want) == "holder" and got.witness["t"] == want.witness["t"]
+
+    def test_a_failed_transport_waits_for_the_checks_before_it(self):
+        def counting_hook():
+            seen = []
+
+            def hook(s, t, x, u_s):
+                seen.append(t)
+                if len(seen) == 3:
+                    raise SelectionError("third transport")
+                return np.asarray(u_s, dtype=float) + (t - s)
+
+            return hook
+
+        def model():
+            # The hook moves u by t - s, which the declared Hölder rate
+            # 0.01 forbids at the first sample.
+            return hooked_model(
+                lambda t, x, u: np.asarray(u, dtype=float),
+                counting_hook(),
+                holder_exponent=1.0,
+                holder_rate_scale=lambda s: 0.01,
+            )
+
+        grid = self.SMALL_GRID
+        ubar = ControlSignal(grid, np.full((len(grid), 1), 0.3))
+        box = OperatingBox.from_radii(2.0, 1.3, 1, 1)
+        with pytest.raises(CertificationError, match="Hölder") as got:
+            certify_time_regularity(model(), ubar, box, grid, 1.0)
+        with pytest.raises(CertificationError, match="holder") as want:
+            per_sample_time_regularity(model(), ubar, box, grid, 1.0)
+        assert got.value.witness["t"] == want.value.witness["t"]
 
 
 class TestSampledFunction:
