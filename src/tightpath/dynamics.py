@@ -97,8 +97,14 @@ class DynamicsModel:
     ``float_rhs`` declares that ``rhs`` of a one-state, one-control model
     also takes the state and the control as floats and returns the
     derivative as a Python float, bitwise equal to the entry its
-    one-element-array form returns. The integrators then step
-    on floats and call ``rhs`` with them directly. A model that does not
+    one-element-array form returns. The integrators then step on floats and
+    call ``rhs`` with them directly, handing one control object to every
+    stage of a span, so the float form may keep work that depends on the
+    control alone, keyed by the object's identity: ``motor_decline`` keeps
+    its arctan. The motors' float forms take ``math.cos``, because numpy's
+    float64 cos calls the C library's cos, as ``math.cos`` does, so both
+    forms agree bitwise; their arctan and power stay numpy's, which
+    ``math`` differs from by an ulp on some inputs. A model that does not
     declare it, as every custom model by default, is stepped on arrays.
     """
 
@@ -253,12 +259,6 @@ def _surge_scale(t: float) -> float:
     return float(np.power(t - _BREAK_TIME, -0.25)) if t > _BREAK_TIME else 1.0
 
 
-def _decline_decay(t: float) -> float:
-    # sqrt is correctly rounded in math and numpy alike, so this matches
-    # the array branch of the rhs.
-    return 1.0 - 0.5 * math.sqrt(t - _BREAK_TIME) if t > _BREAK_TIME else 1.0
-
-
 def _since_break(t) -> np.ndarray:
     """Time past the break, 0 before it, of a float time or of row times,
     as a column that scales (1,) or (n, 1) controls row by row."""
@@ -295,9 +295,11 @@ def motor_surge(drift_amplitude: float = 0.2) -> DynamicsModel:
 
     # One dispatch: the float RK4 path does no numpy-scalar arithmetic. A
     # ufunc runs the same loop on a float as on an array: both agree bitwise.
+    # math.cos raises at +-inf (x - x is not 0), where numpy's cos gives nan.
     def rhs(t, x, u):
         if isinstance(x, float):
-            return amp * float(np.cos(x)) + _surge_scale(t) * u
+            drift = amp * (math.cos(x) if x - x == 0.0 else math.nan)
+            return drift + _surge_scale(t) * u
         gap = _since_break(t)  # power(1, -1/4) is exactly 1
         return amp * np.cos(x) + np.power(np.where(gap > 0, gap, 1.0), -0.25) * u
 
@@ -351,11 +353,19 @@ def motor_decline(drift_amplitude: float = 0.2) -> DynamicsModel:
     """
     amp = float(drift_amplitude)
 
+    # The float form's last control object and its arctan, held by identity:
+    # equality would take arctan(0.0), which is 0.0, for arctan(-0.0).
+    held = [None, 0.0]
+
     def rhs(t, x, u):
-        # numpy's arctan, not math.atan, which differs from it by an ulp
-        # on some inputs: the float and array forms must agree bitwise.
+        # numpy's arctan, not math.atan, which differs from it by an ulp on
+        # some inputs; cos as in motor_surge; sqrt is correctly rounded.
         if isinstance(x, float):
-            return amp * float(np.cos(x)) + _decline_decay(t) * float(np.arctan(u))
+            if u is not held[0]:
+                held[:] = u, float(np.arctan(u))
+            decay = 1.0 - 0.5 * math.sqrt(t - _BREAK_TIME) if t > _BREAK_TIME else 1.0
+            drift = amp * (math.cos(x) if x - x == 0.0 else math.nan)
+            return drift + decay * held[1]
         return amp * np.cos(x) + (1.0 - 0.5 * np.sqrt(_since_break(t))) * np.arctan(u)
 
     def drift_density(s):

@@ -97,13 +97,17 @@ class SampledFunction:
 
     grid: TimeGrid
     values: np.ndarray
+    name: str = field(default="", compare=False)  # a bundle function's, named on error
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.shape != (len(self.grid),):
             raise ShapeError("sampled function needs one value per grid node")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("sampled function values must be finite")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            what = f"bundle function {self.name!r}" if self.name else "sampled function"
+            t, value = float(self.grid.nodes[bad[0]]), float(values[bad[0]])
+            raise DomainError(f"{what} values must be finite, got {value!r} at t={t!r}")
         object.__setattr__(self, "values", values)
 
     def l1(self) -> float:
@@ -151,18 +155,19 @@ def _draw_box(rng, box: np.ndarray, count: int) -> np.ndarray:
     return rng.uniform(lo, hi, size=(count, len(rows)))
 
 
-def _envelope(time_grid: TimeGrid, raw: np.ndarray, declared, undershoot: str) -> SampledFunction:
-    """The declared envelope checked against the sampled maxima ``raw`` at
-    each node, or without one, ``raw`` inflated by the safety factor."""
+def _envelope(name: str, time_grid: TimeGrid, raw, declared, undershoot: str) -> SampledFunction:
+    """The bundle function ``name``: the declared envelope checked against the
+    sampled maxima ``raw`` at each node, or without one, ``raw`` inflated by
+    the safety factor."""
     if declared is None:
-        return SampledFunction(time_grid, _SAFETY * raw)
+        return SampledFunction(time_grid, _SAFETY * raw, name)
     nodes = time_grid.nodes
     bound = np.array([float(declared(t)) for t in nodes])
     bad = raw > bound * _VALIDATE_SLACK + 1e-12
     if bad.any():
         t_bad = float(nodes[int(np.argmax(bad))])
         raise CertificationError(f"declared {undershoot} at t={t_bad}", witness={"t": t_bad})
-    return SampledFunction(time_grid, bound)
+    return SampledFunction(time_grid, bound, name)
 
 
 def _node_maxima(model, times, states, controls, reduce) -> np.ndarray:
@@ -220,7 +225,8 @@ def certify_sublinear(
                 "field grows super-linearly in the control: no integrable envelope exists",
                 witness={"t": float(probe_times[j]), "ratio_growth": float(growth[j])},
             )
-    return _envelope(time_grid, raw, declared, "growth envelope undershoots sampled ratio")
+    undershoot = "growth envelope undershoots sampled ratio"
+    return _envelope("growth_envelope", time_grid, raw, declared, undershoot)
 
 
 def certify_lipschitz(
@@ -288,7 +294,8 @@ def certify_lipschitz(
 
     raw = _node_maxima(model, time_grid.nodes, stacked, stacked_controls, quotient_maxima)
     declared = model.metadata.state_lipschitz
-    return _envelope(time_grid, raw, declared, "Lipschitz modulus undershoots sampled quotient")
+    undershoot = "Lipschitz modulus undershoots sampled quotient"
+    return _envelope("state_lipschitz", time_grid, raw, declared, undershoot)
 
 
 def _collar_samples(
@@ -745,9 +752,9 @@ def certify_time_regularity(
         # On the reference grid, as a declared density is: the schedule
         # tabulates it there.
         vals = np.interp(time_grid.nodes, sub.nodes, _SAFETY * drift_quot)
-    gamma = SampledFunction(time_grid, vals)
+    gamma = SampledFunction(time_grid, vals, "time_drift")
 
-    beta_u = SampledFunction(sub, beta_vals)
+    beta_u = SampledFunction(sub, beta_vals, "shift_radius")
 
     if meta.holder_exponent is not None:
         alpha = float(meta.holder_exponent)
@@ -763,10 +770,10 @@ def certify_time_regularity(
                     rates[i] = float(meta.holder_rate_scale(float(s) + half)) * control_radius(
                         float(s)
                     )
-        ku = SampledFunction(sub, rates)
+        ku = SampledFunction(sub, rates, "holder_rate")
     else:
         alpha = 1.0
-        ku = SampledFunction(sub, _SAFETY * holder_quot)
+        ku = SampledFunction(sub, _SAFETY * holder_quot, "holder_rate")
     return gamma, beta_u, alpha, ku
 
 
@@ -923,7 +930,7 @@ def certify_all(
         fine = certify(*args, n_samples=_SAMPLE_COUNTS["stability_resample"][name], seed=seed + 1)
         if np.any(fine.values > coarse.values * _SAFETY + 1e-12):
             provenance[name] = "declared-only"
-            return SampledFunction(grid, np.maximum(coarse.values, _SAFETY * fine.values))
+            return SampledFunction(grid, np.maximum(coarse.values, _SAFETY * fine.values), name)
         return coarse
 
     # The Lipschitz modulus is certified on the ball the schedule derives

@@ -5,7 +5,8 @@ each span between control breakpoints, so a step never straddles a
 control jump. Spans that touch a declared model breakpoint (where the
 field is kinked or singular in time) are refined geometrically toward
 that endpoint, which restores the fine-step accuracy the fixed-step
-scheme loses there.
+scheme loses there. Every step runs in one RK4 stage loop, with one control
+object for every stage of a span: on floats, for a ``float_rhs`` model.
 """
 
 from __future__ import annotations
@@ -30,37 +31,41 @@ HALF_STEP_TOLERANCE = 1e-6
 _HALVES = tuple(2.0 ** -j for j in range(1, _REFINE_LEVELS + 1))
 
 
-def _rk4_step(rhs, t: float, h: float, x, u):
-    """One classical RK4 step of x' = rhs(t, x, u) from t to t + h.
-
-    The state x is a float array, or, for a model that declares
-    ``float_rhs``, a float, whose control u is then a float too. Both
-    forms run the same IEEE operations in the same order.
-    """
-    half = 0.5 * h
-    mid = t + half
-    k1 = rhs(t, x, u)
-    k2 = rhs(mid, x + half * k1, u)
-    k3 = rhs(mid, x + half * k2, u)
-    k4 = rhs(t + h, x + h * k3, u)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _check_finite(t: float, x) -> None:
     if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
         raise PropagationError(f"state not finite at t={t}", t=t)
 
 
-def _advance_uniform(rhs, a, b, x, u, m):
-    width = b - a
+def _advance(rhs, a, width, m, x, u, nodes=None, states=None, last=None):
+    """m uniform classical RK4 steps of x' = rhs(t, x, u) across [a, a + width].
+
+    The state x is a float array, or, for a model that declares
+    ``float_rhs``, a float, whose control u is then a float too. Both forms
+    run the same IEEE operations in the same order. With ``nodes`` and
+    ``states``, each step records its end node (``last`` for the final one)
+    and its state, checked finite.
+    """
     h = width / m
+    half = 0.5 * h
     for i in range(m):
-        x = _rk4_step(rhs, a + width * (i / m), h, x, u)
+        t = a + width * (i / m)
+        mid = t + half
+        k1 = rhs(t, x, u)
+        k2 = rhs(mid, x + half * k1, u)
+        k3 = rhs(mid, x + half * k2, u)
+        k4 = rhs(t + h, x + h * k3, u)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if nodes is not None:
+            node = last if i == m - 1 else a + width * ((i + 1) / m)
+            nodes.append(node)
+            states.append(x)
+            _check_finite(node, x)
     return x
 
 
-def _advance_zone(rhs, a, b, x, u, q, toward_start):
-    """Cross [a, b] when the field is singular at one endpoint.
+def _advance_zone(rhs, a, b, x, u, q, toward_start, nodes, states):
+    """Cross [a, b] when the field is singular at one endpoint, and record
+    the node b and its state, checked finite.
 
     Geometric halving toward the singular endpoint keeps each piece's
     distance-to-singularity comparable to its width, which caps the local
@@ -69,28 +74,17 @@ def _advance_zone(rhs, a, b, x, u, q, toward_start):
     width = b - a
     if toward_start:
         cuts = [a] + [a + width * f for f in reversed(_HALVES)] + [b]
-        x = _rk4_step(rhs, cuts[0], cuts[1] - cuts[0], x, u)
+        x = _advance(rhs, cuts[0], cuts[1] - cuts[0], 1, x, u)
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            x = _advance_uniform(rhs, lo, hi, x, u, q)
-    else:
-        cuts = [a] + [b - width * f for f in _HALVES] + [b]
-        for lo, hi in zip(cuts[:-2], cuts[1:-1]):
-            x = _advance_uniform(rhs, lo, hi, x, u, q)
-        x = _rk4_step(rhs, cuts[-2], cuts[-1] - cuts[-2], x, u)
-    return x
-
-
-def _tile(rhs, a, width, m, x, u, last, nodes, states):
-    """m uniform steps across [a, a + width], keeping every node and its
-    state; the final node is recorded as ``last``."""
-    h = width / m
-    for i in range(1, m + 1):
-        x = _rk4_step(rhs, a + width * ((i - 1) / m), h, x, u)
-        node = last if i == m else a + width * (i / m)
-        nodes.append(node)
+            x = _advance(rhs, lo, hi - lo, q, x, u)
+        nodes.append(b)
         states.append(x)
-        _check_finite(node, x)
-    return x
+        _check_finite(b, x)
+        return x
+    cuts = [a] + [b - width * f for f in _HALVES] + [b]
+    for lo, hi in zip(cuts[:-2], cuts[1:-1]):
+        x = _advance(rhs, lo, hi - lo, q, x, u)
+    return _advance(rhs, cuts[-2], cuts[-1] - cuts[-2], 1, x, u, nodes, states, b)
 
 
 def _steps(length: float, step: float) -> int:
@@ -107,7 +101,7 @@ def _anchors(u: ControlSignal, window, breakpoints) -> np.ndarray:
         raise DomainError(
             f"window [{t0}, {t1}] exceeds the control domain [{grid.t0}, {grid.t1}]"
         )
-    inner = [float(t) for t in grid.nodes if t0 + slack < t < t1 - slack]
+    inner = [t for t in grid.nodes.tolist() if t0 + slack < t < t1 - slack]
     inner += [float(b) for b in breakpoints if t0 + slack < b < t1 - slack]
     anchors = [t0]
     for t in sorted(inner):
@@ -143,23 +137,17 @@ def _run(model, u, x0, anchors, step, q, breakpoints):
         zone = min(step, b - a)
         if near[k]:
             end = b if b - a <= zone + slack else a + zone
-            x = _advance_zone(rhs, a, end, x, u_val, q, toward_start=True)
-            nodes.append(end)
-            states.append(x)
-            _check_finite(end, x)
+            x = _advance_zone(rhs, a, end, x, u_val, q, True, nodes, states)
             if b - end > slack:
-                x = _tile(rhs, end, b - end, _steps(b - end, step), x, u_val, b, nodes, states)
+                x = _advance(rhs, end, b - end, _steps(b - end, step), x, u_val, nodes, states, b)
         elif near[k + 1]:
             if b - a > zone + slack:
                 width = (b - zone) - a
                 m = _steps(b - a - zone, step)
-                x = _tile(rhs, a, width, m, x, u_val, a + width, nodes, states)
-            x = _advance_zone(rhs, b - zone, b, x, u_val, q, toward_start=False)
-            nodes.append(b)
-            states.append(x)
-            _check_finite(b, x)
+                x = _advance(rhs, a, width, m, x, u_val, nodes, states, a + width)
+            x = _advance_zone(rhs, b - zone, b, x, u_val, q, False, nodes, states)
         else:
-            x = _tile(rhs, a, b - a, _steps(b - a, step), x, u_val, b, nodes, states)
+            x = _advance(rhs, a, b - a, _steps(b - a, step), x, u_val, nodes, states, b)
     return np.array(nodes), np.array(states).reshape(len(states), -1)
 
 
@@ -242,6 +230,8 @@ def integrate_feedback(model: DynamicsModel, grid: TimeGrid, x0, law):
     x = np.asarray(x0, dtype=float)
     if x.shape != (model.state_dim,):
         raise ShapeError(f"x0 must have shape ({model.state_dim},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("x0 must be finite")
     rhs = model.rhs
     floats = model.float_rhs
     if floats:
@@ -256,7 +246,7 @@ def integrate_feedback(model: DynamicsModel, grid: TimeGrid, x0, law):
                 f"feedback control must have shape ({model.control_dim},), got {u.shape}"
             )
         controls.append(u)
-        x = _rk4_step(rhs, times[j], times[j + 1] - times[j], x, u.item() if floats else u)
+        x = _advance(rhs, times[j], times[j + 1] - times[j], 1, x, u.item() if floats else u)
         states.append(x)
         _check_finite(times[j + 1], x)
     return np.vstack(states), np.vstack(controls)

@@ -13,6 +13,7 @@ reference in both sup distance and quadratic control cost.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,16 +103,19 @@ class RepairConstants:
     def exp_omega_f(self, width: float) -> float:
         return _exp(self.omega_f.value_at(width))
 
+    @functools.cached_property
+    def _gap_slope_and_scale(self) -> tuple:
+        slope = self.C_vDelta + self.M_Delta * _exp(2.0 * self.omega_f.value_at(self.Delta))
+        return slope, self.exp_omega_f(self.horizon)
+
     def gap_growth(self, rho: float) -> float:
         """The gap-growth map g: the sup gap one repaired interval can
         introduce at violation level ``rho``. Monotone, 0 at 0, and it may
         overflow to inf once ``k * rho`` leaves the modulus table."""
         if rho == 0.0:
             return 0.0
-        slope = self.C_vDelta + self.M_Delta * _exp(2.0 * self.omega_f.value_at(self.Delta))
-        return self.exp_omega_f(self.horizon) * (
-            self.omega_bar.value_at(self.k * rho) + self.k * rho * slope
-        )
+        slope, scale = self._gap_slope_and_scale
+        return scale * (self.omega_bar.value_at(self.k * rho) + self.k * rho * slope)
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,11 @@ def growth_maps(rho: float, c: RepairConstants) -> np.ndarray:
         return np.cumsum(compositions)
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(rows, axis=1) without its wrapper: the same bits."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
+
+
 def _window_tables(grid, states, theta_values, osc_coef: float, l2_coef: float):
     """Tabulate the combined window modulus and the bare state oscillation.
 
@@ -189,11 +198,11 @@ def _window_tables(grid, states, theta_values, osc_coef: float, l2_coef: float):
     best_c = 0.0
     best_o = 0.0
     for j in range(1, n):
-        osc = np.linalg.norm(states[j:] - states[:-j], axis=1)
+        osc = _norms(states[j:] - states[:-j])
         l1 = p1[j:] - p1[:-j]
         l2 = np.sqrt(np.maximum(p2[j:] - p2[:-j], 0.0))
-        best_c = max(best_c, float(np.max(osc + osc_coef * l1 + l2_coef * l2)))
-        best_o = max(best_o, float(np.max(osc)))
+        best_c = max(best_c, float((osc + osc_coef * l1 + l2_coef * l2).max()))
+        best_o = max(best_o, float(osc.max()))
         combined[j] = best_c
         osc_only[j] = best_o
     widths = np.concatenate([[0.0], np.cumsum(np.diff(grid.nodes))])
@@ -679,13 +688,22 @@ def _sweep(xbar, ubar, c, bundle, field, model, weight):
 
 
 def _window_bound_excess(traj: Trajectory, c: RepairConstants) -> float:
-    """Worst violation of the window modulus by the final trajectory."""
+    """Worst violation of the window modulus by the final trajectory.
+
+    No oscillation exceeds ``reach``, the norm of the per-axis state ranges,
+    and the modulus does not fall with the width: once ``reach`` less the
+    modulus is at most the worst excess so far, no wider window raises it.
+    """
     states = traj.states
-    n = states.shape[0]
+    # Rounding is monotone; the 1e-9 covers numpy summing a row of 8 or more
+    # squares in an order that can depend on the array's shape.
+    reach = float(_norms((states.max(axis=0) - states.min(axis=0))[None, :])[0]) * (1.0 + 1e-9)
     worst = -np.inf
-    for j in range(1, n):
-        osc = float(np.max(np.linalg.norm(states[j:] - states[:-j], axis=1)))
-        worst = max(worst, osc - c.omega_bar.value_at(j * c.step))
+    for j in range(1, states.shape[0]):
+        bound = c.omega_bar.value_at(j * c.step)
+        if reach - bound <= worst:
+            break
+        worst = max(worst, float(_norms(states[j:] - states[:-j]).max()) - bound)
     return worst
 
 

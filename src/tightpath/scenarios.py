@@ -9,6 +9,7 @@ infeasible and the repair pipeline has real work to do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,25 +128,25 @@ def boundary_tracking_reference(
     if len(model.time_breakpoints) != 1:
         raise DomainError("boundary tracking needs a motor model with one time breakpoint")
 
-    nodes = grid.nodes
     (brk,) = model.time_breakpoints
     graze = 1.0 + clearance
-    level, rate = _target_path(nodes, float(x0[0]), graze, finish)
+    level, rate = (a.tolist() for a in _target_path(grid.nodes, float(x0[0]), graze, finish))
+    nodes = grid.nodes.tolist()
 
+    # On floats: math.cos is numpy's (the C library's), min/max clip as np.clip, NaN too.
     def law(j, x):
-        a, b = float(nodes[j]), float(nodes[j + 1])
-        demand = float(rate[j]) + _FEEDBACK_GAIN * (float(level[j]) - float(x[0]))
-        demand -= drift_amplitude * float(np.cos(x[0]))
-        demand /= _cell_mean(variant, brk, a, b)
-        u = demand if variant == "surge" else float(np.tan(np.clip(demand, -1.3, 1.3)))
-        return np.array([float(np.clip(u, -_CONTROL_CAP, _CONTROL_CAP))])
+        x = float(x[0])
+        demand = rate[j] + _FEEDBACK_GAIN * (level[j] - x) - drift_amplitude * math.cos(x)
+        demand /= _cell_mean(variant, brk, nodes[j], nodes[j + 1])
+        u = demand if variant == "surge" else float(np.tan(min(max(demand, -1.3), 1.3)))
+        return np.array([min(max(u, -_CONTROL_CAP), _CONTROL_CAP)])
 
     _, cells = integrate_feedback(model, grid, x0, law)
     controls = np.vstack([cells, cells[-1:]])
 
     ubar = ControlSignal(grid=grid, values=controls)
-    xbar = integrate(model, ubar, x0, (float(nodes[0]), float(nodes[-1])), grid.step)
-    margins = field.margin(float(nodes[0]), xbar.states, 0.0)
+    xbar = integrate(model, ubar, x0, (nodes[0], nodes[-1]), grid.step)
+    margins = field.margin(nodes[0], xbar.states, 0.0)
     worst = float(np.min(margins))
     if worst < 0.4 * clearance:
         raise DomainError(

@@ -196,7 +196,7 @@ class ModulusTable:
             raise DomainError("window width must be nonnegative")
         if delta == 0:
             return 0.0
-        idx = int(np.searchsorted(self.deltas, delta * (1 - _REL_TOL), side="left"))
+        idx = int(self.deltas.searchsorted(delta * (1 - _REL_TOL), side="left"))
         idx = min(idx, self.deltas.size - 1)
         return float(self.values[idx])
 
@@ -229,7 +229,7 @@ def build_modulus_table(grid: TimeGrid, samples: np.ndarray) -> ModulusTable:
     values = np.zeros(n + 1)
     prefix = trapezoid_prefix(grid, _as_float_array(samples, "samples"))
     for j in range(1, n + 1):
-        values[j] = float(np.max(prefix[j:] - prefix[:-j]))
+        values[j] = float((prefix[j:] - prefix[:-j]).max())
     return ModulusTable(deltas, np.maximum.accumulate(values))
 
 

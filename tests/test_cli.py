@@ -580,6 +580,20 @@ class TestControlAffine:
         }
         certify_repair_evaluate(workdir, capsys, "control_affine_t", config)
 
+    def test_a_non_finite_sampled_constant_names_its_function_and_time(self, workdir, capsys):
+        # A gain of 1e308 on u2, which the reference holds at 0: the sampled
+        # controls overflow the growth envelope to inf at every node. Exit 1
+        # names the bundle function and the first node time. numpy warns on
+        # the overflow (ROADMAP item 8), so the warning is silenced here.
+        config = {**CONTROL_AFFINE_CONFIG, "gain": [["1", "0"], ["0", "1e308"]]}
+        path = write_config(workdir / "affine-overflow.json", config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["certify", "--config", path, "--out", str(workdir / "overflow")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bundle function 'growth_envelope'" in err, err
+        assert "got inf at t=0.0" in err, err
+
 
 def time_dependent_config(steps: int = 40) -> dict:
     """The moving-disk config with x1' = u1 + 0.05 sin(3t), a model that

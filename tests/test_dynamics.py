@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -211,8 +212,13 @@ class TestDeclineDecay:
         return float(np.where(late, 1.0 - 0.5 * np.sqrt(safe), 1.0))
 
     def test_scalar_matches_array_formula_bitwise(self):
-        from tightpath.dynamics import _decline_decay
-
+        # The float form of the decline field computes the decay inline. With
+        # no drift, at x = 0 and a control whose arctan is exactly 1, it
+        # returns 0.0 + decay(t), which is the decay itself.
+        model = motor_decline(0.0)
+        u = math.tan(1.0)
+        while float(np.arctan(u)) != 1.0:
+            u = float(np.nextafter(u, 2.0 if float(np.arctan(u)) < 1.0 else 1.0))
         near = [1.0]
         for direction in (0.0, 2.0):
             t = 1.0
@@ -222,11 +228,76 @@ class TestDeclineDecay:
         dense = np.linspace(0.0, 3.0, 30001).tolist()
         drawn = np.random.default_rng(7).uniform(0.0, 3.0, 20000).tolist()
         for t in near + dense + drawn + [1.0 + 1e-300, 1.5, 2.0]:
-            got = _decline_decay(t)
+            got = model.rhs(t, 0.0, u)
             assert type(got) is float
             assert got == self.array_decay(t), t
-        assert _decline_decay(1.0) == 1.0
-        assert _decline_decay(float(np.nextafter(1.0, 2.0))) < 1.0
+        assert model.rhs(1.0, 0.0, u) == 1.0
+        assert model.rhs(float(np.nextafter(1.0, 2.0)), 0.0, u) < 1.0
+
+
+# Times on both sides of the motors' break at t = 1.
+def random_points(seed: int, n: int):
+    """n random (t, x, u) float triples: a third of the times within 1e-3
+    of the break, the rest across [0, 3]; states and controls across and
+    beyond the certified boxes."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 3.0, n)
+    t[: n // 3] = 1.0 + rng.uniform(-1e-3, 1e-3, n // 3)
+    x = rng.uniform(-4.0, 4.0, n)
+    u = rng.uniform(-3.0, 3.0, n) * 10.0 ** rng.integers(-3, 2, n)
+    return t, x, u
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestFloatBranch:
+    """Each motor's float form equals its array form, bit for bit."""
+
+    @pytest.mark.parametrize("make", [motor_surge, motor_decline])
+    def test_float_form_equals_array_form_on_random_points(self, make):
+        model = make()
+        t, x, u = random_points(1, 100_000)
+        assert (t < 1.0).any() and (t > 1.0).any()
+        want = model.rhs(t, x[:, None], u[:, None])[:, 0]
+        got = [model.rhs(*point) for point in zip(t.tolist(), x.tolist(), u.tolist())]
+        assert all(type(v) is float for v in got[:100])
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("amp", [0.2, 0.0])
+    def test_held_arctan_follows_every_control_object(self, amp):
+        # Interleaved controls, equal values in distinct objects, both
+        # zeros, NaN and the infinities: every call must return what the
+        # array form returns, whichever control object came before it.
+        # With no drift at a state whose cos is negative, the field is
+        # -0.0 + decay * arctan(u), whose sign tells arctan(-0.0) from
+        # arctan(0.0).
+        model = motor_decline(amp)
+        values = [0.3, -0.3, 0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 2.5]
+        copies = [float.fromhex(v.hex()) if math.isfinite(v) else float(str(v)) for v in values]
+        assert all(a is not b for a, b in zip(values, copies))
+        sequence = []
+        for a, b in zip(values, copies):
+            sequence += [a, b, a, a, b]
+        sequence += values[::-1] + copies + [values[3], values[2], values[3]]
+        rng = np.random.default_rng(5)
+        sequence += [values[i] for i in rng.integers(0, len(values), 500)]
+        for k, u in enumerate(sequence):
+            t = (0.5, 1.0, 1.25, 2.0)[k % 4]
+            x = (1.08, 2.0, -2.5, 0.3, 1.0005)[k % 5]
+            got = model.rhs(t, x, u)
+            want = model.rhs(t, np.array([x]), np.array([u])).item()
+            assert bits(got) == bits(want), (k, t, x, u)
+
+    def test_math_cos_is_numpy_cos(self):
+        # The float forms take math.cos for numpy's cos: both call the C
+        # library's cos. Dense over [-4, 4], on numpy's array and scalar paths.
+        xs = np.linspace(-4.0, 4.0, 2_000_001)
+        want = np.cos(xs)
+        assert bits([math.cos(x) for x in xs.tolist()]) == bits(want)
+        sparse = xs[::97].tolist()
+        assert bits([float(np.cos(x)) for x in sparse]) == bits(want[::97])
 
 
 class TestDeclaredTimeFunctions:
@@ -341,6 +412,22 @@ class TestBallSampler:
             offsets = ball_points(np.random.default_rng(seed), n, dim, radius)
             assert (center + offsets).tobytes() == want.tobytes()
             assert np.all(np.linalg.norm(offsets, axis=1) <= radius)
+
+    def test_zero_direction_keeps_the_zero_point(self):
+        # A direction of norm 0 is divided by 1, for one point or several.
+        from tightpath.dynamics import ball_points
+
+        class ZeroNormal:
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+            def uniform(self, lo, hi, size=None):
+                return np.full(size, 0.25) if size is not None else 0.25
+
+        for count in (1, 3):
+            got = ball_points(ZeroNormal(), count, 2, 1.5)
+            assert got.shape == (count, 2)
+            assert not np.signbit(got).any() and np.all(got == 0.0)
 
 
 class TestShiftHooks:

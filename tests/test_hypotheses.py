@@ -71,7 +71,7 @@ from tightpath.dynamics import (
     rhs_batch,
     shift_selection,
 )
-from tightpath.errors import ModelEvaluationError, SelectionError
+from tightpath.errors import DomainError, ModelEvaluationError, SelectionError
 from tightpath.hypotheses import (
     COLLAR_ETA_GRID,
     CONTROL_BOUNDS,
@@ -953,9 +953,9 @@ def envelope_raw(certify, *args, **kwargs) -> np.ndarray:
     seen = []
     real = hypotheses._envelope
 
-    def capture(time_grid, raw, declared, undershoot):
+    def capture(name, time_grid, raw, declared, undershoot):
         seen.append(np.array(raw))
-        return real(time_grid, raw, declared, undershoot)
+        return real(name, time_grid, raw, declared, undershoot)
 
     with mock.patch.object(hypotheses, "_envelope", capture):
         certify(*args, **kwargs)
@@ -1549,6 +1549,14 @@ class TestSampledFunction:
             SampledFunction(grid, np.array([0.0, np.inf, 1.0]))
         with pytest.raises(Exception):
             SampledFunction(grid, np.array([1.0, 2.0]))
+
+    def test_a_non_finite_value_names_its_first_node(self):
+        grid = TimeGrid.uniform(0.0, 1.0, 4)
+        with pytest.raises(DomainError, match=r"got nan at t=0\.5$"):
+            SampledFunction(grid, np.array([0.0, 1.0, np.nan, np.inf, 2.0]))
+        # A bundle function is named.
+        with pytest.raises(DomainError, match=r"^bundle function 'holder_rate' .* got inf at t=0\.25$"):
+            SampledFunction(grid, np.array([0.0, np.inf, 1.0, 1.0, 1.0]), "holder_rate")
 
 
 @pytest.fixture(scope="module")

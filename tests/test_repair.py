@@ -23,6 +23,7 @@ Frozen oracle values, derived independently of the implementation:
 
 import dataclasses
 import importlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -602,6 +603,141 @@ def moving_disk_run():
     bundle = certify_all(model, field, ubar, xbar)
     x_eps, u_eps, c, report = repair(xbar, ubar, 0.1, bundle, field, model)
     return xbar, ubar, c, report, bundle, field, model, x_eps
+
+
+def full_window_excess(states, omega_bar, step):
+    """Reference: the window-modulus excess read at every width."""
+    worst = -np.inf
+    for j in range(1, len(states)):
+        osc = float(np.max(np.linalg.norm(states[j:] - states[:-j], axis=1)))
+        worst = max(worst, osc - omega_bar.value_at(j * step))
+    return worst
+
+
+def raw_table(deltas, values):
+    """A ModulusTable holding ``values`` unchecked: entries the constructor
+    refuses, such as inf, reach the scan only this way."""
+    table = object.__new__(ModulusTable)
+    object.__setattr__(table, "deltas", np.asarray(deltas, dtype=float))
+    object.__setattr__(table, "values", np.asarray(values, dtype=float))
+    return table
+
+
+def counting_lookups(table, calls):
+    """The table with its value_at wrapped to count the widths it reads."""
+    lookup = table.value_at
+
+    def value_at(delta):
+        calls.append(delta)
+        return lookup(delta)
+
+    object.__setattr__(table, "value_at", value_at)
+    return table
+
+
+class TestWindowScans:
+    """The window-excess scan and the window tables keep the full passes' bits."""
+
+    @staticmethod
+    def moduli(n, step, seed):
+        rng = np.random.default_rng(seed)
+        deltas = step * np.arange(n)
+        ramp = np.maximum.accumulate(rng.uniform(0.0, 1.0, n)) * deltas
+        short = ModulusTable(deltas[: n // 3], 0.02 * deltas[: n // 3])
+        inf_tail = np.where(np.arange(n) > n // 2, np.inf, 0.01 * deltas)
+        return {
+            "flat": ModulusTable.zero(deltas[-1]),
+            "gentle": ModulusTable(deltas, 0.05 * deltas),
+            "steep": ModulusTable(deltas, 40.0 * deltas),
+            "random": ModulusTable(deltas, ramp),
+            "short": short,
+            "inf-tail": raw_table(deltas, inf_tail),
+            "inf-early": raw_table(deltas, np.where(deltas > 0, np.inf, 0.0)),
+        }
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_excess_equals_the_full_per_width_loop(self, dim):
+        repair_module = importlib.import_module("tightpath.repair")
+        for seed in range(5):
+            rng = np.random.default_rng(100 * dim + seed)
+            n = int(rng.integers(2, 160))
+            step = float(rng.uniform(0.001, 0.1))
+            walk = np.cumsum(rng.normal(0.0, 0.05, (n, dim)), axis=0)
+            if seed == 3:
+                walk = np.tile(walk[:1], (n, 1))  # a constant trajectory
+            if seed == 4:
+                # Steps of 1e-9: each wider window oscillates a little more,
+                # up to the reach at the full width, so a scan that stops
+                # a hair early reads less.
+                n = 150
+                walk = np.cumsum(np.full((n, dim), 1e-9), axis=0)
+            traj = Trajectory(TimeGrid.uniform(0.0, step * (n - 1), n - 1), walk)
+            for name, table in self.moduli(n, step, seed).items():
+                c = SimpleNamespace(omega_bar=table, step=step)
+                want = full_window_excess(walk, table, step)
+                got = repair_module._window_bound_excess(traj, c)
+                assert type(got) is float
+                assert np.array([got]).tobytes() == np.array([want]).tobytes(), (seed, name)
+
+    def test_a_steep_modulus_stops_the_scan_early(self):
+        repair_module = importlib.import_module("tightpath.repair")
+        n, step = 400, 0.005
+        walk = np.cumsum(np.random.default_rng(2).normal(0.0, 0.01, (n, 2)), axis=0)
+        traj = Trajectory(TimeGrid.uniform(0.0, step * (n - 1), n - 1), walk)
+        calls = []
+        table = counting_lookups(ModulusTable(step * np.arange(n), 40.0 * step * np.arange(n)), calls)
+        got = repair_module._window_bound_excess(traj, SimpleNamespace(omega_bar=table, step=step))
+        assert got == full_window_excess(walk, table, step)
+        assert 1 <= len(calls) - (n - 1) < 40  # the full loop read n - 1 widths after the scan
+
+    def test_decline_repair_reads_few_widths(self, decline_run):
+        repair_module = importlib.import_module("tightpath.repair")
+        x_eps, _, c, report = decline_run
+        calls = []
+        table = counting_lookups(
+            ModulusTable(c.omega_bar.deltas, c.omega_bar.values), calls
+        )
+        got = repair_module._window_bound_excess(x_eps, SimpleNamespace(omega_bar=table, step=c.step))
+        assert got == report.window_excess == full_window_excess(x_eps.states, c.omega_bar, c.step)
+        assert len(x_eps.states) == 2001 and len(calls) < 20
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_window_tables_match_the_wrapped_reductions_bitwise(self, dim):
+        repair_module = importlib.import_module("tightpath.repair")
+        rng = np.random.default_rng(dim)
+        grid = TimeGrid.uniform(0.0, 1.0, 120)
+        states = np.cumsum(rng.normal(0.0, 0.05, (121, dim)), axis=0)
+        theta = rng.uniform(0.0, 2.0, 121)
+        osc_coef, l2_coef = 3.5, 0.75
+        p1 = np.concatenate([[0.0], np.cumsum(0.5 * (theta[:-1] + theta[1:]) * np.diff(grid.nodes))])
+        sq = theta**2
+        p2 = np.concatenate([[0.0], np.cumsum(0.5 * (sq[:-1] + sq[1:]) * np.diff(grid.nodes))])
+        combined, osc_only = np.zeros(121), np.zeros(121)
+        best_c = best_o = 0.0
+        for j in range(1, 121):
+            osc = np.linalg.norm(states[j:] - states[:-j], axis=1)
+            l2 = np.sqrt(np.maximum(p2[j:] - p2[:-j], 0.0))
+            best_c = max(best_c, float(np.max(osc + osc_coef * (p1[j:] - p1[:-j]) + l2_coef * l2)))
+            best_o = max(best_o, float(np.max(osc)))
+            combined[j], osc_only[j] = best_c, best_o
+        got_c, got_o = repair_module._window_tables(grid, states, theta, osc_coef, l2_coef)
+        assert got_c.values.tobytes() == combined.tobytes()
+        assert got_o.values.tobytes() == osc_only.tobytes()
+
+    def test_gap_growth_reads_the_constants_of_its_own_instance(self):
+        # The slope and the exp(omega_f(T)) factor are read once per
+        # constants; a replaced copy reads its own.
+        c = linear_constants()
+        assert c.gap_growth(0.25) == 0.5
+        # Slope 0.75 + 0.25: g(1/4) = omega_bar(1/2) + (1/2) 1 = 3/4.
+        steeper = dataclasses.replace(c, C_vDelta=0.75)
+        assert steeper.gap_growth(0.25) == 0.75
+        # exp(omega_f(T)) = e on a Lipschitz modulus of 1 over T = 1.5.
+        ramp_f = ModulusTable(np.array([0.0, 0.5, 1.5]), np.array([0.0, 0.5, 1.0]))
+        lipschitz = dataclasses.replace(c, omega_f=ramp_f)
+        slope = 0.25 + 0.25 * float(np.exp(2.0 * 0.5))
+        assert lipschitz.gap_growth(0.25) == float(np.exp(1.0)) * (0.25 + 0.5 * slope)
+        assert c.gap_growth(0.25) == 0.5
 
 
 class TestNodeViolations:

@@ -191,6 +191,40 @@ class TestModulusTable:
         table = ModulusTable.zero(2.0)
         assert table.value_at(1.7) == 0.0
 
+    def test_lookup_is_the_searchsorted_lookup(self):
+        # The method call gives the index the np.searchsorted wrapper gives:
+        # at 0, at every tabulated width and between them, past the last
+        # width, and for NaN, which sorts last and reads the last entry.
+        rng = np.random.default_rng(4)
+        deltas = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 0.2, 200))])
+        table = ModulusTable(deltas, np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.0, 200))]))
+        widths = [0.0, 1e-300, np.nan, deltas[-1] * 2, 1e300, np.inf]
+        widths += deltas.tolist() + (deltas * (1 - 1e-9)).tolist() + (deltas * (1 + 1e-12)).tolist()
+        widths += rng.uniform(0.0, deltas[-1] * 1.1, 2000).tolist()
+        for delta in widths:
+            if delta == 0:
+                want = 0.0
+            else:
+                idx = int(np.searchsorted(table.deltas, delta * (1 - 1e-9), side="left"))
+                want = float(table.values[min(idx, table.deltas.size - 1)])
+            got = table.value_at(delta)
+            assert type(got) is float
+            assert got == want, delta
+        assert table.value_at(np.nan) == table.values[-1]
+
+    @pytest.mark.parametrize("steps", [1, 2, 57, 400])
+    def test_build_table_matches_the_wrapped_reductions_bitwise(self, steps):
+        grid = TimeGrid.uniform(0.0, 2.0, steps)
+        samples = np.random.default_rng(steps).uniform(0.0, 3.0, steps + 1) ** 3
+        prefix = np.concatenate(
+            [[0.0], np.cumsum(0.5 * (samples[:-1] + samples[1:]) * np.diff(grid.nodes))]
+        )
+        values = np.zeros(steps + 1)
+        for j in range(1, steps + 1):
+            values[j] = float(np.max(prefix[j:] - prefix[:-j]))
+        table = build_modulus_table(grid, samples)
+        assert table.values.tobytes() == np.maximum.accumulate(values).tobytes()
+
 
 class TestLinfDistance:
     def test_shared_grid(self):
