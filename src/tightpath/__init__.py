@@ -31,11 +31,11 @@ from .dynamics import (
     rhs_batch,
     shift_selection,
 )
+from .expr import compile_expressions
 from .geometry import (
     ConstraintField,
     boundary_points,
     build_boundary_modulus,
-    compile_expression,
     field_from_config,
     node_violations,
     unit_ball_complement,

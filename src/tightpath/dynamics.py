@@ -5,6 +5,7 @@ optional exact rule that transports a control from one time to another
 while (nearly) preserving the field value, and whatever regularity
 constants are known in closed form. Models whose constants are not
 declared get them measured by the certification routines instead.
+Expression and control-affine config models compile through ``expr.compile_expressions``.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from .errors import (
     ModelEvaluationError,
     SelectionError,
     ShapeError,
-    config_expressions,
     config_number,
 )
-from .geometry import compile_expression
+from .expr import compile_expressions, read_expressions
 
 _BREAK_TIME = 1.0  # both motor variants switch behaviour here
 # Factor that rounds a closed-form drift integral up. Its 2e-15 relative
@@ -424,21 +424,6 @@ def control_affine(
     )
 
 
-def _stacked_expressions(expressions, dim: int, names: tuple = ()):
-    """(t, x) -> the compiled expressions stacked along a last axis, with
-    ``reads_time`` set when any of them reads ``t``; ``t`` is one float."""
-    compiled = [compile_expression(str(e), dim, names) for e in expressions]
-
-    def stacked(t, x):
-        out = np.empty(np.shape(x)[:-1] + (len(compiled),))
-        for i, c in enumerate(compiled):
-            out[..., i] = c(t, x)
-        return out
-
-    stacked.reads_time = any(c.reads_time for c in compiled)
-    return stacked
-
-
 def _autonomy(reads_time: bool, shift_radius: float | None = None) -> tuple:
     """(shift hook, declared regularity entries) of a field built from
     expressions, which read ``t`` or not.
@@ -475,17 +460,8 @@ def expression_model(
     """
     if len(equations) != state_dim:
         raise ConfigError("need one rhs expression per state")
-    labels = tuple(f"x{i + 1}" for i in range(state_dim)) + tuple(
-        f"u{j + 1}" for j in range(control_dim)
-    )
-    stacked = _stacked_expressions(equations, state_dim + control_dim, labels)
-
-    def rhs(t, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return stacked(t, np.concatenate([x, u], axis=-1))
-
-    hook, regularity = _autonomy(stacked.reads_time, shift_radius)
+    rhs = compile_expressions(equations, x=state_dim, u=control_dim)
+    hook, regularity = _autonomy(rhs.reads_time, shift_radius)
     metadata = DeclaredRegularity(**regularity)
     return DynamicsModel(
         state_dim=state_dim,
@@ -512,10 +488,11 @@ def model_from_config(config: dict) -> DynamicsModel:
         kind = config["model"]
     except KeyError:
         raise ConfigError("model config needs a 'model' key") from None
-    if kind == "motor_surge":
-        return motor_surge(config_number(config, "drift_amplitude", 0.2, float))
-    if kind == "motor_decline":
-        return motor_decline(config_number(config, "drift_amplitude", 0.2, float))
+    if kind in ("motor_surge", "motor_decline"):
+        amplitude = config_number(config, "drift_amplitude", 0.2, float)
+        if not math.isfinite(amplitude):
+            raise ConfigError(f"'drift_amplitude' must be a finite number, got {amplitude!r}")
+        return (motor_surge if kind == "motor_surge" else motor_decline)(amplitude)
     if kind not in ("expression", "control_affine"):
         raise ConfigError(f"unknown model kind {kind!r}")
     required = ("rhs",) if kind == "expression" else ("drift", "gain")
@@ -528,23 +505,12 @@ def model_from_config(config: dict) -> DynamicsModel:
     if shift_radius is not None and not 0 <= shift_radius < math.inf:
         raise ConfigError(f"'shift_radius' must be finite and >= 0, got {config['shift_radius']!r}")
     if kind == "expression":
-        return expression_model(
-            config_expressions(config, "rhs", state_dim),
-            state_dim,
-            control_dim,
-            shift_radius=shift_radius,
-        )
-    drift_exprs = config_expressions(config, "drift", state_dim)
-    gain_rows = config_expressions(config, "gain", state_dim, control_dim)
-    drift = _stacked_expressions(drift_exprs, state_dim)
-    rows = [_stacked_expressions(row, state_dim) for row in gain_rows]
-
-    def gain(t, x):
-        return np.stack([row(t, x) for row in rows], axis=-2)
-
-    hook, regularity = _autonomy(
-        drift.reads_time or any(row.reads_time for row in rows), shift_radius
-    )
+        rhs = read_expressions(config, "rhs", state_dim)
+        return expression_model(rhs, state_dim, control_dim, shift_radius=shift_radius)
+    drift = compile_expressions(read_expressions(config, "drift", state_dim), x=state_dim)
+    gain_rows = read_expressions(config, "gain", state_dim, control_dim)
+    gain = compile_expressions(gain_rows, x=state_dim)
+    hook, regularity = _autonomy(drift.reads_time or gain.reads_time, shift_radius)
     for name in ("growth_envelope", "state_lipschitz"):
         if name in config:
             regularity[name] = _constant(config_number(config, name, None, float))

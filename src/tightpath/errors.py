@@ -56,35 +56,6 @@ def config_array(table: dict, key: str) -> np.ndarray:
         raise ConfigError(f"{key!r} must be an array of numbers, got {value!r}") from None
 
 
-def config_expressions(table: dict, key: str, rows: int, cols: int | None = None) -> list:
-    """Read ``table[key]`` as one expression per state, or with ``cols`` as
-    one row of ``cols`` expressions per state; a missing key raises KeyError.
-
-    An expression is a string or a number other than a bool. Any other
-    value, or a list of the wrong length, raises a ConfigError that names
-    the key and the shape it must have.
-    """
-    value = table[key]
-
-    def is_list(item, length):
-        return isinstance(item, (list, tuple)) and len(item) == length
-
-    def is_expression(item):
-        return isinstance(item, (str, int, float)) and not isinstance(item, bool)
-
-    if cols is None:
-        ok = is_list(value, rows) and all(map(is_expression, value))
-        shape = f"one {key} expression per state: a list of {rows} strings or numbers"
-    else:
-        ok = is_list(value, rows) and all(
-            is_list(row, cols) and all(map(is_expression, row)) for row in value
-        )
-        shape = f"one {key} row per state: a list of {rows} rows of {cols} strings or numbers"
-    if not ok:
-        raise ConfigError(f"{key!r} must be {shape}, got {value!r}")
-    return list(value)
-
-
 class ExpressionError(TightpathError, ValueError):
     """A constraint expression uses syntax outside the supported grammar."""
 

@@ -9,11 +9,11 @@ only the KD-tree over its whole scan, and a question about one state at a
 key without a tree reads lattice windows around it, bitwise alike. An
 empty tree puts the boundary at infinite distance; a tightened set that
 misses the box raises InfeasibleTighteningError, the one emptiness test.
+A config's expression components are compiled by ``expr.compile_expressions``.
 """
 
 from __future__ import annotations
 
-import ast
 import math
 from dataclasses import dataclass, field
 
@@ -22,27 +22,13 @@ import numpy as np
 from .errors import (
     ConfigError,
     DomainError,
-    ExpressionError,
     InfeasibleTighteningError,
-    ModelEvaluationError,
     ShapeError,
     config_array,
     config_number,
 )
+from .expr import compile_expressions
 from .signals import ModulusTable, TimeGrid, Trajectory, subsample
-
-_ALLOWED_CALLS = {
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-    "sin": np.sin,
-    "cos": np.cos,
-    "arctan": np.arctan,
-    "pow": np.power,
-}
-_ALLOWED_NODES = (
-    ast.Expression, ast.Load, ast.BinOp, ast.UnaryOp,
-    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd,
-)
 
 _MAX_TREE_CACHE = 64
 # Most points a scan lattice may have: 2048 x 2048 in 2-D, 161 per axis in
@@ -51,103 +37,6 @@ _MAX_LATTICE_POINTS = 2048 * 2048
 
 # Feasible probes per tightening in the boundary modulus.
 BOUNDARY_MODULUS_PROBES = 128
-
-
-def _names(node) -> set:
-    """The names read anywhere in an expression's syntax tree."""
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-def compile_expression(expr: str, dim: int, names: tuple = ()):
-    """Compile a constraint expression over ``t, x1..x<dim>`` to a callable.
-
-    The grammar is arithmetic (+, -, *, /, **) plus abs, sqrt, sin, cos,
-    arctan, and pow; anything else is rejected before evaluation. The
-    returned callable maps (t, x) with x of shape (dim,) or (n, dim) to a
-    scalar or an (n,) array. A division by zero or an overflow in Python
-    float arithmetic on ``t`` raises ModelEvaluationError naming the
-    expression and ``t``. A numpy time (a scalar, or one per row) gives
-    each row bitwise what a Python float time gives it, and raises for
-    exactly the times a float time raises for: when a / or ** acts on a
-    term of ``t`` alone, the only place where float and numpy arithmetic
-    differ, the rows of each distinct time are evaluated at its float time.
-    ``names`` relabels the coordinates (one name per component) so callers
-    can expose mixed variable sets. The checked tree is compiled once, as
-    a function of ``(t, *labels)`` that takes the column views of x.
-    """
-    if names and len(names) != dim:
-        raise ExpressionError(f"{expr!r}: need one name per coordinate, got {names}")
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse {expr!r}: {exc.msg}") from None
-    labels = tuple(names) or tuple(f"x{i + 1}" for i in range(dim))
-    variables = {"t"} | set(labels)
-    for node in ast.walk(tree):
-        # ast.walk visits every operator node too, so an operator outside
-        # the grammar is caught on its own.
-        if isinstance(node, _ALLOWED_NODES):
-            continue
-        if isinstance(node, ast.Call):
-            if (
-                not isinstance(node.func, ast.Name)
-                or node.func.id not in _ALLOWED_CALLS
-                or node.keywords
-            ):
-                raise ExpressionError(f"{expr!r}: only calls to {sorted(_ALLOWED_CALLS)} allowed")
-            continue
-        if isinstance(node, ast.Name):
-            if node.id in _ALLOWED_CALLS or node.id in variables:
-                continue
-            raise ExpressionError(f"{expr!r}: unknown name {node.id!r}")
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-                continue
-            raise ExpressionError(f"{expr!r}: only numeric constants allowed")
-        raise ExpressionError(f"{expr!r}: disallowed syntax {type(node).__name__}")
-    params = [ast.arg(name) for name in ("t",) + labels]
-    lam = ast.Lambda(ast.arguments([], params, None, [], [], None, []), tree.body)
-    code = compile(ast.fix_missing_locations(ast.Expression(lam)), "<constraint>", "eval")
-    function = eval(code, {"__builtins__": {}, **_ALLOWED_CALLS})  # noqa: S307
-    # Python float arithmetic raises only in / and ** on terms of t and
-    # constants alone; every term that reads a coordinate is numpy's, which
-    # warns and returns inf or NaN for a float time and a numpy time alike.
-    time_poles = any(
-        isinstance(node, ast.BinOp)
-        and isinstance(node.op, (ast.Div, ast.Pow))
-        and "t" in _names(node)
-        and not _names(node) & set(labels)
-        for node in ast.walk(tree)
-    )
-
-    def evaluate(t, x):
-        try:
-            return function(t, *(x[..., i] for i in range(len(labels))))
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise ModelEvaluationError(f"{expr!r} cannot be evaluated at t={t}: {exc}") from None
-
-    def values(t, x):
-        return np.asarray(evaluate(t, x), dtype=float) + np.zeros(x.shape[:-1])
-
-    def component(t, x):
-        x = np.asarray(x, dtype=float)
-        if not (time_poles and isinstance(t, (np.ndarray, np.generic))):
-            return values(t, x)
-        # On a term of t alone, float arithmetic raises where numpy's warns,
-        # and its ** may differ by an ulp: evaluate each distinct time's rows
-        # at its float time, in increasing order, as a loop over times would.
-        shape = np.broadcast_shapes(np.shape(t), x.shape[:-1])
-        times = np.broadcast_to(np.asarray(t, dtype=float), shape).ravel()
-        rows = np.broadcast_to(x, shape + x.shape[-1:]).reshape(-1, x.shape[-1])
-        out = np.empty(times.size)
-        order = np.argsort(times, kind="stable")
-        for group in np.split(order, np.flatnonzero(np.diff(times[order])) + 1):
-            if group.size:
-                out[group] = values(float(times[group[0]]), rows[group])
-        return out.reshape(shape)[()]
-
-    component.reads_time = "t" in _names(tree)
-    return component
 
 
 @dataclass
@@ -547,10 +436,13 @@ def field_from_config(config: dict) -> ConstraintField:
         name = config["builtin"]
         if name != "unit_ball_complement":
             raise DomainError(f"unknown builtin constraint {name!r}")
-        return unit_ball_complement(
-            dim=config_number(config, "dim", 1, int),
-            box_radius=config_number(config, "box_radius", 2.0, float),
-        )
+        dim = config_number(config, "dim", 1, int)
+        box_radius = config_number(config, "box_radius", 2.0, float)
+        if dim < 1:
+            raise ConfigError(f"'dim' must be a positive integer, got {dim!r}")
+        if not 0.0 < box_radius < math.inf:
+            raise ConfigError(f"'box_radius' must be positive and finite, got {box_radius!r}")
+        return unit_ball_complement(dim=dim, box_radius=box_radius)
     try:
         box = config_array(config, "box")
         expressions = config["components"]
@@ -573,7 +465,7 @@ def field_from_config(config: dict) -> ConstraintField:
         raise ConfigError(
             f"'components' must be a non-empty list of expression strings, got {expressions!r}"
         )
-    components = tuple(compile_expression(expr, box.shape[0]) for expr in expressions)
+    components = tuple(compile_expressions(expr, x=box.shape[0]) for expr in expressions)
     field = ConstraintField(
         components=components,
         sampling_box=box,

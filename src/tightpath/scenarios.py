@@ -209,6 +209,9 @@ def scenario_from_config(config: dict) -> Scenario:
         for key in keys
         if key in table
     }
+    for key in ("clearance", "x_start", "finish", "drift_amplitude"):
+        if key in settings and not math.isfinite(settings[key]):
+            raise ConfigError(f"{key!r} must be a finite number, got {settings[key]!r}")
     if "steps" in settings and not 2 <= settings["steps"] <= _MAX_STEPS:
         raise ConfigError(f"'steps' must be from 2 to {_MAX_STEPS}, got {config['steps']!r}")
     if "horizon" in settings and not 0.0 < settings["horizon"] <= _MAX_HORIZON:

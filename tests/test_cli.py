@@ -837,6 +837,52 @@ class TestConfigRejection:
         assert code == 64
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=repr)
+    @pytest.mark.parametrize("key", ["clearance", "x_start", "finish", "drift_amplitude"])
+    def test_non_finite_boundary_tracking_number_names_the_key(self, workdir, capsys, key, bad):
+        # Checked before the grid is built. Before, an infinite finish or
+        # x_start ended in a numpy RuntimeWarning, a NaN clearance in a
+        # state that is not finite, and a non-finite x_start in "x0 must be
+        # finite", all with exit 1.
+        config = json.loads(json.dumps(SURGE_CONFIG))
+        (config if key == "drift_amplitude" else config["reference"])[key] = bad
+        path = write_config(workdir / f"tracking-{key}.json", config)
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "tracking")])
+        assert code == 64
+        assert f"config error: {key!r} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=repr)
+    def test_non_finite_motor_drift_amplitude_names_the_key(self, workdir, capsys, bad):
+        config = {**SUPERLINEAR_CONFIG, "model": "motor_decline", "drift_amplitude": bad}
+        path = write_config(workdir / "motor-amplitude.json", config)
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "amplitude")])
+        assert code == 64
+        assert "'drift_amplitude' must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "key, bad, needle",
+        [
+            ("box_radius", float("nan"), "'box_radius' must be positive and finite"),
+            ("box_radius", float("inf"), "'box_radius' must be positive and finite"),
+            ("box_radius", 0.0, "'box_radius' must be positive and finite"),
+            ("dim", 0, "'dim' must be a positive integer"),
+            ("dim", -1, "'dim' must be a positive integer"),
+        ],
+        ids=["nan-radius", "inf-radius", "zero-radius", "zero-dim", "negative-dim"],
+    )
+    def test_bad_builtin_constraint_number_names_the_key(self, workdir, capsys, key, bad, needle):
+        # Before, these exited 1 with a lattice or dimension error, or 64
+        # with a sampling-box message that named no key.
+        config = json.loads(json.dumps(SUPERLINEAR_CONFIG))
+        config["constraint"] = {"builtin": "unit_ball_complement", "dim": 1, key: bad}
+        path = write_config(workdir / f"builtin-{key}.json", config)
+        code = cli.main(["certify", "--config", path, "--out", str(workdir / "builtin")])
+        assert code == 64
+        assert needle in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [5, [], ["1 - x1", 3], "1 - x1"], ids=repr)
     def test_malformed_components_name_the_key(self, workdir, capsys, bad):
         config = json.loads(json.dumps(SUPERLINEAR_CONFIG))

@@ -27,7 +27,7 @@ from tightpath.errors import (
     SelectionError,
     ShapeError,
 )
-from tightpath.geometry import compile_expression
+from tightpath.expr import compile_expressions
 
 
 def decline_drift_integral(s, t):
@@ -770,6 +770,15 @@ EXPRESSIONS = {
 }
 
 
+def compiled(expr):
+    """``expr`` compiled over its labels, x1.. then u1.., as a function of
+    (t, x) with x holding the labels' columns."""
+    labels = EXPRESSIONS[expr][0]
+    states = sum(label.startswith("x") for label in labels)
+    f = compile_expressions(expr, x=states, u=len(labels) - states)
+    return lambda t, x: f(t, x[..., :states], x[..., states:])
+
+
 def written(expr, t, x):
     """The test's numpy formula of ``expr`` on column views of x, broadcast
     to a batch as a component's value is."""
@@ -786,7 +795,7 @@ class TestCompiledExpressions:
     @pytest.mark.parametrize("expr", sorted(EXPRESSIONS))
     def test_component_matches_numpy_bitwise(self, expr):
         labels = EXPRESSIONS[expr][0]
-        component = compile_expression(expr, len(labels), labels)
+        component = compiled(expr)
         rng = np.random.default_rng(len(expr))
         batch = rng.uniform(-2.0, 2.0, size=(64, len(labels)))
         times = rng.uniform(0.1, 2.0, size=64)
@@ -797,11 +806,44 @@ class TestCompiledExpressions:
 
     def test_constant_broadcasts_and_negative_zero_reads_zero(self):
         batch = np.linspace(-1.0, 1.0, 10).reshape(5, 2)
-        assert compile_expression("0", 2)(0.5, batch).tobytes() == np.zeros(5).tobytes()
+        assert compile_expressions("0", x=2)(0.5, batch).tobytes() == np.zeros(5).tobytes()
         for expr in ("-0.0", "0*x1", "-(0*x2)"):
-            got = compile_expression(expr, 2)(0.5, batch)
+            got = compile_expressions(expr, x=2)(0.5, batch)
             assert got.shape == (5,) and not np.signbit(got).any(), expr
-        assert compile_expression("-0.0", 2)(0.5, batch[0]).shape == ()
+        assert compile_expressions("-0.0", x=2)(0.5, batch[0]).shape == ()
+
+    def test_shape_is_the_batch_then_the_expressions(self):
+        # The sizes name the arrays in order; a numpy t of another shape
+        # broadcasts with the batch.
+        f = compile_expressions([["x1", "u1"], ["x2", "2*u2 + t"]], x=2, u=2)
+        rng = np.random.default_rng(3)
+        x, u = rng.uniform(-1.0, 1.0, size=(2, 6, 2))
+        want = np.stack(
+            [np.stack([x[:, 0], u[:, 0]], -1), np.stack([x[:, 1], 2 * u[:, 1] + 0.25], -1)], -2
+        )
+        got = f(0.25, x, u)
+        assert got.shape == (6, 2, 2) and got.tobytes() == want.tobytes()
+        assert f(0.25, x[0], u[0]).tobytes() == want[0].tobytes() and f.reads_time
+        assert not compile_expressions(["x1", "u1"], x=1, u=1).reads_time
+        shifted = compile_expressions("x1 + t", x=1)(np.array([0.0, 1.0]), np.array([2.0]))
+        assert shifted.tolist() == [2.0, 3.0]
+
+    def test_a_float_error_names_its_own_expression(self):
+        f = compile_expressions(["u1", "1/(t - 0.5)"], x=1, u=1)
+        with pytest.raises(ModelEvaluationError) as error:
+            f(0.5, np.zeros(1), np.zeros(1))
+        assert str(error.value).startswith("'1/(t - 0.5)' cannot be evaluated at t=0.5: ")
+
+    def test_a_complex_value_names_its_expression(self):
+        # Python's float ** gives a negative number a complex fractional
+        # power, where numpy's gives NaN.
+        f = compile_expressions(["x1", "x1 + (t - 5)**0.5"], x=1)
+        for t in (0.5, np.array([0.7, 0.5])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ModelEvaluationError) as error:
+                    f(t, np.zeros((2, 1)))
+            assert str(error.value) == "'x1 + (t - 5)**0.5' is not real at t=0.5"
 
     @pytest.mark.parametrize(
         "rhs",

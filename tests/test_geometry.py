@@ -14,11 +14,11 @@ from tightpath.errors import (
     InfeasibleTighteningError,
     ModelEvaluationError,
 )
+from tightpath.expr import compile_expressions
 from tightpath.geometry import (
     ConstraintField,
     boundary_points,
     build_boundary_modulus,
-    compile_expression,
     field_from_config,
     _lattice_counts,
     node_violations,
@@ -92,20 +92,20 @@ class TestUnitBallComplement:
 
 class TestExpressions:
     def test_matches_builtin(self):
-        h = compile_expression("1 - abs(x1)", dim=1)
+        h = compile_expressions("1 - abs(x1)", x=1)
         field = unit_ball_complement(dim=1)
         for r in (-1.7, -0.2, 0.0, 0.4, 1.05, 1.9):
             assert h(0.3, np.array([r])) == pytest.approx(field.value(0.3, np.array([r])))
 
     def test_vectorized_and_time_dependent(self):
-        h = compile_expression("1 + 0.1 * t - sqrt(x1 * x1 + x2 * x2)", dim=2)
+        h = compile_expressions("1 + 0.1 * t - sqrt(x1 * x1 + x2 * x2)", x=2)
         pts = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
         got = h(2.0, pts)
         want = 1.2 - np.array([1.0, 2.0, np.sqrt(2.0)])
         assert got == pytest.approx(want)
 
     def test_whitelisted_functions(self):
-        h = compile_expression("sin(t) + cos(x1) + arctan(x1) + pow(x1, 2) / 2", dim=1)
+        h = compile_expressions("sin(t) + cos(x1) + arctan(x1) + pow(x1, 2) / 2", x=1)
         x = np.array([0.5])
         want = np.sin(1.0) + np.cos(0.5) + np.arctan(0.5) + 0.125
         assert h(1.0, x) == pytest.approx(want)
@@ -120,18 +120,24 @@ class TestExpressions:
             "[v for v in (1,)][0]",
             "lambda: 1",
             "x1 if t > 0 else 0",
+            # numpy reads a further argument as an output array: this one
+            # would write sqrt(x1) into the caller's x2 column.
+            "sqrt(x1, x2)",
+            "pow(x1)",
+            "pow(x1, 2, x2)",
+            "sin()",
         ],
     )
     def test_rejects_unsafe_or_unknown(self, bad):
         with pytest.raises(ExpressionError):
-            compile_expression(bad, dim=2)
+            compile_expressions(bad, x=2)
 
 
 class TestNumericDistance:
     def test_1d_matches_analytic(self):
         # Same set, no analytic hook: the lattice fallback must agree.
         numeric = ConstraintField(
-            components=(compile_expression("1 - abs(x1)", dim=1),),
+            components=(compile_expressions("1 - abs(x1)", x=1),),
             sampling_box=np.array([[-2.0, 2.0]]),
         )
         analytic = unit_ball_complement(dim=1)
@@ -147,7 +153,7 @@ class TestNumericDistance:
 
     def test_2d_against_projection_oracle(self):
         numeric = ConstraintField(
-            components=(compile_expression("1 - sqrt(x1 * x1 + x2 * x2)", dim=2),),
+            components=(compile_expressions("1 - sqrt(x1 * x1 + x2 * x2)", x=2),),
             sampling_box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
         )
         rng = np.random.default_rng(42)
@@ -162,7 +168,7 @@ class TestNumericDistance:
         # h = x1 + x2 - 0.5 <= -eps keeps x1 + x2 <= 0.3; from (1, 1) the
         # distance to that halfplane is (2 - 0.3) / sqrt(2).
         halfplane = ConstraintField(
-            components=(compile_expression("x1 + x2 - 0.5", dim=2),),
+            components=(compile_expressions("x1 + x2 - 0.5", x=2),),
             sampling_box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
         )
         got = set_distance(halfplane, 0.2, 0.0, np.array([1.0, 1.0]))
@@ -172,8 +178,8 @@ class TestNumericDistance:
         # max(x - 1, -x - 1) + eps <= 0 keeps |x| <= 1 - eps.
         slab = ConstraintField(
             components=(
-                compile_expression("x1 - 1", dim=1),
-                compile_expression("0 - x1 - 1", dim=1),
+                compile_expressions("x1 - 1", x=1),
+                compile_expressions("0 - x1 - 1", x=1),
             ),
             sampling_box=np.array([[-2.0, 2.0]]),
         )
@@ -184,7 +190,7 @@ class TestNumericDistance:
 
     def test_boundary_points_on_sphere(self):
         numeric = ConstraintField(
-            components=(compile_expression("1 - sqrt(x1 * x1 + x2 * x2)", dim=2),),
+            components=(compile_expressions("1 - sqrt(x1 * x1 + x2 * x2)", x=2),),
             sampling_box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
         )
         pts = boundary_points(numeric, 0.0, eps=0.2)
@@ -195,7 +201,7 @@ class TestNumericDistance:
         # Feasible everywhere in the box: set distance 0, boundary out of
         # reach.
         always = ConstraintField(
-            components=(compile_expression("0 - 10 - x1 * 0", dim=1),),
+            components=(compile_expressions("0 - 10 - x1 * 0", x=1),),
             sampling_box=np.array([[-2.0, 2.0]]),
         )
         assert set_distance(always, 0.1, 0.0, np.array([0.5])) == 0.0
@@ -895,7 +901,7 @@ class TestBoundaryModulus:
         # Boundary radius grows as 1 + eps + 0.1 t: a fixed probe's
         # boundary distance drifts at rate 0.1, so the modulus is 0.1 * delta.
         field = ConstraintField(
-            components=(compile_expression("1 + 0.1 * t - abs(x1)", dim=1),),
+            components=(compile_expressions("1 + 0.1 * t - abs(x1)", x=1),),
             sampling_box=np.array([[-3.0, 3.0]]),
             time_varying=True,
         )
@@ -933,7 +939,7 @@ class TestFieldConfig:
         # A direct field skips the config check: its first scan must refuse
         # the lattice with a named error before allocating anything.
         field = ConstraintField(
-            components=(compile_expression(DISK, 2),),
+            components=(compile_expressions(DISK, x=2),),
             sampling_box=np.array([[-2.0, 1e308], [-2.0, 2.0]]),
             resolution=0.05,
         )

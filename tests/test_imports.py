@@ -1,5 +1,6 @@
-"""Module boundaries: no module imports another module's private name, and
-the command line loads scipy only for a lattice field's KD-tree."""
+"""Module boundaries: no module imports another module's private name, only
+the expression engine parses expressions, and the command line loads scipy
+only for a lattice field's KD-tree."""
 
 import ast
 import json
@@ -31,6 +32,23 @@ def test_no_module_imports_a_private_name():
     assert len(sources) > 5
     offenders = [line for path in sources for line in private_imports(path)]
     assert offenders == []
+
+
+def parses_or_compiles(path: Path) -> bool:
+    """Whether a module imports ``ast`` or calls ``compile`` or ``eval``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import) and any(a.name == "ast" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "ast":
+            return True
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("compile", "eval"):
+            return True
+    return False
+
+
+def test_only_the_expression_engine_parses_expressions():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert [path.name for path in sources if parses_or_compiles(path)] == ["expr.py"]
 
 
 def fresh_interpreter(probe: str, cwd=None) -> str:
