@@ -159,6 +159,10 @@ def _sampled_problem(config: dict, ref: dict, kind: str):
     if not isinstance(constraint, dict):
         raise ConfigError("scenario config needs a 'constraint' table")
     field = field_from_config(constraint)
+    if field.dim != model.state_dim:
+        raise ConfigError(
+            f"'constraint' has dimension {field.dim}, model expects {model.state_dim}"
+        )
     if xbar.dim != model.state_dim:
         raise ConfigError(
             f"reference states have dimension {xbar.dim}, model expects {model.state_dim}"
@@ -269,6 +273,8 @@ def cmd_repair(args) -> int:
     if "lambda" not in config:
         raise ConfigError("repair config needs 'lambda'")
     lam = config_number(config, "lambda", None, float)
+    if not 0.0 < lam < np.inf:
+        raise ConfigError(f"'lambda' must be positive and finite, got {config['lambda']!r}")
     bundle = load_bundle(args.bundle)
     expected = config_identity_hash(config)
     if bundle.config_hash != expected:

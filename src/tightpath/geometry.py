@@ -404,7 +404,8 @@ def build_boundary_modulus(
     For fixed feasible probes x with |x| <= box_radius the table records,
     per window width up to delta0, the largest observed
     |d_boundary(eps, t + delta, x) - d_boundary(eps, t, x)| across
-    tightening levels. Static fields return the zero table.
+    tightening levels, skipping probes whose distance is not finite at some
+    time. Static fields return the zero table.
     """
     if not field.time_varying:
         return ModulusTable.zero(grid.span)
@@ -413,7 +414,7 @@ def build_boundary_modulus(
     gap = float(times[1] - times[0])
     j_cap = min(times.size - 1, int(np.ceil(delta0 / gap)))
     rng = np.random.default_rng(seed)
-    worst_per_width = np.zeros(j_cap + 1)
+    profiles = [np.empty((times.size, 0))]
     for eps in eps_list:
         probes = _feasible_samples(
             field, float(times[0]), BOUNDARY_MODULUS_PROBES, rng, box_radius
@@ -421,12 +422,11 @@ def build_boundary_modulus(
         profile = np.stack(
             [field._distances(float(eps), float(t), probes)[1] for t in times]
         )
-        finite = np.isfinite(profile).all(axis=0)
-        profile = profile[:, finite]
-        for j in range(1, j_cap + 1):
-            drift = np.abs(profile[j:] - profile[:-j]).max() if profile.size else 0.0
-            worst_per_width[j] = max(worst_per_width[j], float(drift))
-    return ModulusTable(gap * np.arange(j_cap + 1), np.maximum.accumulate(worst_per_width))
+        profiles.append(profile[:, np.isfinite(profile).all(axis=0)])
+    columns = np.concatenate(profiles, axis=1)
+    return ModulusTable.from_windows(
+        gap * np.arange(j_cap + 1), lambda j: np.abs(columns[j:] - columns[:-j])
+    )
 
 
 def field_from_config(config: dict) -> ConstraintField:

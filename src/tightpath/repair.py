@@ -182,33 +182,6 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
-def _window_tables(grid, states, theta_values, osc_coef: float, l2_coef: float):
-    """Tabulate the combined window modulus and the bare state oscillation.
-
-    For every window width the combined value is the sup over same-width
-    windows of (state oscillation + osc_coef * envelope L1 + l2_coef *
-    envelope L2), the quantity bounding how far an iterate can move across
-    the window. The oscillation-only table backs the proxy gate.
-    """
-    p1 = trapezoid_prefix(grid, np.abs(theta_values))
-    p2 = trapezoid_prefix(grid, theta_values**2)
-    n = grid.nodes.size
-    combined = np.zeros(n)
-    osc_only = np.zeros(n)
-    best_c = 0.0
-    best_o = 0.0
-    for j in range(1, n):
-        osc = _norms(states[j:] - states[:-j])
-        l1 = p1[j:] - p1[:-j]
-        l2 = np.sqrt(np.maximum(p2[j:] - p2[:-j], 0.0))
-        best_c = max(best_c, float((osc + osc_coef * l1 + l2_coef * l2).max()))
-        best_o = max(best_o, float(osc.max()))
-        combined[j] = best_c
-        osc_only[j] = best_o
-    widths = np.concatenate([[0.0], np.cumsum(np.diff(grid.nodes))])
-    return ModulusTable(widths, combined), ModulusTable(widths, osc_only)
-
-
 def schedule_constants(
     bundle: HypothesisBundle,
     field: ConstraintField,
@@ -227,12 +200,16 @@ def schedule_constants(
     oracle finds empty is rejected at violation inf). A reference larger
     than the bundle was certified for, a bundle function off the reference
     grid, or a growth envelope whose Gronwall radius overflows raises
-    BundleError. When the full window modulus cannot fit under a quarter
-    collar at any representable width (references with large certified
-    envelopes), the gate falls back to the observed state oscillation and
-    records that choice.
+    BundleError. The window modulus omega_bar is, at each multiple of the
+    grid step, the largest state oscillation + (R + control bound) * envelope
+    L1 + (reference L2 + shift L2) * envelope L2 over windows of that many
+    cells or fewer. When it cannot fit under a quarter collar at any
+    representable width (references with large certified envelopes), the
+    gate falls back to the observed state oscillation, tabulated only then,
+    and records that choice. A tolerance ``lam`` that is not positive,
+    NaN included, raises DomainError.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise DomainError("the closeness tolerance must be positive")
     reference_sup = xbar.max_norm()
     if reference_sup > bundle.reference_sup * (1 + 1e-9):
@@ -270,8 +247,19 @@ def schedule_constants(
         )
     omega_gamma = build_modulus_table(grid, bundle.time_drift.values)
     omega_f = build_modulus_table(grid, bundle.state_lipschitz.values)
-    omega_bar, osc_table = _window_tables(
-        grid, xbar.states, theta.values, radius + bundle.control_bound, ubar_l2 + beta_l2
+    deltas = grid.uniform_step() * np.arange(len(grid))
+    p1 = trapezoid_prefix(grid, np.abs(theta.values))
+    p2 = trapezoid_prefix(grid, theta.values**2)
+    osc_coef, l2_coef = radius + bundle.control_bound, ubar_l2 + beta_l2
+
+    def oscillation(j: int) -> np.ndarray:
+        return _norms(xbar.states[j:] - xbar.states[:-j])
+
+    omega_bar = ModulusTable.from_windows(
+        deltas,
+        lambda j: oscillation(j)
+        + osc_coef * (p1[j:] - p1[:-j])
+        + l2_coef * np.sqrt(np.maximum(p2[j:] - p2[:-j], 0.0)),
     )
 
     xi = bundle.inward_slack
@@ -320,6 +308,7 @@ def schedule_constants(
     window, failed = ladder(gate)
     if modulus_check in failed:
         gate = GATE_STATE_OSCILLATION
+        osc_table = ModulusTable.from_windows(deltas, oscillation)
         window, failed = ladder(gate)
     if failed:
         raise ScheduleError(

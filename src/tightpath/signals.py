@@ -188,6 +188,17 @@ class ModulusTable:
         object.__setattr__(self, "values", np.maximum.accumulate(values))
 
     @classmethod
+    def from_windows(cls, deltas: np.ndarray, spread) -> "ModulusTable":
+        """The table whose entry j > 0 is the largest entry of ``spread(j)``,
+        one value per window of j cells, or of any narrower width's; entry 0
+        is 0. An empty spread adds nothing, and a NaN window reaches the
+        finite check."""
+        values = np.zeros(len(deltas))
+        for j in range(1, len(deltas)):
+            values[j] = spread(j).max(initial=0.0)
+        return cls(deltas, np.maximum.accumulate(values))
+
+    @classmethod
     def zero(cls, max_delta: float) -> "ModulusTable":
         return cls(np.array([0.0, max_delta]), np.zeros(2))
 
@@ -220,17 +231,12 @@ def build_modulus_table(grid: TimeGrid, samples: np.ndarray) -> ModulusTable:
     """Tabulate the window-integral modulus at every multiple of the grid step.
 
     Only meaningful on uniform grids. The entry at width j * step is the
-    largest trapezoid integral of the samples over j consecutive cells,
-    accumulated to be monotone.
+    largest trapezoid integral of the samples over j or fewer consecutive
+    cells, through :meth:`ModulusTable.from_windows`.
     """
-    n = len(grid) - 1
-    step = grid.uniform_step()
-    deltas = step * np.arange(n + 1)
-    values = np.zeros(n + 1)
+    deltas = grid.uniform_step() * np.arange(len(grid))
     prefix = trapezoid_prefix(grid, _as_float_array(samples, "samples"))
-    for j in range(1, n + 1):
-        values[j] = float((prefix[j:] - prefix[:-j]).max())
-    return ModulusTable(deltas, np.maximum.accumulate(values))
+    return ModulusTable.from_windows(deltas, lambda j: prefix[j:] - prefix[:-j])
 
 
 def linf_distance(a: Trajectory, b: Trajectory) -> float:

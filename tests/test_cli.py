@@ -883,6 +883,61 @@ class TestConfigRejection:
         assert code == 64
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "config, dims",
+        [
+            (
+                {**MOVING_DISK_CONFIG, "constraint": {"builtin": "unit_ball_complement", "dim": 3}},
+                (3, 2),
+            ),
+            (
+                {
+                    **SUPERLINEAR_CONFIG,
+                    "rhs": ["u1"],
+                    "constraint": {"builtin": "unit_ball_complement", "dim": 3},
+                },
+                (3, 1),
+            ),
+            (
+                {
+                    **SUPERLINEAR_CONFIG,
+                    "rhs": ["u1"],
+                    "constraint": {"box": [[0.0, 3.0], [0.0, 3.0]], "components": ["1 - x1 + 0*x2"]},
+                },
+                (2, 1),
+            ),
+        ],
+        ids=["moving-disk-3d-ball", "one-state-3d-ball", "one-state-2d-box"],
+    )
+    def test_constraint_of_another_dimension_names_both(self, workdir, capsys, config, dims):
+        # Before, the first ended in a broadcasting traceback from the
+        # forward-cone search, and the other two certified with exit 0.
+        path = write_config(workdir / f"constraint-dim-{dims}.json", config)
+        xp, up = workdir / "dim_x.csv", workdir / "dim_u.csv"
+        xp.write_text("t,x1\n0,1.2\n1,1.2\n")
+        up.write_text("t,u1\n0,0\n1,0\n")
+        for argv in (
+            ["certify", "--config", path, "--out", str(workdir / "constraint-dim")],
+            ["repair", "--config", path, "--bundle", str(workdir / "unread.json")],
+            ["evaluate", str(xp), str(up), "--config", path],
+        ):
+            assert cli.main(argv) == 64, argv[0]
+            err = capsys.readouterr().err
+            assert f"'constraint' has dimension {dims[0]}, model expects {dims[1]}" in err, err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, 0.0, float("inf"), -float("inf")], ids=repr)
+    def test_lambda_that_is_not_positive_and_finite_names_the_key(self, workdir, capsys, bad):
+        # Checked before the bundle is read. Before, NaN ran 60 eps halvings
+        # into "contract not met", -1 ended in an error naming no key (both
+        # exit 1), and Infinity repaired against a vacuous contract.
+        path = write_config(workdir / f"lambda-{bad}.json", {**SUPERLINEAR_CONFIG, "lambda": bad})
+        argv = ["repair", "--config", path, "--bundle", str(workdir / "unread.json")]
+        code = cli.main(argv + ["--out", str(workdir / "lambda")])
+        assert code == 64
+        assert f"'lambda' must be positive and finite, got {bad!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", [5, [], ["1 - x1", 3], "1 - x1"], ids=repr)
     def test_malformed_components_name_the_key(self, workdir, capsys, bad):
         config = json.loads(json.dumps(SUPERLINEAR_CONFIG))

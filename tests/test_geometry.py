@@ -25,7 +25,7 @@ from tightpath.geometry import (
     unit_ball_complement,
     violation_sup,
 )
-from tightpath.signals import TimeGrid, Trajectory
+from tightpath.signals import TimeGrid, Trajectory, subsample
 
 
 def set_distance(field, eps, t, x):
@@ -911,6 +911,48 @@ class TestBoundaryModulus:
         slack = 4 * field.resolution
         assert table.value_at(0.2) == pytest.approx(0.02, abs=slack)
         assert table.value_at(0.5) == pytest.approx(0.05, abs=slack)
+
+    def test_one_scan_over_every_eps_is_the_per_eps_loop_bitwise(self):
+        # Probes beyond |x1| = 2 lose their boundary after t = 0.5, and at
+        # eps = 0.3 every probe does: those columns are skipped, and an eps
+        # with none left adds nothing.
+        def distance(eps, t, x):
+            base = np.abs(1.0 + eps + 0.1 * t + 0.05 * np.sin(7 * t) - np.abs(x[:, 0]))
+            lost = ((np.abs(x[:, 0]) > 2.0) & (t > 0.5)) | (eps > 0.25)
+            return np.zeros(len(x)), np.where(lost, np.inf, base)
+
+        field = ConstraintField(
+            components=(compile_expressions("1 + 0.1 * t - abs(x1)", x=1),),
+            sampling_box=np.array([[-3.0, 3.0]]),
+            time_varying=True,
+            analytic_distance=distance,
+        )
+        grid = TimeGrid.uniform(0.0, 1.0, 100)
+        eps_list = [0.1, 0.3, 0.05, 0.025]
+        times = subsample(grid.nodes, 41)
+        gap = float(times[1] - times[0])
+        for seed, delta0 in ((0, grid.span), (3, 0.3)):
+            # The per-eps loop the table was built by before one scan.
+            j_cap = min(times.size - 1, int(np.ceil(delta0 / gap)))
+            rng = np.random.default_rng(seed)
+            worst = np.zeros(j_cap + 1)
+            skipped = 0
+            for eps in eps_list:
+                probes = geometry._feasible_samples(
+                    field, float(times[0]), geometry.BOUNDARY_MODULUS_PROBES, rng, 3.0
+                )
+                profile = np.stack([field._distances(eps, float(t), probes)[1] for t in times])
+                finite = np.isfinite(profile).all(axis=0)
+                skipped += int((~finite).sum())
+                profile = profile[:, finite]
+                for j in range(1, j_cap + 1):
+                    drift = np.abs(profile[j:] - profile[:-j]).max() if profile.size else 0.0
+                    worst[j] = max(worst[j], float(drift))
+            assert skipped > geometry.BOUNDARY_MODULUS_PROBES
+            table = build_boundary_modulus(field, grid, eps_list, delta0, box_radius=3.0, seed=seed)
+            assert table.deltas.tobytes() == (gap * np.arange(j_cap + 1)).tobytes()
+            assert table.values.tobytes() == np.maximum.accumulate(worst).tobytes()
+            assert table.values[-1] > 0
 
 
 class TestFieldConfig:

@@ -308,8 +308,9 @@ class TestSchedule:
         from tightpath import DomainError
 
         sc = surge_scenario
-        with pytest.raises(DomainError):
-            schedule_constants(surge_bundle, sc.field, sc.xbar, sc.ubar, 0.0)
+        for lam in (0.0, -1.0, np.nan):  # NaN too, which fails every comparison
+            with pytest.raises(DomainError, match="must be positive"):
+                schedule_constants(surge_bundle, sc.field, sc.xbar, sc.ubar, lam)
 
 
 class TestInwardControl:
@@ -701,28 +702,52 @@ class TestWindowScans:
         assert got == report.window_excess == full_window_excess(x_eps.states, c.omega_bar, c.step)
         assert len(x_eps.states) == 2001 and len(calls) < 20
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_window_tables_match_the_wrapped_reductions_bitwise(self, dim):
-        repair_module = importlib.import_module("tightpath.repair")
-        rng = np.random.default_rng(dim)
-        grid = TimeGrid.uniform(0.0, 1.0, 120)
-        states = np.cumsum(rng.normal(0.0, 0.05, (121, dim)), axis=0)
-        theta = rng.uniform(0.0, 2.0, 121)
-        osc_coef, l2_coef = 3.5, 0.75
-        p1 = np.concatenate([[0.0], np.cumsum(0.5 * (theta[:-1] + theta[1:]) * np.diff(grid.nodes))])
+    @pytest.mark.parametrize("case", ["surge", "decline", "moving-disk"])
+    def test_window_tables_match_the_brute_force_loops_bitwise(self, case, request, monkeypatch):
+        # omega_bar on every width, and the oscillation table on the proxy
+        # gate alone: decline keeps the window-modulus gate, so it never
+        # builds one.
+        if case == "moving-disk":
+            xbar, ubar, _, _, bundle, field, _, _ = request.getfixturevalue("moving_disk_run")
+        else:
+            sc = request.getfixturevalue(f"{case}_scenario")
+            xbar, ubar, field = sc.xbar, sc.ubar, sc.field
+            bundle = request.getfixturevalue(f"{case}_bundle")
+        built = []
+        from_windows = ModulusTable.from_windows.__func__
+
+        def recording(cls, deltas, spread):
+            built.append(from_windows(cls, deltas, spread))
+            return built[-1]
+
+        monkeypatch.setattr(ModulusTable, "from_windows", classmethod(recording))
+        c = schedule_constants(bundle, field, xbar, ubar, 0.1)
+        nodes, states = xbar.grid.nodes, xbar.states
+        n = nodes.size
+        theta = np.abs(bundle.growth_envelope.values)
+        gaps = np.diff(nodes)
+        p1 = np.concatenate([[0.0], np.cumsum(0.5 * (theta[:-1] + theta[1:]) * gaps)])
         sq = theta**2
-        p2 = np.concatenate([[0.0], np.cumsum(0.5 * (sq[:-1] + sq[1:]) * np.diff(grid.nodes))])
-        combined, osc_only = np.zeros(121), np.zeros(121)
+        p2 = np.concatenate([[0.0], np.cumsum(0.5 * (sq[:-1] + sq[1:]) * gaps)])
+        osc_coef = c.R + bundle.control_bound
+        l2_coef = float(np.sqrt(weighted_l2_cost(ubar))) + bundle.shift_radius.l2()
+        combined, osc_only = np.zeros(n), np.zeros(n)
         best_c = best_o = 0.0
-        for j in range(1, 121):
+        for j in range(1, n):
             osc = np.linalg.norm(states[j:] - states[:-j], axis=1)
             l2 = np.sqrt(np.maximum(p2[j:] - p2[:-j], 0.0))
             best_c = max(best_c, float(np.max(osc + osc_coef * (p1[j:] - p1[:-j]) + l2_coef * l2)))
             best_o = max(best_o, float(np.max(osc)))
             combined[j], osc_only[j] = best_c, best_o
-        got_c, got_o = repair_module._window_tables(grid, states, theta, osc_coef, l2_coef)
-        assert got_c.values.tobytes() == combined.tobytes()
-        assert got_o.values.tobytes() == osc_only.tobytes()
+        assert c.omega_bar is built[2]
+        assert c.omega_bar.values.tobytes() == combined.tobytes()
+        for table in built:
+            assert table.deltas.tobytes() == (xbar.grid.uniform_step() * np.arange(n)).tobytes()
+        if case == "decline":
+            assert c.oscillation_gate == GATE_WINDOW and len(built) == 3
+        else:
+            assert c.oscillation_gate == GATE_OSC and len(built) == 4
+            assert built[3].values.tobytes() == osc_only.tobytes()
 
     def test_gap_growth_reads_the_constants_of_its_own_instance(self):
         # The slope and the exp(omega_f(T)) factor are read once per

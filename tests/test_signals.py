@@ -225,6 +225,46 @@ class TestModulusTable:
         table = build_modulus_table(grid, samples)
         assert table.values.tobytes() == np.maximum.accumulate(values).tobytes()
 
+    def test_from_windows_is_the_per_width_loop_bitwise(self):
+        # The loop the window moduli ran before they shared one scan: each
+        # width's largest window (0 when it has none), then a running max
+        # from the 0 at width 0, so negative maxima read 0.
+        def per_width(n, spread):
+            values = np.zeros(n)
+            for j in range(1, n):
+                window = spread(j)
+                values[j] = float(np.max(window)) if window.size else 0.0
+            return np.maximum.accumulate(values)
+
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 40, 201):
+            deltas = 0.01 * np.arange(n)
+            rows = rng.normal(0.0, 1.0, (n, 3))
+            spreads = {
+                "random": lambda j: np.abs(rows[j:] - rows[:-j]),
+                "sums": lambda j: rows[j:, 0] - rows[:-j, 0] + 0.5 * rows[j:, 1],
+                "empty": lambda j: rows[j:, :0],
+                "negative": lambda j: -1.0 - np.abs(rows[j:, 0]),
+                "empty-then-random": lambda j: rows[j:, :0] if j % 2 else np.abs(rows[j:, 2]),
+            }
+            for name, spread in spreads.items():
+                table = ModulusTable.from_windows(deltas, spread)
+                assert table.deltas.tobytes() == deltas.tobytes(), (n, name)
+                assert table.values.tobytes() == per_width(n, spread).tobytes(), (n, name)
+        assert not ModulusTable.from_windows(deltas, spreads["negative"]).values.any()
+
+    def test_a_nan_window_reaches_the_finite_check(self):
+        # Python's max(best, nan) is best; the table must not drop the NaN.
+        deltas = 0.1 * np.arange(5)
+        with pytest.raises(ShapeError, match="non-finite"):
+            ModulusTable.from_windows(
+                deltas, lambda j: np.array([1.0, np.nan]) if j == 3 else np.ones(2)
+            )
+        # A prefix that overflows gives inf - inf windows.
+        grid = TimeGrid.uniform(0.0, 1.0, 4)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ShapeError):
+            build_modulus_table(grid, np.array([1e308, 1e308, 1e308, 0.0, 0.0]))
+
 
 class TestLinfDistance:
     def test_shared_grid(self):
