@@ -23,6 +23,9 @@ import numpy as np
 
 from .dynamics import model_from_config
 from .errors import (
+    COUNT,
+    NONNEGATIVE,
+    POSITIVE,
     BundleError,
     CertificationError,
     ConfigError,
@@ -48,6 +51,7 @@ from .signals import (
     linf_distance,
     load_control,
     load_trajectory,
+    positive_semidefinite,
     save_csv,
     weighted_l2_cost,
 )
@@ -115,6 +119,9 @@ def _inline_reference(ref: dict):
 
 
 def _csv_reference(ref: dict):
+    for key in ("states", "controls"):
+        if not isinstance(ref.get(key, ""), str):
+            raise ConfigError(f"{key!r} must be a file name, got {ref[key]!r}")
     try:
         xbar = load_trajectory(ref["states"])
         ubar = load_control(ref["controls"])
@@ -154,28 +161,35 @@ def _sampled_problem(config: dict, ref: dict, kind: str):
         xbar, ubar = _inline_reference(ref)
     else:
         raise ConfigError(f"unknown reference kind {kind!r}")
-    model = model_from_config(config)
     constraint = config.get("constraint")
     if not isinstance(constraint, dict):
         raise ConfigError("scenario config needs a 'constraint' table")
-    field = field_from_config(constraint)
-    if field.dim != model.state_dim:
-        raise ConfigError(
-            f"'constraint' has dimension {field.dim}, model expects {model.state_dim}"
-        )
-    if xbar.dim != model.state_dim:
-        raise ConfigError(
-            f"reference states have dimension {xbar.dim}, model expects {model.state_dim}"
-        )
-    if ubar.dim != model.control_dim:
-        raise ConfigError(
-            f"reference controls have dimension {ubar.dim}, model expects {model.control_dim}"
-        )
+    # Declared sizes first: the model and the field are built in proportion to them.
+    dims = [config_number(config, key, None, int, COUNT) for key in ("state_dim", "control_dim")]
+    ball = config_number(constraint, "dim", None, int, COUNT) if "builtin" in constraint else None
+    _match_dims(xbar, ubar, ball, *dims)
+    model = model_from_config(config)
+    try:
+        field = field_from_config(constraint)
+    except DomainError as exc:  # the one it raises once 'dim' is checked: an unknown builtin
+        raise ConfigError(str(exc)) from None
+    _match_dims(xbar, ubar, field.dim, model.state_dim, model.control_dim)
     if not np.array_equal(xbar.grid.nodes, ubar.grid.nodes):
         raise ConfigError("reference states and controls live on different grids")
     reference_norm(xbar)  # a reference too large to sample is named as such first
     _check_trajectory(model, xbar, ubar)
     return model, field, xbar, ubar
+
+
+def _match_dims(xbar: Trajectory, ubar: ControlSignal, field_dim, state_dim, control_dim) -> None:
+    """ConfigError unless the constraint and reference have the model's dimensions (or None)."""
+    for found, expected, what in (
+        (field_dim, state_dim, "'constraint' has"),
+        (xbar.dim, state_dim, "reference states have"),
+        (ubar.dim, control_dim, "reference controls have"),
+    ):
+        if None not in (found, expected) and found != expected:
+            raise ConfigError(f"{what} dimension {found}, model expects {expected}")
 
 
 def _check_trajectory(model, xbar: Trajectory, ubar: ControlSignal) -> None:
@@ -217,6 +231,10 @@ def weight_from_config(config: dict, control_dim: int):
             raise ConfigError(
                 f"weight matrix must be {control_dim}x{control_dim}, got {mat.shape}"
             )
+        if not positive_semidefinite(mat):
+            raise ConfigError(
+                f"'matrix' must be finite and positive semidefinite, got {spec['matrix']!r}"
+            )
         return lambda t: mat
     if kind == "one-plus-t":
         eye = np.eye(control_dim)
@@ -226,6 +244,8 @@ def weight_from_config(config: dict, control_dim: int):
 
 def _out_dir(args, config: dict) -> str:
     out = args.out or config.get("out") or "."
+    if not isinstance(out, str):
+        raise ConfigError(f"'out' must be a directory name, got {out!r}")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -234,9 +254,9 @@ def cmd_certify(args) -> int:
     config = load_config(args.config)
     model, field, xbar, ubar = load_problem(config)
     weight_from_config(config, model.control_dim)
-    seed = args.seed if args.seed is not None else config_number(config, "seed", 0, int)
-    if seed < 0:
-        raise ConfigError(f"'seed' must be a non-negative integer, got {seed}")
+    seeds = config if args.seed is None else {"seed": args.seed}
+    seed = config_number(seeds, "seed", 0, int, ("a non-negative integer", lambda v: v >= 0))
+    out = _out_dir(args, config)
     try:
         bundle = certify_all(
             model,
@@ -252,7 +272,6 @@ def cmd_certify(args) -> int:
             value = value.tolist() if hasattr(value, "tolist") else value
             print(f"  witness {key} = {value}")
         return EXIT_CONTRACT
-    out = _out_dir(args, config)
     path = os.path.join(out, "bundle.json")
     save_bundle(path, bundle)
     for name in sorted(bundle.provenance):
@@ -272,9 +291,7 @@ def cmd_repair(args) -> int:
     model, field, xbar, ubar = load_problem(config)
     if "lambda" not in config:
         raise ConfigError("repair config needs 'lambda'")
-    lam = config_number(config, "lambda", None, float)
-    if not 0.0 < lam < np.inf:
-        raise ConfigError(f"'lambda' must be positive and finite, got {config['lambda']!r}")
+    lam = config_number(config, "lambda", None, float, POSITIVE)
     bundle = load_bundle(args.bundle)
     expected = config_identity_hash(config)
     if bundle.config_hash != expected:
@@ -341,9 +358,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(
             f"control has dimension {control.dim}, model expects {model.control_dim}"
         )
-    eps = config_number(config, "eps", 0.0, float)
-    if not (np.isfinite(eps) and eps >= 0):
-        raise ConfigError(f"'eps' must be finite and >= 0, got {config['eps']!r}")
+    eps = config_number(config, "eps", 0.0, float, NONNEGATIVE)
     margin = float(np.min(field.margin(traj.grid.nodes, traj.states, eps)))
     weight = weight_from_config(config, model.control_dim)
     cost_ref = float(weighted_l2_cost(ubar, weight))

@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    COUNT,
+    FINITE,
+    NONNEGATIVE,
     ConfigError,
     DomainError,
     ModelEvaluationError,
@@ -489,9 +492,7 @@ def model_from_config(config: dict) -> DynamicsModel:
     except KeyError:
         raise ConfigError("model config needs a 'model' key") from None
     if kind in ("motor_surge", "motor_decline"):
-        amplitude = config_number(config, "drift_amplitude", 0.2, float)
-        if not math.isfinite(amplitude):
-            raise ConfigError(f"'drift_amplitude' must be a finite number, got {amplitude!r}")
+        amplitude = config_number(config, "drift_amplitude", 0.2, float, FINITE)
         return (motor_surge if kind == "motor_surge" else motor_decline)(amplitude)
     if kind not in ("expression", "control_affine"):
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -499,11 +500,9 @@ def model_from_config(config: dict) -> DynamicsModel:
     for key in required + ("state_dim", "control_dim"):
         if key not in config:
             raise ConfigError(f"{kind} model config needs {key!r}")
-    state_dim = config_number(config, "state_dim", None, int)
-    control_dim = config_number(config, "control_dim", None, int)
-    shift_radius = config_number(config, "shift_radius", None, float)
-    if shift_radius is not None and not 0 <= shift_radius < math.inf:
-        raise ConfigError(f"'shift_radius' must be finite and >= 0, got {config['shift_radius']!r}")
+    state_dim = config_number(config, "state_dim", None, int, COUNT)
+    control_dim = config_number(config, "control_dim", None, int, COUNT)
+    shift_radius = config_number(config, "shift_radius", None, float, NONNEGATIVE)
     if kind == "expression":
         rhs = read_expressions(config, "rhs", state_dim)
         return expression_model(rhs, state_dim, control_dim, shift_radius=shift_radius)
@@ -513,7 +512,7 @@ def model_from_config(config: dict) -> DynamicsModel:
     hook, regularity = _autonomy(drift.reads_time or gain.reads_time, shift_radius)
     for name in ("growth_envelope", "state_lipschitz"):
         if name in config:
-            regularity[name] = _constant(config_number(config, name, None, float))
+            regularity[name] = _constant(config_number(config, name, None, float, NONNEGATIVE))
     model = control_affine(
         drift,
         gain,

@@ -21,12 +21,19 @@ class ConfigError(TightpathError, ValueError):
     """A scenario configuration failed validation; message names the field."""
 
 
-def config_number(table: dict, key: str, default, kind):
-    """Read ``table[key]`` as ``kind``, or ``default`` when the key is absent.
+# Rules for config_number: what a number must be, and the test it must pass.
+FINITE = ("a finite number", lambda v: -np.inf < v < np.inf)
+POSITIVE = ("positive and finite", lambda v: 0 < v < np.inf)
+NONNEGATIVE = ("finite and >= 0", lambda v: 0 <= v < np.inf)
+COUNT = ("a positive integer", lambda v: v >= 1)
 
-    A ConfigError names the key. A bool is rejected rather than read as 0
-    or 1, and for ``kind=int`` so is a float with a fractional part rather
-    than truncated.
+
+def config_number(table: dict, key: str, default, kind, rule):
+    """Read ``table[key]`` as ``kind``, or ``default`` (unchecked) when absent.
+
+    ``rule`` pairs what the number must be with its test. A ConfigError names
+    the key and the raw value. A bool is rejected, not read as 0 or 1, and
+    for ``kind=int`` so is a float with a fractional part, not truncated.
     """
     if key not in table:
         return default
@@ -38,9 +45,12 @@ def config_number(table: dict, key: str, default, kind):
     if isinstance(value, bool):
         raise ConfigError(f"{key!r} must be a number, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
+    if not rule[1](number):
+        raise ConfigError(f"{key!r} must be {rule[0]}, got {value!r}")
+    return number
 
 
 def config_array(table: dict, key: str) -> np.ndarray:

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    COUNT,
+    POSITIVE,
     ConfigError,
     DomainError,
     InfeasibleTighteningError,
@@ -435,13 +437,9 @@ def field_from_config(config: dict) -> ConstraintField:
     if "builtin" in config:
         name = config["builtin"]
         if name != "unit_ball_complement":
-            raise DomainError(f"unknown builtin constraint {name!r}")
-        dim = config_number(config, "dim", 1, int)
-        box_radius = config_number(config, "box_radius", 2.0, float)
-        if dim < 1:
-            raise ConfigError(f"'dim' must be a positive integer, got {dim!r}")
-        if not 0.0 < box_radius < math.inf:
-            raise ConfigError(f"'box_radius' must be positive and finite, got {box_radius!r}")
+            raise DomainError(f"'builtin' must be 'unit_ball_complement', got {name!r}")
+        dim = config_number(config, "dim", 1, int, COUNT)
+        box_radius = config_number(config, "box_radius", 2.0, float, POSITIVE)
         return unit_ball_complement(dim=dim, box_radius=box_radius)
     try:
         box = config_array(config, "box")
@@ -452,11 +450,10 @@ def field_from_config(config: dict) -> ConstraintField:
         raise ConfigError("constraint box must be a list of [lo, hi] pairs")
     if not np.isfinite(box).all():
         raise ConfigError(f"'box' must hold finite numbers, got {config['box']!r}")
-    resolution = config_number(config, "resolution", 0.0, float)
-    if not np.isfinite(resolution) or resolution < 0:
-        raise ConfigError(
-            f"'resolution' must be positive and finite, got {config['resolution']!r}"
-        )
+    # 0, like no key at all, selects the default spacing, so the test admits it.
+    resolution = config_number(
+        config, "resolution", 0.0, float, ("positive and finite", lambda v: 0 <= v < math.inf)
+    )
     if (
         not isinstance(expressions, (list, tuple))
         or not expressions

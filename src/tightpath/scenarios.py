@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DynamicsModel, motor_decline, motor_surge
-from .errors import ConfigError, DomainError, config_number
+from .errors import FINITE, ConfigError, DomainError, config_number
 from .geometry import ConstraintField, field_from_config
 from .propagation import integrate, integrate_feedback
 from .signals import ControlSignal, TimeGrid, Trajectory
@@ -200,24 +200,16 @@ def scenario_from_config(config: dict) -> Scenario:
     if variant not in _VARIANTS:
         raise ConfigError("reference variant must be 'surge' or 'decline'")
     # Only the keys the config sets: motor_scenario holds the defaults.
-    settings = {
-        key: config_number(table, key, None, int if key == "steps" else float)
-        for table, keys in (
-            (reference, ("clearance", "x_start", "finish")),
-            (config, ("steps", "horizon", "drift_amplitude")),
-        )
-        for key in keys
-        if key in table
-    }
-    for key in ("clearance", "x_start", "finish", "drift_amplitude"):
-        if key in settings and not math.isfinite(settings[key]):
-            raise ConfigError(f"{key!r} must be a finite number, got {settings[key]!r}")
-    if "steps" in settings and not 2 <= settings["steps"] <= _MAX_STEPS:
-        raise ConfigError(f"'steps' must be from 2 to {_MAX_STEPS}, got {config['steps']!r}")
-    if "horizon" in settings and not 0.0 < settings["horizon"] <= _MAX_HORIZON:
-        raise ConfigError(
-            f"'horizon' must be positive and at most {_MAX_HORIZON:g}, got {config['horizon']!r}"
-        )
+    horizon = (f"positive and at most {_MAX_HORIZON:g}", lambda v: 0 < v <= _MAX_HORIZON)
+    keys = (
+        (reference, "clearance", float, ("a finite number >= 0", lambda v: 0 <= v < math.inf)),
+        (reference, "x_start", float, FINITE),
+        (reference, "finish", float, FINITE),
+        (config, "steps", int, (f"from 2 to {_MAX_STEPS}", lambda v: 2 <= v <= _MAX_STEPS)),
+        (config, "horizon", float, horizon),
+        (config, "drift_amplitude", float, FINITE),
+    )
+    settings = {k: config_number(t, k, None, kind, rule) for t, k, kind, rule in keys if k in t}
     # The reference is integrated against the variant's own dynamics, so a
     # config that names a different model or constraint is inconsistent.
     if "model" in config and config["model"] != f"motor_{variant}":

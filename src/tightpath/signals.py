@@ -257,6 +257,15 @@ def linf_distance(a: Trajectory, b: Trajectory) -> float:
     return float(np.linalg.norm(diff, axis=1).max())
 
 
+def positive_semidefinite(mat: np.ndarray) -> bool:
+    """Whether the square ``mat`` is finite and its symmetric part has no
+    eigenvalue below -1e-10 times its largest entry (or 1, if larger)."""
+    if not np.isfinite(mat).all():
+        return False
+    sym = 0.5 * (mat + mat.T)
+    return bool(np.linalg.eigvalsh(sym).min() >= -1e-10 * max(1.0, abs(sym).max()))
+
+
 def weighted_l2_cost(signal: ControlSignal, weight=None) -> float:
     """Integral of u(t)' W(t) u(t) over the signal's span.
 
@@ -280,11 +289,9 @@ def weighted_l2_cost(signal: ControlSignal, weight=None) -> float:
             mat = np.asarray(weight(t), dtype=float)
             if mat.shape != (m, m):
                 raise ShapeError(f"weight at t={t} must be {m}x{m}")
-            if not checked:
-                sym = 0.5 * (mat + mat.T)
-                if np.linalg.eigvalsh(sym).min() < -1e-10 * max(1.0, abs(sym).max()):
-                    raise DomainError(f"weight at t={t} is not positive semidefinite")
-                checked = True
+            if not checked and not positive_semidefinite(mat):
+                raise DomainError(f"weight at t={t} is not finite and positive semidefinite")
+            checked = True
             quads.append(float(u @ mat @ u))
         total += h * (quads[0] + 4 * quads[1] + quads[2]) / 6.0
     return total

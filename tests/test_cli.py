@@ -30,7 +30,8 @@ from tightpath import geometry
 from tightpath.dynamics import model_from_config
 from tightpath.geometry import field_from_config
 from tightpath.hypotheses import bundle_from_dict, bundle_to_dict, load_bundle, save_bundle
-from tightpath.errors import BundleError, ConfigError, config_number
+from tightpath.errors import FINITE, POSITIVE, BundleError, ConfigError, DomainError, config_number
+from tightpath.signals import weighted_l2_cost
 
 SURGE_CONFIG = {
     "model": "motor_surge",
@@ -102,6 +103,43 @@ MOVING_DISK_CONFIG = {
     },
     "reference": CONTROL_AFFINE_CONFIG["reference"],
     "lambda": 0.1,
+}
+
+
+# Every number a config sets: the command that reads it, the config, the
+# table it sits in (None for the top level), the key, and a value outside
+# the key's range.
+_BALL_CONFIG = {**SUPERLINEAR_CONFIG, "constraint": {"builtin": "unit_ball_complement", "dim": 1}}
+_NO_CONTROLS_CONFIG = {
+    **SUPERLINEAR_CONFIG,
+    "rhs": ["0*x1"],
+    "reference": {**SUPERLINEAR_CONFIG["reference"], "controls": [[]] * 5},
+}
+NUMBER_KEYS = {
+    "seed": ("certify", SUPERLINEAR_CONFIG, None, "seed", -1),
+    "lambda": ("repair", SUPERLINEAR_CONFIG, None, "lambda", 0.0),
+    "eps": ("evaluate", SUPERLINEAR_CONFIG, None, "eps", -1.0),
+    "drift_amplitude-model": (
+        "certify",
+        {**SUPERLINEAR_CONFIG, "model": "motor_decline"},
+        None,
+        "drift_amplitude",
+        float("inf"),
+    ),
+    "drift_amplitude-scenario": ("certify", SURGE_CONFIG, None, "drift_amplitude", -float("inf")),
+    "shift_radius": ("certify", CONTROL_AFFINE_CONFIG, None, "shift_radius", -1.0),
+    "state_dim": ("certify", SUPERLINEAR_CONFIG, None, "state_dim", 0),
+    "control_dim": ("certify", _NO_CONTROLS_CONFIG, None, "control_dim", 0),
+    "growth_envelope": ("certify", CONTROL_AFFINE_CONFIG, None, "growth_envelope", -1.0),
+    "state_lipschitz": ("certify", CONTROL_AFFINE_CONFIG, None, "state_lipschitz", -1.0),
+    "dim": ("certify", _BALL_CONFIG, "constraint", "dim", 0),
+    "box_radius": ("certify", _BALL_CONFIG, "constraint", "box_radius", 0.0),
+    "resolution": ("certify", CONTROL_AFFINE_CONFIG, "constraint", "resolution", -0.025),
+    "clearance": ("certify", SURGE_CONFIG, "reference", "clearance", -0.1),
+    "x_start": ("certify", SURGE_CONFIG, "reference", "x_start", float("inf")),
+    "finish": ("certify", SURGE_CONFIG, "reference", "finish", -float("inf")),
+    "steps": ("certify", SURGE_CONFIG, None, "steps", 1),
+    "horizon": ("certify", SURGE_CONFIG, None, "horizon", -1.0),
 }
 
 
@@ -1040,12 +1078,12 @@ class TestConfigRejection:
 
     def test_bool_is_not_a_float(self):
         with pytest.raises(ConfigError, match="'lambda' must be a number, got True"):
-            config_number({"lambda": True}, "lambda", None, float)
+            config_number({"lambda": True}, "lambda", None, float, POSITIVE)
 
     def test_integral_values_still_accepted(self):
         for value in (3, 3.0, "3", -2.0):
-            assert config_number({"steps": value}, "steps", 0, int) == int(float(value))
-        assert config_number({}, "steps", 2000, int) == 2000
+            assert config_number({"steps": value}, "steps", 0, int, FINITE) == int(float(value))
+        assert config_number({}, "steps", 2000, int, FINITE) == 2000
 
     def test_negative_seed_names_itself(self, workdir, capsys):
         path = write_config(workdir / "negative-seed.json", {**SUPERLINEAR_CONFIG, "seed": -1})
@@ -1053,6 +1091,134 @@ class TestConfigRejection:
             code = cli.main(["certify", "--config", path, "--out", str(workdir / "neg"), *extra])
             assert code == 64, extra
             assert "'seed' must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", ["nan", "bool", "out-of-range"])
+    @pytest.mark.parametrize(
+        "command, config, table, key, outside", NUMBER_KEYS.values(), ids=list(NUMBER_KEYS)
+    )
+    def test_every_config_number_is_range_checked_by_key(
+        self, workdir, capsys, command, config, table, key, outside, bad
+    ):
+        # Before, the rows for state_dim, control_dim, growth_envelope,
+        # state_lipschitz and clearance got past the reader: control_dim 0
+        # with empty controls ended in a ZeroDivisionError traceback, a NaN
+        # or infinite declared constant in an exit-1 bundle-function error,
+        # and a negative clearance in an exit-1 error naming no key.
+        config = json.loads(json.dumps(config))
+        (config[table] if table else config)[key] = {
+            "nan": float("nan"), "bool": True, "out-of-range": outside
+        }[bad]
+        path = write_config(workdir / f"number-range-{key}-{bad}.json", config)
+        xp, up = workdir / "range_x.csv", workdir / "range_u.csv"
+        xp.write_text("t,x1\n0,1.2\n1,1.2\n")
+        up.write_text("t,u1\n0,0\n1,0\n")
+        argv = {
+            "certify": ["certify", "--out", str(workdir / "range")],
+            "repair": ["repair", "--bundle", str(workdir / "unread.json")],
+            "evaluate": ["evaluate", str(xp), str(up)],
+        }[command]
+        assert cli.main(argv + ["--config", path]) == 64
+        err = capsys.readouterr().err
+        assert f"config error: {key!r} must be" in err, err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[float("nan"), 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, float("inf")]], [[-1.0, 0.0], [0.0, 1.0]]],
+        ids=["nan", "inf", "indefinite"],
+    )
+    def test_weight_matrix_must_be_finite_and_positive_semidefinite(
+        self, workdir, capsys, matrix
+    ):
+        # Before, certify exited 0 on all three, and evaluate printed a NaN
+        # cost gap with exit 0 on the first two and, on the third, exited 1
+        # with an error that named no key.
+        config = {**CONTROL_AFFINE_CONFIG, "weight": {"kind": "constant", "matrix": matrix}}
+        path = write_config(workdir / "weight-matrix.json", config)
+        xp, up = workdir / "weight_x.csv", workdir / "weight_u.csv"
+        xp.write_text("t,x1,x2\n0,-1.5,1.0005\n2,1.5,1.0005\n")
+        up.write_text("t,u1,u2\n0,1.5,0\n2,1.5,0\n")
+        for argv in (
+            ["certify", "--config", path, "--out", str(workdir / "weight")],
+            ["evaluate", str(xp), str(up), "--config", path],
+        ):
+            assert cli.main(argv) == 64, argv[0]
+            err = capsys.readouterr().err
+            assert "'matrix' must be finite and positive semidefinite" in err, err
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]],
+         [[float("nan"), 0.0], [0.0, 1.0]], [[-1e-12, 0.0], [0.0, 1.0]], [[-1e-9, 0.0], [0.0, 1.0]]],
+        ids=["singular", "indefinite", "skew", "nan", "within-tolerance", "beyond-tolerance"],
+    )
+    def test_config_and_cost_weight_checks_agree(self, matrix):
+        control = ControlSignal(TimeGrid.uniform(0.0, 1.0, 4), np.ones((5, 2)))
+        config = {"weight": {"kind": "constant", "matrix": matrix}}
+        accepted = []
+        for check in (
+            lambda: cli.weight_from_config(config, 2),
+            lambda: weighted_l2_cost(control, lambda t: np.array(matrix)),
+        ):
+            try:
+                check()
+                accepted.append(True)
+            except (ConfigError, DomainError):
+                accepted.append(False)
+        assert accepted[0] == accepted[1], accepted
+
+    @pytest.mark.parametrize(
+        "change, needle",
+        [
+            ({"control_dim": 10**9}, "reference controls have dimension 1, model expects 1000000000"),
+            ({"state_dim": 10**9}, "reference states have dimension 1, model expects 1000000000"),
+            (
+                {"constraint": {"builtin": "unit_ball_complement", "dim": 10**9}},
+                "'constraint' has dimension 1000000000, model expects 1",
+            ),
+        ],
+        ids=["control_dim", "state_dim", "ball-dim"],
+    )
+    def test_declared_dimensions_are_checked_before_anything_is_built(
+        self, workdir, capsys, monkeypatch, change, needle
+    ):
+        # Before, compiling the model built 10**9 argument names and the
+        # ball allocated a 10**9-row box, both ending in MemoryError.
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before its dimension was checked")
+
+        monkeypatch.setattr("tightpath.dynamics.compile_expressions", refuse)
+        monkeypatch.setattr("tightpath.geometry.unit_ball_complement", refuse)
+        path = write_config(workdir / "huge-dim.json", {**SUPERLINEAR_CONFIG, **change})
+        assert cli.main(["certify", "--config", path, "--out", str(workdir / "huge-dim")]) == 64
+        assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, bad", [("out", 5), ("out", ["a"]), ("builtin", "ball"), ("builtin", 5)], ids=repr
+    )
+    def test_malformed_out_or_builtin_names_the_key(self, workdir, capsys, key, bad):
+        # Before, an 'out' that is not a string ended in a TypeError
+        # traceback once certification passed, and an unknown builtin
+        # exited 1 naming no key.
+        config = json.loads(json.dumps(SUPERLINEAR_CONFIG))
+        if key == "out":
+            config["out"] = bad
+        else:
+            config["constraint"] = {"builtin": bad, "dim": 1}
+        path = write_config(workdir / f"malformed-{key}.json", config)
+        assert cli.main(["certify", "--config", path]) == 64
+        assert f"config error: {key!r} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["states", "controls"])
+    @pytest.mark.parametrize("bad", [0, 5, ["a"], None], ids=repr)
+    def test_csv_reference_path_that_is_not_a_string_names_the_key(self, workdir, capsys, key, bad):
+        # Before, 0 read the process's standard input as the CSV, 5 ended in
+        # an OSError traceback and a list or null in a TypeError traceback.
+        reference = {"kind": "csv", "states": "x.csv", "controls": "u.csv", key: bad}
+        path = write_config(workdir / "csv-path.json", {**SUPERLINEAR_CONFIG, "reference": reference})
+        assert cli.main(["certify", "--config", path, "--out", str(workdir / "csv-path")]) == 64
+        assert f"config error: {key!r} must be a file name, got {bad!r}" in capsys.readouterr().err
 
     def test_readme_example_config_loads(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -163,6 +163,7 @@ ROW_TIME_MODELS = {
 }
 
 
+@pytest.mark.float_path
 class TestRowTimes:
     """rhs_batch with one time per row against row-by-row calls at float times."""
 
@@ -202,6 +203,7 @@ class TestRowTimes:
             assert "at t=1.3:" in str(per_row.value)
 
 
+@pytest.mark.float_path
 class TestDeclineDecay:
     @staticmethod
     def array_decay(t):
@@ -252,6 +254,7 @@ def bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+@pytest.mark.float_path
 class TestFloatBranch:
     """Each motor's float form equals its array form, bit for bit."""
 
@@ -787,6 +790,7 @@ def written(expr, t, x):
     return np.asarray(value, dtype=float) + np.zeros(x.shape[:-1])
 
 
+@pytest.mark.float_path
 class TestCompiledExpressions:
     """A compiled expression computes what the same formula written in
     numpy computes, bit for bit."""

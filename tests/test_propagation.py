@@ -231,6 +231,7 @@ BITWISE_CASES = {
 }
 
 
+@pytest.mark.float_path
 class TestBitwiseAgainstReference:
     @pytest.mark.parametrize("case", sorted(BITWISE_CASES))
     def test_nodes_states_and_half_step_gap(self, case):
@@ -292,6 +293,7 @@ def counting(rhs, calls):
     return counted
 
 
+@pytest.mark.float_path
 class TestFloatField:
     @pytest.mark.parametrize("make", [motor_surge, motor_decline])
     def test_float_rhs_equals_the_adaptor_bitwise(self, make):
@@ -355,6 +357,7 @@ class TestFloatField:
             dataclasses.replace(affine_2d(), float_rhs=True)
 
 
+@pytest.mark.float_path
 class TestFeedbackLoop:
     def test_one_step_per_cell_with_the_law_of_the_left_state(self):
         model = motor_decline()
@@ -597,6 +600,7 @@ def old_feedback(model, grid, x0, law):
     return np.vstack(states), np.vstack(controls)
 
 
+@pytest.mark.float_path
 class TestOneStageLoop:
     """integrate and integrate_feedback against the old per-step stepper."""
 

@@ -636,6 +636,7 @@ def counting_lookups(table, calls):
     return table
 
 
+@pytest.mark.float_path
 class TestWindowScans:
     """The window-excess scan and the window tables keep the full passes' bits."""
 

@@ -111,6 +111,7 @@ class TestTrajectory:
         assert traj.max_norm() == pytest.approx(np.sqrt(2.0))
 
 
+@pytest.mark.float_path
 class TestWindowModulus:
     """``build_modulus_table`` against brute-force window integrals."""
 
@@ -164,6 +165,7 @@ class TestSubsample:
         assert picked[0] == 0.0 and picked[-1] == 2.0
 
 
+@pytest.mark.float_path
 class TestModulusTable:
     def test_ceil_lookup(self):
         table = ModulusTable(np.array([0.0, 0.1, 0.2, 0.4]), np.array([0.0, 1.0, 1.5, 2.0]))
