@@ -106,15 +106,15 @@ MOVING_DISK_CONFIG = {
 }
 
 
-# Every number a config sets: the command that reads it, the config, the
-# table it sits in (None for the top level), the key, and a value outside
-# the key's range.
 _BALL_CONFIG = {**SUPERLINEAR_CONFIG, "constraint": {"builtin": "unit_ball_complement", "dim": 1}}
 _NO_CONTROLS_CONFIG = {
     **SUPERLINEAR_CONFIG,
     "rhs": ["0*x1"],
     "reference": {**SUPERLINEAR_CONFIG["reference"], "controls": [[]] * 5},
 }
+# Every number a config sets: the command that reads it, the config, the
+# table it sits in (None for the top level), the key, and a value outside
+# the key's range.
 NUMBER_KEYS = {
     "seed": ("certify", SUPERLINEAR_CONFIG, None, "seed", -1),
     "lambda": ("repair", SUPERLINEAR_CONFIG, None, "lambda", 0.0),
