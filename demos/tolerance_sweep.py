@@ -2,8 +2,9 @@
 How the tightening shrinks with the tolerance
 =============================================
 
-The synthesis picks the largest tightening eps that still admits an
-interior profile within the requested tolerance lam.  Sweeping lam
+The synthesis halves the tightening eps from its certified cap and
+keeps the first halving that yields an interior profile within the
+requested tolerance lam.  Sweeping lam
 downward shows the trade directly: tighter tolerances force smaller
 eps, smaller corrections, and thinner margins, but the contract holds
 at every level.

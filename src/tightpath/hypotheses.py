@@ -816,7 +816,6 @@ class HypothesisBundle:
     holder_rate: SampledFunction
     provenance: dict = field(default_factory=dict)
     reference_sup: float = 0.0
-    eps_list: tuple = ()
     config_hash: str = ""
     seed: int = 0
 
@@ -845,7 +844,6 @@ class HypothesisBundle:
         for name in ("control_bound", "velocity_bound"):
             if not getattr(self, name) >= 0:
                 raise BundleError(f"{name!r} must be nonnegative, got {getattr(self, name)!r}")
-        object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
 
 
 def reference_norm(xbar: Trajectory) -> float:
@@ -969,7 +967,6 @@ def certify_all(
         holder_rate=ku,
         provenance=provenance,
         reference_sup=reference_sup,
-        eps_list=EPS_LIST,
         config_hash=config_hash,
         seed=seed,
     )
@@ -1007,12 +1004,6 @@ def _seed(value) -> int:
     return int(value)
 
 
-def _number_list(value) -> tuple:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of numbers, got {value!r}")
-    return tuple(_finite_number(item) for item in value)
-
-
 def _string(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
@@ -1038,7 +1029,6 @@ def bundle_to_dict(bundle: HypothesisBundle) -> dict:
     }
     out["provenance"] = dict(bundle.provenance)
     out["reference_sup"] = bundle.reference_sup
-    out["eps_list"] = list(bundle.eps_list)
     out["config_hash"] = bundle.config_hash
     out["seed"] = bundle.seed
     return out
@@ -1068,7 +1058,6 @@ def bundle_from_dict(data: dict) -> HypothesisBundle:
     kwargs["boundary_drift"] = read("boundary_drift", _modulus_table)
     kwargs["provenance"] = read("provenance", _string_table, {})
     kwargs["reference_sup"] = read("reference_sup", _finite_number, 0.0)
-    kwargs["eps_list"] = read("eps_list", _number_list, [])
     kwargs["config_hash"] = read("config_hash", _string, "")
     kwargs["seed"] = read("seed", _seed, 0)
     return HypothesisBundle(**kwargs)
@@ -1085,10 +1074,12 @@ def _binding_samples(bundle: HypothesisBundle) -> dict:
 
 
 def save_bundle(path, bundle: HypothesisBundle) -> None:
-    """Write the bundle with a ``certification`` block: the sample counts
-    it was certified with and the sample where each function binds."""
+    """Write the bundle with a ``certification`` block: the tightening grid
+    and sample counts it was certified with, and the sample where each
+    function binds. The block is never read back."""
     record = bundle_to_dict(bundle)
     record["certification"] = {
+        "eps_list": list(EPS_LIST),
         "sample_counts": _SAMPLE_COUNTS,
         "binding_samples": _binding_samples(bundle),
     }

@@ -65,8 +65,9 @@ def _exp(value: float) -> float:
 class RepairConstants:
     """The scheduled constants consumed by the interval loop.
 
-    ``eps_trail`` lists every tightening tried as (eps, violation, kept);
-    its last entry, the one in force, gives ``eps`` and ``rho_bar_eps``.
+    ``eps_trail`` lists every tightening ``repair`` tried, as (eps,
+    violation, kept); its last entry, the one in force, gives ``eps`` and
+    ``rho_bar_eps``. ``schedule_constants`` leaves it empty.
     """
 
     k: float
@@ -194,10 +195,8 @@ def schedule_constants(
     The window width starts at min(inward slack, certified window cap) and
     halves until the boundary-drift, oscillation, and drift-versus-slack
     inequalities all hold; the burst rate is 4 over the inward slack; the
-    violation cap is the smallest of the three proof caps; the tightening
-    halves from the certified cap until the reference's violation fits under
-    the cap with a strictly interior start (an eps whose tightened set the
-    oracle finds empty is rejected at violation inf). A reference larger
+    violation cap is the smallest of the three proof caps. None of them
+    depends on the tightening, which ``repair`` picks. A reference larger
     than the bundle was certified for, a bundle function off the reference
     grid, or a growth envelope whose Gronwall radius overflows raises
     BundleError. The window modulus omega_bar is, at each multiple of the
@@ -323,28 +322,6 @@ def schedule_constants(
         indices.append(grid.nodes.size - 1)
     partition = np.asarray(indices)
 
-    eps = bundle.eps_cap
-    trail = []
-    for _ in range(_MAX_HALVINGS + 1):
-        try:
-            rho_bar = violation_sup(field, eps, xbar)
-        except InfeasibleTighteningError:
-            rho_bar = np.inf  # the distance to an empty set
-        ok = rho_bar <= rho_hat and float(field.margin(t0, xbar.states[0], eps)) > 0
-        trail.append((float(eps), float(rho_bar), bool(ok)))
-        if ok:
-            break
-        eps /= 2.0
-    if not ok:
-        last_eps, last_rho, _ = trail[-1]
-        if last_rho == np.inf:
-            detail = f"the tightened set is still empty at eps={last_eps:g}"
-        elif last_rho > rho_hat:
-            detail = f"violation {last_rho:g} still above the cap {rho_hat:g} at eps={last_eps:g}"
-        else:
-            detail = f"no interior start down to eps={last_eps:g}"
-        raise ScheduleError("eps-infeasible", detail)
-
     return RepairConstants(
         k=float(k),
         rho_hat=float(rho_hat),
@@ -358,7 +335,7 @@ def schedule_constants(
         stride=int(stride),
         step=step,
         oscillation_gate=gate,
-        eps_trail=tuple(trail),
+        eps_trail=(),
         horizon=float(horizon),
     )
 
@@ -523,14 +500,15 @@ def repair(
 ):
     """Produce a strictly interior neighbor of the reference pair.
 
-    Schedules the constants, then sweeps the partition left to right,
-    repairing each interval against the current suffix violation. After
-    the sweep the three guarantees are measured outright: positive grid
-    margins for the tightened constraint, sup distance to the reference at
-    most ``lam``, and weighted quadratic control cost within ``lam`` of
-    the reference cost. If any of them fails, the tightening is halved and
-    the sweep rerun (the analytic schedule guarantees existence of a small
-    enough tightening; halving finds one deterministically).
+    Schedules the constants, then walks the tightening ladder eps_cap *
+    2**-j, j = 0..60. A rung whose reference violation (inf where the set
+    is empty) is at most ``rho_hat``, with a strictly interior start, gets
+    one left-to-right sweep of the partition, and is kept if the result
+    has positive grid margins and sup and weighted quadratic cost gaps of
+    at most ``lam``; else it is marked rejected. A second failed interval
+    check raises ``RepairError`` at stage ``interval``. A ladder that runs
+    out raises ``ScheduleError`` ``eps-infeasible`` if it admitted no rung,
+    else ``RepairError`` with the last sweep's failure.
 
     The sweeps re-integrate without the half-step check. An accepted pair
     is re-integrated once from the start of its first burst interval to
@@ -550,42 +528,56 @@ def repair(
         raise RepairError("reference control is not essentially bounded", stage="precondition")
 
     c = schedule_constants(bundle, field, xbar, ubar, lam)
-    interval_retry_used = False
-    last_report = None
-
-    while True:
-        # Every entry after the first of the trail is one halving.
-        exhausted = len(c.eps_trail) > _MAX_HALVINGS
+    t0, x0 = float(xbar.grid.t0), xbar.states[0]
+    trail, last_report, failed_interval, retried = [], None, None, False
+    eps = bundle.eps_cap
+    for _ in range(_MAX_HALVINGS + 1):
         try:
-            x_eps, u_eps, report = _sweep(xbar, ubar, c, bundle, field, model, weight)
-        except IntervalRepairError as exc:
-            if interval_retry_used or exhausted:
-                raise RepairError(
-                    f"interval {exc.interval} failed its interiority check twice "
-                    f"(worst margin {exc.margin:g})",
-                    stage="interval",
-                    report=last_report,
-                ) from exc
-            interval_retry_used = True
-        else:
-            last_report = report
-            ok = (
-                report.interiority_margin > 0
-                and report.final_linf_gap <= lam
-                and report.final_cost_gap <= lam
-            )
-            if ok:
-                _verify_suffix(x_eps, u_eps, c, report, model)
-                return x_eps, u_eps, c, report
-            if exhausted:
-                raise RepairError(
-                    f"contract not met at the smallest tightening tried: margin "
-                    f"{report.interiority_margin:g}, sup gap {report.final_linf_gap:g}, "
-                    f"cost gap {report.final_cost_gap:g} vs lambda {lam:g}",
-                    stage="contract",
-                    report=report,
-                )
-        c = _retighten(c, field, xbar)
+            rho_bar = violation_sup(field, eps, xbar)
+        except InfeasibleTighteningError:
+            rho_bar = np.inf  # the distance to an empty set
+        admitted = rho_bar <= c.rho_hat and float(field.margin(t0, x0, eps)) > 0
+        trail.append((float(eps), float(rho_bar), bool(admitted)))
+        if admitted:
+            c = dataclasses.replace(c, eps_trail=tuple(trail))
+            try:
+                x_eps, u_eps, report = _sweep(xbar, ubar, c, bundle, field, model, weight)
+            except IntervalRepairError as exc:
+                failed_interval = exc
+                if retried:
+                    break
+                retried = True
+            else:
+                gaps_ok = report.final_linf_gap <= lam and report.final_cost_gap <= lam
+                if gaps_ok and report.interiority_margin > 0:
+                    _verify_suffix(x_eps, u_eps, c, report, model)
+                    return x_eps, u_eps, c, report
+                last_report, failed_interval = report, None
+            trail[-1] = (float(eps), float(rho_bar), False)
+        eps /= 2.0
+    if failed_interval is not None:
+        raise RepairError(
+            f"interval {failed_interval.interval} failed its interiority check twice "
+            f"(worst margin {failed_interval.margin:g})",
+            stage="interval",
+            report=last_report,
+        ) from failed_interval
+    if last_report is not None:
+        raise RepairError(
+            f"contract not met at the smallest tightening tried: margin "
+            f"{last_report.interiority_margin:g}, sup gap {last_report.final_linf_gap:g}, "
+            f"cost gap {last_report.final_cost_gap:g} vs lambda {lam:g}",
+            stage="contract",
+            report=last_report,
+        )
+    last_eps, last_rho, _ = trail[-1]
+    if last_rho == np.inf:
+        detail = f"the tightened set is still empty at eps={last_eps:g}"
+    elif last_rho > c.rho_hat:
+        detail = f"violation {last_rho:g} still above the cap {c.rho_hat:g} at eps={last_eps:g}"
+    else:
+        detail = f"no interior start down to eps={last_eps:g}"
+    raise ScheduleError("eps-infeasible", detail)
 
 
 def _verify_suffix(x_eps: Trajectory, u_eps: ControlSignal, c, report, model) -> None:
@@ -610,15 +602,6 @@ def _verify_suffix(x_eps: Trajectory, u_eps: ControlSignal, c, report, model) ->
             stage="verify",
             report=report,
         )
-
-
-def _retighten(c: RepairConstants, field, xbar) -> RepairConstants:
-    """Halve eps after a failed sweep: the failed eps is marked rejected."""
-    *earlier, (failed_eps, failed_rho, _) = c.eps_trail
-    eps = failed_eps / 2.0
-    rho_bar = violation_sup(field, eps, xbar)
-    trail = (*earlier, (failed_eps, failed_rho, False), (float(eps), float(rho_bar), True))
-    return dataclasses.replace(c, eps_trail=trail)
 
 
 def _sweep(xbar, ubar, c, bundle, field, model, weight):

@@ -22,9 +22,12 @@ Frozen oracle values, derived independently of the implementation:
   collar sample with x2 < 0 defeats every candidate control.
 """
 
+import ast
 import collections
 import dataclasses
+import json
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -34,6 +37,7 @@ from tightpath import (
     BundleError,
     CertificationError,
     ControlSignal,
+    HypothesisBundle,
     InwardPointingError,
     OperatingBox,
     SampledFunction,
@@ -1637,7 +1641,35 @@ class TestBundle:
         assert np.array_equal(loaded.holder_rate.values, bundle.holder_rate.values)
         assert loaded.control_bound == bundle.control_bound
         assert loaded.provenance == bundle.provenance
-        assert loaded.eps_list == bundle.eps_list
+
+    def test_the_tightening_grid_is_written_and_not_read(self, surge_bundle, tmp_path):
+        # Bundles written before the grid moved into the certification
+        # block carry it at the top level, where nothing reads it.
+        bundle = surge_bundle[0]
+        path = tmp_path / "bundle.json"
+        save_bundle(path, bundle)
+        record = json.loads(path.read_text())
+        assert "eps_list" not in record
+        assert record["certification"]["eps_list"] == list(hypotheses.EPS_LIST)
+        old = {**record, "eps_list": [0.05, 0.1, 0.2]}
+        assert bundle_to_dict(bundle_from_dict(old)) == bundle_to_dict(bundle)
+
+    def test_every_bundle_field_but_holder_rate_has_a_reader(self):
+        # A field that neither repair.py nor cli.py reads, as bundle.<field>
+        # or as a string naming it, is dead weight in every bundle.json.
+        # holder_rate waits for its wiring into the schedule; once it has a
+        # reader, this set is empty.
+        package = Path(hypotheses.__file__).parent
+        read = set()
+        for name in ("repair.py", "cli.py"):
+            for node in ast.walk(ast.parse((package / name).read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    if node.value.id == "bundle":
+                        read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+        fields = {f.name for f in dataclasses.fields(HypothesisBundle)}
+        assert fields - read == {"holder_rate"}
 
     def test_missing_record_is_reported(self, surge_bundle):
         data = bundle_to_dict(surge_bundle[0])

@@ -16,9 +16,6 @@ Frozen oracle values, derived independently of the implementation:
   regardless of the control, so no control can push the state (1.05, 0)
   away from the tightened boundary of the planar ring at any rate: the
   inward search must fail there.
-* A reference dipped smoothly 0.18 below its floor sinks at least 0.12
-  inside every tightened ring, which exceeds the violation cap at every
-  tightening level, so no tightening passes the schedule gate.
 """
 
 import dataclasses
@@ -35,6 +32,7 @@ from tightpath import (
     ControlSignal,
     HypothesisBundle,
     InfeasibleTighteningError,
+    IntervalRepairError,
     InwardPointingError,
     ModulusTable,
     RepairConstants,
@@ -246,9 +244,11 @@ class TestSchedule:
         assert c_s.oscillation_gate == GATE_OSC
         assert c_d.oscillation_gate == GATE_WINDOW
 
-    def test_tightening_gates(self, bundle_case):
-        sc, bundle = bundle_case
-        c = schedule_constants(bundle, sc.field, sc.xbar, sc.ubar, 0.1)
+    @pytest.mark.parametrize("case", ["surge", "decline"])
+    def test_tightening_gates(self, case, request):
+        sc = request.getfixturevalue(f"{case}_scenario")
+        bundle = request.getfixturevalue(f"{case}_bundle")
+        _, _, c, _ = request.getfixturevalue(f"{case}_run")
         assert c.rho_bar_eps <= c.rho_hat
         assert sc.field.margin(0.0, sc.xbar.states[0], c.eps) > 0
         eps_values = [e for e, _, _ in c.eps_trail]
@@ -274,20 +274,25 @@ class TestSchedule:
             schedule_constants(cramped, sc.field, sc.xbar, sc.ubar, 0.1)
         assert err.value.kind == "delta-infeasible"
 
-    def test_eps_infeasible(self, surge_scenario, surge_bundle):
-        # A slow dip keeps window oscillation under the collar gate while
-        # sinking 0.12 past the untightened boundary, which exceeds the
-        # violation cap at every tightening level.
+    def test_eps_infeasible(self, monkeypatch, surge_scenario, surge_bundle):
+        # A violation of 0.125 at every rung is above the cap 0.0625 at
+        # every tightening level, so no rung is admitted and none is swept.
+        def above_cap(field, eps, traj):
+            return 0.125
+
+        def forbidden(*args):
+            raise AssertionError("a rung above the cap is not swept")
+
+        module = importlib.import_module("tightpath.repair")
+        monkeypatch.setattr(module, "violation_sup", above_cap)
+        monkeypatch.setattr(module, "_sweep", forbidden)
         sc = surge_scenario
-        t = sc.xbar.grid.nodes
-        bump = np.where(
-            (t >= 0.5) & (t <= 1.0), np.sin(np.pi * (t - 0.5) / 0.5) ** 2, 0.0
-        )
-        dipped = sc.xbar.states - 0.18 * bump[:, None]
-        broken = Trajectory(grid=sc.xbar.grid, states=dipped)
         with pytest.raises(ScheduleError) as err:
-            schedule_constants(surge_bundle, sc.field, broken, sc.ubar, 0.1)
+            repair(sc.xbar, sc.ubar, 0.1, surge_bundle, sc.field, sc.model)
         assert err.value.kind == "eps-infeasible"
+        assert err.value.detail == (
+            f"violation 0.125 still above the cap 0.0625 at eps={surge_bundle.eps_cap / 2**60:g}"
+        )
 
     def test_an_empty_set_at_every_rung_names_itself(
         self, monkeypatch, surge_scenario, surge_bundle
@@ -300,9 +305,23 @@ class TestSchedule:
         monkeypatch.setattr(importlib.import_module("tightpath.repair"), "violation_sup", empty)
         sc = surge_scenario
         with pytest.raises(ScheduleError) as err:
-            schedule_constants(surge_bundle, sc.field, sc.xbar, sc.ubar, 0.1)
+            repair(sc.xbar, sc.ubar, 0.1, surge_bundle, sc.field, sc.model)
         assert err.value.kind == "eps-infeasible"
         assert err.value.detail.startswith("the tightened set is still empty at eps=")
+
+    def test_no_interior_start_names_itself(self, monkeypatch, surge_scenario, surge_bundle):
+        # The reference fits under the cap at every rung, but its start lies
+        # inside the untightened set only.
+        sc = surge_scenario
+        shy = SimpleNamespace(
+            margin=lambda t, x, eps: sc.field.margin(t, x, eps) if eps == 0.0 else -1.0
+        )
+        module = importlib.import_module("tightpath.repair")
+        monkeypatch.setattr(module, "violation_sup", lambda field, eps, traj: 0.0)
+        with pytest.raises(ScheduleError) as err:
+            repair(sc.xbar, sc.ubar, 0.1, surge_bundle, shy, sc.model)
+        assert err.value.kind == "eps-infeasible"
+        assert err.value.detail == f"no interior start down to eps={surge_bundle.eps_cap / 2**60:g}"
 
     def test_rejects_nonpositive_tolerance(self, surge_scenario, surge_bundle):
         from tightpath import DomainError
@@ -471,13 +490,12 @@ class TestRepair:
         assert np.array_equal(u1.values, u2.values)
         assert render_report(c1, r1, 0.1) == render_report(c2, r2, 0.1)
 
-    def test_trail_marks_retried_sweeps_rejected(self, surge_scenario, surge_bundle, surge_run):
+    def test_trail_marks_retried_sweeps_rejected(self, monkeypatch, surge_scenario, surge_bundle):
         sc = surge_scenario
-        _, _, c, report = surge_run
-        scheduled = schedule_constants(surge_bundle, sc.field, sc.xbar, sc.ubar, 0.1)
-        first_swept = len(scheduled.eps_trail) - 1
-        assert scheduled.eps_trail[first_swept][2]  # the schedule kept this eps
-        assert len(c.eps_trail) > len(scheduled.eps_trail)  # but its sweep was retried
+        swept = record_sweeps(monkeypatch)
+        _, _, c, report = repair(sc.xbar, sc.ubar, 0.1, surge_bundle, sc.field, sc.model)
+        first_swept = [e for e, _, _ in c.eps_trail].index(swept[0])  # the first admitted eps
+        assert len(swept) > 1 and len(c.eps_trail) > first_swept + 1  # but its sweep was retried
         assert [ok for *_, ok in c.eps_trail] == [False] * (len(c.eps_trail) - 1) + [True]
         text = render_report(c, report, 0.1)
         trail = text.split("[tightening trail]\n")[1].split("\n\n")[0].splitlines()
@@ -501,6 +519,118 @@ class TestRepair:
             assert report.final_cost_gap <= lam
             chosen.append(c.eps)
         assert chosen[0] >= chosen[1]
+
+
+def record_sweeps(monkeypatch, outcome=None):
+    """Patch ``_sweep`` to record the eps of each call; the n-th call
+    returns (or raises) ``outcome(n)``, or runs the real sweep."""
+    module = importlib.import_module("tightpath.repair")
+    real, swept = module._sweep, []
+
+    def recording(xbar, ubar, c, *rest):
+        swept.append(c.eps)
+        if outcome is None:
+            return real(xbar, ubar, c, *rest)
+        return outcome(len(swept) - 1)
+
+    monkeypatch.setattr(module, "_sweep", recording)
+    return swept
+
+
+class TestLadder:
+    """``repair`` walks eps_cap * 2**-j for j = 0..60 and sweeps each rung
+    whose violation fits under the cap with an interior start. On the surge
+    scenario eps_cap is 0.2, the first admitted rung is 0.05, and the sweeps
+    at 0.05, 0.025 and 0.0125 fail the contract."""
+
+    module = importlib.import_module("tightpath.repair")
+
+    def patch_violation(self, monkeypatch, value_at):
+        """Patch ``violation_sup`` to return ``value_at(eps)`` where that is
+        not None, inf meaning an empty tightened set."""
+        real = self.module.violation_sup
+
+        def patched(field, eps, traj):
+            value = value_at(eps)
+            if value is None:
+                return real(field, eps, traj)
+            if value == np.inf:
+                raise InfeasibleTighteningError("empty", eps=eps)
+            return value
+
+        monkeypatch.setattr(self.module, "violation_sup", patched)
+
+    def test_the_ladder_runs_out_by_contract(
+        self, monkeypatch, surge_scenario, surge_bundle, surge_run
+    ):
+        sc = surge_scenario
+        failed = dataclasses.replace(surge_run[3], interiority_margin=-1.0)
+        swept = record_sweeps(monkeypatch, lambda n: (sc.xbar, sc.ubar, failed))
+        with pytest.raises(RepairError) as err:
+            repair(sc.xbar, sc.ubar, 0.1, surge_bundle, sc.field, sc.model)
+        assert err.value.stage == "contract"
+        assert err.value.report is failed
+        assert swept == [surge_bundle.eps_cap / 2.0**j for j in range(2, 61)]
+        assert swept[0] == 0.05 and swept[-1] == surge_bundle.eps_cap / 2**60
+
+    def test_one_failed_interval_moves_to_the_next_rung(
+        self, monkeypatch, surge_scenario, surge_bundle, surge_run
+    ):
+        sc = surge_scenario
+        x_eps, u_eps, _, report = surge_run
+
+        def outcome(n):
+            if n == 0:
+                raise IntervalRepairError("interval 4", interval=4, margin=-1e-3)
+            return x_eps, u_eps, report
+
+        swept = record_sweeps(monkeypatch, outcome)
+        _, _, c, got = repair(sc.xbar, sc.ubar, 0.1, surge_bundle, sc.field, sc.model)
+        assert swept == [0.05, 0.025]
+        assert got is report and c.eps == 0.025
+        assert [ok for *_, ok in c.eps_trail] == [False, False, False, True]
+
+    def test_a_second_failed_interval_ends_the_run(self, monkeypatch, surge_scenario, surge_bundle):
+        sc = surge_scenario
+
+        def outcome(n):
+            raise IntervalRepairError(f"interval {3 + n}", interval=3 + n, margin=-1e-3)
+
+        swept = record_sweeps(monkeypatch, outcome)
+        with pytest.raises(RepairError) as err:
+            repair(sc.xbar, sc.ubar, 0.1, surge_bundle, sc.field, sc.model)
+        assert err.value.stage == "interval"
+        assert str(err.value).startswith("interval 4 failed its interiority check twice")
+        assert err.value.report is None
+        assert swept == [0.05, 0.025]
+
+    def test_an_empty_set_after_a_failed_sweep_is_not_swept(
+        self, monkeypatch, surge_scenario, surge_bundle, surge_run
+    ):
+        # Every rung below 0.05 is empty: each is rejected at violation inf,
+        # and the run ends on the contract of the one sweep it made.
+        sc = surge_scenario
+        failed = dataclasses.replace(surge_run[3], interiority_margin=-1.0)
+        self.patch_violation(monkeypatch, lambda eps: np.inf if eps < 0.05 else None)
+        swept = record_sweeps(monkeypatch, lambda n: (sc.xbar, sc.ubar, failed))
+        with pytest.raises(RepairError) as err:
+            repair(sc.xbar, sc.ubar, 0.1, surge_bundle, sc.field, sc.model)
+        assert err.value.stage == "contract"
+        assert err.value.report is failed and swept == [0.05]
+
+    @pytest.mark.parametrize("violation", [0.125, np.inf], ids=["above-cap", "empty"])
+    def test_a_rung_after_a_failed_sweep_is_admitted_before_it_is_swept(
+        self, monkeypatch, violation, surge_scenario, surge_bundle, surge_run
+    ):
+        sc = surge_scenario
+        self.patch_violation(monkeypatch, lambda eps: violation if eps == 0.025 else None)
+        swept = record_sweeps(monkeypatch)
+        x_eps, u_eps, c, report = repair(sc.xbar, sc.ubar, 0.1, surge_bundle, sc.field, sc.model)
+        assert swept == [0.05, 0.0125, 0.00625]
+        assert x_eps.states.tobytes() == surge_run[0].states.tobytes()
+        assert u_eps.values.tobytes() == surge_run[1].values.tobytes()
+        line = f"eps = {0.025:.17g}  violation = {violation:.17g}  rejected"
+        assert line in render_report(c, report, 0.1).splitlines()
 
 
 class TestSuffixVerification:
