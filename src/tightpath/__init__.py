@@ -1,4 +1,9 @@
-"""Synthesis of strictly interior trajectories under tightened constraints."""
+"""Synthesis of strictly interior trajectories under tightened constraints.
+
+The package exports what README's quick start and the demos call, the two
+classes a custom model is built from, and every exception. Everything else
+is imported from its module, for example ``tightpath.propagation.integrate``.
+"""
 
 from .errors import (
     AccuracyError,
@@ -18,78 +23,11 @@ from .errors import (
     ShapeError,
     TightpathError,
 )
-from .dynamics import (
-    DeclaredRegularity,
-    DynamicsModel,
-    control_affine,
-    drift_budget,
-    eval_rhs,
-    expression_model,
-    model_from_config,
-    motor_decline,
-    motor_surge,
-    rhs_batch,
-    shift_selection,
-)
-from .expr import compile_expressions
-from .geometry import (
-    ConstraintField,
-    boundary_points,
-    build_boundary_modulus,
-    field_from_config,
-    node_violations,
-    unit_ball_complement,
-    violation_sup,
-)
-from .hypotheses import (
-    HypothesisBundle,
-    OperatingBox,
-    SampledFunction,
-    best_inward_candidate,
-    bundle_from_dict,
-    bundle_to_dict,
-    certify_all,
-    certify_inward_pointing,
-    certify_lipschitz,
-    certify_sublinear,
-    certify_time_regularity,
-    inclusion_margins,
-    load_bundle,
-    save_bundle,
-)
-from .propagation import (
-    gronwall_radius,
-    integrate,
-    integrate_feedback,
-)
-from .repair import (
-    IterationRecord,
-    RepairConstants,
-    RepairReport,
-    growth_maps,
-    inward_control_at,
-    render_report,
-    repair,
-    repair_interval,
-    schedule_constants,
-)
-from .scenarios import (
-    Scenario,
-    boundary_tracking_reference,
-    motor_scenario,
-    scenario_from_config,
-)
-from .signals import (
-    ControlSignal,
-    ModulusTable,
-    TimeGrid,
-    Trajectory,
-    build_modulus_table,
-    linf_distance,
-    load_control,
-    load_trajectory,
-    save_csv,
-    weighted_l2_cost,
-)
+from .dynamics import DeclaredRegularity, DynamicsModel, expression_model
+from .geometry import field_from_config
+from .hypotheses import bundle_from_dict, bundle_to_dict, certify_all, load_bundle, save_bundle
+from .repair import render_report, repair
+from .scenarios import motor_scenario
+from .signals import ControlSignal, TimeGrid, Trajectory, linf_distance, save_csv
 
 __version__ = "0.1.0"

@@ -529,7 +529,7 @@ def repair(
 
     c = schedule_constants(bundle, field, xbar, ubar, lam)
     t0, x0 = float(xbar.grid.t0), xbar.states[0]
-    trail, last_report, failed_interval, retried = [], None, None, False
+    trail, last_report, failed_interval, interval_failures = [], None, None, 0
     eps = bundle.eps_cap
     for _ in range(_MAX_HALVINGS + 1):
         try:
@@ -543,10 +543,9 @@ def repair(
             try:
                 x_eps, u_eps, report = _sweep(xbar, ubar, c, bundle, field, model, weight)
             except IntervalRepairError as exc:
-                failed_interval = exc
-                if retried:
+                failed_interval, interval_failures = exc, interval_failures + 1
+                if interval_failures == 2:
                     break
-                retried = True
             else:
                 gaps_ok = report.final_linf_gap <= lam and report.final_cost_gap <= lam
                 if gaps_ok and report.interiority_margin > 0:
@@ -556,15 +555,16 @@ def repair(
             trail[-1] = (float(eps), float(rho_bar), False)
         eps /= 2.0
     if failed_interval is not None:
+        when = "twice, the second time at" if interval_failures == 2 else "at"
         raise RepairError(
-            f"interval {failed_interval.interval} failed its interiority check twice "
-            f"(worst margin {failed_interval.margin:g})",
+            f"interval {failed_interval.interval} failed its interiority check {when} "
+            f"eps={c.eps:g} (worst margin {failed_interval.margin:g})",
             stage="interval",
             report=last_report,
         ) from failed_interval
     if last_report is not None:
         raise RepairError(
-            f"contract not met at the smallest tightening tried: margin "
+            f"contract not met at eps={c.eps:g}, the last tightening swept: margin "
             f"{last_report.interiority_margin:g}, sup gap {last_report.final_linf_gap:g}, "
             f"cost gap {last_report.final_cost_gap:g} vs lambda {lam:g}",
             stage="contract",

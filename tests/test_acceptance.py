@@ -16,15 +16,14 @@ from tightpath import (
     ControlSignal,
     TimeGrid,
     certify_all,
-    certify_inward_pointing,
     cli,
     field_from_config,
-    integrate,
-    model_from_config,
     motor_scenario,
-    motor_surge,
     repair,
 )
+from tightpath.dynamics import model_from_config, motor_surge
+from tightpath.hypotheses import certify_inward_pointing
+from tightpath.propagation import integrate
 from test_dynamics import DOUBLE_INTEGRATOR
 
 RUNTIME_BUDGET = 30.0

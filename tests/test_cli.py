@@ -17,20 +17,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tightpath import (
-    ControlSignal,
-    TimeGrid,
-    cli,
-    expression_model,
-    integrate,
-    motor_scenario,
-    motor_surge,
-)
+from tightpath import ControlSignal, TimeGrid, cli, expression_model, motor_scenario
 from tightpath import geometry
-from tightpath.dynamics import model_from_config
+from tightpath.dynamics import model_from_config, motor_surge
 from tightpath.geometry import field_from_config
 from tightpath.hypotheses import bundle_from_dict, bundle_to_dict, load_bundle, save_bundle
 from tightpath.errors import FINITE, POSITIVE, BundleError, ConfigError, DomainError, config_number
+from tightpath.propagation import integrate
 from tightpath.signals import weighted_l2_cost
 
 SURGE_CONFIG = {

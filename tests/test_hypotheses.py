@@ -37,32 +37,16 @@ from tightpath import (
     BundleError,
     CertificationError,
     ControlSignal,
-    HypothesisBundle,
     InwardPointingError,
-    OperatingBox,
-    SampledFunction,
     TimeGrid,
     Trajectory,
-    best_inward_candidate,
     bundle_from_dict,
     bundle_to_dict,
     certify_all,
-    certify_inward_pointing,
-    certify_lipschitz,
-    certify_sublinear,
-    certify_time_regularity,
     field_from_config,
-    inclusion_margins,
-    gronwall_radius,
-    integrate,
     load_bundle,
-    model_from_config,
-    motor_decline,
     motor_scenario,
-    motor_surge,
     save_bundle,
-    schedule_constants,
-    unit_ball_complement,
 )
 from tightpath import geometry, hypotheses
 from tightpath.cli import load_problem
@@ -72,19 +56,34 @@ from tightpath.dynamics import (
     _identity_transport,
     ball_points,
     drift_budget,
+    model_from_config,
+    motor_decline,
+    motor_surge,
     rhs_batch,
     shift_selection,
 )
 from tightpath.errors import DomainError, ModelEvaluationError, SelectionError
+from tightpath.geometry import unit_ball_complement
 from tightpath.hypotheses import (
     COLLAR_ETA_GRID,
     CONTROL_BOUNDS,
     EPS_LIST,
     INCLUSION_GRID_POINTS,
     INWARD_TIE_TOL,
+    HypothesisBundle,
+    OperatingBox,
+    SampledFunction,
     _collar_samples,
+    best_inward_candidate,
+    certify_inward_pointing,
+    certify_lipschitz,
+    certify_sublinear,
+    certify_time_regularity,
     control_candidates,
+    inclusion_margins,
 )
+from tightpath.propagation import gronwall_radius, integrate
+from tightpath.repair import schedule_constants
 from tightpath.signals import subsample, trapezoid_prefix, weighted_l2_cost
 from test_dynamics import DOUBLE_INTEGRATOR
 

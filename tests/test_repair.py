@@ -30,35 +30,32 @@ from hypothesis import strategies as st
 from tightpath import (
     AccuracyError,
     ControlSignal,
-    HypothesisBundle,
     InfeasibleTighteningError,
     IntervalRepairError,
     InwardPointingError,
-    ModulusTable,
-    RepairConstants,
     RepairError,
-    SampledFunction,
     ScheduleError,
     TimeGrid,
     Trajectory,
     certify_all,
-    eval_rhs,
     expression_model,
     field_from_config,
-    growth_maps,
-    integrate,
-    inward_control_at,
-    model_from_config,
     motor_scenario,
-    node_violations,
     render_report,
     repair,
+)
+from tightpath.dynamics import eval_rhs, model_from_config
+from tightpath.geometry import node_violations, unit_ball_complement, violation_sup
+from tightpath.hypotheses import HypothesisBundle, SampledFunction
+from tightpath.propagation import integrate
+from tightpath.repair import (
+    RepairConstants,
+    growth_maps,
+    inward_control_at,
     repair_interval,
     schedule_constants,
-    unit_ball_complement,
-    violation_sup,
-    weighted_l2_cost,
 )
+from tightpath.signals import ModulusTable, weighted_l2_cost
 
 from test_dynamics import DOUBLE_INTEGRATOR
 
@@ -604,6 +601,20 @@ class TestLadder:
         assert err.value.report is None
         assert swept == [0.05, 0.025]
 
+    def test_a_second_failed_interval_names_its_rung(self, monkeypatch, surge_scenario, surge_bundle):
+        sc = surge_scenario
+
+        def outcome(n):
+            raise IntervalRepairError(f"interval {3 + n}", interval=3 + n, margin=-1e-3)
+
+        record_sweeps(monkeypatch, outcome)
+        with pytest.raises(RepairError) as err:
+            repair(sc.xbar, sc.ubar, 0.1, surge_bundle, sc.field, sc.model)
+        assert str(err.value) == (
+            "interval 4 failed its interiority check twice, the second time at eps=0.025 "
+            "(worst margin -0.001)"
+        )
+
     def test_an_empty_set_after_a_failed_sweep_is_not_swept(
         self, monkeypatch, surge_scenario, surge_bundle, surge_run
     ):
@@ -617,6 +628,37 @@ class TestLadder:
             repair(sc.xbar, sc.ubar, 0.1, surge_bundle, sc.field, sc.model)
         assert err.value.stage == "contract"
         assert err.value.report is failed and swept == [0.05]
+
+    def test_a_contract_failure_names_the_rung_its_report_comes_from(
+        self, monkeypatch, surge_scenario, surge_bundle, surge_run
+    ):
+        # The ladder runs on to eps_cap / 2**60 after its one sweep at 0.05.
+        sc = surge_scenario
+        failed = dataclasses.replace(surge_run[3], interiority_margin=-1.0)
+        self.patch_violation(monkeypatch, lambda eps: np.inf if eps < 0.05 else None)
+        record_sweeps(monkeypatch, lambda n: (sc.xbar, sc.ubar, failed))
+        with pytest.raises(RepairError) as err:
+            repair(sc.xbar, sc.ubar, 0.1, surge_bundle, sc.field, sc.model)
+        assert err.value.stage == "contract" and err.value.report is failed
+        assert str(err.value).startswith("contract not met at eps=0.05, ")
+
+    def test_one_failed_interval_at_the_last_swept_rung_is_not_called_twice(
+        self, monkeypatch, surge_scenario, surge_bundle
+    ):
+        sc = surge_scenario
+        self.patch_violation(monkeypatch, lambda eps: np.inf if eps < 0.05 else None)
+
+        def outcome(n):
+            raise IntervalRepairError("interval 3", interval=3, margin=-1e-3)
+
+        swept = record_sweeps(monkeypatch, outcome)
+        with pytest.raises(RepairError) as err:
+            repair(sc.xbar, sc.ubar, 0.1, surge_bundle, sc.field, sc.model)
+        assert err.value.stage == "interval" and err.value.report is None
+        assert str(err.value) == (
+            "interval 3 failed its interiority check at eps=0.05 (worst margin -0.001)"
+        )
+        assert swept == [0.05]
 
     @pytest.mark.parametrize("violation", [0.125, np.inf], ids=["above-cap", "empty"])
     def test_a_rung_after_a_failed_sweep_is_admitted_before_it_is_swept(

@@ -19,21 +19,16 @@ import numpy as np
 import pytest
 
 from test_propagation import assert_bitwise, ref_run
-from tightpath import (
-    ConfigError,
-    DomainError,
-    boundary_tracking_reference,
-    eval_rhs,
-    integrate,
-    motor_scenario,
-    scenario_from_config,
-    unit_ball_complement,
-)
-from tightpath.propagation import _REFINE_SUBSTEPS, _anchors
+from tightpath import ConfigError, DomainError, motor_scenario
+from tightpath.dynamics import eval_rhs
+from tightpath.geometry import unit_ball_complement
+from tightpath.propagation import _REFINE_SUBSTEPS, _anchors, integrate
 from tightpath.scenarios import (
     _CONTROL_CAP,
     _FEEDBACK_GAIN,
     _target_path,
+    boundary_tracking_reference,
+    scenario_from_config,
 )
 
 
