@@ -38,6 +38,7 @@ from .errors import (
     TightpathError,
     config_array,
     config_number,
+    read_text,
 )
 from .geometry import field_from_config
 from .hypotheses import certify_all, load_bundle, reference_norm, save_bundle
@@ -81,11 +82,9 @@ def _fmt(value) -> str:
 
 
 def load_config(path) -> dict:
+    text = read_text(path, "config")
     try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file {path!r} does not exist") from None
+        config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -115,6 +114,8 @@ def _inline_reference(ref: dict):
         grid = TimeGrid(times)
     except (DomainError, ShapeError) as exc:
         raise ConfigError(f"inline reference 'times': {exc}") from None
+    if grid.t0 < 0:
+        raise ConfigError(f"inline reference 'times' must start at t >= 0, got {grid.t0:g}")
     return Trajectory(grid, states), ControlSignal(grid, controls)
 
 
@@ -127,8 +128,9 @@ def _csv_reference(ref: dict):
         ubar = load_control(ref["controls"])
     except KeyError as exc:
         raise ConfigError(f"csv reference needs {exc.args[0]!r}") from None
-    except FileNotFoundError as exc:
-        raise ConfigError(f"reference file {exc.filename!r} does not exist") from None
+    for path, signal in ((ref["states"], xbar), (ref["controls"], ubar)):
+        if signal.grid.t0 < 0:
+            raise ConfigError(f"{path}: times must start at t >= 0, got {signal.grid.t0:g}")
     return xbar, ubar
 
 
@@ -345,11 +347,8 @@ def _has_unit_ball(config: dict) -> bool:
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     model, field, xbar, ubar = load_problem(config)
-    try:
-        traj = load_trajectory(args.trajectory)
-        control = load_control(args.control)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"input file {exc.filename!r} does not exist") from None
+    traj = load_trajectory(args.trajectory)
+    control = load_control(args.control)
     if traj.dim != model.state_dim:
         raise ConfigError(
             f"trajectory has dimension {traj.dim}, model expects {model.state_dim}"

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, with the readers of
+config values and input files that raise its ConfigError."""
 
 from __future__ import annotations
 
@@ -64,6 +65,23 @@ def config_array(table: dict, key: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{key!r} must be an array of numbers, got {value!r}") from None
+
+
+def read_text(path, role: str) -> str:
+    """The UTF-8 text of the input file at ``path``, which ``role`` names
+    (config, bundle or CSV). A file that is missing, a directory, not
+    UTF-8 or otherwise unreadable raises ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"{role} file {str(path)!r} does not exist") from None
+    except IsADirectoryError:
+        raise ConfigError(f"{role} file {str(path)!r} is a directory") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise ConfigError(f"{role} file {str(path)!r} cannot be read: {exc.strerror}") from None
 
 
 class ExpressionError(TightpathError, ValueError):

@@ -25,6 +25,7 @@ from .errors import (
     InfeasibleTighteningError,
     InwardPointingError,
     ShapeError,
+    read_text,
 )
 from .geometry import (
     BOUNDARY_MODULUS_PROBES,
@@ -1089,9 +1090,9 @@ def save_bundle(path, bundle: HypothesisBundle) -> None:
 
 
 def load_bundle(path) -> HypothesisBundle:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BundleError(f"{path}: not a valid bundle file ({exc})") from None
+    text = read_text(path, "bundle")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BundleError(f"{path}: not a valid bundle file ({exc})") from None
     return bundle_from_dict(data)

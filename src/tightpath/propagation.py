@@ -11,6 +11,7 @@ object for every stage of a span: on floats, for a ``float_rhs`` model.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -36,30 +37,32 @@ def _check_finite(t: float, x) -> None:
         raise PropagationError(f"state not finite at t={t}", t=t)
 
 
-def _advance(rhs, a, width, m, x, u, nodes=None, states=None, last=None):
-    """m uniform classical RK4 steps of x' = rhs(t, x, u) across [a, a + width].
+def _advance(rhs, x, spans, nodes=None, states=None):
+    """Classical RK4 of x' = rhs(t, x, u) across an iterable of consecutive spans.
 
-    The state x is a float array, or, for a model that declares
-    ``float_rhs``, a float, whose control u is then a float too. Both forms
-    run the same IEEE operations in the same order. With ``nodes`` and
-    ``states``, each step records its end node (``last`` for the final one)
-    and its state, checked finite.
+    Each span ``(a, width, m, u, last)`` takes m uniform steps across
+    [a, a + width] under the control u. The state x is a float array, or,
+    for a model that declares ``float_rhs``, a float, whose control u is
+    then a float too. Both forms run the same IEEE operations in the same
+    order. With ``nodes`` and ``states``, each step records its end node
+    (``last`` for a span's final one) and its state, checked finite.
     """
-    h = width / m
-    half = 0.5 * h
-    for i in range(m):
-        t = a + width * (i / m)
-        mid = t + half
-        k1 = rhs(t, x, u)
-        k2 = rhs(mid, x + half * k1, u)
-        k3 = rhs(mid, x + half * k2, u)
-        k4 = rhs(t + h, x + h * k3, u)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if nodes is not None:
-            node = last if i == m - 1 else a + width * ((i + 1) / m)
-            nodes.append(node)
-            states.append(x)
-            _check_finite(node, x)
+    for a, width, m, u, last in spans:
+        h = width / m
+        half = 0.5 * h
+        for i in range(m):
+            t = a + width * (i / m)
+            mid = t + half
+            k1 = rhs(t, x, u)
+            k2 = rhs(mid, x + half * k1, u)
+            k3 = rhs(mid, x + half * k2, u)
+            k4 = rhs(t + h, x + h * k3, u)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if nodes is not None:
+                node = last if i == m - 1 else a + width * ((i + 1) / m)
+                nodes.append(node)
+                states.append(x)
+                _check_finite(node, x)
     return x
 
 
@@ -74,21 +77,23 @@ def _advance_zone(rhs, a, b, x, u, q, toward_start, nodes, states):
     width = b - a
     if toward_start:
         cuts = [a] + [a + width * f for f in reversed(_HALVES)] + [b]
-        x = _advance(rhs, cuts[0], cuts[1] - cuts[0], 1, x, u)
+        x = _advance(rhs, x, [(cuts[0], cuts[1] - cuts[0], 1, u, None)])
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            x = _advance(rhs, lo, hi - lo, q, x, u)
+            x = _advance(rhs, x, [(lo, hi - lo, q, u, None)])
         nodes.append(b)
         states.append(x)
         _check_finite(b, x)
         return x
     cuts = [a] + [b - width * f for f in _HALVES] + [b]
     for lo, hi in zip(cuts[:-2], cuts[1:-1]):
-        x = _advance(rhs, lo, hi - lo, q, x, u)
-    return _advance(rhs, cuts[-2], cuts[-1] - cuts[-2], 1, x, u, nodes, states, b)
+        x = _advance(rhs, x, [(lo, hi - lo, q, u, None)])
+    return _advance(rhs, x, [(cuts[-2], cuts[-1] - cuts[-2], 1, u, b)], nodes, states)
 
 
-def _steps(length: float, step: float) -> int:
-    return max(1, math.ceil(length / step - _REL_TOL))
+def _steps(lengths, step: float):
+    """Equal steps no longer than ``step`` (up to a relative 1e-9), one at
+    least, across each length: an int for a float, a list for an array."""
+    return np.maximum(1, np.ceil(np.asarray(lengths) / step - _REL_TOL)).astype(int).tolist()
 
 
 def _anchors(u: ControlSignal, window, breakpoints) -> np.ndarray:
@@ -117,7 +122,9 @@ def _run(model, u, x0, anchors, step, q, breakpoints):
     What is fixed for the run is looked up once: the control on each
     anchor span (one vectorised left-endpoint lookup), which anchors sit
     on a model breakpoint, and, for a model that declares ``float_rhs``,
-    the float form of the state and the controls.
+    the float form of the state and the controls. Each run of consecutive
+    plain spans, neither end near a breakpoint, is crossed in one
+    ``_advance`` call.
     """
     rhs = model.rhs
     x = x0
@@ -128,26 +135,30 @@ def _run(model, u, x0, anchors, step, q, breakpoints):
     near = np.zeros(anchors.shape, dtype=bool)
     for b in breakpoints:
         near |= np.abs(anchors - b) <= slack
+    near = near.tolist()
     times = anchors.tolist()
     nodes = [times[0]]
     states = [x]
-    for k in range(len(times) - 1):
-        a, b = times[k], times[k + 1]
-        u_val = controls[k]
-        zone = min(step, b - a)
-        if near[k]:
-            end = b if b - a <= zone + slack else a + zone
-            x = _advance_zone(rhs, a, end, x, u_val, q, True, nodes, states)
-            if b - end > slack:
-                x = _advance(rhs, end, b - end, _steps(b - end, step), x, u_val, nodes, states, b)
-        elif near[k + 1]:
-            if b - a > zone + slack:
-                width = (b - zone) - a
-                m = _steps(b - a - zone, step)
-                x = _advance(rhs, a, width, m, x, u_val, nodes, states, a + width)
-            x = _advance_zone(rhs, b - zone, b, x, u_val, q, False, nodes, states)
-        else:
-            x = _advance(rhs, a, b - a, _steps(b - a, step), x, u_val, nodes, states, b)
+    cells = zip(near, near[1:], times, times[1:], controls, _steps(np.diff(anchors), step))
+    for plain, run in itertools.groupby(cells, key=lambda cell: not (cell[0] or cell[1])):
+        if plain:
+            spans = ((a, b - a, m, u_val, b) for _, _, a, b, u_val, m in run)
+            x = _advance(rhs, x, spans, nodes, states)
+            continue
+        for starts_near, _, a, b, u_val, _ in run:
+            zone = min(step, b - a)
+            if starts_near:
+                end = b if b - a <= zone + slack else a + zone
+                x = _advance_zone(rhs, a, end, x, u_val, q, True, nodes, states)
+                if b - end > slack:
+                    spans = [(end, b - end, _steps(b - end, step), u_val, b)]
+                    x = _advance(rhs, x, spans, nodes, states)
+            else:
+                if b - a > zone + slack:
+                    width = (b - zone) - a
+                    spans = [(a, width, _steps(b - a - zone, step), u_val, a + width)]
+                    x = _advance(rhs, x, spans, nodes, states)
+                x = _advance_zone(rhs, b - zone, b, x, u_val, q, False, nodes, states)
     return np.array(nodes), np.array(states).reshape(len(states), -1)
 
 
@@ -246,7 +257,8 @@ def integrate_feedback(model: DynamicsModel, grid: TimeGrid, x0, law):
                 f"feedback control must have shape ({model.control_dim},), got {u.shape}"
             )
         controls.append(u)
-        x = _advance(rhs, times[j], times[j + 1] - times[j], 1, x, u.item() if floats else u)
+        span = (times[j], times[j + 1] - times[j], 1, u.item() if floats else u, None)
+        x = _advance(rhs, x, [span])
         states.append(x)
         _check_finite(times[j + 1], x)
     return np.vstack(states), np.vstack(controls)

@@ -145,6 +145,36 @@ class IterationRecord:
     gap_bound: float = 0.0
 
 
+def _suffix_max(values: np.ndarray) -> np.ndarray:
+    """Entry j is the max of ``values`` from j on."""
+    return np.maximum.accumulate(values[::-1])[::-1]
+
+
+@dataclass(frozen=True)
+class IterateFacts:
+    """What the sweep keeps of one iterate at the tightening in force.
+
+    ``violations`` and ``margins`` are its node violations and node
+    margins, ``rho`` the reversed running max of the violations (entry j
+    is the suffix violation from node j on), and ``d_sup`` its sup
+    distance to ``reference``. Each node's entries depend on that node
+    alone, so a burst recomputes them from its interval start on.
+    """
+
+    reference: Trajectory
+    violations: np.ndarray
+    rho: np.ndarray
+    margins: np.ndarray
+    d_sup: float
+
+    @classmethod
+    def of(cls, field: ConstraintField, eps: float, traj: Trajectory, reference: Trajectory):
+        violations = node_violations(field, eps, traj)
+        margins = field.margin(traj.grid.nodes, traj.states, eps)
+        d_sup = float(linf_distance(traj, reference))
+        return cls(reference, violations, _suffix_max(violations), margins, d_sup)
+
+
 @dataclass(frozen=True)
 class RepairReport:
     """Everything the repair run measured, for auditing the guarantees."""
@@ -381,14 +411,16 @@ def repair_interval(
     bundle: HypothesisBundle,
     field: ConstraintField,
     model: DynamicsModel,
-    violations: np.ndarray,
+    facts: IterateFacts,
 ):
     """Repair one partition interval.
 
-    Returns ``(traj, control, record)``: the next iterate and the
-    interval's record. ``violations`` is ``node_violations`` of ``xcur``
-    at ``c.eps``, which the sweep keeps; the suffix violation is its max
-    over the nodes from the interval start on.
+    Returns ``(traj, control, record, facts)``: the next iterate, the
+    interval's record and the next iterate's facts. ``facts`` are the
+    ``IterateFacts`` of ``xcur`` at ``c.eps``, which the sweep keeps: the
+    suffix violation is their ``rho`` at the interval start, and an
+    interval left untouched reads its worst grid margin and its ``d_sup``
+    off them. A burst recomputes them from the interval start on.
 
     An interval that starts more than half a collar width from the
     tightened boundary is left untouched. Otherwise the suffix violation
@@ -408,11 +440,11 @@ def repair_interval(
     t_i, t_next = float(nodes[lo]), float(nodes[hi])
     x_ti = xcur.states[lo]
 
-    rho_i = float(violations[lo:].max())
+    rho_i = float(facts.rho[lo])
     near = field.boundary_within(c.eps, t_i, x_ti, bundle.collar_width / 2.0)
 
-    def finish(traj, case, record_kw):
-        margin_min = float(field.margin(nodes[lo : hi + 1], traj.states[lo : hi + 1], c.eps).min())
+    def record(case, margins, d_sup, **measured):
+        margin_min = float(margins[lo : hi + 1].min())
         if margin_min <= 0:
             raise IntervalRepairError(
                 f"interval {index} margin {margin_min:g} at a grid node "
@@ -425,16 +457,16 @@ def repair_interval(
             t_start=t_i,
             t_end=t_next,
             case=case,
-            rho=float(rho_i),
-            d_sup=0.0,
+            rho=rho_i,
+            d_sup=d_sup,
             margin_min=margin_min,
-            **record_kw,
+            **measured,
         )
 
     if not near:
-        return xcur, ucur, finish(xcur, "case-1", {})
+        return xcur, ucur, record("case-1", facts.margins, facts.d_sup), facts
     if rho_i == 0.0:
-        return xcur, ucur, finish(xcur, "case-2-identity", {})
+        return xcur, ucur, record("case-2-identity", facts.margins, facts.d_sup), facts
 
     u0, v0 = inward_control_at(bundle, field, model, c.eps, t_i, x_ti)
     delay = c.k * rho_i
@@ -477,7 +509,12 @@ def repair_interval(
             np.max(np.linalg.norm(states[tail_sel] - y, axis=1) - bound)
         )
 
-    record_kw = dict(
+    margins = np.concatenate([facts.margins[:lo], field.margin(nodes[lo:], states[lo:], c.eps)])
+    d_sup = float(linf_distance(traj, facts.reference))
+    burst_record = record(
+        "case-2",
+        margins,
+        d_sup,
         u0=tuple(float(v) for v in u0),
         delay=float(delay),
         burst_end=float(burst_end),
@@ -486,7 +523,11 @@ def repair_interval(
         gap_to_previous=gap,
         gap_bound=float(g_val),
     )
-    return traj, control, finish(traj, "case-2", record_kw)
+    violations = np.concatenate(
+        [facts.violations[:lo], node_violations(field, c.eps, traj, start=lo)]
+    )
+    facts = IterateFacts(facts.reference, violations, _suffix_max(violations), margins, d_sup)
+    return traj, control, burst_record, facts
 
 
 def repair(
@@ -608,27 +649,17 @@ def _sweep(xbar, ubar, c, bundle, field, model, weight):
     xcur, ucur = xbar, ubar
     records = []
     envelope = float(np.max(np.abs(xbar.states)))
-    # Node violations of the current iterate. A burst changes the states
-    # from its interval start on, and only those entries are recomputed.
-    violations = node_violations(field, c.eps, xcur)
+    facts = IterateFacts.of(field, c.eps, xbar, xbar)
     for i in range(c.N0):
-        xcur, ucur, record = repair_interval(i, xcur, ucur, c, bundle, field, model, violations)
+        xcur, ucur, record, facts = repair_interval(i, xcur, ucur, c, bundle, field, model, facts)
+        records.append(record)
         if record.case == "case-2":
-            lo = int(c.partition[i])
-            violations = np.concatenate(
-                [violations[:lo], node_violations(field, c.eps, xcur, start=lo)]
-            )
-            d_sup = float(linf_distance(xcur, xbar))
             envelope = max(envelope, float(np.max(np.abs(xcur.states))))
-        else:
-            d_sup = records[-1].d_sup if records else 0.0
-        records.append(dataclasses.replace(record, d_sup=d_sup))
 
-    margins = field.margin(xcur.grid.nodes, xcur.states, c.eps)
     cost_ref = float(weighted_l2_cost(ubar, weight))
     cost_out = float(weighted_l2_cost(ucur, weight))
-    rho_final = float(violations[-1])  # at the horizon node
-    linf_gap = records[-1].d_sup if records else 0.0
+    rho_final = float(facts.violations[-1])  # at the horizon node
+    linf_gap = facts.d_sup
 
     iter_excess = -np.inf
     for prev, nxt in zip(records[:-1], records[1:]):
@@ -647,7 +678,7 @@ def _sweep(xbar, ubar, c, bundle, field, model, weight):
         records=tuple(records),
         final_linf_gap=linf_gap,
         final_cost_gap=abs(cost_out - cost_ref),
-        interiority_margin=float(margins.min()),
+        interiority_margin=float(facts.margins.min()),
         cost_reference=cost_ref,
         cost_repaired=cost_out,
         envelope_sup=envelope,

@@ -554,6 +554,27 @@ class TestMalformedInputs:
         assert err.startswith("config error: inline reference 'times'")
         assert "strictly increasing" in err
 
+    def test_a_reference_before_t_0_exits_64_naming_times_or_the_file(self, tmp_path, capsys):
+        # Before, certify reached shift_selection and exited 1 with
+        # "need 0 <= s < t, got s=-2.0, ...".
+        times = [t - 2.0 for t in _DISK_TIMES]
+        reference = {**CONTROL_AFFINE_CONFIG["reference"], "times": times}
+        inline = write_config(
+            tmp_path / "inline.json", {**CONTROL_AFFINE_CONFIG, "reference": reference}
+        )
+        xp, up = tmp_path / "x.csv", tmp_path / "u.csv"
+        rows = zip(times, reference["states"], reference["controls"])
+        xp.write_text("t,x1,x2\n" + "".join(f"{t!r},{x!r},{y!r}\n" for t, (x, y), _ in rows))
+        up.write_text("t,u1,u2\n" + "".join(f"{t!r},1.5,0\n" for t in times))
+        by_csv = {"kind": "csv", "states": str(xp), "controls": str(up)}
+        by_csv = write_config(
+            tmp_path / "csv.json", {**CONTROL_AFFINE_CONFIG, "reference": by_csv}
+        )
+        for path, needle in ((inline, "inline reference 'times'"), (by_csv, str(xp))):
+            assert cli.main(["certify", "--config", path, "--out", str(tmp_path / "out")]) == 64
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {needle}") and "t >= 0, got -2" in err, err
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0], ids=repr)
     def test_a_bad_eps_in_evaluate_names_the_key(self, tmp_path, capsys, bad):
         # Before, NaN and Infinity exited 1, and -1 scored against an
@@ -566,6 +587,56 @@ class TestMalformedInputs:
             assert cli.main(["evaluate", str(xp), str(up), "--config", path]) == code, eps
             if code == 64:
                 assert "'eps' must be finite and >= 0" in capsys.readouterr().err
+
+
+class TestUnreadableInputs:
+    """A config, bundle or CSV that cannot be read as text exits 64 naming
+    the file. Before, each of these cases ended in a traceback, exit 1."""
+
+    @pytest.fixture
+    def files(self, tmp_path, surge_config_path, certified):
+        (tmp_path / "a-directory").mkdir()
+        (tmp_path / "latin-1.json").write_bytes(b'{"lambda": "\xff"}')
+        return tmp_path, surge_config_path, str(certified)
+
+    @pytest.mark.parametrize(
+        "name, needle",
+        [
+            ("missing.json", "does not exist"),
+            ("a-directory", "is a directory"),
+            ("latin-1.json", "not a text file"),
+        ],
+    )
+    def test_a_bundle_or_config(self, files, capsys, name, needle):
+        tmp_path, config, bundle = files
+        bad = str(tmp_path / name)
+        for argv in (
+            ["repair", "--config", config, "--bundle", bad, "--out", str(tmp_path / "out")],
+            ["certify", "--config", bad, "--out", str(tmp_path / "out")],
+        ):
+            assert cli.main(argv) == 64, argv
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and bad in err and needle in err, err
+
+    def test_a_directory_as_a_csv(self, files, capsys):
+        tmp_path, config, _ = files
+        folder, up = str(tmp_path / "a-directory"), tmp_path / "u.csv"
+        up.write_text("t,u1\n0,0\n0.5,0\n1,0\n")
+        reference = {"kind": "csv", "states": folder, "controls": str(up)}
+        by_csv = write_config(tmp_path / "csv.json", {**SUPERLINEAR_CONFIG, "reference": reference})
+        for argv in (
+            ["evaluate", folder, str(up), "--config", config],
+            ["certify", "--config", by_csv, "--out", str(tmp_path / "out")],
+        ):
+            assert cli.main(argv) == 64, argv
+            err = capsys.readouterr().err
+            assert err == f"config error: CSV file {folder!r} is a directory\n", err
+
+    def test_a_missing_csv_keeps_its_exit(self, files, capsys):
+        tmp_path, config, _ = files
+        absent = str(tmp_path / "absent.csv")
+        assert cli.main(["evaluate", absent, absent, "--config", config]) == 64
+        assert capsys.readouterr().err == f"config error: CSV file {absent!r} does not exist\n"
 
 
 def certify_repair_evaluate(workdir, capsys, name, config):

@@ -25,9 +25,12 @@ from tightpath.dynamics import (
 from tightpath.errors import AccuracyError, DomainError, PropagationError, ShapeError
 from tightpath.propagation import (
     _REFINE_SUBSTEPS,
+    _advance,
+    _advance_zone,
     _anchors,
     _half_step_gap,
     _run,
+    _steps,
     gronwall_radius,
     integrate,
     integrate_feedback,
@@ -699,6 +702,66 @@ class TestOneStageLoop:
                     run(model, u, np.array([1.5]), anchors, 0.01, _REFINE_SUBSTEPS, ())
             errors.append(err.value.t)
         assert errors[0] == errors[1] == 0.69
+
+
+def per_cell_run(model, u, x0, anchors, step, q, breakpoints):
+    """_run with one ``_advance`` call per anchor span: the grouping of
+    plain spans into runs left out."""
+    rhs = model.rhs
+    x = x0
+    controls = u.values[u.grid.indices_left(anchors[:-1])]
+    if model.float_rhs:
+        x, controls = x0.item(), controls[:, 0].tolist()
+    slack = float(anchors[-1] - anchors[0]) * 1e-9
+    near = [any(abs(t - b) <= slack for b in breakpoints) for t in anchors.tolist()]
+    times = anchors.tolist()
+    nodes, states = [times[0]], [x]
+    for k in range(len(times) - 1):
+        a, b, u_val = times[k], times[k + 1], controls[k]
+        zone = min(step, b - a)
+        if near[k]:
+            end = b if b - a <= zone + slack else a + zone
+            x = _advance_zone(rhs, a, end, x, u_val, q, True, nodes, states)
+            if b - end > slack:
+                m = _steps(b - end, step)
+                x = _advance(rhs, x, [(end, b - end, m, u_val, b)], nodes, states)
+        elif near[k + 1]:
+            if b - a > zone + slack:
+                width = (b - zone) - a
+                m = _steps(b - a - zone, step)
+                x = _advance(rhs, x, [(a, width, m, u_val, a + width)], nodes, states)
+            x = _advance_zone(rhs, b - zone, b, x, u_val, q, False, nodes, states)
+        else:
+            x = _advance(rhs, x, [(a, b - a, _steps(b - a, step), u_val, b)], nodes, states)
+    return np.array(nodes), np.array(states).reshape(len(states), -1)
+
+
+@pytest.mark.float_path
+class TestPlainRuns:
+    """_run crosses each run of plain spans in one ``_advance`` call, and
+    its nodes and states equal one call per span, on both sides of a
+    breakpoint zone inside the window."""
+
+    @pytest.mark.parametrize(
+        "model, grid, dim, x0, breakpoint",
+        [
+            (motor_decline(), FINE, 1, [1.08], 1.0),
+            (without_float_rhs(motor_decline()), FINE, 1, [1.08], 1.0),
+            (motor_surge(), RAMP, 1, [1.05], 1.0),
+            (affine_2d(), SCATTERED, 2, [0.3, -0.2], 0.7),
+        ],
+        ids=["decline-float", "decline-array", "surge-non-uniform", "affine-2d"],
+    )
+    def test_runs_equal_one_call_per_span(self, model, grid, dim, x0, breakpoint):
+        u = varied_control(grid, dim, seed=5)
+        x0 = np.asarray(x0, dtype=float)
+        for window in ((grid.t0, grid.t1), (0.3, 1.6)):
+            anchors = _anchors(u, window, (breakpoint,))
+            for step, q in ((0.01, _REFINE_SUBSTEPS), (0.005, 2 * _REFINE_SUBSTEPS)):
+                got = _run(model, u, x0, anchors, step, q, (breakpoint,))
+                want = per_cell_run(model, u, x0, anchors, step, q, (breakpoint,))
+                assert_bitwise(got[0], want[0])
+                assert_bitwise(got[1], want[1])
 
 
 class TestGronwallRadius:

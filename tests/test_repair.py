@@ -49,13 +49,14 @@ from tightpath.geometry import node_violations, unit_ball_complement, violation_
 from tightpath.hypotheses import HypothesisBundle, SampledFunction
 from tightpath.propagation import integrate
 from tightpath.repair import (
+    IterateFacts,
     RepairConstants,
     growth_maps,
     inward_control_at,
     repair_interval,
     schedule_constants,
 )
-from tightpath.signals import ModulusTable, weighted_l2_cost
+from tightpath.signals import ModulusTable, linf_distance, weighted_l2_cost
 
 from test_dynamics import DOUBLE_INTEGRATOR
 
@@ -392,9 +393,9 @@ class TestRepairInterval:
         _, _, c, _ = surge_run
         n = sc.xbar.grid.nodes.size
         deep = Trajectory(grid=sc.xbar.grid, states=np.full((n, 1), 1.5))
-        violations = node_violations(sc.field, c.eps, deep)
-        traj, control, record = repair_interval(
-            0, deep, sc.ubar, c, surge_bundle, sc.field, sc.model, violations
+        facts = IterateFacts.of(sc.field, c.eps, deep, sc.xbar)
+        traj, control, record, _ = repair_interval(
+            0, deep, sc.ubar, c, surge_bundle, sc.field, sc.model, facts
         )
         assert record.case == "case-1"
         assert traj is deep
@@ -408,9 +409,9 @@ class TestRepairInterval:
         n = sc.xbar.grid.nodes.size
         level = 1.0 + c.eps + 0.01
         near = Trajectory(grid=sc.xbar.grid, states=np.full((n, 1), level))
-        violations = node_violations(sc.field, c.eps, near)
-        traj, control, record = repair_interval(
-            0, near, sc.ubar, c, surge_bundle, sc.field, sc.model, violations
+        facts = IterateFacts.of(sc.field, c.eps, near, sc.xbar)
+        traj, control, record, _ = repair_interval(
+            0, near, sc.ubar, c, surge_bundle, sc.field, sc.model, facts
         )
         assert record.case == "case-2-identity"
         assert traj is near
@@ -753,8 +754,8 @@ def replay_rho(xbar, ubar, c, bundle, field, model):
     for i in range(c.N0):
         start = int(c.partition[i])
         rhos.append(float(node_violations(field, c.eps, xcur, start=start).max()))
-        violations = node_violations(field, c.eps, xcur)
-        xcur, ucur, _ = repair_interval(i, xcur, ucur, c, bundle, field, model, violations)
+        facts = IterateFacts.of(field, c.eps, xcur, xbar)
+        xcur, ucur, _, _ = repair_interval(i, xcur, ucur, c, bundle, field, model, facts)
     return rhos
 
 
@@ -939,11 +940,12 @@ class TestWindowScans:
 
 
 class TestNodeViolations:
-    """The sweep keeps each iterate's node violations and recomputes them
-    only from a burst's interval start on."""
+    """The sweep keeps each iterate's node violations, their suffix maxima
+    and its node margins, and recomputes them only from a burst's interval
+    start on."""
 
     @pytest.mark.parametrize("case", ["decline", "moving-disk"])
-    def test_sweep_passes_the_violations_of_each_iterate(
+    def test_sweep_passes_the_facts_of_each_iterate(
         self, monkeypatch, case, decline_scenario, decline_bundle, decline_run, moving_disk_run
     ):
         if case == "decline":
@@ -956,10 +958,19 @@ class TestNodeViolations:
         real = module.repair_interval
         checked = []
 
-        def checking(index, xcur, ucur, c, bundle, field, model, violations):
+        def checking(index, xcur, ucur, c, bundle, field, model, facts):
             fresh = node_violations(field, c.eps, xcur)
-            checked.append(violations.tobytes() == fresh.tobytes())
-            return real(index, xcur, ucur, c, bundle, field, model, violations)
+            suffix = np.maximum.accumulate(fresh[::-1])[::-1]
+            margins = field.margin(xcur.grid.nodes, xcur.states, c.eps)
+            lo = int(c.partition[index])
+            checked.append(
+                facts.violations.tobytes() == fresh.tobytes()
+                and facts.rho.tobytes() == suffix.tobytes()
+                and facts.rho[lo] == fresh[lo:].max()
+                and facts.margins.tobytes() == margins.tobytes()
+                and facts.d_sup == linf_distance(xcur, xbar)
+            )
+            return real(index, xcur, ucur, c, bundle, field, model, facts)
 
         monkeypatch.setattr(module, "repair_interval", checking)
         _, _, report = module._sweep(xbar, ubar, c, bundle, field, model, None)
@@ -969,8 +980,8 @@ class TestNodeViolations:
     def test_rho_is_the_max_from_the_interval_start_on(
         self, surge_scenario, surge_bundle, surge_run
     ):
-        # A far interval returns at once: its record carries the rho read
-        # from the given vector, over the nodes from t_i on and no earlier.
+        # A far interval returns at once: its record carries the suffix
+        # violation at t_i, over the nodes from t_i on and no earlier.
         sc = surge_scenario
         _, _, c, _ = surge_run
         n = sc.xbar.grid.nodes.size
@@ -980,8 +991,13 @@ class TestNodeViolations:
         violations[lo - 1] = 0.75
         violations[lo] = 0.5
         violations[lo + 1 :] = 0.25
-        _, _, record = repair_interval(
-            3, deep, sc.ubar, c, surge_bundle, sc.field, sc.model, violations
+        facts = dataclasses.replace(
+            IterateFacts.of(sc.field, c.eps, deep, sc.xbar),
+            violations=violations,
+            rho=np.maximum.accumulate(violations[::-1])[::-1],
+        )
+        _, _, record, _ = repair_interval(
+            3, deep, sc.ubar, c, surge_bundle, sc.field, sc.model, facts
         )
         assert record.case == "case-1"
         assert record.rho == 0.5
@@ -1023,3 +1039,68 @@ class TestNodeViolations:
             part = node_violations(field, c.eps, xbar, start=start)
             assert part.tobytes() == full[start:].tobytes()
         assert float(full.max()) == violation_sup(field, c.eps, xbar)
+
+
+def replay_records(xbar, ubar, c, bundle, field, model):
+    """The accepted sweep replayed with each interval's facts recomputed
+    from scratch; each record's worst margin and d_sup are checked against
+    a fresh margin over the interval's nodes and a fresh sup distance."""
+    xcur, ucur = xbar, ubar
+    nodes = xbar.grid.nodes
+    records = []
+    for i in range(c.N0):
+        facts = IterateFacts.of(field, c.eps, xcur, xbar)
+        xcur, ucur, record, _ = repair_interval(i, xcur, ucur, c, bundle, field, model, facts)
+        lo, hi = int(c.partition[i]), int(c.partition[i + 1]) + 1
+        margin = field.margin(nodes[lo:hi], xcur.states[lo:hi], c.eps).min()
+        assert np.float64(record.margin_min).tobytes() == margin.tobytes()
+        assert record.d_sup == linf_distance(xcur, xbar)
+        records.append(record)
+    return tuple(records)
+
+
+@pytest.mark.float_path
+class TestSweepRecords:
+    """The records of a sweep that keeps each iterate's facts equal those of
+    a per-interval recomputation, and a quiet interval fails as before."""
+
+    @pytest.mark.parametrize("case", ["decline", "moving-disk"])
+    def test_records_equal_a_per_interval_recomputation(
+        self, case, decline_scenario, decline_bundle, decline_run, moving_disk_run
+    ):
+        if case == "decline":
+            sc = decline_scenario
+            xbar, ubar, field, model = sc.xbar, sc.ubar, sc.field, sc.model
+            c, report, bundle = decline_run[2], decline_run[3], decline_bundle
+        else:
+            xbar, ubar, c, report, bundle, field, model, _ = moving_disk_run
+        want = replay_records(xbar, ubar, c, bundle, field, model)
+        assert any(r.case == "case-2" for r in want)
+        assert report.records == want
+
+    @pytest.mark.parametrize("depth", [0.0, 0.5])
+    def test_a_quiet_interval_without_margin_raises_at_its_index(
+        self, surge_scenario, surge_bundle, surge_run, depth
+    ):
+        # Interval 3 starts deep inside, far from the boundary, and one of
+        # its later nodes sits past the tightened boundary: it is
+        # left untouched and must fail its margin check, with the message
+        # a fresh margin and violation over its nodes give.
+        sc = surge_scenario
+        _, _, c, _ = surge_run
+        n = sc.xbar.grid.nodes.size
+        states = np.full((n, 1), 1.5)
+        lo, hi = int(c.partition[3]), int(c.partition[4])
+        states[lo + 1] = 1.0 + depth * c.eps
+        deep = Trajectory(sc.xbar.grid, states)
+        nodes = deep.grid.nodes
+        margin = float(sc.field.margin(nodes[lo : hi + 1], states[lo : hi + 1], c.eps).min())
+        rho = float(node_violations(sc.field, c.eps, deep, start=lo).max())
+        assert margin < 0
+        module = importlib.import_module("tightpath.repair")
+        with pytest.raises(IntervalRepairError) as err:
+            module._sweep(deep, sc.ubar, c, surge_bundle, sc.field, sc.model, None)
+        assert err.value.interval == 3 and err.value.margin == margin
+        assert str(err.value) == (
+            f"interval 3 margin {margin:g} at a grid node (case case-1, rho={rho:g})"
+        )

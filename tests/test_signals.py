@@ -333,6 +333,28 @@ class TestWeightedCost:
         assert hi == pytest.approx(scale**2 * lo, rel=1e-9)
 
 
+@pytest.mark.float_path
+class TestIdentityCostBits:
+    """The identity-weight cost runs whole-array; its bits are those of a
+    per-cell loop over u @ u, whose dot kernel np.vecdot shares."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_the_per_cell_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        for grid in (
+            TimeGrid.uniform(0.0, 2.0, 400),
+            TimeGrid(np.sort(np.r_[0.0, rng.uniform(0.0, 3.0, 250), 3.0])),
+        ):
+            values = rng.normal(size=(len(grid), dim)) * rng.uniform(1e-3, 1e3, (len(grid), 1))
+            values[::7] = 0.0
+            nodes = grid.nodes
+            want = 0.0
+            for i in range(nodes.size - 1):
+                want += (nodes[i + 1] - nodes[i]) * float(values[i] @ values[i])
+            got = weighted_l2_cost(ControlSignal(grid, values))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestCsvRoundTrip:
     def test_trajectory_round_trip(self, tmp_path):
         grid = TimeGrid.uniform(0.0, 2.0, 17)
@@ -360,6 +382,18 @@ class TestCsvRoundTrip:
         save_csv(tmp_path / "u.csv", ControlSignal(grid, np.ones(4)))
         with pytest.raises(ConfigError, match="u.csv: holds control columns, not states"):
             load_trajectory(tmp_path / "u.csv")
+
+    def test_rows_are_the_per_element_format(self, tmp_path):
+        grid = TimeGrid(np.sort(np.r_[0.0, np.random.default_rng(2).uniform(0.0, 1.0, 40), 1.0]))
+        rng = np.random.default_rng(4)
+        scales = 10.0 ** rng.integers(-9, 9, (len(grid), 3))
+        traj = Trajectory(grid, rng.normal(size=(len(grid), 3)) * scales)
+        save_csv(tmp_path / "x.csv", traj)
+        rows = [
+            ",".join(format(float(v), ".17g") for v in (t, *row))
+            for t, row in zip(grid.nodes, traj.states)
+        ]
+        assert (tmp_path / "x.csv").read_text() == "\n".join(["t,x1,x2,x3", *rows]) + "\n"
 
     def test_deterministic_bytes(self, tmp_path):
         grid = TimeGrid.uniform(0.0, 1.0, 50)
