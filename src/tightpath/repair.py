@@ -523,6 +523,7 @@ def repair_interval(
         gap_to_previous=gap,
         gap_bound=float(g_val),
     )
+    # After the margin check: a burst that fails it asks the oracle nothing.
     violations = np.concatenate(
         [facts.violations[:lo], node_violations(field, c.eps, traj, start=lo)]
     )

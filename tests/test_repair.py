@@ -1043,7 +1043,7 @@ class TestNodeViolations:
 
 def replay_records(xbar, ubar, c, bundle, field, model):
     """The accepted sweep replayed with each interval's facts recomputed
-    from scratch; each record's worst margin and d_sup are checked against
+    anew; each record's worst margin and d_sup are checked against
     a fresh margin over the interval's nodes and a fresh sup distance."""
     xcur, ucur = xbar, ubar
     nodes = xbar.grid.nodes
