@@ -357,6 +357,15 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(
             f"control has dimension {control.dim}, model expects {model.control_dim}"
         )
+    # The sup gap compares only where the two grids overlap, so a pair on
+    # other times than the reference's would be scored over part of them.
+    span = (xbar.grid.t0, xbar.grid.t1)
+    for path, grid in ((args.trajectory, traj.grid), (args.control, control.grid)):
+        if (grid.t0, grid.t1) != span:
+            raise ConfigError(
+                f"{path}: spans [{_fmt(grid.t0)}, {_fmt(grid.t1)}], but the reference spans "
+                f"[{_fmt(span[0])}, {_fmt(span[1])}]; a pair is scored on the reference's span"
+            )
     eps = config_number(config, "eps", 0.0, float, NONNEGATIVE)
     margin = float(np.min(field.margin(traj.grid.nodes, traj.states, eps)))
     weight = weight_from_config(config, model.control_dim)

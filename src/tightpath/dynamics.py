@@ -89,7 +89,14 @@ class DynamicsModel:
     rows share its call. A batch call passes the time as one float or as
     an (n,) array with one time per row, which a broadcasting ``rhs``
     broadcasts over. An ``rhs`` that does not broadcast is called one row
-    at a time, with that row's time as a float. The RK4 stepper calls it
+    at a time, with that row's time as a float. The growth and Lipschitz
+    certifiers also call it on a node x sample outer product
+    (``rhs_outer``): t a (k, 1) column of times, x (1, r, N) and u (1, r, M),
+    which a broadcasting ``rhs`` answers with (k, r, N), or with (1, r, N)
+    when it does not read t. The first node's block must equal a batch call
+    at its float time bitwise; if it does not, or the call raises or
+    returns another shape, they fall back to batch calls over the rows
+    repeated once per node, with one time per row. The RK4 stepper calls it
     four times per step, at float times and with float arrays, and does
     arithmetic on what it returns without converting or checking it.
     ``shift_hook`` (s, t, x, u_s) -> u_t, when present, is the exact
@@ -160,6 +167,56 @@ def rhs_batch(model: DynamicsModel, t, x_batch: np.ndarray, u_batch: np.ndarray)
         pass
     rows = zip(np.broadcast_to(t, len(x_batch)).tolist(), x_batch, u_batch)
     return np.stack([np.asarray(model.rhs(ti, xi, ui), dtype=float) for ti, xi, ui in rows])
+
+
+def rhs_outer(model: DynamicsModel, time_chunks, x_rows: np.ndarray, u_rows: np.ndarray):
+    """Field values at every pair of a time and a row: for each array of k
+    times in ``time_chunks``, yields a (k, r, N) block over the r rows of
+    (r, N) states and (r, M) controls.
+
+    Each block is one call ``rhs(t[:, None], x[None], u[None])``, which an
+    rhs that does not read t may answer with (1, r, N). The first block's
+    first node must equal ``rhs_batch`` at that node's float time bitwise.
+    If it does not, or a call raises or returns another shape, that block
+    and every later one is one ``rhs_batch`` call over the k·r tiled rows,
+    with one time per row.
+    """
+    x_rows = np.asarray(x_rows, dtype=float)
+    u_rows = np.asarray(u_rows, dtype=float)
+    outer = True
+    for i, times in enumerate(time_chunks):
+        times = np.asarray(times, dtype=float)
+        if outer:
+            block = _outer_block(model, times, x_rows, u_rows)
+            outer = block is not None and (i > 0 or _agrees(model, times[0], x_rows, u_rows, block))
+        if not outer:
+            tiles = (len(times), 1)
+            rows = (np.repeat(times, len(x_rows)), np.tile(x_rows, tiles), np.tile(u_rows, tiles))
+            block = rhs_batch(model, *rows).reshape(len(times), len(x_rows), -1)
+        yield block
+
+
+def _outer_block(model: DynamicsModel, times, x_rows, u_rows):
+    """The two-axis call's (k, r, N) block, C-ordered as the tiled call's
+    rows are, or None if it raises or returns another shape."""
+    shape = (len(times),) + x_rows.shape
+    try:
+        block = np.asarray(model.rhs(times[:, None], x_rows[None], u_rows[None]), dtype=float)
+    except Exception:
+        return None
+    if block.shape[1:] != shape[1:] or block.shape[0] not in (1, shape[0]):
+        return None
+    return np.ascontiguousarray(np.broadcast_to(block, shape))
+
+
+def _agrees(model: DynamicsModel, t, x_rows, u_rows, block) -> bool:
+    """Whether ``rhs_batch`` at the float time t gives the first node of
+    ``block`` bit for bit."""
+    try:
+        plain = rhs_batch(model, float(t), x_rows, u_rows)
+    except Exception:
+        return False
+    return plain.shape == block.shape[1:] and plain.tobytes() == block[0].tobytes()
 
 
 def drift_budget(model: DynamicsModel, s: float, t: float) -> float | None:

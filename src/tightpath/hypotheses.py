@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DynamicsModel, ball_points, drift_budget, rhs_batch, shift_selection
+from .dynamics import (
+    DynamicsModel,
+    ball_points,
+    drift_budget,
+    rhs_batch,
+    rhs_outer,
+    shift_selection,
+)
 from .errors import (
     BundleError,
     CertificationError,
@@ -87,8 +94,9 @@ INCLUSION_GRID_POINTS = 16
 _PUSH_BOUND_SLACK = 1e-9
 # At most this many reference nodes are time-regularity base times.
 TIME_REGULARITY_NODES = 81
-# Rows per model call of the growth and Lipschitz node loops, which tile their
-# samples over a chunk of nodes: larger chunks ran slower and raise peak memory.
+# Node-sample pairs per model call of the growth and Lipschitz node loops,
+# which evaluate their samples at a chunk of nodes: larger chunks ran slower
+# and raise peak memory.
 _CHUNK_ROWS = 8192
 
 
@@ -173,17 +181,19 @@ def _envelope(name: str, time_grid: TimeGrid, raw, declared, undershoot: str) ->
 
 def _node_maxima(model, times, states, controls, reduce) -> np.ndarray:
     """``reduce(f)`` of the field f, shaped (nodes, rows, N), at the sample
-    rows at each of ``times``: one ``rhs_batch`` call per chunk of nodes,
-    of at most ``_CHUNK_ROWS`` tiled rows unless one node alone has more."""
+    rows at each of ``times``, over chunks of at most ``_CHUNK_ROWS``
+    node-row pairs unless one node alone has more.
+
+    Each chunk is one ``rhs_outer`` block on the node x row outer product,
+    so a term of the rows alone is computed once per chunk and a term of t
+    once per node, by the same IEEE operations as on the rows tiled once
+    per node, which ``rhs_outer`` falls back to for an rhs that answers the
+    outer product otherwise.
+    """
     per = max(1, _CHUNK_ROWS // len(states))
-    x, u = (np.tile(rows, (min(per, len(times)), 1)) for rows in (states, controls))
-    out = np.empty(len(times))
-    for start in range(0, len(times), per):
-        chunk = np.asarray(times[start : start + per], dtype=float)
-        n = len(chunk) * len(states)
-        f = rhs_batch(model, np.repeat(chunk, len(states)), x[:n], u[:n])
-        out[start : start + len(chunk)] = reduce(f.reshape(len(chunk), len(states), -1))
-    return out
+    times = np.asarray(times, dtype=float)
+    chunks = [times[start : start + per] for start in range(0, len(times), per)]
+    return np.concatenate([reduce(f) for f in rhs_outer(model, chunks, states, controls)])
 
 
 def _ratio_maxima(model, times, states, controls) -> np.ndarray:

@@ -588,6 +588,29 @@ class TestMalformedInputs:
             if code == 64:
                 assert "'eps' must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "times", [[-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.25, 0.5]], ids=["from-minus-1", "half"]
+    )
+    @pytest.mark.parametrize("moved", ["both", "states", "controls"])
+    def test_a_pair_off_the_reference_span_exits_64(self, tmp_path, capsys, times, moved):
+        # Before, both spans exited 0: on [-1, 1] with sup gap 0, as the gap
+        # compared only the overlap, and on [0, 0.5] scored on half the
+        # horizon; the margin and the cost ran over the pair's own span.
+        full = SUPERLINEAR_CONFIG["reference"]["times"]
+        xp, up = tmp_path / "x.csv", tmp_path / "u.csv"
+        x_times = full if moved == "controls" else times
+        u_times = full if moved == "states" else times
+        xp.write_text("t,x1\n" + "".join(f"{t!r},1.2\n" for t in x_times))
+        up.write_text("t,u1\n" + "".join(f"{t!r},0\n" for t in u_times))
+        config = write_config(tmp_path / "config.json", SUPERLINEAR_CONFIG)
+        assert cli.main(["evaluate", str(xp), str(up), "--config", config]) == 64
+        named = up if moved == "controls" else xp
+        spans = f"[{cli._fmt(times[0])}, {cli._fmt(times[-1])}]"
+        assert capsys.readouterr().err == (
+            f"config error: {named}: spans {spans}, but the reference spans [0, 1]; "
+            "a pair is scored on the reference's span\n"
+        )
+
 
 class TestUnreadableInputs:
     """A config, bundle or CSV that cannot be read as text exits 64 naming

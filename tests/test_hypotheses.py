@@ -1002,17 +1002,58 @@ def per_node_sublinear_raw(model, box, time_grid, n_samples, seed):
     return np.array([per_node_ratio_max(model, t, states, controls) for t in time_grid.nodes])
 
 
+# A control-affine field with two controls whose gain reads t: the gain is
+# (nodes, rows, 2, 2) and the control (1, rows, 2) in the node x row call.
+TIME_GAIN_AFFINE = model_from_config(
+    {
+        "model": "control_affine",
+        "state_dim": 2,
+        "control_dim": 2,
+        "drift": ["sin(x2) + 0.1*t", "cos(x1)*x2"],
+        "gain": [["1 + 0.5*sin(t)", "x1"], [0.3, "cos(2*t)*x2"]],
+    }
+)
+
+
+def autonomous_model() -> DynamicsModel:
+    """A 2-D field that never reads t: the node x row call returns (1, rows, 2)."""
+
+    def rhs(t, x, u):
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        first = np.sin(x[..., 1]) * u[..., 0]
+        return np.stack([first, np.cos(x[..., 0]) - u[..., 0] * x[..., 1]], axis=-1)
+
+    return DynamicsModel(state_dim=2, control_dim=1, rhs=rhs)
+
+
+def axis_one_model() -> DynamicsModel:
+    """A 2-D field right under the one-axis contract, where axis 1 is the
+    state axis, and wrong in the node x row call, where it is the sample
+    axis; its shape is right there, so only the first-node check finds it."""
+
+    def rhs(t, x, u):
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        column = np.sin(np.asarray(t, dtype=float))[..., None]
+        return 0.5 * x + np.sum(x, axis=1, keepdims=True) * u[..., :1] + column
+
+    return DynamicsModel(state_dim=2, control_dim=1, rhs=rhs)
+
+
 BATCHED_MODELS = [
     pytest.param(motor_decline(), 1, id="motor_decline-"),
     pytest.param(motor_surge(), 1, id="motor_surge-"),
     pytest.param(PLANAR_DRIFT, 2, id="expression-"),
     pytest.param(TIME_POWER_DRIFT, 2, id="expression-time-power-"),
+    pytest.param(TIME_GAIN_AFFINE, 2, id="control-affine-time-gain-"),
+    pytest.param(autonomous_model(), 1, id="autonomous-"),
+    pytest.param(axis_one_model(), 1, id="axis-one-"),
     pytest.param(non_broadcasting_model(), 1, id="per-row-"),
 ]
 
 
+@pytest.mark.float_path
 class TestBatchedSampleLoops:
-    """The certifiers' stacked per-node calls against the per-node loops."""
+    """The certifiers' node x row calls against the per-node loops."""
 
     SMALL_GRID = TimeGrid.uniform(0.0, 2.0, 40)
 
@@ -1056,6 +1097,28 @@ class TestBatchedSampleLoops:
         j = int(np.argmax(growth))
         assert info.value.witness == {"t": float(probe_times[j]), "ratio_growth": float(growth[j])}
 
+    @pytest.mark.parametrize("certify", ["lipschitz", "sublinear"])
+    @pytest.mark.parametrize("bad", [3, 33], ids=["first-chunk", "later-chunk"])
+    def test_failing_node_keeps_its_message(self, certify, bad):
+        # 300 samples make chunks of 6 nodes in the Lipschitz loop and of 27
+        # in the growth loop; the zoom probe's times (every 10th node) and
+        # the super-linear probe, which runs after the loop, miss both nodes.
+        t_bad = float(self.SMALL_GRID.nodes[bad])
+
+        def rhs(t, x, u):
+            if np.any(np.asarray(t) == t_bad):
+                raise ModelEvaluationError(f"no field at t={t!r}")
+            return np.sin(np.asarray(x, dtype=float)) * np.asarray(u, dtype=float) + t
+
+        model = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs)
+        message = f"^no field at t={t_bad!r}$"
+        with pytest.raises(ModelEvaluationError, match=message):
+            if certify == "lipschitz":
+                certify_lipschitz(model, 1.0, CONTROL_BOX, self.SMALL_GRID, n_samples=300)
+            else:
+                box = OperatingBox.from_radii(1.0, 1.0, 1, 1)
+                certify_sublinear(model, box, self.SMALL_GRID, n_samples=300)
+
     def test_one_rhs_call_per_chunk_of_nodes(self):
         calls = []
 
@@ -1064,15 +1127,18 @@ class TestBatchedSampleLoops:
             return np.sin(np.asarray(x, dtype=float)) * np.asarray(u, dtype=float)
 
         def chunked(times, rows):
-            """(shape, row times) of each call over ``times`` at ``rows`` rows per node."""
+            """(shape, times) of each call over ``times`` at ``rows`` rows per
+            node: one node x row call per chunk, with the times as a column,
+            and after the first one a plain call at its first node's time."""
             per = hypotheses._CHUNK_ROWS // rows
             parts = np.split(times, np.arange(per, len(times), per))
-            return [((len(part) * rows, 1), np.repeat(part, rows)) for part in parts]
+            outer = [((1, rows, 1), part[:, None]) for part in parts]
+            return outer[:1] + [((rows, 1), np.array(times[0]))] + outer[1:]
 
         def check(want):
             assert [shape for shape, _ in calls] == [shape for shape, _ in want]
             for (_, t), (_, want_t) in zip(calls, want):
-                assert t.tobytes() == want_t.tobytes()
+                assert t.shape == want_t.shape and t.tobytes() == want_t.tobytes()
             calls.clear()
 
         model = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs)
@@ -1080,17 +1146,18 @@ class TestBatchedSampleLoops:
         certify_lipschitz(model, 1.0, CONTROL_BOX, self.SMALL_GRID, n_samples=32)
         # The zoom probe makes two calls per separation at each probe time,
         # at that one time. Then the 4 x 32 stacked rows of all 41 nodes
-        # take one call of 5,248 rows.
+        # take one call of 41 x 128 node-row pairs, then the first node one
+        # plain call.
         zoom = [((32, 1), np.array(t)) for t in nodes[:: max(1, nodes.size // 4)] for _ in range(8)]
         want = zoom + chunked(nodes, 4 * 32)
-        assert [shape for shape, _ in want[len(zoom) :]] == [(5248, 1)]
+        assert [t.shape for _, t in want[len(zoom) :]] == [(41, 1), ()]
         check(want)
         certify_sublinear(model, OperatingBox.from_radii(1.0, 1.0, 1, 1), self.SMALL_GRID)
         # 256 samples: 32 nodes per call, then the super-linear probe's 9
         # times in one call per control box.
         probes = nodes[:: max(1, nodes.size // 8)]
         want = chunked(nodes, 256) + 2 * chunked(probes, 256)
-        assert [shape[0] for shape, _ in want] == [8192, 2304, 2304, 2304]
+        assert [len(t) for _, t in want if t.ndim] == [32, 9, 9, 9]
         check(want)
 
 
