@@ -93,10 +93,13 @@ class DynamicsModel:
     certifiers also call it on a node x sample outer product
     (``rhs_outer``): t a (k, 1) column of times, x (1, r, N) and u (1, r, M),
     which a broadcasting ``rhs`` answers with (k, r, N), or with (1, r, N)
-    when it does not read t. The first node's block must equal a batch call
-    at its float time bitwise; if it does not, or the call raises or
-    returns another shape, they fall back to batch calls over the rows
-    repeated once per node, with one time per row. The RK4 stepper calls it
+    when it does not read t. One batch call checks that answer bitwise, at
+    every node one sample row, taken in turn, and at the last node every
+    row; if it differs, or the call raises or returns another shape, they
+    fall back to batch calls over the rows repeated once per node, with one
+    time per row. The check does not cover every pair, so an ``rhs`` that
+    answers the outer product with the right shape must answer it with the
+    right values, or raise. The RK4 stepper calls it
     four times per step, at float times and with float arrays, and does
     arithmetic on what it returns without converting or checking it.
     ``shift_hook`` (s, t, x, u_s) -> u_t, when present, is the exact
@@ -169,31 +172,58 @@ def rhs_batch(model: DynamicsModel, t, x_batch: np.ndarray, u_batch: np.ndarray)
     return np.stack([np.asarray(model.rhs(ti, xi, ui), dtype=float) for ti, xi, ui in rows])
 
 
-def rhs_outer(model: DynamicsModel, time_chunks, x_rows: np.ndarray, u_rows: np.ndarray):
-    """Field values at every pair of a time and a row: for each array of k
-    times in ``time_chunks``, yields a (k, r, N) block over the r rows of
-    (r, N) states and (r, M) controls.
+def rhs_outer(model: DynamicsModel, time_chunks, x_rows: np.ndarray, u_rows: np.ndarray, reduce):
+    """``reduce`` of the field at every pair of a time and a row: for each
+    array of k times in ``time_chunks``, ``reduce`` maps the (k, r, N)
+    field over the r rows of (r, N) states and (r, M) controls to k values,
+    and the values of all chunks are returned concatenated.
 
-    Each block is one call ``rhs(t[:, None], x[None], u[None])``, which an
-    rhs that does not read t may answer with (1, r, N). The first block's
-    first node must equal ``rhs_batch`` at that node's float time bitwise.
-    If it does not, or a call raises or returns another shape, that block
-    and every later one is one ``rhs_batch`` call over the k·r tiled rows,
+    Each chunk is one call ``rhs(t[:, None], x[None], u[None])``, which an
+    rhs that does not read t may answer with (1, r, N). One ``rhs_batch``
+    call over the times and rows checks these blocks bit for bit: at every
+    time one row, the rows taken in turn, and at the last time every row,
+    which the turn alone misses when there are fewer times than rows.
+    If a block differs there, or a call raises or returns another shape,
+    every chunk is instead one ``rhs_batch`` call over its k·r tiled rows,
     with one time per row.
     """
     x_rows = np.asarray(x_rows, dtype=float)
     u_rows = np.asarray(u_rows, dtype=float)
-    outer = True
-    for i, times in enumerate(time_chunks):
-        times = np.asarray(times, dtype=float)
-        if outer:
-            block = _outer_block(model, times, x_rows, u_rows)
-            outer = block is not None and (i > 0 or _agrees(model, times[0], x_rows, u_rows, block))
-        if not outer:
-            tiles = (len(times), 1)
-            rows = (np.repeat(times, len(x_rows)), np.tile(x_rows, tiles), np.tile(u_rows, tiles))
-            block = rhs_batch(model, *rows).reshape(len(times), len(x_rows), -1)
-        yield block
+    chunks = [np.asarray(times, dtype=float) for times in time_chunks]
+    values = _outer_values(model, chunks, x_rows, u_rows, reduce)
+    if values is not None:
+        return values
+    values = []
+    for times in chunks:
+        tiles = (len(times), 1)
+        rows = (np.repeat(times, len(x_rows)), np.tile(x_rows, tiles), np.tile(u_rows, tiles))
+        values.append(reduce(rhs_batch(model, *rows).reshape(len(times), len(x_rows), -1)))
+    return np.concatenate(values)
+
+
+def _outer_values(model: DynamicsModel, chunks, x_rows, u_rows, reduce):
+    """``rhs_outer``'s values from the two-axis calls, or None if a call
+    raises, returns another shape or differs from the check."""
+    times = np.concatenate(chunks)
+    turn = np.arange(len(times)) % len(x_rows)
+    check_t = np.concatenate([times, np.full(len(x_rows), times[-1])])
+    try:
+        want = rhs_batch(
+            model, check_t, np.vstack([x_rows[turn], x_rows]), np.vstack([u_rows[turn], u_rows])
+        )
+    except Exception:
+        return None
+    values, got, start = [], [], 0
+    for chunk in chunks:
+        block = _outer_block(model, chunk, x_rows, u_rows)
+        if block is None:
+            return None
+        got.append(block[np.arange(len(chunk)), turn[start : start + len(chunk)]])
+        start += len(chunk)
+        values.append(reduce(block))
+    if np.vstack(got + [block[-1]]).tobytes() != want.tobytes():
+        return None
+    return np.concatenate(values)
 
 
 def _outer_block(model: DynamicsModel, times, x_rows, u_rows):
@@ -207,16 +237,6 @@ def _outer_block(model: DynamicsModel, times, x_rows, u_rows):
     if block.shape[1:] != shape[1:] or block.shape[0] not in (1, shape[0]):
         return None
     return np.ascontiguousarray(np.broadcast_to(block, shape))
-
-
-def _agrees(model: DynamicsModel, t, x_rows, u_rows, block) -> bool:
-    """Whether ``rhs_batch`` at the float time t gives the first node of
-    ``block`` bit for bit."""
-    try:
-        plain = rhs_batch(model, float(t), x_rows, u_rows)
-    except Exception:
-        return False
-    return plain.shape == block.shape[1:] and plain.tobytes() == block[0].tobytes()
 
 
 def drift_budget(model: DynamicsModel, s: float, t: float) -> float | None:

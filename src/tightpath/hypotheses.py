@@ -184,16 +184,16 @@ def _node_maxima(model, times, states, controls, reduce) -> np.ndarray:
     rows at each of ``times``, over chunks of at most ``_CHUNK_ROWS``
     node-row pairs unless one node alone has more.
 
-    Each chunk is one ``rhs_outer`` block on the node x row outer product,
-    so a term of the rows alone is computed once per chunk and a term of t
+    ``rhs_outer`` evaluates each chunk on the node x row outer product, so
+    a term of the rows alone is computed once per chunk and a term of t
     once per node, by the same IEEE operations as on the rows tiled once
-    per node, which ``rhs_outer`` falls back to for an rhs that answers the
-    outer product otherwise.
+    per node, which it falls back to for an rhs whose answer to the outer
+    product fails its check.
     """
     per = max(1, _CHUNK_ROWS // len(states))
     times = np.asarray(times, dtype=float)
     chunks = [times[start : start + per] for start in range(0, len(times), per)]
-    return np.concatenate([reduce(f) for f in rhs_outer(model, chunks, states, controls)])
+    return rhs_outer(model, chunks, states, controls, reduce)
 
 
 def _ratio_maxima(model, times, states, controls) -> np.ndarray:

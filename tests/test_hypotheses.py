@@ -60,6 +60,7 @@ from tightpath.dynamics import (
     motor_decline,
     motor_surge,
     rhs_batch,
+    rhs_outer,
     shift_selection,
 )
 from tightpath.errors import DomainError, ModelEvaluationError, SelectionError
@@ -1026,15 +1027,17 @@ def autonomous_model() -> DynamicsModel:
     return DynamicsModel(state_dim=2, control_dim=1, rhs=rhs)
 
 
-def axis_one_model() -> DynamicsModel:
+def axis_one_model(scale) -> DynamicsModel:
     """A 2-D field right under the one-axis contract, where axis 1 is the
     state axis, and wrong in the node x row call, where it is the sample
-    axis; its shape is right there, so only the first-node check finds it."""
+    axis; its shape is right there, so only the check finds it. The wrong
+    term is scaled by scale(t): sin(t) is 0 at the first node of a grid
+    from 0, and t(2 - t) also at the last node of a grid to 2."""
 
     def rhs(t, x, u):
         x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-        column = np.sin(np.asarray(t, dtype=float))[..., None]
-        return 0.5 * x + np.sum(x, axis=1, keepdims=True) * u[..., :1] + column
+        factor = np.asarray(scale(np.asarray(t, dtype=float)))[..., None]
+        return 0.5 * x + factor * np.sum(x, axis=1, keepdims=True) * u[..., :1]
 
     return DynamicsModel(state_dim=2, control_dim=1, rhs=rhs)
 
@@ -1046,7 +1049,8 @@ BATCHED_MODELS = [
     pytest.param(TIME_POWER_DRIFT, 2, id="expression-time-power-"),
     pytest.param(TIME_GAIN_AFFINE, 2, id="control-affine-time-gain-"),
     pytest.param(autonomous_model(), 1, id="autonomous-"),
-    pytest.param(axis_one_model(), 1, id="axis-one-"),
+    pytest.param(axis_one_model(np.sin), 1, id="axis-one-"),
+    pytest.param(axis_one_model(lambda t: t * (2.0 - t)), 1, id="axis-one-inner-"),
     pytest.param(non_broadcasting_model(), 1, id="per-row-"),
 ]
 
@@ -1119,6 +1123,21 @@ class TestBatchedSampleLoops:
                 box = OperatingBox.from_radii(1.0, 1.0, 1, 1)
                 certify_sublinear(model, box, self.SMALL_GRID, n_samples=300)
 
+    def test_the_check_reaches_every_sample(self):
+        # Three nodes and ten samples: the samples taken in turn are the
+        # first three, so only the check's every sample at the last node
+        # meets the wrong term, which sums over the samples where x > 5.
+        def rhs(t, x, u):
+            x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+            wrong = np.where(x > 5.0, np.sum(x, axis=1, keepdims=True), 0.0)
+            return x * u + np.asarray(t, dtype=float)[..., None] * wrong
+
+        model = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs)
+        times, x, u = np.array([0.5, 1.0, 1.5]), np.arange(10.0)[:, None], np.full((10, 1), 0.5)
+        got = rhs_outer(model, [times], x, u, lambda f: f.max(axis=(1, 2)))
+        want = [rhs_batch(model, float(t), x, u).max() for t in times]
+        assert got.tobytes() == np.array(want).tobytes()
+
     def test_one_rhs_call_per_chunk_of_nodes(self):
         calls = []
 
@@ -1128,12 +1147,13 @@ class TestBatchedSampleLoops:
 
         def chunked(times, rows):
             """(shape, times) of each call over ``times`` at ``rows`` rows per
-            node: one node x row call per chunk, with the times as a column,
-            and after the first one a plain call at its first node's time."""
+            node: first the check's plain call, one row at each time and
+            every row at the last time, then one node x row call per chunk,
+            with the times as a column."""
             per = hypotheses._CHUNK_ROWS // rows
             parts = np.split(times, np.arange(per, len(times), per))
-            outer = [((1, rows, 1), part[:, None]) for part in parts]
-            return outer[:1] + [((rows, 1), np.array(times[0]))] + outer[1:]
+            first = ((len(times) + rows, 1), np.concatenate([times, np.full(rows, times[-1])]))
+            return [first] + [((1, rows, 1), part[:, None]) for part in parts]
 
         def check(want):
             assert [shape for shape, _ in calls] == [shape for shape, _ in want]
@@ -1146,18 +1166,19 @@ class TestBatchedSampleLoops:
         certify_lipschitz(model, 1.0, CONTROL_BOX, self.SMALL_GRID, n_samples=32)
         # The zoom probe makes two calls per separation at each probe time,
         # at that one time. Then the 4 x 32 stacked rows of all 41 nodes
-        # take one call of 41 x 128 node-row pairs, then the first node one
-        # plain call.
+        # take the check's call of 41 + 128 rows and one call of 41 x 128
+        # node-row pairs.
         zoom = [((32, 1), np.array(t)) for t in nodes[:: max(1, nodes.size // 4)] for _ in range(8)]
         want = zoom + chunked(nodes, 4 * 32)
-        assert [t.shape for _, t in want[len(zoom) :]] == [(41, 1), ()]
+        assert [t.shape for _, t in want[len(zoom) :]] == [(169,), (41, 1)]
         check(want)
         certify_sublinear(model, OperatingBox.from_radii(1.0, 1.0, 1, 1), self.SMALL_GRID)
         # 256 samples: 32 nodes per call, then the super-linear probe's 9
-        # times in one call per control box.
+        # times in one call per control box, each after its check.
         probes = nodes[:: max(1, nodes.size // 8)]
         want = chunked(nodes, 256) + 2 * chunked(probes, 256)
-        assert [len(t) for _, t in want if t.ndim] == [32, 9, 9, 9]
+        shapes = [(297,), (32, 1), (9, 1), (265,), (9, 1), (265,), (9, 1)]
+        assert [t.shape for _, t in want] == shapes
         check(want)
 
 
