@@ -16,8 +16,9 @@ scenario = tp.motor_scenario("surge", steps=1000)
 bundle = tp.certify_all(scenario.model, scenario.field, scenario.ubar,
                         scenario.xbar, seed=0)
 
-# One certification serves every tolerance; only the schedule depends
-# on lam.
+# One certification serves every tolerance. lam decides only which rung
+# repair accepts: each call walks the same tightening ladder down from the
+# certified cap and keeps the first rung whose sweep meets lam.
 print(f"{'lam':>6s} {'eps':>9s} {'margin':>11s} {'sup gap':>11s} {'cost gap':>11s}")
 rows = []
 for lam in (0.4, 0.2, 0.1, 0.05):

@@ -37,6 +37,9 @@ _ROUND_UP = 1.0 + 2e-15
 # Rounds of local refinement in the sampled control transport, each on a
 # ball a quarter the size of the last.
 _REFINE_ROUNDS = 2
+# Time-row pairs per model call of rhs_outer, which evaluates its rows at a
+# chunk of times: larger chunks ran slower and raise peak memory.
+_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -172,24 +175,29 @@ def rhs_batch(model: DynamicsModel, t, x_batch: np.ndarray, u_batch: np.ndarray)
     return np.stack([np.asarray(model.rhs(ti, xi, ui), dtype=float) for ti, xi, ui in rows])
 
 
-def rhs_outer(model: DynamicsModel, time_chunks, x_rows: np.ndarray, u_rows: np.ndarray, reduce):
-    """``reduce`` of the field at every pair of a time and a row: for each
-    array of k times in ``time_chunks``, ``reduce`` maps the (k, r, N)
-    field over the r rows of (r, N) states and (r, M) controls to k values,
-    and the values of all chunks are returned concatenated.
+def rhs_outer(model: DynamicsModel, times, x_rows: np.ndarray, u_rows: np.ndarray, reduce):
+    """``reduce`` of the field at every pair of a time and a row: the times
+    are cut into chunks of at most ``_CHUNK_ROWS`` time-row pairs, unless
+    one time alone has more rows, and for each chunk of k times ``reduce``
+    maps the (k, r, N) field over the r rows of (r, N) states and (r, M)
+    controls to k values; the values of all chunks are returned
+    concatenated, one per time.
 
     Each chunk is one call ``rhs(t[:, None], x[None], u[None])``, which an
-    rhs that does not read t may answer with (1, r, N). One ``rhs_batch``
-    call over the times and rows checks these blocks bit for bit: at every
-    time one row, the rows taken in turn, and at the last time every row,
-    which the turn alone misses when there are fewer times than rows.
-    If a block differs there, or a call raises or returns another shape,
-    every chunk is instead one ``rhs_batch`` call over its k·r tiled rows,
-    with one time per row.
+    rhs that does not read t may answer with (1, r, N), so a term of the
+    rows alone is computed once per chunk and a term of t once per time.
+    One ``rhs_batch`` call over the times and rows checks these blocks bit
+    for bit: at every time one row, the rows taken in turn, and at the last
+    time every row, which the turn alone misses when there are fewer times
+    than rows. If a block differs there, or a call raises or returns
+    another shape, every chunk is instead one ``rhs_batch`` call over its
+    k·r tiled rows, with one time per row: the same IEEE operations.
     """
     x_rows = np.asarray(x_rows, dtype=float)
     u_rows = np.asarray(u_rows, dtype=float)
-    chunks = [np.asarray(times, dtype=float) for times in time_chunks]
+    times = np.asarray(times, dtype=float)
+    per = max(1, _CHUNK_ROWS // len(x_rows))
+    chunks = [times[start : start + per] for start in range(0, len(times), per)]
     values = _outer_values(model, chunks, x_rows, u_rows, reduce)
     if values is not None:
         return values
@@ -203,7 +211,8 @@ def rhs_outer(model: DynamicsModel, time_chunks, x_rows: np.ndarray, u_rows: np.
 
 def _outer_values(model: DynamicsModel, chunks, x_rows, u_rows, reduce):
     """``rhs_outer``'s values from the two-axis calls, or None if a call
-    raises, returns another shape or differs from the check."""
+    raises, returns another shape or differs from the check. Each block is
+    C-ordered as the tiled call's rows are."""
     times = np.concatenate(chunks)
     turn = np.arange(len(times)) % len(x_rows)
     check_t = np.concatenate([times, np.full(len(x_rows), times[-1])])
@@ -215,28 +224,19 @@ def _outer_values(model: DynamicsModel, chunks, x_rows, u_rows, reduce):
         return None
     values, got, start = [], [], 0
     for chunk in chunks:
-        block = _outer_block(model, chunk, x_rows, u_rows)
-        if block is None:
+        try:
+            block = np.asarray(model.rhs(chunk[:, None], x_rows[None], u_rows[None]), dtype=float)
+        except Exception:
             return None
+        if block.shape[1:] != x_rows.shape or block.shape[0] not in (1, len(chunk)):
+            return None
+        block = np.ascontiguousarray(np.broadcast_to(block, (len(chunk),) + x_rows.shape))
         got.append(block[np.arange(len(chunk)), turn[start : start + len(chunk)]])
         start += len(chunk)
         values.append(reduce(block))
     if np.vstack(got + [block[-1]]).tobytes() != want.tobytes():
         return None
     return np.concatenate(values)
-
-
-def _outer_block(model: DynamicsModel, times, x_rows, u_rows):
-    """The two-axis call's (k, r, N) block, C-ordered as the tiled call's
-    rows are, or None if it raises or returns another shape."""
-    shape = (len(times),) + x_rows.shape
-    try:
-        block = np.asarray(model.rhs(times[:, None], x_rows[None], u_rows[None]), dtype=float)
-    except Exception:
-        return None
-    if block.shape[1:] != shape[1:] or block.shape[0] not in (1, shape[0]):
-        return None
-    return np.ascontiguousarray(np.broadcast_to(block, shape))
 
 
 def drift_budget(model: DynamicsModel, s: float, t: float) -> float | None:
@@ -257,6 +257,14 @@ def ball_points(rng, count: int, dim: int, radius: float) -> np.ndarray:
     norms[norms == 0] = 1.0
     radii = radius * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / dim)
     return directions / norms * radii
+
+
+def box_points(rng, count: int, box: np.ndarray) -> np.ndarray:
+    """``count`` points drawn uniformly from a (dim, 2) box; axes that share one range
+    pass it as floats, which numpy draws the same numbers from, without a broadcast."""
+    rows = box.tolist()
+    lo, hi = rows[0] if rows.count(rows[0]) == len(rows) else (box[:, 0], box[:, 1])
+    return rng.uniform(lo, hi, size=(count, len(rows)))
 
 
 def _ball_candidates(center: np.ndarray, radius: float, n: int, dim: int, rng) -> np.ndarray:

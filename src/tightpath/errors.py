@@ -33,8 +33,9 @@ def config_number(table: dict, key: str, default, kind, rule):
     """Read ``table[key]`` as ``kind``, or ``default`` (unchecked) when absent.
 
     ``rule`` pairs what the number must be with its test. A ConfigError names
-    the key and the raw value. A bool is rejected, not read as 0 or 1, and
-    for ``kind=int`` so is a float with a fractional part, not truncated.
+    the key and the raw value. A bool is rejected, not read as 0 or 1, so
+    is a string, even one that spells a number, and for ``kind=int`` so is
+    a float with a fractional part, not truncated.
     """
     if key not in table:
         return default
@@ -43,7 +44,7 @@ def config_number(table: dict, key: str, default, kind, rule):
         isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
     ):
         raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise ConfigError(f"{key!r} must be a number, got {value!r}")
     try:
         number = kind(value)

@@ -9,6 +9,8 @@ only the KD-tree over its whole scan, and a question about one state at a
 key without a tree reads lattice windows around it, bitwise alike. An
 empty tree puts the boundary at infinite distance; a tightened set that
 misses the box raises InfeasibleTighteningError, the one emptiness test.
+The field answers the certifiers' distance questions itself, collar
+points and forward-cone ball slacks, so no other module asks the oracle.
 A config's expression components are compiled by ``expr.compile_expressions``.
 """
 
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import ball_points, box_points
 from .errors import (
     COUNT,
     POSITIVE,
@@ -33,6 +36,9 @@ from .expr import compile_expressions
 from .signals import ModulusTable, TimeGrid, Trajectory, subsample
 
 _MAX_TREE_CACHE = 64
+# Rounding allowance of ball_slacks' staged distance bounds, per unit of the
+# largest coordinate they involve; their rounding error is a few ulps of it.
+_PUSH_BOUND_SLACK = 1e-9
 # Most points a scan lattice may have: 2048 x 2048 in 2-D, 161 per axis in
 # 3-D. The default resolutions stay well below it.
 _MAX_LATTICE_POINTS = 2048 * 2048
@@ -203,6 +209,132 @@ class ConstraintField:
                 d = _lone_distance(self, t, eps, x[0], 2.0 * r)
                 return bool((self._tree(t, eps).query(x)[0][0] if d is None else d) <= r)
         return bool(self._distances(eps, t, x)[1][0] <= r)
+
+    def collar_points(self, eps: float, t: float, eta: float, count: int, rng, box_radius: float):
+        """Feasible points of norm at most ``box_radius`` within eta of the
+        tightened boundary at time t, and their distances to it, the depths.
+
+        Lattice crossings nudged just inside cover every boundary sheet at
+        near-zero depth (the hard cases for the forward cone); bisecting
+        random feasible-infeasible pairs adds points deeper in the collar.
+        Returns empty arrays when the box contains no boundary (vacuous
+        condition).
+        """
+        dim = self.dim
+        try:
+            lattice = self.boundary_cloud(t, eps)
+        except InfeasibleTighteningError:
+            lattice = np.empty((0, dim))
+        if not len(lattice):
+            return np.empty((0, dim)), np.empty(0)
+        hug = []
+        for b in subsample(lattice, count):
+            ring = b + 0.02 * eta * ball_points(rng, 24, dim, 1.0)
+            margins = self.margin(t, ring, eps)
+            if (margins >= 0).any():
+                hug.append(ring[int(np.argmax(margins))])
+        hug = np.asarray(hug).reshape(-1, dim)
+
+        draws = box_points(rng, 64 * count, self.sampling_box)
+        margins = self.margin(t, draws, eps)
+        feasible = draws[margins >= 0]
+        infeasible = draws[margins < 0]
+        deep = np.empty((0, dim))
+        if len(feasible) and len(infeasible):
+            pairs = min(count * 4, len(feasible), len(infeasible))
+            lo = feasible[:pairs].copy()
+            hi = infeasible[:pairs].copy()
+            for _ in range(48):
+                mid = 0.5 * (lo + hi)
+                inside = self.margin(t, mid, eps) >= 0
+                lo[inside] = mid[inside]
+                hi[~inside] = mid[~inside]
+            depths = eta * rng.uniform(0.05, 1.0, size=(pairs, 1))
+            # Step back inside along the direction that came from the feasible draw.
+            inward = feasible[:pairs] - lo
+            norms = np.linalg.norm(inward, axis=1, keepdims=True)
+            norms[norms == 0] = 1.0
+            deep = (lo + depths * inward / norms)[:count]
+        points = np.vstack([hug, deep])
+        points = points[self.margin(t, points, eps) >= 0]
+        to_boundary = self._distances(eps, t, points)[1]
+        keep = (to_boundary <= eta * (1 + 1e-9)) & (np.linalg.norm(points, axis=1) <= box_radius)
+        return points[keep][: 2 * count], to_boundary[keep][: 2 * count]
+
+    def ball_slacks(self, eps: float, t, centers, radii, keep, first=None, shifts=None):
+        """How far each ball stays inside the tightened set at time t.
+
+        ``centers`` is (pairs, points, dim), and ``t`` and ``radii`` are
+        floats or hold one entry per pair. Each point that ``keep`` marks
+        gets d_boundary - radius, or -inf when its center is outside the
+        set; every other point gets +inf.
+
+        ``first`` marks the first pair of each group of consecutive pairs,
+        its anchor, and ``shifts`` (pairs, dim) moves every point of a pair
+        alike. With both, a single-time query on the lattice fallback asks
+        only for the points that can set a pair's least slack; an analytic
+        oracle answers all points in one vectorised call, so there every
+        query asks for them all.
+
+        1. Each anchor queries all its kept points.
+        2. The boundary distance is 1-Lipschitz, and a pair's center lies
+           |shift - shift_anchor| from its anchor's center of the same
+           point, so the anchor's distance minus that shift bounds the
+           pair's distance from below, less ``_PUSH_BOUND_SLACK`` times the
+           coordinate scale for rounding.
+        3. The point with the lowest bound, the anchor's nearest, is
+           queried exactly.
+        4. So is every point whose bound does not exceed that exact distance,
+        5. and every point whose margin is not ``>= 0`` (NaN included),
+           which may make its pair -inf whatever its distance.
+
+        A skipped point is then inside the set and provably farther than
+        the exactly queried one. Rounding is monotone, so its slack
+        ``d - radius`` is no lower than that point's, and each queried
+        point gets the value a query of every point gives it: the pair's
+        least slack is bitwise unchanged.
+        """
+        slack = np.full(keep.shape, np.inf)
+
+        def per_point(value, mask: np.ndarray):
+            """A float as it is; one entry per pair, repeated for each masked point."""
+            return value if np.ndim(value) == 0 else np.repeat(value, keep.shape[1])[mask.ravel()]
+
+        def query(mask: np.ndarray) -> np.ndarray:
+            """Record the slacks of the masked points, from one
+            ``_distances`` call; returns their boundary distances."""
+            d_set, d_bdry = self._distances(eps, per_point(t, mask), centers[mask])
+            slack[mask] = np.where(d_set > 0, -np.inf, d_bdry - per_point(radii, mask))
+            return d_bdry
+
+        staged = first is not None and np.ndim(t) == 0 and self.analytic_distance is None
+        if not staged or first.all():
+            query(keep)
+            return slack
+        anchor = np.flatnonzero(first)[np.cumsum(first) - 1]
+        head = keep & first[:, None]
+        d_anchor = np.full(keep.shape, np.inf)
+        d_anchor[head] = query(head)
+        d_anchor = d_anchor[anchor]
+        rest = np.flatnonzero(~first)
+        nearest = np.argmin(d_anchor[rest], axis=1)
+        # With no boundary in the box every distance is inf: take a kept point.
+        nearest = np.where(keep[rest, nearest], nearest, np.argmax(keep[rest], axis=1))
+        pick = np.zeros(keep.shape, dtype=bool)
+        pick[rest, nearest] = True
+        exact = np.full(len(anchor), np.inf)
+        exact[rest] = query(pick)
+        scale = 1.0 + max(centers.max(), -centers.min()) + float(np.abs(self.sampling_box).max())
+        shift = np.linalg.norm(shifts - shifts[anchor], axis=1)
+        bound = d_anchor - (shift + _PUSH_BOUND_SLACK * scale)[:, None]
+        open_ = keep & ~first[:, None] & ~pick
+        todo = open_ & ~(bound > exact[:, None])
+        maybe = open_ & ~todo
+        if maybe.any():
+            todo[maybe] = ~(self.margin(t, centers[maybe], eps) >= 0)
+        if todo.any():
+            query(todo)
+        return slack
 
 
 def _kd_tree(points: np.ndarray):
@@ -376,11 +508,10 @@ def boundary_points(
 def _feasible_samples(
     field: ConstraintField, t: float, n_samples: int, rng, box_radius: float
 ) -> np.ndarray:
-    box = field.sampling_box
     collected = []
     total = 0
     for _ in range(64):
-        draw = rng.uniform(box[:, 0], box[:, 1], size=(4 * n_samples, field.dim))
+        draw = box_points(rng, 4 * n_samples, field.sampling_box)
         keep = (field.value(t, draw) <= 0.0) & (np.linalg.norm(draw, axis=1) <= box_radius)
         kept = draw[keep]
         if kept.size:

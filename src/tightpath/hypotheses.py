@@ -19,6 +19,7 @@ import numpy as np
 from .dynamics import (
     DynamicsModel,
     ball_points,
+    box_points,
     drift_budget,
     rhs_batch,
     rhs_outer,
@@ -29,7 +30,6 @@ from .errors import (
     CertificationError,
     ConfigError,
     DomainError,
-    InfeasibleTighteningError,
     InwardPointingError,
     ShapeError,
     read_text,
@@ -89,15 +89,8 @@ XI_CANDIDATES = (0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05)
 
 # Push times (and base points) of the forward-cone grid in inclusion_margins.
 INCLUSION_GRID_POINTS = 16
-# Rounding allowance of the staged push's distance bounds, per unit of the
-# largest coordinate they involve; their rounding error is a few ulps of it.
-_PUSH_BOUND_SLACK = 1e-9
 # At most this many reference nodes are time-regularity base times.
 TIME_REGULARITY_NODES = 81
-# Node-sample pairs per model call of the growth and Lipschitz node loops,
-# which evaluate their samples at a chunk of nodes: larger chunks ran slower
-# and raise peak memory.
-_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -150,18 +143,10 @@ class OperatingBox:
         )
 
     def sample_states(self, rng, count: int) -> np.ndarray:
-        return _draw_box(rng, self.states, count)
+        return box_points(rng, count, self.states)
 
     def sample_controls(self, rng, count: int) -> np.ndarray:
-        return _draw_box(rng, self.controls, count)
-
-
-def _draw_box(rng, box: np.ndarray, count: int) -> np.ndarray:
-    """``count`` points drawn uniformly from a (dim, 2) box; axes that share one range
-    pass it as floats, which numpy draws the same numbers from, without a broadcast."""
-    rows = box.tolist()
-    lo, hi = rows[0] if rows.count(rows[0]) == len(rows) else (box[:, 0], box[:, 1])
-    return rng.uniform(lo, hi, size=(count, len(rows)))
+        return box_points(rng, count, self.controls)
 
 
 def _envelope(name: str, time_grid: TimeGrid, raw, declared, undershoot: str) -> SampledFunction:
@@ -179,27 +164,10 @@ def _envelope(name: str, time_grid: TimeGrid, raw, declared, undershoot: str) ->
     return SampledFunction(time_grid, bound, name)
 
 
-def _node_maxima(model, times, states, controls, reduce) -> np.ndarray:
-    """``reduce(f)`` of the field f, shaped (nodes, rows, N), at the sample
-    rows at each of ``times``, over chunks of at most ``_CHUNK_ROWS``
-    node-row pairs unless one node alone has more.
-
-    ``rhs_outer`` evaluates each chunk on the node x row outer product, so
-    a term of the rows alone is computed once per chunk and a term of t
-    once per node, by the same IEEE operations as on the rows tiled once
-    per node, which it falls back to for an rhs whose answer to the outer
-    product fails its check.
-    """
-    per = max(1, _CHUNK_ROWS // len(states))
-    times = np.asarray(times, dtype=float)
-    chunks = [times[start : start + per] for start in range(0, len(times), per)]
-    return rhs_outer(model, chunks, states, controls, reduce)
-
-
 def _ratio_maxima(model, times, states, controls) -> np.ndarray:
     """Largest growth ratio |f| / (1 + |x| + |u|) over the samples at each of ``times``."""
     scale = 1.0 + np.linalg.norm(states, axis=1) + np.linalg.norm(controls, axis=1)
-    return _node_maxima(
+    return rhs_outer(
         model, times, states, controls, lambda f: (np.linalg.norm(f, axis=2) / scale).max(axis=1)
     )
 
@@ -257,16 +225,9 @@ def certify_lipschitz(
     control_box = np.asarray(control_box, dtype=float)
     n = model.state_dim
     base = ball_points(rng, n_samples, n, radius_R)
-    controls = _draw_box(rng, control_box, n_samples)
+    controls = box_points(rng, n_samples, control_box)
     directions = rng.standard_normal((n_samples, n))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-
-    def quotients(t: float, separation: float, xs: np.ndarray, fa: np.ndarray):
-        """Difference quotients against the pair partners at ``separation``,
-        given ``fa``, the field at ``xs``; also returns the partners."""
-        other = xs + separation * directions[: len(xs)]
-        fb = rhs_batch(model, t, other, controls[: len(xs)])
-        return np.linalg.norm(fa - fb, axis=1) / separation, other
 
     # Non-Lipschitz probe: zoom toward the worst difference quotients;
     # on a Lipschitz field they saturate, on a kink they keep growing.
@@ -281,8 +242,11 @@ def certify_lipschitz(
                 cluster = np.repeat(centers, 12, axis=0)
                 pts = np.vstack([pts, cluster + ball_points(rng, len(cluster), n, 8 * sep)])
             pts = pts[: len(base)]
+            # Difference quotients against the pair partners at separation sep.
             fa = rhs_batch(model, t, pts, controls[: len(pts)])
-            q, other = quotients(t, float(sep), pts, fa)
+            other = pts + sep * directions[: len(pts)]
+            fb = rhs_batch(model, t, other, controls[: len(pts)])
+            q = np.linalg.norm(fa - fb, axis=1) / sep
             order = np.argsort(q)[::-1]
             i = int(order[0])
             last, witness = float(q[i]), (pts[i].copy(), other[i].copy())
@@ -303,71 +267,10 @@ def certify_lipschitz(
         f = f.reshape(len(f), len(seps) + 1, n_samples, n)
         return (np.linalg.norm(f[:, :1] - f[:, 1:], axis=3) / seps[:, None]).max(axis=(1, 2))
 
-    raw = _node_maxima(model, time_grid.nodes, stacked, stacked_controls, quotient_maxima)
+    raw = rhs_outer(model, time_grid.nodes, stacked, stacked_controls, quotient_maxima)
     declared = model.metadata.state_lipschitz
     undershoot = "Lipschitz modulus undershoots sampled quotient"
     return _envelope("state_lipschitz", time_grid, raw, declared, undershoot)
-
-
-def _collar_samples(
-    field: ConstraintField,
-    eps: float,
-    t: float,
-    eta: float,
-    count: int,
-    rng,
-    box_radius: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Feasible points of norm at most ``box_radius`` within eta of the
-    tightened boundary at time t, and their distances to it, the depths.
-
-    Lattice crossings nudged just inside cover every boundary sheet at
-    near-zero depth (the hard cases for the forward cone); bisecting
-    random feasible-infeasible pairs adds points deeper in the collar.
-    Returns empty arrays when the box contains no boundary (vacuous
-    condition).
-    """
-    box = field.sampling_box
-    dim = field.dim
-    try:
-        lattice = field.boundary_cloud(t, eps)
-    except InfeasibleTighteningError:
-        lattice = np.empty((0, dim))
-    if not len(lattice):
-        return np.empty((0, dim)), np.empty(0)
-    hug = []
-    for b in subsample(lattice, count):
-        ring = b + 0.02 * eta * ball_points(rng, 24, dim, 1.0)
-        margins = field.margin(t, ring, eps)
-        if (margins >= 0).any():
-            hug.append(ring[int(np.argmax(margins))])
-    hug = np.asarray(hug).reshape(-1, dim)
-
-    draws = _draw_box(rng, box, 64 * count)
-    margins = field.margin(t, draws, eps)
-    feasible = draws[margins >= 0]
-    infeasible = draws[margins < 0]
-    deep = np.empty((0, dim))
-    if len(feasible) and len(infeasible):
-        pairs = min(count * 4, len(feasible), len(infeasible))
-        lo = feasible[:pairs].copy()
-        hi = infeasible[:pairs].copy()
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            inside = field.margin(t, mid, eps) >= 0
-            lo[inside] = mid[inside]
-            hi[~inside] = mid[~inside]
-        depths = eta * rng.uniform(0.05, 1.0, size=(pairs, 1))
-        # Step back inside along the direction that came from the feasible draw.
-        inward = feasible[:pairs] - lo
-        norms = np.linalg.norm(inward, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        deep = (lo + depths * inward / norms)[:count]
-    points = np.vstack([hug, deep])
-    points = points[field.margin(t, points, eps) >= 0]
-    to_boundary = field._distances(eps, t, points)[1]
-    keep = (to_boundary <= eta * (1 + 1e-9)) & (np.linalg.norm(points, axis=1) <= box_radius)
-    return points[keep][: 2 * count], to_boundary[keep][: 2 * count]
 
 
 def control_candidates(seed: int, m: int, bound: float) -> np.ndarray:
@@ -415,9 +318,10 @@ def inclusion_margins(
     bound on its margin that lies more than ``INWARD_TIE_TOL`` below the
     best margin of its row.
 
-    On the KD-tree fallback a push queries only the base points that can
-    set a pair's minimum, and every entry, exact or bound, is bitwise what
-    a query of every point gives (see ``_staged_queries``).
+    The distances come from ``ConstraintField.ball_slacks``: on the
+    KD-tree fallback a push queries only the base points that can set a
+    pair's minimum, and every entry, exact or bound, is bitwise what a
+    query of every point gives.
     """
     rows = np.asarray(rows, dtype=float)
     n_rows, n_cand = len(rows), len(candidates)
@@ -435,16 +339,10 @@ def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) 
     """The branch-and-bound of ``inclusion_margins``; lowers ``margins`` in place.
 
     Every live pair is pushed at the first push time. Then the row leaders
-    are pushed at all later push times in one ``_distances`` call with a
-    time per point: the lattice fallback groups the points by time, and an
-    analytic oracle answers them all at once. Then the pairs still in
-    contention are pushed one push time at a time.
-
-    On the KD-tree fallback, a single-time push with more than one pair in
-    some row queries only the base points that can set a pair's minimum
-    (see ``_staged_queries``), and every pair's minimum comes out bitwise as
-    a query of all its base points gives it. An analytic oracle answers all
-    points in one vectorised call, so there every push queries them all.
+    are pushed at all later push times in one ``ConstraintField.ball_slacks``
+    call with a time per pair. Then the pairs still in contention are
+    pushed one push time at a time; a row's pairs are consecutive, the
+    first its anchor, which a single-time query may stage on.
     """
     rng = np.random.default_rng(12)
     deltas = np.linspace(0.0, delta_cap, INCLUSION_GRID_POINTS)[1:]
@@ -458,24 +356,11 @@ def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) 
         ``delta``, a float, or at one push time per pair, an array; there a
         pair may recur at other times."""
         r, c = pairs
-        keep = base_ok[r]
-        lag = np.broadcast_to(np.reshape(delta, (-1, 1)), keep.shape)  # per point
-        steps = lag[:, :1] * velocities[r, c]
-        centers = ys[r] + steps[:, None, :]
-        slack = np.full(keep.shape, np.inf)
-
-        def query(mask: np.ndarray) -> np.ndarray:
-            at = t + (delta if np.ndim(delta) == 0 else lag[mask])
-            d_set, d_bdry = field._distances(eps, at, centers[mask])
-            slack[mask] = np.where(d_set > 0, -np.inf, d_bdry - lag[mask] * xi)
-            return d_bdry
-
+        steps = np.reshape(delta, (-1, 1)) * velocities[r, c]
         # np.nonzero lists the pairs of a row together; the first is its anchor.
         first = np.concatenate(([True], r[1:] != r[:-1]))
-        if np.ndim(delta) == 0 and field.analytic_distance is None and not first.all():
-            _staged_queries(field, eps, t + delta, query, first, steps, keep, centers)
-        else:
-            query(keep)
+        centers = ys[r] + steps[:, None, :]
+        slack = field.ball_slacks(eps, t + delta, centers, delta * xi, base_ok[r], first, steps)
         # Unbuffered, so a recurring pair takes the minimum over its times.
         np.minimum.at(margins, (r, c), slack.min(axis=1))
 
@@ -500,59 +385,6 @@ def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) 
         if not live.any():
             break
         push(delta, np.nonzero(live))
-
-
-def _staged_queries(field, eps, t, query, first, steps, keep, centers) -> None:
-    """Query the pushed base points that can set a pair's minimum slack.
-
-    ``centers`` is (pairs, base points, dim): each base point moved by its
-    pair's ``steps`` entry, delta * v. ``keep`` marks the feasible base
-    points, and ``first`` the first pair of each row, its anchor; a row's
-    pairs are consecutive. ``query(mask)`` makes one ``_distances`` call at
-    time ``t`` over the masked centers, records their slacks and returns
-    their boundary distances.
-
-    1. Each anchor queries all its kept base points.
-    2. The boundary distance is 1-Lipschitz, and a pair's center lies
-       |step - step_anchor| from its anchor's center of the same base
-       point, so the anchor's distance minus that shift bounds the pair's
-       distance from below, less ``_PUSH_BOUND_SLACK`` times the
-       coordinate scale for rounding.
-    3. The base point with the lowest bound, the anchor's nearest, is
-       queried exactly.
-    4. So is every point whose bound does not exceed that exact distance,
-    5. and every point whose margin is not ``>= 0`` (NaN included), which
-       may make its pair -inf whatever its distance.
-
-    A skipped point is then inside the set and provably farther than the
-    exactly queried one. Rounding is monotone, so its slack
-    ``d - delta * xi`` is no lower than that point's, and each queried
-    point gets the value an unstaged push's query gives it: the pair's
-    minimum is bitwise unchanged, for winners and losers alike.
-    """
-    anchor = np.flatnonzero(first)[np.cumsum(first) - 1]
-    head = keep & first[:, None]
-    d_anchor = np.full(keep.shape, np.inf)
-    d_anchor[head] = query(head)
-    d_anchor = d_anchor[anchor]
-    rest = np.flatnonzero(~first)
-    nearest = np.argmin(d_anchor[rest], axis=1)
-    # With no boundary in the box every distance is inf: take a kept point.
-    nearest = np.where(keep[rest, nearest], nearest, np.argmax(keep[rest], axis=1))
-    pick = np.zeros(keep.shape, dtype=bool)
-    pick[rest, nearest] = True
-    exact = np.full(len(anchor), np.inf)
-    exact[rest] = query(pick)
-    scale = 1.0 + max(centers.max(), -centers.min()) + float(np.abs(field.sampling_box).max())
-    shift = np.linalg.norm(steps - steps[anchor], axis=1)
-    bound = d_anchor - (shift + _PUSH_BOUND_SLACK * scale)[:, None]
-    open_ = keep & ~first[:, None] & ~pick
-    todo = open_ & ~(bound > exact[:, None])
-    maybe = open_ & ~todo
-    if maybe.any():
-        todo[maybe] = ~(field.margin(t, centers[maybe], eps) >= 0)
-    if todo.any():
-        query(todo)
 
 
 def best_inward_candidate(margins: np.ndarray, candidates: np.ndarray):
@@ -591,8 +423,8 @@ def certify_inward_pointing(
         shared = None
         for t in times:
             if field.time_varying or shared is None:
-                shared = _collar_samples(
-                    field, float(eps), float(t), etas[0], COLLAR_POINTS, rng, box_radius
+                shared = field.collar_points(
+                    float(eps), float(t), etas[0], COLLAR_POINTS, rng, box_radius
                 )
             collars[(float(eps), float(t))] = shared
     if all(len(pts) == 0 for pts, _ in collars.values()):

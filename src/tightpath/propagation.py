@@ -32,6 +32,16 @@ HALF_STEP_TOLERANCE = 1e-6
 _HALVES = tuple(2.0 ** -j for j in range(1, _REFINE_LEVELS + 1))
 
 
+def _initial_state(model: DynamicsModel, x0) -> np.ndarray:
+    """x0 as a float array, checked to be one finite state of the model."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (model.state_dim,):
+        raise ShapeError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise DomainError("x0 must be finite")
+    return x0
+
+
 def _check_finite(t: float, x) -> None:
     if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
         raise PropagationError(f"state not finite at t={t}", t=t)
@@ -77,17 +87,15 @@ def _advance_zone(rhs, a, b, x, u, q, toward_start, nodes, states):
     width = b - a
     if toward_start:
         cuts = [a] + [a + width * f for f in reversed(_HALVES)] + [b]
-        x = _advance(rhs, x, [(cuts[0], cuts[1] - cuts[0], 1, u, None)])
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            x = _advance(rhs, x, [(lo, hi - lo, q, u, None)])
-        nodes.append(b)
-        states.append(x)
-        _check_finite(b, x)
-        return x
-    cuts = [a] + [b - width * f for f in _HALVES] + [b]
-    for lo, hi in zip(cuts[:-2], cuts[1:-1]):
-        x = _advance(rhs, x, [(lo, hi - lo, q, u, None)])
-    return _advance(rhs, x, [(cuts[-2], cuts[-1] - cuts[-2], 1, u, b)], nodes, states)
+    else:
+        cuts = [a] + [b - width * f for f in _HALVES] + [b]
+    steps = [q] * (len(cuts) - 1)
+    steps[0 if toward_start else -1] = 1
+    x = _advance(rhs, x, [(lo, hi - lo, m, u, None) for lo, hi, m in zip(cuts, cuts[1:], steps)])
+    nodes.append(b)
+    states.append(x)
+    _check_finite(b, x)
+    return x
 
 
 def _steps(lengths, step: float):
@@ -203,11 +211,7 @@ def integrate(
     """
     if step <= 0:
         raise DomainError("integrator step must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.state_dim,):
-        raise ShapeError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
-    if not np.all(np.isfinite(x0)):
-        raise DomainError("x0 must be finite")
+    x0 = _initial_state(model, x0)
     if u.dim != model.control_dim:
         raise ShapeError(
             f"control dimension {u.dim} does not match the model ({model.control_dim})"
@@ -238,11 +242,7 @@ def integrate_feedback(model: DynamicsModel, grid: TimeGrid, x0, law):
     naming its node. A model that declares ``float_rhs`` is stepped on a
     float state and control; the law still sees a (1,) state.
     """
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (model.state_dim,):
-        raise ShapeError(f"x0 must have shape ({model.state_dim},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("x0 must be finite")
+    x = _initial_state(model, x0)
     rhs = model.rhs
     floats = model.float_rhs
     if floats:

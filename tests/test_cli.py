@@ -1077,8 +1077,8 @@ class TestConfigRejection:
     @pytest.mark.parametrize(
         "name, bad, needle",
         [
-            ("resolution", "nan", "'resolution' must be positive and finite"),
-            ("resolution", "inf", "'resolution' must be positive and finite"),
+            ("resolution", float("nan"), "'resolution' must be positive and finite"),
+            ("resolution", float("inf"), "'resolution' must be positive and finite"),
             ("resolution", -0.025, "'resolution' must be positive and finite"),
             ("box", [["-inf", 2.0], [-2.0, 2.0]], "'box' must hold finite numbers"),
             ("box", [[-2.0, 2.0], [-2.0, "nan"]], "'box' must hold finite numbers"),
@@ -1163,13 +1163,25 @@ class TestConfigRejection:
         err = capsys.readouterr().err
         assert "reference 'states'" in err and "cannot be sampled" in err, err
 
+    @pytest.mark.parametrize(
+        "command, name, bad", [("certify", "steps", "2000"), ("repair", "lambda", "0.1")]
+    )
+    def test_number_given_as_a_string_names_itself(self, workdir, capsys, command, name, bad):
+        # JSON strings are not numbers, even when they spell one.
+        path = write_config(workdir / f"string-{name}.json", {**SURGE_CONFIG, name: bad})
+        argv = [command, "--config", path, "--out", str(workdir / "string")]
+        if command == "repair":
+            argv += ["--bundle", str(workdir / "unread.json")]
+        assert cli.main(argv) == 64
+        assert f"{name!r} must be a number, got {bad!r}" in capsys.readouterr().err
+
     def test_bool_is_not_a_float(self):
         with pytest.raises(ConfigError, match="'lambda' must be a number, got True"):
             config_number({"lambda": True}, "lambda", None, float, POSITIVE)
 
     def test_integral_values_still_accepted(self):
-        for value in (3, 3.0, "3", -2.0):
-            assert config_number({"steps": value}, "steps", 0, int, FINITE) == int(float(value))
+        for value in (3, 3.0, -2.0):
+            assert config_number({"steps": value}, "steps", 0, int, FINITE) == int(value)
         assert config_number({}, "steps", 2000, int, FINITE) == 2000
 
     def test_negative_seed_names_itself(self, workdir, capsys):

@@ -48,7 +48,7 @@ from tightpath import (
     motor_scenario,
     save_bundle,
 )
-from tightpath import geometry, hypotheses
+from tightpath import dynamics, geometry, hypotheses
 from tightpath.cli import load_problem
 from tightpath.dynamics import (
     DeclaredRegularity,
@@ -74,7 +74,6 @@ from tightpath.hypotheses import (
     HypothesisBundle,
     OperatingBox,
     SampledFunction,
-    _collar_samples,
     best_inward_candidate,
     certify_inward_pointing,
     certify_lipschitz,
@@ -730,18 +729,8 @@ def per_time_push(field, eps, t, rows, velocities, margins, xi, delta_cap) -> No
         keep = base_ok[r]
         steps = delta * velocities[r, c]
         centers = ys[r] + steps[:, None, :]
-        slack = np.full(keep.shape, np.inf)
-
-        def query(mask):
-            d_set, d_bdry = field._distances(eps, t + delta, centers[mask])
-            slack[mask] = np.where(d_set > 0, -np.inf, d_bdry - delta * xi)
-            return d_bdry
-
         first = np.concatenate(([True], r[1:] != r[:-1]))
-        if field.analytic_distance is None and not first.all():
-            hypotheses._staged_queries(field, eps, t + delta, query, first, steps, keep, centers)
-        else:
-            query(keep)
+        slack = field.ball_slacks(eps, t + delta, centers, delta * xi, keep, first, steps)
         margins[r, c] = np.minimum(margins[r, c], slack.min(axis=1))
 
     live = margins > -np.inf
@@ -1134,7 +1123,7 @@ class TestBatchedSampleLoops:
 
         model = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs)
         times, x, u = np.array([0.5, 1.0, 1.5]), np.arange(10.0)[:, None], np.full((10, 1), 0.5)
-        got = rhs_outer(model, [times], x, u, lambda f: f.max(axis=(1, 2)))
+        got = rhs_outer(model, times, x, u, lambda f: f.max(axis=(1, 2)))
         want = [rhs_batch(model, float(t), x, u).max() for t in times]
         assert got.tobytes() == np.array(want).tobytes()
 
@@ -1150,7 +1139,7 @@ class TestBatchedSampleLoops:
             node: first the check's plain call, one row at each time and
             every row at the last time, then one node x row call per chunk,
             with the times as a column."""
-            per = hypotheses._CHUNK_ROWS // rows
+            per = dynamics._CHUNK_ROWS // rows
             parts = np.split(times, np.arange(per, len(times), per))
             first = ((len(times) + rows, 1), np.concatenate([times, np.full(rows, times[-1])]))
             return [first] + [((1, rows, 1), part[:, None]) for part in parts]
@@ -1308,9 +1297,9 @@ class TestCollarScans:
             {"components": ["abs(x1) - 3 - t"], "box": [[-2.0, 2.0]], "time_varying": True}
         )
         rng = np.random.default_rng(0)
-        assert len(_collar_samples(shrinking, 0.1, 0.0, 0.4, 16, rng, 2.0)[0]) > 0
+        assert len(shrinking.collar_points(0.1, 0.0, 0.4, 16, rng, 2.0)[0]) > 0
         for field, t in ((shrinking, 1.0), (wide, 0.0)):
-            collar, depths = _collar_samples(field, 0.1, t, 0.4, 16, rng, 2.0)
+            collar, depths = field.collar_points(0.1, t, 0.4, 16, rng, 2.0)
             assert collar.shape == (0, 1) and depths.shape == (0,)
 
     @pytest.mark.parametrize("config", [_decline_config(), _moving_disk_config()])
@@ -1321,7 +1310,7 @@ class TestCollarScans:
         rng = np.random.default_rng(0)
         box_radius = 1.0 + 2.0 * xbar.max_norm()
         for t in (0.0, 0.7):
-            pts, depths = _collar_samples(field, 0.05, t, 0.4, 16, rng, box_radius)
+            pts, depths = field.collar_points(0.05, t, 0.4, 16, rng, box_radius)
             assert len(pts) and depths.shape == (len(pts),)
             assert depths.tobytes() == field._distances(0.05, t, pts)[1].tobytes()
             assert (depths <= 0.4 * (1 + 1e-9)).all()

@@ -1,6 +1,7 @@
 """Module boundaries: no module imports another module's private name, only
-the expression engine parses expressions, and the command line loads scipy
-only for a lattice field's KD-tree."""
+geometry asks the distance oracle, only the expression engine parses
+expressions, and the command line loads scipy only for a lattice field's
+KD-tree."""
 
 import ast
 import json
@@ -31,6 +32,25 @@ def test_no_module_imports_a_private_name():
     sources = sorted(PACKAGE.glob("*.py"))
     assert len(sources) > 5
     offenders = [line for path in sources for line in private_imports(path)]
+    assert offenders == []
+
+
+def distance_oracle_reads(path: Path) -> list:
+    """Each ``._distances`` or ``.analytic_distance`` a module reads, calls included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ("_distances", "analytic_distance"):
+            found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    return found
+
+
+def test_only_geometry_asks_the_distance_oracle():
+    # The constraint field answers its own distance questions, so whether a
+    # field's distances are analytic or come from the lattice is decided in
+    # geometry.py alone.
+    assert distance_oracle_reads(PACKAGE / "geometry.py")
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "geometry.py"]
+    offenders = [line for path in sources for line in distance_oracle_reads(path)]
     assert offenders == []
 
 
