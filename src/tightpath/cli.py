@@ -26,6 +26,7 @@ from .errors import (
     COUNT,
     NONNEGATIVE,
     POSITIVE,
+    SEED,
     BundleError,
     CertificationError,
     ConfigError,
@@ -38,7 +39,7 @@ from .errors import (
     TightpathError,
     config_array,
     config_number,
-    read_text,
+    read_json,
 )
 from .geometry import field_from_config
 from .hypotheses import certify_all, load_bundle, reference_norm, save_bundle
@@ -79,21 +80,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value) -> str:
     return format(float(value), ".17g")
-
-
-def load_config(path) -> dict:
-    text = read_text(path, "config")
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(config, dict):
-        raise ConfigError(
-            f"{path}: the top level must be a JSON object, got {type(config).__name__}"
-        )
-    return config
 
 
 def config_identity_hash(config: dict) -> str:
@@ -253,11 +239,11 @@ def _out_dir(args, config: dict) -> str:
 
 
 def cmd_certify(args) -> int:
-    config = load_config(args.config)
+    config = read_json(args.config, "config")
     model, field, xbar, ubar = load_problem(config)
     weight_from_config(config, model.control_dim)
     seeds = config if args.seed is None else {"seed": args.seed}
-    seed = config_number(seeds, "seed", 0, int, ("a non-negative integer", lambda v: v >= 0))
+    seed = config_number(seeds, "seed", 0, int, SEED)
     out = _out_dir(args, config)
     try:
         bundle = certify_all(
@@ -289,7 +275,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    config = load_config(args.config)
+    config = read_json(args.config, "config")
     model, field, xbar, ubar = load_problem(config)
     if "lambda" not in config:
         raise ConfigError("repair config needs 'lambda'")
@@ -345,7 +331,7 @@ def _has_unit_ball(config: dict) -> bool:
 
 
 def cmd_evaluate(args) -> int:
-    config = load_config(args.config)
+    config = read_json(args.config, "config")
     model, field, xbar, ubar = load_problem(config)
     traj = load_trajectory(args.trajectory)
     control = load_control(args.control)

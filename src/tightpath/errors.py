@@ -1,7 +1,10 @@
-"""Exception taxonomy shared across the package, with the readers of
-config values and input files that raise its ConfigError."""
+"""Exception taxonomy shared across the package, and the one reader of
+the config and bundle files and of the numbers and arrays they hold."""
 
 from __future__ import annotations
+
+import itertools
+import json
 
 import numpy as np
 
@@ -22,49 +25,84 @@ class ConfigError(TightpathError, ValueError):
     """A scenario configuration failed validation; message names the field."""
 
 
-# Rules for config_number: what a number must be, and the test it must pass.
+# Rules for read_number: what a number must be, and the test it must pass.
 FINITE = ("a finite number", lambda v: -np.inf < v < np.inf)
 POSITIVE = ("positive and finite", lambda v: 0 < v < np.inf)
 NONNEGATIVE = ("finite and >= 0", lambda v: 0 <= v < np.inf)
 COUNT = ("a positive integer", lambda v: v >= 1)
+SEED = ("a non-negative integer", lambda v: v >= 0)
 
 
-def config_number(table: dict, key: str, default, kind, rule):
-    """Read ``table[key]`` as ``kind``, or ``default`` (unchecked) when absent.
-
-    ``rule`` pairs what the number must be with its test. A ConfigError names
-    the key and the raw value. A bool is rejected, not read as 0 or 1, so
-    is a string, even one that spells a number, and for ``kind=int`` so is
-    a float with a fractional part, not truncated.
-    """
-    if key not in table:
-        return default
-    value = table[key]
+def read_number(value, kind, rule):
+    """``value`` as ``kind`` (float or int) if it passes ``rule``, a (what
+    it must be, test) pair, else ValueError saying what it must be: so for
+    a bool, a string, an integer too large for a float, and for ``kind=int``
+    a float with a fractional part, which is not truncated."""
     if kind is int and (
         isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
     ):
-        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-    if isinstance(value, (bool, str)):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}")
+        raise ValueError(f"must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
+        float(value)  # an integer too large for a float, of either kind
+    except OverflowError:
+        raise ValueError(f"must be a number, got {value!r}") from None
+    number = kind(value)
     if not rule[1](number):
-        raise ConfigError(f"{key!r} must be {rule[0]}, got {value!r}")
+        raise ValueError(f"must be {rule[0]}, got {value!r}")
     return number
 
 
-def config_array(table: dict, key: str) -> np.ndarray:
-    """Read ``table[key]`` as a float array; a missing key raises KeyError.
+def read_array(value) -> np.ndarray:
+    """``value``, a number or a regular nested list of numbers, as a float
+    array, else ValueError: so for a ragged list, and for a string, a bool,
+    null or an integer too large for a float anywhere in it."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("must be an array of numbers") from None
+    # numpy read the value as a regular nested list: each level above the last holds lists.
+    leaves = [value]
+    for _ in range(array.ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= {int, float}:
+        raise ValueError("must be an array of numbers")
+    return array
 
-    A value that does not convert, such as a string or a ragged list, raises
-    a ConfigError that names the key.
-    """
+
+def read_json(path, role: str) -> dict:
+    """The JSON object in the ``role`` file at ``path``; ConfigError naming
+    it for what read_text refuses, for bad JSON and for another top level."""
+    try:
+        data = json.loads(read_text(path, role))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def config_number(table: dict, key: str, default, kind, rule):
+    """``read_number`` of ``table[key]``, or ``default`` (unchecked) when
+    absent; a ConfigError names the key and the value."""
+    if key not in table:
+        return default
+    try:
+        return read_number(table[key], kind, rule)
+    except ValueError as exc:
+        raise ConfigError(f"{key!r} {exc}") from None
+
+
+def config_array(table: dict, key: str) -> np.ndarray:
+    """``read_array`` of ``table[key]``: KeyError when it is missing, and a
+    ConfigError naming the key when it is malformed."""
     value = table[key]
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        return read_array(value)
+    except ValueError:
         raise ConfigError(f"{key!r} must be an array of numbers, got {value!r}") from None
 
 

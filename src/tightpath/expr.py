@@ -8,7 +8,7 @@ import ast
 
 import numpy as np
 
-from .errors import ConfigError, ExpressionError, ModelEvaluationError
+from .errors import FINITE, ConfigError, ExpressionError, ModelEvaluationError, read_number
 
 _ALLOWED_CALLS = {
     "abs": np.abs,
@@ -89,9 +89,11 @@ def _compiled(expr: str, labels: tuple) -> tuple:
                 continue
             raise ExpressionError(f"{expr!r}: unknown name {node.id!r}")
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-                continue
-            raise ExpressionError(f"{expr!r}: only numeric constants allowed")
+            try:
+                read_number(node.value, float, FINITE)
+            except ValueError:
+                raise ExpressionError(f"{expr!r}: only finite float constants allowed") from None
+            continue
         raise ExpressionError(f"{expr!r}: disallowed syntax {type(node).__name__}")
     params = [ast.arg(name) for name in ("t",) + labels]
     lam = ast.Lambda(ast.arguments([], params, None, [], [], None, []), tree.body)

@@ -26,13 +26,17 @@ from .dynamics import (
     shift_selection,
 )
 from .errors import (
+    FINITE,
+    SEED,
     BundleError,
     CertificationError,
     ConfigError,
     DomainError,
     InwardPointingError,
     ShapeError,
-    read_text,
+    read_array,
+    read_json,
+    read_number,
 )
 from .geometry import (
     BOUNDARY_MODULUS_PROBES,
@@ -820,37 +824,7 @@ def _function_to_dict(fn: SampledFunction) -> dict:
 
 
 def _function_from_dict(data) -> SampledFunction:
-    return SampledFunction(TimeGrid(_float_array(data, "nodes")), _float_array(data, "values"))
-
-
-def _float_array(table, key: str) -> np.ndarray:
-    """``table[key]`` as a float array, or TypeError (or KeyError) on
-    anything else: a value that is not a table, a string, a ragged list."""
-    if not isinstance(table, dict):
-        raise TypeError(f"expected a table with {key!r}, got {type(table).__name__}")
-    return np.asarray(table[key], dtype=float)
-
-
-def _finite_number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    number = float(value)
-    if not np.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
-
-
-def _seed(value) -> int:
-    number = _finite_number(value)
-    if not number.is_integer() or number < 0:
-        raise ValueError(f"expected a non-negative integer, got {value!r}")
-    return int(value)
-
-
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
+    return SampledFunction(TimeGrid(read_array(data["nodes"])), read_array(data["values"]))
 
 
 def _string_table(value) -> dict:
@@ -860,7 +834,7 @@ def _string_table(value) -> dict:
 
 
 def _modulus_table(value) -> ModulusTable:
-    return ModulusTable(_float_array(value, "deltas"), _float_array(value, "values"))
+    return ModulusTable(read_array(value["deltas"]), read_array(value["values"]))
 
 
 def bundle_to_dict(bundle: HypothesisBundle) -> dict:
@@ -883,26 +857,26 @@ _MISSING = object()
 def bundle_from_dict(data: dict) -> HypothesisBundle:
     """The bundle of a ``bundle_to_dict`` record. A missing key, or a value
     of the wrong type, shape or range, raises a BundleError naming the key."""
-    if not isinstance(data, dict):
-        raise BundleError(f"a bundle must be a JSON object, got {type(data).__name__}")
 
-    def read(name: str, parse, default=_MISSING):
+    def read(name: str, parse, *rule, default=_MISSING):
         value = data.get(name, default)
         if value is _MISSING:
             raise BundleError(f"bundle file is missing {name!r}")
         try:
-            return parse(value)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            if parse is str and not isinstance(value, str):
+                raise TypeError(f"expected a string, got {value!r}")
+            return parse(value, *rule)
+        except (KeyError, TypeError, ValueError) as exc:
             detail = f"no {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
             raise BundleError(f"bundle value {name!r} is malformed: {detail}") from None
 
     kwargs = {name: read(name, _function_from_dict) for name in _BUNDLE_FUNCTIONS}
-    kwargs.update({name: read(name, _finite_number) for name in _BUNDLE_SCALARS})
+    kwargs.update({name: read(name, read_number, float, FINITE) for name in _BUNDLE_SCALARS})
     kwargs["boundary_drift"] = read("boundary_drift", _modulus_table)
-    kwargs["provenance"] = read("provenance", _string_table, {})
-    kwargs["reference_sup"] = read("reference_sup", _finite_number, 0.0)
-    kwargs["config_hash"] = read("config_hash", _string, "")
-    kwargs["seed"] = read("seed", _seed, 0)
+    kwargs["provenance"] = read("provenance", _string_table, default={})
+    kwargs["reference_sup"] = read("reference_sup", read_number, float, FINITE, default=0.0)
+    kwargs["config_hash"] = read("config_hash", str, default="")
+    kwargs["seed"] = read("seed", read_number, int, SEED, default=0)
     return HypothesisBundle(**kwargs)
 
 
@@ -932,9 +906,4 @@ def save_bundle(path, bundle: HypothesisBundle) -> None:
 
 
 def load_bundle(path) -> HypothesisBundle:
-    text = read_text(path, "bundle")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"{path}: not a valid bundle file ({exc})") from None
-    return bundle_from_dict(data)
+    return bundle_from_dict(read_json(path, "bundle"))

@@ -483,12 +483,7 @@ def repair_interval(
     control = ControlSignal(grid=grid, values=values)
 
     segment = integrate(model, control, x_ti, (t_i, float(nodes[-1])), c.step, check=False)
-    if not np.array_equal(segment.grid.nodes, nodes[lo:]):
-        raise RepairError(
-            "re-integrated suffix landed off the reference grid",
-            stage="interval",
-        )
-    states = np.vstack([xcur.states[:lo], segment.states])
+    states = np.vstack([xcur.states[:lo], segment.at_nodes(nodes[lo:])])
     traj = Trajectory(grid=grid, states=states)
 
     gap = float(np.max(np.linalg.norm(states[lo:] - xcur.states[lo:], axis=1)))
@@ -629,15 +624,10 @@ def _verify_suffix(x_eps: Trajectory, u_eps: ControlSignal, c, report, model) ->
         return
     nodes = x_eps.grid.nodes
     lo = int(c.partition[bursts[0]])
-    fresh = integrate(model, u_eps, x_eps.states[lo], (float(nodes[lo]), float(nodes[-1])), c.step)
-    if not np.array_equal(fresh.grid.nodes, nodes[lo:]):
-        raise RepairError(
-            "the verifying run of the repaired suffix landed off the reference grid",
-            stage="verify",
-            report=report,
-        )
-    if not np.array_equal(fresh.states, x_eps.states[lo:]):
-        bad = int(np.flatnonzero(np.any(fresh.states != x_eps.states[lo:], axis=1))[0])
+    run = integrate(model, u_eps, x_eps.states[lo], (float(nodes[lo]), float(nodes[-1])), c.step)
+    fresh = run.at_nodes(nodes[lo:])
+    if not np.array_equal(fresh, x_eps.states[lo:]):
+        bad = int(np.flatnonzero(np.any(fresh != x_eps.states[lo:], axis=1))[0])
         raise RepairError(
             f"the stitched trajectory differs from one run over the repaired suffix "
             f"at t={float(nodes[lo + bad])!r}",

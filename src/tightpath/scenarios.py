@@ -145,7 +145,8 @@ def boundary_tracking_reference(
     controls = np.vstack([cells, cells[-1:]])
 
     ubar = ControlSignal(grid=grid, values=controls)
-    xbar = integrate(model, ubar, x0, (nodes[0], nodes[-1]), grid.step)
+    run = integrate(model, ubar, x0, (nodes[0], nodes[-1]), grid.step)
+    xbar = Trajectory(grid, run.at_nodes(grid.nodes))
     margins = field.margin(nodes[0], xbar.states, 0.0)
     worst = float(np.min(margins))
     if worst < 0.4 * clearance:

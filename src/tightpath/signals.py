@@ -161,6 +161,19 @@ class Trajectory:
     def max_norm(self) -> float:
         return float(np.linalg.norm(self.states, axis=1).max())
 
+    def at_nodes(self, nodes: np.ndarray) -> np.ndarray:
+        """The states at ``nodes``, else DomainError naming one that is no node
+        of the grid: a run of ``integrate`` keeps a control grid's nodes, and
+        one more at each model breakpoint between them."""
+        own = self.grid.nodes
+        if np.array_equal(own, nodes):
+            return self.states
+        index = np.minimum(np.searchsorted(own, nodes), own.size - 1)
+        off = own[index] != nodes
+        if off.any():
+            raise DomainError(f"the trajectory has no node at t={float(nodes[off][0])!r}")
+        return self.states[index]
+
 
 @dataclass(frozen=True)
 class ModulusTable:

@@ -1080,8 +1080,8 @@ class TestConfigRejection:
             ("resolution", float("nan"), "'resolution' must be positive and finite"),
             ("resolution", float("inf"), "'resolution' must be positive and finite"),
             ("resolution", -0.025, "'resolution' must be positive and finite"),
-            ("box", [["-inf", 2.0], [-2.0, 2.0]], "'box' must hold finite numbers"),
-            ("box", [[-2.0, 2.0], [-2.0, "nan"]], "'box' must hold finite numbers"),
+            ("box", [[-float("inf"), 2.0], [-2.0, 2.0]], "'box' must hold finite numbers"),
+            ("box", [[-2.0, 2.0], [-2.0, float("nan")]], "'box' must hold finite numbers"),
         ],
         ids=["nan-resolution", "inf-resolution", "negative-resolution", "inf-box", "nan-box"],
     )
@@ -1583,3 +1583,171 @@ def test_bundle_function_off_the_reference_grid_names_itself(surge_400):
         code, printed = repair_with_bundle(config, bad, out)
         assert code == 64
         assert f"bundle function {name!r} is not tabulated on the reference grid" in printed
+
+
+@pytest.mark.parametrize("grid", [{"steps": 2001}, {"horizon": 1.5}], ids=["steps-2001", "horizon-1.5"])
+def test_a_motor_grid_without_a_node_at_the_break_repairs(tmp_path, capsys, grid):
+    # The motors' break at t = 1 falls inside a cell, which the reference's
+    # feedback law steps across with the cell's mean actuator scale. Each
+    # integrator run holds one node more, at the break, and the reference
+    # and the repaired runs keep the grid's nodes. Before, certify exited 0
+    # and repair 1: "reference control and trajectory must share a grid".
+    reference = {**SURGE_CONFIG["reference"], "variant": "decline"}
+    config = {**SURGE_CONFIG, "model": "motor_decline", "reference": reference, **grid}
+    path = write_config(tmp_path / "decline.json", config)
+    out = str(tmp_path / "out")
+    assert cli.main(["certify", "--config", path, "--out", out]) == 0
+    code = cli.main(["repair", "--config", path, "--bundle", f"{out}/bundle.json", "--out", out])
+    assert code == 0, capsys.readouterr()
+    rows = (tmp_path / "out" / "x_eps.csv").read_text().splitlines()
+    assert len(rows) == 1 + config["steps"] + 1
+
+
+@pytest.fixture(scope="module")
+def affine_repaired(tmp_path_factory):
+    """Directory in which CONTROL_AFFINE_CONFIG, with its inline reference,
+    was certified and repaired."""
+    out = tmp_path_factory.mktemp("affine")
+    path = write_config(out / "inline.json", CONTROL_AFFINE_CONFIG)
+    assert cli.main(["certify", "--config", path, "--out", str(out)]) == 0
+    bundle = str(out / "bundle.json")
+    assert cli.main(["repair", "--config", path, "--bundle", bundle, "--out", str(out)]) == 0
+    return out
+
+
+class TestReferenceAndWeightKinds:
+    """The documented reference and weight kinds that no other test runs."""
+
+    def test_a_csv_reference_repairs_as_its_inline_form(self, affine_repaired, tmp_path, capsys):
+        reference = CONTROL_AFFINE_CONFIG["reference"]
+        rows = list(zip(reference["times"], reference["states"], reference["controls"]))
+        xp, up = tmp_path / "x.csv", tmp_path / "u.csv"
+        xp.write_text("t,x1,x2\n" + "".join(f"{t!r},{x!r},{y!r}\n" for t, (x, y), _ in rows))
+        up.write_text("t,u1,u2\n" + "".join(f"{t!r},{a!r},{b!r}\n" for t, _, (a, b) in rows))
+        by_csv = {"kind": "csv", "states": str(xp), "controls": str(up)}
+        path = write_config(tmp_path / "csv.json", {**CONTROL_AFFINE_CONFIG, "reference": by_csv})
+        out = tmp_path / "out"
+        assert cli.main(["certify", "--config", path, "--out", str(out)]) == 0
+        bundle = str(out / "bundle.json")
+        assert cli.main(["repair", "--config", path, "--bundle", bundle, "--out", str(out)]) == 0
+        for artifact in ("x_eps.csv", "u_eps.csv", "report.txt"):
+            assert (out / artifact).read_bytes() == (affine_repaired / artifact).read_bytes()
+
+    def test_the_identity_weight_is_no_weight(self, affine_repaired, capsys):
+        config = {**CONTROL_AFFINE_CONFIG, "weight": {"kind": "identity"}}
+        path = write_config(affine_repaired / "identity.json", config)
+        out = affine_repaired / "identity"
+        bundle = str(affine_repaired / "bundle.json")
+        assert cli.main(["repair", "--config", path, "--bundle", bundle, "--out", str(out)]) == 0
+        assert (out / "report.txt").read_bytes() == (affine_repaired / "report.txt").read_bytes()
+
+    def test_the_one_plus_t_cost_is_its_closed_form(self):
+        # Over a cell [a, b] a constant u costs |u|^2 (b - a + (b^2 - a^2) / 2).
+        weight = cli.weight_from_config({"weight": {"kind": "one-plus-t"}}, 2)
+        nodes = np.array([0.0, 0.3, 0.5, 1.25, 2.0])
+        values = np.array([[1.0, -2.0], [0.5, 0.0], [-1.5, 3.0], [2.0, 1.0], [0.0, 0.0]])
+        cells = zip(nodes[:-1], nodes[1:], values[:-1])
+        exact = sum((b - a + (b * b - a * a) / 2.0) * float(u @ u) for a, b, u in cells)
+        cost = weighted_l2_cost(ControlSignal(TimeGrid(nodes), values), weight)
+        assert cost == pytest.approx(exact, rel=1e-14)
+
+
+# A small config that certifies and holds each kind of number a config
+# may: counts, a lattice box and resolution, an inline reference, x0, a
+# weight matrix, lambda, seed and eps.
+LEAF_CONFIG = {
+    "model": "expression",
+    "state_dim": 1,
+    "control_dim": 1,
+    "rhs": ["u1"],
+    "constraint": {"box": [[0.0, 3.0]], "components": ["1 - x1"], "resolution": 0.01},
+    "reference": {
+        "kind": "inline",
+        "times": [0.0, 0.5, 1.0],
+        "states": [[1.2], [1.2], [1.2]],
+        "controls": [[0.0], [0.0], [0.0]],
+    },
+    "x0": [1.2],
+    "weight": {"kind": "constant", "matrix": [[1.0]]},
+    "lambda": 0.1,
+    "seed": 0,
+    "eps": 0.0,
+}
+
+
+def leaf_mutations(value, path=()):
+    """(path, replacement) for every number in a JSON value, a bool aside:
+    its string form, true, null and an integer too large for a float."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaf_mutations(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from leaf_mutations(item, path + (index,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        for replacement in (str(value), True, None, 10**400):
+            yield path, replacement
+
+
+@pytest.fixture(scope="module")
+def leaf_bundle(tmp_path_factory):
+    """(directory, bundle record) of LEAF_CONFIG certified, with a state and
+    a control CSV on its reference's span."""
+    out = tmp_path_factory.mktemp("leaves")
+    config = write_config(out / "leaves.json", LEAF_CONFIG)
+    assert cli.main(["certify", "--config", config, "--out", str(out)]) == 0
+    (out / "x.csv").write_text("t,x1\n0,1.2\n1,1.2\n")
+    (out / "u.csv").write_text("t,u1\n0,0\n1,0\n")
+    return out, json.loads((out / "bundle.json").read_text())
+
+
+class TestEveryNumericLeaf:
+    """A number that is quoted, true, null or too large for a float is
+    malformed wherever it sits in a config or a bundle, and the command
+    exits 64 naming its key. Before, a quoted, true or null array entry of
+    either exited 0, and a huge integer in 'box' or 'x0' ended in an
+    OverflowError traceback."""
+
+    def test_in_a_config(self, leaf_bundle, capsys):
+        out, _ = leaf_bundle
+        # Each key is read by the command that uses it.
+        commands = {
+            "lambda": ["repair", "--bundle", str(out / "bundle.json")],
+            "eps": ["evaluate", str(out / "x.csv"), str(out / "u.csv")],
+        }
+        failures = []
+        for path, value in leaf_mutations(LEAF_CONFIG):
+            key = [name for name in path if isinstance(name, str)][-1]
+            config = write_config(out / "mutated-config.json", mutated(LEAF_CONFIG, path, value))
+            argv = commands.get(key, ["certify", "--out", str(out / "mutated")])
+            try:
+                code = cli.main(argv + ["--config", config])
+            except Exception as exc:  # a traceback: listed with the other failures
+                code = repr(exc)
+            err = capsys.readouterr().err
+            if code != 64 or f"config error: {key!r}" not in err:
+                failures.append((path, repr(value)[:12], code, err))
+        assert not failures
+
+    def test_in_a_bundle(self, leaf_bundle):
+        out, record = leaf_bundle
+        config = str(out / "leaves.json")
+        # The certification block is never read back.
+        read = {key: value for key, value in record.items() if key != "certification"}
+        failures = []
+        for path, value in leaf_mutations(read):
+            try:
+                code, printed = repair_with_bundle(config, mutated(record, path, value), out)
+            except Exception as exc:  # a traceback: listed with the other failures
+                code, printed = repr(exc), ""
+            if code != 64 or f"bundle value {path[0]!r} is malformed" not in printed:
+                failures.append((path, repr(value)[:12], code, printed))
+        assert not failures
+
+    @pytest.mark.parametrize(
+        "rhs", ["1" + "0" * 400, "1e999", 10**400], ids=["400-digits", "1e999", "400-digit-number"]
+    )
+    def test_an_expression_constant_that_is_no_finite_float(self, tmp_path, capsys, rhs):
+        path = write_config(tmp_path / "rhs.json", {**LEAF_CONFIG, "rhs": [rhs]})
+        assert cli.main(["certify", "--config", path, "--out", str(tmp_path)]) == 64
+        assert "only finite float constants" in capsys.readouterr().err

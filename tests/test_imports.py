@@ -1,7 +1,7 @@
 """Module boundaries: no module imports another module's private name, only
 geometry asks the distance oracle, only the expression engine parses
-expressions, and the command line loads scipy only for a lattice field's
-KD-tree."""
+expressions, only errors.py reads JSON, and the command line loads scipy
+only for a lattice field's KD-tree."""
 
 import ast
 import json
@@ -69,6 +69,25 @@ def parses_or_compiles(path: Path) -> bool:
 def test_only_the_expression_engine_parses_expressions():
     sources = sorted(PACKAGE.glob("*.py"))
     assert [path.name for path in sources if parses_or_compiles(path)] == ["expr.py"]
+
+
+def reads_json(path: Path) -> bool:
+    """Whether a module calls ``json.loads`` or ``json.load``, or imports either."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            if any(alias.name in ("load", "loads") for alias in node.names):
+                return True
+        if isinstance(node, ast.Attribute) and node.attr in ("load", "loads"):
+            if getattr(node.value, "id", None) == "json":
+                return True
+    return False
+
+
+def test_only_errors_reads_json():
+    # One reader of config and bundle files, whose numbers and arrays follow
+    # one set of rules: errors.read_json.
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert [path.name for path in sources if reads_json(path)] == ["errors.py"]
 
 
 def fresh_interpreter(probe: str, cwd=None) -> str:

@@ -15,6 +15,7 @@ distance from the origin to a segment, and the judge's margin is exact.
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -173,3 +174,90 @@ def test_item_9_certified_lipschitz_constant_covers_the_arctan(tmp_path, capsys)
             if bundle["provenance"]["state_lipschitz"] == "certified" and largest < 0.9:
                 undershoots[seed] = largest
     assert not undershoots, f"certified state_lipschitz below 0.9 by seed: {undershoots}"
+
+
+DECLINE_WORKLOAD_CONFIG = {
+    "model": "motor_decline",
+    "constraint": {"builtin": "unit_ball_complement", "dim": 1, "box_radius": 2.0},
+    "reference": {
+        "kind": "boundary-tracking",
+        "variant": "decline",
+        "clearance": 0.0005,
+        "x_start": 1.08,
+        "finish": 1.06,
+    },
+    "horizon": HORIZON,
+    "steps": 2000,
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 4: the a-priori bounds are vacuous, and report.txt prints "
+    "them as -inf",
+)
+def test_item_4_the_decline_report_prints_no_inf_or_nan(tmp_path, capsys):
+    # The benchmark's decline workload at seed 1.
+    code, _, text = certify_and_repair(tmp_path, capsys, DECLINE_WORKLOAD_CONFIG, seed=1, lam=0.1)
+    if code != 0:
+        pytest.fail(f"repair exited {code}, so the recipe did not run:\n{text}")
+    lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    bad = [line for line in lines if re.search(r"\b(inf|nan)\b", line)]
+    assert not bad, f"{len(bad)} of {len(lines)} lines hold inf or nan, the first: {bad[0]}"
+
+
+def affine_disk_config(**changes) -> dict:
+    """Item 8's setup: x' = u as a control_affine model on the static unit
+    disk's complement, 20 steps, with the reference a true trajectory."""
+    times = np.linspace(0.0, HORIZON, 21).tolist()
+    config = {
+        "model": "control_affine",
+        "state_dim": 2,
+        "control_dim": 2,
+        "drift": ["0", "0"],
+        "gain": [["1", "0"], ["0", "1"]],
+        "constraint": {
+            "box": [[-2.0, 2.0], [-2.0, 2.0]],
+            "components": ["1 - sqrt(x1*x1 + x2*x2)"],
+            "resolution": 0.05,
+        },
+        "reference": {
+            "kind": "inline",
+            "times": times,
+            "states": [[-1.5 + 1.5 * t, 1.0005] for t in times],
+            "controls": [[1.5, 0.0]] * len(times),
+        },
+    }
+    return {**config, **changes}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 8: a compiled expression that overflows or leaves its "
+    "domain raises a stray numpy RuntimeWarning, not a diagnostic naming its key",
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "key, changes",
+    [
+        ("gain", {"gain": [["1", "0"], ["0", "1e308"]]}),
+        ("gain", {"gain": [["1", "0"], ["0", "1 + x1**1000"]]}),
+        (
+            "components",
+            {"constraint": {**affine_disk_config()["constraint"], "components": ["sqrt(x1)"]}},
+        ),
+    ],
+    ids=["gain-1e308", "gain-power", "component-sqrt"],
+)
+def test_item_8_a_stray_warning_ends_in_a_named_diagnostic(tmp_path, capsys, key, changes):
+    # The gain cases change the control that the reference holds at 0.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(affine_disk_config(**changes)))
+    try:
+        code = cli.main(["certify", "--config", str(path), "--out", str(tmp_path / "out")])
+    except RuntimeWarning as exc:
+        raise AssertionError(f"a RuntimeWarning escaped certify: {exc}") from None
+    err = capsys.readouterr().err
+    assert code in (1, 64) and repr(key) in err, f"exit {code}: {err}"

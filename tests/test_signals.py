@@ -110,6 +110,16 @@ class TestTrajectory:
         assert traj.resample([0.25])[0] == pytest.approx([0.5, -0.5])
         assert traj.max_norm() == pytest.approx(np.sqrt(2.0))
 
+    def test_at_nodes_keeps_the_asked_nodes_and_names_a_missing_one(self):
+        # A run with one more node, as integrate gives across a breakpoint.
+        run = Trajectory(TimeGrid(np.array([0.0, 0.4, 0.5, 1.0])), np.arange(4.0)[:, None])
+        assert run.at_nodes(run.grid.nodes) is run.states
+        assert run.at_nodes(np.array([0.0, 0.5, 1.0])).tolist() == [[0.0], [2.0], [3.0]]
+        with pytest.raises(DomainError, match="no node at t=0.75"):
+            run.at_nodes(np.array([0.0, 0.75, 1.0]))
+        with pytest.raises(DomainError, match="no node at t=1.5"):
+            run.at_nodes(np.array([0.0, 1.5]))
+
 
 @pytest.mark.float_path
 class TestWindowModulus:
