@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     config_number,
 )
-from .expr import compile_expressions, read_expressions
+from .expr import compile_expressions, jacobian, read_expressions
 
 _BREAK_TIME = 1.0  # both motor variants switch behaviour here
 # Factor that rounds a closed-form drift integral up. Its 2e-15 relative
@@ -122,6 +122,10 @@ class DynamicsModel:
     forms agree bitwise; their arctan and power stay numpy's, which
     ``math`` differs from by an ulp on some inputs. A model that does not
     declare it, as every custom model by default, is stepped on arrays.
+
+    ``gain`` (t, x) -> B, (n, N, M) or one (N, M) at a float time and (n, N)
+    states, declares the field affine, f = a(t, x) + B(t, x) u; the inward
+    search reads it (``closed_form_controls``).
     """
 
     state_dim: int
@@ -134,6 +138,7 @@ class DynamicsModel:
     # drift table is inflated around them.
     time_breakpoints: tuple = ()
     float_rhs: bool = False
+    gain: object = None
 
     def __post_init__(self):
         if self.float_rhs and (self.state_dim, self.control_dim) != (1, 1):
@@ -509,6 +514,7 @@ def control_affine(
         control_dim=control_dim,
         rhs=rhs,
         metadata=metadata or DeclaredRegularity(),
+        gain=gain,
     )
 
 
@@ -544,7 +550,8 @@ def expression_model(
 
     A field whose expressions never mention ``t`` transports controls by
     the identity, exactly. Time-dependent expressions must declare a
-    ``shift_radius`` scale for the generic transport search.
+    ``shift_radius`` scale for the generic transport search. Derivatives by
+    the controls that read no control are the ``gain`` of an affine field.
     """
     if len(equations) != state_dim:
         raise ConfigError("need one rhs expression per state")
@@ -557,6 +564,7 @@ def expression_model(
         rhs=rhs,
         shift_hook=hook,
         metadata=metadata,
+        gain=jacobian(equations, "u", control_dim, x=state_dim),
     )
 
 

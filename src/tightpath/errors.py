@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import reprlib
 
 import numpy as np
 
@@ -56,19 +57,56 @@ def read_number(value, kind, rule):
 
 def read_array(value) -> np.ndarray:
     """``value``, a number or a regular nested list of numbers, as a float
-    array, else ValueError: so for a ragged list, and for a string, a bool,
-    null or an integer too large for a float anywhere in it."""
+    array, else ValueError naming the first bad entry and its index: so for
+    a ragged list, and for a string, a bool, null or an integer too large
+    for a float anywhere in it."""
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError("must be an array of numbers") from None
+        raise ValueError(f"must be an array of numbers, {_first_bad_entry(value)}") from None
     # numpy read the value as a regular nested list: each level above the last holds lists.
     leaves = [value]
     for _ in range(array.ndim):
         leaves = itertools.chain.from_iterable(leaves)
     if not set(map(type, leaves)) <= {int, float}:
-        raise ValueError("must be an array of numbers")
+        raise ValueError(f"must be an array of numbers, {_first_bad_entry(value)}")
     return array
+
+
+def _first_bad_entry(value) -> str:
+    """Where a value that ``read_array`` refuses goes wrong, in a few words
+    whatever its size: its first entry that is not a number, with the
+    entry's index, or else the first list whose entries differ in shape."""
+
+    def is_list(item):
+        return isinstance(item, (list, tuple))
+
+    def shape(item):
+        return (len(item),) + shape(item[0]) if is_list(item) and item else ()
+
+    def walk(item, index, check):
+        yield from check(item, index)
+        if is_list(item):
+            for i, entry in enumerate(item):
+                yield from walk(entry, f"{index}[{i}]", check)
+
+    def is_number(item):
+        if type(item) is int:
+            try:
+                float(item)
+            except OverflowError:  # an integer too large for a float
+                return False
+        return type(item) in (int, float)
+
+    def bad_leaf(item, index):
+        if not is_list(item) and not is_number(item):
+            yield f"got {reprlib.repr(item)}" + (f" at {index}" if index else "")
+
+    def ragged(item, index):
+        if is_list(item) and len({(is_list(entry), shape(entry)) for entry in item}) > 1:
+            yield f"got entries of different shapes in {index or 'the value'}"
+
+    return next(walk(value, "", bad_leaf), None) or next(walk(value, "", ragged), "got a ragged list")
 
 
 def read_json(path, role: str) -> dict:
@@ -99,11 +137,10 @@ def config_number(table: dict, key: str, default, kind, rule):
 def config_array(table: dict, key: str) -> np.ndarray:
     """``read_array`` of ``table[key]``: KeyError when it is missing, and a
     ConfigError naming the key when it is malformed."""
-    value = table[key]
     try:
-        return read_array(value)
-    except ValueError:
-        raise ConfigError(f"{key!r} must be an array of numbers, got {value!r}") from None
+        return read_array(table[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key!r} {exc}") from None
 
 
 def read_text(path, role: str) -> str:

@@ -1,6 +1,6 @@
-"""The config expression grammar: the one module that parses, checks and
-compiles the ``rhs``, ``drift``, ``gain`` and ``components`` expressions of a
-config, and that decides what a config may hold as one."""
+"""The config expression grammar: the one module that parses, checks, compiles
+and differentiates (``jacobian``) the ``rhs``, ``drift``, ``gain`` and
+``components`` expressions of a config, and decides what a config may hold as one."""
 
 from __future__ import annotations
 
@@ -58,9 +58,8 @@ def _names(node) -> set:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-def _compiled(expr: str, labels: tuple) -> tuple:
-    """(function of ``(t, *labels)``, whether it reads ``t``, whether it
-    has a time pole) of one expression, checked against the grammar."""
+def _checked(expr: str, labels: tuple) -> ast.Expression:
+    """The syntax tree of one expression, checked against the grammar."""
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
@@ -95,10 +94,17 @@ def _compiled(expr: str, labels: tuple) -> tuple:
                 raise ExpressionError(f"{expr!r}: only finite float constants allowed") from None
             continue
         raise ExpressionError(f"{expr!r}: disallowed syntax {type(node).__name__}")
+    return tree
+
+
+def _compiled(tree: ast.Expression, labels: tuple) -> tuple:
+    """(function of ``(t, *labels)``, whether it reads ``t``, whether it
+    has a time pole) of one checked tree."""
     params = [ast.arg(name) for name in ("t",) + labels]
     lam = ast.Lambda(ast.arguments([], params, None, [], [], None, []), tree.body)
     code = compile(ast.fix_missing_locations(ast.Expression(lam)), "<expression>", "eval")
-    function = eval(code, {"__builtins__": {}, **_ALLOWED_CALLS})  # noqa: S307
+    # ``sign`` appears only in derivative trees: the grammar check refuses it.
+    function = eval(code, {"__builtins__": {}, **_ALLOWED_CALLS, "sign": np.sign})  # noqa: S307
     # Python float arithmetic raises only in / and ** on terms of t and
     # constants alone; every term that reads a coordinate is numpy's, which
     # warns and returns inf or NaN for a float time and a numpy time alike.
@@ -157,10 +163,12 @@ def compile_expressions(exprs, **sizes):
     """
     table = np.array(exprs, dtype=object)
     labels = tuple(f"{name}{i + 1}" for name, size in sizes.items() for i in range(size))
-    entries = [
-        (str(expr), (...,) + index, *_compiled(str(expr), labels))
-        for expr, index in zip(table.ravel().tolist(), np.ndindex(table.shape))
-    ]
+    entries = []
+    for expr, index in zip(table.ravel().tolist(), np.ndindex(table.shape)):
+        # A derivative tree comes checked, and is named by its text.
+        tree = expr if isinstance(expr, ast.Expression) else _checked(str(expr), labels)
+        text = ast.unparse(tree) if tree is expr else str(expr)
+        entries.append((text, (...,) + index, *_compiled(tree, labels)))
     counts = tuple(sizes.values())
 
     def evaluate(t, *arrays):
@@ -178,4 +186,89 @@ def compile_expressions(exprs, **sizes):
         return out
 
     evaluate.reads_time = any(entry[3] for entry in entries)
+    return evaluate
+
+
+# d f(a)/da of each call but pow, over the text of a: abs takes sign, a
+# Clarke element that is 0 at 0, and sqrt's rule divides by zero at 0.
+_SLOPES = {"abs": "sign({})", "sqrt": "0.5 / sqrt({})", "sin": "cos({})", "cos": "-sin({})"}
+_SLOPES["arctan"] = "1.0 / (1.0 + {0} * {0})"
+
+
+def _bin(a, op: str, b):
+    """The text of ``a op b``, with None read as 0 and a factor 1.0 dropped."""
+    if op in "*/" and (a is None or b is None):
+        return None
+    if op == "*" and "1.0" in (a, b):
+        return b if a == "1.0" else a
+    if a is None or b is None:
+        return a if b is None else b if op == "+" else f"-({b})"
+    return f"({a}) {op} ({b})"
+
+
+def _derivative(node, v: str):
+    """The text of d(node)/dv, or None where it is 0: where ``node`` does
+    not read ``v``. A power whose exponent reads ``v`` needs log, which the
+    grammar lacks, and raises ExpressionError."""
+    if isinstance(node, (ast.Name, ast.Constant)):
+        return "1.0" if isinstance(node, ast.Name) and node.id == v else None
+    if isinstance(node, ast.UnaryOp):
+        inner = _derivative(node.operand, v)
+        return _bin(None, "-", inner) if isinstance(node.op, ast.USub) else inner
+    if isinstance(node, ast.Call) and node.func.id != "pow":
+        a, da = node.args[0], _derivative(node.args[0], v)
+        return da and _bin(_SLOPES[node.func.id].format(f"({ast.unparse(a)})"), "*", da)
+    a, b = node.args if isinstance(node, ast.Call) else (node.left, node.right)
+    da, db = _derivative(a, v), _derivative(b, v)
+    if da is None and db is None:
+        return None
+    ta, tb = ast.unparse(a), ast.unparse(b)
+    if isinstance(node, ast.Call) or isinstance(node.op, ast.Pow):
+        if db is not None:
+            raise ExpressionError(f"{ast.unparse(node)!r}: a power whose exponent reads {v} "
+                                  "has a derivative that needs log, which the grammar lacks")
+        if not isinstance(b, ast.Constant):
+            return _bin(_bin(tb, "*", f"({ta}) ** (({tb}) - 1.0)"), "*", da)
+        power = ta if b.value == 2 else f"({ta}) ** {b.value - 1!r}"
+        return _bin(_bin(tb, "*", power), "*", da) if b.value else None  # a ** 0 is 1
+    op = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}[type(node.op)]
+    if op in "+-":
+        return _bin(da, op, db)
+    if op == "*":
+        return _bin(_bin(da, "*", tb), "+", _bin(ta, "*", db))
+    # (a/b)' = a'/b - (a/b)·b'/b
+    return _bin(_bin(da, "/", tb), "-", _bin(ast.unparse(node), "*", _bin(db, "/", tb)))
+
+
+def jacobian(exprs, wrt: str, count: int, **sizes):
+    """``compile_expressions`` of the derivatives of ``exprs`` by ``{wrt}1``
+    .. ``{wrt}{count}``, which ``exprs`` may read, over the arrays of
+    ``sizes``: the value's shape ends with ``count``. None when a derivative
+    reads a ``wrt`` name outside ``sizes`` (d(u1*u1)/du1 does) or needs log.
+    A float error, as ``sqrt``'s rule meets at 0, is a ModelEvaluationError."""
+    table = np.array(exprs, dtype=object)
+    names = [f"{wrt}{k + 1}" for k in range(count)]
+    known = [f"{name}{i + 1}" for name, size in sizes.items() for i in range(size)]
+    others = set(names) - set(known)
+    try:
+        bodies = [_checked(str(e), (*known, *others)).body for e in table.ravel()]
+        texts = [_derivative(body, v) or "0.0" for body in bodies for v in names]
+    except ExpressionError:
+        return None
+    trees = [ast.parse(text, mode="eval") for text in texts]  # calls sign: no grammar check
+    if any(_names(tree) & others for tree in trees):
+        return None
+    trees = np.array(trees, dtype=object).reshape(table.shape + (count,)).tolist()
+    compiled = []  # at the first call: a model or field may never be asked
+
+    def evaluate(t, *arrays):
+        if not compiled:
+            compiled.append(compile_expressions(trees, **sizes))
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            try:
+                return compiled[0](t, *arrays)
+            except FloatingPointError as exc:
+                where = f"{wrt}-derivatives of {table.tolist()!r}"
+                raise ModelEvaluationError(f"{where} are undefined at t={t}: {exc}") from None
+
     return evaluate

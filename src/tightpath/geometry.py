@@ -11,7 +11,7 @@ empty tree puts the boundary at infinite distance; a tightened set that
 misses the box raises InfeasibleTighteningError, the one emptiness test.
 The field answers the certifiers' distance questions itself, collar
 points and forward-cone ball slacks, so no other module asks the oracle.
-A config's expression components are compiled by ``expr.compile_expressions``.
+A config's expression components and their gradients are compiled by ``expr``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     config_array,
     config_number,
 )
-from .expr import compile_expressions
+from .expr import compile_expressions, jacobian
 from .signals import ModulusTable, TimeGrid, Trajectory, subsample
 
 _MAX_TREE_CACHE = 64
@@ -77,6 +77,8 @@ class ConstraintField:
     resolution : float
         Lattice spacing of the fallback; defaults to the longest box edge
         over 2048 (dim 1), 1024 (dim 2), or 128.
+    gradients : tuple of callables, optional
+        Per component, (t, x) -> its (n, dim) gradient in x at a float time.
     """
 
     components: tuple
@@ -84,6 +86,7 @@ class ConstraintField:
     time_varying: bool = False
     analytic_distance: object = None
     resolution: float = 0.0
+    gradients: tuple = ()
     _tree_cache: dict = field(default_factory=dict, repr=False, compare=False)
     # (1-D axes, flat (n, dim) points, grid shape) of the scan lattice.
     _lattice: tuple | None = field(default=None, repr=False, compare=False)
@@ -130,6 +133,15 @@ class ConstraintField:
         x = np.asarray(x, dtype=float)
         out = -(self.value(t, np.atleast_2d(x)) + eps)
         return float(out[0]) if x.ndim == 1 else out
+
+    def gradient(self, t: float, x: np.ndarray):
+        """The gradient of the active component, the first attaining the max,
+        at each row of the (n, dim) states x at time t; None without gradients."""
+        if not self.gradients:
+            return None
+        grads = np.stack([grad(t, x) for grad in self.gradients], axis=1)
+        active = np.argmax(np.stack([comp(t, x) for comp in self.components], axis=1), axis=1)
+        return grads[np.arange(len(x)), active]
 
     def _key(self, t: float, eps: float) -> tuple:
         return (round(t, 9) if self.time_varying else 0.0, round(eps, 12), self.resolution)
@@ -211,55 +223,77 @@ class ConstraintField:
         return bool(self._distances(eps, t, x)[1][0] <= r)
 
     def collar_points(self, eps: float, t: float, eta: float, count: int, rng, box_radius: float):
-        """Feasible points of norm at most ``box_radius`` within eta of the
-        tightened boundary at time t, and their distances to it, the depths.
+        """``collar_sets`` of the one key (eps, t)."""
+        return self.collar_sets([(eps, t)], eta, count, rng, box_radius)[0]
+
+    def collar_sets(self, keys, eta: float, count: int, rng, box_radius: float) -> list:
+        """For each (eps, t) of ``keys``, the feasible points of norm at most
+        ``box_radius`` within eta of the tightened boundary at time t, and
+        their distances to it, the depths.
 
         Lattice crossings nudged just inside cover every boundary sheet at
         near-zero depth (the hard cases for the forward cone); bisecting
         random feasible-infeasible pairs adds points deeper in the collar.
-        Returns empty arrays when the box contains no boundary (vacuous
-        condition).
+        The keys draw from ``rng`` in order, and all their pairs are
+        bisected together, one ``margin`` call per step with a time and an
+        eps per row, so each key gets bitwise what it gets alone. A key
+        whose box contains no boundary draws nothing and gets empty arrays
+        (vacuous condition).
         """
         dim = self.dim
-        try:
-            lattice = self.boundary_cloud(t, eps)
-        except InfeasibleTighteningError:
-            lattice = np.empty((0, dim))
-        if not len(lattice):
-            return np.empty((0, dim)), np.empty(0)
-        hug = []
-        for b in subsample(lattice, count):
-            ring = b + 0.02 * eta * ball_points(rng, 24, dim, 1.0)
-            margins = self.margin(t, ring, eps)
-            if (margins >= 0).any():
-                hug.append(ring[int(np.argmax(margins))])
-        hug = np.asarray(hug).reshape(-1, dim)
-
-        draws = box_points(rng, 64 * count, self.sampling_box)
-        margins = self.margin(t, draws, eps)
-        feasible = draws[margins >= 0]
-        infeasible = draws[margins < 0]
-        deep = np.empty((0, dim))
-        if len(feasible) and len(infeasible):
+        none = np.empty((0, dim))
+        drawn = []  # per key: hug points, bisection ends, depths; None without a boundary
+        for eps, t in keys:
+            try:
+                lattice = self.boundary_cloud(t, eps)
+            except InfeasibleTighteningError:
+                lattice = none
+            if not len(lattice):
+                drawn.append(None)
+                continue
+            rings = np.stack(
+                [b + 0.02 * eta * ball_points(rng, 24, dim, 1.0) for b in subsample(lattice, count)]
+            )
+            margins = self.margin(t, rings.reshape(-1, dim), eps).reshape(rings.shape[:2])
+            hug = rings[np.arange(len(rings)), np.argmax(margins, axis=1)][(margins >= 0).any(axis=1)]
+            draws = box_points(rng, 64 * count, self.sampling_box)
+            margins = self.margin(t, draws, eps)
+            feasible, infeasible = draws[margins >= 0], draws[margins < 0]
             pairs = min(count * 4, len(feasible), len(infeasible))
-            lo = feasible[:pairs].copy()
-            hi = infeasible[:pairs].copy()
-            for _ in range(48):
-                mid = 0.5 * (lo + hi)
-                inside = self.margin(t, mid, eps) >= 0
-                lo[inside] = mid[inside]
-                hi[~inside] = mid[~inside]
-            depths = eta * rng.uniform(0.05, 1.0, size=(pairs, 1))
-            # Step back inside along the direction that came from the feasible draw.
-            inward = feasible[:pairs] - lo
-            norms = np.linalg.norm(inward, axis=1, keepdims=True)
-            norms[norms == 0] = 1.0
-            deep = (lo + depths * inward / norms)[:count]
-        points = np.vstack([hug, deep])
-        points = points[self.margin(t, points, eps) >= 0]
-        to_boundary = self._distances(eps, t, points)[1]
-        keep = (to_boundary <= eta * (1 + 1e-9)) & (np.linalg.norm(points, axis=1) <= box_radius)
-        return points[keep][: 2 * count], to_boundary[keep][: 2 * count]
+            depths = eta * rng.uniform(0.05, 1.0, size=(pairs, 1)) if pairs else None
+            drawn.append((hug, feasible[:pairs], infeasible[:pairs], depths))
+
+        sizes = [0 if got is None else len(got[1]) for got in drawn]
+        lo = np.concatenate([none] + [got[1] for got in drawn if got is not None])
+        hi = np.concatenate([none] + [got[2] for got in drawn if got is not None])
+        times = np.repeat([float(t) for _, t in keys], sizes)
+        epss = np.repeat([float(eps) for eps, _ in keys], sizes)
+        for _ in range(48 if len(lo) else 0):
+            mid = 0.5 * (lo + hi)
+            inside = self.margin(times, mid, epss) >= 0
+            lo[inside] = mid[inside]
+            hi[~inside] = mid[~inside]
+        out = []
+        for (eps, t), got, ends in zip(keys, drawn, np.split(lo, np.cumsum(sizes)[:-1])):
+            if got is None:
+                out.append((none, np.empty(0)))
+                continue
+            hug, feasible, _, depths = got
+            deep = none
+            if len(ends):
+                # Step back inside along the direction that came from the feasible draw.
+                inward = feasible - ends
+                norms = np.linalg.norm(inward, axis=1, keepdims=True)
+                norms[norms == 0] = 1.0
+                deep = (ends + depths * inward / norms)[:count]
+            points = np.vstack([hug, deep])
+            points = points[self.margin(t, points, eps) >= 0]
+            to_boundary = self._distances(eps, t, points)[1]
+            keep = (to_boundary <= eta * (1 + 1e-9)) & (
+                np.linalg.norm(points, axis=1) <= box_radius
+            )
+            out.append((points[keep][: 2 * count], to_boundary[keep][: 2 * count]))
+        return out
 
     def ball_slacks(self, eps: float, t, centers, radii, keep, first=None, shifts=None):
         """How far each ball stays inside the tightened set at time t.
@@ -594,11 +628,13 @@ def field_from_config(config: dict) -> ConstraintField:
             f"'components' must be a non-empty list of expression strings, got {expressions!r}"
         )
     components = tuple(compile_expressions(expr, x=box.shape[0]) for expr in expressions)
+    gradients = tuple(jacobian(expr, "x", box.shape[0], x=box.shape[0]) for expr in expressions)
     field = ConstraintField(
         components=components,
         sampling_box=box,
         time_varying=any(comp.reads_time for comp in components),
         resolution=resolution,
+        gradients=gradients if None not in gradients else (),
     )
     try:
         _lattice_counts(field.sampling_box, field.resolution)

@@ -11,6 +11,7 @@ the sole input contract of the repair schedule.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -33,6 +34,7 @@ from .errors import (
     ConfigError,
     DomainError,
     InwardPointingError,
+    ModelEvaluationError,
     ShapeError,
     read_array,
     read_json,
@@ -305,8 +307,9 @@ def inclusion_margins(
     margin means the inclusion fails on the sample grid. The delta and y
     grids are deterministic, so repeated calls agree bitwise.
 
-    ``rows`` holds P base points x, shape (P, dim); the margins are
-    (P, n_candidates) and the velocities (P, n_candidates, N). Each row is
+    ``rows`` holds P base points x, shape (P, dim), and ``candidates`` is
+    (C, M), tried at every base point, or (P, C, M), one set per base
+    point; the margins are (P, C) and the velocities (P, C, N). Each row is
     bitwise what a one-row call on it gives: each margin comes from
     elementwise arithmetic and per-point distance queries, and the running
     minimum is exact. Before the horizon, a row none of whose base points
@@ -328,15 +331,25 @@ def inclusion_margins(
     query of every point gives.
     """
     rows = np.asarray(rows, dtype=float)
-    n_rows, n_cand = len(rows), len(candidates)
+    per_row = np.broadcast_to(candidates, (len(rows),) + np.shape(candidates)[-2:])
+    n_rows, n_cand, m = per_row.shape
     velocities = rhs_batch(
-        model, float(t), np.repeat(rows, n_cand, axis=0), np.tile(candidates, (n_rows, 1))
+        model, float(t), np.repeat(rows, n_cand, axis=0), per_row.reshape(-1, m)
     ).reshape(n_rows, n_cand, -1)
     margins = np.where(np.all(np.isfinite(velocities), axis=2), np.inf, -np.inf)
     delta_cap = min(xi, max(horizon - t, 0.0))
     if delta_cap > 0:
         _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap)
     return margins, velocities
+
+
+@functools.lru_cache(maxsize=64)
+def _cone_offsets(dim: int, xi: float) -> np.ndarray:
+    """The forward-cone grid's base-point offsets, drawn from seed 12 once
+    per (dim, xi) and read-only."""
+    offsets = ball_points(np.random.default_rng(12), INCLUSION_GRID_POINTS, dim, xi)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) -> None:
@@ -348,9 +361,8 @@ def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) 
     pushed one push time at a time; a row's pairs are consecutive, the
     first its anchor, which a single-time query may stage on.
     """
-    rng = np.random.default_rng(12)
     deltas = np.linspace(0.0, delta_cap, INCLUSION_GRID_POINTS)[1:]
-    offsets = ball_points(rng, INCLUSION_GRID_POINTS, field.dim, xi)
+    offsets = _cone_offsets(field.dim, float(xi))
     ys = np.concatenate([rows[:, None, :], rows[:, None, :] + offsets[None, :, :]], axis=1)
     base_ok = (field.margin(t, ys.reshape(-1, field.dim), eps) >= 0).reshape(ys.shape[:2])
     margins[~base_ok.any(axis=1)] = -np.inf
@@ -392,12 +404,51 @@ def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) 
 
 
 def best_inward_candidate(margins: np.ndarray, candidates: np.ndarray):
-    """Index of the max-margin candidate in each row of (P, C) margins;
-    ties go to the smaller control, and among equal norms to the first."""
+    """Index of the max-margin candidate in each row of (P, C) margins, of
+    (C, M) candidates or one (C, M) set per row; ties go to the smaller
+    control, and among equal norms to the first."""
     top = margins.max(axis=1, keepdims=True)
     tied = margins >= top - INWARD_TIE_TOL
-    norms = np.linalg.norm(candidates, axis=1)
+    norms = np.linalg.norm(candidates, axis=-1)
     return np.argmin(np.where(tied, norms, np.inf), axis=1)
+
+
+def closed_form_controls(field: ConstraintField, model: DynamicsModel, t: float, x, bound: float):
+    """u* = -bound·Bᵀn/|Bᵀn|, the control of norm ``bound`` that pushes inward
+    fastest to first order, at each row of the (P, N) states x at time t: (P, M),
+    NaN where Bᵀn is 0. None without derivatives, or where one is undefined."""
+    if model.gain is None or not field.gradients:
+        return None
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            push = np.einsum("...nm,...n->...m", model.gain(t, x), field.gradient(t, x))
+            norms = np.linalg.norm(push, axis=1, keepdims=True)
+    except (FloatingPointError, ModelEvaluationError):
+        return None
+    with np.errstate(invalid="ignore"):
+        return np.where(norms > 0, -bound * (push / norms), np.nan)
+
+
+def _collar_rows(field, model, eps, t, pts, candidates, bound, xi, horizon):
+    """(best forward-cone margin, speed of its velocity) per collar point: of
+    {u*, 0} where u* is defined and one has a margin >= 0, else of ``candidates``."""
+    margins, speeds, todo = np.empty(len(pts)), np.empty(len(pts)), np.ones(len(pts), bool)
+
+    def search(rows, sets):
+        found, velocities = inclusion_margins(field, model, eps, t, pts[rows], sets, xi, horizon)
+        best = best_inward_candidate(found, sets)
+        margins[rows] = top = found[np.arange(len(best)), best]
+        speeds[rows] = [float(np.linalg.norm(v[b])) if np.isfinite(m) else 0.0
+                        for v, b, m in zip(velocities, best, top)]
+        todo[rows] = top < 0
+
+    closed = closed_form_controls(field, model, t, pts, bound)
+    if closed is not None and not np.isnan(closed).all():
+        rows = ~np.isnan(closed).any(axis=1)
+        search(rows, np.stack([closed[rows], np.zeros_like(closed[rows])], axis=1))
+    if todo.any():
+        search(todo.copy(), candidates)
+    return margins, speeds
 
 
 def certify_inward_pointing(
@@ -415,24 +466,28 @@ def certify_inward_pointing(
 
     The schedule prefers the largest inward slack, then the smallest
     control bound; the collar width is taken as large as certifiable.
-    An empty collar (constraint inactive in the box) passes vacuously at
-    the caps. Failure carries the witness (eps, t, x).
+    Each collar point tries the closed-form control first and the sampled
+    candidates where it fails (``_collar_rows``). Each tightening's
+    collars are drawn just before its first pushes, the tightenings in
+    order. An empty collar (constraint inactive in the box) passes
+    vacuously at the caps. Failure carries the witness (eps, t, x).
     """
-    times = subsample(time_grid.nodes, COLLAR_TIMES)
+    times = [float(t) for t in subsample(time_grid.nodes, COLLAR_TIMES)]
     horizon = float(time_grid.t1)
     etas = sorted(float(e) for e in collar_eta_grid)[::-1]
     rng = np.random.default_rng(seed)
-    collars = {}  # (eps, t) -> (collar points, their depths)
-    for eps in eps_list:
-        shared = None
-        for t in times:
-            if field.time_varying or shared is None:
-                shared = field.collar_points(
-                    float(eps), float(t), etas[0], COLLAR_POINTS, rng, box_radius
-                )
-            collars[(float(eps), float(t))] = shared
-    if all(len(pts) == 0 for pts, _ in collars.values()):
-        return float(min(control_bounds)), 0.0, float(max(XI_CANDIDATES)), float(etas[0])
+    collars = {}  # eps -> (collar points, their depths) per collar time
+
+    def groups():
+        """(eps, t, collar points, their depths) of every nonempty collar,
+        each tightening's drawn at its first use; a static field shares its
+        first time's collar with every time."""
+        for eps in map(float, eps_list):
+            if eps not in collars:
+                keys = [(eps, t) for t in (times if field.time_varying else times[:1])]
+                drawn = field.collar_sets(keys, etas[0], COLLAR_POINTS, rng, box_radius)
+                collars[eps] = [drawn[i if field.time_varying else 0] for i in range(len(times))]
+            yield from ((eps, t, *got) for t, got in zip(times, collars[eps]) if len(got[0]))
 
     eta_min = etas[-1]
     last_witness = None
@@ -441,23 +496,13 @@ def certify_inward_pointing(
             candidates = control_candidates(seed, model.control_dim, m_u)
             rows = []
             aborted = False
-            for (eps, t), (pts, depths) in collars.items():
-                if len(pts) == 0:
-                    continue
-                group_margins, group_velocities = inclusion_margins(
-                    field, model, eps, t, pts, candidates, xi, horizon
+            for eps, t, pts, depths in groups():
+                margins, speeds = _collar_rows(
+                    field, model, eps, t, pts, candidates, m_u, xi, horizon
                 )
-                group_best = best_inward_candidate(group_margins, candidates)
-                for x, depth, margins, velocities, best in zip(
-                    pts, depths, group_margins, group_velocities, group_best
-                ):
-                    speed = (
-                        float(np.linalg.norm(velocities[best]))
-                        if np.isfinite(margins[best])
-                        else 0.0
-                    )
-                    rows.append((float(depth), float(margins[best]), speed, (eps, t, x)))
-                    if margins[best] < 0:
+                for x, depth, margin, speed in zip(pts, depths, margins, speeds):
+                    rows.append((float(depth), float(margin), speed, (eps, t, x)))
+                    if margin < 0:
                         last_witness = (eps, t, x.copy())
                         if depth <= eta_min * (1 + 1e-9):
                             aborted = True  # fails inside every candidate collar

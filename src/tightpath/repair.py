@@ -32,6 +32,7 @@ from .geometry import ConstraintField, node_violations, violation_sup
 from .hypotheses import (
     HypothesisBundle,
     best_inward_candidate,
+    closed_form_controls,
     control_candidates,
     inclusion_margins,
 )
@@ -380,27 +381,38 @@ def inward_control_at(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pick the control with the best sampled forward-cone margin at (t, x).
 
-    The candidate set is the same one the inward-pointing certificate was
-    sampled on; the winner maximizes the worst-case inclusion margin, with
-    ties going to the smaller control. A negative best margin means the
-    certificate does not cover this point and is reported as a failure
-    with the witness attached. Interior points far from the boundary are
-    fine: the margin is simply generous there.
+    The candidates are ``control_candidates`` at the bundle's seed and
+    control bound, the set the inward-pointing certificate falls back on;
+    the winner maximizes the worst-case inclusion margin, with ties going
+    to the smaller control. Where that margin is negative, the closed-form
+    control u* (``closed_form_controls``) is tried, and taken if its margin
+    is >= 0. Otherwise the certificate does not cover this point, which is
+    reported as a failure with the candidates' best margin as the witness.
+    Interior points far from the boundary are fine: the margin is simply
+    generous there.
     """
     x = np.asarray(x, dtype=float)
     candidates = control_candidates(bundle.seed, model.control_dim, bundle.control_bound)
     horizon = float(bundle.growth_envelope.grid.t1)
-    margins, velocities = inclusion_margins(
-        field, model, eps, float(t), x[None, :], candidates, bundle.inward_slack, horizon
-    )
-    best = int(best_inward_candidate(margins, candidates)[0])
-    margins, velocities = margins[0], velocities[0]
-    if margins[best] < 0:
+
+    def margins_of(sets):
+        margins, velocities = inclusion_margins(
+            field, model, eps, float(t), x[None, :], sets, bundle.inward_slack, horizon
+        )
+        best = int(best_inward_candidate(margins, sets)[0])
+        return float(margins[0, best]), sets[best].copy(), velocities[0, best].copy()
+
+    margin, u0, v0 = margins_of(candidates)
+    if margin < 0:
+        closed = closed_form_controls(field, model, float(t), x[None, :], bundle.control_bound)
+        tried = (-np.inf,) if closed is None or np.isnan(closed).any() else margins_of(closed)
+        if tried[0] >= 0:
+            return tried[1:]
         raise InwardPointingError(
             f"no candidate control points inward at t={t:g}",
-            witness={"eps": float(eps), "t": float(t), "x": x.copy(), "margin": float(margins[best])},
+            witness={"eps": float(eps), "t": float(t), "x": x.copy(), "margin": margin},
         )
-    return candidates[best].copy(), velocities[best].copy()
+    return u0, v0
 
 
 def repair_interval(

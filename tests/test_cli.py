@@ -1751,3 +1751,29 @@ class TestEveryNumericLeaf:
         path = write_config(tmp_path / "rhs.json", {**LEAF_CONFIG, "rhs": [rhs]})
         assert cli.main(["certify", "--config", path, "--out", str(tmp_path)]) == 64
         assert "only finite float constants" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, entry, bad, needle",
+    [
+        (7, 0, "-1.4895", "got '-1.4895' at [7][0]"),
+        (1999, 1, None, "got None at [1999][1]"),
+        (12, None, [0.0], "got entries of different shapes in the value"),
+    ],
+    ids=["quoted", "null", "ragged"],
+)
+def test_a_malformed_long_array_is_named_in_one_short_line(tmp_path, capsys, row, entry, bad, needle):
+    # One bad entry of a 2,001-row inline 'states'. Before, the diagnostic
+    # echoed the whole value: 51,195 bytes for one quoted number.
+    times = np.linspace(0.0, 2.0, 2001).tolist()
+    states = [[-1.5 + 1.5 * t, 1.0005] for t in times]
+    if entry is None:
+        states[row] = bad
+    else:
+        states[row][entry] = bad
+    reference = {"kind": "inline", "times": times, "states": states, "controls": [[1.5, 0.0]] * 2001}
+    path = write_config(tmp_path / "long.json", {**MOVING_DISK_CONFIG, "reference": reference})
+    assert cli.main(["certify", "--config", path, "--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert f"config error: 'states' must be an array of numbers, {needle}" in err
+    assert len(err) < 200

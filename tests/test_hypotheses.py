@@ -1209,6 +1209,12 @@ def _moving_disk_config():
     }
 
 
+# The moving disk's certified velocity bound: 1 + 2**-52, one ulp above the
+# control bound 1.0 (see TestPinnedInwardCertificate.test_benchmark_config).
+MOVING_DISK_VELOCITY = 1.0000000000000002
+assert MOVING_DISK_VELOCITY == 1.0 + 2.0**-52
+
+
 class TestPinnedInwardCertificate:
     """certify_inward_pointing on the benchmark's gated configs returns the
     tuples the one-point-per-call search returned."""
@@ -1218,7 +1224,14 @@ class TestPinnedInwardCertificate:
         [
             (_decline_config(), None, 1, (2.0, 1.2053846667889647, 0.5, 0.4)),
             (_decline_config(), (0.5, 1.0), 1, (1.0, 0.8836341123923226, 0.3, 0.4)),
-            (_moving_disk_config(), None, 0, (1.0, 0.9995128224910061, 0.5, 0.4)),
+            # Re-pinned when the search began trying u* = -M·Bᵀn/|Bᵀn| first.
+            # The rhs ["u1", "u2"] has B = I, so a collar point won by u*
+            # moves at |u*| = M = 1 up to rounding, and the largest of
+            # those speeds is 1 + 2**-52: that is the new velocity bound,
+            # where the largest winning sampled candidate had norm
+            # 0.9995128224910061. The bound 1.0, the slack 0.5 and the
+            # width 0.4 did not change.
+            (_moving_disk_config(), None, 0, (1.0, MOVING_DISK_VELOCITY, 0.5, 0.4)),
         ],
         ids=["decline", "decline-narrowed", "moving-disk"],
     )
@@ -1253,8 +1266,16 @@ class TestPinnedInwardCertificate:
             )
 
         result, _, points = counting_queries(run)
-        assert result == (1.0, 0.9995128224910061, 0.5, 0.4)
+        # Re-pinned with the closed-form control: see test_benchmark_config.
+        assert result == (1.0, MOVING_DISK_VELOCITY, 0.5, 0.4)
         assert points <= 0.35 * 1_929_834
+
+
+def test_forward_cone_offsets_are_drawn_once_and_read_only():
+    offsets = hypotheses._cone_offsets(2, 0.3)
+    fresh = ball_points(np.random.default_rng(12), INCLUSION_GRID_POINTS, 2, 0.3)
+    assert offsets.tobytes() == fresh.tobytes() and not offsets.flags.writeable
+    assert hypotheses._cone_offsets(2, 0.3) is offsets
 
 
 class TestCollarScans:
@@ -1285,7 +1306,9 @@ class TestCollarScans:
             box_radius=1.0 + 2.0 * xbar.max_norm(),
             seed=0,
         )
-        assert result == (1.0, 0.9995128224910061, 0.5, 0.4)
+        # Re-pinned with the closed-form control: see
+        # TestPinnedInwardCertificate.test_benchmark_config.
+        assert result == (1.0, MOVING_DISK_VELOCITY, 0.5, 0.4)
         assert scans and max(scans.values()) == 1
 
     def test_box_without_boundary_gives_an_empty_collar(self):
@@ -1301,6 +1324,22 @@ class TestCollarScans:
         for field, t in ((shrinking, 1.0), (wide, 0.0)):
             collar, depths = field.collar_points(0.1, t, 0.4, 16, rng, 2.0)
             assert collar.shape == (0, 1) and depths.shape == (0,)
+
+    @pytest.mark.parametrize("config", [_decline_config(), _moving_disk_config()])
+    def test_keys_drawn_together_get_what_each_gets_alone(self, config):
+        # One batched bisection for all keys: each key's points and depths,
+        # and the stream left behind, are bitwise those of drawing the keys
+        # one by one, across two tightenings too.
+        model, field, xbar, ubar = load_problem(config)
+        box_radius = 1.0 + 2.0 * xbar.max_norm()
+        keys = [(0.05, t) for t in (0.0, 0.35, 0.7, 1.4)] + [(0.2, 1.9)]
+        together, alone = np.random.default_rng(3), np.random.default_rng(3)
+        drawn = field.collar_sets(keys, 0.4, 16, together, box_radius)
+        for (eps, t), (pts, depths) in zip(keys, drawn):
+            want_pts, want_depths = field.collar_points(eps, t, 0.4, 16, alone, box_radius)
+            assert pts.tobytes() == want_pts.tobytes() and len(pts)
+            assert depths.tobytes() == want_depths.tobytes()
+        assert together.random() == alone.random()
 
     @pytest.mark.parametrize("config", [_decline_config(), _moving_disk_config()])
     def test_depths_are_the_boundary_distances_of_the_points(self, config):
