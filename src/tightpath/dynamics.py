@@ -93,13 +93,13 @@ class DynamicsModel:
     an (n,) array with one time per row, which a broadcasting ``rhs``
     broadcasts over. An ``rhs`` that does not broadcast is called one row
     at a time, with that row's time as a float. The growth and Lipschitz
-    certifiers also call it on a node x sample outer product
+    certifiers also call it on a time x sample outer product
     (``rhs_outer``): t a (k, 1) column of times, x (1, r, N) and u (1, r, M),
     which a broadcasting ``rhs`` answers with (k, r, N), or with (1, r, N)
     when it does not read t. One batch call checks that answer bitwise, at
-    every node one sample row, taken in turn, and at the last node every
+    every time one sample row, taken in turn, and at the last time every
     row; if it differs, or the call raises or returns another shape, they
-    fall back to batch calls over the rows repeated once per node, with one
+    fall back to batch calls over the rows repeated once per time, with one
     time per row. The check does not cover every pair, so an ``rhs`` that
     answers the outer product with the right shape must answer it with the
     right values, or raise. The RK4 stepper calls it
@@ -126,6 +126,10 @@ class DynamicsModel:
     ``gain`` (t, x) -> B, (n, N, M) or one (N, M) at a float time and (n, N)
     states, declares the field affine, f = a(t, x) + B(t, x) u; the inward
     search reads it (``closed_form_controls``).
+
+    ``reads_time`` False declares that ``rhs`` does not depend on t: the
+    growth and Lipschitz certificates then sample it at one time. Models
+    built from expressions set it from whether they mention ``t``.
     """
 
     state_dim: int
@@ -139,6 +143,7 @@ class DynamicsModel:
     time_breakpoints: tuple = ()
     float_rhs: bool = False
     gain: object = None
+    reads_time: bool = True
 
     def __post_init__(self):
         if self.float_rhs and (self.state_dim, self.control_dim) != (1, 1):
@@ -565,6 +570,7 @@ def expression_model(
         shift_hook=hook,
         metadata=metadata,
         gain=jacobian(equations, "u", control_dim, x=state_dim),
+        reads_time=rhs.reads_time,
     )
 
 
@@ -602,7 +608,8 @@ def model_from_config(config: dict) -> DynamicsModel:
     drift = compile_expressions(read_expressions(config, "drift", state_dim), x=state_dim)
     gain_rows = read_expressions(config, "gain", state_dim, control_dim)
     gain = compile_expressions(gain_rows, x=state_dim)
-    hook, regularity = _autonomy(drift.reads_time or gain.reads_time, shift_radius)
+    reads_time = drift.reads_time or gain.reads_time
+    hook, regularity = _autonomy(reads_time, shift_radius)
     for name in ("growth_envelope", "state_lipschitz"):
         if name in config:
             regularity[name] = _constant(config_number(config, name, None, float, NONNEGATIVE))
@@ -613,4 +620,4 @@ def model_from_config(config: dict) -> DynamicsModel:
         control_dim,
         metadata=DeclaredRegularity(**regularity),
     )
-    return dataclasses.replace(model, shift_hook=hook)
+    return dataclasses.replace(model, shift_hook=hook, reads_time=reads_time)

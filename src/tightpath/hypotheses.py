@@ -45,7 +45,7 @@ from .geometry import (
     ConstraintField,
     build_boundary_modulus,
 )
-from .propagation import gronwall_radius
+from .propagation import gronwall_radius, zone_cuts
 from .signals import (
     ControlSignal,
     ModulusTable,
@@ -67,6 +67,9 @@ GROWTH_SAMPLES = 256
 LIPSCHITZ_SAMPLES = 192
 TIME_REGULARITY_SAMPLES = 24
 COLLAR_TIMES = 21
+# Equal cells of the horizon that the growth and Lipschitz certificates
+# sample, whatever the grid's step (``cell_times``).
+TIME_CELLS = 64
 COLLAR_POINTS = 16
 CONTROL_CANDIDATES = 17
 STABILITY_GROWTH_SAMPLES = 512
@@ -155,19 +158,57 @@ class OperatingBox:
         return box_points(rng, count, self.controls)
 
 
-def _envelope(name: str, time_grid: TimeGrid, raw, declared, undershoot: str) -> SampledFunction:
+def cell_times(model: DynamicsModel, time_grid: TimeGrid) -> np.ndarray:
+    """The sample times of the growth and Lipschitz certificates: the edges
+    and midpoints of the time cells, interleaved, so that cell i is sampled
+    at ``times[2i : 2i + 3]``. The horizon is cut into ``TIME_CELLS`` equal
+    cells and at the model's breakpoints, and each cell beside a breakpoint
+    is cut again at the integrator's halving levels toward it. A model that
+    does not read t has the one time t0. No time depends on the grid's step."""
+    t0, t1 = float(time_grid.t0), float(time_grid.t1)
+    if not model.reads_time:
+        return np.array([t0])
+    breaks = [float(b) for b in model.time_breakpoints if t0 <= b <= t1]
+    edges = np.union1d(np.linspace(t0, t1, TIME_CELLS + 1), breaks)
+    cuts = [edges]
+    for k in np.flatnonzero(np.isin(edges, breaks)):
+        if k > 0:
+            cuts.append(zone_cuts(edges[k - 1], edges[k], toward_start=False))
+        if k + 1 < len(edges):
+            cuts.append(zone_cuts(edges[k], edges[k + 1], toward_start=True))
+    edges = np.unique(np.concatenate(cuts))
+    times = np.empty(2 * len(edges) - 1)
+    times[::2], times[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+    return times
+
+
+def cell_table(times: np.ndarray, values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Each node's largest value over the cells of ``cell_times`` whose
+    closed interval holds it, a cell's value being the largest of its
+    samples' ``values``: a piecewise-constant upper bound read at the nodes."""
+    if len(times) == 1:
+        return np.full(len(nodes), values[0])
+    cells = np.maximum(np.maximum(values[:-2:2], values[1::2]), values[2::2])
+    edges, last = times[::2], len(cells) - 1
+    lo = np.clip(np.searchsorted(edges, nodes, "left") - 1, 0, last)
+    hi = np.clip(np.searchsorted(edges, nodes, "right") - 1, 0, last)
+    return np.maximum(cells[lo], cells[hi])
+
+
+def _envelope(name: str, time_grid: TimeGrid, times, raw, declared, undershoot: str):
     """The bundle function ``name``: the declared envelope checked against the
-    sampled maxima ``raw`` at each node, or without one, ``raw`` inflated by
-    the safety factor."""
-    if declared is None:
-        return SampledFunction(time_grid, _SAFETY * raw, name)
+    sampled maxima ``raw`` at each of the sample ``times`` and read at the
+    nodes, or without one, the ``cell_table`` of ``raw`` inflated by the
+    safety factor."""
     nodes = time_grid.nodes
-    bound = np.array([float(declared(t)) for t in nodes])
+    if declared is None:
+        return SampledFunction(time_grid, _SAFETY * cell_table(times, raw, nodes), name)
+    bound = np.array([float(declared(t)) for t in times])
     bad = raw > bound * _VALIDATE_SLACK + 1e-12
     if bad.any():
-        t_bad = float(nodes[int(np.argmax(bad))])
+        t_bad = float(times[int(np.argmax(bad))])
         raise CertificationError(f"declared {undershoot} at t={t_bad}", witness={"t": t_bad})
-    return SampledFunction(time_grid, bound, name)
+    return SampledFunction(time_grid, np.array([float(declared(t)) for t in nodes]), name)
 
 
 def _ratio_maxima(model, times, states, controls) -> np.ndarray:
@@ -185,21 +226,24 @@ def certify_sublinear(
     n_samples: int = GROWTH_SAMPLES,
     seed: int = 0,
 ) -> SampledFunction:
-    """Per-node envelope theta with |f(t,x,u)| <= theta(t)(1 + |x| + |u|).
+    """Envelope theta with |f(t,x,u)| <= theta(t)(1 + |x| + |u|), tabulated
+    on the grid's nodes.
 
-    A declared envelope is validated against the sampled ratios and
-    returned as-is; otherwise the sampled maximum is inflated by the
-    safety factor. Ratios that keep growing when the control box is
-    scaled up flag super-linear growth.
+    The ratios are sampled at the ``cell_times``. A declared envelope is
+    validated against them there and returned at the nodes; otherwise each
+    node gets the ``cell_table`` maximum inflated by the safety factor.
+    Ratios that keep growing when the control box is scaled up flag
+    super-linear growth.
     """
     rng = np.random.default_rng(seed)
     states = box.sample_states(rng, n_samples)
     controls = box.sample_controls(rng, n_samples)
     declared = model.metadata.growth_envelope
-    nodes = time_grid.nodes
-    raw = _ratio_maxima(model, nodes, states, controls)
+    times = cell_times(model, time_grid)
+    raw = _ratio_maxima(model, times, states, controls)
     if declared is None:
         # Super-linear probe: growth must saturate as the control box scales.
+        nodes = time_grid.nodes
         probe_times = nodes[:: max(1, nodes.size // 8)]
         last = _ratio_maxima(model, probe_times, states, 4.0 * controls)
         final = _ratio_maxima(model, probe_times, states, 8.0 * controls)
@@ -211,7 +255,7 @@ def certify_sublinear(
                 witness={"t": float(probe_times[j]), "ratio_growth": float(growth[j])},
             )
     undershoot = "growth envelope undershoots sampled ratio"
-    return _envelope("growth_envelope", time_grid, raw, declared, undershoot)
+    return _envelope("growth_envelope", time_grid, times, raw, declared, undershoot)
 
 
 def certify_lipschitz(
@@ -222,10 +266,13 @@ def certify_lipschitz(
     n_samples: int = LIPSCHITZ_SAMPLES,
     seed: int = 0,
 ) -> SampledFunction:
-    """Per-node state-Lipschitz envelope of f on the radius_R ball.
+    """State-Lipschitz envelope of f on the radius_R ball, tabulated on the
+    grid's nodes.
 
-    Sampled difference quotients at mixed pair separations; quotients that
-    keep growing as the separation shrinks flag a non-Lipschitz field.
+    Sampled difference quotients at mixed pair separations, at the
+    ``cell_times``, validate a declared modulus or give the ``cell_table``
+    as ``certify_sublinear`` does; quotients that keep growing as the
+    separation shrinks flag a non-Lipschitz field.
     """
     rng = np.random.default_rng(seed)
     control_box = np.asarray(control_box, dtype=float)
@@ -264,7 +311,7 @@ def certify_lipschitz(
                 f"difference quotients diverge at t={t}: field is not Lipschitz in x",
                 witness={"t": t, "pair": witness},
             )
-    # Each node's field at the base points stacked over their partners.
+    # The field at each sample time, at the base points stacked over their partners.
     seps = np.array([0.4 * radius_R, 1e-2 * radius_R, 1e-4 * radius_R])
     stacked = np.vstack([base] + [base + sep * directions for sep in seps])
     stacked_controls = np.tile(controls, (len(seps) + 1, 1))
@@ -273,10 +320,11 @@ def certify_lipschitz(
         f = f.reshape(len(f), len(seps) + 1, n_samples, n)
         return (np.linalg.norm(f[:, :1] - f[:, 1:], axis=3) / seps[:, None]).max(axis=(1, 2))
 
-    raw = rhs_outer(model, time_grid.nodes, stacked, stacked_controls, quotient_maxima)
+    times = cell_times(model, time_grid)
+    raw = rhs_outer(model, times, stacked, stacked_controls, quotient_maxima)
     declared = model.metadata.state_lipschitz
     undershoot = "Lipschitz modulus undershoots sampled quotient"
-    return _envelope("state_lipschitz", time_grid, raw, declared, undershoot)
+    return _envelope("state_lipschitz", time_grid, times, raw, declared, undershoot)
 
 
 def control_candidates(seed: int, m: int, bound: float) -> np.ndarray:
@@ -429,9 +477,14 @@ def closed_form_controls(field: ConstraintField, model: DynamicsModel, t: float,
         return np.where(norms > 0, -bound * (push / norms), np.nan)
 
 
-def _collar_rows(field, model, eps, t, pts, candidates, bound, xi, horizon):
+def _collar_rows(field, model, eps, t, pts, candidates, bound, xi, horizon, inner=None):
     """(best forward-cone margin, speed of its velocity) per collar point: of
-    {u*, 0} where u* is defined and one has a margin >= 0, else of ``candidates``."""
+    {u*, 0} where u* is defined and one has a margin >= 0, else of ``candidates``.
+
+    A row of the ``inner`` mask that fails {u*, 0} is likely to end the
+    caller's attempt, so ``candidates`` are tried up to it, in row order,
+    and past it only if it passes; else the arrays end at it, as the caller
+    reads no later row."""
     margins, speeds, todo = np.empty(len(pts)), np.empty(len(pts)), np.ones(len(pts), bool)
 
     def search(rows, sets):
@@ -443,11 +496,17 @@ def _collar_rows(field, model, eps, t, pts, candidates, bound, xi, horizon):
         todo[rows] = top < 0
 
     closed = closed_form_controls(field, model, t, pts, bound)
+    tried = np.zeros(len(pts), bool)
     if closed is not None and not np.isnan(closed).all():
-        rows = ~np.isnan(closed).any(axis=1)
-        search(rows, np.stack([closed[rows], np.zeros_like(closed[rows])], axis=1))
-    if todo.any():
-        search(todo.copy(), candidates)
+        tried = ~np.isnan(closed).any(axis=1)
+        search(tried, np.stack([closed[tried], np.zeros_like(closed[tried])], axis=1))
+    rest = np.flatnonzero(todo)
+    ends = np.flatnonzero(todo & tried & (False if inner is None else inner))
+    for rows in np.split(rest, np.searchsorted(rest, ends, "right")):
+        if rows.size:
+            search(rows, candidates)
+            if rows[-1] in ends and margins[rows[-1]] < 0:
+                return margins[: rows[-1] + 1], speeds[: rows[-1] + 1]
     return margins, speeds
 
 
@@ -489,7 +548,7 @@ def certify_inward_pointing(
                 collars[eps] = [drawn[i if field.time_varying else 0] for i in range(len(times))]
             yield from ((eps, t, *got) for t, got in zip(times, collars[eps]) if len(got[0]))
 
-    eta_min = etas[-1]
+    floor = etas[-1] * (1 + 1e-9)  # a failure within it fails every collar width
     last_witness = None
     for xi in XI_CANDIDATES:
         for m_u in sorted(control_bounds):
@@ -498,13 +557,13 @@ def certify_inward_pointing(
             aborted = False
             for eps, t, pts, depths in groups():
                 margins, speeds = _collar_rows(
-                    field, model, eps, t, pts, candidates, m_u, xi, horizon
+                    field, model, eps, t, pts, candidates, m_u, xi, horizon, depths <= floor
                 )
                 for x, depth, margin, speed in zip(pts, depths, margins, speeds):
                     rows.append((float(depth), float(margin), speed, (eps, t, x)))
                     if margin < 0:
                         last_witness = (eps, t, x.copy())
-                        if depth <= eta_min * (1 + 1e-9):
+                        if depth <= floor:
                             aborted = True  # fails inside every candidate collar
                             break
                 if aborted:

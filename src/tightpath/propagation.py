@@ -29,7 +29,7 @@ _REFINE_SUBSTEPS = 8
 # Largest state gap the half-step rerun may show at a shared node.
 HALF_STEP_TOLERANCE = 1e-6
 
-_HALVES = tuple(2.0 ** -j for j in range(1, _REFINE_LEVELS + 1))
+HALVES = tuple(2.0 ** -j for j in range(1, _REFINE_LEVELS + 1))
 
 
 def _initial_state(model: DynamicsModel, x0) -> np.ndarray:
@@ -76,6 +76,15 @@ def _advance(rhs, x, spans, nodes=None, states=None):
     return x
 
 
+def zone_cuts(a: float, b: float, toward_start: bool) -> list:
+    """The cuts of [a, b], ends included, at the ``HALVES`` levels toward
+    its singular endpoint: a if ``toward_start``, else b."""
+    width = b - a
+    if toward_start:
+        return [a] + [a + width * f for f in reversed(HALVES)] + [b]
+    return [a] + [b - width * f for f in HALVES] + [b]
+
+
 def _advance_zone(rhs, a, b, x, u, q, toward_start, nodes, states):
     """Cross [a, b] when the field is singular at one endpoint, and record
     the node b and its state, checked finite.
@@ -84,11 +93,7 @@ def _advance_zone(rhs, a, b, x, u, q, toward_start, nodes, states):
     distance-to-singularity comparable to its width, which caps the local
     RK4 error at every level; the innermost sliver is one plain step.
     """
-    width = b - a
-    if toward_start:
-        cuts = [a] + [a + width * f for f in reversed(_HALVES)] + [b]
-    else:
-        cuts = [a] + [b - width * f for f in _HALVES] + [b]
+    cuts = zone_cuts(a, b, toward_start)
     steps = [q] * (len(cuts) - 1)
     steps[0 if toward_start else -1] = 1
     x = _advance(rhs, x, [(lo, hi - lo, m, u, None) for lo, hi, m in zip(cuts, cuts[1:], steps)])

@@ -25,6 +25,7 @@ Frozen oracle values, derived independently of the implementation:
 import ast
 import collections
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -69,8 +70,10 @@ from tightpath.hypotheses import (
     COLLAR_ETA_GRID,
     CONTROL_BOUNDS,
     EPS_LIST,
+    GROWTH_SAMPLES,
     INCLUSION_GRID_POINTS,
     INWARD_TIE_TOL,
+    LIPSCHITZ_SAMPLES,
     HypothesisBundle,
     OperatingBox,
     SampledFunction,
@@ -79,6 +82,8 @@ from tightpath.hypotheses import (
     certify_lipschitz,
     certify_sublinear,
     certify_time_regularity,
+    cell_table,
+    cell_times,
     control_candidates,
     inclusion_margins,
 )
@@ -941,23 +946,24 @@ TIME_POWER_DRIFT = model_from_config(
 )
 
 
-def envelope_raw(certify, *args, **kwargs) -> np.ndarray:
-    """The per-node sampled maxima a certifier hands to ``_envelope``."""
+def envelope_raw(certify, *args, **kwargs) -> tuple:
+    """(sample times, sampled maxima) that a certifier hands to ``_envelope``."""
     seen = []
     real = hypotheses._envelope
 
-    def capture(name, time_grid, raw, declared, undershoot):
-        seen.append(np.array(raw))
-        return real(name, time_grid, raw, declared, undershoot)
+    def capture(name, time_grid, times, raw, declared, undershoot):
+        seen.append((np.array(times), np.array(raw)))
+        return real(name, time_grid, times, raw, declared, undershoot)
 
     with mock.patch.object(hypotheses, "_envelope", capture):
         certify(*args, **kwargs)
     return seen[0]
 
 
-def per_node_lipschitz_raw(model, radius_R, control_box, time_grid, n_samples, seed):
-    """Reference: four ``rhs_batch`` calls per node, one per separation and
-    one for the base points, and one quotient norm per separation."""
+def per_time_lipschitz_raw(model, radius_R, control_box, times, n_samples, seed):
+    """Reference: four ``rhs_batch`` calls per time, one per separation and
+    one for the base points, and one quotient norm per separation. At the
+    grid's nodes, it is the per-node loop that the certifier once ran."""
     rng = np.random.default_rng(seed)
     control_box = np.asarray(control_box, dtype=float)
     n = model.state_dim
@@ -967,8 +973,8 @@ def per_node_lipschitz_raw(model, radius_R, control_box, time_grid, n_samples, s
     )
     directions = rng.standard_normal((n_samples, n))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    raw = np.empty(len(time_grid.nodes))
-    for k, t in enumerate(time_grid.nodes):
+    raw = np.empty(len(times))
+    for k, t in enumerate(times):
         fa = rhs_batch(model, float(t), base, controls)
         quotients = []
         for sep in (0.4 * radius_R, 1e-2 * radius_R, 1e-4 * radius_R):
@@ -978,18 +984,18 @@ def per_node_lipschitz_raw(model, radius_R, control_box, time_grid, n_samples, s
     return raw
 
 
-def per_node_ratio_max(model, t, states, controls) -> float:
+def per_time_ratio_max(model, t, states, controls) -> float:
     """Reference: the growth ratio's scale recomputed on every call."""
     values = rhs_batch(model, t, states, controls)
     scale = 1.0 + np.linalg.norm(states, axis=1) + np.linalg.norm(controls, axis=1)
     return float((np.linalg.norm(values, axis=1) / scale).max())
 
 
-def per_node_sublinear_raw(model, box, time_grid, n_samples, seed):
+def per_time_sublinear_raw(model, box, times, n_samples, seed):
     rng = np.random.default_rng(seed)
     states = box.sample_states(rng, n_samples)
     controls = box.sample_controls(rng, n_samples)
-    return np.array([per_node_ratio_max(model, t, states, controls) for t in time_grid.nodes])
+    return np.array([per_time_ratio_max(model, t, states, controls) for t in times])
 
 
 # A control-affine field with two controls whose gain reads t: the gain is
@@ -1046,29 +1052,35 @@ BATCHED_MODELS = [
 
 @pytest.mark.float_path
 class TestBatchedSampleLoops:
-    """The certifiers' node x row calls against the per-node loops."""
+    """The certifiers' sample time x row calls against per-time loops, at
+    the ``cell_times`` they sample."""
 
     SMALL_GRID = TimeGrid.uniform(0.0, 2.0, 40)
 
     @pytest.mark.parametrize("model, m", BATCHED_MODELS)
     def test_lipschitz_raw_is_bitwise(self, model, m):
         box = np.tile([-1.5, 1.5], (m, 1))
+        times = cell_times(model, self.SMALL_GRID)
         for radius, n_samples, seed in ((2.5, 64, 0), (0.7, 33, 4)):
-            got = envelope_raw(
+            got_times, got = envelope_raw(
                 certify_lipschitz, model, radius, box, self.SMALL_GRID, n_samples=n_samples, seed=seed
             )
-            want = per_node_lipschitz_raw(model, radius, box, self.SMALL_GRID, n_samples, seed)
+            want = per_time_lipschitz_raw(model, radius, box, times, n_samples, seed)
+            assert got_times.tobytes() == times.tobytes()
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("model, m", BATCHED_MODELS)
     def test_sublinear_raw_is_bitwise(self, model, m):
-        # 300 samples split the 41 nodes into two chunks.
+        # 300 samples split the 129 sample times of a model without
+        # breakpoints into five chunks, and the motors' 319 into twelve.
+        times = cell_times(model, self.SMALL_GRID)
         for n_samples, seed in ((64, 0), (33, 4), (300, 1)):
             box = OperatingBox.from_radii(2.5, 1.5, model.state_dim, m)
-            got = envelope_raw(
+            got_times, got = envelope_raw(
                 certify_sublinear, model, box, self.SMALL_GRID, n_samples=n_samples, seed=seed
             )
-            want = per_node_sublinear_raw(model, box, self.SMALL_GRID, n_samples, seed)
+            want = per_time_sublinear_raw(model, box, times, n_samples, seed)
+            assert got_times.tobytes() == times.tobytes()
             assert got.tobytes() == want.tobytes()
 
     def test_superlinear_probe_witness_is_bitwise(self):
@@ -1082,8 +1094,8 @@ class TestBatchedSampleLoops:
         probe_times = nodes[:: max(1, nodes.size // 8)]
         growth = np.array(
             [
-                per_node_ratio_max(model, t, states, 8.0 * controls)
-                / max(per_node_ratio_max(model, t, states, 4.0 * controls), 1e-12)
+                per_time_ratio_max(model, t, states, 8.0 * controls)
+                / max(per_time_ratio_max(model, t, states, 4.0 * controls), 1e-12)
                 for t in probe_times
             ]
         )
@@ -1093,17 +1105,18 @@ class TestBatchedSampleLoops:
     @pytest.mark.parametrize("certify", ["lipschitz", "sublinear"])
     @pytest.mark.parametrize("bad", [3, 33], ids=["first-chunk", "later-chunk"])
     def test_failing_node_keeps_its_message(self, certify, bad):
-        # 300 samples make chunks of 6 nodes in the Lipschitz loop and of 27
-        # in the growth loop; the zoom probe's times (every 10th node) and
-        # the super-linear probe, which runs after the loop, miss both nodes.
-        t_bad = float(self.SMALL_GRID.nodes[bad])
-
+        # The field fails at one sample time, 3/64 or 33/64. 300 samples
+        # make chunks of 6 of the 129 sample times in the Lipschitz loop and
+        # of 27 in the growth loop; the zoom probe's times (every 10th node)
+        # and the super-linear probe, which runs after the loop, miss both.
         def rhs(t, x, u):
             if np.any(np.asarray(t) == t_bad):
                 raise ModelEvaluationError(f"no field at t={t!r}")
             return np.sin(np.asarray(x, dtype=float)) * np.asarray(u, dtype=float) + t
 
         model = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs)
+        t_bad = float(cell_times(model, self.SMALL_GRID)[bad])
+        assert t_bad == bad / 64 and t_bad not in self.SMALL_GRID.nodes
         message = f"^no field at t={t_bad!r}$"
         with pytest.raises(ModelEvaluationError, match=message):
             if certify == "lipschitz":
@@ -1136,8 +1149,8 @@ class TestBatchedSampleLoops:
 
         def chunked(times, rows):
             """(shape, times) of each call over ``times`` at ``rows`` rows per
-            node: first the check's plain call, one row at each time and
-            every row at the last time, then one node x row call per chunk,
+            time: first the check's plain call, one row at each time and
+            every row at the last time, then one time x row call per chunk,
             with the times as a column."""
             per = dynamics._CHUNK_ROWS // rows
             parts = np.split(times, np.arange(per, len(times), per))
@@ -1152,21 +1165,22 @@ class TestBatchedSampleLoops:
 
         model = DynamicsModel(state_dim=1, control_dim=1, rhs=rhs)
         nodes = self.SMALL_GRID.nodes
+        times = cell_times(model, self.SMALL_GRID)
         certify_lipschitz(model, 1.0, CONTROL_BOX, self.SMALL_GRID, n_samples=32)
         # The zoom probe makes two calls per separation at each probe time,
-        # at that one time. Then the 4 x 32 stacked rows of all 41 nodes
-        # take the check's call of 41 + 128 rows and one call of 41 x 128
-        # node-row pairs.
+        # at that one time. Then the 4 x 32 stacked rows at the 129 sample
+        # times take the check's call of 129 + 128 rows and calls of 64, 64
+        # and 1 time x 128 rows.
         zoom = [((32, 1), np.array(t)) for t in nodes[:: max(1, nodes.size // 4)] for _ in range(8)]
-        want = zoom + chunked(nodes, 4 * 32)
-        assert [t.shape for _, t in want[len(zoom) :]] == [(169,), (41, 1)]
+        want = zoom + chunked(times, 4 * 32)
+        assert [t.shape for _, t in want[len(zoom) :]] == [(257,), (64, 1), (64, 1), (1, 1)]
         check(want)
         certify_sublinear(model, OperatingBox.from_radii(1.0, 1.0, 1, 1), self.SMALL_GRID)
-        # 256 samples: 32 nodes per call, then the super-linear probe's 9
-        # times in one call per control box, each after its check.
+        # 256 samples: 32 sample times per call, then the super-linear
+        # probe's 9 nodes in one call per control box, each after its check.
         probes = nodes[:: max(1, nodes.size // 8)]
-        want = chunked(nodes, 256) + 2 * chunked(probes, 256)
-        shapes = [(297,), (32, 1), (9, 1), (265,), (9, 1), (265,), (9, 1)]
+        want = chunked(times, 256) + 2 * chunked(probes, 256)
+        shapes = [(385,)] + [(32, 1)] * 4 + [(1, 1), (265,), (9, 1), (265,), (9, 1)]
         assert [t.shape for _, t in want] == shapes
         check(want)
 
@@ -1213,6 +1227,163 @@ def _moving_disk_config():
 # control bound 1.0 (see TestPinnedInwardCertificate.test_benchmark_config).
 MOVING_DISK_VELOCITY = 1.0000000000000002
 assert MOVING_DISK_VELOCITY == 1.0 + 2.0**-52
+
+
+def _surge_fine_config():
+    """The surge-fine workload's problem: motor_surge on 4,000 steps."""
+    config = _decline_config()
+    config["reference"] = dict(config["reference"], variant="surge")
+    return dict(config, model="motor_surge", steps=4000)
+
+
+WORKLOADS = {
+    "decline": (_decline_config, 1),
+    "surge-fine": (_surge_fine_config, 1),
+    "moving-disk": (_moving_disk_config, 0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def workload_certifier_calls(name: str):
+    """(grid, calls): each ``certify_sublinear`` and ``certify_lipschitz``
+    call that ``certify_all`` makes on a workload's problem at its seed,
+    as (certify, args, kwargs), the coarse call and then its resample."""
+    config, seed = WORKLOADS[name]
+    model, field, xbar, ubar = load_problem(config())
+    calls = []
+
+    def recording(certify):
+        def record(*args, **kwargs):
+            calls.append((certify, args, kwargs))
+            return certify(*args, **kwargs)
+
+        return record
+
+    with mock.patch.object(hypotheses, "certify_sublinear", recording(certify_sublinear)), \
+            mock.patch.object(hypotheses, "certify_lipschitz", recording(certify_lipschitz)):
+        certify_all(model, field, ubar, xbar, seed=seed)
+    return ubar.grid, calls
+
+
+def per_time_raw(certify, args, kwargs, times) -> np.ndarray:
+    """The per-time oracle of a recorded certifier call, at ``times``."""
+    n_samples, seed = kwargs.get("n_samples"), kwargs["seed"]
+    if certify is certify_sublinear:
+        model, box, _ = args
+        return per_time_sublinear_raw(model, box, times, n_samples or GROWTH_SAMPLES, seed)
+    model, radius, controls, _ = args
+    return per_time_lipschitz_raw(model, radius, controls, times, n_samples or LIPSCHITZ_SAMPLES, seed)
+
+
+class TestTimeCells:
+    """The growth and Lipschitz certificates sample the ``cell_times``, a
+    fixed partition of the horizon, and read a piecewise-constant upper
+    bound at the nodes."""
+
+    # A smooth peak inside a cell lies above the cell's edges and midpoint
+    # by O(width^2), relatively: at most 2.3e-5 on the sin-scaled models of
+    # BATCHED_MODELS. This allowance is a thousandth of the 10% that the
+    # safety factor adds to a certified value.
+    DENSE_MISS = 1e-4
+
+    @staticmethod
+    def assert_cells_bound_a_dense_sample(times, raw, oracle):
+        edges = times[::2]
+        cells = np.maximum(np.maximum(raw[:-2:2], raw[1::2]), raw[2::2])
+        if len(times) == 1:  # a field that does not read t: one cell, the horizon
+            edges, cells = np.array([0.0, 2.0]), raw
+        dense = np.concatenate([np.linspace(a, b, 64) for a, b in zip(edges[:-1], edges[1:])])
+        peaks = oracle(dense).reshape(-1, 64).max(axis=1)
+        assert (peaks <= cells * (1 + TestTimeCells.DENSE_MISS)).all()
+
+    # The innermost sliver beside surge's singular breakpoint is no wider
+    # than an ulp of t on these horizons, so no cell is left out.
+    @pytest.mark.parametrize("model, m", BATCHED_MODELS)
+    def test_each_cell_bounds_a_dense_sample_of_it(self, model, m):
+        grid = TimeGrid.uniform(0.0, 2.0, 40)
+        box = OperatingBox.from_radii(2.5, 1.5, model.state_dim, m)
+        times, raw = envelope_raw(certify_sublinear, model, box, grid, n_samples=32, seed=0)
+        self.assert_cells_bound_a_dense_sample(
+            times, raw, lambda dense: per_time_sublinear_raw(model, box, dense, 32, 0)
+        )
+        times, raw = envelope_raw(certify_lipschitz, model, 2.5, box.controls, grid, n_samples=32)
+        self.assert_cells_bound_a_dense_sample(
+            times, raw, lambda dense: per_time_lipschitz_raw(model, 2.5, box.controls, dense, 32, 0)
+        )
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_each_workload_cell_bounds_a_dense_sample_of_it(self, name):
+        # The coarse calls that certify_all makes, with their samples.
+        grid, calls = workload_certifier_calls(name)
+        for certify, args, kwargs in (calls[0], calls[2]):
+            times, raw = envelope_raw(certify, *args, **kwargs)
+            self.assert_cells_bound_a_dense_sample(
+                times, raw, lambda dense: per_time_raw(certify, args, kwargs, dense)
+            )
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_no_node_is_weaker_than_its_per_node_maximum(self, name):
+        # Each node's table is at least what sampling that node gave, before
+        # the safety factor: the per-node loop the certifiers once ran. On
+        # surge the control term g(t)u cancels from a difference quotient
+        # only up to rounding, which moves with t: two of its 4,001 nodes
+        # read 4e-14 above their cells, relatively.
+        grid, calls = workload_certifier_calls(name)
+        assert len(calls) == 4
+        for certify, args, kwargs in calls:
+            times, raw = envelope_raw(certify, *args, **kwargs)
+            table = cell_table(times, raw, grid.nodes)
+            assert (table * (1 + 1e-12) >= per_time_raw(certify, args, kwargs, grid.nodes)).all()
+
+    @pytest.mark.parametrize("certify", [certify_sublinear, certify_lipschitz])
+    def test_the_sample_times_do_not_depend_on_the_grid(self, certify):
+        model = motor_decline()
+        box = OperatingBox.from_radii(3.0, 2.5, 1, 1)
+        args = (model, box) if certify is certify_sublinear else (model, 10.0, box.controls)
+        seen = []
+        for steps in (2000, 32000):
+            times = []
+
+            def recording(model, t, *rest):
+                times.append(np.array(t))
+                return rhs_outer(model, t, *rest)
+
+            with mock.patch.object(hypotheses, "rhs_outer", recording):
+                certify(*args, TimeGrid.uniform(0.0, 2.0, steps))
+            seen.append(np.unique(np.concatenate(times)))
+        # 64 cells, of which the two beside t = 1 are cut into 49 each, one
+        # collapsing under an ulp of 1: 159 cells, at 319 edges and
+        # midpoints, of which 4 midpoints round to an edge.
+        assert len(seen[0]) == 315
+        assert seen[0].tobytes() == seen[1].tobytes()
+
+    @pytest.mark.parametrize("certify", [certify_sublinear, certify_lipschitz])
+    def test_a_declared_dip_between_nodes_is_refused(self, certify):
+        # f = 2x + u has growth ratio at most 2 and Lipschitz modulus 2. The
+        # declared envelopes hold at the five nodes of a coarse grid but dip
+        # to 0.01 on (0.6, 0.9), between the nodes 0.5 and 1.0.
+        def dipping(level):
+            return lambda t: 0.01 if 0.6 < t < 0.9 else level
+
+        model = DynamicsModel(
+            state_dim=1,
+            control_dim=1,
+            rhs=lambda t, x, u: 2.0 * np.asarray(x) + np.asarray(u),
+            metadata=DeclaredRegularity(growth_envelope=dipping(2.0), state_lipschitz=dipping(2.5)),
+        )
+        grid = TimeGrid.uniform(0.0, 2.0, 4)
+        box = OperatingBox.from_radii(2.0, 2.0, 1, 1)
+        if certify is certify_sublinear:
+            args, at_nodes = (model, box), per_time_sublinear_raw(model, box, grid.nodes, 64, 0)
+        else:
+            args = (model, 2.0, box.controls)
+            at_nodes = per_time_lipschitz_raw(model, 2.0, box.controls, grid.nodes, 64, 0)
+        # A check at the nodes alone passes.
+        assert (at_nodes <= 2.0 * (1 + 1e-9)).all() and (at_nodes > 0.5).all()
+        with pytest.raises(CertificationError, match="^declared ") as info:
+            certify(*args, grid, n_samples=64)
+        assert 0.6 < info.value.witness["t"] < 0.9
+
 
 
 class TestPinnedInwardCertificate:
@@ -1353,6 +1524,54 @@ class TestCollarScans:
             assert len(pts) and depths.shape == (len(pts),)
             assert depths.tobytes() == field._distances(0.05, t, pts)[1].tobytes()
             assert (depths <= 0.4 * (1 + 1e-9)).all()
+
+
+class TestCollarFallback:
+    """The 69 sampled controls are tried on a collar's rows in order, and
+    stop at a row that ends the certificate's attempt."""
+
+    def test_moving_disk_sends_one_row_to_the_sampled_controls(self):
+        # The first attempt (M = 0.5) fails {u*, 0} at a row inside the
+        # narrowest collar, and it fails the sampled controls too; the
+        # search used to send all 12 failing rows of that collar with it.
+        model, field, xbar, ubar = load_problem(_moving_disk_config())
+        rows = []
+        real = hypotheses.inclusion_margins
+
+        def counting(field, model, eps, t, pts, candidates, *rest):
+            if np.ndim(candidates) == 2:  # one set for every row: the sampled controls
+                rows.append(len(pts))
+            return real(field, model, eps, t, pts, candidates, *rest)
+
+        with mock.patch.object(hypotheses, "inclusion_margins", counting):
+            result = certify_inward_pointing(
+                field,
+                model,
+                EPS_LIST,
+                COLLAR_ETA_GRID,
+                ubar.grid,
+                box_radius=1.0 + 2.0 * xbar.max_norm(),
+                seed=0,
+            )
+        assert result == (1.0, MOVING_DISK_VELOCITY, 0.5, 0.4)
+        assert rows == [1]
+
+    @pytest.mark.float_path
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    def test_the_rows_read_are_bitwise_those_of_the_whole_search(self, t):
+        model, field, xbar, ubar = load_problem(_moving_disk_config())
+        pts, depths = field.collar_points(
+            0.05, t, 0.4, 16, np.random.default_rng(0), 1.0 + 2.0 * xbar.max_norm()
+        )
+        inner = depths <= 0.05 * (1 + 1e-9)
+        args = (field, model, 0.05, t, pts, control_candidates(0, 2, 0.5), 0.5, 0.5, 2.0)
+        whole = hypotheses._collar_rows(*args)
+        cut = hypotheses._collar_rows(*args, inner)
+        stop = len(cut[0])
+        assert stop < len(pts) and inner[stop - 1] and cut[0][-1] < 0
+        assert not (inner[: stop - 1] & (whole[0][: stop - 1] < 0)).any()
+        assert cut[0].tobytes() == whole[0][:stop].tobytes()
+        assert cut[1].tobytes() == whole[1][:stop].tobytes()
 
 
 def constant_control(value: float) -> ControlSignal:
