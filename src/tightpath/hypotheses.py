@@ -70,6 +70,10 @@ COLLAR_TIMES = 21
 # Equal cells of the horizon that the growth and Lipschitz certificates
 # sample, whatever the grid's step (``cell_times``).
 TIME_CELLS = 64
+# The node screen of ``_envelope``: the units it reads besides the leaders,
+# and the drift, as a share of the cell's value, that sends a node to all.
+_SCREEN_UNITS = 4
+_CELL_DRIFT = 1e-3
 COLLAR_POINTS = 16
 CONTROL_CANDIDATES = 17
 STABILITY_GROWTH_SAMPLES = 512
@@ -195,28 +199,79 @@ def cell_table(times: np.ndarray, values: np.ndarray, nodes: np.ndarray) -> np.n
     return np.maximum(cells[lo], cells[hi])
 
 
-def _envelope(name: str, time_grid: TimeGrid, times, raw, declared, undershoot: str):
-    """The bundle function ``name``: the declared envelope checked against the
-    sampled maxima ``raw`` at each of the sample ``times`` and read at the
-    nodes, or without one, the ``cell_table`` of ``raw`` inflated by the
-    safety factor."""
-    nodes = time_grid.nodes
-    if declared is None:
-        return SampledFunction(time_grid, _SAFETY * cell_table(times, raw, nodes), name)
-    bound = np.array([float(declared(t)) for t in times])
-    bad = raw > bound * _VALIDATE_SLACK + 1e-12
+def _refuse(times, bad, undershoot: str):
+    """Refuse a declared envelope at the first of ``times`` marked ``bad``."""
     if bad.any():
         t_bad = float(times[int(np.argmax(bad))])
         raise CertificationError(f"declared {undershoot} at t={t_bad}", witness={"t": t_bad})
-    return SampledFunction(time_grid, np.array([float(declared(t)) for t in nodes]), name)
 
 
-def _ratio_maxima(model, times, states, controls) -> np.ndarray:
-    """Largest growth ratio |f| / (1 + |x| + |u|) over the samples at each of ``times``."""
+def _unit_evaluator(model, x_rows, u_rows, reduce, unit_rows, count: int):
+    """``evaluate(times, units=None)`` over the ``count`` units of ``reduce``
+    (a sample, or a base point with its partners, at rows ``unit_rows``):
+    at each time, the largest value and the first unit to take it, or the
+    values of the listed ``units``."""
+
+    def lead(f):
+        values = reduce(f)
+        return np.stack([values.max(axis=1), values.argmax(axis=1)], axis=1)
+
+    def evaluate(times, units=None):
+        if units is None:
+            return rhs_outer(model, times, x_rows, u_rows, lead)
+        units = units[units < count]
+        rows = unit_rows(units)
+        return rhs_outer(model, times, x_rows[rows], u_rows[rows], lambda f: reduce(f, units))
+
+    return evaluate
+
+
+def _envelope(name: str, time_grid: TimeGrid, times, sampled, evaluate, declared, undershoot: str):
+    """The bundle function ``name`` from ``sampled = evaluate(times)`` at the
+    ``cell_times``: the ``cell_table`` of its maxima inflated by the safety
+    factor, or the declared envelope, checked at the sample times and read
+    at the nodes.
+
+    A cell's samples bound nothing between them, so each node is screened
+    on the units that lead some sample time and the first ``_SCREEN_UNITS``.
+    Where one exceeds the node's cell value, or leaves its range over the
+    cell's samples by more than ``_CELL_DRIFT`` of it, or where the declared
+    value is below it, the node is sampled with every unit, and its table
+    value is at least their maximum, or checked against it."""
+    nodes = time_grid.nodes
+    raw, lead = sampled.T
+    cell = cell_table(times, raw, nodes)
+    limit = cell
+    if declared is not None:
+        bound = np.array([float(declared(t)) for t in times])
+        _refuse(times, raw > bound * _VALIDATE_SLACK + 1e-12, undershoot)
+        table = np.array([float(declared(t)) for t in nodes])
+        limit = table * _VALIDATE_SLACK + 1e-12
+    full = limit < cell
+    if len(times) > 1:
+        k = np.clip(np.searchsorted(times[::2], nodes, "right") - 1, 0, (len(times) - 3) // 2)
+        units = np.union1d(lead.astype(int), np.arange(_SCREEN_UNITS))
+        seen, got = evaluate(times, units), evaluate(nodes, units)
+        lo = np.minimum(np.minimum(seen[:-2:2], seen[1::2]), seen[2::2])[k]
+        hi = np.maximum(np.maximum(seen[:-2:2], seen[1::2]), seen[2::2])[k]
+        drift = np.maximum(lo - got, got - hi).max(axis=1)
+        full |= (got.max(axis=1) > cell) | (drift > _CELL_DRIFT * cell)
+    if full.any():
+        at = evaluate(nodes[full])[:, 0]
+        if declared is not None:
+            _refuse(nodes[full], at > limit[full], undershoot)
+        cell[full] = np.maximum(cell[full], at)
+    return SampledFunction(time_grid, _SAFETY * cell if declared is None else table, name)
+
+
+def _ratio_evaluator(model, states, controls):
+    """``_unit_evaluator`` of the growth ratios |f| / (1 + |x| + |u|), one unit per sample."""
     scale = 1.0 + np.linalg.norm(states, axis=1) + np.linalg.norm(controls, axis=1)
-    return rhs_outer(
-        model, times, states, controls, lambda f: (np.linalg.norm(f, axis=2) / scale).max(axis=1)
-    )
+
+    def ratios(f, units=slice(None)):
+        return np.linalg.norm(f, axis=-1) / scale[units]
+
+    return _unit_evaluator(model, states, controls, ratios, lambda units: units, len(states))
 
 
 def certify_sublinear(
@@ -239,14 +294,15 @@ def certify_sublinear(
     states = box.sample_states(rng, n_samples)
     controls = box.sample_controls(rng, n_samples)
     declared = model.metadata.growth_envelope
+    evaluate = _ratio_evaluator(model, states, controls)
     times = cell_times(model, time_grid)
-    raw = _ratio_maxima(model, times, states, controls)
+    sampled = evaluate(times)
     if declared is None:
         # Super-linear probe: growth must saturate as the control box scales.
         nodes = time_grid.nodes
         probe_times = nodes[:: max(1, nodes.size // 8)]
-        last = _ratio_maxima(model, probe_times, states, 4.0 * controls)
-        final = _ratio_maxima(model, probe_times, states, 8.0 * controls)
+        last = _ratio_evaluator(model, states, 4.0 * controls)(probe_times)[:, 0]
+        final = _ratio_evaluator(model, states, 8.0 * controls)(probe_times)[:, 0]
         growth = final / np.maximum(last, 1e-12)
         if float(growth.max()) > 1.5:
             j = int(np.argmax(growth))
@@ -255,7 +311,7 @@ def certify_sublinear(
                 witness={"t": float(probe_times[j]), "ratio_growth": float(growth[j])},
             )
     undershoot = "growth envelope undershoots sampled ratio"
-    return _envelope("growth_envelope", time_grid, times, raw, declared, undershoot)
+    return _envelope("growth_envelope", time_grid, times, sampled, evaluate, declared, undershoot)
 
 
 def certify_lipschitz(
@@ -311,20 +367,25 @@ def certify_lipschitz(
                 f"difference quotients diverge at t={t}: field is not Lipschitz in x",
                 witness={"t": t, "pair": witness},
             )
-    # The field at each sample time, at the base points stacked over their partners.
+    # One unit per base point: it stacked over its partners, one per separation.
     seps = np.array([0.4 * radius_R, 1e-2 * radius_R, 1e-4 * radius_R])
     stacked = np.vstack([base] + [base + sep * directions for sep in seps])
     stacked_controls = np.tile(controls, (len(seps) + 1, 1))
 
-    def quotient_maxima(f):
-        f = f.reshape(len(f), len(seps) + 1, n_samples, n)
-        return (np.linalg.norm(f[:, :1] - f[:, 1:], axis=3) / seps[:, None]).max(axis=(1, 2))
+    def quotients(f, units=None):
+        f = f.reshape(f.shape[:-2] + (len(seps) + 1, -1, n))
+        gaps = np.linalg.norm(f[..., :1, :, :] - f[..., 1:, :, :], axis=-1)
+        return (gaps / seps[:, None]).max(axis=-2)
 
-    times = cell_times(model, time_grid)
-    raw = rhs_outer(model, times, stacked, stacked_controls, quotient_maxima)
+    def unit_rows(units):
+        return (units + n_samples * np.arange(len(seps) + 1)[:, None]).ravel()
+
+    evaluate = _unit_evaluator(model, stacked, stacked_controls, quotients, unit_rows, n_samples)
     declared = model.metadata.state_lipschitz
     undershoot = "Lipschitz modulus undershoots sampled quotient"
-    return _envelope("state_lipschitz", time_grid, times, raw, declared, undershoot)
+    times = cell_times(model, time_grid)
+    sampled = evaluate(times)
+    return _envelope("state_lipschitz", time_grid, times, sampled, evaluate, declared, undershoot)
 
 
 def control_candidates(seed: int, m: int, bound: float) -> np.ndarray:

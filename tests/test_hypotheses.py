@@ -951,9 +951,9 @@ def envelope_raw(certify, *args, **kwargs) -> tuple:
     seen = []
     real = hypotheses._envelope
 
-    def capture(name, time_grid, times, raw, declared, undershoot):
-        seen.append((np.array(times), np.array(raw)))
-        return real(name, time_grid, times, raw, declared, undershoot)
+    def capture(name, time_grid, times, sampled, *rest):
+        seen.append((np.array(times), np.array(sampled[:, 0])))
+        return real(name, time_grid, times, sampled, *rest)
 
     with mock.patch.object(hypotheses, "_envelope", capture):
         certify(*args, **kwargs)
@@ -1174,13 +1174,21 @@ class TestBatchedSampleLoops:
         zoom = [((32, 1), np.array(t)) for t in nodes[:: max(1, nodes.size // 4)] for _ in range(8)]
         want = zoom + chunked(times, 4 * 32)
         assert [t.shape for _, t in want[len(zoom) :]] == [(257,), (64, 1), (64, 1), (1, 1)]
+        # Then the screen, on the rows of the first four units and the one
+        # that leads: at the sample times and at the 41 nodes, each one
+        # check and one call. The field does not move in t, so no node is
+        # sampled with every unit.
+        want += chunked(times, 4 * 5) + chunked(nodes, 4 * 5)
         check(want)
         certify_sublinear(model, OperatingBox.from_radii(1.0, 1.0, 1, 1), self.SMALL_GRID)
         # 256 samples: 32 sample times per call, then the super-linear
-        # probe's 9 nodes in one call per control box, each after its check.
+        # probe's 9 nodes in one call per control box, each after its check,
+        # then the screen on five units.
         probes = nodes[:: max(1, nodes.size // 8)]
         want = chunked(times, 256) + 2 * chunked(probes, 256)
-        shapes = [(385,)] + [(32, 1)] * 4 + [(1, 1), (265,), (9, 1), (265,), (9, 1)]
+        want += chunked(times, 5) + chunked(nodes, 5)
+        screen = [(134,), (129, 1), (46,), (41, 1)]
+        shapes = [(385,)] + [(32, 1)] * 4 + [(1, 1), (265,), (9, 1), (265,), (9, 1)] + screen
         assert [t.shape for _, t in want] == shapes
         check(want)
 
@@ -1321,41 +1329,78 @@ class TestTimeCells:
                 times, raw, lambda dense: per_time_raw(certify, args, kwargs, dense)
             )
 
+    @staticmethod
+    def assert_no_node_is_weaker(certify, args, kwargs, nodes):
+        """The table that a certifier call returns is at each node at least
+        what sampling that node with every unit gives: the per-node loop
+        that the certifiers once ran, times the safety factor, or for a
+        declared envelope, within the slack that the loop allowed."""
+        got = certify(*args, **kwargs).values
+        at_nodes = per_time_raw(certify, args, kwargs, nodes)
+        model = args[0]
+        name = "growth_envelope" if certify is certify_sublinear else "state_lipschitz"
+        if getattr(model.metadata, name) is None:
+            assert (got >= hypotheses._SAFETY * at_nodes).all()
+        else:
+            assert (got * hypotheses._VALIDATE_SLACK + 1e-12 >= at_nodes).all()
+
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_no_node_is_weaker_than_its_per_node_maximum(self, name):
-        # Each node's table is at least what sampling that node gave, before
-        # the safety factor: the per-node loop the certifiers once ran. On
-        # surge the control term g(t)u cancels from a difference quotient
-        # only up to rounding, which moves with t: two of its 4,001 nodes
-        # read 4e-14 above their cells, relatively.
         grid, calls = workload_certifier_calls(name)
         assert len(calls) == 4
         for certify, args, kwargs in calls:
-            times, raw = envelope_raw(certify, *args, **kwargs)
-            table = cell_table(times, raw, grid.nodes)
-            assert (table * (1 + 1e-12) >= per_time_raw(certify, args, kwargs, grid.nodes)).all()
+            self.assert_no_node_is_weaker(certify, args, kwargs, grid.nodes)
+
+    @pytest.mark.parametrize("certify", [certify_sublinear, certify_lipschitz])
+    def test_a_field_that_moves_inside_its_cells_is_sampled_at_the_nodes(self, certify):
+        # sin(201.06 t) is within 0.004 of a zero at every sample time k/64,
+        # so the cells alone read the Lipschitz modulus |sin| as about 0.004
+        # and the growth ratio 25% low; the screen finds the nodes where the
+        # field has moved and samples them with every unit.
+        config = {"model": "expression", "state_dim": 1, "control_dim": 1}
+        model = model_from_config(dict(config, rhs=["x1*sin(201.06*t) + u1"]))
+        grid = TimeGrid.uniform(0.0, 2.0, 2000)
+        box = OperatingBox.from_radii(3.0, 2.5, 1, 1)
+        args = (model, box) if certify is certify_sublinear else (model, 3.0, box.controls)
+        kwargs = {"seed": 0}
+        times, raw = envelope_raw(certify, *args, grid, **kwargs)
+        cells_alone = cell_table(times, raw, grid.nodes)
+        at_nodes = per_time_raw(certify, args + (grid,), kwargs, grid.nodes)
+        assert (cells_alone < 0.85 * at_nodes).any()
+        self.assert_no_node_is_weaker(certify, args + (grid,), kwargs, grid.nodes)
 
     @pytest.mark.parametrize("certify", [certify_sublinear, certify_lipschitz])
     def test_the_sample_times_do_not_depend_on_the_grid(self, certify):
         model = motor_decline()
         box = OperatingBox.from_radii(3.0, 2.5, 1, 1)
         args = (model, box) if certify is certify_sublinear else (model, 10.0, box.controls)
-        seen = []
+        every = GROWTH_SAMPLES if certify is certify_sublinear else 4 * LIPSCHITZ_SAMPLES
+        sampled, screened = [], []
         for steps in (2000, 32000):
-            times = []
+            grid = TimeGrid.uniform(0.0, 2.0, steps)
+            calls = []
 
-            def recording(model, t, *rest):
-                times.append(np.array(t))
-                return rhs_outer(model, t, *rest)
+            def recording(model, t, x_rows, *rest):
+                calls.append((np.array(t), len(x_rows)))
+                return rhs_outer(model, t, x_rows, *rest)
 
             with mock.patch.object(hypotheses, "rhs_outer", recording):
-                certify(*args, TimeGrid.uniform(0.0, 2.0, steps))
-            seen.append(np.unique(np.concatenate(times)))
+                certify(*args, grid)
+            sampled.append(np.unique(np.concatenate([t for t, rows in calls if rows == every])))
+            # The screen: one call at the sample times and one at every
+            # node, on the rows of the same few units.
+            (at_times, rows), (at_nodes, same) = [(t, r) for t, r in calls if r != every]
+            assert at_nodes.tobytes() == grid.nodes.tobytes() and rows == same
+            screened.append((at_times, rows))
         # 64 cells, of which the two beside t = 1 are cut into 49 each, one
         # collapsing under an ulp of 1: 159 cells, at 319 edges and
-        # midpoints, of which 4 midpoints round to an edge.
-        assert len(seen[0]) == 315
-        assert seen[0].tobytes() == seen[1].tobytes()
+        # midpoints, of which 4 midpoints round to an edge. The decline
+        # field moves too little inside any cell for a node to be sampled
+        # with every unit.
+        assert len(sampled[0]) == 315
+        assert sampled[0].tobytes() == sampled[1].tobytes()
+        assert screened[0][0].tobytes() == screened[1][0].tobytes()
+        assert screened[0][1] == screened[1][1] <= every // 32
 
     @pytest.mark.parametrize("certify", [certify_sublinear, certify_lipschitz])
     def test_a_declared_dip_between_nodes_is_refused(self, certify):
@@ -1383,6 +1428,30 @@ class TestTimeCells:
         with pytest.raises(CertificationError, match="^declared ") as info:
             certify(*args, grid, n_samples=64)
         assert 0.6 < info.value.witness["t"] < 0.9
+
+    @pytest.mark.parametrize("certify", [certify_sublinear, certify_lipschitz])
+    def test_a_declared_dip_at_nodes_between_sample_times_is_refused(self, certify):
+        # The mirror case: on (0.005, 0.012) lie the nodes 0.006 to 0.011 of
+        # a 2,000-step grid but no sample time, the nearest being 0 and
+        # 1/64. A declared value below its cell's sampled value sends the
+        # node to be sampled with every unit, and it fails there.
+        def dipping(level):
+            return lambda t: 0.01 if 0.005 < t < 0.012 else level
+
+        model = DynamicsModel(
+            state_dim=1,
+            control_dim=1,
+            rhs=lambda t, x, u: 2.0 * np.asarray(x) + np.asarray(u),
+            metadata=DeclaredRegularity(growth_envelope=dipping(2.0), state_lipschitz=dipping(2.5)),
+        )
+        grid = TimeGrid.uniform(0.0, 2.0, 2000)
+        box = OperatingBox.from_radii(2.0, 2.0, 1, 1)
+        args = (model, box) if certify is certify_sublinear else (model, 2.0, box.controls)
+        times = cell_times(model, grid)
+        assert not ((0.005 < times) & (times < 0.012)).any()
+        with pytest.raises(CertificationError, match="^declared ") as info:
+            certify(*args, grid, n_samples=64)
+        assert info.value.witness == {"t": float(grid.nodes[6])}
 
 
 
