@@ -28,6 +28,7 @@ from .errors import (
     ConfigError,
     DomainError,
     InfeasibleTighteningError,
+    ModelEvaluationError,
     ShapeError,
     config_array,
     config_number,
@@ -142,6 +143,27 @@ class ConstraintField:
         grads = np.stack([grad(t, x) for grad in self.gradients], axis=1)
         active = np.argmax(np.stack([comp(t, x) for comp in self.components], axis=1), axis=1)
         return grads[np.arange(len(x)), active]
+
+    def lipschitz_bound(self, eps: float, times):
+        """L, the largest |∇h_j| over the scan lattice's nodes in the
+        tightened set at eps at each of ``times``: a sampled Lipschitz bound
+        of the value there, so d_boundary(p) >= margin(p) / L for a feasible
+        p (Ioffe, Russian Math. Surveys 55, 2000). None without gradients,
+        for an analytic field, which answers distances exactly, and where a
+        gradient raises or is not finite at such a node or all of them vanish."""
+        if not self.gradients or self.analytic_distance is not None:
+            return None
+        nodes, top = _lattice_nodes(self)[1], 0.0
+        for t in times:
+            inside = nodes[self.margin(t, nodes, eps) >= 0]
+            try:
+                norms = [np.linalg.norm(grad(t, inside), axis=1) for grad in self.gradients]
+            except ModelEvaluationError:
+                return None
+            if not all(np.isfinite(n).all() for n in norms):
+                return None
+            top = max([top] + [float(n.max(initial=0.0)) for n in norms])
+        return top if top > 0 else None
 
     def _key(self, t: float, eps: float) -> tuple:
         return (round(t, 9) if self.time_varying else 0.0, round(eps, 12), self.resolution)
@@ -295,13 +317,21 @@ class ConstraintField:
             out.append((points[keep][: 2 * count], to_boundary[keep][: 2 * count]))
         return out
 
-    def ball_slacks(self, eps: float, t, centers, radii, keep, first=None, shifts=None):
+    def ball_slacks(
+        self, eps: float, t, centers, radii, keep, first=None, shifts=None, lipschitz=None
+    ):
         """How far each ball stays inside the tightened set at time t.
 
         ``centers`` is (pairs, points, dim), and ``t`` and ``radii`` are
         floats or hold one entry per pair. Each point that ``keep`` marks
         gets d_boundary - radius, or -inf when its center is outside the
         set; every other point gets +inf.
+
+        With a ``lipschitz`` bound L on |∇h| over the set (``lipschitz_bound``),
+        a kept point gets margin / L - radius instead, from one ``margin``
+        call and no distance query, or -inf where its margin is not >= 0
+        (NaN included): never above its slack from exact distances where L
+        bounds |∇h| on the ball's part of the set.
 
         ``first`` marks the first pair of each group of consecutive pairs,
         its anchor, and ``shifts`` (pairs, dim) moves every point of a pair
@@ -341,6 +371,10 @@ class ConstraintField:
             slack[mask] = np.where(d_set > 0, -np.inf, d_bdry - per_point(radii, mask))
             return d_bdry
 
+        if lipschitz is not None:
+            room = self.margin(per_point(t, keep), centers[keep], eps)
+            slack[keep] = np.where(room >= 0, room / lipschitz - per_point(radii, keep), -np.inf)
+            return slack
         staged = first is not None and np.ndim(t) == 0 and self.analytic_distance is None
         if not staged or first.all():
             query(keep)

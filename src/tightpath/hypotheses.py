@@ -407,6 +407,7 @@ def inclusion_margins(
     candidates: np.ndarray,
     xi: float,
     horizon: float,
+    lipschitz: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Worst forward-cone slack per base point and control candidate.
 
@@ -438,6 +439,11 @@ def inclusion_margins(
     KD-tree fallback a push queries only the base points that can set a
     pair's minimum, and every entry, exact or bound, is bitwise what a
     query of every point gives.
+
+    With a ``lipschitz`` bound L on |∇h|, each ball's slack is margin / L
+    minus its radius instead, never above its slack from distances, and
+    every live pair is evaluated at every push time, one ``margin`` call
+    per push time: all entries are exact and no distance is queried.
     """
     rows = np.asarray(rows, dtype=float)
     per_row = np.broadcast_to(candidates, (len(rows),) + np.shape(candidates)[-2:])
@@ -448,7 +454,7 @@ def inclusion_margins(
     margins = np.where(np.all(np.isfinite(velocities), axis=2), np.inf, -np.inf)
     delta_cap = min(xi, max(horizon - t, 0.0))
     if delta_cap > 0:
-        _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap)
+        _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap, lipschitz)
     return margins, velocities
 
 
@@ -461,10 +467,12 @@ def _cone_offsets(dim: int, xi: float) -> np.ndarray:
     return offsets
 
 
-def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) -> None:
-    """The branch-and-bound of ``inclusion_margins``; lowers ``margins`` in place.
+def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap, lipschitz) -> None:
+    """The pushes of ``inclusion_margins``; lowers ``margins`` in place.
 
-    Every live pair is pushed at the first push time. Then the row leaders
+    With ``lipschitz``, every live pair is pushed at every push time.
+    Otherwise this is a branch-and-bound: every live pair is pushed at the
+    first push time. Then the row leaders
     are pushed at all later push times in one ``ConstraintField.ball_slacks``
     call with a time per pair. Then the pairs still in contention are
     pushed one push time at a time; a row's pairs are consecutive, the
@@ -485,7 +493,9 @@ def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) 
         # np.nonzero lists the pairs of a row together; the first is its anchor.
         first = np.concatenate(([True], r[1:] != r[:-1]))
         centers = ys[r] + steps[:, None, :]
-        slack = field.ball_slacks(eps, t + delta, centers, delta * xi, base_ok[r], first, steps)
+        slack = field.ball_slacks(
+            eps, t + delta, centers, delta * xi, base_ok[r], first, steps, lipschitz
+        )
         # Unbuffered, so a recurring pair takes the minimum over its times.
         np.minimum.at(margins, (r, c), slack.min(axis=1))
 
@@ -494,6 +504,10 @@ def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap) 
     live = margins > -np.inf
     led = np.flatnonzero(live.any(axis=1))
     if led.size == 0:
+        return
+    if lipschitz is not None:
+        for delta in deltas:
+            push(delta, np.nonzero(live))
         return
     push(deltas[0], np.nonzero(live))
     # Each row's leader is the first live candidate attaining its live maximum.
@@ -538,18 +552,16 @@ def closed_form_controls(field: ConstraintField, model: DynamicsModel, t: float,
         return np.where(norms > 0, -bound * (push / norms), np.nan)
 
 
-def _collar_rows(field, model, eps, t, pts, candidates, bound, xi, horizon, inner=None):
+def _collar_rows(field, model, eps, t, pts, candidates, bound, xi, horizon, lipschitz=None):
     """(best forward-cone margin, speed of its velocity) per collar point: of
-    {u*, 0} where u* is defined and one has a margin >= 0, else of ``candidates``.
-
-    A row of the ``inner`` mask that fails {u*, 0} is likely to end the
-    caller's attempt, so ``candidates`` are tried up to it, in row order,
-    and past it only if it passes; else the arrays end at it, as the caller
-    reads no later row."""
+    {u*, 0} where u* is defined and one has a margin >= 0, else of
+    ``candidates``; ``lipschitz`` goes to ``inclusion_margins``."""
     margins, speeds, todo = np.empty(len(pts)), np.empty(len(pts)), np.ones(len(pts), bool)
 
     def search(rows, sets):
-        found, velocities = inclusion_margins(field, model, eps, t, pts[rows], sets, xi, horizon)
+        found, velocities = inclusion_margins(
+            field, model, eps, t, pts[rows], sets, xi, horizon, lipschitz
+        )
         best = best_inward_candidate(found, sets)
         margins[rows] = top = found[np.arange(len(best)), best]
         speeds[rows] = [float(np.linalg.norm(v[b])) if np.isfinite(m) else 0.0
@@ -557,17 +569,11 @@ def _collar_rows(field, model, eps, t, pts, candidates, bound, xi, horizon, inne
         todo[rows] = top < 0
 
     closed = closed_form_controls(field, model, t, pts, bound)
-    tried = np.zeros(len(pts), bool)
     if closed is not None and not np.isnan(closed).all():
         tried = ~np.isnan(closed).any(axis=1)
         search(tried, np.stack([closed[tried], np.zeros_like(closed[tried])], axis=1))
-    rest = np.flatnonzero(todo)
-    ends = np.flatnonzero(todo & tried & (False if inner is None else inner))
-    for rows in np.split(rest, np.searchsorted(rest, ends, "right")):
-        if rows.size:
-            search(rows, candidates)
-            if rows[-1] in ends and margins[rows[-1]] < 0:
-                return margins[: rows[-1] + 1], speeds[: rows[-1] + 1]
+    if todo.any():
+        search(np.flatnonzero(todo), candidates)
     return margins, speeds
 
 
@@ -591,12 +597,21 @@ def certify_inward_pointing(
     collars are drawn just before its first pushes, the tightenings in
     order. An empty collar (constraint inactive in the box) passes
     vacuously at the caps. Failure carries the witness (eps, t, x).
+
+    Where the field has a ``lipschitz_bound`` L, taken once per call at the
+    collar times and the smallest tightening, whose set holds the others,
+    the pushes bound each ball's slack by margin / (_SAFETY·L) and query
+    no distance; otherwise they query the field's distances.
     """
     times = [float(t) for t in subsample(time_grid.nodes, COLLAR_TIMES)]
     horizon = float(time_grid.t1)
     etas = sorted(float(e) for e in collar_eta_grid)[::-1]
     rng = np.random.default_rng(seed)
     collars = {}  # eps -> (collar points, their depths) per collar time
+    bound = field.lipschitz_bound(
+        min(map(float, eps_list)), times if field.time_varying else times[:1]
+    )
+    lipschitz = None if bound is None else _SAFETY * bound
 
     def groups():
         """(eps, t, collar points, their depths) of every nonempty collar,
@@ -618,7 +633,7 @@ def certify_inward_pointing(
             aborted = False
             for eps, t, pts, depths in groups():
                 margins, speeds = _collar_rows(
-                    field, model, eps, t, pts, candidates, m_u, xi, horizon, depths <= floor
+                    field, model, eps, t, pts, candidates, m_u, xi, horizon, lipschitz
                 )
                 for x, depth, margin, speed in zip(pts, depths, margins, speeds):
                     rows.append((float(depth), float(margin), speed, (eps, t, x)))

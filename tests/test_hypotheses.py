@@ -496,9 +496,10 @@ class TestBatchedInclusionMargins:
             assert best_of(margins[row], cands) == 1
 
 
-def unstaged_push(field, eps, t, rows, velocities, margins, xi, delta_cap) -> None:
+def unstaged_push(field, eps, t, rows, velocities, margins, xi, delta_cap, lipschitz) -> None:
     """Reference: the forward-cone push before staging, which queries every
     kept base point of every pair at each push time."""
+    assert lipschitz is None  # the distance path, which this reference stands for
     rng = np.random.default_rng(12)
     deltas = np.linspace(0.0, delta_cap, INCLUSION_GRID_POINTS)[1:]
     offsets = ball_points(rng, INCLUSION_GRID_POINTS, field.dim, xi)
@@ -719,9 +720,10 @@ class TestStagedPush:
         assert np.all(margins == np.inf)
 
 
-def per_time_push(field, eps, t, rows, velocities, margins, xi, delta_cap) -> None:
+def per_time_push(field, eps, t, rows, velocities, margins, xi, delta_cap, lipschitz) -> None:
     """Reference: the staged forward-cone push that pushes the row leaders
     once per later push time, one distance query each."""
+    assert lipschitz is None  # the distance path, which this reference stands for
     rng = np.random.default_rng(12)
     deltas = np.linspace(0.0, delta_cap, INCLUSION_GRID_POINTS)[1:]
     offsets = ball_points(rng, INCLUSION_GRID_POINTS, field.dim, xi)
@@ -1595,25 +1597,100 @@ class TestCollarScans:
             assert (depths <= 0.4 * (1 + 1e-9)).all()
 
 
-class TestCollarFallback:
-    """The 69 sampled controls are tried on a collar's rows in order, and
-    stop at a row that ends the certificate's attempt."""
+def _exact_disk(field, speed: float):
+    """``field``, a disk of radius 1 centred at (speed·t, 0), with its exact
+    distances: to the tightened set max(1 + eps - |x - c|, 0), to its
+    boundary ||x - c| - (1 + eps)|."""
 
-    def test_moving_disk_sends_one_row_to_the_sampled_controls(self):
-        # The first attempt (M = 0.5) fails {u*, 0} at a row inside the
-        # narrowest collar, and it fails the sampled controls too; the
-        # search used to send all 12 failing rows of that collar with it.
+    def distance(eps, t, x):
+        gap = np.hypot(x[:, 0] - speed * np.asarray(t), x[:, 1]) - (1.0 + eps)
+        return np.maximum(-gap, 0.0), np.abs(gap)
+
+    return dataclasses.replace(field, analytic_distance=distance)
+
+
+# Item 7's control-affine model: drift (0.2 sin x2, 0.2 cos x1) and gain
+# diag(1 + 0.3 sin x1, 1 + 0.3 cos x2).
+STATE_GAIN_AFFINE = model_from_config(
+    {
+        "model": "control_affine",
+        "state_dim": 2,
+        "control_dim": 2,
+        "drift": ["0.2*sin(x2)", "0.2*cos(x1)"],
+        "gain": [["1 + 0.3*sin(x1)", 0.0], [0.0, "1 + 0.3*cos(x2)"]],
+    }
+)
+
+
+def distance_callers(run):
+    """(result of run(), the functions that called ``_distances`` during it,
+    counted)."""
+    callers = collections.Counter()
+    real = geometry.ConstraintField._distances
+
+    def counted(self, eps, t, points):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real(self, eps, t, points)
+
+    with mock.patch.object(geometry.ConstraintField, "_distances", counted):
+        return run(), callers
+
+
+class TestBoundedSlack:
+    """The forward-cone slack margin / L - r against the slack from exact
+    distances, and the fields that keep querying distances."""
+
+    @pytest.mark.parametrize(
+        "component, speed, model",
+        [
+            ("1 - sqrt(x1*x1 + x2*x2)", 0.0, PLANAR),
+            ("1 - sqrt((x1 - 0.1*t)**2 + x2**2)", 0.1, PLANAR),
+            ("1 - sqrt((x1 - 0.1*t)**2 + x2**2)", 0.1, STATE_GAIN_AFFINE),
+        ],
+        ids=["static-disk", "moving-disk", "state-gain-affine"],
+    )
+    def test_bounded_slack_is_at_most_the_exact_slack(self, component, speed, model):
+        field = field_from_config(
+            {
+                "components": [component],
+                "box": [[-2.0, 2.0], [-2.0, 2.0]],
+                "time_varying": speed > 0,
+                "resolution": 0.025,
+            }
+        )
+        exact = _exact_disk(field, speed)
+        eps, xi, times = 0.05, 0.5, np.linspace(0.0, 2.0, 21)
+        lipschitz = hypotheses._SAFETY * field.lipschitz_bound(eps, times)
+        assert exact.lipschitz_bound(eps, times) is None
+        rng = np.random.default_rng(7)
+        checked = finite = 0
+        real = field.ball_slacks
+
+        def compared(eps, t, centers, radii, keep, *rest):
+            nonlocal checked, finite
+            assert rest[-1] == lipschitz
+            bounded = real(eps, t, centers, radii, keep, *rest)
+            want = exact.ball_slacks(eps, t, centers, radii, keep)
+            assert (bounded <= want).all()
+            checked += 1
+            finite += int(np.isfinite(bounded).sum())
+            return bounded
+
+        field.ball_slacks = compared
+        for t in (0.0, 0.6, 1.3):
+            rows = field.collar_points(eps, t, 0.4, 16, rng, 3.0)[0]
+            candidates = control_candidates(int(rng.integers(100)), 2, 1.0)
+            got, _ = inclusion_margins(field, model, eps, t, rows, candidates, xi, 2.0, lipschitz)
+            want, _ = inclusion_margins(exact, model, eps, t, rows, candidates, xi, 2.0)
+            assert (got <= want).all() and (got >= 0).any()
+        assert checked == 3 * (INCLUSION_GRID_POINTS - 1) and finite
+
+    def test_moving_disk_pushes_query_no_distance(self):
+        # Only the collar depths ask _distances; the pushes read margin / L.
         model, field, xbar, ubar = load_problem(_moving_disk_config())
-        rows = []
-        real = hypotheses.inclusion_margins
 
-        def counting(field, model, eps, t, pts, candidates, *rest):
-            if np.ndim(candidates) == 2:  # one set for every row: the sampled controls
-                rows.append(len(pts))
-            return real(field, model, eps, t, pts, candidates, *rest)
-
-        with mock.patch.object(hypotheses, "inclusion_margins", counting):
-            result = certify_inward_pointing(
+        def run():
+            return certify_inward_pointing(
                 field,
                 model,
                 EPS_LIST,
@@ -1622,25 +1699,41 @@ class TestCollarFallback:
                 box_radius=1.0 + 2.0 * xbar.max_norm(),
                 seed=0,
             )
-        assert result == (1.0, MOVING_DISK_VELOCITY, 0.5, 0.4)
-        assert rows == [1]
 
-    @pytest.mark.float_path
-    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
-    def test_the_rows_read_are_bitwise_those_of_the_whole_search(self, t):
-        model, field, xbar, ubar = load_problem(_moving_disk_config())
-        pts, depths = field.collar_points(
-            0.05, t, 0.4, 16, np.random.default_rng(0), 1.0 + 2.0 * xbar.max_norm()
+        result, callers = distance_callers(run)
+        assert result == (1.0, MOVING_DISK_VELOCITY, 0.5, 0.4)
+        assert abs(field.lipschitz_bound(0.05, [0.0, 1.0]) - 1.0) < 1e-12
+        assert set(callers) == {"collar_sets"}
+
+    def test_a_gradient_undefined_at_a_feasible_node_keeps_the_distance_queries(self):
+        # |x| <= 1.5 - eps holds the lattice node at the origin, where the
+        # gradient x / |x| is 0 / 0: no bound, so the pushes query distances
+        # and the tuple is the one the search gave before the bound existed.
+        field = field_from_config(
+            {
+                "components": ["sqrt(x1*x1 + x2*x2) - 1.5"],
+                "box": [[-2.0, 2.0], [-2.0, 2.0]],
+                "resolution": 0.025,
+            }
         )
-        inner = depths <= 0.05 * (1 + 1e-9)
-        args = (field, model, 0.05, t, pts, control_candidates(0, 2, 0.5), 0.5, 0.5, 2.0)
-        whole = hypotheses._collar_rows(*args)
-        cut = hypotheses._collar_rows(*args, inner)
-        stop = len(cut[0])
-        assert stop < len(pts) and inner[stop - 1] and cut[0][-1] < 0
-        assert not (inner[: stop - 1] & (whole[0][: stop - 1] < 0)).any()
-        assert cut[0].tobytes() == whole[0][:stop].tobytes()
-        assert cut[1].tobytes() == whole[1][:stop].tobytes()
+        assert field.margin(0.0, np.zeros(2), EPS_LIST[0]) >= 0
+        assert field.lipschitz_bound(EPS_LIST[0], [0.0]) is None
+
+        def run():
+            return certify_inward_pointing(
+                field,
+                PLANAR,
+                EPS_LIST,
+                COLLAR_ETA_GRID,
+                TimeGrid.uniform(0.0, 2.0, 60),
+                box_radius=3.0,
+                seed=0,
+            )
+
+        result, callers = distance_callers(run)
+        assert result == (1.0, 1.0, 0.5, 0.4)
+        # ``query`` is the distance query inside ConstraintField.ball_slacks.
+        assert callers["query"] and set(callers) == {"collar_sets", "query"}
 
 
 def constant_control(value: float) -> ControlSignal:
