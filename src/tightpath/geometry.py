@@ -37,6 +37,7 @@ from .expr import compile_expressions, jacobian
 from .signals import ModulusTable, TimeGrid, Trajectory, subsample
 
 _MAX_TREE_CACHE = 64
+_LIPSCHITZ_CHUNK = 65536  # lattice nodes per gradient evaluation of lipschitz_bounds
 # Rounding allowance of ball_slacks' staged distance bounds, per unit of the
 # largest coordinate they involve; their rounding error is a few ulps of it.
 _PUSH_BOUND_SLACK = 1e-9
@@ -89,6 +90,7 @@ class ConstraintField:
     resolution: float = 0.0
     gradients: tuple = ()
     _tree_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _lipschitz_cache: dict = field(default_factory=dict, repr=False, compare=False)
     # (1-D axes, flat (n, dim) points, grid shape) of the scan lattice.
     _lattice: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -144,26 +146,31 @@ class ConstraintField:
         active = np.argmax(np.stack([comp(t, x) for comp in self.components], axis=1), axis=1)
         return grads[np.arange(len(x)), active]
 
-    def lipschitz_bound(self, eps: float, times):
-        """L, the largest |∇h_j| over the scan lattice's nodes in the
-        tightened set at eps at each of ``times``: a sampled Lipschitz bound
-        of the value there, so d_boundary(p) >= margin(p) / L for a feasible
-        p (Ioffe, Russian Math. Surveys 55, 2000). None without gradients,
-        for an analytic field, which answers distances exactly, and where a
-        gradient raises or is not finite at such a node or all of them vanish."""
+    def lipschitz_bounds(self, eps: float, t: float):
+        """Per component, L_j = max |∇h_j| over the scan lattice's nodes in the
+        tightened set at (t, eps), cached per key: a feasible p is at least
+        min_j (-h_j(p) - eps) / L_j from the boundary (Ioffe, Russian Math.
+        Surveys 55, 2000). None without gradients, for an analytic field, or
+        where a gradient raises, is not finite there or is 0 at every node."""
         if not self.gradients or self.analytic_distance is not None:
             return None
-        nodes, top = _lattice_nodes(self)[1], 0.0
-        for t in times:
-            inside = nodes[self.margin(t, nodes, eps) >= 0]
+        key = self._key(t, eps)
+        if key not in self._lipschitz_cache:
+            self._lipschitz_cache[key] = self._lattice_lipschitz(t, eps)
+        return self._lipschitz_cache[key]
+
+    def _lattice_lipschitz(self, t: float, eps: float):
+        nodes, top = _lattice_nodes(self)[1], np.zeros(len(self.gradients))
+        for start in range(0, len(nodes), _LIPSCHITZ_CHUNK):
+            chunk = nodes[start : start + _LIPSCHITZ_CHUNK]
+            inside = np.compress(self.margin(t, chunk, eps) >= 0, chunk, axis=0)
             try:
-                norms = [np.linalg.norm(grad(t, inside), axis=1) for grad in self.gradients]
+                grads = [grad(t, inside) for grad in self.gradients]
             except ModelEvaluationError:
                 return None
-            if not all(np.isfinite(n).all() for n in norms):
-                return None
-            top = max([top] + [float(n.max(initial=0.0)) for n in norms])
-        return top if top > 0 else None
+            # Squared norms; a NaN or inf among them carries into the maximum.
+            top = np.maximum(top, [np.einsum("ij,ij->i", g, g).max(initial=0.0) for g in grads])
+        return np.sqrt(top) if np.isfinite(top).all() and (top > 0).all() else None
 
     def _key(self, t: float, eps: float) -> tuple:
         return (round(t, 9) if self.time_varying else 0.0, round(eps, 12), self.resolution)
@@ -318,7 +325,7 @@ class ConstraintField:
         return out
 
     def ball_slacks(
-        self, eps: float, t, centers, radii, keep, first=None, shifts=None, lipschitz=None
+        self, eps: float, t, centers, radii, keep, first=None, shifts=None, bounds=None
     ):
         """How far each ball stays inside the tightened set at time t.
 
@@ -327,11 +334,10 @@ class ConstraintField:
         gets d_boundary - radius, or -inf when its center is outside the
         set; every other point gets +inf.
 
-        With a ``lipschitz`` bound L on |∇h| over the set (``lipschitz_bound``),
-        a kept point gets margin / L - radius instead, from one ``margin``
-        call and no distance query, or -inf where its margin is not >= 0
-        (NaN included): never above its slack from exact distances where L
-        bounds |∇h| on the ball's part of the set.
+        With ``bounds`` L_j on |∇h_j| at the float time t (``lipschitz_bounds``),
+        a kept point gets min_j (-h_j - eps) / L_j - radius instead, and no
+        distance query, or -inf where some -h_j - eps is not >= 0 (NaN
+        included): never above its slack from exact distances.
 
         ``first`` marks the first pair of each group of consecutive pairs,
         its anchor, and ``shifts`` (pairs, dim) moves every point of a pair
@@ -371,9 +377,11 @@ class ConstraintField:
             slack[mask] = np.where(d_set > 0, -np.inf, d_bdry - per_point(radii, mask))
             return d_bdry
 
-        if lipschitz is not None:
-            room = self.margin(per_point(t, keep), centers[keep], eps)
-            slack[keep] = np.where(room >= 0, room / lipschitz - per_point(radii, keep), -np.inf)
+        if bounds is not None:
+            x = centers[keep]
+            rooms = [-(np.asarray(comp(t, x), dtype=float) + eps) for comp in self.components]
+            reach = [np.where(room >= 0, room / b, -np.inf) for room, b in zip(rooms, bounds)]
+            slack[keep] = np.minimum.reduce(reach) - per_point(radii, keep)
             return slack
         staged = first is not None and np.ndim(t) == 0 and self.analytic_distance is None
         if not staged or first.all():

@@ -407,7 +407,7 @@ def inclusion_margins(
     candidates: np.ndarray,
     xi: float,
     horizon: float,
-    lipschitz: float | None = None,
+    lipschitz=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Worst forward-cone slack per base point and control candidate.
 
@@ -438,12 +438,10 @@ def inclusion_margins(
     The distances come from ``ConstraintField.ball_slacks``: on the
     KD-tree fallback a push queries only the base points that can set a
     pair's minimum, and every entry, exact or bound, is bitwise what a
-    query of every point gives.
-
-    With a ``lipschitz`` bound L on |∇h|, each ball's slack is margin / L
-    minus its radius instead, never above its slack from distances, and
-    every live pair is evaluated at every push time, one ``margin`` call
-    per push time: all entries are exact and no distance is queried.
+    query of every point gives. ``lipschitz`` maps a push time to bounds on
+    the |∇h_j| there or None (``ConstraintField.lipschitz_bounds``). Where it
+    bounds every push time, the slacks come from _SAFETY times them instead,
+    never above those from distances, and all entries are exact.
     """
     rows = np.asarray(rows, dtype=float)
     per_row = np.broadcast_to(candidates, (len(rows),) + np.shape(candidates)[-2:])
@@ -470,13 +468,13 @@ def _cone_offsets(dim: int, xi: float) -> np.ndarray:
 def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap, lipschitz) -> None:
     """The pushes of ``inclusion_margins``; lowers ``margins`` in place.
 
-    With ``lipschitz``, every live pair is pushed at every push time.
-    Otherwise this is a branch-and-bound: every live pair is pushed at the
-    first push time. Then the row leaders
-    are pushed at all later push times in one ``ConstraintField.ball_slacks``
-    call with a time per pair. Then the pairs still in contention are
-    pushed one push time at a time; a row's pairs are consecutive, the
-    first its anchor, which a single-time query may stage on.
+    Where ``lipschitz`` bounds every push time, every live pair is pushed at
+    every push time. Otherwise this is a branch-and-bound: every live pair
+    is pushed at the first push time. Then the row leaders are pushed at all
+    later push times in one ``ConstraintField.ball_slacks`` call with a time
+    per pair. Then the pairs still in contention are pushed one push time
+    at a time; a row's pairs are consecutive, the first its anchor, which a
+    single-time query may stage on.
     """
     deltas = np.linspace(0.0, delta_cap, INCLUSION_GRID_POINTS)[1:]
     offsets = _cone_offsets(field.dim, float(xi))
@@ -484,17 +482,17 @@ def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap, 
     base_ok = (field.margin(t, ys.reshape(-1, field.dim), eps) >= 0).reshape(ys.shape[:2])
     margins[~base_ok.any(axis=1)] = -np.inf
 
-    def push(delta, pairs: tuple) -> None:
+    def push(delta, pairs: tuple, bounds=None) -> None:
         """Lower the margins of ``pairs`` to their worst slack at push time
         ``delta``, a float, or at one push time per pair, an array; there a
-        pair may recur at other times."""
+        pair may recur at other times. ``bounds`` goes to ``ball_slacks``."""
         r, c = pairs
         steps = np.reshape(delta, (-1, 1)) * velocities[r, c]
         # np.nonzero lists the pairs of a row together; the first is its anchor.
         first = np.concatenate(([True], r[1:] != r[:-1]))
         centers = ys[r] + steps[:, None, :]
         slack = field.ball_slacks(
-            eps, t + delta, centers, delta * xi, base_ok[r], first, steps, lipschitz
+            eps, t + delta, centers, delta * xi, base_ok[r], first, steps, bounds
         )
         # Unbuffered, so a recurring pair takes the minimum over its times.
         np.minimum.at(margins, (r, c), slack.min(axis=1))
@@ -505,9 +503,10 @@ def _push_forward_cone(field, eps, t, rows, velocities, margins, xi, delta_cap, 
     led = np.flatnonzero(live.any(axis=1))
     if led.size == 0:
         return
-    if lipschitz is not None:
-        for delta in deltas:
-            push(delta, np.nonzero(live))
+    bounds = None if lipschitz is None else [lipschitz(t + delta) for delta in deltas]
+    if bounds is not None and all(b is not None for b in bounds):
+        for delta, b in zip(deltas, bounds):
+            push(delta, np.nonzero(live), _SAFETY * b)
         return
     push(deltas[0], np.nonzero(live))
     # Each row's leader is the first live candidate attaining its live maximum.
@@ -596,22 +595,16 @@ def certify_inward_pointing(
     candidates where it fails (``_collar_rows``). Each tightening's
     collars are drawn just before its first pushes, the tightenings in
     order. An empty collar (constraint inactive in the box) passes
-    vacuously at the caps. Failure carries the witness (eps, t, x).
-
-    Where the field has a ``lipschitz_bound`` L, taken once per call at the
-    collar times and the smallest tightening, whose set holds the others,
-    the pushes bound each ball's slack by margin / (_SAFETY·L) and query
-    no distance; otherwise they query the field's distances.
+    vacuously at the caps. Failure carries the witness (eps, t, x). The
+    pushes take the field's ``lipschitz_bounds`` at the smallest tightening,
+    whose set holds the others.
     """
     times = [float(t) for t in subsample(time_grid.nodes, COLLAR_TIMES)]
     horizon = float(time_grid.t1)
     etas = sorted(float(e) for e in collar_eta_grid)[::-1]
     rng = np.random.default_rng(seed)
     collars = {}  # eps -> (collar points, their depths) per collar time
-    bound = field.lipschitz_bound(
-        min(map(float, eps_list)), times if field.time_varying else times[:1]
-    )
-    lipschitz = None if bound is None else _SAFETY * bound
+    lipschitz = functools.partial(field.lipschitz_bounds, min(map(float, eps_list)))
 
     def groups():
         """(eps, t, collar points, their depths) of every nonempty collar,

@@ -1597,13 +1597,15 @@ class TestCollarScans:
             assert (depths <= 0.4 * (1 + 1e-9)).all()
 
 
-def _exact_disk(field, speed: float):
-    """``field``, a disk of radius 1 centred at (speed·t, 0), with its exact
-    distances: to the tightened set max(1 + eps - |x - c|, 0), to its
-    boundary ||x - c| - (1 + eps)|."""
+def _exact_disk(field, speed: float, scale=None):
+    """``field``, the complement of a disk centred at c = (speed·t, 0) whose
+    component is scale(t)·(1 - |x - c|), scale 1 when None, with its exact
+    distances: to the tightened set max(R - |x - c|, 0), to its boundary
+    ||x - c| - R|, where R = 1 + eps / scale(t)."""
 
     def distance(eps, t, x):
-        gap = np.hypot(x[:, 0] - speed * np.asarray(t), x[:, 1]) - (1.0 + eps)
+        radius = 1.0 + eps / (1.0 if scale is None else scale(t))
+        gap = np.hypot(x[:, 0] - speed * np.asarray(t), x[:, 1]) - radius
         return np.maximum(-gap, 0.0), np.abs(gap)
 
     return dataclasses.replace(field, analytic_distance=distance)
@@ -1641,34 +1643,42 @@ class TestBoundedSlack:
     distances, and the fields that keep querying distances."""
 
     @pytest.mark.parametrize(
-        "component, speed, model",
+        "component, speed, scale, model",
         [
-            ("1 - sqrt(x1*x1 + x2*x2)", 0.0, PLANAR),
-            ("1 - sqrt((x1 - 0.1*t)**2 + x2**2)", 0.1, PLANAR),
-            ("1 - sqrt((x1 - 0.1*t)**2 + x2**2)", 0.1, STATE_GAIN_AFFINE),
+            ("1 - sqrt(x1*x1 + x2*x2)", 0.0, None, PLANAR),
+            ("1 - sqrt((x1 - 0.1*t)**2 + x2**2)", 0.1, None, PLANAR),
+            ("1 - sqrt((x1 - 0.1*t)**2 + x2**2)", 0.1, None, STATE_GAIN_AFFINE),
+            # |∇h| is about 1 at every tenth of a time unit, the collar
+            # times, and up to 1.5 between them, at the push times.
+            (
+                "(1 + 0.5*sin(62.832*t))*(1 - sqrt(x1*x1 + x2*x2))",
+                0.0,
+                lambda t: 1.0 + 0.5 * np.sin(62.832 * np.asarray(t)),
+                PLANAR,
+            ),
         ],
-        ids=["static-disk", "moving-disk", "state-gain-affine"],
+        ids=["static-disk", "moving-disk", "state-gain-affine", "oscillating-scale"],
     )
-    def test_bounded_slack_is_at_most_the_exact_slack(self, component, speed, model):
+    def test_bounded_slack_is_at_most_the_exact_slack(self, component, speed, scale, model):
         field = field_from_config(
             {
                 "components": [component],
                 "box": [[-2.0, 2.0], [-2.0, 2.0]],
-                "time_varying": speed > 0,
+                "time_varying": speed > 0 or scale is not None,
                 "resolution": 0.025,
             }
         )
-        exact = _exact_disk(field, speed)
-        eps, xi, times = 0.05, 0.5, np.linspace(0.0, 2.0, 21)
-        lipschitz = hypotheses._SAFETY * field.lipschitz_bound(eps, times)
-        assert exact.lipschitz_bound(eps, times) is None
+        exact = _exact_disk(field, speed, scale)
+        eps, xi = 0.05, 0.5
+        assert exact.lipschitz_bounds(eps, 0.0) is None
+        lipschitz = functools.partial(field.lipschitz_bounds, eps)
         rng = np.random.default_rng(7)
         checked = finite = 0
         real = field.ball_slacks
 
         def compared(eps, t, centers, radii, keep, *rest):
             nonlocal checked, finite
-            assert rest[-1] == lipschitz
+            assert (rest[-1] == hypotheses._SAFETY * field.lipschitz_bounds(eps, t)).all()
             bounded = real(eps, t, centers, radii, keep, *rest)
             want = exact.ball_slacks(eps, t, centers, radii, keep)
             assert (bounded <= want).all()
@@ -1702,7 +1712,7 @@ class TestBoundedSlack:
 
         result, callers = distance_callers(run)
         assert result == (1.0, MOVING_DISK_VELOCITY, 0.5, 0.4)
-        assert abs(field.lipschitz_bound(0.05, [0.0, 1.0]) - 1.0) < 1e-12
+        assert abs(field.lipschitz_bounds(0.05, 1.0) - 1.0).max() < 1e-12
         assert set(callers) == {"collar_sets"}
 
     def test_a_gradient_undefined_at_a_feasible_node_keeps_the_distance_queries(self):
@@ -1717,7 +1727,7 @@ class TestBoundedSlack:
             }
         )
         assert field.margin(0.0, np.zeros(2), EPS_LIST[0]) >= 0
-        assert field.lipschitz_bound(EPS_LIST[0], [0.0]) is None
+        assert field.lipschitz_bounds(EPS_LIST[0], 0.0) is None
 
         def run():
             return certify_inward_pointing(
@@ -1734,6 +1744,36 @@ class TestBoundedSlack:
         assert result == (1.0, 1.0, 0.5, 0.4)
         # ``query`` is the distance query inside ConstraintField.ball_slacks.
         assert callers["query"] and set(callers) == {"collar_sets", "query"}
+
+    def test_a_steep_component_bounds_only_its_own_slack(self):
+        # The square |x1|, |x2| <= 1.5 with its face x1 = 1.5 scaled by 100.
+        # Each component is divided by its own gradient bound, so the other
+        # faces keep their slacks and the bounded pushes certify the tuple
+        # that the distance queries certified; one bound of 100 for all
+        # components left those slacks near d / 110 - r and certified none.
+        field = field_from_config(
+            {
+                "components": ["100*(x1 - 1.5)", "-x1 - 1.5", "x2 - 1.5", "-x2 - 1.5"],
+                "box": [[-2.0, 2.0], [-2.0, 2.0]],
+                "resolution": 0.025,
+            }
+        )
+        assert (field.lipschitz_bounds(EPS_LIST[0], 0.0) == [100.0, 1.0, 1.0, 1.0]).all()
+
+        def run():
+            return certify_inward_pointing(
+                field,
+                PLANAR,
+                EPS_LIST,
+                COLLAR_ETA_GRID,
+                TimeGrid.uniform(0.0, 2.0, 60),
+                box_radius=3.0,
+                seed=0,
+            )
+
+        result, callers = distance_callers(run)
+        assert result == (2.0, 2.0, 0.5, 0.4)
+        assert set(callers) == {"collar_sets"}
 
 
 def constant_control(value: float) -> ControlSignal:
